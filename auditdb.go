@@ -26,6 +26,7 @@
 package auditdb
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -260,37 +261,28 @@ func (db *DB) ExplainAnalyze(sql string) (string, error) {
 	return db.eng.ExplainAnalyze(sql)
 }
 
-// OfflineReport is the exact (Definition 2.5) audit of one query.
-type OfflineReport struct {
-	// AccessedIDs is ground truth: the sensitive partition keys whose
-	// tuples influence the query result.
-	AccessedIDs []Value
-	// Candidates and Executions describe the audit's cost.
-	Candidates, Executions int
-	// RowsScanned totals the storage rows read across every
-	// re-execution — the offline audit's I/O bill.
-	RowsScanned int64
-}
+// OfflineReport is the exact (Definition 2.5) audit of one query:
+// AccessedIDs is ground truth, the sensitive partition keys whose
+// tuples influence the query result. The rest says how it was reached
+// and what it cost — Candidates observed by the audit's one
+// instrumented run, Decided of them by lineage alone, DeletionTests of
+// them by re-running the query with the tuple hidden (DeferReasons
+// says why), over Executions runs of the query reading RowsScanned
+// storage rows.
+type OfflineReport = offline.Report
 
 // OfflineAudit runs the exact offline auditor for a query against an
-// audit expression: tuple-deletion re-execution semantics, with
-// candidates pruned to the leaf-node superset. This is the verifier
-// the paper pairs with SELECT triggers (Figure 1).
+// audit expression: one instrumented run decides every verdict the
+// plan's shape allows (select-join blocks, COUNT(*) aggregates), and
+// tuple-deletion re-execution settles the rest, with candidates pruned
+// to the leaf-node superset. This is the verifier the paper pairs with
+// SELECT triggers (Figure 1).
 func (db *DB) OfflineAudit(sql, auditExpr string) (*OfflineReport, error) {
 	ae, ok := db.eng.Registry().Get(auditExpr)
 	if !ok {
 		return nil, fmt.Errorf("unknown audit expression %q", auditExpr)
 	}
-	rep, err := offline.New(db.eng.Catalog(), db.eng.Store()).Audit(sql, ae)
-	if err != nil {
-		return nil, err
-	}
-	return &OfflineReport{
-		AccessedIDs: rep.AccessedIDs,
-		Candidates:  rep.Candidates,
-		Executions:  rep.Executions,
-		RowsScanned: rep.RowsScanned,
-	}, nil
+	return db.eng.OfflineAudit(context.Background(), sql, ae, 0)
 }
 
 // AuditExpressionCardinality returns the current size of an audit

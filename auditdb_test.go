@@ -70,8 +70,21 @@ func TestPublicOfflineAudit(t *testing.T) {
 	if len(rep.AccessedIDs) != 1 || rep.AccessedIDs[0].Int() != 1 {
 		t.Errorf("offline = %+v", rep)
 	}
-	if rep.Candidates != 1 || rep.Executions < 3 {
+	// A select-join shape: one lineage run decides the one candidate.
+	if rep.Candidates != 1 || rep.Decided != 1 || rep.DeletionTests != 0 || rep.Executions != 1 || rep.DeferReasons != nil {
 		t.Errorf("cost counters = %+v", rep)
+	}
+	// DISTINCT decides nothing: leaf pass, baseline, one deletion test.
+	rep, err = db.OfflineAudit("SELECT DISTINCT Zip FROM Patients", "Audit_Alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Candidates != 1 || rep.Decided != 0 || rep.DeletionTests != 1 || rep.Executions != 3 || rep.DeferReasons["distinct"] != 1 {
+		t.Errorf("cost counters = %+v", rep)
+	}
+	stats := db.Stats()
+	if stats["offline_executions"] != 4 {
+		t.Errorf("offline_executions = %d, want 4", stats["offline_executions"])
 	}
 	if _, err := db.OfflineAudit("SELECT 1", "nope"); err == nil {
 		t.Error("unknown expression should fail")

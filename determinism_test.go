@@ -154,13 +154,7 @@ func TestTPCHDeterminismAcrossWorkers(t *testing.T) {
 			t.Fatalf("serial %s: %v", q.Name, err)
 		}
 		serialRows[q.Name] = canonical(r.Rows)
-		var idKeys []string
-		if r.Accessed != nil {
-			for _, v := range r.Accessed.IDs(auditExpr) {
-				idKeys = append(idKeys, value.KeyOf(v))
-			}
-		}
-		serialIDs[q.Name] = idKeys
+		serialIDs[q.Name] = idKeys(r, auditExpr)
 	}
 
 	for _, workers := range workerMatrix(t) {
@@ -173,18 +167,100 @@ func TestTPCHDeterminismAcrossWorkers(t *testing.T) {
 			if !sameStrings(canonical(r.Rows), serialRows[q.Name]) {
 				t.Fatalf("workers=%d %s: result set diverges from serial", workers, q.Name)
 			}
-			var idKeys []string
-			if r.Accessed != nil {
-				for _, v := range r.Accessed.IDs(auditExpr) {
-					idKeys = append(idKeys, value.KeyOf(v))
-				}
-			}
-			if !sameStrings(idKeys, serialIDs[q.Name]) {
+			if ids := idKeys(r, auditExpr); !sameStrings(ids, serialIDs[q.Name]) {
 				t.Fatalf("workers=%d %s: ACCESSED %d ids, serial %d — audit set diverges",
-					workers, q.Name, len(idKeys), len(serialIDs[q.Name]))
+					workers, q.Name, len(ids), len(serialIDs[q.Name]))
 			}
 		}
 	}
+}
+
+// TestPointTemplatesPlanSerial: the eight hot point shapes of the
+// benchmark's point workloads are index lookups (primary key or the
+// o_custkey index) into tables larger than the parallelism threshold.
+// At any worker budget they must plan without an exchange — a worker
+// pool for a handful of rows costs several times the lookup — and
+// return the serial rows and ACCESSED ids.
+func TestPointTemplatesPlanSerial(t *testing.T) {
+	const auditExpr = "Audit_Range"
+	load := func(workers int) *engine.Engine {
+		d := tpch.Generate(tpch.Config{SF: 0.02})
+		e := engine.New()
+		if _, err := e.ExecScript(tpch.SchemaDDL); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.LoadRows("customer", d.Customer); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.LoadRows("orders", d.Orders); err != nil {
+			t.Fatal(err)
+		}
+		for _, ddl := range []string{"CREATE INDEX idx_o_cust ON orders (o_custkey)", tpch.AuditCustomerRange(auditExpr, 300)} {
+			if _, err := e.Exec(ddl); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.SetAuditAll(true)
+		e.SetDefaultWorkers(workers)
+		return e
+	}
+	templates := []string{
+		"SELECT c_name, c_acctbal FROM customer WHERE c_custkey = 7",
+		"SELECT c_custkey, c_name, c_address, c_phone FROM customer WHERE c_custkey = 7 AND c_nationkey >= 0",
+		"SELECT c_custkey, c_mktsegment FROM customer WHERE c_custkey = 7 AND c_acctbal > -1000",
+		"SELECT o_orderkey, o_totalprice, o_orderdate FROM orders WHERE o_orderkey = 7",
+		"SELECT o_orderkey, o_orderstatus FROM orders WHERE o_custkey = 7",
+		"SELECT COUNT(*), SUM(o_totalprice) FROM orders WHERE o_custkey = 7",
+		"SELECT c_name, o_orderkey, o_totalprice FROM customer, orders WHERE c_custkey = o_custkey AND c_custkey = 7 AND o_custkey = 7",
+		"SELECT o_orderkey, o_totalprice FROM orders WHERE o_custkey = 7 ORDER BY o_totalprice DESC LIMIT 3",
+	}
+	serial := load(1)
+	for _, workers := range []int{2, 8} {
+		par := load(workers)
+		// The fixture must be on the parallel side of the threshold, or
+		// the assertion below would hold for the wrong reason.
+		r, err := par.Exec("EXPLAIN SELECT o_orderkey FROM orders WHERE o_totalprice > 0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(planText(r), "Gather") {
+			t.Fatalf("workers=%d: a full scan of orders does not plan under Gather; fixture too small:\n%s", workers, planText(r))
+		}
+		for _, sql := range templates {
+			r, err := par.Exec("EXPLAIN " + sql)
+			if err != nil {
+				t.Fatalf("workers=%d EXPLAIN %q: %v", workers, sql, err)
+			}
+			if txt := planText(r); strings.Contains(txt, "Gather") || strings.Contains(txt, "[parallel]") {
+				t.Errorf("workers=%d %q: index lookup planned parallel:\n%s", workers, sql, txt)
+			}
+			rs, err := serial.Query(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rp, err := par.Query(sql)
+			if err != nil {
+				t.Fatalf("workers=%d %q: %v", workers, sql, err)
+			}
+			if !sameStrings(canonical(rs.Rows), canonical(rp.Rows)) {
+				t.Errorf("workers=%d %q: result set diverges from serial", workers, sql)
+			}
+			if !sameStrings(idKeys(rs, auditExpr), idKeys(rp, auditExpr)) {
+				t.Errorf("workers=%d %q: ACCESSED id-set diverges from serial", workers, sql)
+			}
+		}
+	}
+}
+
+// idKeys is accessedKeys for engine results.
+func idKeys(r *engine.Result, expr string) []string {
+	var out []string
+	if r.Accessed != nil {
+		for _, v := range r.Accessed.IDs(expr) {
+			out = append(out, value.KeyOf(v))
+		}
+	}
+	return out
 }
 
 // TestSessionSetWorkersIsolation: one session forcing serial must not

@@ -6,7 +6,9 @@
 //
 // The demo runs a mixed workload, shows how many queries the trigger
 // layer cleared outright, and then verifies the flagged ones offline —
-// counting how many query re-executions the filter saved.
+// showing which verdicts one lineage run decided, which needed the
+// tuple-deletion test and why, and how many query executions the
+// filter saved.
 //
 // Run with: go run ./examples/offline
 package main
@@ -84,8 +86,9 @@ func main() {
 		if len(rep.AccessedIDs) < len(f.ids) {
 			verdict = fmt.Sprintf("reduced to %v (online false positives cleared)", rep.AccessedIDs)
 		}
-		fmt.Printf("  %.55s\n    online=%v exact=%v -> %s (%d re-executions)\n",
-			f.sql, f.ids, rep.AccessedIDs, verdict, rep.Executions)
+		fmt.Printf("  %.55s\n    online=%v exact=%v -> %s\n", f.sql, f.ids, rep.AccessedIDs, verdict)
+		fmt.Printf("    candidates=%d decided=%d deletion-tests=%d deferred=%v executions=%d rows-scanned=%d\n",
+			rep.Candidates, rep.Decided, rep.DeletionTests, rep.DeferReasons, rep.Executions, rep.RowsScanned)
 	}
 	fmt.Printf("\noffline cost: %d query executions for %d flagged queries;\n",
 		totalExecs, len(toVerify))

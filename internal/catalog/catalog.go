@@ -234,6 +234,24 @@ func (c *Catalog) Indexes() []*IndexMeta {
 	return out
 }
 
+// EqIndexedColumns returns the columns of t on which storage serves an
+// equality from an index: the sole primary-key column and the column
+// of every single-column secondary index.
+func (c *Catalog) EqIndexedColumns(t *TableMeta) []int {
+	var out []int
+	if len(t.PrimaryKey) == 1 {
+		out = append(out, t.PrimaryKey[0])
+	}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for _, idx := range c.indexes {
+		if len(idx.Columns) == 1 && strings.EqualFold(idx.Table, t.Name) {
+			out = append(out, idx.Columns[0])
+		}
+	}
+	return out
+}
+
 // AddView registers a view. The name must not collide with a table or
 // another view.
 func (c *Catalog) AddView(v *ViewMeta) error {

@@ -165,6 +165,38 @@ func commute(a *plan.Audit, parent plan.Node, slot int) (int, bool) {
 	}
 }
 
+// HoistAudit moves the audit operator on the plan's unary spine from
+// where pull-up left it to the root, carrying the partition-by column
+// up as a hidden trailing column (plan.CarryColumn): the operator then
+// observes the IDs of the rows the query returns, top-k cut included.
+// It rewrites the plan in place and is for plans the caller owns (the
+// offline auditor's clones); ok=false leaves the plan as it was, when
+// no operator sits on the spine or something other than Project, Sort
+// and Limit sits above it.
+func HoistAudit(root plan.Node) (plan.Node, bool) {
+	holder := &rootHolder{child: root}
+	var parent plan.Node = holder
+	for {
+		kids := parent.Children()
+		if len(kids) != 1 {
+			return root, false
+		}
+		a, isAudit := kids[0].(*plan.Audit)
+		if !isAudit {
+			parent = kids[0]
+			continue
+		}
+		parent.SetChild(0, a.Child)
+		idx, ok := plan.CarryColumn(holder.child, a.Child, a.IDIdx)
+		if !ok {
+			parent.SetChild(0, a)
+			return root, false
+		}
+		a.Child, a.IDIdx = holder.child, idx
+		return a, true
+	}
+}
+
 // placeHighest implements the highest-node strawman: one operator at
 // the shallowest node whose schema still exposes the partition-by
 // column. Used to demonstrate false negatives (Example 3.2).

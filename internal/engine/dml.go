@@ -105,9 +105,14 @@ func (e *Engine) runInsert(s *ast.Insert, sql string, env *actionEnv) (*Result, 
 	if env.txn != nil {
 		env.txn.record(applied)
 	}
+	e.bufferDML(env, meta, applied)
+	err = e.maintainIDSets(meta, applied)
 	unlock()
+	if err != nil {
+		return nil, err
+	}
 
-	if err := e.afterDML(meta, applied, sql, env, catalog.TriggerAfterInsert); err != nil {
+	if err := e.fireDMLTriggers(meta, applied, sql, env, catalog.TriggerAfterInsert); err != nil {
 		return nil, err
 	}
 	return &Result{RowsAffected: len(applied)}, nil
@@ -204,9 +209,14 @@ func (e *Engine) runUpdate(s *ast.Update, sql string, env *actionEnv) (*Result, 
 	if env.txn != nil {
 		env.txn.record(applied)
 	}
+	e.bufferDML(env, meta, applied)
+	err := e.maintainIDSets(meta, applied)
 	unlock()
+	if err != nil {
+		return nil, err
+	}
 
-	if err := e.afterDML(meta, applied, sql, env, catalog.TriggerAfterUpdate); err != nil {
+	if err := e.fireDMLTriggers(meta, applied, sql, env, catalog.TriggerAfterUpdate); err != nil {
 		return nil, err
 	}
 	return &Result{RowsAffected: len(applied)}, nil
@@ -270,21 +280,32 @@ func (e *Engine) runDelete(s *ast.Delete, sql string, env *actionEnv) (*Result, 
 	if env.txn != nil {
 		env.txn.record(applied)
 	}
+	e.bufferDML(env, meta, applied)
+	err := e.maintainIDSets(meta, applied)
 	unlock()
+	if err != nil {
+		return nil, err
+	}
 
-	if err := e.afterDML(meta, applied, sql, env, catalog.TriggerAfterDelete); err != nil {
+	if err := e.fireDMLTriggers(meta, applied, sql, env, catalog.TriggerAfterDelete); err != nil {
 		return nil, err
 	}
 	return &Result{RowsAffected: len(applied)}, nil
 }
 
-// afterDML maintains audit-expression ID sets and fires row-level
-// AFTER triggers for the applied changes.
-func (e *Engine) afterDML(meta *catalog.TableMeta, applied []change, sql string, env *actionEnv, kind catalog.TriggerKind) error {
+// maintainIDSets folds the applied changes into the audit expressions'
+// materialized ID sets. Callers hold the writer lock: the sets are
+// replaced by clone-and-store, so two writers applying their deltas
+// concurrently — or in the opposite order to their row changes — would
+// lose or revert an ID (a false negative, Claim 3.6). Under the lock
+// the deltas land in commit order. A rollback re-materializes the sets
+// after undoing the rows (Txn.Rollback). Callers buffer the changes for
+// the WAL first: the rows are in the store whether or not maintenance
+// succeeds, so they must be in the log too.
+func (e *Engine) maintainIDSets(meta *catalog.TableMeta, applied []change) error {
 	if len(applied) == 0 {
 		return nil
 	}
-	e.bufferDML(env, meta, applied)
 	var inserted, deleted []value.Row
 	for _, c := range applied {
 		if c.new != nil {
@@ -297,7 +318,7 @@ func (e *Engine) afterDML(meta *catalog.TableMeta, applied []change, sql string,
 	if err := e.reg.Apply(meta.Name, inserted, deleted); err != nil {
 		return fmt.Errorf("audit expression maintenance: %w", err)
 	}
-	return e.fireDMLTriggers(meta, applied, sql, env, kind)
+	return nil
 }
 
 func undo(applied []change) {
@@ -398,15 +419,12 @@ func (e *Engine) LoadRows(table string, rows []value.Row) error {
 		}
 		walErr = e.wal.AppendCommit(ops)
 	}
+	applyErr := e.maintainIDSets(meta, applied)
 	e.dmlMu.Unlock()
 	if walErr != nil {
 		return walErr
 	}
-	inserted := make([]value.Row, len(applied))
-	for i, c := range applied {
-		inserted[i] = c.new
-	}
-	return e.reg.Apply(meta.Name, inserted, nil)
+	return applyErr
 }
 
 // RunPlan executes a prepared plan against the engine's store with a

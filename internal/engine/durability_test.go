@@ -312,3 +312,48 @@ func TestDurableDDLOnlyRollback(t *testing.T) {
 		t.Fatalf("rolled-back insert replayed: %v", r.Rows)
 	}
 }
+
+// TestDurableMaintenanceFailureStillLogged: when audit-set maintenance
+// fails after the rows were applied, the statement errors but the rows
+// stay in the store — so they must be in the log as well, or store and
+// log diverge at the next restart.
+func TestDurableMaintenanceFailureStillLogged(t *testing.T) {
+	dir := t.TempDir()
+	e := openDurable(t, dir)
+	if _, err := e.ExecScript(`
+		CREATE TABLE Patients (PatientID INT PRIMARY KEY, Name VARCHAR(30));
+		CREATE TABLE Flags (PatientID INT);
+		CREATE AUDIT EXPRESSION Flagged AS
+			SELECT P.* FROM Patients P, Flags F WHERE P.PatientID = F.PatientID
+			FOR SENSITIVE TABLE Patients, PARTITION BY PatientID;
+		DROP TABLE Flags;
+	`); err != nil {
+		t.Fatalf("setup: %v", err)
+	}
+	// The expression's defining query no longer builds: its refresh fails.
+	if _, err := e.Exec("INSERT INTO Patients VALUES (1, 'Alice')"); err == nil {
+		t.Fatal("insert succeeded; the test needs maintenance to fail")
+	}
+	if r := mustQuery(t, e, "SELECT Name FROM Patients"); len(r.Rows) != 1 {
+		t.Fatalf("store holds %d rows, want the applied one", len(r.Rows))
+	}
+	if err := e.CloseWAL(); err != nil {
+		t.Fatalf("CloseWAL: %v", err)
+	}
+	m, rec, err := wal.Open(dir, wal.Options{Sync: wal.SyncAlways})
+	if err != nil {
+		t.Fatalf("wal.Open: %v", err)
+	}
+	defer m.Close()
+	logged := 0
+	for _, c := range rec.Commits {
+		for _, op := range c.Ops {
+			if op.Kind == wal.OpInsert && op.Table == "Patients" {
+				logged++
+			}
+		}
+	}
+	if logged != 1 {
+		t.Fatalf("log holds %d inserts into Patients, want 1", logged)
+	}
+}

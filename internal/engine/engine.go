@@ -138,6 +138,13 @@ type Engine struct {
 	// registered once in initMetrics and survives reconfiguration.
 	triage        *triage.Service
 	triageMetrics *triage.Metrics
+
+	// Offline-audit metrics (OfflineAudit in triage.go): verdicts by the
+	// path that reached them, query executions spent, and candidates
+	// lineage could not decide, by reason.
+	offlineVerdicts   *obs.CounterVec
+	offlineExecutions *obs.Counter
+	offlineDeferred   *obs.CounterVec
 }
 
 // Stats counts engine activity. Each field is a counter registered in
@@ -280,6 +287,12 @@ func (e *Engine) initMetrics() {
 		"Traces currently retained in the trace ring.",
 		func() int64 { return int64(e.traceRing.Len()) })
 	e.triageMetrics = triage.NewMetrics(r)
+	e.offlineVerdicts = r.NewCounterVec("auditdb_offline_verdicts_total", "offline_verdicts",
+		"Exact offline verdicts, by path (lineage = decided by the one instrumented run, deletion = some candidate needed the tuple-deletion test).", "path")
+	e.offlineExecutions = r.NewCounter("auditdb_offline_executions_total", "offline_executions",
+		"Full query executions performed by offline audits (instrumented runs, baselines and deletion tests).")
+	e.offlineDeferred = r.NewCounterVec("auditdb_offline_deferred_total", "offline_deferred",
+		"Offline-audit candidates lineage could not decide, by reason (the plan shape, or vanished).", "reason")
 }
 
 // Metrics exposes the engine's observability registry so servers can

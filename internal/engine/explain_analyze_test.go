@@ -117,7 +117,9 @@ func TestExplainAnalyzePerNodeCounters(t *testing.T) {
 	if !ok {
 		t.Fatal("Audit_Alice not registered")
 	}
-	rep, err := offline.New(e.Catalog(), e.Store()).Audit(q, ae)
+	literal := offline.New(e.Catalog(), e.Store())
+	literal.NoSkip = true // Def 2.3 itself, not a second hcn-placed run
+	rep, err := literal.Audit(q, ae)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"auditdb/internal/core"
 	"auditdb/internal/offline"
 	"auditdb/internal/trace"
 	"auditdb/internal/triage"
@@ -48,6 +49,26 @@ func (e *Engine) StopTriage(ctx context.Context) {
 // sessions inherit the setting.
 func (e *Engine) SetTriage(on bool) { e.defSess.SetTriage(on) }
 
+// OfflineAudit runs the exact offline auditor (Def 2.3) for one query
+// against one audit expression and accounts for the verdict in the
+// engine's metrics: which path reached it, how many query executions it
+// cost, and why any candidate had to be deferred to the deletion test.
+// parallelism bounds the deletion-test pool (<= 0 uses GOMAXPROCS).
+func (e *Engine) OfflineAudit(ctx context.Context, sql string, ae *core.AuditExpression, parallelism int) (*offline.Report, error) {
+	aud := offline.New(e.cat, e.store)
+	aud.Parallelism = parallelism
+	rep, err := aud.AuditContext(ctx, sql, ae)
+	if err != nil {
+		return nil, err
+	}
+	e.offlineVerdicts.With(rep.Path()).Inc()
+	e.offlineExecutions.Add(int64(rep.Executions))
+	for reason, n := range rep.DeferReasons {
+		e.offlineDeferred.With(reason).Add(int64(n))
+	}
+	return rep, nil
+}
+
 // verifyTriageEvent is the triage workers' callback: run the exact
 // offline auditor (Def 2.3) for the event's statement — unless the
 // per-minute budget is exhausted — and chain a signed verdict record.
@@ -63,14 +84,14 @@ func (e *Engine) verifyTriageEvent(ctx context.Context, ev triage.Event, budgete
 	outcome := wal.VerdictSkipped
 	suspicious := 0
 	var elapsed time.Duration
+	var rep *offline.Report
 	if budgeted {
 		if ae, ok := e.reg.Get(ev.Expr); ok {
 			t0 := time.Now()
-			aud := offline.New(e.cat, e.store)
 			// Serial deletion tests: background verification must not
 			// commandeer the host's cores from foreground statements.
-			aud.Parallelism = 1
-			rep, err := aud.AuditContext(ctx, ev.SQL, ae)
+			var err error
+			rep, err = e.OfflineAudit(ctx, ev.SQL, ae, 1)
 			elapsed = time.Since(t0)
 			if ctx.Err() != nil {
 				// Drain/shutdown cancelled the audit mid-scan: no verdict.
@@ -108,7 +129,7 @@ func (e *Engine) verifyTriageEvent(ctx context.Context, ev triage.Event, budgete
 		// Only real audits earn a triage.verify span: a skipped-budget
 		// verdict carries nothing the verdict ring doesn't already
 		// hold, and the skip path runs once per firing under overload.
-		e.retainVerifyTrace(ev, wal.VerdictName(outcome), suspicious, elapsed)
+		e.retainVerifyTrace(ev, wal.VerdictName(outcome), suspicious, elapsed, rep)
 	}
 	return triage.Result{
 		ChainSeq:   seq,
@@ -120,8 +141,9 @@ func (e *Engine) verifyTriageEvent(ctx context.Context, ev triage.Event, budgete
 // retainVerifyTrace pushes a one-span trace for the background
 // verification into the trace ring under the firing statement's query
 // ID, so SHOW TRACE FOR <qid> and /traces?qid= correlate the original
-// statement with its later offline verdict.
-func (e *Engine) retainVerifyTrace(ev triage.Event, outcome string, suspicious int, elapsed time.Duration) {
+// statement with its later offline verdict. rep is nil when no audit
+// produced a report (dropped expression, unauditable statement).
+func (e *Engine) retainVerifyTrace(ev triage.Event, outcome string, suspicious int, elapsed time.Duration, rep *offline.Report) {
 	var r trace.Rec
 	r.Begin(ev.QID, true)
 	start := time.Now().Add(-elapsed)
@@ -130,6 +152,10 @@ func (e *Engine) retainVerifyTrace(ev triage.Event, outcome string, suspicious i
 		r.SetAttr(id, "outcome", outcome)
 		r.SetAttrInt(id, "suspicious", int64(suspicious))
 		r.SetAttrInt(id, "score", int64(ev.Score))
+		if rep != nil {
+			r.SetAttr(id, "path", rep.Path())
+			r.SetAttrInt(id, "executions", int64(rep.Executions))
+		}
 	}
 	if t := r.Finish(ev.User, ev.SQL, "", true); t != nil {
 		if e.traceRing.Add(t) {

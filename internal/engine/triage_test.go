@@ -406,3 +406,71 @@ func TestTriageSessionToggleInheritance(t *testing.T) {
 		t.Fatal("per-session toggle failed")
 	}
 }
+
+// TestTriageVerifySpanAndOfflineMetrics: a background verification
+// says on its triage.verify span which path reached the verdict and
+// what it cost, and /metrics carries the same accounting — a
+// select-join firing is decided by lineage in one execution, a
+// DISTINCT firing is deferred, by name, to the deletion test.
+func TestTriageVerifySpanAndOfflineMetrics(t *testing.T) {
+	e := triageHealthDB(t, t.TempDir(), triage.Config{Workers: 1})
+	defer e.CloseWAL()
+
+	for _, sql := range []string{
+		"SELECT * FROM Patients WHERE Name = 'Alice'",
+		"SELECT DISTINCT Age FROM Patients",
+	} {
+		if _, err := e.Query(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	quiesceTriage(t, e)
+
+	want := map[string]struct {
+		path       string
+		executions int64
+	}{
+		"SELECT * FROM Patients WHERE Name = 'Alice'": {"lineage", 1},
+		"SELECT DISTINCT Age FROM Patients":           {"deletion", 3}, // leaf pass, baseline, one test
+	}
+	seen := 0
+	for _, tr := range e.traceRing.Snapshot() {
+		for _, sp := range tr.Spans {
+			if sp.Name != "triage.verify" {
+				continue
+			}
+			seen++
+			var path string
+			var executions int64
+			for _, a := range sp.Attrs {
+				switch a.Key {
+				case "path":
+					path = a.Str
+				case "executions":
+					executions = a.Int
+				}
+			}
+			if w := want[tr.SQL]; path != w.path || executions != w.executions {
+				t.Errorf("%q: triage.verify path=%q executions=%d, want %q %d", tr.SQL, path, executions, w.path, w.executions)
+			}
+		}
+	}
+	if seen != 2 {
+		t.Fatalf("%d triage.verify spans retained, want 2", seen)
+	}
+
+	var b strings.Builder
+	if err := e.Metrics().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		`auditdb_offline_verdicts_total{path="lineage"} 1`,
+		`auditdb_offline_verdicts_total{path="deletion"} 1`,
+		`auditdb_offline_executions_total 4`,
+		`auditdb_offline_deferred_total{reason="distinct"} 1`,
+	} {
+		if !strings.Contains(b.String(), line) {
+			t.Errorf("/metrics lacks %q", line)
+		}
+	}
+}

@@ -549,31 +549,19 @@ func (k *scanKernel) Close() {
 	}
 }
 
-// equalityProbe finds a conjunct of the form col = constant (or
-// constant = col) whose constant side is evaluable without a row.
+// equalityProbe evaluates the conjunct plan.EqProbe picks out of pred
+// (col = constant, the constant side evaluable without a row). The
+// planner's Scan.IndexPoint asks the same shape question, so the two
+// agree on which scans are index lookups.
 func equalityProbe(pred plan.Expr, ctx *Ctx) (col int, v value.Value, ok bool) {
-	switch e := pred.(type) {
-	case *plan.And:
-		if c, val, found := equalityProbe(e.L, ctx); found {
-			return c, val, true
-		}
-		return equalityProbe(e.R, ctx)
-	case *plan.Cmp:
-		if e.Op != plan.CmpEq {
-			return 0, value.Null, false
-		}
-		if c, cok := e.L.(*plan.Col); cok {
-			if val, vok := constValue(e.R, ctx); vok {
-				return c.Idx, val, true
-			}
-		}
-		if c, cok := e.R.(*plan.Col); cok {
-			if val, vok := constValue(e.L, ctx); vok {
-				return c.Idx, val, true
-			}
-		}
+	c, k, found := plan.EqProbe(pred)
+	if !found {
+		return 0, value.Null, false
 	}
-	return 0, value.Null, false
+	if v, ok = constValue(k, ctx); !ok {
+		return 0, value.Null, false
+	}
+	return c.Idx, v, true
 }
 
 // constValue evaluates a row-independent expression (literals,

@@ -57,10 +57,16 @@ func NewWorkbench(sf float64) (*Workbench, error) {
 	if !ok {
 		return nil, fmt.Errorf("audit expression not compiled")
 	}
+	// Ground truth for the figures is Definition 2.3 read literally:
+	// the default auditor decides select-join shapes from an hcn-placed
+	// lineage run, and "hcn == offline" must not be checked against
+	// itself.
+	aud := offline.New(e.Catalog(), e.Store())
+	aud.NoSkip = true
 	return &Workbench{
 		Engine:  e,
 		Data:    d,
-		Auditor: offline.New(e.Catalog(), e.Store()),
+		Auditor: aud,
 		Expr:    ae,
 		Params:  p,
 	}, nil

@@ -4,18 +4,31 @@
 // applied per Definition 2.5 to the tuples matched by an audit
 // expression).
 //
-// Two things make the literal definition tractable here:
+// The auditor decides what it can from one instrumented run and defers
+// the rest to the definition:
 //
-//   - Candidate pruning. By Claim 3.5 the leaf-node heuristic's
-//     auditIDs are a superset of accessedIDs, so only tuples flagged by
-//     a leaf-node instrumented run need the deletion test; everything
-//     else is provably not accessed.
-//   - Tuple masking. Q(D - t) is evaluated by re-running Q with t
-//     hidden behind a storage visibility mask — no real delete, no
-//     rollback, no past-state reconstruction (the paper's offline
-//     systems rebuild past database states; we audit in place, which
-//     preserves the semantics because the engine is quiesced during
-//     the audit).
+//   - Lineage. The run carries a lineage sink (a core.Probe over a
+//     private ACCESSED state) on an audit operator placed by the
+//     highest-commutative-node algorithm. For plan shapes where every
+//     output row is owed to exactly the sensitive tuples that flowed
+//     past the operator, membership in the lineage IS the verdict
+//     (classify has the decision table and the argument for each
+//     rule): no baseline, no re-execution.
+//   - Candidate pruning. Where the shape decides nothing, Claim 3.5
+//     still does: the leaf-node heuristic's auditIDs are a superset of
+//     accessedIDs, so only tuples flagged by a leaf-node instrumented
+//     run need the deletion test; everything else is provably not
+//     accessed.
+//   - Tuple masking. For an undecided candidate, Q(D - t) is evaluated
+//     by re-running Q with t hidden behind a storage visibility mask —
+//     no real delete, no rollback, no past-state reconstruction (the
+//     paper's offline systems rebuild past database states; we audit
+//     in place, which preserves the semantics because the engine is
+//     quiesced during the audit).
+//
+// Auditor.NoSkip turns the first point off: every leaf candidate gets
+// its deletion test, which is Definition 2.3 read literally and the
+// oracle the lineage rules are tested against.
 package offline
 
 import (
@@ -23,6 +36,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -44,11 +58,12 @@ type Auditor struct {
 	// GOMAXPROCS. Background verifiers (triage) set 1 so an offline
 	// audit never commandeers the host from foreground queries.
 	Parallelism int
-	// NoSkip disables chunk skipping (zone maps and sensitive-ID
-	// sketches) in every execution the audit performs. Used by
-	// equivalence tests and as an escape hatch; the default (skipping
-	// on) is exact because pruning only elides provably irrelevant
-	// chunks.
+	// NoSkip forces the exact path everywhere: no chunk skipping (zone
+	// maps and sensitive-ID sketches) in any execution the audit
+	// performs, and no lineage decisions — a baseline run, a leaf
+	// candidate run and one deletion test per candidate, Definition 2.3
+	// to the letter. It is the oracle the equivalence and differential
+	// tests compare the default auditor against, and the escape hatch.
 	NoSkip bool
 }
 
@@ -57,22 +72,63 @@ func New(cat *catalog.Catalog, store *storage.Store) *Auditor {
 	return &Auditor{cat: cat, store: store}
 }
 
+// Why a candidate could not be decided from lineage and went to the
+// deletion test (Report.DeferReasons keys). The first eight name plan
+// shapes; ReasonVanished replaces the shape's reason for a candidate
+// whose tuple is gone from the table by the time it would be masked.
+const (
+	ReasonDistinct   = "distinct"     // DISTINCT (rows or aggregate): duplicates absorb a deletion
+	ReasonHaving     = "having"       // a filter above the aggregate can hide the changed group
+	ReasonSubquery   = "subquery"     // rows seen in a subquery block need not influence the result
+	ReasonSelfJoin   = "self-join"    // the sensitive table is scanned more than once
+	ReasonOuterJoin  = "outer-join"   // a NULL-extended row can stand in for the deleted match
+	ReasonAggNoCount = "agg-no-count" // no COUNT(*) reaches the output: a row may contribute nothing
+	ReasonTopKMember = "topk-member"  // a value-identical row can slide into the vacated top-k slot
+	ReasonVanished   = "vanished"     // reported accessed, to err on the safe side
+	ReasonNonKey     = "non-key"      // PARTITION BY is not the sensitive table's primary key
+	ReasonShape      = "shape"        // any other operator arrangement (nested blocks, LIMIT over GROUP BY, exchanges)
+	ReasonNoSkip     = "noskip"       // Auditor.NoSkip: the caller asked for the literal definition
+)
+
 // Report is the outcome of auditing one query against one audit
 // expression.
 type Report struct {
 	// AccessedIDs are the partition-by keys whose tuples influence the
 	// query (Definition 2.5), sorted.
 	AccessedIDs []value.Value
-	// Candidates is how many sensitive tuples needed the deletion test
-	// (the leaf-superset size).
+	// Candidates is how many sensitive IDs the instrumented run
+	// observed and the audit therefore had to settle: the lineage on a
+	// shape the classifier decides, the leaf superset (Claim 3.5)
+	// otherwise. IDs the run never observed are not accessed and are
+	// not counted. Candidates = Decided + DeletionTests +
+	// DeferReasons[ReasonVanished].
 	Candidates int
-	// Executions counts full query re-executions performed.
+	// Decided counts the candidates settled by lineage alone.
+	Decided int
+	// DeletionTests counts the candidates settled by a masked
+	// re-execution.
+	DeletionTests int
+	// DeferReasons says, per reason, how many candidates lineage could
+	// not settle; nil when it settled them all.
+	DeferReasons map[string]int
+	// Executions counts full executions of the query: the instrumented
+	// run, the baseline Q(D) when a deletion test needs one and the
+	// instrumented run's own rows cannot serve, and the deletion tests.
 	Executions int
-	// RowsScanned totals the storage rows read across every execution
-	// (baseline, candidate pass, and deletion tests) — the offline
-	// audit's actual I/O cost, for comparison against the online audit
-	// operators' near-zero overhead (§V).
+	// RowsScanned totals the storage rows read across those executions
+	// — the offline audit's actual I/O cost, for comparison against the
+	// online audit operators' near-zero overhead (§V).
 	RowsScanned int64
+}
+
+// Path names how the verdict was reached: "lineage" when the one
+// instrumented run settled it, "deletion" when any candidate went to
+// the deletion test (or vanished before it could).
+func (r *Report) Path() string {
+	if len(r.DeferReasons) == 0 {
+		return "lineage"
+	}
+	return "deletion"
 }
 
 // Audit computes the exact accessed set of the query for the audit
@@ -105,33 +161,66 @@ func (a *Auditor) AuditPlan(root plan.Node, ae *core.AuditExpression) (*Report, 
 }
 
 // AuditPlanContext is AuditPlan with cancellation; ctx is checked
-// before each full re-execution of the query, so a cancelled audit
+// before each full execution of the query, so a cancelled audit
 // returns promptly even when the candidate set is large.
 func (a *Auditor) AuditPlanContext(ctx context.Context, root plan.Node, ae *core.AuditExpression) (*Report, error) {
 	rep := &Report{}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-
-	// Baseline digest of Q(D).
-	base, scanned, err := a.runDigest(root, nil)
-	if err != nil {
-		return nil, err
+	run := func(n plan.Node, mask *storage.Mask, keep, auditOnly bool) ([]value.Row, error) {
+		rows, scanned, err := a.execute(n, mask, keep, auditOnly)
+		rep.Executions++
+		rep.RowsScanned += scanned
+		return rows, err
 	}
-	rep.Executions++
-	rep.RowsScanned += scanned
 
-	// Candidate set: leaf-node instrumented run (Claim 3.5 superset).
+	// Baseline digest of Q(D): up front under NoSkip (the definition's
+	// order of events), otherwise only once a deletion test needs it.
+	var base uint64
+	haveBase := false
+	if a.NoSkip {
+		rows, err := run(root, nil, true, false)
+		if err != nil {
+			return nil, err
+		}
+		base, haveBase = digest(rows, len(root.Schema())), true
+	}
+
+	p := a.prepare(root, ae)
+	if p.plan == nil {
+		// The plan never reads the sensitive table: nothing is accessed
+		// by construction, no execution needed.
+		return rep, nil
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	candidates, scanned, err := a.leafCandidates(root, ae)
+	rows, err := run(p.plan, nil, p.rowsAreResult, p.auditOnly)
 	if err != nil {
 		return nil, err
 	}
-	rep.Executions++
-	rep.RowsScanned += scanned
+	candidates := p.sink.Acc.IDs(ae.Meta.Name)
 	rep.Candidates = len(candidates)
+	if p.reason == "" {
+		rep.AccessedIDs, rep.Decided = candidates, len(candidates)
+		return rep, nil
+	}
+	if len(candidates) == 0 {
+		return rep, nil
+	}
+	rep.DeferReasons = map[string]int{}
+	if !haveBase {
+		if !p.rowsAreResult {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			if rows, err = run(root, nil, true, false); err != nil {
+				return nil, err
+			}
+		}
+		base = digest(rows, len(root.Schema()))
+	}
 
 	// Map candidate IDs to their row IDs in the sensitive table.
 	tbl, ok := a.store.Table(ae.Meta.SensitiveTable)
@@ -158,12 +247,21 @@ func (a *Auditor) AuditPlanContext(ctx context.Context, root plan.Node, ae *core
 	type task struct {
 		id  value.Value
 		rid storage.RowID
-		ok  bool
 	}
 	tasks := make([]task, 0, len(want))
 	for k, id := range want {
 		rid, ok := rowOf[k]
-		tasks = append(tasks, task{id: id, rid: rid, ok: ok})
+		if !ok {
+			// The tuple vanished since the query ran; treat it as
+			// accessed so the report errs on the safe side.
+			rep.AccessedIDs = append(rep.AccessedIDs, id)
+			rep.DeferReasons[ReasonVanished]++
+			continue
+		}
+		tasks = append(tasks, task{id: id, rid: rid})
+	}
+	if len(tasks) > 0 {
+		rep.DeferReasons[p.reason] = len(tasks)
 	}
 	workers := a.Parallelism
 	if workers <= 0 {
@@ -171,9 +269,6 @@ func (a *Auditor) AuditPlanContext(ctx context.Context, root plan.Node, ae *core
 	}
 	if workers > len(tasks) {
 		workers = len(tasks)
-	}
-	if workers < 1 {
-		workers = 1
 	}
 	var (
 		mu      sync.Mutex
@@ -199,25 +294,18 @@ func (a *Auditor) AuditPlanContext(ctx context.Context, root plan.Node, ae *core
 					return
 				}
 				t := tasks[i]
-				if !t.ok {
-					// The tuple vanished since the query ran; treat it
-					// as accessed so the report errs on the safe side.
-					mu.Lock()
-					rep.AccessedIDs = append(rep.AccessedIDs, t.id)
-					mu.Unlock()
-					continue
-				}
 				mask := storage.NewMask()
 				mask.Hide(ae.Meta.SensitiveTable, t.rid)
-				digest, scanned, err := a.runDigest(root, mask)
+				rows, scanned, err := a.execute(root, mask, true, false)
 				mu.Lock()
 				rep.Executions++
+				rep.DeletionTests++
 				rep.RowsScanned += scanned
 				if err != nil {
 					if firstEr == nil {
 						firstEr = err
 					}
-				} else if digest != base {
+				} else if digest(rows, len(root.Schema())) != base {
 					rep.AccessedIDs = append(rep.AccessedIDs, t.id)
 				}
 				mu.Unlock()
@@ -234,224 +322,265 @@ func (a *Auditor) AuditPlanContext(ctx context.Context, root plan.Node, ae *core
 	return rep, nil
 }
 
-// runDigest executes the plan under an optional mask and returns an
-// order-insensitive multiset digest of the result. Order-insensitivity
-// matters: removing a tuple must not read as a change merely because a
-// hash join emitted rows in a different order. Queries whose row ORDER
-// is semantically significant (ORDER BY ... LIMIT) are still handled
-// correctly because a changed top-k membership changes the multiset.
-func (a *Auditor) runDigest(root plan.Node, mask *storage.Mask) (uint64, int64, error) {
+// execute runs the plan once under an optional mask and returns its
+// rows (nil unless keep) and the storage rows it read. auditOnly lets
+// the scan kernel skip chunks whose sensitive-ID sketch refutes the
+// watch set outright; it implies the rows are not wanted.
+func (a *Auditor) execute(n plan.Node, mask *storage.Mask, keep, auditOnly bool) ([]value.Row, int64, error) {
 	ctx := exec.NewCtx(a.store)
 	ctx.Mask = mask
 	ctx.NoSkip = a.NoSkip
-	rows, err := exec.Run(root, ctx)
-	if err != nil {
-		return 0, ctx.Stats.RowsScanned.Load(), err
+	ctx.AuditOnly = auditOnly
+	var rows []value.Row
+	var err error
+	if keep {
+		rows, err = exec.Run(n, ctx)
+	} else {
+		_, err = exec.Drain(n, ctx)
 	}
-	var digest uint64
+	return rows, ctx.Stats.RowsScanned.Load(), err
+}
+
+// digest is an order-insensitive multiset digest of the first width
+// columns of the rows (the lineage run of a top-k plan carries the key
+// as a hidden trailing column). Order-insensitivity matters: removing
+// a tuple must not read as a change merely because a hash join emitted
+// rows in a different order. Queries whose row ORDER is semantically
+// significant (ORDER BY ... LIMIT) are still handled correctly because
+// a changed top-k membership changes the multiset.
+func digest(rows []value.Row, width int) uint64 {
+	var d uint64
 	for _, row := range rows {
 		// Sum of per-row hashes is commutative: multiset semantics.
-		digest += value.HashRow(row)
+		d += value.HashRow(row[:width])
 	}
-	digest ^= uint64(len(rows)) << 1
-	return digest, ctx.Stats.RowsScanned.Load(), nil
+	return d ^ uint64(len(rows))<<1
 }
 
-// leafCandidates runs the plan once with leaf-node audit operators and
-// returns the observed sensitive IDs plus the rows scanned doing so.
-// Only the observed IDs matter here — the result rows are discarded —
-// so when the plan is simple enough (single scan, no subqueries) the
-// run is marked audit-only, letting the scan kernel skip whole chunks
-// whose sensitive-ID sketch refutes the watch set (Claim 3.5 pruning
-// goes sublinear in table size on sparse watch sets).
-func (a *Auditor) leafCandidates(root plan.Node, ae *core.AuditExpression) ([]value.Value, int64, error) {
-	acc := core.NewAccessed()
-	instrumented := core.Instrument(clonePlanForInstrumentation(root), ae, &core.Probe{Expr: ae, Acc: acc}, core.LeafNode)
-	if countAuditOps(instrumented) == 0 {
-		// The plan never reads the sensitive table: the candidate set
-		// is empty by construction, no execution needed.
-		return nil, 0, nil
+// pass is the one instrumented run an audit starts with.
+type pass struct {
+	// plan is the instrumented clone; nil when the query never reads
+	// the sensitive table.
+	plan plan.Node
+	// sink records the sensitive IDs reaching the audit operator into a
+	// private ACCESSED state: the lineage of the rows flowing past it.
+	sink *core.Probe
+	// reason is empty when lineage decides every candidate (observed ⇔
+	// accessed); otherwise it says why the observed IDs all need the
+	// deletion test.
+	reason string
+	// rowsAreResult marks a run whose rows are Q(D) itself (plus hidden
+	// trailing columns), so it doubles as the baseline.
+	rowsAreResult bool
+	// auditOnly: the rows are discarded and the plan is a single scan,
+	// so chunks the sensitive-ID sketch refutes may be skipped outright
+	// — they cannot change which IDs reach the sink (Claim 3.5 pruning
+	// goes sublinear in table size on sparse watch sets). Joins and
+	// self-joins re-read tables and keep probe-only elision.
+	auditOnly bool
+}
+
+// prepare classifies the plan and instruments a clone of it for the
+// placement the rule needs: highest commutative node where lineage
+// decides, the root for top-k, the leaves (today's Claim 3.5 pass)
+// where nothing is decided.
+func (a *Auditor) prepare(root plan.Node, ae *core.AuditExpression) pass {
+	scans, sensitive, subquery := census(root, ae.Meta.SensitiveTable)
+	if sensitive == 0 {
+		return pass{}
 	}
-	ctx := exec.NewCtx(a.store)
-	ctx.NoSkip = a.NoSkip
+	p := pass{sink: &core.Probe{Expr: ae, Acc: core.NewAccessed()}, reason: ReasonNoSkip}
 	if !a.NoSkip {
-		ctx.AuditOnly = auditOnlyOK(instrumented)
+		p.reason = a.blockers(root, ae, sensitive, subquery)
 	}
-	if _, err := exec.Run(instrumented, ctx); err != nil {
-		return nil, ctx.Stats.RowsScanned.Load(), err
+	if p.reason == "" {
+		hcn := core.Instrument(plan.CloneNode(root), ae, p.sink, core.HighestCommutativeNode)
+		switch p.reason = classify(hcn); p.reason {
+		case "", ReasonAggNoCount:
+			p.plan = hcn
+		case ReasonTopKMember:
+			// classify vouched for the path above the operator.
+			p.plan, _ = core.HoistAudit(hcn)
+			p.rowsAreResult = true
+		}
 	}
-	return acc.IDs(ae.Meta.Name), ctx.Stats.RowsScanned.Load(), nil
+	if p.plan == nil {
+		p.plan = core.Instrument(plan.CloneNode(root), ae, p.sink, core.LeafNode)
+	}
+	p.auditOnly = !a.NoSkip && !p.rowsAreResult && scans == 1 && !subquery
+	return p
 }
 
-// countAuditOps counts audit operators in the plan tree (subquery
-// blocks included).
-func countAuditOps(root plan.Node) int {
-	n := 0
-	plan.Walk(root, func(x plan.Node) {
-		if _, ok := x.(*plan.Audit); ok {
-			n++
+// census counts the plan's table scans, those of the sensitive table
+// among them, and whether any expression holds a subquery block —
+// subquery plans included.
+func census(root plan.Node, sensitiveTable string) (scans, sensitive int, subquery bool) {
+	plan.Walk(root, func(n plan.Node) {
+		if s, ok := n.(*plan.Scan); ok {
+			scans++
+			if strings.EqualFold(s.Table, sensitiveTable) {
+				sensitive++
+			}
 		}
 	})
 	plan.Subplans(root, func(sq *plan.Subquery) {
-		n += countAuditOps(sq.Plan)
+		sc, se, _ := census(sq.Plan, sensitiveTable)
+		scans, sensitive, subquery = scans+sc, sensitive+se, true
 	})
-	return n
+	return scans, sensitive, subquery
 }
 
-// auditOnlyOK reports whether discarding result rows makes full
-// audit-sketch chunk skips safe: a single-scan plan with no subquery
-// blocks. With one scan, a chunk that provably holds no watched ID can
-// only change the (discarded) result — it cannot change which rows any
-// other operator feeds to a probe. Joins, self-joins, and correlated
-// subqueries re-read tables, so they keep the conservative probe-only
-// elision instead.
-func auditOnlyOK(root plan.Node) bool {
-	scans, subqs := 0, 0
-	plan.Walk(root, func(x plan.Node) {
-		if _, ok := x.(*plan.Scan); ok {
-			scans++
+// blockers checks what no placement can fix, on the plan as given: the
+// reason every candidate must be deferred, or "" when classify should
+// look at the operator arrangement.
+func (a *Auditor) blockers(root plan.Node, ae *core.AuditExpression, sensitiveScans int, subquery bool) string {
+	outer := false
+	plan.Walk(root, func(n plan.Node) {
+		if j, ok := n.(*plan.Join); ok && j.Kind == plan.JoinLeft {
+			outer = true
 		}
 	})
-	plan.Subplans(root, func(sq *plan.Subquery) { subqs++ })
-	return scans == 1 && subqs == 0
-}
-
-// clonePlanForInstrumentation isolates the caller's plan from the
-// audit operators the candidate pass inserts. Nodes are shallow-copied
-// along the spine; expressions are shared (instrumentation never
-// mutates them). Subquery plans are cloned too since Instrument
-// recurses into them.
-func clonePlanForInstrumentation(n plan.Node) plan.Node {
-	cloned := cloneNode(n)
-	for i, c := range cloned.Children() {
-		cloned.SetChild(i, clonePlanForInstrumentation(c))
+	switch {
+	case subquery:
+		return ReasonSubquery
+	case sensitiveScans > 1:
+		return ReasonSelfJoin
+	case outer:
+		return ReasonOuterJoin
 	}
-	return cloned
+	// Lineage is kept per partition-by key, the deletion test hides one
+	// tuple: the two coincide only when the key identifies the tuple.
+	meta, ok := a.cat.Table(ae.Meta.SensitiveTable)
+	if !ok || len(meta.PrimaryKey) != 1 || meta.PrimaryKey[0] != ae.KeyOrdinal() {
+		return ReasonNonKey
+	}
+	return ""
 }
 
-func cloneNode(n plan.Node) plan.Node {
-	switch x := n.(type) {
-	case *plan.Scan:
-		c := *x
-		return &c
-	case *plan.ValuesScan:
-		c := *x
-		return &c
-	case *plan.Filter:
-		c := *x
-		c.Pred = cloneSubqueries(c.Pred)
-		return &c
-	case *plan.Project:
-		c := *x
-		c.Exprs = cloneExprSlice(c.Exprs)
-		return &c
-	case *plan.Join:
-		c := *x
-		c.Cond = cloneSubqueries(c.Cond)
-		c.Residual = cloneSubqueries(c.Residual)
-		return &c
-	case *plan.Aggregate:
-		c := *x
-		c.GroupBy = cloneExprSlice(c.GroupBy)
-		aggs := make([]plan.AggSpec, len(c.Aggs))
-		for i, a := range c.Aggs {
-			aggs[i] = a
-			aggs[i].Arg = cloneSubqueries(a.Arg)
+// classify is the decision table. It reads an HCN-instrumented plan
+// that blockers let through (one scan of the sensitive table, hence
+// one audit operator; no subquery block; inner joins only; the key is
+// the primary key) and returns "" when the lineage at the operator is
+// the verdict — observed ⇔ accessed — or the reason the observed IDs
+// must go to the deletion test. Rules go by plan shape, never by
+// statement text. Throughout, "the block" is what sits below the
+// operator: scans, filters, inner joins, projections and sorts. Its
+// output is a bag in which every row is owed to exactly one tuple of
+// the sensitive table, and — scans read in heap order, joins emit in
+// probe order, sorts are stable — deleting a tuple removes that
+// tuple's rows from the sequence and moves nothing else.
+//
+//   - Select-join: only Project and Sort above the operator. Both map
+//     rows one to one, so the result loses a row exactly when the
+//     deleted tuple had one in the block's output: observed ⇔ accessed
+//     (Theorem 3.7 read as an algorithm).
+//   - Aggregate directly over the block, only Project and Sort above
+//     it: a tuple with no row in the block leaves the aggregate's input
+//     untouched. One with rows changes the COUNT(*) of each group it
+//     fed, or removes the group — provided COUNT(*) is computed and
+//     every Project above forwards it as a plain column. Without that
+//     a row may contribute nothing (SUM of 0, a non-extreme MIN):
+//     ReasonAggNoCount, and the lineage bounds the deletion tests.
+//   - Top-k, one Limit with only Project and Sort around it: the caller
+//     hoists the operator to the root, where it sees the rows that
+//     survive the cut. A tuple with no row among them changes nothing:
+//     the first k rows of the sequence minus its rows are the same
+//     first k. One with a row there usually matters, but the row that
+//     slides into the vacated slot can carry the same values:
+//     ReasonTopKMember, at most k deletion tests.
+//   - DISTINCT (rows or aggregates), a filter above the aggregate
+//     (HAVING), and everything else decide nothing.
+func classify(root plan.Node) string {
+	var above []plan.Node
+	var audit *plan.Audit
+	for n := root; audit == nil; {
+		switch x := n.(type) {
+		case *plan.Audit:
+			audit = x
+		case *plan.Project, *plan.Sort, *plan.Limit, *plan.Aggregate, *plan.Filter, *plan.Distinct:
+			above = append(above, n)
+			n = n.Children()[0]
+		default:
+			// A join or an exchange above the operator, or no operator
+			// on the spine at all: pull-up was stopped inside a nested
+			// block, whose lineage is not the result's.
+			return ReasonShape
 		}
-		c.Aggs = aggs
-		return &c
-	case *plan.Sort:
-		c := *x
-		keys := make([]plan.SortKey, len(c.Keys))
-		for i, k := range c.Keys {
-			keys[i] = plan.SortKey{Expr: cloneSubqueries(k.Expr), Desc: k.Desc}
-		}
-		c.Keys = keys
-		return &c
-	case *plan.Limit:
-		c := *x
-		return &c
-	case *plan.Distinct:
-		c := *x
-		return &c
-	case *plan.Audit:
-		c := *x
-		return &c
-	default:
-		return n
 	}
-}
-
-func cloneExprSlice(es []plan.Expr) []plan.Expr {
-	out := make([]plan.Expr, len(es))
-	for i, e := range es {
-		out[i] = cloneSubqueries(e)
-	}
-	return out
-}
-
-// cloneSubqueries rewrites an expression tree so that each Subquery
-// node is a fresh struct with a cloned plan; leaf expression nodes are
-// immutable under instrumentation and stay shared. Composite nodes are
-// rebuilt only where a subquery might hide beneath them.
-func cloneSubqueries(e plan.Expr) plan.Expr {
-	if e == nil {
-		return nil
-	}
-	hasSubq := false
-	plan.WalkExprTree(e, func(x plan.Expr) {
-		if _, ok := x.(*plan.Subquery); ok {
-			hasSubq = true
+	block := true
+	plan.Walk(audit.Child, func(n plan.Node) {
+		switch n.(type) {
+		case *plan.Scan, *plan.Filter, *plan.Project, *plan.Sort, *plan.Join:
+		default:
+			block = false
 		}
 	})
-	if !hasSubq {
-		return e
+	if !block {
+		return ReasonShape
 	}
-	switch x := e.(type) {
-	case *plan.Subquery:
-		c := *x
-		c.Plan = clonePlanForInstrumentation(x.Plan)
-		c.Probe = cloneSubqueries(x.Probe)
-		return &c
-	case *plan.And:
-		return &plan.And{L: cloneSubqueries(x.L), R: cloneSubqueries(x.R)}
-	case *plan.Or:
-		return &plan.Or{L: cloneSubqueries(x.L), R: cloneSubqueries(x.R)}
-	case *plan.Not:
-		return &plan.Not{X: cloneSubqueries(x.X)}
-	case *plan.Cmp:
-		return &plan.Cmp{Op: x.Op, L: cloneSubqueries(x.L), R: cloneSubqueries(x.R)}
-	case *plan.Arith:
-		return &plan.Arith{Op: x.Op, L: cloneSubqueries(x.L), R: cloneSubqueries(x.R)}
-	case *plan.Concat:
-		return &plan.Concat{L: cloneSubqueries(x.L), R: cloneSubqueries(x.R)}
-	case *plan.Like:
-		return &plan.Like{L: cloneSubqueries(x.L), R: cloneSubqueries(x.R)}
-	case *plan.Neg:
-		return &plan.Neg{X: cloneSubqueries(x.X)}
-	case *plan.IsNull:
-		return &plan.IsNull{X: cloneSubqueries(x.X), Negate: x.Negate}
-	case *plan.Between:
-		return &plan.Between{X: cloneSubqueries(x.X), Lo: cloneSubqueries(x.Lo), Hi: cloneSubqueries(x.Hi), Negate: x.Negate}
-	case *plan.InList:
-		list := make([]plan.Expr, len(x.List))
-		for i, item := range x.List {
-			list[i] = cloneSubqueries(item)
+
+	var agg *plan.Aggregate
+	aggs, filterAt, limits := 0, -1, 0
+	for i, n := range above {
+		switch x := n.(type) {
+		case *plan.Distinct:
+			return ReasonDistinct
+		case *plan.Aggregate:
+			agg = x
+			aggs++
+		case *plan.Filter:
+			filterAt = i
+		case *plan.Limit:
+			limits++
 		}
-		return &plan.InList{X: cloneSubqueries(x.X), List: list, Negate: x.Negate}
-	case *plan.Func:
-		args := make([]plan.Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = cloneSubqueries(a)
-		}
-		return &plan.Func{Name: x.Name, Args: args}
-	case *plan.Case:
-		out := &plan.Case{Operand: cloneSubqueries(x.Operand), Else: cloneSubqueries(x.Else)}
-		for _, w := range x.Whens {
-			out.Whens = append(out.Whens, plan.CaseWhen{Cond: cloneSubqueries(w.Cond), Result: cloneSubqueries(w.Result)})
-		}
-		return out
-	default:
-		return e
 	}
+	if agg == nil {
+		switch {
+		case limits > 1:
+			// The root shows what survives the last cut only: a tuple an
+			// inner Limit admitted and an outer one dropped is absent
+			// there, yet deleting it changes what the inner Limit admits.
+			return ReasonShape
+		case filterAt >= 0:
+			// A filter pull-up could not pass sits over a projection
+			// that dropped the key: the operator sees rows the filter
+			// may yet discard.
+			return ReasonShape
+		case limits == 1:
+			return ReasonTopKMember
+		}
+		return ""
+	}
+	if aggs > 1 || above[len(above)-1] != plan.Node(agg) || limits > 0 {
+		return ReasonShape
+	}
+	if filterAt >= 0 {
+		return ReasonHaving
+	}
+	count := -1
+	for i, spec := range agg.Aggs {
+		if spec.Distinct {
+			return ReasonDistinct
+		}
+		if spec.Func == plan.AggCount && spec.Arg == nil {
+			count = len(agg.GroupBy) + i
+		}
+	}
+	// Follow COUNT(*) up to the result.
+	for i := len(above) - 2; i >= 0 && count >= 0; i-- {
+		if proj, ok := above[i].(*plan.Project); ok {
+			at := -1
+			for k, e := range proj.Exprs {
+				if col, isCol := e.(*plan.Col); isCol && col.Idx == count {
+					at = k
+					break
+				}
+			}
+			count = at
+		}
+	}
+	if count < 0 {
+		return ReasonAggNoCount
+	}
+	return ""
 }

@@ -78,10 +78,21 @@ func TestOfflineJoinMatchesOutput(t *testing.T) {
 	if !eq(ids(rep), 2, 3) {
 		t.Errorf("accessed = %v, want [2 3] (Bob, Carol)", ids(rep))
 	}
-	// Candidate pruning: only the 5 patients enter the leaf; deletion
-	// tests bounded by that.
-	if rep.Candidates != 5 {
-		t.Errorf("candidates = %d", rep.Candidates)
+	// A select-join shape: the candidates are the lineage — the two
+	// patients with a row in the join's output — and lineage decides
+	// them. The literal auditor starts from the leaf superset, all 5
+	// patients entering the join.
+	if rep.Candidates != 2 || rep.Decided != 2 || rep.DeletionTests != 0 {
+		t.Errorf("default: candidates %d decided %d deletion tests %d, want 2 2 0", rep.Candidates, rep.Decided, rep.DeletionTests)
+	}
+	aud.NoSkip = true
+	lit, err := aud.Audit(`SELECT P.Name FROM Patients P, Disease D
+		WHERE P.PatientID = D.PatientID AND D.Disease = 'flu'`, ae)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !eq(ids(lit), 2, 3) || lit.Candidates != 5 || lit.DeletionTests != 5 {
+		t.Errorf("literal: accessed %v candidates %d deletion tests %d, want [2 3] 5 5", ids(lit), lit.Candidates, lit.DeletionTests)
 	}
 }
 
@@ -251,41 +262,209 @@ func TestOfflineSJEqualsHCN(t *testing.T) {
 
 func TestOfflineCandidatePruning(t *testing.T) {
 	// A query whose leaf predicate excludes most sensitive tuples must
-	// only deletion-test the survivors.
+	// only settle the survivors.
 	_, aud, ae := setup(t)
-	rep, err := aud.Audit("SELECT * FROM Patients WHERE Zip = '48109'", ae)
+	const sql = "SELECT * FROM Patients WHERE Zip = '48109'"
+	rep, err := aud.Audit(sql, ae)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Candidates != 2 {
-		t.Errorf("candidates = %d, want 2", rep.Candidates)
+	// Select-join: one lineage run, both survivors decided by it.
+	if rep.Candidates != 2 || rep.Decided != 2 || rep.DeletionTests != 0 || rep.Executions != 1 {
+		t.Errorf("default: candidates %d decided %d deletion tests %d executions %d, want 2 2 0 1",
+			rep.Candidates, rep.Decided, rep.DeletionTests, rep.Executions)
+	}
+	if rep.DeferReasons != nil || rep.Path() != "lineage" {
+		t.Errorf("default: deferred %v path %s, want none, lineage", rep.DeferReasons, rep.Path())
+	}
+	aud.NoSkip = true
+	lit, err := aud.Audit(sql, ae)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// 1 baseline + 1 leaf pass + 2 deletion tests.
-	if rep.Executions != 4 {
-		t.Errorf("executions = %d, want 4", rep.Executions)
+	if lit.Candidates != 2 || lit.Decided != 0 || lit.DeletionTests != 2 || lit.Executions != 4 {
+		t.Errorf("literal: candidates %d decided %d deletion tests %d executions %d, want 2 0 2 4",
+			lit.Candidates, lit.Decided, lit.DeletionTests, lit.Executions)
+	}
+	if lit.DeferReasons[offline.ReasonNoSkip] != 2 || lit.Path() != "deletion" {
+		t.Errorf("literal: deferred %v path %s, want noskip:2, deletion", lit.DeferReasons, lit.Path())
+	}
+	if !eq(ids(rep), 1, 2) || !eq(ids(lit), 1, 2) {
+		t.Errorf("accessed: default %v literal %v, want [1 2]", ids(rep), ids(lit))
 	}
 }
 
-// TestOfflineRowsScanned checks the report's I/O accounting: the
-// baseline run, the candidate pass, and every deletion test each read
-// all 5 patient rows (the visibility mask hides the tuple after the
-// storage read), so the total is exactly (2 + candidates) * 5 for a
-// single-table query.
+// TestOfflineRowsScanned checks the report's I/O accounting. Every
+// execution of a single-table query reads all 5 patient rows (the
+// visibility mask hides the tuple after the storage read), so
+// RowsScanned is 5 per execution, and Executions is: the instrumented
+// run; a baseline when a deletion test needs one and the instrumented
+// run's rows are not the result; one per deletion test. The literal
+// auditor always runs baseline, leaf pass and every candidate's test.
 func TestOfflineRowsScanned(t *testing.T) {
 	_, aud, ae := setup(t)
-	rep, err := aud.Audit("SELECT * FROM Patients WHERE Age > 30", ae)
-	if err != nil {
+	for _, tc := range []struct {
+		sql        string
+		executions int // default auditor
+		candidates int // literal auditor (leaf superset)
+	}{
+		// Select-join: the lineage run alone.
+		{"SELECT * FROM Patients WHERE Age > 30", 1, 3},
+		// COUNT(*) aggregate: the lineage run alone.
+		{"SELECT Zip, COUNT(*) FROM Patients GROUP BY Zip", 1, 5},
+		// Top-k: the root lineage run is also the baseline; Bob and
+		// Dave are in the top 2 and get a deletion test each.
+		{"SELECT Name FROM Patients ORDER BY Age LIMIT 2", 1 + 2, 5},
+		// No COUNT(*): lineage run, baseline, five deletion tests.
+		{"SELECT Zip, MAX(Age) FROM Patients GROUP BY Zip", 1 + 1 + 5, 5},
+		// DISTINCT decides nothing: leaf pass, baseline, five tests.
+		{"SELECT DISTINCT Zip FROM Patients", 1 + 1 + 5, 5},
+	} {
+		aud.NoSkip = false
+		rep, err := aud.Audit(tc.sql, ae)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Executions != tc.executions || rep.RowsScanned != int64(5*tc.executions) {
+			t.Errorf("default %q: %d executions, %d rows scanned, want %d, %d",
+				tc.sql, rep.Executions, rep.RowsScanned, tc.executions, 5*tc.executions)
+		}
+		aud.NoSkip = true
+		lit, err := aud.Audit(tc.sql, ae)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lit.Candidates != tc.candidates || lit.Executions != 2+tc.candidates || lit.RowsScanned != int64(5*(2+tc.candidates)) {
+			t.Errorf("literal %q: %d candidates, %d executions, %d rows scanned, want %d, %d, %d",
+				tc.sql, lit.Candidates, lit.Executions, lit.RowsScanned, tc.candidates, 2+tc.candidates, 5*(2+tc.candidates))
+		}
+		if !sameIDs(rep.AccessedIDs, lit.AccessedIDs) {
+			t.Errorf("%q: default %v, literal %v", tc.sql, ids(rep), ids(lit))
+		}
+	}
+}
+
+// TestClassifierOutcomes pins every rule of the decision table to
+// hand-checked cases covering its outcomes — accessed, not accessed
+// and undecided — with the path each verdict took. Patients: Alice 34
+// and Bob 21 in 48109, Carol 47 and Dave 29 in 98052, Erin 62 in
+// 10001; Zed is added as a second 29-year-old.
+func TestClassifierOutcomes(t *testing.T) {
+	e, aud, ae := setup(t)
+	if _, err := e.ExecScript(`
+		INSERT INTO Patients VALUES (6, 'Zed', 29, '98052');
+		CREATE AUDIT EXPRESSION Audit_Disease AS
+			SELECT * FROM Disease WHERE PatientID > 0
+			FOR SENSITIVE TABLE Disease, PARTITION BY PatientID;
+	`); err != nil {
 		t.Fatal(err)
 	}
-	if rep.RowsScanned == 0 {
-		t.Fatal("RowsScanned not counted")
-	}
-	want := int64((2 + rep.Candidates) * 5)
-	if rep.RowsScanned != want {
-		t.Errorf("RowsScanned = %d, want %d (%d executions x 5 rows)",
-			rep.RowsScanned, want, 2+rep.Candidates)
-	}
-	if rep.Executions != 2+rep.Candidates {
-		t.Errorf("Executions = %d, want %d", rep.Executions, 2+rep.Candidates)
+	byDisease, _ := e.Registry().Get("Audit_Disease")
+	type reasons = map[string]int
+	for _, tc := range []struct {
+		name       string
+		expr       *core.AuditExpression
+		sql        string
+		accessed   []int64
+		candidates int
+		decided    int
+		executions int
+		deferred   reasons
+	}{
+		// Select-join: in the lineage (1, 3, 5) accessed, the rest not,
+		// nothing undecided.
+		{"select-join", ae, "SELECT Name FROM Patients WHERE Age > 30 ORDER BY Name",
+			[]int64{1, 3, 5}, 3, 3, 1, nil},
+		{"select-join over a join", ae, "SELECT D.Disease FROM Patients P, Disease D WHERE P.PatientID = D.PatientID AND P.Zip = '48109'",
+			[]int64{1, 2}, 2, 2, 1, nil},
+		// The same block under an outer join: undecided, and rightly —
+		// the NULL-extended row projects to the same value.
+		{"outer join", ae, "SELECT D.Disease FROM Disease D LEFT JOIN Patients P ON D.PatientID = P.PatientID",
+			nil, 6, 0, 1 + 1 + 6, reasons{offline.ReasonOuterJoin: 6}},
+		// Partition key that is not the table's key: undecided.
+		{"non-key partition", byDisease, "SELECT * FROM Disease WHERE Disease = 'flu'",
+			[]int64{2, 3}, 2, 0, 1 + 1 + 2, reasons{offline.ReasonNonKey: 2}},
+
+		// Aggregate with COUNT(*): lineage decides both ways.
+		{"count(*)", ae, "SELECT Zip, COUNT(*), MAX(Age) FROM Patients WHERE Age < 40 GROUP BY Zip",
+			[]int64{1, 2, 4, 6}, 4, 4, 1, nil},
+		// Without it: undecided. Bob, Dave and Zed are under their
+		// groups' maxima and turn out not accessed.
+		{"no count(*)", ae, "SELECT Zip, MAX(Age) FROM Patients GROUP BY Zip",
+			[]int64{1, 3, 5}, 6, 0, 1 + 1 + 6, reasons{offline.ReasonAggNoCount: 6}},
+		// The filter cuts the lineage before the deletion tests.
+		{"no count(*), filtered", ae, "SELECT MAX(Age) FROM Patients WHERE Zip = '98052'",
+			[]int64{3}, 3, 0, 1 + 1 + 3, reasons{offline.ReasonAggNoCount: 3}},
+		// COUNT(*) computed for the ORDER BY but not returned.
+		{"count(*) not returned", ae, "SELECT Zip, MAX(Age) FROM Patients GROUP BY Zip ORDER BY COUNT(*)",
+			[]int64{1, 3, 5}, 6, 0, 1 + 1 + 6, reasons{offline.ReasonAggNoCount: 6}},
+		{"having", ae, "SELECT Zip, COUNT(*) FROM Patients GROUP BY Zip HAVING COUNT(*) >= 3",
+			[]int64{3, 4, 6}, 6, 0, 1 + 1 + 6, reasons{offline.ReasonHaving: 6}},
+		{"distinct aggregate", ae, "SELECT COUNT(DISTINCT Zip), COUNT(*) FROM Patients",
+			[]int64{1, 2, 3, 4, 5, 6}, 6, 0, 1 + 1 + 6, reasons{offline.ReasonDistinct: 6}},
+
+		// Top-k: absent from the first k rows (1, 3, 5, 6) not accessed
+		// without a test; members undecided. Bob is accessed; Dave is
+		// not — Zed's 29 slides into his slot.
+		{"top-k", ae, "SELECT Age FROM Patients ORDER BY Age LIMIT 2",
+			[]int64{2}, 2, 0, 1 + 2, reasons{offline.ReasonTopKMember: 2}},
+		// Returning the name tells Dave and Zed apart.
+		{"top-k, distinguishable", ae, "SELECT Name FROM Patients ORDER BY Age LIMIT 2",
+			[]int64{2, 4}, 2, 0, 1 + 2, reasons{offline.ReasonTopKMember: 2}},
+		{"top-k over a join", ae, "SELECT D.Disease FROM Patients P, Disease D WHERE P.PatientID = D.PatientID ORDER BY P.Age DESC LIMIT 1",
+			[]int64{5}, 1, 0, 1 + 1, reasons{offline.ReasonTopKMember: 1}},
+		{"limit 0", ae, "SELECT Name FROM Patients LIMIT 0", nil, 0, 0, 1, nil},
+
+		// Everything else: the leaf superset, every candidate tested.
+		{"distinct", ae, "SELECT DISTINCT Age FROM Patients",
+			[]int64{1, 2, 3, 5}, 6, 0, 1 + 1 + 6, reasons{offline.ReasonDistinct: 6}},
+		{"subquery", ae, "SELECT Name FROM Patients P WHERE EXISTS (SELECT 1 FROM Disease D WHERE D.PatientID = P.PatientID AND D.Disease = 'flu')",
+			[]int64{2, 3}, 6, 0, 1 + 1 + 6, reasons{offline.ReasonSubquery: 6}},
+		{"self-join", ae, "SELECT A.Name FROM Patients A, Patients B WHERE A.Zip = B.Zip AND A.Age < B.Age AND B.Age > 40",
+			[]int64{3, 4, 6}, 6, 0, 1 + 1 + 6, reasons{offline.ReasonSelfJoin: 6}},
+		{"limit over group by", ae, "SELECT Zip, COUNT(*) FROM Patients GROUP BY Zip ORDER BY 2 DESC LIMIT 1",
+			[]int64{3, 4, 6}, 6, 0, 1 + 1 + 6, reasons{offline.ReasonShape: 6}},
+		// Bob, Dave and Zed make the inner cut; only Dave survives the
+		// outer one, but without any of the three Alice gets in and wins.
+		{"limit over limit", ae, "SELECT X.Name FROM (SELECT Name, Age FROM Patients ORDER BY Age LIMIT 3) X ORDER BY X.Age DESC LIMIT 1",
+			[]int64{2, 4, 6}, 6, 0, 1 + 1 + 6, reasons{offline.ReasonShape: 6}},
+		{"filter over a key-dropping projection", ae, "SELECT X.Name FROM (SELECT Name, Age FROM Patients) X WHERE X.Age > 40",
+			[]int64{3, 5}, 6, 0, 1 + 1 + 6, reasons{offline.ReasonShape: 6}},
+		{"not the sensitive table", ae, "SELECT * FROM Disease", nil, 0, 0, 0, nil},
+	} {
+		aud.NoSkip = false
+		rep, err := aud.Audit(tc.sql, tc.expr)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !eq(ids(rep), tc.accessed...) {
+			t.Errorf("%s: accessed %v, want %v", tc.name, ids(rep), tc.accessed)
+		}
+		deferred := 0
+		for _, n := range tc.deferred {
+			deferred += n
+		}
+		if rep.Candidates != tc.candidates || rep.Decided != tc.decided || rep.DeletionTests != deferred || rep.Executions != tc.executions {
+			t.Errorf("%s: candidates %d, decided %d, deletion tests %d, executions %d; want %d, %d, %d, %d",
+				tc.name, rep.Candidates, rep.Decided, rep.DeletionTests, rep.Executions,
+				tc.candidates, tc.decided, deferred, tc.executions)
+		}
+		if len(rep.DeferReasons) != len(tc.deferred) {
+			t.Errorf("%s: deferred %v, want %v", tc.name, rep.DeferReasons, tc.deferred)
+		}
+		for reason, n := range tc.deferred {
+			if rep.DeferReasons[reason] != n {
+				t.Errorf("%s: deferred %v, want %v", tc.name, rep.DeferReasons, tc.deferred)
+			}
+		}
+		aud.NoSkip = true
+		lit, err := aud.Audit(tc.sql, tc.expr)
+		if err != nil {
+			t.Fatalf("%s (literal): %v", tc.name, err)
+		}
+		if !eq(ids(lit), tc.accessed...) {
+			t.Errorf("%s: literal auditor says %v, want %v", tc.name, ids(lit), tc.accessed)
+		}
 	}
 }

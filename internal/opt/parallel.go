@@ -138,11 +138,14 @@ func (p *parallelizer) fragmentOK(n plan.Node) bool {
 }
 
 // big estimates the fragment's driving input — the left-spine scan —
-// against the parallelism threshold.
+// against the parallelism threshold. An index lookup is never big,
+// whatever the table's size: it reads the matching rows only, and a
+// worker pool started for a handful of rows costs several times the
+// lookup itself.
 func (p *parallelizer) big(n plan.Node) bool {
 	switch x := n.(type) {
 	case *plan.Scan:
-		return p.est(x.Table) >= p.minRows
+		return !x.IndexPoint() && p.est(x.Table) >= p.minRows
 	case *plan.Filter:
 		return p.big(x.Child)
 	case *plan.Project:

@@ -159,3 +159,46 @@ func TestParallelizeExplainLabels(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelizeIndexPointStaysSerial: a scan the kernel serves from
+// an index (primary key or single-column secondary index, literal or
+// parameter) reads a handful of rows however large the table is, so it
+// is never the driving scan of a parallel fragment — not under Gather,
+// not under a two-phase aggregate, not as a join's probe side.
+func TestParallelizeIndexPointStaysSerial(t *testing.T) {
+	cat := parallelCatalog(t)
+	if err := cat.AddTable(&catalog.TableMeta{Name: "o", PrimaryKey: []int{0}, Columns: []catalog.Column{
+		{Name: "okey", Type: value.KindInt},
+		{Name: "ckey", Type: value.KindInt},
+		{Name: "price", Type: value.KindInt},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.AddIndex(&catalog.IndexMeta{Name: "o_ckey", Table: "o", Columns: []int{1}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		sql    string
+		serial bool
+	}{
+		{"SELECT price FROM o WHERE okey = 7", true},
+		{"SELECT price FROM o WHERE price >= 0 AND okey = ? AND ckey > 1", true},
+		{"SELECT okey FROM o WHERE ckey = ?", true},
+		{"SELECT COUNT(*), SUM(price) FROM o WHERE ckey = 3", true},
+		{"SELECT o.price, a.x FROM o, a WHERE o.okey = a.id AND o.okey = 5", true},
+		{"SELECT okey FROM o WHERE ckey = 3 ORDER BY price DESC LIMIT 3", true},
+		// Not index points: a range on the key, an equality on an
+		// unindexed column, an equality between two columns, and an
+		// unindexed equality listed before the indexed one (the kernel
+		// probes the first equality only).
+		{"SELECT price FROM o WHERE okey > 7", false},
+		{"SELECT okey FROM o WHERE price = 10", false},
+		{"SELECT okey FROM o WHERE okey = ckey", false},
+		{"SELECT okey FROM o WHERE price = 10 AND okey = 7", false},
+	} {
+		n := Parallelize(optimized(t, cat, tc.sql), bigEst, 4, 100)
+		if got := !hasGather(n) && !hasParallelAgg(n); got != tc.serial {
+			t.Errorf("%q: serial = %v, want %v:\n%s", tc.sql, got, tc.serial, plan.Explain(n))
+		}
+	}
+}

@@ -303,7 +303,7 @@ func (b *builder) buildTableRef(ref ast.TableRef) (Node, error) {
 		for i, c := range meta.Columns {
 			out[i] = ColInfo{Qual: alias, Name: c.Name, Kind: c.Type}
 		}
-		return &Scan{Table: meta.Name, Alias: alias, Out: out}, nil
+		return &Scan{Table: meta.Name, Alias: alias, Out: out, EqIndexed: b.env.Catalog.EqIndexedColumns(meta)}, nil
 	case *ast.JoinRef:
 		left, err := b.buildTableRef(r.Left)
 		if err != nil {

@@ -205,3 +205,36 @@ func deepCloneExpr(e Expr) Expr {
 		return e
 	}
 }
+
+// CarryColumn makes column idx of below's output survive to root's
+// output and returns its ordinal there. The path from root down to
+// below may hold only Project, Sort and Limit: Sort and Limit pass
+// their input's columns through, and every Project on the path gets
+// the column appended as a hidden trailing output, so no ordinal an
+// existing expression refers to moves. ok=false (and no change) for
+// any other operator on the path or when below is not under root.
+//
+// It rewrites Projects in place and is meant for a plan the caller
+// owns: CloneNode's copies share their expression slices with the
+// template, so the appended column goes into a fresh slice.
+func CarryColumn(root, below Node, idx int) (int, bool) {
+	if root == below {
+		return idx, true
+	}
+	switch x := root.(type) {
+	case *Sort:
+		return CarryColumn(x.Child, below, idx)
+	case *Limit:
+		return CarryColumn(x.Child, below, idx)
+	case *Project:
+		in, ok := CarryColumn(x.Child, below, idx)
+		if !ok {
+			return 0, false
+		}
+		info := x.Child.Schema()[in]
+		x.Exprs = append(x.Exprs[:len(x.Exprs):len(x.Exprs)], &Col{Idx: in, Name: info.Name})
+		x.Out = append(x.Out[:len(x.Out):len(x.Out)], info)
+		return len(x.Exprs) - 1, true
+	}
+	return 0, false
+}

@@ -42,10 +42,66 @@ type Scan struct {
 	// constant side may be a Param or Outer ref) so cached plans stay
 	// valid; the executor compiles terms at Open.
 	Prune []PruneTerm
+	// EqIndexed lists the columns on which the table can serve an
+	// equality from an index (the sole primary-key column and every
+	// single-column secondary index), as of plan time. The planner
+	// reads it through IndexPoint; a stale list after index DDL only
+	// costs a parallelism decision, never a result.
+	EqIndexed []int
 }
 
 // Schema implements Node.
 func (s *Scan) Schema() Schema { return s.Out }
+
+// IndexPoint reports whether the scan kernel will try to serve the
+// scan from an index: the conjunct EqProbe picks out of Pushed names
+// an EqIndexed column. Such a scan reads the matching rows only, so
+// the table's size says nothing about its cost.
+func (s *Scan) IndexPoint() bool {
+	col, _, ok := EqProbe(s.Pushed)
+	if !ok {
+		return false
+	}
+	for _, c := range s.EqIndexed {
+		if c == col.Idx {
+			return true
+		}
+	}
+	return false
+}
+
+// EqProbe finds the first conjunct of pred shaped `col = k` or
+// `k = col` with k independent of the row (a literal, a prepared
+// parameter or an outer reference) — the one conjunct the scan kernel
+// tries to serve from an index.
+func EqProbe(pred Expr) (col *Col, k Expr, ok bool) {
+	switch e := pred.(type) {
+	case *And:
+		if col, k, ok = EqProbe(e.L); ok {
+			return col, k, true
+		}
+		return EqProbe(e.R)
+	case *Cmp:
+		if e.Op != CmpEq {
+			return nil, nil, false
+		}
+		if c, cok := e.L.(*Col); cok && rowIndependent(e.R) {
+			return c, e.R, true
+		}
+		if c, cok := e.R.(*Col); cok && rowIndependent(e.L) {
+			return c, e.L, true
+		}
+	}
+	return nil, nil, false
+}
+
+func rowIndependent(e Expr) bool {
+	switch e.(type) {
+	case *Const, *Param, *Outer:
+		return true
+	}
+	return false
+}
 
 // Children implements Node.
 func (s *Scan) Children() []Node { return nil }

@@ -99,7 +99,11 @@ func KeyOf(v Value) string {
 }
 
 // HashRow returns an order-sensitive 64-bit hash of the row, used to
-// digest query results.
+// digest query results. The offline auditor sums row hashes into a
+// multiset digest, so the FNV state is passed through an avalanche
+// step (the splitmix64 finalizer): raw FNV-1a hashes of rows that
+// differ in their last byte — two groups whose COUNT(*) each drop by
+// one — differ by tiny, often opposite, amounts that cancel in a sum.
 func HashRow(r Row) uint64 {
 	h := fnv.New64a()
 	buf := make([]byte, 0, 16*len(r))
@@ -107,7 +111,13 @@ func HashRow(r Row) uint64 {
 		buf = EncodeKey(buf, v)
 	}
 	_, _ = h.Write(buf)
-	return h.Sum64()
+	x := h.Sum64()
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }
 
 // FormatFloat renders a float the way result tables print it.
