@@ -1,6 +1,8 @@
 package pgwire
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
@@ -58,62 +60,46 @@ func oidSize(oid uint32) int16 {
 	}
 }
 
-// encodeText renders a value in PostgreSQL text result format.
-// null=true means the column is SQL NULL (length -1 on the wire).
-func encodeText(v value.Value) (data []byte, null bool) {
-	switch v.Kind {
-	case value.KindNull:
-		return nil, true
-	case value.KindBool:
-		if v.I != 0 {
-			return []byte("t"), false
-		}
-		return []byte("f"), false
-	default:
-		// Integers, floats, strings and dates all match PG's text
-		// format in their engine String rendering (dates: YYYY-MM-DD).
-		return []byte(v.String()), false
-	}
-}
-
 // valueFromText converts a text-format parameter to an engine value
 // using the declared parameter OID; OID 0 (unspecified) infers
 // integer, then float, falling back to string — the engine's
 // comparison and coercion rules handle strings against DATE columns.
-func valueFromText(oid uint32, s string) (value.Value, error) {
+// b is the message buffer's bytes: a string value is a copy of them,
+// everything else parses them in place.
+func valueFromText(oid uint32, b []byte) (value.Value, error) {
 	switch oid {
 	case oidBool:
-		switch strings.ToLower(strings.TrimSpace(s)) {
+		switch strings.ToLower(string(bytes.TrimSpace(b))) {
 		case "t", "true", "on", "yes", "y", "1":
 			return value.NewBool(true), nil
 		case "f", "false", "off", "no", "n", "0":
 			return value.NewBool(false), nil
 		}
-		return value.Null, fmt.Errorf("invalid input syntax for type boolean: %q", s)
+		return value.Null, fmt.Errorf("invalid input syntax for type boolean: %q", b)
 	case oidInt2, oidInt4, oidInt8, oidOID:
-		i, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
+		i, err := strconv.ParseInt(string(bytes.TrimSpace(b)), 10, 64)
 		if err != nil {
-			return value.Null, fmt.Errorf("invalid input syntax for type integer: %q", s)
+			return value.Null, fmt.Errorf("invalid input syntax for type integer: %q", b)
 		}
 		return value.NewInt(i), nil
 	case oidFloat4, oidFloat8, oidNumeric:
-		f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+		f, err := strconv.ParseFloat(string(bytes.TrimSpace(b)), 64)
 		if err != nil {
-			return value.Null, fmt.Errorf("invalid input syntax for type numeric: %q", s)
+			return value.Null, fmt.Errorf("invalid input syntax for type numeric: %q", b)
 		}
 		return value.NewFloat(f), nil
 	case oidDate:
-		return value.ParseDate(strings.TrimSpace(s))
+		return value.ParseDate(string(bytes.TrimSpace(b)))
 	case 0:
-		if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+		if i, err := strconv.ParseInt(string(b), 10, 64); err == nil {
 			return value.NewInt(i), nil
 		}
-		if f, err := strconv.ParseFloat(s, 64); err == nil {
+		if f, err := strconv.ParseFloat(string(b), 64); err == nil {
 			return value.NewFloat(f), nil
 		}
-		return value.NewString(s), nil
+		return value.NewString(string(b)), nil
 	case oidText, oidVarchar:
-		return value.NewString(s), nil
+		return value.NewString(string(b)), nil
 	default:
 		return value.Null, fmt.Errorf("unsupported parameter type oid %d", oid)
 	}
@@ -121,125 +107,169 @@ func valueFromText(oid uint32, s string) (value.Value, error) {
 
 // writer accumulates framed backend messages. Protocol handlers build
 // responses here; the connection decides when the bytes hit the
-// socket (at Sync/ReadyForQuery, Flush, or a fatal error).
+// socket (at Sync/ReadyForQuery, Flush, or a fatal error). Each message
+// is appended in place — type byte, length placeholder, body — and its
+// length patched once the body is complete.
 type writer struct {
 	out []byte
 }
 
-func (w *writer) raw(b []byte)              { w.out = append(w.out, b...) }
-func (w *writer) msg(typ byte, body []byte) { w.raw(frame(typ, body)) }
+// begin opens a message of the given type and returns where its
+// self-inclusive length goes; end patches it.
+func (w *writer) begin(typ byte) (at int) {
+	w.out = append(w.out, typ, 0, 0, 0, 0)
+	return len(w.out) - 4
+}
+
+func (w *writer) end(at int) {
+	binary.BigEndian.PutUint32(w.out[at:], uint32(len(w.out)-at))
+}
+
+func (w *writer) byte(v byte)   { w.out = append(w.out, v) }
+func (w *writer) int16(v int16) { w.out = binary.BigEndian.AppendUint16(w.out, uint16(v)) }
+func (w *writer) int32(v int32) { w.out = binary.BigEndian.AppendUint32(w.out, uint32(v)) }
+
+// cstr appends a NUL-terminated string.
+func (w *writer) cstr(s string) {
+	w.out = append(w.out, s...)
+	w.out = append(w.out, 0)
+}
+
+// empty appends a message with no body.
+func (w *writer) empty(typ byte) { w.out = append(w.out, typ, 0, 0, 0, 4) }
 
 func (w *writer) authenticationOK() {
-	var m msgBuf
-	m.int32(0)
-	w.msg(msgAuth, m.b)
+	at := w.begin(msgAuth)
+	w.int32(0)
+	w.end(at)
 }
 
 func (w *writer) parameterStatus(k, v string) {
-	var m msgBuf
-	m.cstr(k)
-	m.cstr(v)
-	w.msg(msgParameterStatus, m.b)
+	at := w.begin(msgParameterStatus)
+	w.cstr(k)
+	w.cstr(v)
+	w.end(at)
 }
 
 func (w *writer) backendKeyData(pid, secret int32) {
-	var m msgBuf
-	m.int32(pid)
-	m.int32(secret)
-	w.msg(msgBackendKeyData, m.b)
+	at := w.begin(msgBackendKeyData)
+	w.int32(pid)
+	w.int32(secret)
+	w.end(at)
 }
 
 func (w *writer) readyForQuery(status byte) {
-	w.msg(msgReadyForQuery, []byte{status})
+	w.out = append(w.out, msgReadyForQuery, 0, 0, 0, 5, status)
 }
 
 // rowDescription emits column metadata. kinds may be nil (all columns
 // report text).
 func (w *writer) rowDescription(cols []string, kinds []value.Kind) {
-	var m msgBuf
-	m.int16(int16(len(cols)))
+	at := w.begin(msgRowDescription)
+	w.int16(int16(len(cols)))
 	for i, name := range cols {
 		oid := uint32(oidText)
 		if i < len(kinds) {
 			oid = kindOID(kinds[i])
 		}
-		m.cstr(name)
-		m.int32(0)            // table OID: not a catalog table
-		m.int16(0)            // attribute number
-		m.int32(int32(oid))   // type OID
-		m.int16(oidSize(oid)) // type size
-		m.int32(-1)           // type modifier
-		m.int16(0)            // format: text
+		w.cstr(name)
+		w.int32(0)            // table OID: not a catalog table
+		w.int16(0)            // attribute number
+		w.int32(int32(oid))   // type OID
+		w.int16(oidSize(oid)) // type size
+		w.int32(-1)           // type modifier
+		w.int16(0)            // format: text
 	}
-	w.msg(msgRowDescription, m.b)
+	w.end(at)
 }
 
+// dataRow emits one row in text format: SQL NULL is length -1,
+// booleans are t/f, and integers, floats, strings and dates match
+// PostgreSQL's text format in their engine rendering (dates:
+// YYYY-MM-DD).
 func (w *writer) dataRow(row value.Row) {
-	var m msgBuf
-	m.int16(int16(len(row)))
+	at := w.begin(msgDataRow)
+	w.int16(int16(len(row)))
 	for _, v := range row {
-		data, null := encodeText(v)
-		if null {
-			m.int32(-1)
-			continue
+		switch v.Kind {
+		case value.KindNull:
+			w.int32(-1)
+		case value.KindBool:
+			w.int32(1)
+			if v.I != 0 {
+				w.byte('t')
+			} else {
+				w.byte('f')
+			}
+		default:
+			w.int32(0) // cell length, patched once the text is in
+			cell := len(w.out)
+			w.out = v.AppendText(w.out)
+			binary.BigEndian.PutUint32(w.out[cell-4:], uint32(len(w.out)-cell))
 		}
-		m.int32(int32(len(data)))
-		m.bytes(data)
 	}
-	w.msg(msgDataRow, m.b)
+	w.end(at)
 }
 
-func (w *writer) commandComplete(tag string) {
-	var m msgBuf
-	m.cstr(tag)
-	w.msg(msgCommandComplete, m.b)
+// commandComplete emits a statement's completion tag: the tag word
+// and, when n >= 0, the row count ("SELECT 3", "INSERT 0 1").
+func (w *writer) commandComplete(tag string, n int) {
+	at := w.begin(msgCommandComplete)
+	w.out = append(w.out, tag...)
+	if n >= 0 {
+		w.out = append(w.out, ' ')
+		w.out = strconv.AppendInt(w.out, int64(n), 10)
+	}
+	w.out = append(w.out, 0)
+	w.end(at)
 }
 
-func (w *writer) emptyQueryResponse() {
-	w.msg(msgEmptyQuery, nil)
-}
+func (w *writer) emptyQueryResponse() { w.empty(msgEmptyQuery) }
+func (w *writer) parseComplete()      { w.empty(msgParseComplete) }
+func (w *writer) bindComplete()       { w.empty(msgBindComplete) }
+func (w *writer) closeComplete()      { w.empty(msgCloseComplete) }
+func (w *writer) noData()             { w.empty(msgNoData) }
+func (w *writer) portalSuspended()    { w.empty(msgPortalSuspended) }
 
-func (w *writer) parseComplete()   { w.msg(msgParseComplete, nil) }
-func (w *writer) bindComplete()    { w.msg(msgBindComplete, nil) }
-func (w *writer) closeComplete()   { w.msg(msgCloseComplete, nil) }
-func (w *writer) noData()          { w.msg(msgNoData, nil) }
-func (w *writer) portalSuspended() { w.msg(msgPortalSuspended, nil) }
-
-func (w *writer) parameterDescription(oids []uint32) {
-	var m msgBuf
-	m.int16(int16(len(oids)))
-	for _, oid := range oids {
-		if oid == 0 {
-			oid = oidText
+// parameterDescription reports a statement's n parameter types: the
+// OIDs declared at Parse, text for the rest.
+func (w *writer) parameterDescription(n int, declared []uint32) {
+	at := w.begin(msgParamDescription)
+	w.int16(int16(n))
+	for i := 0; i < n; i++ {
+		oid := uint32(oidText)
+		if i < len(declared) && declared[i] != 0 {
+			oid = declared[i]
 		}
-		m.int32(int32(oid))
+		w.int32(int32(oid))
 	}
-	w.msg(msgParamDescription, m.b)
+	w.end(at)
 }
 
-// errorFields renders an ErrorResponse or NoticeResponse body.
-func errorFields(severity, code, message string) []byte {
-	var m msgBuf
-	m.byte('S')
-	m.cstr(severity)
-	m.byte('V')
-	m.cstr(severity)
-	m.byte('C')
-	m.cstr(code)
-	m.byte('M')
-	m.cstr(message)
-	m.byte(0)
-	return m.b
+// beginFields opens an ErrorResponse or NoticeResponse up to the start
+// of its message text; endFields closes it.
+func (w *writer) beginFields(typ byte, severity, code string) (at int) {
+	at = w.begin(typ)
+	w.byte('S')
+	w.cstr(severity)
+	w.byte('V')
+	w.cstr(severity)
+	w.byte('C')
+	w.cstr(code)
+	w.byte('M')
+	return at
 }
 
-func (w *writer) errorResponse(code, message string) {
-	w.msg(msgErrorResponse, errorFields("ERROR", code, message))
+func (w *writer) endFields(at int) {
+	w.out = append(w.out, 0, 0) // end of message text, end of fields
+	w.end(at)
 }
 
-func (w *writer) fatalResponse(code, message string) {
-	w.msg(msgErrorResponse, errorFields("FATAL", code, message))
-}
+func (w *writer) errorResponse(code, message string) { w.failure("ERROR", code, message) }
+func (w *writer) fatalResponse(code, message string) { w.failure("FATAL", code, message) }
 
-func (w *writer) notice(message string) {
-	w.msg(msgNoticeResponse, errorFields("NOTICE", "00000", message))
+func (w *writer) failure(severity, code, message string) {
+	at := w.beginFields(msgErrorResponse, severity, code)
+	w.out = append(w.out, message...)
+	w.endFields(at)
 }

@@ -38,11 +38,42 @@ type pgPortal struct {
 	done   bool // all rows delivered; re-Execute completes with 0 rows
 }
 
+// takePortal returns an empty portal, recycling a destroyed one (and
+// its parameter slice) when there is one.
+func (pc *pgConn) takePortal() *pgPortal {
+	n := len(pc.idle)
+	if n == 0 {
+		return &pgPortal{}
+	}
+	pt := pc.idle[n-1]
+	pc.idle = pc.idle[:n-1]
+	return pt
+}
+
+// dropPortal destroys the named portal, if it exists.
+func (pc *pgConn) dropPortal(name []byte) {
+	pt, ok := pc.portals[string(name)]
+	if !ok {
+		return
+	}
+	delete(pc.portals, string(name))
+	pc.retire(pt)
+}
+
+// retire empties a destroyed portal, letting go of its result, and
+// keeps it for takePortal.
+func (pc *pgConn) retire(pt *pgPortal) {
+	*pt = pgPortal{params: pt.params[:0]}
+	pc.idle = append(pc.idle, pt)
+}
+
 // handleParse creates a prepared statement from a Parse message.
 func (pc *pgConn) handleParse(payload []byte) {
 	pr := payloadReader{b: payload}
-	name := pr.cstr()
-	query := pr.cstr()
+	// The statement keeps its name and text: copy them out of the
+	// message buffer.
+	name := string(pr.cstr())
+	query := string(pr.cstr())
 	nOIDs := int(pr.int16())
 	if pr.err != nil || nOIDs < 0 || nOIDs > 1<<15 {
 		pc.extErr(stateProtocolViolation, "malformed Parse message")
@@ -118,58 +149,50 @@ func (pc *pgConn) handleBind(payload []byte) {
 	stmtName := pr.cstr()
 
 	// Each count decodes as int16, so a hostile byte pattern >= 0x8000
-	// comes out negative and would panic inside make(); validate every
-	// count before allocating, as handleParse does for nOIDs.
+	// comes out negative; validate every count before looping on it, as
+	// handleParse does for nOIDs. The first pass only checks the
+	// message's shape and remembers where the parameters start.
 	nFmt := int(pr.int16())
 	if pr.err != nil || nFmt < 0 {
 		pc.extErr(stateProtocolViolation, "malformed Bind message")
 		return
 	}
-	fmts := make([]int16, 0, nFmt)
+	binaryParam := false
 	for i := 0; i < nFmt; i++ {
-		fmts = append(fmts, pr.int16())
+		binaryParam = pr.int16() != 0 || binaryParam
 	}
 	nParams := int(pr.int16())
 	if pr.err != nil || nParams < 0 {
 		pc.extErr(stateProtocolViolation, "malformed Bind message")
 		return
 	}
-	type rawParam struct {
-		data []byte
-		null bool
-	}
-	raw := make([]rawParam, 0, nParams)
+	paramsAt := pr.pos
 	for i := 0; i < nParams; i++ {
-		data, null := pr.lenBytes()
-		raw = append(raw, rawParam{data, null})
+		pr.lenBytes()
 	}
 	nResFmt := int(pr.int16())
 	if pr.err != nil || nResFmt < 0 {
 		pc.extErr(stateProtocolViolation, "malformed Bind message")
 		return
 	}
-	resFmts := make([]int16, 0, nResFmt)
+	binaryResult := false
 	for i := 0; i < nResFmt; i++ {
-		resFmts = append(resFmts, pr.int16())
+		binaryResult = pr.int16() != 0 || binaryResult
 	}
 	if pr.err != nil {
 		pc.extErr(stateProtocolViolation, "malformed Bind message")
 		return
 	}
-	for _, f := range fmts {
-		if f != 0 {
-			pc.extErr(stateFeatureUnsupported, "binary parameter format is not supported; use text format")
-			return
-		}
+	if binaryParam {
+		pc.extErr(stateFeatureUnsupported, "binary parameter format is not supported; use text format")
+		return
 	}
-	for _, f := range resFmts {
-		if f != 0 {
-			pc.extErr(stateFeatureUnsupported, "binary result format is not supported; use text format")
-			return
-		}
+	if binaryResult {
+		pc.extErr(stateFeatureUnsupported, "binary result format is not supported; use text format")
+		return
 	}
 
-	st, ok := pc.stmts[stmtName]
+	st, ok := pc.stmts[string(stmtName)]
 	if !ok {
 		pc.extErr(stateInvalidStmtName, fmt.Sprintf("prepared statement %q does not exist", stmtName))
 		return
@@ -182,29 +205,33 @@ func (pc *pgConn) handleBind(payload []byte) {
 	}
 
 	// Decode $n-order values using their declared OIDs, then lay them
-	// out in the engine's source (?) order through argMap.
-	pgVals := make([]value.Value, nParams)
-	for i, rp := range raw {
-		if rp.null {
-			pgVals[i] = value.Null
-			continue
+	// out in the engine's source (?) order through argMap. String values
+	// are copies; nothing in the portal points into the message buffer.
+	pr = payloadReader{b: payload, pos: paramsAt}
+	pc.pgVals = pc.pgVals[:0]
+	for i := 0; i < nParams; i++ {
+		data, null := pr.lenBytes()
+		v := value.Null
+		if !null {
+			var oid uint32
+			if i < len(st.paramOIDs) {
+				oid = st.paramOIDs[i]
+			}
+			var err error
+			if v, err = valueFromText(oid, data); err != nil {
+				pc.extErr(stateInvalidText, fmt.Sprintf("parameter $%d: %v", i+1, err))
+				return
+			}
 		}
-		var oid uint32
-		if i < len(st.paramOIDs) {
-			oid = st.paramOIDs[i]
-		}
-		v, err := valueFromText(oid, string(rp.data))
-		if err != nil {
-			pc.extErr(stateInvalidText, fmt.Sprintf("parameter $%d: %v", i+1, err))
-			return
-		}
-		pgVals[i] = v
+		pc.pgVals = append(pc.pgVals, v)
 	}
-	params := make([]value.Value, len(st.argMap))
-	for j, src := range st.argMap {
-		params[j] = pgVals[src]
+	pc.dropPortal(portalName)
+	pt := pc.takePortal()
+	pt.stmt = st
+	for _, src := range st.argMap {
+		pt.params = append(pt.params, pc.pgVals[src])
 	}
-	pc.portals[portalName] = &pgPortal{stmt: st, params: params}
+	pc.portals[string(portalName)] = pt
 	pc.buf.bindComplete()
 }
 
@@ -220,17 +247,15 @@ func (pc *pgConn) handleDescribe(payload []byte) {
 	}
 	switch kind {
 	case 'S':
-		st, ok := pc.stmts[name]
+		st, ok := pc.stmts[string(name)]
 		if !ok {
 			pc.extErr(stateInvalidStmtName, fmt.Sprintf("prepared statement %q does not exist", name))
 			return
 		}
-		oids := make([]uint32, st.nParams)
-		copy(oids, st.paramOIDs)
-		pc.buf.parameterDescription(oids)
+		pc.buf.parameterDescription(st.nParams, st.paramOIDs)
 		pc.describeResult(st)
 	case 'P':
-		pt, ok := pc.portals[name]
+		pt, ok := pc.portals[string(name)]
 		if !ok {
 			pc.extErr(stateInvalidCursorName, fmt.Sprintf("portal %q does not exist", name))
 			return
@@ -273,7 +298,7 @@ func (pc *pgConn) handleExecute(payload []byte) bool {
 		pc.extErr(stateProtocolViolation, "malformed Execute message")
 		return true
 	}
-	pt, ok := pc.portals[name]
+	pt, ok := pc.portals[string(name)]
 	if !ok {
 		pc.extErr(stateInvalidCursorName, fmt.Sprintf("portal %q does not exist", name))
 		return true
@@ -295,38 +320,25 @@ func (pc *pgConn) handleExecute(payload []byte) bool {
 		for _, row := range res.rows {
 			pc.buf.dataRow(row)
 		}
-		pc.buf.commandComplete(res.tag)
+		pc.buf.commandComplete(res.tag, -1)
 		pc.hadErr = false
 		return true
 	}
 
-	// First Execute materializes the result under the query timeout;
-	// the closure may outlive a timeout in its worker goroutine, so it
-	// only returns values and the portal is updated here.
+	// First Execute materializes the result under the query timeout.
 	if pt.res == nil {
-		type execOut struct {
-			res *engine.Result
-			err error
-		}
-		out, timedOut := pc.tc.Guard(func() any {
+		var err error
+		if !pc.tc.Guard(t0, func() {
 			pc.sess.NoteTransport("pg", time.Since(t0))
-			res, err := st.prep.Run(pt.params...)
-			return &execOut{res, err}
-		})
-		if timedOut {
-			pc.buf.errorResponse(stateQueryCanceled,
-				fmt.Sprintf("canceling statement due to statement timeout (%s)", pc.tc.QueryTimeout()))
-			pc.p.errors.Inc()
-			pc.buf.readyForQuery('E')
-			pc.flushOut()
+			pt.res, err = st.prep.Run(pt.params...)
+		}) {
 			return false
 		}
-		o := out.(*execOut)
-		if o.err != nil {
-			pc.extErr(sqlstateFor(o.err), o.err.Error())
+		if err != nil {
+			pt.res = nil
+			pc.extErr(sqlstateFor(err), err.Error())
 			return true
 		}
-		pt.res = o.res
 	}
 	pc.hadErr = false
 
@@ -336,11 +348,7 @@ func (pc *pgConn) handleExecute(payload []byte) bool {
 		// PostgreSQL answers a completed portal with a zero-row
 		// completion and no side-effect output; in particular the audit
 		// notice must not repeat.
-		if st.prep != nil {
-			pc.buf.commandComplete(commandTag(st.prep.AST(), res, 0))
-		} else {
-			pc.buf.commandComplete("OK")
-		}
+		pc.buf.commandComplete(commandTag(st.prep.AST(), res, 0))
 		return true
 	}
 	sent := 0
@@ -355,11 +363,7 @@ func (pc *pgConn) handleExecute(payload []byte) bool {
 	}
 	pt.done = true
 	writeAuditNotice(&pc.buf, res)
-	if st.prep != nil {
-		pc.buf.commandComplete(commandTag(st.prep.AST(), res, pt.pos))
-	} else {
-		pc.buf.commandComplete("OK")
-	}
+	pc.buf.commandComplete(commandTag(st.prep.AST(), res, pt.pos))
 	return true
 }
 
@@ -375,9 +379,9 @@ func (pc *pgConn) handleClose(payload []byte) {
 	}
 	switch kind {
 	case 'S':
-		delete(pc.stmts, name)
+		delete(pc.stmts, string(name))
 	case 'P':
-		delete(pc.portals, name)
+		pc.dropPortal(name)
 	default:
 		pc.extErr(stateProtocolViolation, fmt.Sprintf("invalid Close kind %q", kind))
 		return
@@ -390,13 +394,14 @@ func (pc *pgConn) handleClose(payload []byte) {
 // enclosing transaction; inside one they survive for row-limited
 // resumption, which is how JDBC fetchSize works), and ReadyForQuery
 // reports the transaction status.
-func (pc *pgConn) handleSync() {
+func (pc *pgConn) handleSync() bool {
 	pc.skipping = false
 	if !pc.sess.InTxn() {
-		for name := range pc.portals {
+		for name, pt := range pc.portals {
 			delete(pc.portals, name)
+			pc.retire(pt)
 		}
 	}
 	pc.buf.readyForQuery(pc.statusByte())
-	pc.flushOut()
+	return pc.flushOut()
 }

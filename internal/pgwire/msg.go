@@ -2,9 +2,12 @@ package pgwire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"auditdb/internal/server"
 )
 
 // Frontend (client → server) message type bytes.
@@ -51,7 +54,6 @@ const (
 	sslRequest     = 80877103 // respond 'N': TLS is not offered
 	gssEncRequest  = 80877104 // respond 'N'
 	cancelRequest  = 80877102 // ignored: no out-of-band cancel support
-	maxMessageLen  = 16 << 20 // refuse anything larger, it cannot be legit
 	maxStartupLen  = 16 << 10 // startup packets are tiny
 	maxStartupTrys = 4        // SSL, GSS, then the real startup at most
 )
@@ -74,51 +76,29 @@ func readStartup(r *bufio.Reader) (code int32, payload []byte, err error) {
 	return int32(binary.BigEndian.Uint32(body[:4])), body[4:], nil
 }
 
-// readMessage reads one typed frontend message.
-func readMessage(r *bufio.Reader) (typ byte, payload []byte, err error) {
-	typ, err = r.ReadByte()
+// readMessage reads one typed frontend message into the connection's
+// reusable buffer and returns the payload as a slice of it: the payload
+// is valid only until the next readMessage, so whatever a handler keeps
+// — names, SQL, parameter text — it copies at the point it keeps it.
+func (pc *pgConn) readMessage() (typ byte, payload []byte, err error) {
+	head, err := pc.r.Peek(5)
 	if err != nil {
 		return 0, nil, err
 	}
-	var head [4]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return 0, nil, err
+	typ = head[0]
+	n := int(int32(binary.BigEndian.Uint32(head[1:]))) - 4
+	if n < 0 || n+4 > server.MaxRequestLen {
+		return 0, nil, fmt.Errorf("pgwire: bad message length %d for %q", n+4, typ)
 	}
-	n := int32(binary.BigEndian.Uint32(head[:]))
-	if n < 4 || n > maxMessageLen {
-		return 0, nil, fmt.Errorf("pgwire: bad message length %d for %q", n, typ)
+	pc.r.Discard(5)
+	if pc.in = server.Recycle(pc.in); n > cap(pc.in) {
+		pc.in = make([]byte, max(n, 4<<10))
 	}
-	payload = make([]byte, n-4)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload = pc.in[:n]
+	if _, err := io.ReadFull(pc.r, payload); err != nil {
 		return 0, nil, err
 	}
 	return typ, payload, nil
-}
-
-// msgBuf builds one backend message body; Frame prepends the type byte
-// and self-inclusive length.
-type msgBuf struct {
-	b []byte
-}
-
-func (m *msgBuf) byte(v byte)    { m.b = append(m.b, v) }
-func (m *msgBuf) int16(v int16)  { m.b = binary.BigEndian.AppendUint16(m.b, uint16(v)) }
-func (m *msgBuf) int32(v int32)  { m.b = binary.BigEndian.AppendUint32(m.b, uint32(v)) }
-func (m *msgBuf) bytes(v []byte) { m.b = append(m.b, v...) }
-
-// cstr appends a NUL-terminated string.
-func (m *msgBuf) cstr(s string) {
-	m.b = append(m.b, s...)
-	m.b = append(m.b, 0)
-}
-
-// frame renders the finished message.
-func frame(typ byte, body []byte) []byte {
-	out := make([]byte, 5+len(body))
-	out[0] = typ
-	binary.BigEndian.PutUint32(out[1:5], uint32(len(body)+4))
-	copy(out[5:], body)
-	return out
 }
 
 // payloadReader decodes a frontend message payload.
@@ -134,19 +114,19 @@ func (p *payloadReader) fail() {
 	}
 }
 
-func (p *payloadReader) cstr() string {
+// cstr reads a NUL-terminated string as a view of the payload; a
+// caller that keeps it converts it to a string (a copy) where it does.
+func (p *payloadReader) cstr() []byte {
 	if p.err != nil {
-		return ""
+		return nil
 	}
-	for i := p.pos; i < len(p.b); i++ {
-		if p.b[i] == 0 {
-			s := string(p.b[p.pos:i])
-			p.pos = i + 1
-			return s
-		}
+	if n := bytes.IndexByte(p.b[p.pos:], 0); n >= 0 {
+		s := p.b[p.pos : p.pos+n]
+		p.pos += n + 1
+		return s
 	}
 	p.fail()
-	return ""
+	return nil
 }
 
 func (p *payloadReader) byte() byte {

@@ -34,12 +34,18 @@ import (
 	"auditdb/internal/engine"
 	"auditdb/internal/obs"
 	"auditdb/internal/server"
+	"auditdb/internal/value"
 )
 
 // Protocol implements server.Protocol for the PostgreSQL wire format.
 // One Protocol value serves every pg connection of a transport.
 type Protocol struct {
-	messages *obs.CounterVec
+	// messages counts frontend messages by type byte; startups counts
+	// startup packets, which have none. The pgwire_messages{type}
+	// family's counters are resolved here once, so counting a message
+	// is one atomic add with no lock or map shared between connections.
+	messages [256]*obs.Counter
+	startups *obs.Counter
 	errors   *obs.Counter
 	nextPID  atomic.Int32
 }
@@ -47,12 +53,17 @@ type Protocol struct {
 // New creates the pg front door, registering its metrics: a per-type
 // frontend message counter and an ErrorResponse counter.
 func New(reg *obs.Registry) *Protocol {
-	return &Protocol{
-		messages: reg.NewCounterVec("auditdb_pgwire_messages_total", "pgwire_messages",
-			"Frontend messages handled by the PostgreSQL front door.", "type"),
+	byType := reg.NewCounterVec("auditdb_pgwire_messages_total", "pgwire_messages",
+		"Frontend messages handled by the PostgreSQL front door.", "type")
+	p := &Protocol{
+		startups: byType.With("startup"),
 		errors: reg.NewCounter("auditdb_pgwire_errors_total", "pgwire_errors",
 			"ErrorResponses sent by the PostgreSQL front door."),
 	}
+	for typ := range p.messages {
+		p.messages[typ] = byType.With(msgName(byte(typ)))
+	}
+	return p
 }
 
 // Name identifies the protocol in logs and metrics.
@@ -85,34 +96,60 @@ func (p *Protocol) Refuse(nc net.Conn, msg string) {
 	nc.Write(w.out)
 }
 
+// Expire answers a statement that outran the query timeout. The
+// statement is still running, so the session's transaction state is
+// unknowable and ReadyForQuery reports 'E'; completions buffered for
+// the same batch but not yet flushed are not sent — the client reads
+// the ErrorResponse in their place, as the protocol allows.
+func (p *Protocol) Expire(nc net.Conn, limit time.Duration) {
+	var w writer
+	w.errorResponse(stateQueryCanceled,
+		fmt.Sprintf("canceling statement due to statement timeout (%s)", limit))
+	p.errors.Inc()
+	w.readyForQuery('E')
+	nc.Write(w.out)
+}
+
 // Serve speaks the protocol on one accepted connection.
 func (p *Protocol) Serve(c *server.Conn) {
-	pc := &pgConn{
+	pc := newConn(p, c)
+	if !pc.handshake() {
+		return
+	}
+	for pc.step() {
+	}
+}
+
+func newConn(p *Protocol, c *server.Conn) *pgConn {
+	return &pgConn{
 		p:       p,
 		tc:      c,
-		nc:      c.NetConn(),
 		r:       bufio.NewReaderSize(c.NetConn(), 32<<10),
 		sess:    c.Session(),
 		stmts:   map[string]*pgStmt{},
 		portals: map[string]*pgPortal{},
 	}
-	pc.serve()
 }
 
 // pgConn is the per-connection protocol state machine.
 type pgConn struct {
 	p    *Protocol
 	tc   *server.Conn
-	nc   net.Conn
 	r    *bufio.Reader
 	sess *engine.Session
 
+	// in is the reusable frontend-message buffer (see readMessage).
+	in []byte
 	// buf accumulates backend messages; they reach the socket at
 	// Sync, Flush, after each simple query, and on fatal errors.
 	buf writer
 
 	stmts   map[string]*pgStmt
 	portals map[string]*pgPortal
+	// idle holds destroyed portals for the next Bind to reuse, their
+	// parameter slices with them; pgVals is Bind's $n-order scratch.
+	idle   []*pgPortal
+	pgVals []value.Value
 
 	// skipping discards messages until Sync after an error in an
 	// extended-protocol batch, per the protocol's error recovery rule.
@@ -124,53 +161,52 @@ type pgConn struct {
 	hadErr bool
 }
 
-// serve runs the handshake then the message loop.
-func (pc *pgConn) serve() {
-	if !pc.handshake() {
-		return
+// step reads and handles one frontend message; false means the
+// connection is finished.
+func (pc *pgConn) step() bool {
+	if pc.tc.Closing() {
+		pc.flushOut()
+		return false
 	}
-	for {
-		if pc.tc.Closing() {
-			pc.flushOut()
-			return
-		}
-		pc.tc.ArmIdleDeadline()
-		typ, payload, err := readMessage(pc.r)
-		if err != nil {
-			return
-		}
-		pc.p.messages.With(msgName(typ)).Inc()
-		if pc.skipping && typ != msgSync && typ != msgTerminate {
-			continue
-		}
-		switch typ {
-		case msgQuery:
-			if !pc.simpleQuery(payload) {
-				return
-			}
-		case msgParse:
-			pc.handleParse(payload)
-		case msgBind:
-			pc.handleBind(payload)
-		case msgDescribe:
-			pc.handleDescribe(payload)
-		case msgExecute:
-			if !pc.handleExecute(payload) {
-				return
-			}
-		case msgClose:
-			pc.handleClose(payload)
-		case msgSync:
-			pc.handleSync()
-		case msgFlush:
-			pc.flushOut()
-		case msgTerminate:
-			return
-		default:
-			pc.extErr(stateProtocolViolation,
-				fmt.Sprintf("unsupported frontend message %q", typ))
-		}
+	pc.tc.ArmIdleDeadline()
+	typ, payload, err := pc.readMessage()
+	if err != nil {
+		return false
 	}
+	return pc.handle(typ, payload)
+}
+
+// handle dispatches one frontend message; false means the connection is
+// finished.
+func (pc *pgConn) handle(typ byte, payload []byte) bool {
+	pc.p.messages[typ].Inc()
+	if pc.skipping && typ != msgSync && typ != msgTerminate {
+		return true
+	}
+	switch typ {
+	case msgQuery:
+		return pc.simpleQuery(payload)
+	case msgParse:
+		pc.handleParse(payload)
+	case msgBind:
+		pc.handleBind(payload)
+	case msgDescribe:
+		pc.handleDescribe(payload)
+	case msgExecute:
+		return pc.handleExecute(payload)
+	case msgClose:
+		pc.handleClose(payload)
+	case msgSync:
+		return pc.handleSync()
+	case msgFlush:
+		return pc.flushOut()
+	case msgTerminate:
+		return false
+	default:
+		pc.extErr(stateProtocolViolation,
+			fmt.Sprintf("unsupported frontend message %q", typ))
+	}
+	return true
 }
 
 // handshake performs the startup exchange; false means the connection
@@ -189,7 +225,7 @@ func (pc *pgConn) handshake() bool {
 		if code == sslRequest || code == gssEncRequest {
 			// TLS/GSS are not offered; 'N' tells the client to carry
 			// on in the clear.
-			if _, err := pc.nc.Write([]byte{'N'}); err != nil {
+			if pc.tc.Write([]byte{'N'}) != nil {
 				return false
 			}
 			continue
@@ -209,7 +245,7 @@ func (pc *pgConn) handshake() bool {
 		params = startupParams(payload)
 		break
 	}
-	pc.p.messages.With("startup").Inc()
+	pc.p.startups.Inc()
 	if user := params["user"]; user != "" {
 		// The startup user becomes the session's audit identity:
 		// userid() in trigger actions, the User column in the log.
@@ -238,10 +274,10 @@ func startupParams(payload []byte) map[string]string {
 	pr := payloadReader{b: payload}
 	for {
 		k := pr.cstr()
-		if pr.err != nil || k == "" {
+		if pr.err != nil || len(k) == 0 {
 			return params
 		}
-		params[k] = pr.cstr()
+		params[string(k)] = string(pr.cstr())
 	}
 }
 
@@ -258,14 +294,15 @@ func (pc *pgConn) statusByte() byte {
 	return 'T'
 }
 
-// flushOut writes everything buffered to the socket; false on a write
-// error (the connection is finished).
+// flushOut writes everything buffered to the socket, under the
+// transport's write deadline; false on a write error (the connection is
+// finished).
 func (pc *pgConn) flushOut() bool {
 	if len(pc.buf.out) == 0 {
 		return true
 	}
-	_, err := pc.nc.Write(pc.buf.out)
-	pc.buf.out = pc.buf.out[:0]
+	err := pc.tc.Write(pc.buf.out)
+	pc.buf.out = server.Recycle(pc.buf.out)
 	return err == nil
 }
 

@@ -48,40 +48,44 @@ func TestRewritePlaceholderErrors(t *testing.T) {
 }
 
 func TestEncodeTextAndBack(t *testing.T) {
+	// One-cell DataRows: 'D', int32 length, int16 1, int32 cell length
+	// (-1 for NULL), cell text.
 	for _, tc := range []struct {
 		v    value.Value
 		want string
-		null bool
 	}{
-		{value.NewBool(true), "t", false},
-		{value.NewBool(false), "f", false},
-		{value.NewInt(-7), "-7", false},
-		{value.NewString("x"), "x", false},
-		{value.Null, "", true},
+		{value.NewBool(true), "D\x00\x00\x00\x0b\x00\x01\x00\x00\x00\x01t"},
+		{value.NewBool(false), "D\x00\x00\x00\x0b\x00\x01\x00\x00\x00\x01f"},
+		{value.NewInt(-7), "D\x00\x00\x00\x0c\x00\x01\x00\x00\x00\x02-7"},
+		{value.NewFloat(2.5), "D\x00\x00\x00\x0d\x00\x01\x00\x00\x00\x032.5"},
+		{value.NewString("x"), "D\x00\x00\x00\x0b\x00\x01\x00\x00\x00\x01x"},
+		{value.DateFromYMD(2013, 4, 8), "D\x00\x00\x00\x14\x00\x01\x00\x00\x00\x0a2013-04-08"},
+		{value.Null, "D\x00\x00\x00\x0a\x00\x01\xff\xff\xff\xff"},
 	} {
-		data, null := encodeText(tc.v)
-		if null != tc.null || string(data) != tc.want {
-			t.Errorf("encodeText(%v) = %q/%v, want %q/%v", tc.v, data, null, tc.want, tc.null)
+		var w writer
+		w.dataRow(value.Row{tc.v})
+		if string(w.out) != tc.want {
+			t.Errorf("dataRow(%v) = %q, want %q", tc.v, w.out, tc.want)
 		}
 	}
 
-	if v, err := valueFromText(oidInt8, " 42 "); err != nil || v.I != 42 {
+	if v, err := valueFromText(oidInt8, []byte(" 42 ")); err != nil || v.I != 42 {
 		t.Errorf("int8 decode = %v, %v", v, err)
 	}
-	if v, err := valueFromText(oidBool, "true"); err != nil || v.I != 1 {
+	if v, err := valueFromText(oidBool, []byte("true")); err != nil || v.I != 1 {
 		t.Errorf("bool decode = %v, %v", v, err)
 	}
-	if _, err := valueFromText(oidInt8, "nope"); err == nil {
+	if _, err := valueFromText(oidInt8, []byte("nope")); err == nil {
 		t.Error("bad int decode: want error")
 	}
 	// Unspecified OID infers int, then float, then string.
-	if v, _ := valueFromText(0, "3"); v.Kind != value.KindInt {
+	if v, _ := valueFromText(0, []byte("3")); v.Kind != value.KindInt {
 		t.Errorf("inferred kind = %v, want int", v.Kind)
 	}
-	if v, _ := valueFromText(0, "3.5"); v.Kind != value.KindFloat {
+	if v, _ := valueFromText(0, []byte("3.5")); v.Kind != value.KindFloat {
 		t.Errorf("inferred kind = %v, want float", v.Kind)
 	}
-	if v, _ := valueFromText(0, "Alice"); v.Kind != value.KindString {
+	if v, _ := valueFromText(0, []byte("Alice")); v.Kind != value.KindString {
 		t.Errorf("inferred kind = %v, want string", v.Kind)
 	}
 }

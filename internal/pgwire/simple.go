@@ -1,8 +1,6 @@
 package pgwire
 
 import (
-	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -19,7 +17,9 @@ import (
 func (pc *pgConn) simpleQuery(payload []byte) bool {
 	t0 := time.Now()
 	pr := payloadReader{b: payload}
-	sql := pr.cstr()
+	// The engine keeps statement text (plan caches, the audit trail):
+	// copy it out of the message buffer.
+	sql := string(pr.cstr())
 	if pr.err != nil {
 		pc.buf.errorResponse(stateProtocolViolation, "malformed Query message")
 		pc.p.errors.Inc()
@@ -48,50 +48,31 @@ func (pc *pgConn) simpleQuery(payload []byte) bool {
 		return pc.flushOut()
 	}
 
-	// The closure runs in a worker goroutine when a query timeout is
-	// configured, so it builds its responses in a private writer and
-	// never touches the socket or pc fields; results are applied here
-	// after Guard returns.
-	type scriptOut struct {
-		w      writer
-		hadErr bool
-	}
-	out, timedOut := pc.tc.Guard(func() any {
-		o := &scriptOut{}
+	// The script runs here, on the connection's goroutine, and renders
+	// each statement's result into pc.buf as it completes; nothing
+	// reaches the socket until Guard says the connection still owns it.
+	hadErr := false
+	if !pc.tc.Guard(t0, func() {
 		pc.sess.NoteTransport("pg", time.Since(t0))
 		err := pc.sess.ExecMulti(sql, func(stmt ast.Stmt, res *engine.Result, err error) bool {
-			if err != nil {
-				o.w.errorResponse(sqlstateFor(err), err.Error())
-				o.hadErr = true
+			if hadErr = err != nil; hadErr {
+				pc.buf.errorResponse(sqlstateFor(err), err.Error())
 				return false
 			}
-			o.hadErr = false
-			pc.writeResult(&o.w, stmt, res)
+			pc.writeResult(stmt, res)
 			return true
 		})
 		if err != nil { // parse error: nothing ran
-			o.w.errorResponse(sqlstateFor(err), err.Error())
-			o.hadErr = true
+			pc.buf.errorResponse(sqlstateFor(err), err.Error())
+			hadErr = true
 		}
-		return o
-	})
-	if timedOut {
-		// The statement is still running; the connection is dead. The
-		// session's transaction state is unknowable from here, so the
-		// status byte reports 'E' and the transport closes us.
-		pc.buf.errorResponse(stateQueryCanceled,
-			fmt.Sprintf("canceling statement due to statement timeout (%s)", pc.tc.QueryTimeout()))
-		pc.p.errors.Inc()
-		pc.buf.readyForQuery('E')
-		pc.flushOut()
+	}) {
 		return false
 	}
-	o := out.(*scriptOut)
-	if o.hadErr {
+	if hadErr {
 		pc.p.errors.Inc()
 	}
-	pc.hadErr = o.hadErr
-	pc.buf.raw(o.w.out)
+	pc.hadErr = hadErr
 	pc.buf.readyForQuery(pc.statusByte())
 	return pc.flushOut()
 }
@@ -107,15 +88,15 @@ func utilityIfSingle(sess *engine.Session, sql string, single bool) (*utilityRes
 // writeResult renders one executed statement: result rows when the
 // statement produced a schema, the audit notice when a SELECT trigger
 // fired, and the command tag.
-func (pc *pgConn) writeResult(w *writer, stmt ast.Stmt, res *engine.Result) {
+func (pc *pgConn) writeResult(stmt ast.Stmt, res *engine.Result) {
 	if len(res.Columns) > 0 {
-		w.rowDescription(res.Columns, res.Kinds)
+		pc.buf.rowDescription(res.Columns, res.Kinds)
 		for _, row := range res.Rows {
-			w.dataRow(row)
+			pc.buf.dataRow(row)
 		}
 	}
-	writeAuditNotice(w, res)
-	w.commandComplete(commandTag(stmt, res, len(res.Rows)))
+	writeAuditNotice(&pc.buf, res)
+	pc.buf.commandComplete(commandTag(stmt, res, len(res.Rows)))
 }
 
 // writeUtility renders a front-door SET/SHOW/RESET result.
@@ -126,13 +107,13 @@ func (pc *pgConn) writeUtility(res *utilityResult) {
 			pc.buf.dataRow(row)
 		}
 	}
-	pc.buf.commandComplete(res.tag)
+	pc.buf.commandComplete(res.tag, -1)
 }
 
 // writeAuditNotice mirrors the line-JSON "audited" response field: a
 // NOTICE naming each audit expression the statement's ACCESSED state
-// matched and how many distinct IDs it recorded, so psql users see
-// SELECT triggers fire inline.
+// matched (in name order) and how many distinct IDs it recorded, so
+// psql users see SELECT triggers fire inline.
 func writeAuditNotice(w *writer, res *engine.Result) {
 	if res.Accessed == nil {
 		return
@@ -141,68 +122,72 @@ func writeAuditNotice(w *writer, res *engine.Result) {
 	if len(exprs) == 0 {
 		return
 	}
-	sort.Strings(exprs)
-	parts := make([]string, len(exprs))
-	for i, name := range exprs {
-		parts[i] = fmt.Sprintf("%s=%d", name, res.Accessed.Len(name))
+	at := w.beginFields(msgNoticeResponse, "NOTICE", "00000")
+	w.out = append(w.out, "audit:"...)
+	for _, name := range exprs {
+		w.out = append(w.out, ' ')
+		w.out = append(w.out, name...)
+		w.out = append(w.out, '=')
+		w.out = strconv.AppendInt(w.out, int64(res.Accessed.Len(name)), 10)
 	}
-	msg := "audit: " + strings.Join(parts, " ")
 	if res.QID != 0 {
 		// The query ID keys the retained trace: SHOW TRACE FOR <qid>.
-		msg += " qid=" + strconv.FormatUint(res.QID, 10)
+		w.out = append(w.out, " qid="...)
+		w.out = strconv.AppendUint(w.out, res.QID, 10)
 	}
-	w.notice(msg)
+	w.endFields(at)
 }
 
-// commandTag is the CommandComplete tag for an executed statement.
-// rows is the number of rows sent to the client by this execution (for
-// suspended portals that may be fewer than len(res.Rows)).
-func commandTag(stmt ast.Stmt, res *engine.Result, rows int) string {
+// commandTag is the CommandComplete tag for an executed statement, as
+// writer.commandComplete takes it: the tag word and its count, -1 for
+// none. rows is the number of rows sent to the client by this execution
+// (for suspended portals that may be fewer than len(res.Rows)).
+func commandTag(stmt ast.Stmt, res *engine.Result, rows int) (tag string, n int) {
 	switch stmt.(type) {
 	case *ast.Select:
-		return fmt.Sprintf("SELECT %d", rows)
+		return "SELECT", rows
 	case *ast.Insert:
-		return fmt.Sprintf("INSERT 0 %d", res.RowsAffected)
+		return "INSERT 0", res.RowsAffected
 	case *ast.Update:
-		return fmt.Sprintf("UPDATE %d", res.RowsAffected)
+		return "UPDATE", res.RowsAffected
 	case *ast.Delete:
-		return fmt.Sprintf("DELETE %d", res.RowsAffected)
+		return "DELETE", res.RowsAffected
 	case *ast.CreateTable:
-		return "CREATE TABLE"
+		return "CREATE TABLE", -1
 	case *ast.CreateIndex:
-		return "CREATE INDEX"
+		return "CREATE INDEX", -1
 	case *ast.CreateView:
-		return "CREATE VIEW"
+		return "CREATE VIEW", -1
 	case *ast.CreateTrigger:
-		return "CREATE TRIGGER"
+		return "CREATE TRIGGER", -1
 	case *ast.CreateAuditExpression:
-		return "CREATE AUDIT EXPRESSION"
+		return "CREATE AUDIT EXPRESSION", -1
 	case *ast.DropTable:
-		return "DROP TABLE"
+		return "DROP TABLE", -1
 	case *ast.DropIndex:
-		return "DROP INDEX"
+		return "DROP INDEX", -1
 	case *ast.DropView:
-		return "DROP VIEW"
+		return "DROP VIEW", -1
 	case *ast.DropTrigger:
-		return "DROP TRIGGER"
+		return "DROP TRIGGER", -1
 	case *ast.DropAuditExpression:
-		return "DROP AUDIT EXPRESSION"
+		return "DROP AUDIT EXPRESSION", -1
 	case *ast.TxBegin:
-		return "BEGIN"
+		return "BEGIN", -1
 	case *ast.TxCommit:
-		return "COMMIT"
+		return "COMMIT", -1
 	case *ast.TxRollback:
-		return "ROLLBACK"
+		return "ROLLBACK", -1
 	case *ast.Explain:
-		return "EXPLAIN"
+		return "EXPLAIN", -1
 	case *ast.VerifyAuditLog:
-		return "VERIFY AUDIT LOG"
+		return "VERIFY AUDIT LOG", -1
 	case *ast.ShowTrace, *ast.ShowTraces:
-		return "SHOW"
+		return "SHOW", -1
 	default:
 		if len(res.Columns) > 0 {
-			return fmt.Sprintf("SELECT %d", rows)
+			return "SELECT", rows
 		}
-		return "OK"
+		return "OK", -1
 	}
 }

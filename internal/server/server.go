@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -41,8 +42,8 @@ type Config struct {
 	MaxConns int
 	// QueryTimeout bounds each statement's execution; 0 disables it. A
 	// connection whose statement times out receives an error response
-	// and is closed (its session is cleaned up once the runaway
-	// statement finishes).
+	// and is closed at the deadline; the statement itself is not
+	// interrupted, and its session is cleaned up once it finishes.
 	QueryTimeout time.Duration
 	// IdleTimeout closes connections with no request for this long; 0
 	// disables it.
@@ -69,6 +70,12 @@ type Server struct {
 	eng *engine.Engine
 	cfg Config
 	log *slog.Logger
+	// epoch is the zero of the statement deadlines published in
+	// Conn.stmt (monotonic, so a wall-clock step cannot expire anything).
+	epoch time.Time
+	// writeTimeout is replyWriteTimeout, except in tests that cannot
+	// wait that long.
+	writeTimeout time.Duration
 
 	listeners []*listener
 	started   bool
@@ -98,9 +105,13 @@ func New(eng *engine.Engine, cfg Config) *Server {
 	}
 	r := eng.Metrics()
 	s := &Server{
-		eng: eng,
-		cfg: cfg,
-		log: log,
+		eng:   eng,
+		cfg:   cfg,
+		log:   log,
+		epoch: time.Now(),
+
+		writeTimeout: replyWriteTimeout,
+
 		connsTotal: r.NewCounter("auditdb_server_conns_total", "server_conns_total",
 			"Connections accepted, all protocols."),
 		connsByProto: r.NewCounterVec("auditdb_server_connections_total", "connections",
@@ -136,7 +147,7 @@ func (s *Server) AddListener(addr string, proto Protocol) error {
 		proto: proto,
 		addr:  addr,
 		latency: r.NewHistogram("auditdb_server_query_seconds_"+name, "query_seconds_"+name,
-			"End-to-end statement latency over the "+name+" protocol (seconds).",
+			"End-to-end statement latency over the "+name+" protocol, request read to reply written (seconds).",
 			obs.LatencyBuckets),
 	}
 	r.NewGaugeFunc("auditdb_server_conns_active_"+name, "conns_active_"+name,
@@ -214,58 +225,84 @@ func (s *Server) acceptLoop(l *listener) {
 			go l.proto.Refuse(nc, fmt.Sprintf("connection limit reached (%d)", s.cfg.MaxConns))
 			continue
 		}
-		s.connsTotal.Add(1)
-		s.connsByProto.With(l.proto.Name()).Add(1)
-		s.log.Info("connection accepted", "protocol", l.proto.Name(),
-			"remote", nc.RemoteAddr().String())
-		c := &Conn{
-			srv:     s,
-			proto:   l.proto.Name(),
-			nc:      nc,
-			sess:    s.eng.NewSession(),
-			latency: l.latency,
-		}
-		s.mu.Lock()
-		s.conns[c] = struct{}{}
-		s.mu.Unlock()
-		l.active.Add(1)
-		s.connWG.Add(1)
-		go s.serveConn(l, c)
+		go s.serveConn(s.admit(l, nc))
 	}
 }
 
+// ServeConn serves an already-established connection over the named
+// registered protocol, as if its listener had accepted it, and returns
+// when the connection ends. It bypasses the MaxConns check; tests and
+// embedders use it to put the transport behind any net.Conn.
+func (s *Server) ServeConn(protocol string, nc net.Conn) error {
+	for _, l := range s.listeners {
+		if l.proto.Name() == protocol {
+			s.serveConn(s.admit(l, nc))
+			return nil
+		}
+	}
+	return fmt.Errorf("auditdbd: protocol %q not registered", protocol)
+}
+
+// admit registers an accepted connection with the transport — counters,
+// its engine session, its slot and, under a query timeout, its watchdog
+// — everything release and serveConn undo.
+func (s *Server) admit(l *listener, nc net.Conn) *Conn {
+	s.connsTotal.Add(1)
+	s.connsByProto.With(l.proto.Name()).Add(1)
+	s.log.Info("connection accepted", "protocol", l.proto.Name(),
+		"remote", nc.RemoteAddr().String())
+	c := &Conn{srv: s, l: l, nc: nc, sess: s.eng.NewSession()}
+	if s.cfg.QueryTimeout > 0 {
+		// Created unarmed and then armed, so the first firing cannot
+		// run before c.watchdog is assigned.
+		c.watchdog = time.AfterFunc(math.MaxInt64, c.watch)
+		c.watchdog.Reset(s.cfg.QueryTimeout)
+	}
+	s.mu.Lock()
+	s.conns[c] = struct{}{}
+	s.mu.Unlock()
+	l.active.Add(1)
+	s.connWG.Add(1) // release's Done
+	return c
+}
+
 // serveConn owns the connection's lifecycle around the protocol's
-// Serve: transport bookkeeping, socket close, and session cleanup.
-func (s *Server) serveConn(l *listener, c *Conn) {
-	defer s.connWG.Done()
-	defer func() {
-		s.removeConn(c)
-		l.active.Add(-1)
-		c.nc.Close()
-		s.log.Info("connection closed", "protocol", c.proto,
-			"remote", c.nc.RemoteAddr().String(), "user", c.sess.User())
-		// The session owns the engine-side state (notably any open
-		// transaction holding the writer lock). Close it only after
-		// every in-flight statement finished, asynchronously so a
-		// runaway statement cannot wedge the server's drain.
-		go func() {
-			c.inflight.Wait()
-			c.sess.Close()
-		}()
-	}()
-	l.proto.Serve(c)
+// Serve. When Serve returns no statement is running, so the session —
+// and with it any open transaction holding the writer lock — is closed
+// here, on the goroutine that ran its statements: a rollback cannot
+// race a running statement. The slot is released afterwards unless the
+// watchdog already did (the connection's statement timed out and
+// Serve returned only when it finally ended).
+func (s *Server) serveConn(c *Conn) {
+	c.l.proto.Serve(c)
+	if c.watchdog != nil {
+		c.watchdog.Stop()
+	}
+	owned := c.stmt.Swap(connClosed) != connClosed
+	c.sess.Close()
+	if owned {
+		s.release(c)
+	}
+}
+
+// release closes the connection's socket and gives back its transport
+// slot: its place under MaxConns and in Shutdown's wait. It runs once
+// per connection, on whichever side moved Conn.stmt to connClosed.
+func (s *Server) release(c *Conn) {
+	c.nc.Close()
+	s.mu.Lock()
+	delete(s.conns, c)
+	s.mu.Unlock()
+	c.l.active.Add(-1)
+	s.log.Info("connection closed", "protocol", c.l.proto.Name(),
+		"remote", c.nc.RemoteAddr().String(), "user", c.sess.User())
+	s.connWG.Done()
 }
 
 func (s *Server) activeConns() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.conns)
-}
-
-func (s *Server) removeConn(c *Conn) {
-	s.mu.Lock()
-	delete(s.conns, c)
-	s.mu.Unlock()
 }
 
 // Stats returns the shared obs-registry snapshot: engine counters and

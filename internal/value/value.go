@@ -164,6 +164,22 @@ func (v Value) String() string {
 	}
 }
 
+// AppendText appends what String returns, without building the string.
+func (v Value) AppendText(dst []byte) []byte {
+	switch v.Kind {
+	case KindInt:
+		return strconv.AppendInt(dst, v.I, 10)
+	case KindFloat:
+		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
+	case KindString:
+		return append(dst, v.S...)
+	case KindDate:
+		return v.Time().AppendFormat(dst, "2006-01-02")
+	default:
+		return append(dst, v.String()...)
+	}
+}
+
 // SQL renders v as a SQL literal (strings quoted, dates tagged).
 func (v Value) SQL() string {
 	switch v.Kind {

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -395,6 +396,18 @@ func TestHashRowSumsDoNotCancel(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+func TestAppendTextMatchesString(t *testing.T) {
+	for _, v := range []Value{
+		Null, NewBool(true), NewBool(false), NewInt(0), NewInt(-42), NewInt(math.MinInt64),
+		NewFloat(0), NewFloat(-2.5), NewFloat(1e21), NewFloat(1e-7), NewFloat(math.Inf(1)), NewFloat(math.NaN()),
+		NewString(""), NewString("héllo\x00"), DateFromYMD(2013, 4, 8), NewDate(-1), {Kind: 99},
+	} {
+		if got := string(v.AppendText([]byte("x"))); got != "x"+v.String() {
+			t.Errorf("AppendText(%#v) = %q, want %q", v, got, "x"+v.String())
 		}
 	}
 }
