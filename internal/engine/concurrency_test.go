@@ -25,19 +25,22 @@ func TestConcurrentQueriesAndDML(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 
-	// Writers: insert and delete patients in the audited zip code.
+	// Writers: insert and delete patients in the audited zip code. A
+	// session is single-goroutine, so every goroutine opens its own.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		s := e.NewSession()
+		defer s.Close()
 		for i := 0; i < 30; i++ {
 			id := 1000 + i
-			if _, err := e.Exec(fmt.Sprintf(
+			if _, err := s.Exec(fmt.Sprintf(
 				"INSERT INTO Patients VALUES (%d, 'P%d', %d, '48109')", id, id, 20+i)); err != nil {
 				errs <- err
 				return
 			}
 			if i%2 == 0 {
-				if _, err := e.Exec(fmt.Sprintf("DELETE FROM Patients WHERE PatientID = %d", id)); err != nil {
+				if _, err := s.Exec(fmt.Sprintf("DELETE FROM Patients WHERE PatientID = %d", id)); err != nil {
 					errs <- err
 					return
 				}
@@ -50,12 +53,14 @@ func TestConcurrentQueriesAndDML(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			s := e.NewSession()
+			defer s.Close()
 			for i := 0; i < 20; i++ {
-				if _, err := e.Query("SELECT * FROM Patients WHERE Zip = '48109'"); err != nil {
+				if _, err := s.Query("SELECT * FROM Patients WHERE Zip = '48109'"); err != nil {
 					errs <- err
 					return
 				}
-				if _, err := e.Query(`SELECT P.Name FROM Patients P, Disease D
+				if _, err := s.Query(`SELECT P.Name FROM Patients P, Disease D
 					WHERE P.PatientID = D.PatientID`); err != nil {
 					errs <- err
 					return

@@ -384,14 +384,17 @@ func (e *Engine) OnAccess(fn func(ev AccessEvent)) {
 }
 
 // Exec parses and executes a single statement under the default
-// session.
+// session. Like the session it is not safe for concurrent use; open a
+// Session per goroutine (NewSession).
 func (e *Engine) Exec(sql string) (*Result, error) { return e.defSess.Exec(sql) }
 
 // ExecScript executes a semicolon-separated script under the default
-// session, returning the last statement's result.
+// session, returning the last statement's result. Not safe for
+// concurrent use; open a Session per goroutine.
 func (e *Engine) ExecScript(sql string) (*Result, error) { return e.defSess.ExecScript(sql) }
 
-// Query parses and executes a SELECT under the default session.
+// Query parses and executes a SELECT under the default session. Not
+// safe for concurrent use; open a Session per goroutine.
 func (e *Engine) Query(sql string) (*Result, error) { return e.defSess.Query(sql) }
 
 // actionEnv carries trigger-body execution state: the NEW/OLD outer

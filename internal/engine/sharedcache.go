@@ -124,6 +124,10 @@ func (c *sharedPlanCache) store(canon []byte, v *sharedPlan) (evicted, delta int
 	}
 	for i, old := range variants {
 		if old.bypass == v.bypass && old.matches(v.heuristic, v.auditAll, v.workers, v.minRows) {
+			// Copy on write: lookup scans the slice it fetched after
+			// dropping the shard lock, so a published slice is never
+			// modified in place.
+			variants = append([]*sharedPlan(nil), variants...)
 			variants[i] = v
 			sh.m[key] = variants
 			return evicted, delta

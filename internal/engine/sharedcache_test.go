@@ -396,7 +396,8 @@ func TestSharedCacheWorkload(t *testing.T) {
 // TestWarmExecAllocBudget gates the warm fast path's allocation count:
 // normalize (0 allocs) + L1 lookup + clone-free execution must stay
 // within a small fixed budget, an order of magnitude below the old
-// parse-per-execution path's ~230 allocations.
+// parse-per-execution path's ~230 allocations. The gate is the measured
+// count (42, audited point SELECT through the default session) plus 2.
 func TestWarmExecAllocBudget(t *testing.T) {
 	e := newAuditedDB(t, false)
 	const q = "SELECT Name FROM Patients WHERE PatientID = 2"
@@ -408,7 +409,35 @@ func TestWarmExecAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 48 {
-		t.Fatalf("warm Exec allocates %.1f/op, want <= 48", allocs)
+	if allocs > 44 {
+		t.Fatalf("warm Exec allocates %.1f/op, want <= 44", allocs)
+	}
+}
+
+// TestSharedCacheReplaceUnderLookup: lookup scans a variant list after
+// dropping the shard lock, so store must never modify a published list
+// in place (two sessions re-planning the same stale text). Run with
+// -race.
+func TestSharedCacheReplaceUnderLookup(t *testing.T) {
+	var c sharedPlanCache
+	canon := []byte("select ?")
+	c.store(canon, &sharedPlan{version: 1})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 1000; i++ {
+			c.store(canon, &sharedPlan{version: int64(i)})
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 1000; i++ {
+			c.lookup(canon, 0, false, 0, 0, 1)
+		}
+	}()
+	wg.Wait()
+	if n := c.entries(); n != 1 {
+		t.Fatalf("entries = %d, want 1 (replacement, not growth)", n)
 	}
 }

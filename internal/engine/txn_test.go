@@ -167,7 +167,10 @@ func TestTxnBlocksOtherWriters(t *testing.T) {
 	txn := e.Begin()
 	done := make(chan error, 1)
 	go func() {
-		_, err := e.Exec("INSERT INTO Patients VALUES (20, 'W', 1, 'x')")
+		// A session is single-goroutine; the writer gets its own.
+		s := e.NewSession()
+		defer s.Close()
+		_, err := s.Exec("INSERT INTO Patients VALUES (20, 'W', 1, 'x')")
 		done <- err
 	}()
 	// The concurrent writer must not complete before commit.

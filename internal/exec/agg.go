@@ -36,7 +36,7 @@ func openAggregate(a *plan.Aggregate, ctx *Ctx) (Iterator, error) {
 	if a.Parallel && ctx.Workers >= 2 {
 		return openParallelAggregate(a, ctx)
 	}
-	child, err := Open(a.Child, ctx)
+	child, err := open(a.Child, ctx, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -46,7 +46,7 @@ func openAggregate(a *plan.Aggregate, ctx *Ctx) (Iterator, error) {
 	if err := foldInput(a, child, ctx, groups); err != nil {
 		return nil, err
 	}
-	return emitGroups(a, groups, ctx), nil
+	return emitGroups(a, groups), nil
 }
 
 // foldInput drains child into the group table. A global aggregate (no
@@ -59,19 +59,10 @@ func foldInput(a *plan.Aggregate, child Iterator, ctx *Ctx, groups map[string]*a
 		global = &aggGroup{states: make([]aggState, len(a.Aggs))}
 		groups[""] = global
 	}
-	var in *Batch
 	keyVals := make(value.Row, len(a.GroupBy)) // per-row scratch
 	var keyBuf []byte                          // reusable key scratch
-	for {
-		in = grown(in)
-		bn, err := nextBatch(child, in)
-		if err != nil {
-			return err
-		}
-		if bn == 0 {
-			return nil
-		}
-		for _, row := range in.Rows {
+	return pull(child, func(rows []value.Row) error {
+		for _, row := range rows {
 			grp := global
 			if grp == nil {
 				keyBuf = keyBuf[:0]
@@ -99,14 +90,15 @@ func foldInput(a *plan.Aggregate, child Iterator, ctx *Ctx, groups map[string]*a
 				}
 			}
 		}
-	}
+		return nil
+	})
 }
 
 // emitGroups renders the group table as result rows in sorted
 // encoded-key order — deterministic by construction, and identical
 // between the serial and two-phase parallel paths (first-appearance
 // order would differ run to run under parallel folding).
-func emitGroups(a *plan.Aggregate, groups map[string]*aggGroup, ctx *Ctx) *scanIter {
+func emitGroups(a *plan.Aggregate, groups map[string]*aggGroup) *scanIter {
 	order := make([]string, 0, len(groups))
 	for k := range groups {
 		order = append(order, k)
@@ -122,7 +114,7 @@ func emitGroups(a *plan.Aggregate, groups map[string]*aggGroup, ctx *Ctx) *scanI
 		}
 		rows = append(rows, out)
 	}
-	return &scanIter{rows: rows, ctx: ctx}
+	return &scanIter{rows: rows}
 }
 
 // mergeState folds one worker's partial aggregate state into dst. The
@@ -149,61 +141,31 @@ func mergeState(dst, src *aggState) {
 // state, no locks), then the partials merge serially in worker-index
 // order and the merged table emits exactly like the serial operator.
 func openParallelAggregate(a *plan.Aggregate, ctx *Ctx) (Iterator, error) {
-	workers := ctx.Workers
-	pr, err := newParallelRun(a.Child, ctx, workers)
+	ws, err := openWorkers(a.Child, ctx, ctx.Workers)
 	if err != nil {
 		return nil, err
 	}
-	type workerFold struct {
-		iter   Iterator
-		merges []plan.WorkerAuditSink
-		ctx    *Ctx
-		groups map[string]*aggGroup
-		err    error
-	}
-	ws := make([]*workerFold, workers)
-	for i := range ws {
-		wctx := workerCtx(ctx)
-		var merges []plan.WorkerAuditSink
-		fit, ferr := pr.fragment(a.Child, wctx, &merges)
-		if ferr != nil {
-			for j := 0; j < i; j++ {
-				ws[j].iter.Close()
-			}
-			return nil, ferr
-		}
-		ws[i] = &workerFold{iter: fit, merges: merges, ctx: wctx, groups: make(map[string]*aggGroup)}
-	}
-
+	partials := make([]map[string]*aggGroup, len(ws))
+	errs := make([]error, len(ws))
 	var wg sync.WaitGroup
-	for _, w := range ws {
+	for i, w := range ws {
+		partials[i] = make(map[string]*aggGroup)
 		wg.Add(1)
-		go func(w *workerFold) {
+		go func(i int, w *worker) {
 			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					w.err = fmt.Errorf("exec: parallel aggregation worker panic: %v", r)
-				}
-			}()
-			defer func() {
-				w.iter.Close()
-				for _, m := range w.merges {
-					m.Merge()
-				}
-			}()
-			w.err = foldInput(a, w.iter, w.ctx, w.groups)
-		}(w)
+			errs[i] = w.drive(func() error { return foldInput(a, w.iter, w.ctx, partials[i]) })
+		}(i, w)
 	}
 	wg.Wait()
-	for _, w := range ws {
-		if w.err != nil {
-			return nil, w.err
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 
-	groups := make(map[string]*aggGroup)
-	for _, w := range ws {
-		for k, g := range w.groups {
+	groups := partials[0]
+	for _, part := range partials[1:] {
+		for k, g := range part {
 			dst, ok := groups[k]
 			if !ok {
 				groups[k] = g
@@ -214,7 +176,7 @@ func openParallelAggregate(a *plan.Aggregate, ctx *Ctx) (Iterator, error) {
 			}
 		}
 	}
-	return emitGroups(a, groups, ctx), nil
+	return emitGroups(a, groups), nil
 }
 
 func fold(st *aggState, spec plan.AggSpec, ctx *Ctx, row value.Row) error {
@@ -293,7 +255,7 @@ func finish(st *aggState, spec plan.AggSpec) value.Value {
 // ---- Sort ----
 
 func openSort(s *plan.Sort, ctx *Ctx) (Iterator, error) {
-	child, err := Open(s.Child, ctx)
+	child, err := open(s.Child, ctx, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -303,30 +265,25 @@ func openSort(s *plan.Sort, ctx *Ctx) (Iterator, error) {
 		keys value.Row
 	}
 	var rows []keyed
-	var in *Batch
 	kw := len(s.Keys)
-	for {
-		in = grown(in)
-		bn, err := nextBatch(child, in)
-		if err != nil {
-			return nil, err
-		}
-		if bn == 0 {
-			break
-		}
+	err = pull(child, func(in []value.Row) error {
 		// One backing array of sort keys per input batch.
-		backing := make([]value.Value, bn*kw)
-		for ri, row := range in.Rows {
+		backing := make([]value.Value, len(in)*kw)
+		for ri, row := range in {
 			keys := value.Row(backing[ri*kw : (ri+1)*kw : (ri+1)*kw])
 			for i, k := range s.Keys {
 				v, err := k.Expr.Eval(ctx.Eval, row)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				keys[i] = v
 			}
 			rows = append(rows, keyed{row: row, keys: keys})
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.SliceStable(rows, func(i, j int) bool {
 		for k, key := range s.Keys {
@@ -345,5 +302,5 @@ func openSort(s *plan.Sort, ctx *Ctx) (Iterator, error) {
 	for i, r := range rows {
 		out[i] = r.row
 	}
-	return &scanIter{rows: out, ctx: ctx}, nil
+	return &scanIter{rows: out}, nil
 }

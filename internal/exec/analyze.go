@@ -8,13 +8,12 @@ import (
 
 	"auditdb/internal/obs"
 	"auditdb/internal/plan"
-	"auditdb/internal/value"
 )
 
 // Analyze collects per-operator execution statistics for EXPLAIN
-// ANALYZE. When Ctx.Analyze is set, Open wraps every iterator in a
+// ANALYZE. When Ctx.Analyze is set, open wraps every operator in a
 // counting shim and disables the scan–audit fusion so each plan node
-// keeps its own iterator (semantics are unchanged — fusion is purely
+// keeps its own operator (semantics are unchanged — fusion is purely
 // physical). Stats are keyed by plan-node identity, so repeated
 // executions of the same node (correlated subqueries) accumulate.
 type Analyze struct {
@@ -67,56 +66,51 @@ func (a *Analyze) WorkerRuns(n plan.Node) []obs.NodeStats {
 	return a.workers[n]
 }
 
-// merge folds a worker-local stats record into a node's shared record
-// under the collector's lock. Parallel fragments use it so the shared
-// record is only touched once per worker per node, at close.
+// merge folds one operator instance's record into its node's shared
+// record under the collector's lock — once per instance, at close, so
+// parallel workers never contend on the hot path. A worker's record
+// (Workers = 1) is also kept on its own for WorkerRuns. Only the
+// counters analyzedIter owns are folded: probe counts are written by
+// the engine's sinks.
 func (a *Analyze) merge(n plan.Node, st *obs.NodeStats) {
 	dst := a.Node(n)
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	dst.RowsOut += st.RowsOut
 	dst.Batches += st.Batches
 	dst.Wall += st.Wall
-	dst.Probes += st.Probes
-	dst.Hits += st.Hits
-	dst.DistinctIDs += st.DistinctIDs
 	dst.Morsels += st.Morsels
 	dst.Workers += st.Workers
 	dst.ChunksScanned += st.ChunksScanned
 	dst.ChunksSkipped += st.ChunksSkipped
+	if st.Workers == 0 {
+		return
+	}
 	if a.workers == nil {
 		a.workers = make(map[plan.Node][]obs.NodeStats)
 	}
 	a.workers[n] = append(a.workers[n], *st)
-	a.mu.Unlock()
-}
-
-// addChunks folds a serial scan kernel's chunk counters into its
-// node's record at Close (parallel kernels fold through their
-// workerAnalyzedIter instead).
-func (a *Analyze) addChunks(n plan.Node, scanned, skipped int64) {
-	dst := a.Node(n)
-	a.mu.Lock()
-	dst.ChunksScanned += scanned
-	dst.ChunksSkipped += skipped
-	a.mu.Unlock()
-}
-
-// wrap shims an iterator with the node's counters.
-func (a *Analyze) wrap(n plan.Node, it Iterator) Iterator {
-	return &analyzedIter{child: it, st: a.Node(n)}
 }
 
 // analyzedIter counts rows, batches, and wall time through one
-// operator. It implements the batch fast path so wrapping does not
-// de-vectorize the pipeline.
+// operator, serial or inside a worker's fragment, into a private
+// record that folds into the node's shared record exactly once, at
+// Close — which, for a fragment, the exchange operator guarantees
+// happens before the query's EXPLAIN ANALYZE output renders. A scan
+// kernel's chunk and morsel-claim counters are harvested at the same
+// moment.
 type analyzedIter struct {
-	child Iterator
-	st    *obs.NodeStats
+	child  Iterator
+	az     *Analyze
+	node   plan.Node
+	worker bool
+	st     obs.NodeStats
+	closed bool
 }
 
 func (it *analyzedIter) NextBatch(b *Batch) (int, error) {
 	start := time.Now()
-	n, err := nextBatch(it.child, b)
+	n, err := it.child.NextBatch(b)
 	it.st.Wall += time.Since(start)
 	if n > 0 {
 		it.st.Batches++
@@ -125,61 +119,20 @@ func (it *analyzedIter) NextBatch(b *Batch) (int, error) {
 	return n, err
 }
 
-func (it *analyzedIter) Next() (value.Row, bool, error) {
-	start := time.Now()
-	row, ok, err := it.child.Next()
-	it.st.Wall += time.Since(start)
-	if ok {
-		it.st.RowsOut++
+func (it *analyzedIter) Close() {
+	if it.closed {
+		return
 	}
-	return row, ok, err
-}
-
-func (it *analyzedIter) Close() { it.child.Close() }
-
-// workerAnalyzedIter is the parallel-fragment variant of analyzedIter:
-// each worker counts into a private record (no contention on the hot
-// path) and folds it into the shared per-node record exactly once, at
-// Close — which the exchange operator guarantees happens before the
-// query's EXPLAIN ANALYZE output renders. A fragment's scan kernel is
-// kept so its morsel-claim count can be harvested at the same moment.
-type workerAnalyzedIter struct {
-	child  Iterator
-	az     *Analyze
-	node   plan.Node
-	kernel *scanKernel
-	st     obs.NodeStats
-}
-
-func (it *workerAnalyzedIter) NextBatch(b *Batch) (int, error) {
-	start := time.Now()
-	n, err := nextBatch(it.child, b)
-	it.st.Wall += time.Since(start)
-	if n > 0 {
-		it.st.Batches++
-		it.st.RowsOut += int64(n)
-	}
-	return n, err
-}
-
-func (it *workerAnalyzedIter) Next() (value.Row, bool, error) {
-	start := time.Now()
-	row, ok, err := it.child.Next()
-	it.st.Wall += time.Since(start)
-	if ok {
-		it.st.RowsOut++
-	}
-	return row, ok, err
-}
-
-func (it *workerAnalyzedIter) Close() {
+	it.closed = true
 	it.child.Close()
-	if it.kernel != nil {
-		it.st.Morsels = it.kernel.morsels
-		it.st.ChunksScanned = it.kernel.chunksScanned
-		it.st.ChunksSkipped = it.kernel.chunksSkipFilter + it.kernel.chunksSkipAudit
+	if k, ok := it.child.(*scanKernel); ok {
+		it.st.Morsels = k.morsels
+		it.st.ChunksScanned = k.chunksScanned
+		it.st.ChunksSkipped = k.chunksSkipFilter + k.chunksSkipAudit
 	}
-	it.st.Workers = 1
+	if it.worker {
+		it.st.Workers = 1
+	}
 	it.az.merge(it.node, &it.st)
 }
 

@@ -15,7 +15,7 @@ const BatchSize = 1024
 // toward BatchSize only while batches keep coming back full.
 const batchSeed = 8
 
-// Batch is a reusable row buffer passed down an iterator tree. The
+// Batch is a reusable row buffer passed down an operator tree. The
 // consumer allocates it once (NewBatch) and hands it to NextBatch
 // repeatedly; producers fill the backing buffer and set Rows to the
 // valid prefix. cap of the backing buffer is the consumer's request
@@ -69,65 +69,24 @@ func grown(b *Batch) *Batch {
 	return b
 }
 
-// batchSource is the vectorized fast path: operators that implement it
-// next to Iterator move rows a batch at a time. NextBatch returns the
-// number of rows produced; 0 with a nil error means the source is
-// exhausted (and must keep returning 0 if called again).
-type batchSource interface {
-	NextBatch(b *Batch) (int, error)
-}
-
-// BatchIterator is an iterator with the vectorized fast path.
-type BatchIterator interface {
-	Iterator
-	batchSource
-}
-
-// nextBatch fills b from it, taking the vectorized path when the
-// iterator supports it and falling back to draining Next otherwise, so
-// a pipeline stays batched across operators that were never converted.
-func nextBatch(it Iterator, b *Batch) (int, error) {
-	if bi, ok := it.(batchSource); ok {
-		return bi.NextBatch(b)
-	}
-	n := 0
-	for n < len(b.buf) {
-		row, ok, err := it.Next()
+// pull drives it to exhaustion on behalf of a batch-owning consumer,
+// refilling with grown's seed-8/×4 policy and handing each non-empty
+// batch's rows to each (the slice is only valid during that call). It
+// is the one refill loop behind Run, Drain, the join builds,
+// aggregation and sort.
+func pull(it Iterator, each func(rows []value.Row) error) error {
+	var b *Batch
+	for {
+		b = grown(b)
+		n, err := it.NextBatch(b)
 		if err != nil {
-			b.setRows(n)
-			return n, err
-		}
-		if !ok {
-			break
-		}
-		b.buf[n] = row
-		n++
-	}
-	b.setRows(n)
-	return n, nil
-}
-
-// batchAdapter implements the row-at-a-time Next on top of an
-// operator's batch production, so every batch-native operator still
-// satisfies the row Iterator interface for untouched consumers.
-type batchAdapter struct {
-	b   *Batch
-	pos int
-}
-
-func (a *batchAdapter) nextRow(src batchSource) (value.Row, bool, error) {
-	for a.b == nil || a.pos >= len(a.b.Rows) {
-		a.b = grown(a.b)
-		n, err := src.NextBatch(a.b)
-		if err != nil {
-			return nil, false, err
+			return err
 		}
 		if n == 0 {
-			return nil, false, nil
+			return nil
 		}
-		a.pos = 0
+		if err := each(b.Rows); err != nil {
+			return err
+		}
 	}
-	row := a.b.Rows[a.pos]
-	a.pos++
-	return row, true, nil
 }

@@ -43,20 +43,22 @@ func bigHarness(t *testing.T) *harness {
 // TestLimitScanStreamsBoundedWork is the regression test for the old
 // openScan behavior of materializing the whole heap before the first
 // row: a LIMIT 1 over a 5000-row table must touch no more than one
-// seed batch of storage rows.
+// seed batch of storage rows — also through DISTINCT, which passes the
+// request ceiling down like a filter.
 func TestLimitScanStreamsBoundedWork(t *testing.T) {
 	h := bigHarness(t)
-	n := mustPlan(t, h, "SELECT k FROM big LIMIT 1")
-	ctx := NewCtx(h.store)
-	rows, err := Run(n, ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("rows = %d, want 1", len(rows))
-	}
-	if ctx.Stats.RowsScanned.Load() > batchSeed {
-		t.Errorf("LIMIT 1 scanned %d storage rows, want <= %d (one seed batch)", ctx.Stats.RowsScanned.Load(), batchSeed)
+	for _, sql := range []string{"SELECT k FROM big LIMIT 1", "SELECT DISTINCT grp FROM big LIMIT 1"} {
+		ctx := NewCtx(h.store)
+		rows, err := Run(mustPlan(t, h, sql), ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 1 {
+			t.Fatalf("%s: rows = %d, want 1", sql, len(rows))
+		}
+		if ctx.Stats.RowsScanned.Load() > batchSeed {
+			t.Errorf("%s scanned %d storage rows, want <= %d (one seed batch)", sql, ctx.Stats.RowsScanned.Load(), batchSeed)
+		}
 	}
 }
 
@@ -201,37 +203,5 @@ func TestHashJoinProbeAllocsPerRun(t *testing.T) {
 	// arrays stay double-digit; per-probe-row allocation would be 5000+.
 	if allocs > 150 {
 		t.Errorf("hash join allocations per run = %.0f, want <= 150", allocs)
-	}
-}
-
-// TestBatchAdapterRowParity: every batch-native operator still serves
-// the row-at-a-time Iterator interface through the adapter, yielding
-// identical results to the batch path.
-func TestBatchAdapterRowParity(t *testing.T) {
-	h := bigHarness(t)
-	n := mustPlan(t, h, "SELECT k FROM big WHERE grp = 3")
-	it, err := Open(n, NewCtx(h.store))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	var got []int64
-	for {
-		row, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		got = append(got, row[0].Int())
-	}
-	if len(got) != 50 {
-		t.Fatalf("row-at-a-time drain produced %d rows, want 50", len(got))
-	}
-	for i, k := range got {
-		if k != int64(i*100+3) {
-			t.Fatalf("row %d = %d, want %d", i, k, i*100+3)
-		}
 	}
 }

@@ -1,8 +1,8 @@
-// Package exec interprets logical plans with Volcano-style (getNext)
-// iterators: scans with pushed predicates and visibility masks, hash
-// and nested-loops joins, hash aggregation, sorting, limits, distinct,
-// and the audit operator (a pass-through that feeds partition-by
-// values to its sink, paper §IV-A.2).
+// Package exec interprets logical plans with batch-at-a-time pull
+// operators (one contract, NextBatch): scans with pushed predicates and
+// visibility masks, hash and nested-loops joins, hash aggregation,
+// sorting, limits, distinct, and the audit operator (a pass-through
+// that feeds partition-by values to its sink, paper §IV-A.2).
 package exec
 
 import (
@@ -36,8 +36,9 @@ type Ctx struct {
 	// executor ever sees the plan).
 	Workers int
 	// Analyze, when set, collects per-operator counters for EXPLAIN
-	// ANALYZE: Open wraps every iterator and disables scan–audit fusion
-	// so each plan node reports its own rows, batches, and wall time.
+	// ANALYZE: open wraps every operator in a counting shim and disables
+	// scan–audit fusion so each plan node reports its own rows, batches,
+	// and wall time.
 	Analyze *Analyze
 	// NoSkip disables chunk-level data skipping (SET skipping = off):
 	// the scan kernels read every chunk and probe every row, the
@@ -77,22 +78,13 @@ type Stats struct {
 // standalone expression evaluation (trigger IF conditions, DML
 // predicates) can run subplans too.
 func NewCtx(store *storage.Store) *Ctx {
-	ctx := &Ctx{Store: store, Eval: &plan.EvalCtx{}, Stats: &Stats{}}
-	ctx.Eval.RunSubquery = func(sub plan.Node, _ *plan.EvalCtx) ([]value.Row, error) {
-		return collect(sub, ctx)
-	}
+	ctx := &Ctx{Store: store}
+	ctx.init()
 	return ctx
 }
 
-// Iterator produces rows one at a time. After Next returns ok=false
-// the iterator is exhausted; Close releases resources.
-type Iterator interface {
-	Next() (value.Row, bool, error)
-	Close()
-}
-
-// Run materializes the full result of a plan.
-func Run(n plan.Node, ctx *Ctx) ([]value.Row, error) {
+// init fills in whatever a hand-assembled context left unset.
+func (ctx *Ctx) init() {
 	if ctx.Eval == nil {
 		ctx.Eval = &plan.EvalCtx{}
 	}
@@ -104,6 +96,22 @@ func Run(n plan.Node, ctx *Ctx) ([]value.Row, error) {
 			return collect(sub, ctx)
 		}
 	}
+}
+
+// Iterator is the one operator contract: NextBatch fills b up to its
+// request ceiling, publishes the rows as b.Rows and returns their
+// count. 0 with a nil error means the operator is exhausted, and it
+// keeps returning 0 if called again. A non-nil error ends the stream:
+// nothing past the failing row is published, and consumers discard
+// whatever the failing call reported. Close releases resources.
+type Iterator interface {
+	NextBatch(b *Batch) (int, error)
+	Close()
+}
+
+// Run materializes the full result of a plan.
+func Run(n plan.Node, ctx *Ctx) ([]value.Row, error) {
+	ctx.init()
 	return collect(n, ctx)
 }
 
@@ -112,162 +120,155 @@ func Run(n plan.Node, ctx *Ctx) ([]value.Row, error) {
 // (audit probes fire as usual); the rows are never retained, so the
 // garbage collector sees far less pressure than under Run.
 func Drain(n plan.Node, ctx *Ctx) (int, error) {
-	if ctx.Eval == nil {
-		ctx.Eval = &plan.EvalCtx{}
-	}
-	if ctx.Stats == nil {
-		ctx.Stats = &Stats{}
-	}
-	if ctx.Eval.RunSubquery == nil {
-		ctx.Eval.RunSubquery = func(sub plan.Node, _ *plan.EvalCtx) ([]value.Row, error) {
-			return collect(sub, ctx)
-		}
-	}
-	it, err := Open(n, ctx)
+	ctx.init()
+	it, err := open(n, ctx, nil)
 	if err != nil {
 		return 0, err
 	}
 	defer it.Close()
-	var b *Batch
 	count := 0
-	for {
-		b = grown(b)
-		n, err := nextBatch(it, b)
-		if err != nil {
-			return count, err
-		}
-		if n == 0 {
-			return count, nil
-		}
-		count += n
-	}
+	err = pull(it, func(rows []value.Row) error {
+		count += len(rows)
+		return nil
+	})
+	return count, err
 }
 
 func collect(n plan.Node, ctx *Ctx) ([]value.Row, error) {
-	it, err := Open(n, ctx)
+	it, err := open(n, ctx, nil)
 	if err != nil {
 		return nil, err
 	}
+	return materialize(it)
+}
+
+// materialize drains an operator's full output and closes it.
+func materialize(it Iterator) ([]value.Row, error) {
 	defer it.Close()
-	var b *Batch
 	var out []value.Row
-	for {
-		b = grown(b)
-		n, err := nextBatch(it, b)
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return out, nil
-		}
-		out = append(out, b.Rows...)
+	err := pull(it, func(rows []value.Row) error {
+		out = append(out, rows...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return out, nil
 }
 
-// Open builds the iterator tree for a plan node. Under EXPLAIN
-// ANALYZE (ctx.Analyze set) every iterator is wrapped in a per-node
-// counting shim.
-func Open(n plan.Node, ctx *Ctx) (Iterator, error) {
-	it, err := open(n, ctx)
-	if err != nil || ctx.Analyze == nil {
-		return it, err
-	}
-	return ctx.Analyze.wrap(n, it), nil
-}
-
-func open(n plan.Node, ctx *Ctx) (Iterator, error) {
+// open is the one function that turns a plan node into an operator.
+// w is the worker whose pipeline fragment is being built (nil for
+// serial execution); a fragment differs from the serial tree in three
+// places only: its scans claim morsels from the run's shared source,
+// its audit operators feed worker-local sinks, and its hash joins
+// probe the run's shared build table. Under EXPLAIN ANALYZE
+// (ctx.Analyze set) every operator is wrapped in a counting shim.
+func open(n plan.Node, ctx *Ctx, w *worker) (Iterator, error) {
+	var it Iterator
+	var err error
 	switch x := n.(type) {
 	case *plan.Scan:
-		return openScan(x, ctx)
-	case *plan.ValuesScan:
-		return openValues(x, ctx)
+		it, err = openScan(x, ctx, w)
 	case *plan.Filter:
-		child, err := Open(x.Child, ctx)
-		if err != nil {
-			return nil, err
+		if it, err = open(x.Child, ctx, w); err == nil {
+			it = &filterIter{child: it, pred: x.Pred, quick: compilePred(x.Pred, ctx), ctx: ctx}
 		}
-		return &filterIter{child: child, pred: x.Pred, quick: compilePred(x.Pred, ctx), ctx: ctx}, nil
 	case *plan.Project:
-		child, err := Open(x.Child, ctx)
-		if err != nil {
-			return nil, err
+		if it, err = open(x.Child, ctx, w); err == nil {
+			it = &projectIter{child: it, exprs: x.Exprs, ctx: ctx}
 		}
-		return &projectIter{child: child, exprs: x.Exprs, ctx: ctx}, nil
-	case *plan.Join:
-		return openJoin(x, ctx)
-	case *plan.Aggregate:
-		return openAggregate(x, ctx)
-	case *plan.Gather:
-		return openGather(x, ctx)
-	case *plan.Sort:
-		return openSort(x, ctx)
-	case *plan.Limit:
-		child, err := Open(x.Child, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &limitIter{child: child, n: x.N}, nil
-	case *plan.Distinct:
-		child, err := Open(x.Child, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &distinctIter{child: child, seen: make(map[string]struct{})}, nil
 	case *plan.Audit:
-		// Fuse leaf-placed audit operators into the scan kernel: one
-		// batch pass applies the pushed predicate and the sensitive-ID
-		// probe without an extra operator boundary per row. Semantics
-		// match auditIter-over-scan exactly (probe sees post-predicate
-		// rows); only the probe granularity changes. EXPLAIN ANALYZE
-		// keeps the operators separate so each reports its own counters.
-		if s, ok := x.Child.(*plan.Scan); ok && ctx.Analyze == nil {
-			child, err := openScan(s, ctx)
+		it, err = openAudit(x, ctx, w)
+	case *plan.Join:
+		it, err = openJoin(x, ctx, w)
+	default:
+		// Everything else runs above the exchange, never inside a
+		// fragment (the planner's fragmentOK admits only the cases above).
+		if w != nil {
+			return nil, fmt.Errorf("exec: operator %T cannot run inside a parallel fragment", n)
+		}
+		switch x := n.(type) {
+		case *plan.ValuesScan:
+			it, err = openValues(x, ctx)
+		case *plan.Aggregate:
+			it, err = openAggregate(x, ctx)
+		case *plan.Gather:
+			it, err = openGather(x, ctx)
+		case *plan.Sort:
+			it, err = openSort(x, ctx)
+		case *plan.Limit:
+			if it, err = open(x.Child, ctx, nil); err == nil {
+				it = &limitIter{child: it, n: x.N}
+			}
+		case *plan.Distinct:
+			if it, err = open(x.Child, ctx, nil); err == nil {
+				it = &distinctIter{child: it, seen: make(map[string]struct{})}
+			}
+		default:
+			err = fmt.Errorf("exec: unsupported plan node %T", n)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	if ctx.Analyze != nil {
+		it = &analyzedIter{child: it, az: ctx.Analyze, node: n, worker: w != nil}
+	}
+	return it, nil
+}
+
+// openAudit places an audit operator. Leaf-placed ones fuse into the
+// scan kernel: one batch pass applies the pushed predicate and the
+// sensitive-ID probe without an extra operator boundary per row.
+// Semantics match auditIter-over-scan exactly (the probe sees
+// post-predicate rows); only the probe granularity changes. EXPLAIN
+// ANALYZE keeps the operators separate so each reports its own
+// counters.
+func openAudit(x *plan.Audit, ctx *Ctx, w *worker) (Iterator, error) {
+	sink := x.Sink
+	if w != nil {
+		sink = w.sink(sink)
+	}
+	if ctx.Analyze == nil {
+		if s, ok := x.Child.(*plan.Scan); ok {
+			k, err := openScan(s, ctx, w)
 			if err != nil {
 				return nil, err
 			}
-			if k, ok := child.(*scanKernel); ok {
-				k.fuseAudit(x.Sink, x.IDIdx, x.Pruner)
-				return k, nil
-			}
-			return newAuditIter(child, x.IDIdx, x.Sink), nil
+			k.fuseAudit(sink, x.IDIdx, x.Pruner)
+			return k, nil
 		}
 		// An audit operator hoisted just above a column-pruning Project
 		// over the sensitive scan fuses too: the Project is 1:1, so the
 		// probe sees the same multiset of key values either side of it.
 		// The key ordinal is remapped through the projection.
-		if pj, ok := x.Child.(*plan.Project); ok && ctx.Analyze == nil {
+		if pj, ok := x.Child.(*plan.Project); ok {
 			if s, ok := pj.Child.(*plan.Scan); ok {
 				if col, ok := projectedScanColumn(pj, x.IDIdx); ok {
-					child, err := openScan(s, ctx)
+					k, err := openScan(s, ctx, w)
 					if err != nil {
 						return nil, err
 					}
-					if k, ok := child.(*scanKernel); ok {
-						k.fuseAudit(x.Sink, col, x.Pruner)
-						return &projectIter{child: k, exprs: pj.Exprs, ctx: ctx}, nil
-					}
+					k.fuseAudit(sink, col, x.Pruner)
+					return &projectIter{child: k, exprs: pj.Exprs, ctx: ctx}, nil
 				}
 			}
 		}
-		child, err := Open(x.Child, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return newAuditIter(child, x.IDIdx, x.Sink), nil
-	default:
-		return nil, fmt.Errorf("exec: unsupported plan node %T", n)
 	}
+	child, err := open(x.Child, ctx, w)
+	if err != nil {
+		return nil, err
+	}
+	return newAuditIter(child, x.IDIdx, sink), nil
 }
 
 // ---- Scans ----
 
 // scanIter iterates over an in-memory row slice (transient relations,
-// aggregation and sort output), applying an optional predicate.
+// aggregation and sort output).
 type scanIter struct {
 	rows []value.Row
 	pos  int
-	pred plan.Expr
-	ctx  *Ctx
 }
 
 // scanKernel is the fused scan–filter–audit operator: it streams rows
@@ -321,38 +322,41 @@ type scanKernel struct {
 	chunkElide  bool
 	elidedRows  int64
 	lastChunk   int
-	aznode      plan.Node
 
 	chunksScanned    int64
 	chunksSkipFilter int64
 	chunksSkipAudit  int64
 	closed           bool
 
-	raw     []value.Row     // chunk read buffer, grown to the request ceiling
-	rawIDs  []storage.RowID // row IDs matching raw, for mask checks
-	vals    []value.Value   // per-batch audit value scratch
-	adapter batchAdapter
+	raw    []value.Row     // chunk read buffer, grown to the request ceiling
+	rawIDs []storage.RowID // row IDs matching raw, for mask checks
+	vals   []value.Value   // per-batch audit value scratch
 }
 
-func openScan(s *plan.Scan, ctx *Ctx) (Iterator, error) {
+// scanSource is the resolved access path of one scan: table, mask and
+// — when the pushed predicate holds an equality a usable index covers —
+// the candidate row IDs. A parallel run resolves it once and shares it
+// (with the morsel cursor) across its workers, so every worker claims
+// offsets into the same ids slice.
+type scanSource struct {
+	tbl  *storage.Table
+	mask *storage.Mask // nil when the mask hides nothing in this table
+	// useIDs is explicit because LookupEq can return an empty-but-usable
+	// result (no matching rows), which must not fall back to a heap scan.
+	useIDs bool
+	ids    []storage.RowID
+	src    *morselSource // nil for a serial scan
+}
+
+func resolveScan(s *plan.Scan, ctx *Ctx) (scanSource, error) {
 	tbl, ok := ctx.Store.Table(s.Table)
 	if !ok {
-		return nil, fmt.Errorf("exec: table %q does not exist", s.Table)
+		return scanSource{}, fmt.Errorf("exec: table %q does not exist", s.Table)
 	}
-	k := &scanKernel{tbl: tbl, name: s.Table, pred: s.Pushed, ctx: ctx, idIdx: -1}
-	if s.Pushed != nil {
-		k.quick = compilePred(s.Pushed, ctx)
-	}
+	ss := scanSource{tbl: tbl}
 	if ctx.Mask.HidesTable(s.Table) {
-		k.mask = ctx.Mask
+		ss.mask = ctx.Mask
 	}
-	if !ctx.NoSkip {
-		k.prune = compilePrune(s.Prune, tbl, ctx)
-	}
-	if ctx.Analyze != nil {
-		k.aznode = s
-	}
-
 	// Index-assisted access path: if the pushed predicate contains an
 	// equality between a column and a constant and the table has a
 	// usable index, visit just the matching rows. The full predicate
@@ -361,12 +365,38 @@ func openScan(s *plan.Scan, ctx *Ctx) (Iterator, error) {
 	// that false positives do not depend on physical operators).
 	if s.Pushed != nil {
 		if col, v, found := equalityProbe(s.Pushed, ctx); found {
-			if ids, usable := tbl.LookupEq(col, v); usable {
-				k.useIDs = true
-				k.ids = ids
-				return k, nil
-			}
+			ss.ids, ss.useIDs = tbl.LookupEq(col, v)
 		}
+	}
+	return ss, nil
+}
+
+// openScan builds the scan kernel, serial or morsel-driven. Predicate
+// and prune terms compile against the opening context (cheap — a
+// handful of constant resolutions), so each worker owns its closures.
+func openScan(s *plan.Scan, ctx *Ctx, w *worker) (*scanKernel, error) {
+	var ss scanSource
+	var err error
+	if w != nil {
+		ss, err = w.run.source(s)
+	} else {
+		ss, err = resolveScan(s, ctx)
+	}
+	if err != nil {
+		return nil, err
+	}
+	k := &scanKernel{
+		tbl: ss.tbl, name: s.Table, mask: ss.mask, pred: s.Pushed, ctx: ctx,
+		useIDs: ss.useIDs, ids: ss.ids, src: ss.src, idIdx: -1,
+	}
+	if ss.src != nil {
+		k.pos = -1 // nothing claimed yet
+	}
+	if s.Pushed != nil {
+		k.quick = compilePred(s.Pushed, ctx)
+	}
+	if !ctx.NoSkip {
+		k.prune = compilePrune(s.Prune, ss.tbl, ctx)
 	}
 	return k, nil
 }
@@ -528,11 +558,8 @@ func (k *scanKernel) NextBatch(b *Batch) (int, error) {
 	return kept, nil
 }
 
-func (k *scanKernel) Next() (value.Row, bool, error) { return k.adapter.nextRow(k) }
-
-// Close folds the kernel's chunk counters into the statement stats
-// (and, for serial EXPLAIN ANALYZE, into the scan node's record —
-// parallel kernels are harvested by their workerAnalyzedIter instead).
+// Close folds the kernel's chunk counters into the statement stats.
+// (EXPLAIN ANALYZE harvests them per node through analyzedIter.)
 func (k *scanKernel) Close() {
 	if k.closed {
 		return
@@ -544,9 +571,6 @@ func (k *scanKernel) Close() {
 	k.ctx.Stats.ChunksScanned.Add(k.chunksScanned)
 	k.ctx.Stats.ChunksSkippedFilter.Add(k.chunksSkipFilter)
 	k.ctx.Stats.ChunksSkippedAudit.Add(k.chunksSkipAudit)
-	if k.ctx.Analyze != nil && k.src == nil && k.aznode != nil {
-		k.ctx.Analyze.addChunks(k.aznode, k.chunksScanned, k.chunksSkipFilter+k.chunksSkipAudit)
-	}
 }
 
 // equalityProbe evaluates the conjunct plan.EqProbe picks out of pred
@@ -582,44 +606,10 @@ func constValue(e plan.Expr, ctx *Ctx) (value.Value, bool) {
 	}
 }
 
-func (it *scanIter) Next() (value.Row, bool, error) {
-	for it.pos < len(it.rows) {
-		row := it.rows[it.pos]
-		it.pos++
-		if it.pred != nil {
-			v, err := it.pred.Eval(it.ctx.Eval, row)
-			if err != nil {
-				return nil, false, err
-			}
-			if value.TriFromValue(v) != value.True {
-				continue
-			}
-		}
-		return row, true, nil
-	}
-	return nil, false, nil
-}
-
 // NextBatch copies row references out in bulk.
 func (it *scanIter) NextBatch(b *Batch) (int, error) {
-	limit := b.limit()
-	n := 0
-	for n < limit && it.pos < len(it.rows) {
-		row := it.rows[it.pos]
-		it.pos++
-		if it.pred != nil {
-			v, err := it.pred.Eval(it.ctx.Eval, row)
-			if err != nil {
-				b.setRows(n)
-				return n, err
-			}
-			if value.TriFromValue(v) != value.True {
-				continue
-			}
-		}
-		b.buf[n] = row
-		n++
-	}
+	n := copy(b.buf, it.rows[it.pos:])
+	it.pos += n
 	b.setRows(n)
 	return n, nil
 }
@@ -628,13 +618,13 @@ func (it *scanIter) Close() {}
 
 func openValues(s *plan.ValuesScan, ctx *Ctx) (Iterator, error) {
 	if s.Name == plan.DualName {
-		return &scanIter{rows: []value.Row{{}}, ctx: ctx}, nil
+		return &scanIter{rows: []value.Row{{}}}, nil
 	}
 	rows, ok := ctx.Extra[s.Name]
 	if !ok {
 		return nil, fmt.Errorf("exec: transient relation %q is not bound", s.Name)
 	}
-	return &scanIter{rows: rows, ctx: ctx}, nil
+	return &scanIter{rows: rows}, nil
 }
 
 // ---- Filter / Project ----
@@ -651,7 +641,7 @@ type filterIter struct {
 // copies and no allocations to the pipeline.
 func (it *filterIter) NextBatch(b *Batch) (int, error) {
 	for {
-		n, err := nextBatch(it.child, b)
+		n, err := it.child.NextBatch(b)
 		if err != nil {
 			return 0, err
 		}
@@ -684,22 +674,6 @@ func (it *filterIter) NextBatch(b *Batch) (int, error) {
 	}
 }
 
-func (it *filterIter) Next() (value.Row, bool, error) {
-	for {
-		row, ok, err := it.child.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		v, err := it.pred.Eval(it.ctx.Eval, row)
-		if err != nil {
-			return nil, false, err
-		}
-		if value.TriFromValue(v) == value.True {
-			return row, true, nil
-		}
-	}
-}
-
 func (it *filterIter) Close() { it.child.Close() }
 
 type projectIter struct {
@@ -711,8 +685,7 @@ type projectIter struct {
 
 // NextBatch projects a whole input batch at once. Output rows must be
 // freshly allocated (they escape to the consumer), but one backing
-// array serves the entire batch, so the per-row allocation of the
-// row-at-a-time path amortizes to ~2 allocations per 1024 rows.
+// array serves the entire batch: ~2 allocations per 1024 rows.
 func (it *projectIter) NextBatch(b *Batch) (int, error) {
 	limit := b.limit()
 	if limit == 0 {
@@ -723,7 +696,7 @@ func (it *projectIter) NextBatch(b *Batch) (int, error) {
 		it.in = NewBatch(limit)
 	}
 	in := it.in.view(limit)
-	n, err := nextBatch(it.child, &in)
+	n, err := it.child.NextBatch(&in)
 	if err != nil {
 		return 0, err
 	}
@@ -748,22 +721,6 @@ func (it *projectIter) NextBatch(b *Batch) (int, error) {
 	return n, nil
 }
 
-func (it *projectIter) Next() (value.Row, bool, error) {
-	row, ok, err := it.child.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	out := make(value.Row, len(it.exprs))
-	for i, e := range it.exprs {
-		v, err := e.Eval(it.ctx.Eval, row)
-		if err != nil {
-			return nil, false, err
-		}
-		out[i] = v
-	}
-	return out, true, nil
-}
-
 func (it *projectIter) Close() { it.child.Close() }
 
 // ---- Audit operator ----
@@ -771,10 +728,10 @@ func (it *projectIter) Close() { it.child.Close() }
 // auditIter is deliberately minimal: it forwards rows unchanged and
 // feeds the partition-by column to the sink. The sink performs the
 // sensitive-ID hash probe (paper: a "hash join" whose build side is
-// the materialized audit expression). On the vectorized path it
-// gathers a batch's partition-by values and hands them to the sink in
-// one ObserveBatch call, so the probe pays its synchronization once
-// per batch instead of once per row.
+// the materialized audit expression). It gathers a batch's
+// partition-by values and hands them to the sink in one ObserveBatch
+// call, so the probe pays its synchronization once per batch instead
+// of once per row.
 type auditIter struct {
 	child Iterator
 	idIdx int
@@ -792,7 +749,7 @@ func newAuditIter(child Iterator, idIdx int, sink plan.AuditSink) *auditIter {
 }
 
 func (it *auditIter) NextBatch(b *Batch) (int, error) {
-	n, err := nextBatch(it.child, b)
+	n, err := it.child.NextBatch(b)
 	if n == 0 || err != nil {
 		return n, err
 	}
@@ -813,17 +770,6 @@ func (it *auditIter) NextBatch(b *Batch) (int, error) {
 		}
 	}
 	return n, nil
-}
-
-func (it *auditIter) Next() (value.Row, bool, error) {
-	row, ok, err := it.child.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	if it.idIdx >= 0 && it.idIdx < len(row) {
-		it.sink.Observe(row[it.idIdx])
-	}
-	return row, true, nil
 }
 
 func (it *auditIter) Close() { it.child.Close() }
@@ -852,25 +798,13 @@ func (it *limitIter) NextBatch(b *Batch) (int, error) {
 		req = remaining
 	}
 	view := b.view(int(req))
-	n, err := nextBatch(it.child, &view)
+	n, err := it.child.NextBatch(&view)
 	if err != nil {
 		return 0, err
 	}
 	it.count += int64(n)
 	b.setRows(n)
 	return n, nil
-}
-
-func (it *limitIter) Next() (value.Row, bool, error) {
-	if it.count >= it.n {
-		return nil, false, nil
-	}
-	row, ok, err := it.child.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	it.count++
-	return row, true, nil
 }
 
 func (it *limitIter) Close() { it.child.Close() }
@@ -881,24 +815,38 @@ type distinctIter struct {
 	keyBuf []byte
 }
 
-func (it *distinctIter) Next() (value.Row, bool, error) {
+// NextBatch drops rows already seen, compacting first occurrences to
+// the front of the shared buffer exactly as filterIter does.
+func (it *distinctIter) NextBatch(b *Batch) (int, error) {
 	for {
-		row, ok, err := it.child.Next()
-		if err != nil || !ok {
-			return nil, false, err
+		n, err := it.child.NextBatch(b)
+		if err != nil {
+			return 0, err
 		}
-		// Reusable key scratch: the map lookup on string(buf) does not
-		// allocate; the key string is only materialized on insert.
-		buf := it.keyBuf[:0]
-		for _, v := range row {
-			buf = value.EncodeKey(buf, v)
+		if n == 0 {
+			b.setRows(0)
+			return 0, nil
 		}
-		it.keyBuf = buf
-		if _, dup := it.seen[string(buf)]; dup {
-			continue
+		kept := 0
+		for _, row := range b.Rows {
+			// Reusable key scratch: the map lookup on string(buf) does not
+			// allocate; the key string is only materialized on insert.
+			buf := it.keyBuf[:0]
+			for _, v := range row {
+				buf = value.EncodeKey(buf, v)
+			}
+			it.keyBuf = buf
+			if _, dup := it.seen[string(buf)]; dup {
+				continue
+			}
+			it.seen[string(buf)] = struct{}{}
+			b.buf[kept] = row
+			kept++
 		}
-		it.seen[string(buf)] = struct{}{}
-		return row, true, nil
+		if kept > 0 {
+			b.setRows(kept)
+			return kept, nil
+		}
 	}
 }
 

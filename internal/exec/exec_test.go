@@ -215,6 +215,16 @@ func TestDistinctRows(t *testing.T) {
 	if len(rows) != 3 {
 		t.Errorf("distinct = %v", rows)
 	}
+	// Runs of five equal values straddle every batch boundary of the
+	// 8/32/128/... refill sequence, and once all 100 grp values have been
+	// seen whole batches are duplicates and compact to nothing.
+	big := bigHarness(t)
+	if rows := big.query(t, "SELECT DISTINCT k - k % 5 FROM big"); len(rows) != 1000 {
+		t.Errorf("distinct runs = %d rows, want 1000", len(rows))
+	}
+	if rows := big.query(t, "SELECT DISTINCT grp FROM big"); len(rows) != 100 {
+		t.Errorf("distinct grp = %d rows, want 100", len(rows))
+	}
 }
 
 type countingSink struct{ n int }

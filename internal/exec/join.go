@@ -5,22 +5,38 @@ import (
 	"auditdb/internal/value"
 )
 
-func openJoin(j *plan.Join, ctx *Ctx) (Iterator, error) {
-	left, err := Open(j.Left, ctx)
+// openJoin opens the probe (left) side, then obtains the build side: a
+// serial join drains its own right input (into a hash table when there
+// are equi-keys, a row list otherwise); a worker's fragment probes the
+// partitioned table its run built once.
+func openJoin(j *plan.Join, ctx *Ctx, w *worker) (Iterator, error) {
+	left, err := open(j.Left, ctx, w)
 	if err != nil {
 		return nil, err
 	}
-	right, err := Open(j.Right, ctx)
+	rightWidth := len(j.Right.Schema())
+	if w == nil && len(j.LeftKeys) == 0 {
+		rows, err := collect(j.Right, ctx)
+		if err != nil {
+			left.Close()
+			return nil, err
+		}
+		return &nlJoinIter{j: j, left: left, rightRows: rows, rightWidth: rightWidth, ctx: ctx}, nil
+	}
+	var parts []map[string]*joinBucket
+	if w != nil {
+		parts, err = w.run.join(j)
+	} else {
+		parts, err = buildJoinTable(j, ctx)
+	}
 	if err != nil {
 		left.Close()
 		return nil, err
 	}
-	leftWidth := len(j.Left.Schema())
-	rightWidth := len(j.Right.Schema())
-	if len(j.LeftKeys) > 0 {
-		return newHashJoin(j, left, right, leftWidth, rightWidth, ctx)
-	}
-	return newNLJoin(j, left, right, rightWidth, ctx)
+	return &hashJoinIter{
+		j: j, left: left, ctx: ctx, parts: parts,
+		leftWidth: len(j.Left.Schema()), rightWidth: rightWidth,
+	}, nil
 }
 
 // ---- Hash join ----
@@ -37,16 +53,15 @@ type joinBucket struct {
 // equi-join keys and probes it with left rows, applying the residual
 // predicate to each candidate pair. Left-outer rows with no surviving
 // match are null-extended. Both sides move through reusable key
-// scratch buffers, and the vectorized path emits pairs into one
-// backing array per output batch instead of one allocation per row.
+// scratch buffers, and pairs are emitted into one backing array per
+// output batch instead of one allocation per row.
 type hashJoinIter struct {
 	j    *plan.Join
 	left Iterator
 	ctx  *Ctx
-	// Exactly one of table/parts is set: table is the single-map serial
-	// build; parts is the partitioned table shared by the workers of a
-	// parallel join (each probe hashes its key onto a partition first).
-	table      map[string]*joinBucket
+	// parts is the build table split by key hash: one partition for a
+	// serial build, one per worker for the table a parallel run shares
+	// (each probe then hashes its key onto a partition first).
 	parts      []map[string]*joinBucket
 	leftWidth  int
 	rightWidth int
@@ -57,33 +72,26 @@ type hashJoinIter struct {
 	matched bool
 	done    bool
 
-	keyBuf  []byte
-	leftIn  *Batch
-	leftPos int
-	adapter batchAdapter
+	keyBuf []byte
+	leftIn leftInput
 }
 
-func newHashJoin(j *plan.Join, left, right Iterator, leftWidth, rightWidth int, ctx *Ctx) (Iterator, error) {
+// buildJoinTable drains the right input into a one-partition table.
+func buildJoinTable(j *plan.Join, ctx *Ctx) ([]map[string]*joinBucket, error) {
+	right, err := open(j.Right, ctx, nil)
+	if err != nil {
+		return nil, err
+	}
 	defer right.Close()
 	table := make(map[string]*joinBucket)
-	var in *Batch
 	var keyBuf []byte
-	for {
-		in = grown(in)
-		n, err := nextBatch(right, in)
-		if err != nil {
-			left.Close()
-			return nil, err
-		}
-		if n == 0 {
-			break
-		}
-		for _, row := range in.Rows {
+	err = pull(right, func(rows []value.Row) error {
+		for _, row := range rows {
 			var null bool
+			var err error
 			keyBuf, null, err = appendJoinKey(keyBuf[:0], j.RightKeys, ctx, row)
 			if err != nil {
-				left.Close()
-				return nil, err
+				return err
 			}
 			if null {
 				continue // NULL keys never join
@@ -94,11 +102,12 @@ func newHashJoin(j *plan.Join, left, right Iterator, leftWidth, rightWidth int, 
 				table[string(keyBuf)] = &joinBucket{rows: []value.Row{row}}
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return &hashJoinIter{
-		j: j, left: left, ctx: ctx, table: table,
-		leftWidth: leftWidth, rightWidth: rightWidth,
-	}, nil
+	return []map[string]*joinBucket{table}, nil
 }
 
 // appendJoinKey encodes the key expressions of row into buf, reusing
@@ -178,7 +187,7 @@ func (it *hashJoinIter) NextBatch(b *Batch) (int, error) {
 		if it.done {
 			break
 		}
-		row, ok, err := it.nextLeft()
+		row, ok, err := it.leftIn.next(it.left)
 		if err != nil {
 			b.setRows(n)
 			return n, err
@@ -199,8 +208,8 @@ func (it *hashJoinIter) NextBatch(b *Batch) (int, error) {
 		}
 		it.matches = nil
 		if !null {
-			table := it.table
-			if it.parts != nil {
+			table := it.parts[0]
+			if len(it.parts) > 1 {
 				table = it.parts[partitionOf(it.keyBuf, len(it.parts))]
 			}
 			if bkt, ok := table[string(it.keyBuf)]; ok {
@@ -212,26 +221,29 @@ func (it *hashJoinIter) NextBatch(b *Batch) (int, error) {
 	return n, nil
 }
 
-// nextLeft pulls the next probe row, refilling from the left input a
-// batch at a time.
-func (it *hashJoinIter) nextLeft() (value.Row, bool, error) {
-	for it.leftIn == nil || it.leftPos >= len(it.leftIn.Rows) {
-		it.leftIn = grown(it.leftIn)
-		n, err := nextBatch(it.left, it.leftIn)
+// leftInput hands a join its probe rows one at a time, refilling from
+// the left operator a grown() batch at a time.
+type leftInput struct {
+	in  *Batch
+	pos int
+}
+
+func (l *leftInput) next(left Iterator) (value.Row, bool, error) {
+	for l.in == nil || l.pos >= len(l.in.Rows) {
+		l.in = grown(l.in)
+		n, err := left.NextBatch(l.in)
 		if err != nil {
 			return nil, false, err
 		}
 		if n == 0 {
 			return nil, false, nil
 		}
-		it.leftPos = 0
+		l.pos = 0
 	}
-	row := it.leftIn.Rows[it.leftPos]
-	it.leftPos++
+	row := l.in.Rows[l.pos]
+	l.pos++
 	return row, true, nil
 }
-
-func (it *hashJoinIter) Next() (value.Row, bool, error) { return it.adapter.nextRow(it) }
 
 func (it *hashJoinIter) Close() { it.left.Close() }
 
@@ -247,71 +259,62 @@ type nlJoinIter struct {
 	rightWidth int
 	ctx        *Ctx
 
-	cur     value.Row
+	cur     value.Row // current left row
 	ri      int
 	matched bool
 	done    bool
+	leftIn  leftInput
 }
 
-func newNLJoin(j *plan.Join, left, right Iterator, rightWidth int, ctx *Ctx) (Iterator, error) {
-	defer right.Close()
-	var rows []value.Row
-	var in *Batch
-	for {
-		in = grown(in)
-		n, err := nextBatch(right, in)
-		if err != nil {
-			left.Close()
-			return nil, err
+// NextBatch resumes the pair loop where the last call stopped and
+// emits up to the request ceiling.
+func (it *nlJoinIter) NextBatch(b *Batch) (int, error) {
+	limit := b.limit()
+	n := 0
+	for n < limit {
+		if it.cur == nil {
+			if it.done {
+				break
+			}
+			row, ok, err := it.leftIn.next(it.left)
+			if err != nil {
+				b.setRows(n)
+				return n, err
+			}
+			if !ok {
+				it.done = true
+				break
+			}
+			it.cur, it.ri, it.matched = row, 0, false
 		}
-		if n == 0 {
-			break
-		}
-		rows = append(rows, in.Rows...)
-	}
-	return &nlJoinIter{j: j, left: left, rightRows: rows, rightWidth: rightWidth, ctx: ctx}, nil
-}
-
-func (it *nlJoinIter) Next() (value.Row, bool, error) {
-	for {
-		if it.cur != nil {
-			for it.ri < len(it.rightRows) {
-				r := it.rightRows[it.ri]
-				it.ri++
-				pair := it.cur.Concat(r)
-				if it.j.Cond != nil {
-					v, err := it.j.Cond.Eval(it.ctx.Eval, pair)
-					if err != nil {
-						return nil, false, err
-					}
-					if value.TriFromValue(v) != value.True {
-						continue
-					}
+		if it.ri < len(it.rightRows) {
+			pair := it.cur.Concat(it.rightRows[it.ri])
+			it.ri++
+			if it.j.Cond != nil {
+				v, err := it.j.Cond.Eval(it.ctx.Eval, pair)
+				if err != nil {
+					b.setRows(n)
+					return n, err
 				}
-				it.matched = true
-				return pair, true, nil
+				if value.TriFromValue(v) != value.True {
+					continue
+				}
 			}
-			if !it.matched && it.j.Kind == plan.JoinLeft {
-				it.matched = true
-				return it.cur.Concat(nullRow(it.rightWidth)), true, nil
-			}
-			it.cur = nil
-		}
-		if it.done {
-			return nil, false, nil
-		}
-		row, ok, err := it.left.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			it.done = true
+			it.matched = true
+			b.buf[n] = pair
+			n++
 			continue
 		}
-		it.cur = row
-		it.ri = 0
-		it.matched = false
+		// Right side exhausted for this left row: left-outer null
+		// extension, exactly once per unmatched left row.
+		if !it.matched && it.j.Kind == plan.JoinLeft {
+			b.buf[n] = it.cur.Concat(nullRow(it.rightWidth))
+			n++
+		}
+		it.cur = nil
 	}
+	b.setRows(n)
+	return n, nil
 }
 
 func (it *nlJoinIter) Close() { it.left.Close() }

@@ -7,26 +7,28 @@ import (
 	"auditdb/internal/value"
 )
 
-// nullableHarness adds two tables whose join-key columns contain SQL
-// NULLs, for the NULL-semantics edge cases.
-func nullableHarness(t *testing.T) *harness {
+// addTable creates and fills one more table in h.
+func addTable(t *testing.T, h *harness, meta *catalog.TableMeta, rows []value.Row) {
 	t.Helper()
-	h := newHarness(t)
-	add := func(meta *catalog.TableMeta, rows []value.Row) {
-		if err := h.cat.AddTable(meta); err != nil {
+	if err := h.cat.AddTable(meta); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := h.store.Create(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if _, err := tbl.Insert(r); err != nil {
 			t.Fatal(err)
-		}
-		tbl, err := h.store.Create(meta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range rows {
-			if _, err := tbl.Insert(r); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
-	add(&catalog.TableMeta{
+}
+
+// addNullable adds two tables whose join-key columns contain SQL
+// NULLs, for the NULL-semantics edge cases.
+func addNullable(t *testing.T, h *harness) *harness {
+	t.Helper()
+	addTable(t, h, &catalog.TableMeta{
 		Name: "la",
 		Columns: []catalog.Column{
 			{Name: "id", Type: value.KindInt},
@@ -37,7 +39,7 @@ func nullableHarness(t *testing.T) *harness {
 		{value.NewInt(2), value.Null},
 		{value.NewInt(3), value.NewInt(30)},
 	})
-	add(&catalog.TableMeta{
+	addTable(t, h, &catalog.TableMeta{
 		Name: "rb",
 		Columns: []catalog.Column{
 			{Name: "x", Type: value.KindInt},
@@ -50,6 +52,8 @@ func nullableHarness(t *testing.T) *harness {
 	})
 	return h
 }
+
+func nullableHarness(t *testing.T) *harness { return addNullable(t, newHarness(t)) }
 
 // TestHashJoinNullKeysBothSides: SQL equality is three-valued — a
 // NULL key matches nothing, not even another NULL. The build side must
@@ -103,36 +107,42 @@ func TestLeftJoinResidualRejectsAllMatches(t *testing.T) {
 // TestLeftJoinResidualAcrossBatchBoundary: the null-extension decision
 // must survive batch boundaries — a left row whose candidate matches
 // are rejected near the end of one output batch must not be
-// null-extended again when the next batch resumes.
+// null-extended again when the next batch resumes. Both join operators
+// keep that state: the hash join (equi-key match, residual rejects)
+// and nested loops (no rb.z is below any la.x).
 func TestLeftJoinResidualAcrossBatchBoundary(t *testing.T) {
 	h := nullableHarness(t)
-	n := mustPlan(t, h, "SELECT la.id, rb.z FROM la LEFT JOIN rb ON la.x = rb.x AND rb.z > 1000")
-	it, err := Open(n, NewCtx(h.store))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	// Pull through one-row batches to force operator state to persist
-	// across the smallest possible batch boundary.
-	b := NewBatch(1)
-	var got []int64
-	for {
-		bn, err := nextBatch(it, b)
+	for _, sql := range []string{
+		"SELECT la.id, rb.z FROM la LEFT JOIN rb ON la.x = rb.x AND rb.z > 1000",
+		"SELECT la.id, rb.z FROM la LEFT JOIN rb ON la.x > rb.z",
+	} {
+		it, err := open(mustPlan(t, h, sql), NewCtx(h.store), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if bn == 0 {
-			break
-		}
-		for _, row := range b.Rows {
-			if !row[1].IsNull() {
-				t.Errorf("unexpected match %v", row)
+		// Pull through one-row batches to force operator state to persist
+		// across the smallest possible batch boundary.
+		b := NewBatch(1)
+		var got []int64
+		for {
+			bn, err := it.NextBatch(b)
+			if err != nil {
+				t.Fatal(err)
 			}
-			got = append(got, row[0].Int())
+			if bn == 0 {
+				break
+			}
+			for _, row := range b.Rows {
+				if !row[1].IsNull() {
+					t.Errorf("%s: unexpected match %v", sql, row)
+				}
+				got = append(got, row[0].Int())
+			}
 		}
-	}
-	if len(got) != 3 {
-		t.Errorf("rows = %v, want exactly one null extension per left row", got)
+		it.Close()
+		if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+			t.Errorf("%s: rows = %v, want exactly one null extension per left row", sql, got)
+		}
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 
 	"auditdb/internal/plan"
-	"auditdb/internal/storage"
 	"auditdb/internal/value"
 )
 
@@ -51,114 +50,23 @@ func (m *morselSource) claim() (lo, hi int, ok bool) {
 	return int(l), int(h), true
 }
 
-// scanSource is the shared state of one parallel scan: the resolved
-// access path plus the claim cursor. It is computed exactly once per
-// execution — in particular the index lookup runs once, so every
-// worker claims offsets into the same ids slice. Per-worker LookupEq
-// calls would each snapshot their own (potentially different) result
-// and break the disjointness of morsel claims.
-type scanSource struct {
-	tbl  *storage.Table
-	name string
-	mask *storage.Mask
-	pred plan.Expr
-	// prune holds the scan's declarative chunk-refutation terms; each
-	// worker kernel compiles them against its own context (cheap — a
-	// handful of constant resolutions). Nil when skipping is off.
-	prune []plan.PruneTerm
-	// node is the originating plan node, kept for EXPLAIN ANALYZE
-	// chunk-counter attribution.
-	node *plan.Scan
-
-	// Index-assisted path: workers claim offset windows into ids.
-	// useIDs is explicit because LookupEq can return an empty-but-usable
-	// result (no matching rows), which must not fall back to a heap scan.
-	useIDs bool
-	ids    []storage.RowID
-
-	src morselSource
-}
-
-func newScanSource(s *plan.Scan, ctx *Ctx) (*scanSource, error) {
-	tbl, ok := ctx.Store.Table(s.Table)
-	if !ok {
-		return nil, fmt.Errorf("exec: table %q does not exist", s.Table)
-	}
-	ss := &scanSource{tbl: tbl, name: s.Table, pred: s.Pushed, node: s}
-	if ctx.Mask.HidesTable(s.Table) {
-		ss.mask = ctx.Mask
-	}
-	if !ctx.NoSkip {
-		ss.prune = s.Prune
-	}
-	if s.Pushed != nil {
-		if col, v, found := equalityProbe(s.Pushed, ctx); found {
-			if ids, usable := tbl.LookupEq(col, v); usable {
-				ss.useIDs = true
-				ss.ids = ids
-			}
-		}
-	}
-	if ss.useIDs {
-		ss.src.bound = int64(len(ss.ids))
-	} else {
-		// The heap bound is captured here, before workers start: rows
-		// appended by concurrent DML after this point are invisible to
-		// the scan, exactly like the serial ScanChunk cursor's snapshot
-		// behavior at its last chunk.
-		ss.src.bound = int64(tbl.HeapBound())
-	}
-	ss.src.stats = ctx.Stats
-	return ss, nil
-}
-
-// kernel builds one worker's scan kernel over the shared source.
-func (ss *scanSource) kernel(wctx *Ctx) *scanKernel {
-	k := &scanKernel{
-		tbl: ss.tbl, name: ss.name, mask: ss.mask, pred: ss.pred,
-		ctx: wctx, idIdx: -1, src: &ss.src, pos: -1,
-	}
-	if ss.pred != nil {
-		k.quick = compilePred(ss.pred, wctx)
-	}
-	if len(ss.prune) > 0 {
-		k.prune = compilePrune(ss.prune, ss.tbl, wctx)
-	}
-	if wctx.Analyze != nil {
-		k.aznode = ss.node
-	}
-	if ss.useIDs {
-		k.useIDs = true
-		k.ids = ss.ids
-	}
-	return k
-}
-
-// workerCtx clones a statement context for one worker: shared store,
-// mask, transient relations, stats accumulator and analyze collector,
-// but a private evaluation context — EvalCtx carries a correlation
-// stack and a subquery cache that must not be shared across
-// goroutines. (The planner only parallelizes subquery-free fragments;
-// the runner is installed anyway so a missed gate fails loudly in
-// -race runs rather than silently corrupting shared state.)
+// workerCtx clones a statement context for one worker: everything is
+// shared (store, mask, transient relations, stats accumulator, analyze
+// collector, skipping switches) except the parallelism budget and the
+// evaluation context — EvalCtx carries a correlation stack and a
+// subquery cache that must not be shared across goroutines. (The
+// planner only parallelizes subquery-free fragments; the runner is
+// installed anyway so a missed gate fails loudly in -race runs rather
+// than silently corrupting shared state.)
 func workerCtx(ctx *Ctx) *Ctx {
-	w := &Ctx{
-		Store:   ctx.Store,
-		Mask:    ctx.Mask,
-		Extra:   ctx.Extra,
-		Stats:   ctx.Stats,
-		Workers: 1,
-		Analyze: ctx.Analyze,
-	}
-	ev := &plan.EvalCtx{Session: ctx.Eval.Session, Params: ctx.Eval.Params}
+	w := *ctx
+	w.Workers = 1
+	w.Eval = &plan.EvalCtx{Session: ctx.Eval.Session, Params: ctx.Eval.Params}
 	if len(ctx.Eval.Outer) > 0 {
-		ev.Outer = append([]value.Row(nil), ctx.Eval.Outer...)
+		w.Eval.Outer = append([]value.Row(nil), ctx.Eval.Outer...)
 	}
-	ev.RunSubquery = func(sub plan.Node, _ *plan.EvalCtx) ([]value.Row, error) {
-		return collect(sub, w)
-	}
-	w.Eval = ev
-	return w
+	w.init()
+	return &w
 }
 
 // lockedSink shares one non-forkable audit sink across workers behind
@@ -190,185 +98,138 @@ func (l *lockedSink) ObserveBatch(vs []value.Value) {
 }
 
 // parallelRun is the shared state of one parallel subtree execution:
-// one scanSource per parallel scan, one prebuilt partitioned hash
-// table per parallel join, and the mutex-wrapped fallbacks for
-// non-forkable audit sinks. Fragments for all workers are built
-// serially from this state before any worker goroutine starts, so
-// none of the maps need locking.
+// one resolved scanSource (with its morsel cursor) per parallel scan,
+// one prebuilt partitioned hash table per parallel join, and the
+// mutex-wrapped fallbacks for non-forkable audit sinks. The first
+// worker's open resolves each entry and the rest reuse it; every
+// fragment is built serially, before any worker goroutine starts, so
+// none of the maps need locking — and join build sides execute, and
+// heap bounds are captured, before workers exist.
 type parallelRun struct {
 	ctx     *Ctx
-	sources map[*plan.Scan]*scanSource
-	joins   map[*plan.Join]*sharedJoin
+	workers int
+	sources map[*plan.Scan]scanSource
+	joins   map[*plan.Join][]map[string]*joinBucket
 	locked  map[plan.AuditSink]*lockedSink
 }
 
-// newParallelRun resolves the shared state for root's fragment shape.
-// Join build sides execute here, serially, before workers exist.
-func newParallelRun(root plan.Node, ctx *Ctx, workers int) (*parallelRun, error) {
-	pr := &parallelRun{
-		ctx:     ctx,
-		sources: make(map[*plan.Scan]*scanSource),
-		joins:   make(map[*plan.Join]*sharedJoin),
-		locked:  make(map[plan.AuditSink]*lockedSink),
+// source returns the shared access path and claim cursor of s. The
+// index lookup runs once here: per-worker LookupEq calls would each
+// snapshot their own (potentially different) result and break the
+// disjointness of morsel claims.
+func (pr *parallelRun) source(s *plan.Scan) (scanSource, error) {
+	if ss, ok := pr.sources[s]; ok {
+		return ss, nil
 	}
-	if err := pr.prepare(root, workers); err != nil {
+	if !s.Parallel {
+		return scanSource{}, fmt.Errorf("exec: scan of %q inside a parallel fragment is not morsel-driven", s.Table)
+	}
+	ss, err := resolveScan(s, pr.ctx)
+	if err != nil {
+		return ss, err
+	}
+	// The heap bound is captured here, before workers start: rows
+	// appended by concurrent DML after this point are invisible to the
+	// scan, exactly like the serial ScanChunk cursor's snapshot behavior
+	// at its last chunk.
+	bound := ss.tbl.HeapBound()
+	if ss.useIDs {
+		bound = len(ss.ids)
+	}
+	ss.src = &morselSource{bound: int64(bound), stats: pr.ctx.Stats}
+	pr.sources[s] = ss
+	return ss, nil
+}
+
+// join returns j's shared build table, building it on first use.
+func (pr *parallelRun) join(j *plan.Join) ([]map[string]*joinBucket, error) {
+	if parts, ok := pr.joins[j]; ok {
+		return parts, nil
+	}
+	if !j.Parallel || len(j.LeftKeys) == 0 {
+		return nil, fmt.Errorf("exec: join inside a parallel fragment is not partition-parallel")
+	}
+	parts, err := buildSharedJoin(j, pr.ctx, pr.workers)
+	if err != nil {
 		return nil, err
 	}
-	return pr, nil
+	pr.joins[j] = parts
+	return parts, nil
 }
 
-func (pr *parallelRun) prepare(n plan.Node, workers int) error {
-	switch x := n.(type) {
-	case *plan.Scan:
-		if !x.Parallel {
-			return fmt.Errorf("exec: scan of %q inside a parallel fragment is not morsel-driven", x.Table)
-		}
-		ss, err := newScanSource(x, pr.ctx)
-		if err != nil {
-			return err
-		}
-		pr.sources[x] = ss
-		return nil
-	case *plan.Filter:
-		return pr.prepare(x.Child, workers)
-	case *plan.Project:
-		return pr.prepare(x.Child, workers)
-	case *plan.Audit:
-		return pr.prepare(x.Child, workers)
-	case *plan.Join:
-		if !x.Parallel || len(x.LeftKeys) == 0 {
-			return fmt.Errorf("exec: join inside a parallel fragment is not partition-parallel")
-		}
-		sj, err := buildSharedJoin(x, pr.ctx, workers)
-		if err != nil {
-			return err
-		}
-		pr.joins[x] = sj
-		return pr.prepare(x.Left, workers)
-	default:
-		return fmt.Errorf("exec: operator %T cannot run inside a parallel fragment", n)
+// worker is one pipeline fragment of a parallel run: its private
+// context, its operator tree, and the forked audit sinks it must merge
+// into the statement's ACCESSED state when it finishes.
+type worker struct {
+	run    *parallelRun
+	ctx    *Ctx
+	iter   Iterator
+	merges []plan.WorkerAuditSink
+}
+
+// openWorkers builds one fragment of root per worker. On failure the
+// fragments already built are closed.
+func openWorkers(root plan.Node, ctx *Ctx, workers int) ([]*worker, error) {
+	pr := &parallelRun{
+		ctx:     ctx,
+		workers: workers,
+		sources: make(map[*plan.Scan]scanSource),
+		joins:   make(map[*plan.Join][]map[string]*joinBucket),
+		locked:  make(map[plan.AuditSink]*lockedSink),
 	}
+	ws := make([]*worker, workers)
+	for i := range ws {
+		w := &worker{run: pr, ctx: workerCtx(ctx)}
+		var err error
+		if w.iter, err = open(root, w.ctx, w); err != nil {
+			for _, built := range ws[:i] {
+				built.iter.Close()
+			}
+			return nil, err
+		}
+		ws[i] = w
+	}
+	return ws, nil
 }
 
-// workerSink returns the audit sink one worker's fragment should feed:
-// a forked worker-local sink (recorded in merges for the post-run
-// union) when the sink supports it, otherwise a shared mutex wrapper.
-func (pr *parallelRun) workerSink(s plan.AuditSink, merges *[]plan.WorkerAuditSink) plan.AuditSink {
+// sink returns the audit sink this worker's fragment should feed: a
+// forked worker-local sink (recorded for the post-run union) when s
+// supports it, otherwise the run's shared mutex wrapper.
+func (w *worker) sink(s plan.AuditSink) plan.AuditSink {
 	if ps, ok := s.(plan.ParallelAuditSink); ok {
-		w := ps.Fork()
-		*merges = append(*merges, w)
-		return w
+		f := ps.Fork()
+		w.merges = append(w.merges, f)
+		return f
 	}
-	ls, ok := pr.locked[s]
+	ls, ok := w.run.locked[s]
 	if !ok {
 		ls = &lockedSink{s: s}
-		if bs, isBatch := s.(plan.BatchAuditSink); isBatch {
-			ls.bs = bs
-		}
-		pr.locked[s] = ls
+		ls.bs, _ = s.(plan.BatchAuditSink)
+		w.run.locked[s] = ls
 	}
 	return ls
 }
 
-// fragment builds one worker's copy of the pipeline. Under EXPLAIN
-// ANALYZE every operator is wrapped in a worker-local counting shim
-// whose totals fold into the shared per-node record at close.
-func (pr *parallelRun) fragment(n plan.Node, wctx *Ctx, merges *[]plan.WorkerAuditSink) (Iterator, error) {
-	it, err := pr.fragmentBare(n, wctx, merges)
-	if err != nil || wctx.Analyze == nil {
-		return it, err
-	}
-	w := &workerAnalyzedIter{child: it, az: wctx.Analyze, node: n}
-	if k, ok := it.(*scanKernel); ok {
-		w.kernel = k
-	}
-	return w, nil
-}
-
-func (pr *parallelRun) fragmentBare(n plan.Node, wctx *Ctx, merges *[]plan.WorkerAuditSink) (Iterator, error) {
-	switch x := n.(type) {
-	case *plan.Scan:
-		ss := pr.sources[x]
-		if ss == nil {
-			return nil, fmt.Errorf("exec: scan of %q has no shared morsel source", x.Table)
+// drive runs body on the worker's goroutine. When body returns the
+// fragment closes and its audit sinks merge — in a defer, so partial
+// observations land even on error or panic (a superset-free subset of
+// the serial ACCESSED, and the query fails anyway).
+func (w *worker) drive(body func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("exec: parallel worker panic: %v", r)
 		}
-		return ss.kernel(wctx), nil
-	case *plan.Filter:
-		child, err := pr.fragment(x.Child, wctx, merges)
-		if err != nil {
-			return nil, err
+	}()
+	defer func() {
+		w.iter.Close()
+		for _, m := range w.merges {
+			m.Merge()
 		}
-		return &filterIter{child: child, pred: x.Pred, quick: compilePred(x.Pred, wctx), ctx: wctx}, nil
-	case *plan.Project:
-		child, err := pr.fragment(x.Child, wctx, merges)
-		if err != nil {
-			return nil, err
-		}
-		return &projectIter{child: child, exprs: x.Exprs, ctx: wctx}, nil
-	case *plan.Audit:
-		sink := pr.workerSink(x.Sink, merges)
-		// Same fusion rule as the serial path: a leaf audit operator
-		// collapses into its scan kernel unless EXPLAIN ANALYZE needs
-		// the operators separated.
-		if s, ok := x.Child.(*plan.Scan); ok && wctx.Analyze == nil {
-			child, err := pr.fragmentBare(s, wctx, merges)
-			if err != nil {
-				return nil, err
-			}
-			if k, kok := child.(*scanKernel); kok {
-				k.fuseAudit(sink, x.IDIdx, x.Pruner)
-				return k, nil
-			}
-			return newAuditIter(child, x.IDIdx, sink), nil
-		}
-		// Audit over a column-pruning Project over the scan fuses with
-		// the key ordinal remapped, as in the serial path.
-		if pj, ok := x.Child.(*plan.Project); ok && wctx.Analyze == nil {
-			if s, ok := pj.Child.(*plan.Scan); ok {
-				if col, cok := projectedScanColumn(pj, x.IDIdx); cok {
-					child, err := pr.fragmentBare(s, wctx, merges)
-					if err != nil {
-						return nil, err
-					}
-					if k, kok := child.(*scanKernel); kok {
-						k.fuseAudit(sink, col, x.Pruner)
-						return &projectIter{child: k, exprs: pj.Exprs, ctx: wctx}, nil
-					}
-				}
-			}
-		}
-		child, err := pr.fragment(x.Child, wctx, merges)
-		if err != nil {
-			return nil, err
-		}
-		return newAuditIter(child, x.IDIdx, sink), nil
-	case *plan.Join:
-		sj := pr.joins[x]
-		if sj == nil {
-			return nil, fmt.Errorf("exec: join has no shared build table")
-		}
-		left, err := pr.fragment(x.Left, wctx, merges)
-		if err != nil {
-			return nil, err
-		}
-		return &hashJoinIter{
-			j: x, left: left, ctx: wctx, parts: sj.parts,
-			leftWidth: len(x.Left.Schema()), rightWidth: len(x.Right.Schema()),
-		}, nil
-	default:
-		return nil, fmt.Errorf("exec: operator %T cannot run inside a parallel fragment", n)
-	}
+	}()
+	return body()
 }
 
 // ---- Partitioned parallel hash-join build ----
-
-// sharedJoin is one parallel join's prebuilt hash table, split into
-// key-hash partitions so the build itself can run on all workers
-// without a shared-map bottleneck. Probes hash the key once to pick
-// the partition and then look up as usual.
-type sharedJoin struct {
-	parts []map[string]*joinBucket
-}
 
 // partitionOf hashes an encoded join key (FNV-1a) onto a partition.
 func partitionOf(key []byte, n int) int {
@@ -391,19 +252,16 @@ type keyedRow struct {
 }
 
 // buildSharedJoin executes the build side serially (it may be an
-// arbitrary subtree), then partitions and builds the hash table in
-// parallel: phase 1 splits the rows into contiguous segments, one
+// arbitrary subtree), then builds the hash table split into key-hash
+// partitions, so the build itself runs on all workers without a
+// shared-map bottleneck: phase 1 splits the rows into contiguous segments, one
 // worker per segment, each encoding keys and binning keyed rows by
 // partition; phase 2 runs one goroutine per partition, folding the
 // segments in ascending worker order — which reproduces the serial
 // build's bucket row order exactly, so probe outputs cannot depend on
 // build parallelism.
-func buildSharedJoin(j *plan.Join, ctx *Ctx, workers int) (*sharedJoin, error) {
-	right, err := Open(j.Right, ctx)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := drainRows(right)
+func buildSharedJoin(j *plan.Join, ctx *Ctx, workers int) ([]map[string]*joinBucket, error) {
+	rows, err := collect(j.Right, ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -466,25 +324,7 @@ func buildSharedJoin(j *plan.Join, ctx *Ctx, workers int) (*sharedJoin, error) {
 		}(p)
 	}
 	bw.Wait()
-	return &sharedJoin{parts: parts}, nil
-}
-
-// drainRows materializes an iterator's full output and closes it.
-func drainRows(it Iterator) ([]value.Row, error) {
-	defer it.Close()
-	var out []value.Row
-	var b *Batch
-	for {
-		b = grown(b)
-		n, err := nextBatch(it, b)
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return out, nil
-		}
-		out = append(out, b.Rows...)
-	}
+	return parts, nil
 }
 
 // ---- Gather exchange ----
@@ -506,9 +346,8 @@ type gatherIter struct {
 	errMu sync.Mutex
 	err   error
 
-	cur     []value.Row
-	pos     int
-	adapter batchAdapter
+	cur []value.Row
+	pos int
 }
 
 func openGather(g *plan.Gather, ctx *Ctx) (Iterator, error) {
@@ -516,42 +355,28 @@ func openGather(g *plan.Gather, ctx *Ctx) (Iterator, error) {
 	if workers <= 1 {
 		// A degenerate exchange executes its child serially; parallel
 		// markers below are ignored by the serial operators.
-		return Open(g.Child, ctx)
+		return open(g.Child, ctx, nil)
 	}
-	pr, err := newParallelRun(g.Child, ctx, workers)
+	ws, err := openWorkers(g.Child, ctx, workers)
 	if err != nil {
 		return nil, err
 	}
 	if az := ctx.Analyze; az != nil {
 		az.Node(g).Workers = int64(workers)
 	}
-
-	type frag struct {
-		iter   Iterator
-		merges []plan.WorkerAuditSink
-	}
-	frags := make([]frag, workers)
-	for i := range frags {
-		wctx := workerCtx(ctx)
-		var merges []plan.WorkerAuditSink
-		fit, ferr := pr.fragment(g.Child, wctx, &merges)
-		if ferr != nil {
-			for j := 0; j < i; j++ {
-				frags[j].iter.Close()
-			}
-			return nil, ferr
-		}
-		frags[i] = frag{iter: fit, merges: merges}
-	}
-
 	it := &gatherIter{
 		out:  make(chan []value.Row, workers),
 		free: make(chan []value.Row, workers*2),
 		stop: make(chan struct{}),
 	}
 	it.wg.Add(workers)
-	for i := range frags {
-		go it.runWorker(frags[i].iter, frags[i].merges)
+	for _, w := range ws {
+		go func(w *worker) {
+			defer it.wg.Done()
+			if err := w.drive(func() error { return it.pump(w.iter) }); err != nil {
+				it.fail(err)
+			}
+		}(w)
 	}
 	go func() {
 		it.wg.Wait()
@@ -560,38 +385,20 @@ func openGather(g *plan.Gather, ctx *Ctx) (Iterator, error) {
 	return it, nil
 }
 
-// runWorker drives one fragment to exhaustion, shipping each non-empty
-// batch to the consumer. The worker's audit sinks merge in a defer, so
-// partial observations land even on error — a superset-free subset of
-// the serial ACCESSED, and the query fails anyway.
-func (it *gatherIter) runWorker(src Iterator, merges []plan.WorkerAuditSink) {
-	defer it.wg.Done()
-	defer func() {
-		if r := recover(); r != nil {
-			it.fail(fmt.Errorf("exec: parallel worker panic: %v", r))
-		}
-	}()
-	defer func() {
-		src.Close()
-		for _, m := range merges {
-			m.Merge()
-		}
-	}()
+// pump drives one fragment to exhaustion, shipping each non-empty
+// batch to the consumer, until the exchange is stopped.
+func (it *gatherIter) pump(src Iterator) error {
 	var b *Batch
 	for {
 		select {
 		case <-it.stop:
-			return
+			return nil
 		default:
 		}
 		b = grown(b)
-		n, err := nextBatch(src, b)
-		if err != nil {
-			it.fail(err)
-			return
-		}
-		if n == 0 {
-			return
+		n, err := src.NextBatch(b)
+		if n == 0 || err != nil {
+			return err
 		}
 		var s []value.Row
 		select {
@@ -602,7 +409,7 @@ func (it *gatherIter) runWorker(src Iterator, merges []plan.WorkerAuditSink) {
 		select {
 		case it.out <- s:
 		case <-it.stop:
-			return
+			return nil
 		}
 	}
 }
@@ -647,8 +454,6 @@ func (it *gatherIter) NextBatch(b *Batch) (int, error) {
 	b.setRows(n)
 	return n, nil
 }
-
-func (it *gatherIter) Next() (value.Row, bool, error) { return it.adapter.nextRow(it) }
 
 // Close cancels outstanding work and blocks until every worker has
 // exited — which is what makes the post-execution ACCESSED state

@@ -41,14 +41,7 @@ func runWorkers(t *testing.T, h *harness, n plan.Node, workers int) ([]value.Row
 // preserve row order (only an explicit Sort does), so result
 // comparisons are set-based.
 func canon(rows []value.Row) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		var b []byte
-		for _, v := range r {
-			b = value.EncodeKey(b, v)
-		}
-		out[i] = string(b)
-	}
+	out := rowKeys(rows)
 	sort.Strings(out)
 	return out
 }
@@ -207,13 +200,7 @@ func (w *forkedSink) Merge() {
 
 // auditWrap wraps the plan's Scan in an Audit on partition column 0.
 func auditWrap(n plan.Node, sink plan.AuditSink) plan.Node {
-	if s, ok := n.(*plan.Scan); ok {
-		return &plan.Audit{Child: s, IDIdx: 0, Sink: sink}
-	}
-	for i, c := range n.Children() {
-		n.SetChild(i, auditWrap(c, sink))
-	}
-	return n
+	return auditWrapIf(n, sink, func(n plan.Node) bool { _, ok := n.(*plan.Scan); return ok })
 }
 
 // TestParallelAuditSinkUnionMatchesSerial: worker-local forked sinks

@@ -207,20 +207,29 @@ func TestSkippingActuallySkips(t *testing.T) {
 		t.Fatalf("chunks_skipped_filter = 0 after a selective range scan; stats = %v", snap)
 	}
 
-	// With skipping off the same query scans every chunk.
-	sess := eng.NewSession()
-	defer sess.Close()
-	sess.SetSkipping(false)
-	if r, err := sess.Query("SELECT * FROM People WHERE ID BETWEEN 0 AND 10"); err != nil || len(r.Rows) != 11 {
-		t.Fatalf("skip-off query = %d rows, err %v; want 11", len(r.Rows), err)
-	}
-	before := eng.StatsSnapshot()
-	if _, err := sess.Query("SELECT * FROM People WHERE Val >= 0"); err != nil {
-		t.Fatal(err)
-	}
-	after := eng.StatsSnapshot()
-	if after["chunks_skipped_audit"] != before["chunks_skipped_audit"] ||
-		after["chunks_skipped_filter"] != before["chunks_skipped_filter"] {
-		t.Fatal("skip-off session moved the skipped-chunk counters")
+	// With skipping off the same queries scan every chunk and probe
+	// every row, serially and under Gather: worker contexts used to drop
+	// NoSkip, so at workers = 4 the "off" session still elided probes by
+	// sketch. Only with that fixed is TestSkippingEquivalenceRandomDML at
+	// workers = 8 a comparison against the literal baseline rather than
+	// skipping against skipping.
+	for _, workers := range []int{1, 4} {
+		eng := buildSkipEngine(t, workers)
+		sess := eng.NewSession()
+		defer sess.Close()
+		sess.SetSkipping(false)
+		before := eng.StatsSnapshot()
+		if r, err := sess.Query("SELECT * FROM People WHERE ID BETWEEN 0 AND 10"); err != nil || len(r.Rows) != 11 {
+			t.Fatalf("workers=%d: skip-off query = %d rows, err %v; want 11", workers, len(r.Rows), err)
+		}
+		if _, err := sess.Query("SELECT * FROM People WHERE Val >= 0"); err != nil {
+			t.Fatal(err)
+		}
+		after := eng.StatsSnapshot()
+		for _, c := range []string{"chunks_skipped_audit", "chunks_skipped_filter"} {
+			if after[c] != before[c] {
+				t.Errorf("workers=%d: skip-off session moved %s from %v to %v", workers, c, before[c], after[c])
+			}
+		}
 	}
 }
