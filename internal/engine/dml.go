@@ -4,7 +4,6 @@ import (
 	"auditdb/internal/ast"
 	"auditdb/internal/catalog"
 	"auditdb/internal/exec"
-	"auditdb/internal/opt"
 	"auditdb/internal/plan"
 	"auditdb/internal/storage"
 	"auditdb/internal/value"
@@ -447,7 +446,3 @@ func (e *Engine) DrainPlan(n plan.Node, sql string) (int, error) {
 	e.stats.RowsScanned.Add(ctx.Stats.RowsScanned.Load())
 	return count, err
 }
-
-// OptimizePlan exposes the optimizer for harness code building custom
-// plans.
-func OptimizePlan(n plan.Node) plan.Node { return opt.Optimize(n) }

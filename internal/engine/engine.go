@@ -21,7 +21,6 @@ import (
 	"auditdb/internal/exec"
 	"auditdb/internal/lexer"
 	"auditdb/internal/obs"
-	"auditdb/internal/opt"
 	"auditdb/internal/parser"
 	"auditdb/internal/plan"
 	"auditdb/internal/storage"
@@ -445,11 +444,9 @@ func (a *actionEnv) systemChild() *actionEnv {
 // into the enclosing statement's trace instead.
 func (e *Engine) execStmt(stmt ast.Stmt, sql string, env *actionEnv) (*Result, error) {
 	if env.depth == 0 {
-		if s := e.sessionOf(env); e.traceBegin(s) {
-			res, err := e.execStmtInner(stmt, sql, env)
-			e.traceFinish(s, sql, res, err)
-			return res, err
-		}
+		return e.traced(e.sessionOf(env), sql, func() (*Result, error) {
+			return e.execStmtInner(stmt, sql, env)
+		})
 	}
 	return e.execStmtInner(stmt, sql, env)
 }
@@ -463,31 +460,35 @@ func (e *Engine) execStmtInner(stmt ast.Stmt, sql string, env *actionEnv) (*Resu
 	case *ast.TxBegin, *ast.TxCommit, *ast.TxRollback:
 		return e.runTxControl(stmt, env)
 	}
-	// Statements issued through Exec while the session's SQL-level
-	// transaction is open run inside it.
+	return e.inUnit(env, func() (*Result, error) { return e.dispatchStmt(stmt, sql, env) })
+}
+
+// inUnit is the statement preamble shared by parsed statements and
+// plan-cache hits. Statements issued at depth 0 while the session's
+// SQL-level transaction is open run inside it. A top-level autocommit
+// statement is one durable atomic unit: everything it and its trigger
+// cascade write becomes a single WAL commit record, flushed when the
+// statement finishes (on error too — with no transaction there is no
+// undo, so applied changes stay in memory and must reach the log). The
+// checkpoint read-lock spans apply and flush so a checkpoint can never
+// capture a change in its snapshot while the change's commit record
+// lands in a segment the checkpoint does not truncate.
+func (e *Engine) inUnit(env *actionEnv, run func() (*Result, error)) (*Result, error) {
 	if env.txn == nil && env.depth == 0 {
 		env.txn = e.sessionOf(env).openTxn()
 	}
-	// A top-level autocommit statement is one durable atomic unit:
-	// everything it and its trigger cascade write becomes a single WAL
-	// commit record, flushed when the statement finishes (on error too —
-	// with no transaction there is no undo, so applied changes stay in
-	// memory and must reach the log). The checkpoint read-lock spans
-	// apply and flush so a checkpoint can never capture a change in its
-	// snapshot while the change's commit record lands in a segment the
-	// checkpoint does not truncate.
-	if e.wal != nil && env.depth == 0 && env.txn == nil && env.unit == nil {
-		e.ckptMu.RLock()
-		env.unit = &walUnit{}
-		res, err := e.dispatchStmt(stmt, sql, env)
-		flushErr := e.flushUnitTraced(e.sessionOf(env), env.unit)
-		e.ckptMu.RUnlock()
-		if err == nil {
-			err = flushErr
-		}
-		return res, err
+	if e.wal == nil || env.depth != 0 || env.txn != nil || env.unit != nil {
+		return run()
 	}
-	return e.dispatchStmt(stmt, sql, env)
+	e.ckptMu.RLock()
+	env.unit = &walUnit{}
+	res, err := run()
+	flushErr := e.flushUnitTraced(e.sessionOf(env), env.unit)
+	e.ckptMu.RUnlock()
+	if err == nil {
+		err = flushErr
+	}
+	return res, err
 }
 
 func (e *Engine) dispatchStmt(stmt ast.Stmt, sql string, env *actionEnv) (*Result, error) {
@@ -586,25 +587,30 @@ func (e *Engine) execCtx(env *actionEnv, sql string) *exec.Ctx {
 
 // BuildQueryPlan parses, plans, optimizes and (optionally) instruments
 // a SELECT without executing it; used by tests, EXPLAIN-style tooling
-// and the benchmark harness.
+// and the benchmark harness. The plan is always serial; an instrumented
+// one uses the default session's placement and audit-all knobs, and
+// its audit operators record into the returned ACCESSED state.
 func (e *Engine) BuildQueryPlan(sql string, instrument bool) (plan.Node, *core.Accessed, error) {
 	sel, err := parser.ParseQuery(sql)
 	if err != nil {
 		return nil, nil, err
 	}
-	n, err := plan.Build(e.planEnv(rootActionEnv()), sel)
+	if !instrument {
+		c, err := e.build(sel, rootActionEnv())
+		if err != nil {
+			return nil, nil, err
+		}
+		return c.root, nil, nil
+	}
+	k := e.defSess.planKnobs()
+	k.workers = 1
+	c, err := e.compile(sel, rootActionEnv(), k)
 	if err != nil {
 		return nil, nil, err
 	}
-	n = opt.Optimize(n)
-	if !instrument {
-		return n, nil, nil
-	}
 	acc := core.NewAccessed()
-	for _, ae := range e.auditTargets(e.defSess.AuditAll()) {
-		n = core.Instrument(n, ae, &core.Probe{Expr: ae, Acc: acc}, e.Heuristic())
-	}
-	return n, acc, nil
+	rebindProbes(c.root, acc)
+	return c.root, acc, nil
 }
 
 // auditTargets returns the audit expressions whose accesses must be
@@ -620,193 +626,88 @@ func (e *Engine) auditTargets(auditAll bool) []*core.AuditExpression {
 	return out
 }
 
-// selectRun is a planned SELECT ready to execute: the (instrumented,
-// possibly parallelized) plan plus everything the execution tail needs
-// that the build phase decided.
-type selectRun struct {
-	root         plan.Node
-	targets      []*core.AuditExpression
-	acc          *core.Accessed
-	conservative bool
-	hasAudit     bool
-	parallel     bool
-	correlated   bool
-}
-
 func (e *Engine) runSelect(sel *ast.Select, sql string, env *actionEnv) (*Result, error) {
 	start := time.Now()
 	e.stats.Queries.Add(1)
 	sess := e.sessionOf(env)
-	workers := e.workersFor(sess)
+	k := sess.planKnobs()
 
-	// Session plan cache: a repeated SQL text under unchanged session
-	// knobs and catalog version skips build, optimize, instrumentation
-	// and parallelization entirely; only fresh probe sinks are bound.
-	key := planCacheKey{sql: sql, heuristic: sess.Heuristic(), auditAll: sess.AuditAll(), workers: workers}
-	cacheable := env.depth == 0 && env.outerSchema == nil &&
-		env.extraSchema == nil && env.extraRows == nil && !e.disablePlanCache
-	if cacheable {
-		if cp := sess.cachedPlan(key, e.ddlVersion.Load()); cp != nil {
-			e.planCacheHits.Add(1)
-			r := &sess.rec
-			r.AddPhase(trace.PhasePlan, time.Since(start))
-			if id := r.AddSpan(r.Current(), "plan", start, time.Since(start)); id >= 0 {
-				r.SetAttr(id, "cache", "hit")
-			}
-			run := selectRun{
-				root: cp.root, targets: cp.targets,
-				conservative: cp.conservative, hasAudit: cp.hasAudit, parallel: cp.parallel,
-			}
-			if len(cp.targets) > 0 {
-				run.acc = core.NewAccessed()
-				rebindProbes(cp.root, run.acc)
-			}
-			return e.executeSelect(&run, sql, env, workers, start)
-		}
-		// Statements that arrive already parsed (scripts, the pgwire
-		// simple protocol) still share plans engine-wide through the
-		// canonical cache: normalize the text and adopt a template if the
-		// shape is known, re-planning from the canonical form otherwise.
-		if res, ok, err := e.runSelectNormalized(sql, env, sess, key.heuristic, key.auditAll, workers, start); ok {
+	// A top-level statement that arrived parsed (pgwire simple, a script
+	// of one SELECT, a bypassed or declined fast-path text) still shares
+	// plans engine-wide through the canonical cache. Anything whose text
+	// is not this one SELECT — scripts, INSERT ... SELECT, IF bodies —
+	// fails to normalize and is compiled below.
+	if env.depth == 0 && env.outerSchema == nil && env.extraSchema == nil &&
+		env.extraRows == nil && !e.disablePlanCache {
+		if res, ok, err := e.runSelectNormalized(sql, env, sess, k, start); ok {
 			return res, err
 		}
 	}
 
-	var (
-		n          plan.Node
-		correlated bool
-		err        error
-	)
-	if env.outerSchema != nil {
-		n, correlated, err = plan.BuildWithOuter(e.planEnv(env), sel, env.outerSchema)
-	} else {
-		n, err = plan.Build(e.planEnv(env), sel)
-	}
+	c, err := e.compile(sel, env, k)
 	if err != nil {
 		return nil, err
 	}
-	optStart := time.Now()
-	n = opt.Optimize(n)
-	optDur := time.Since(optStart)
-
-	// Instrument with audit operators — after logical optimization,
-	// exactly where the paper's prototype inserts them (§IV-B).
-	targets := e.auditTargets(sess.AuditAll())
-	var acc *core.Accessed
-	hasAudit := false
-	conservative := false
-	if len(targets) > 0 {
-		acc = core.NewAccessed()
-		heur := sess.Heuristic()
-		for _, ae := range targets {
-			n = core.Instrument(n, ae, &core.Probe{Expr: ae, Acc: acc}, heur)
-		}
-		// Classify placement only when instrumentation actually placed
-		// an operator — a query not touching any sensitive table (e.g. a
-		// trigger body reading ACCESSED) is not an audited query.
-		if core.CountAuditOps(n, true) > 0 {
-			hasAudit = true
-			conservative = core.HasConservativePlacement(n)
-		}
-	}
-	// Parallelize last, over the instrumented plan, so audit operators
-	// land inside fragments and fork worker-local sinks.
-	if workers >= 2 {
-		n = opt.Parallelize(n, e.tableEstimate, workers, int(e.parallelMinRows.Load()))
-	}
-	run := selectRun{
-		root: n, targets: targets, acc: acc,
-		conservative: conservative, hasAudit: hasAudit,
-		parallel: planIsParallel(n), correlated: correlated,
-	}
 	e.planSeconds.ObserveDuration(time.Since(start))
-	{
-		r := &sess.rec
-		r.AddPhase(trace.PhasePlan, time.Since(start))
-		if id := r.AddSpan(r.Current(), "plan", start, time.Since(start)); id >= 0 {
-			r.SetAttr(id, "cache", "miss")
-			r.AddSpan(id, "optimize", optStart, optDur)
-		}
+	r := &sess.rec
+	if id := notePlan(r, start, time.Since(start), "miss"); id >= 0 {
+		r.AddSpan(id, "optimize", c.optStart, c.optDur)
 	}
-	if cacheable {
-		sess.storePlan(key, &cachedPlan{
-			root: n, targets: targets, conservative: conservative,
-			hasAudit: hasAudit, parallel: run.parallel, version: e.ddlVersion.Load(),
-		})
-	}
-	return e.executeSelect(&run, sql, env, workers, start)
+	return e.executeSelect(c, sql, env, k.workers, start)
 }
 
 // runSelectNormalized is runSelect's canonical-cache branch: the
 // statement was parsed by the caller, but its plan can still come from
-// (or seed) the engine-wide shared cache keyed by normalized text.
-// ok=false falls through to ordinary per-text planning.
-func (e *Engine) runSelectNormalized(sql string, env *actionEnv, sess *Session, heur core.Heuristic, auditAll bool, workers int, start time.Time) (*Result, bool, error) {
-	if !lexer.Normalize(sql, &sess.norm) {
+// (or seed) the plan cache keyed by normalized text. The trace recorder
+// is already active here (runSelect executes under execStmt's bracket),
+// so normalize and plan-cache outcome are recorded directly rather than
+// staged the way the unparsed path stages them. ok=false falls through
+// to compiling the parsed statement.
+func (e *Engine) runSelectNormalized(sql string, env *actionEnv, sess *Session, k knobs, start time.Time) (*Result, bool, error) {
+	normStart := time.Now()
+	if !lexer.Normalize(sql, &sess.norm) || sess.norm.NUser != len(env.params) {
 		return nil, false, nil
 	}
-	if sess.norm.NUser != len(env.params) {
-		return nil, false, nil
-	}
-	minRows := int(e.parallelMinRows.Load())
-	version := e.ddlVersion.Load()
+	r := &sess.rec
+	d := time.Since(normStart)
+	e.parseSeconds.ObserveDuration(d)
+	noteNormalize(r, normStart, d)
 	adoptStart := time.Now()
-	cp, src := e.adoptCanonPlan(sess, sess.norm.Canonical, sess.norm.User, heur, auditAll, workers, minRows, version)
-	if cp == nil || cp.bypass || cp.slots != len(sess.norm.Vals) {
+	pe, src := e.adoptCanonPlan(sess, sess.norm.Canonical, sess.norm.User, k, e.ddlVersion.Load())
+	if !pe.runnable(len(sess.norm.Vals)) {
 		return nil, false, nil
 	}
-	{
-		// The trace recorder is already active here (runSelect executes
-		// under execStmt's bracket), so the plan-cache outcome is recorded
-		// directly rather than staged the way execCanonSelect stages it.
-		r := &sess.rec
-		d := time.Since(adoptStart)
-		r.AddPhase(trace.PhasePlan, d)
-		if id := r.AddSpan(r.Current(), "plan", adoptStart, d); id >= 0 {
-			r.SetAttr(id, "cache", src)
-		}
-	}
-	sess.lock()
-	scratch := sess.paramScratch
-	sess.paramScratch = nil
-	sess.unlock()
-	params := bindSlots(scratch, sess.norm.Vals, sess.norm.User, env.params)
-	env.params = params
-	run := selectRun{
-		root: cp.root, targets: cp.targets,
-		conservative: cp.conservative, hasAudit: cp.hasAudit, parallel: cp.parallel,
-	}
-	if len(cp.targets) > 0 {
-		run.acc = core.NewAccessed()
-		rebindProbes(cp.root, run.acc)
-	}
-	res, err := e.executeSelect(&run, sql, env, workers, start)
-	sess.lock()
-	sess.paramScratch = params
-	sess.unlock()
+	notePlan(r, adoptStart, time.Since(adoptStart), src)
+	res, err := e.runCanon(pe, sess.norm.Vals, sess.norm.User, sql, env, start)
 	return res, true, err
 }
 
-// executeSelect is the shared execution tail for cached and freshly
-// planned SELECTs: run the plan, fire ON ACCESS triggers, account
-// metrics and the slow-query log.
-func (e *Engine) executeSelect(run *selectRun, sql string, env *actionEnv, workers int, start time.Time) (*Result, error) {
+// executeSelect is the one execution tail for every compiled SELECT,
+// cached or fresh: bind fresh probe sinks to a new ACCESSED state, run
+// the plan, fire ON ACCESS triggers, account metrics and the slow-query
+// log.
+func (e *Engine) executeSelect(c *compiled, sql string, env *actionEnv, workers int, start time.Time) (*Result, error) {
 	sess := e.sessionOf(env)
-	n, acc, targets := run.root, run.acc, run.targets
-	if run.hasAudit {
-		if run.conservative {
+	n, targets := c.root, c.targets
+	var acc *core.Accessed
+	if len(targets) > 0 {
+		acc = core.NewAccessed()
+		rebindProbes(n, acc)
+	}
+	if c.hasAudit {
+		if c.conservative {
 			e.stats.PlacementConservative.Add(1)
 		} else {
 			e.stats.PlacementExact.Add(1)
 		}
 	}
-	if run.parallel {
+	if c.parallel {
 		e.parallelQueries.Add(1)
 	}
 
 	ctx := e.execCtx(env, sql)
 	ctx.Workers = workers
-	if run.correlated {
+	if c.correlated {
 		ctx.Eval.PushOuter(env.outerRow)
 	}
 	rec := &sess.rec
@@ -900,7 +801,7 @@ func (e *Engine) executeSelect(run *selectRun, sql string, env *actionEnv, worke
 		placement := "uninstrumented"
 		if acc != nil {
 			placement = "exact"
-			if run.conservative {
+			if c.conservative {
 				placement = "conservative"
 			}
 		}
@@ -980,20 +881,12 @@ func (e *Engine) runExplain(s *ast.Explain, sql string, env *actionEnv) (*Result
 	if s.Analyze {
 		return e.runExplainAnalyze(s, sql, env)
 	}
-	n, err := plan.Build(e.planEnv(env), s.Query)
+	c, err := e.compile(s.Query, env, e.sessionOf(env).planKnobs())
 	if err != nil {
 		return nil, err
 	}
-	n = opt.Optimize(n)
-	sess := e.sessionOf(env)
-	for _, ae := range e.auditTargets(sess.AuditAll()) {
-		n = core.Instrument(n, ae, &core.Probe{Expr: ae, Acc: core.NewAccessed()}, sess.Heuristic())
-	}
-	if workers := e.workersFor(sess); workers >= 2 {
-		n = opt.Parallelize(n, e.tableEstimate, workers, int(e.parallelMinRows.Load()))
-	}
 	res := &Result{Columns: []string{"plan"}}
-	for _, line := range strings.Split(strings.TrimRight(plan.Explain(n), "\n"), "\n") {
+	for _, line := range strings.Split(strings.TrimRight(plan.Explain(c.root), "\n"), "\n") {
 		res.Rows = append(res.Rows, value.Row{value.NewString(line)})
 	}
 	return res, nil

@@ -9,7 +9,6 @@ import (
 	"auditdb/internal/core"
 	"auditdb/internal/exec"
 	"auditdb/internal/obs"
-	"auditdb/internal/opt"
 	"auditdb/internal/parser"
 	"auditdb/internal/plan"
 	"auditdb/internal/value"
@@ -77,27 +76,19 @@ func analyzeAuditSinks(root plan.Node, az *exec.Analyze) {
 // it moves are statements and rows_scanned.
 func (e *Engine) runExplainAnalyze(s *ast.Explain, sql string, env *actionEnv) (*Result, error) {
 	start := time.Now()
-	n, err := plan.Build(e.planEnv(env), s.Query)
+	k := e.sessionOf(env).planKnobs()
+	c, err := e.compile(s.Query, env, k)
 	if err != nil {
 		return nil, err
 	}
-	n = opt.Optimize(n)
-	sess := e.sessionOf(env)
-	heur := sess.Heuristic()
-	for _, ae := range e.auditTargets(sess.AuditAll()) {
-		// The throwaway Accessed never receives a record: every Probe
-		// sink is swapped for an analyzeSink below.
-		n = core.Instrument(n, ae, &core.Probe{Expr: ae, Acc: core.NewAccessed()}, heur)
-	}
-	workers := e.workersFor(sess)
-	if workers >= 2 {
-		n = opt.Parallelize(n, e.tableEstimate, workers, int(e.parallelMinRows.Load()))
-	}
+	// The compiled plan's probes never receive a record: every one is
+	// swapped for an analyzeSink.
+	n := c.root
 	az := exec.NewAnalyze()
 	analyzeAuditSinks(n, az)
 
 	ctx := e.execCtx(env, sql)
-	ctx.Workers = workers
+	ctx.Workers = k.workers
 	ctx.Analyze = az
 	rows, err := exec.Run(n, ctx)
 	e.stats.RowsScanned.Add(ctx.Stats.RowsScanned.Load())

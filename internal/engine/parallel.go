@@ -38,18 +38,6 @@ func (e *Engine) SetParallelMinRows(n int) {
 	e.parallelMinRows.Store(int64(n))
 }
 
-// workersFor resolves the worker budget for one statement: the
-// session's SET WORKERS value when set, else the engine default.
-func (e *Engine) workersFor(sess *Session) int {
-	if w := sess.Workers(); w > 0 {
-		return w
-	}
-	if w := e.DefaultWorkers(); w > 1 {
-		return w
-	}
-	return 1
-}
-
 // tableEstimate is the planner's input-size estimate (opt.EstimateFn):
 // current stored cardinality, which is exact at plan time — DML
 // appended after the plan opens is invisible to the scan's snapshot

@@ -4,262 +4,154 @@ import (
 	"time"
 
 	"auditdb/internal/ast"
-	"auditdb/internal/core"
 	"auditdb/internal/lexer"
-	"auditdb/internal/opt"
 	"auditdb/internal/parser"
 	"auditdb/internal/plan"
 	"auditdb/internal/value"
 )
 
-// Session-scoped prepared-plan cache. A SELECT's physical plan depends
-// only on its SQL text, the session knobs that steer planning
-// (placement heuristic, audit-all, worker budget) and the catalog
-// version — parameters are evaluated at open time, so one cached plan
-// serves every binding of a prepared statement. Caching per session
-// keeps the cache lock-free (a Session is single-goroutine by
-// contract) and makes invalidation trivial: DDL bumps the engine's
-// global version and stale entries fall out lazily on next lookup.
+// Plan cache. A SELECT's compiled plan depends only on its canonical
+// (auto-parameterized) text, the session's planning knobs and the
+// catalog version — literals and parameters are evaluated at open
+// time, so one plan serves every binding. Two levels share one entry
+// type: each session's L1 maps canonical text to a private entry
+// (lock-free by the single-goroutine session contract) in front of the
+// engine-wide cache of immutable templates (sharedcache.go). DDL bumps
+// the engine's global version and stale entries fall out lazily on the
+// next lookup. Statements the canonical path declines — fold-sensitive
+// shapes, INSERT ... SELECT, IF bodies, scripts — are compiled on every
+// execution.
 
-// planCacheKey identifies one plannable (SQL, session-knob) point.
-type planCacheKey struct {
-	sql       string
-	heuristic core.Heuristic
-	auditAll  bool
-	workers   int
+// planEntry is one plan-cache entry at either level: a compiled plan
+// with the knobs and catalog version it was compiled under and the
+// number of parameter slots (lifted literals and user placeholders) it
+// binds. A bypass entry carries no plan: it marks a canonical shape
+// that auto-parameterization would plan differently (constant folding
+// is literal-sensitive), so every statement normalizing to it is
+// compiled from its own text. Fold sensitivity is a property of the
+// shape alone, so a bypass entry matches any knobs and any version.
+type planEntry struct {
+	*compiled
+	knobs   knobs
+	version int64
+	slots   int
+	bypass  bool
 }
 
-// cachedPlan is a fully planned, instrumented and (possibly)
-// parallelized SELECT, minus the per-execution state: ACCESSED is
-// recreated and probe sinks rebound on every hit.
-type cachedPlan struct {
-	root         plan.Node
-	targets      []*core.AuditExpression
-	conservative bool
-	hasAudit     bool
-	parallel     bool
-	version      int64 // engine ddlVersion at plan time
+// matches reports whether the entry serves statements planned under k.
+func (pe *planEntry) matches(k knobs) bool { return pe.bypass || pe.knobs == k }
+
+// adopt returns a session-private copy of a shared template: the same
+// entry over a deep clone of the plan, whose audit operators the
+// session may rebind.
+func (pe *planEntry) adopt() *planEntry {
+	c := *pe.compiled
+	c.root = plan.CloneNode(c.root)
+	cp := *pe
+	cp.compiled = &c
+	return &cp
 }
 
-// planCacheCap bounds one session's cache. Eviction is wholesale: a
-// session cycling through more than this many distinct texts is not a
+// runnable reports whether a resolved entry can execute a statement
+// with the given number of slots; nil (the canonical text failed to
+// plan) and bypass entries send the statement to the compile path.
+func (pe *planEntry) runnable(slots int) bool {
+	return pe != nil && !pe.bypass && pe.slots == slots
+}
+
+// planCacheCap bounds one session's L1. Eviction is wholesale: a
+// session cycling through more than this many distinct shapes is not a
 // repeat-heavy workload, and wholesale reset is cheaper than LRU
 // bookkeeping on the hit path.
 const planCacheCap = 128
 
-// cachedPlan returns the session's cached plan for key if present and
-// still valid against the current catalog version; stale entries are
-// dropped on sight.
-func (s *Session) cachedPlan(key planCacheKey, version int64) *cachedPlan {
-	s.lock()
-	defer s.unlock()
-	cp, ok := s.planCache[key]
-	if !ok {
-		return nil
-	}
-	if cp.version != version {
-		delete(s.planCache, key)
-		return nil
-	}
-	return cp
-}
-
-// storePlan caches a freshly planned SELECT for the session.
-func (s *Session) storePlan(key planCacheKey, cp *cachedPlan) {
-	s.lock()
-	defer s.unlock()
-	if s.planCache == nil {
-		s.planCache = make(map[planCacheKey]*cachedPlan)
-	}
-	if len(s.planCache) >= planCacheCap {
-		s.planCache = make(map[planCacheKey]*cachedPlan)
-	}
-	s.planCache[key] = cp
-}
-
-// rebindProbes points every audit operator in a cached plan (main tree
-// and all subquery blocks) at a fresh Probe bound to this execution's
-// ACCESSED state. Like core.Instrument, all audit operators for one
-// expression share one Probe, so the first-seen dedup cache spans the
-// whole query exactly as it does on a fresh plan.
-func rebindProbes(root plan.Node, acc *core.Accessed) {
-	probes := make(map[*core.AuditExpression]*core.Probe)
-	rebind(root, acc, probes)
-}
-
-func rebind(root plan.Node, acc *core.Accessed, probes map[*core.AuditExpression]*core.Probe) {
-	plan.Walk(root, func(n plan.Node) {
-		a, ok := n.(*plan.Audit)
-		if !ok {
-			return
-		}
-		old, ok := a.Sink.(*core.Probe)
-		if !ok {
-			return
-		}
-		p, ok := probes[old.Expr]
-		if !ok {
-			p = &core.Probe{Expr: old.Expr, Acc: acc}
-			probes[old.Expr] = p
-		}
-		a.Sink = p
-	})
-	plan.Subplans(root, func(sq *plan.Subquery) {
-		rebind(sq.Plan, acc, probes)
-	})
-}
-
-// ---- Canonical (auto-parameterized) plan cache: session L1 ----
-
-// canonPlan is a session's L1 entry for one canonical statement text:
-// an adopted private clone of an engine-wide template (or a
-// freshly-planned statement), plus the knobs and catalog version it
-// was planned under. bypass entries carry no plan — they remember that
-// statements normalizing to this shape must take the ordinary raw-text
-// path because auto-parameterization would change the plan (constant
-// folding is literal-sensitive).
-type canonPlan struct {
-	heuristic core.Heuristic
-	auditAll  bool
-	workers   int
-	minRows   int
-	version   int64
-
-	bypass       bool
-	root         plan.Node
-	targets      []*core.AuditExpression
-	conservative bool
-	hasAudit     bool
-	parallel     bool
-	slots        int
-}
-
 // cachedCanonPlan returns the session's L1 entry for the canonical
-// text if present and valid under the current knobs and catalog
-// version. Stale-version entries are dropped on sight; knob mismatches
-// are left in place (the store after re-adoption overwrites them).
-func (s *Session) cachedCanonPlan(canon []byte, heur core.Heuristic, auditAll bool, workers, minRows int, version int64) *canonPlan {
+// text if present and valid under k and the catalog version.
+// Stale-version entries are dropped on sight; knob mismatches are left
+// in place (the store after re-adoption overwrites them).
+func (s *Session) cachedCanonPlan(canon []byte, k knobs, version int64) *planEntry {
 	s.lock()
 	defer s.unlock()
-	cp, ok := s.canonCache[string(canon)]
-	if !ok {
-		return nil
-	}
-	if cp.bypass {
-		return cp
-	}
-	if cp.version != version {
+	pe := s.canonCache[string(canon)]
+	switch {
+	case pe == nil || pe.bypass:
+		return pe
+	case pe.version != version:
 		delete(s.canonCache, string(canon))
 		return nil
-	}
-	if cp.heuristic != heur || cp.auditAll != auditAll || cp.workers != workers || cp.minRows != minRows {
+	case pe.knobs != k:
 		return nil
 	}
-	return cp
+	return pe
 }
 
-// storeCanonPlan caches an adopted canonical plan in the session's L1.
-func (s *Session) storeCanonPlan(canon []byte, cp *canonPlan) {
+// storeCanonPlan caches an entry in the session's L1.
+func (s *Session) storeCanonPlan(canon []byte, pe *planEntry) {
 	s.lock()
 	defer s.unlock()
-	if s.canonCache == nil {
-		s.canonCache = make(map[string]*canonPlan)
+	if s.canonCache == nil || len(s.canonCache) >= planCacheCap {
+		s.canonCache = make(map[string]*planEntry)
 	}
-	if len(s.canonCache) >= planCacheCap {
-		s.canonCache = make(map[string]*canonPlan)
-	}
-	s.canonCache[string(canon)] = cp
+	s.canonCache[string(canon)] = pe
 }
 
-// adoptCanonPlan resolves the canonical text to a session-private plan:
-// L1, then the engine-wide shared cache (adoption deep-clones the
-// template), then a cold plan built from the canonical text itself.
-// src names the level that supplied the plan ("hit", "shared", "cold")
-// for the statement trace's plan span. nil means the canonical text
-// failed to plan — callers fall back to the ordinary path so the error
-// is reported against the original SQL.
-func (e *Engine) adoptCanonPlan(s *Session, canon []byte, user []bool, heur core.Heuristic, auditAll bool, workers, minRows int, version int64) (cp *canonPlan, src string) {
-	if cp := s.cachedCanonPlan(canon, heur, auditAll, workers, minRows, version); cp != nil {
-		if !cp.bypass {
+// adoptCanonPlan resolves the canonical text to a session-private
+// entry: L1, then the engine-wide shared cache (adoption deep-clones
+// the template), then a cold compile of the canonical text itself. src
+// names the level that supplied the plan ("hit", "shared", "cold") for
+// the statement trace's plan span. nil means the canonical text failed
+// to plan — callers fall back to compiling the original statement so
+// the error is reported against the original SQL.
+func (e *Engine) adoptCanonPlan(s *Session, canon []byte, user []bool, k knobs, version int64) (pe *planEntry, src string) {
+	if pe := s.cachedCanonPlan(canon, k, version); pe != nil {
+		if !pe.bypass {
 			e.planCacheHits.Add(1)
 		}
-		return cp, "hit"
+		return pe, "hit"
 	}
-	if v := e.sharedPlans.lookup(canon, heur, auditAll, workers, minRows, version); v != nil {
-		cp := &canonPlan{
-			heuristic: v.heuristic, auditAll: v.auditAll, workers: v.workers,
-			minRows: v.minRows, version: v.version, bypass: v.bypass,
-			targets: v.targets, conservative: v.conservative,
-			hasAudit: v.hasAudit, parallel: v.parallel, slots: v.slots,
-		}
+	if v := e.sharedPlans.lookup(canon, k, version); v != nil {
+		pe := v
 		if !v.bypass {
-			cp.root = plan.CloneNode(v.root)
+			pe = v.adopt()
 			e.sharedCacheHits.Add(1)
 		}
-		s.storeCanonPlan(canon, cp)
-		return cp, "shared"
+		s.storeCanonPlan(canon, pe)
+		return pe, "shared"
 	}
 	e.sharedCacheMisses.Add(1)
-	return e.planCanonSelect(s, canon, user, heur, auditAll, workers, minRows, version), "cold"
+	return e.planCanonSelect(s, canon, user, k, version), "cold"
 }
 
 // planCanonSelect is the cold path: parse the canonical text, detect
-// fold-sensitive shapes (published as bypass markers), plan, publish
+// fold-sensitive shapes (published as bypass markers), compile, publish
 // the immutable template engine-wide and adopt a private clone.
-func (e *Engine) planCanonSelect(s *Session, canon []byte, user []bool, heur core.Heuristic, auditAll bool, workers, minRows int, version int64) *canonPlan {
+func (e *Engine) planCanonSelect(s *Session, canon []byte, user []bool, k knobs, version int64) *planEntry {
 	sel, err := parser.ParseQuery(string(canon))
 	if err != nil {
 		return nil
 	}
 	if foldSensitiveSelect(sel, user) {
-		v := &sharedPlan{bypass: true}
-		e.publishSharedPlan(canon, v)
-		cp := &canonPlan{bypass: true}
-		s.storeCanonPlan(canon, cp)
-		return cp
+		pe := &planEntry{bypass: true}
+		e.publishSharedPlan(canon, pe)
+		s.storeCanonPlan(canon, pe)
+		return pe
 	}
 	planStart := time.Now()
-	n, err := plan.Build(e.planEnv(rootActionEnv()), sel)
+	c, err := e.compile(sel, rootActionEnv(), k)
 	if err != nil {
 		return nil
 	}
-	n = opt.Optimize(n)
-	targets := e.auditTargets(auditAll)
-	hasAudit := false
-	conservative := false
-	if len(targets) > 0 {
-		acc := core.NewAccessed()
-		for _, ae := range targets {
-			n = core.Instrument(n, ae, &core.Probe{Expr: ae, Acc: acc}, heur)
-		}
-		if core.CountAuditOps(n, true) > 0 {
-			hasAudit = true
-			conservative = core.HasConservativePlacement(n)
-		}
-	}
-	if workers >= 2 {
-		n = opt.Parallelize(n, e.tableEstimate, workers, minRows)
-	}
 	e.planSeconds.ObserveDuration(time.Since(planStart))
-	v := &sharedPlan{
-		heuristic: heur, auditAll: auditAll, workers: workers, minRows: minRows,
-		version: version, root: n, targets: targets, conservative: conservative,
-		hasAudit: hasAudit, parallel: planIsParallel(n), slots: len(user),
-	}
-	e.publishSharedPlan(canon, v)
-	cp := &canonPlan{
-		heuristic: heur, auditAll: auditAll, workers: workers, minRows: minRows,
-		version: version, root: plan.CloneNode(n), targets: targets,
-		conservative: conservative, hasAudit: hasAudit, parallel: v.parallel,
-		slots: v.slots,
-	}
-	s.storeCanonPlan(canon, cp)
-	return cp
+	tmpl := &planEntry{compiled: c, knobs: k, version: version, slots: len(user)}
+	e.publishSharedPlan(canon, tmpl)
+	pe := tmpl.adopt()
+	s.storeCanonPlan(canon, pe)
+	return pe
 }
 
 // publishSharedPlan stores a template engine-wide and accounts the
 // eviction counter.
-func (e *Engine) publishSharedPlan(canon []byte, v *sharedPlan) {
+func (e *Engine) publishSharedPlan(canon []byte, v *planEntry) {
 	evicted, _ := e.sharedPlans.store(canon, v)
 	if evicted > 0 {
 		e.sharedCacheEvictions.Add(int64(evicted))
@@ -362,10 +254,27 @@ func bindSlots(dst, vals []value.Value, user []bool, userParams []value.Value) [
 	return dst
 }
 
-// execCanonSelect executes a statement through the canonical plan
-// cache: resolve the plan (L1 → shared → cold), bind the slot vector
-// and run the shared execution tail with the execStmt preamble
-// (statement counters, open-transaction attach, WAL unit) replicated.
+// runCanon is the one bind-and-run tail for a cached canonical plan:
+// build the slot vector — lifted literals interleaved with the caller's
+// bindings in env.params — in the session's reusable scratch, then run
+// the execution tail, which binds fresh probes.
+func (e *Engine) runCanon(pe *planEntry, vals []value.Value, user []bool, sql string, env *actionEnv, start time.Time) (*Result, error) {
+	s := e.sessionOf(env)
+	s.lock()
+	scratch := s.paramScratch
+	s.paramScratch = nil
+	s.unlock()
+	env.params = bindSlots(scratch, vals, user, env.params)
+	res, err := e.executeSelect(pe.compiled, sql, env, pe.knobs.workers, start)
+	s.lock()
+	s.paramScratch = env.params
+	s.unlock()
+	return res, err
+}
+
+// execCanonSelect executes a statement that skipped parsing through
+// the canonical plan cache: resolve the plan (L1 → shared → cold), then
+// run it under the same depth-0 preamble as a parsed statement.
 // handled=false sends the caller to the ordinary parse path — either
 // the canonical text failed to plan (error fidelity) or the shape is
 // fold-sensitive.
@@ -374,68 +283,26 @@ func (s *Session) execCanonSelect(sql string, canon []byte, vals []value.Value, 
 	if e.disablePlanCache {
 		return nil, false, nil
 	}
-	heur, auditAll, workers := s.Heuristic(), s.AuditAll(), e.workersFor(s)
-	minRows := int(e.parallelMinRows.Load())
-	version := e.ddlVersion.Load()
 	adoptStart := time.Now()
-	cp, src := e.adoptCanonPlan(s, canon, user, heur, auditAll, workers, minRows, version)
-	if cp == nil || cp.bypass || cp.slots != len(vals) {
+	pe, src := e.adoptCanonPlan(s, canon, user, s.planKnobs(), e.ddlVersion.Load())
+	if !pe.runnable(len(vals)) {
 		return nil, false, nil
 	}
 	// The statement's trace recorder has not begun yet — stage the
-	// plan-cache outcome for execCachedSelect's traceBegin to consume.
+	// plan-cache outcome for traceBegin to consume.
 	s.pendPlanSrc = src
 	s.pendPlanNanos = int64(time.Since(adoptStart))
-	s.lock()
-	scratch := s.paramScratch
-	s.paramScratch = nil
-	s.unlock()
-	params := bindSlots(scratch, vals, user, userParams)
-	res, err := e.execCachedSelect(s, cp, sql, params, workers)
-	s.lock()
-	s.paramScratch = params
-	s.unlock()
+	res, err := e.traced(s, sql, func() (*Result, error) {
+		start := time.Now()
+		e.stats.Statements.Add(1)
+		e.stats.Queries.Add(1)
+		env := s.rootEnv()
+		env.params = userParams
+		return e.inUnit(env, func() (*Result, error) {
+			return e.runCanon(pe, vals, user, sql, env, start)
+		})
+	})
 	return res, true, err
-}
-
-// execCachedSelect is execStmt's preamble plus the shared SELECT
-// execution tail, for statements that skipped parsing entirely.
-func (e *Engine) execCachedSelect(s *Session, cp *canonPlan, sql string, params []value.Value, workers int) (*Result, error) {
-	if e.traceBegin(s) {
-		res, err := e.execCachedSelectInner(s, cp, sql, params, workers)
-		e.traceFinish(s, sql, res, err)
-		return res, err
-	}
-	return e.execCachedSelectInner(s, cp, sql, params, workers)
-}
-
-func (e *Engine) execCachedSelectInner(s *Session, cp *canonPlan, sql string, params []value.Value, workers int) (*Result, error) {
-	start := time.Now()
-	e.stats.Statements.Add(1)
-	e.stats.Queries.Add(1)
-	env := s.rootEnv()
-	env.params = params
-	env.txn = s.openTxn()
-	run := selectRun{
-		root: cp.root, targets: cp.targets,
-		conservative: cp.conservative, hasAudit: cp.hasAudit, parallel: cp.parallel,
-	}
-	if len(cp.targets) > 0 {
-		run.acc = core.NewAccessed()
-		rebindProbes(cp.root, run.acc)
-	}
-	if e.wal != nil && env.txn == nil {
-		e.ckptMu.RLock()
-		env.unit = &walUnit{}
-		res, err := e.executeSelect(&run, sql, env, workers, start)
-		flushErr := e.flushUnitTraced(s, env.unit)
-		e.ckptMu.RUnlock()
-		if err == nil {
-			err = flushErr
-		}
-		return res, err
-	}
-	return e.executeSelect(&run, sql, env, workers, start)
 }
 
 // tryNormSelect is the zero-parse fast path for a statement a session
@@ -443,31 +310,11 @@ func (e *Engine) execCachedSelectInner(s *Session, cp *canonPlan, sql string, pa
 // canonical plan cache. handled=false means "not a plain SELECT, or
 // the cache declined" and the caller parses as before.
 func (s *Session) tryNormSelect(sql string, userParams []value.Value) (*Result, bool, error) {
-	parseStart := time.Now()
-	if !lexer.Normalize(sql, &s.norm) {
+	normStart := time.Now()
+	if !lexer.Normalize(sql, &s.norm) || s.norm.NUser != len(userParams) {
 		return nil, false, nil
 	}
-	if s.norm.NUser != len(userParams) {
-		return nil, false, nil
-	}
-	s.pendNorm = time.Since(parseStart)
+	s.pendNorm = time.Since(normStart)
 	s.e.parseSeconds.ObserveDuration(s.pendNorm)
 	return s.execCanonSelect(sql, s.norm.Canonical, s.norm.Vals, s.norm.User, userParams)
-}
-
-// planIsParallel reports whether the parallelizer actually rewrote the
-// plan — a Gather exchange or a two-phase aggregate anywhere in it.
-func planIsParallel(root plan.Node) bool {
-	parallel := false
-	plan.Walk(root, func(n plan.Node) {
-		switch x := n.(type) {
-		case *plan.Gather:
-			parallel = true
-		case *plan.Aggregate:
-			if x.Parallel {
-				parallel = true
-			}
-		}
-	})
-	return parallel
 }

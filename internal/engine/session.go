@@ -32,11 +32,10 @@ type Session struct {
 	heuristic core.Heuristic
 	// workers is this session's SET WORKERS override for parallel
 	// query execution; 0 means inherit the engine default.
-	workers   int
-	planCache map[planCacheKey]*cachedPlan
+	workers int
 	// canonCache is the session's L1 in front of the engine-wide shared
 	// plan cache, keyed by canonical (auto-parameterized) text.
-	canonCache map[string]*canonPlan
+	canonCache map[string]*planEntry
 	// paramScratch is the reusable per-execution slot-binding vector.
 	paramScratch []value.Value
 	txn          *Txn // open SQL-level BEGIN ... COMMIT/ROLLBACK transaction
@@ -362,12 +361,7 @@ func (s *Session) Query(sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.e.traceBegin(s) {
-		res, err := s.e.runSelect(sel, sql, s.rootEnv())
-		s.e.traceFinish(s, sql, res, err)
-		return res, err
-	}
-	return s.e.runSelect(sel, sql, s.rootEnv())
+	return s.e.execStmt(sel, sql, s.rootEnv())
 }
 
 // Prepare parses a statement with ? placeholders for repeated

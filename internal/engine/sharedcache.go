@@ -1,20 +1,14 @@
 package engine
 
-import (
-	"sync"
+import "sync"
 
-	"auditdb/internal/core"
-	"auditdb/internal/plan"
-)
-
-// Engine-wide shared plan cache. Keys are the canonical,
-// auto-parameterized statement texts produced by lexer.Normalize, so
-// `WHERE id = 7` and `WHERE id = 9` share one entry. Each canonical
-// text maps to a small list of variants, one per distinct combination
-// of the knobs that steer planning (placement heuristic, audit-all,
-// worker budget, parallel threshold); a variant also records the
-// catalog version it was planned under and is dropped on sight when
-// DDL has bumped it since.
+// Engine-wide shared plan cache, the L2 behind every session's L1
+// (plancache.go). Keys are the canonical, auto-parameterized statement
+// texts produced by lexer.Normalize, so `WHERE id = 7` and
+// `WHERE id = 9` share one entry. Each canonical text maps to a small
+// list of planEntry variants, one per distinct knobs value; a variant
+// also records the catalog version it was planned under and is dropped
+// on sight when DDL has bumped it since.
 //
 // An entry's plan is an immutable template: it is never executed.
 // Sessions adopt a template by deep-cloning its node tree
@@ -34,41 +28,9 @@ const (
 	sharedShardCap = 256
 )
 
-// sharedPlan is one planned variant of a canonical statement. root is
-// the immutable template; bypass marks a canonical shape that must not
-// be auto-parameterized (constant folding would change the plan shape
-// against the original text), telling sessions to fall back to the
-// ordinary raw-text path for every statement normalizing to it.
-type sharedPlan struct {
-	heuristic core.Heuristic
-	auditAll  bool
-	workers   int
-	minRows   int
-	version   int64
-
-	bypass       bool
-	root         plan.Node
-	targets      []*core.AuditExpression
-	conservative bool
-	hasAudit     bool
-	parallel     bool
-	slots        int // parameter slots (auto + user) the plan binds
-}
-
-// matches reports whether the variant was planned under the given
-// knobs. bypass markers are knob-independent: fold sensitivity is a
-// property of the statement shape alone.
-func (v *sharedPlan) matches(heur core.Heuristic, auditAll bool, workers, minRows int) bool {
-	if v.bypass {
-		return true
-	}
-	return v.heuristic == heur && v.auditAll == auditAll &&
-		v.workers == workers && v.minRows == minRows
-}
-
 type sharedShard struct {
 	mu sync.RWMutex
-	m  map[string][]*sharedPlan
+	m  map[string][]*planEntry
 }
 
 type sharedPlanCache struct {
@@ -87,13 +49,13 @@ func (c *sharedPlanCache) shardOf(canon []byte) *sharedShard {
 // lookup returns the variant for canon under the given knobs, valid at
 // version, or nil. The hot path allocates nothing: map access through
 // string(canon) compiles to a lookup without materializing the key.
-func (c *sharedPlanCache) lookup(canon []byte, heur core.Heuristic, auditAll bool, workers, minRows int, version int64) *sharedPlan {
+func (c *sharedPlanCache) lookup(canon []byte, k knobs, version int64) *planEntry {
 	sh := c.shardOf(canon)
 	sh.mu.RLock()
 	variants := sh.m[string(canon)]
 	sh.mu.RUnlock()
 	for _, v := range variants {
-		if !v.matches(heur, auditAll, workers, minRows) {
+		if !v.matches(k) {
 			continue
 		}
 		if !v.bypass && v.version != version {
@@ -108,26 +70,26 @@ func (c *sharedPlanCache) lookup(canon []byte, heur core.Heuristic, auditAll boo
 // same knobs (typically a stale-version predecessor). It returns the
 // number of canonical texts evicted (0, or a whole shard's worth when
 // the shard hit its cap) and the net entry-count delta.
-func (c *sharedPlanCache) store(canon []byte, v *sharedPlan) (evicted, delta int) {
+func (c *sharedPlanCache) store(canon []byte, v *planEntry) (evicted, delta int) {
 	sh := c.shardOf(canon)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.m == nil {
-		sh.m = make(map[string][]*sharedPlan)
+		sh.m = make(map[string][]*planEntry)
 	}
 	key := string(canon)
 	variants, ok := sh.m[key]
 	if !ok && len(sh.m) >= sharedShardCap {
 		evicted = len(sh.m)
 		delta -= evicted
-		sh.m = make(map[string][]*sharedPlan)
+		sh.m = make(map[string][]*planEntry)
 	}
 	for i, old := range variants {
-		if old.bypass == v.bypass && old.matches(v.heuristic, v.auditAll, v.workers, v.minRows) {
+		if old.bypass == v.bypass && old.matches(v.knobs) {
 			// Copy on write: lookup scans the slice it fetched after
 			// dropping the shard lock, so a published slice is never
 			// modified in place.
-			variants = append([]*sharedPlan(nil), variants...)
+			variants = append([]*planEntry(nil), variants...)
 			variants[i] = v
 			sh.m[key] = variants
 			return evicted, delta

@@ -421,19 +421,19 @@ func TestWarmExecAllocBudget(t *testing.T) {
 func TestSharedCacheReplaceUnderLookup(t *testing.T) {
 	var c sharedPlanCache
 	canon := []byte("select ?")
-	c.store(canon, &sharedPlan{version: 1})
+	c.store(canon, &planEntry{version: 1})
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 1000; i++ {
-			c.store(canon, &sharedPlan{version: int64(i)})
+			c.store(canon, &planEntry{version: int64(i)})
 		}
 	}()
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 1000; i++ {
-			c.lookup(canon, 0, false, 0, 0, 1)
+			c.lookup(canon, knobs{}, 1)
 		}
 	}()
 	wg.Wait()

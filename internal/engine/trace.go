@@ -35,9 +35,8 @@ func (e *Engine) TraceRing() *trace.Ring { return e.traceRing }
 // recorder existed: the transport read note, normalize/parse timing,
 // and the plan-cache adoption outcome. Returns false when a statement
 // is already being recorded (nested entry points — IF bodies, trigger
-// cascades, the canonical-cache branch under execStmt — stay inside
-// the enclosing statement's record). The unsampled path allocates
-// nothing.
+// cascades — stay inside the enclosing statement's record). The
+// unsampled path allocates nothing.
 func (e *Engine) traceBegin(s *Session) bool {
 	r := &s.rec
 	if r.Active() {
@@ -60,8 +59,7 @@ func (e *Engine) traceBegin(s *Session) bool {
 	}
 	if d := s.pendNorm; d > 0 {
 		s.pendNorm = 0
-		r.AddPhase(trace.PhaseNormalize, d)
-		r.AddSpan(r.Current(), "normalize", r.Start(), d)
+		noteNormalize(r, r.Start(), d)
 	}
 	if d := s.pendParse; d > 0 {
 		s.pendParse = 0
@@ -71,12 +69,41 @@ func (e *Engine) traceBegin(s *Session) bool {
 	if src := s.pendPlanSrc; src != "" {
 		d := time.Duration(s.pendPlanNanos)
 		s.pendPlanSrc, s.pendPlanNanos = "", 0
-		r.AddPhase(trace.PhasePlan, d)
-		if id := r.AddSpan(r.Current(), "plan", r.Start(), d); id >= 0 {
-			r.SetAttr(id, "cache", src)
-		}
+		notePlan(r, r.Start(), d, src)
 	}
 	return true
+}
+
+// traced runs a depth-0 statement inside the session's trace record,
+// between traceBegin and traceFinish. When a statement is already being
+// recorded (an IF body at depth 0) run joins that record.
+func (e *Engine) traced(s *Session, sql string, run func() (*Result, error)) (*Result, error) {
+	if !e.traceBegin(s) {
+		return run()
+	}
+	res, err := run()
+	e.traceFinish(s, sql, res, err)
+	return res, err
+}
+
+// noteNormalize charges one normalization to the normalize phase and,
+// when sampling, records its span.
+func noteNormalize(r *trace.Rec, start time.Time, d time.Duration) {
+	r.AddPhase(trace.PhaseNormalize, d)
+	r.AddSpan(r.Current(), "normalize", start, d)
+}
+
+// notePlan charges plan resolution to the plan phase and, when
+// sampling, records a plan span naming where the plan came from
+// ("hit", "shared", "cold", or "miss" for a per-execution compile). It
+// returns the span's ID, -1 when not sampling.
+func notePlan(r *trace.Rec, start time.Time, d time.Duration, src string) int {
+	r.AddPhase(trace.PhasePlan, d)
+	id := r.AddSpan(r.Current(), "plan", start, d)
+	if id >= 0 {
+		r.SetAttr(id, "cache", src)
+	}
+	return id
 }
 
 // traceFinish closes the statement the matching traceBegin opened,

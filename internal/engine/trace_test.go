@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"auditdb/internal/ast"
 	"auditdb/internal/trace"
 	"auditdb/internal/wal"
 )
@@ -356,6 +357,24 @@ func TestTraceTailCapture(t *testing.T) {
 	}
 	if tr.Phases["execute"] == 0 {
 		t.Fatalf("phases = %v, want execute time", tr.Phases)
+	}
+
+	// A SELECT that arrives parsed (ExecMulti, the pgwire simple path)
+	// is still normalized for the plan cache, and that time is charged
+	// to its normalize phase.
+	var qid uint64
+	err := e.DefaultSession().ExecMulti("SELECT Name FROM Patients WHERE Age > 40", func(_ ast.Stmt, r *Result, err error) bool {
+		if err != nil {
+			t.Fatal(err)
+		}
+		qid = r.QID
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr := e.TraceRing().Get(qid); tr == nil || tr.Phases["normalize"] == 0 {
+		t.Fatalf("ExecMulti SELECT: retained trace %+v, want a normalize phase", tr)
 	}
 
 	e.SetSlowQueryThreshold(0)

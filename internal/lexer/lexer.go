@@ -2,9 +2,9 @@
 // including the auditing DDL extensions from the paper (CREATE AUDIT
 // EXPRESSION, CREATE TRIGGER ... ON ACCESS TO, NOTIFY).
 //
-// The core is the pull-based Scanner, which walks the input bytes
-// without materializing tokens or strings; Lex remains as a
-// convenience that drains a Scanner into a token slice.
+// The tokenizer is the pull-based Scanner, which walks the input bytes
+// without materializing tokens or strings; the parser and the
+// normalizer both drive it directly.
 package lexer
 
 // TokenKind classifies tokens.
@@ -37,45 +37,5 @@ func (k TokenKind) String() string {
 		return "operator"
 	default:
 		return "unknown"
-	}
-}
-
-// Token is one lexical unit. Keyword text is uppercased; identifier
-// text preserves the source spelling.
-type Token struct {
-	Kind TokenKind
-	Text string
-	Pos  int // byte offset in the input, for error reporting
-}
-
-// Lex tokenizes input into a materialized token slice. It returns an
-// error for unterminated strings or characters outside the dialect.
-// Hot paths (the parser, the normalizer) drive a Scanner directly and
-// skip the slice; Lex remains for tools and tests.
-func Lex(input string) ([]Token, error) {
-	var sc Scanner
-	sc.Init(input)
-	var toks []Token
-	for {
-		kind := sc.Scan()
-		if kind == TokEOF {
-			if err := sc.Err(); err != nil {
-				return nil, err
-			}
-			toks = append(toks, Token{Kind: TokEOF, Pos: sc.Pos})
-			return toks, nil
-		}
-		t := Token{Kind: kind, Pos: sc.Pos}
-		switch kind {
-		case TokKeyword:
-			t.Text = sc.Kw.String()
-		case TokOp:
-			t.Text = sc.Op.String()
-		case TokString:
-			t.Text = sc.StringText()
-		default:
-			t.Text = sc.Text()
-		}
-		toks = append(toks, t)
 	}
 }

@@ -223,6 +223,28 @@ func TestEmptyAndMultiStatement(t *testing.T) {
 		t.Fatalf("status = %q", status)
 	}
 
+	// Each SELECT of a script is planned as itself: two SELECTs in one
+	// simple query describe their own columns, on the first run and the
+	// repeat alike.
+	for run := 0; run < 2; run++ {
+		msgs, _ = query(t, c, "SELECT A FROM T1 ORDER BY A; SELECT Name, Age FROM Patients WHERE PatientID = 2")
+		var cols []string
+		for _, rd := range byType(msgs, 'T') {
+			fields, err := pgtest.RowDescription(rd.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var names []string
+			for _, f := range fields {
+				names = append(names, f.Name)
+			}
+			cols = append(cols, strings.Join(names, ","))
+		}
+		if got := strings.Join(cols, " | "); got != "A | Name,Age" {
+			t.Fatalf("run %d: RowDescriptions = %q, want \"A | Name,Age\"", run, got)
+		}
+	}
+
 	// An error stops the script; nothing after it executes.
 	msgs, _ = query(t, c, "INSERT INTO T1 VALUES (3); SELECT * FROM Nope; INSERT INTO T1 VALUES (4)")
 	if got := sqlstate(t, msgs); got != "42P01" {

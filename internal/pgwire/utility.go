@@ -2,10 +2,8 @@ package pgwire
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
-	"auditdb/internal/core"
 	"auditdb/internal/engine"
 	"auditdb/internal/value"
 )
@@ -31,7 +29,7 @@ const serverVersion = "13.0"
 // configuration SETs on connect (extra_float_digits, application_name,
 // …); unknown parameters are accepted and ignored so every libpq
 // client can get through the door, while the engine's own session
-// knobs (workers, audit_all, placement) take effect.
+// settings (engine.LookupSetting) take effect.
 func tryUtility(sess *engine.Session, sql string) (res *utilityResult, handled bool, err error) {
 	s := strings.TrimSpace(sql)
 	s = strings.TrimSuffix(s, ";")
@@ -47,15 +45,8 @@ func tryUtility(sess *engine.Session, sql string) (res *utilityResult, handled b
 		if len(fields) != 2 {
 			return nil, false, nil
 		}
-		switch strings.ToLower(fields[1]) {
-		case "workers":
-			sess.SetWorkers(0)
-		case "audit_all":
-			sess.SetAuditAll(false)
-		case "triage":
-			sess.SetTriage(true)
-		case "skipping":
-			sess.SetSkipping(true)
+		if st := engine.LookupSetting(strings.ToLower(fields[1])); st != nil {
+			st.Reset(sess)
 		}
 		return &utilityResult{tag: "RESET"}, true, nil
 	case "SHOW":
@@ -99,66 +90,14 @@ func setUtility(sess *engine.Session, args []string) (*utilityResult, bool, erro
 	val = strings.TrimSpace(val)
 	val = strings.Trim(val, `'"`)
 
-	ok := &utilityResult{tag: "SET"}
-	switch name {
-	case "workers":
-		n, err := strconv.Atoi(val)
-		if err != nil || n < 0 {
-			return nil, true, fmt.Errorf("parameter %q requires a non-negative integer: %q", name, val)
+	// Driver boilerplate (extra_float_digits, application_name,
+	// client_encoding, search_path, …) is accepted and ignored.
+	if st := engine.LookupSetting(name); st != nil {
+		if err := st.Set(sess, val); err != nil {
+			return nil, true, err
 		}
-		sess.SetWorkers(n)
-	case "audit_all":
-		switch strings.ToLower(val) {
-		case "on", "true", "1":
-			sess.SetAuditAll(true)
-		case "off", "false", "0":
-			sess.SetAuditAll(false)
-		default:
-			return nil, true, fmt.Errorf("parameter %q requires on or off: %q", name, val)
-		}
-	case "placement":
-		switch strings.ToLower(val) {
-		case "leaf":
-			sess.SetHeuristic(core.LeafNode)
-		case "hcn":
-			sess.SetHeuristic(core.HighestCommutativeNode)
-		case "highest":
-			sess.SetHeuristic(core.HighestNode)
-		default:
-			return nil, true, fmt.Errorf("parameter %q requires leaf, hcn or highest: %q", name, val)
-		}
-	case "trace":
-		switch strings.ToLower(val) {
-		case "on", "true", "1":
-			sess.SetTrace(true)
-		case "off", "false", "0":
-			sess.SetTrace(false)
-		default:
-			return nil, true, fmt.Errorf("parameter %q requires on or off: %q", name, val)
-		}
-	case "triage":
-		switch strings.ToLower(val) {
-		case "on", "true", "1":
-			sess.SetTriage(true)
-		case "off", "false", "0":
-			sess.SetTriage(false)
-		default:
-			return nil, true, fmt.Errorf("parameter %q requires on or off: %q", name, val)
-		}
-	case "skipping":
-		switch strings.ToLower(val) {
-		case "on", "true", "1":
-			sess.SetSkipping(true)
-		case "off", "false", "0":
-			sess.SetSkipping(false)
-		default:
-			return nil, true, fmt.Errorf("parameter %q requires on or off: %q", name, val)
-		}
-	default:
-		// Driver boilerplate (extra_float_digits, application_name,
-		// client_encoding, search_path, …): accept and ignore.
 	}
-	return ok, true, nil
+	return &utilityResult{tag: "SET"}, true, nil
 }
 
 func showUtility(sess *engine.Session, name string) (*utilityResult, bool, error) {
@@ -177,43 +116,12 @@ func showUtility(sess *engine.Session, name string) (*utilityResult, bool, error
 		val = "ISO, MDY"
 	case "timezone":
 		val = "UTC"
-	case "workers":
-		val = strconv.Itoa(sess.Workers())
-	case "audit_all":
-		if sess.AuditAll() {
-			val = "on"
-		} else {
-			val = "off"
-		}
-	case "placement":
-		switch sess.Heuristic() {
-		case core.LeafNode:
-			val = "leaf"
-		case core.HighestNode:
-			val = "highest"
-		default:
-			val = "hcn"
-		}
-	case "trace":
-		if sess.TraceOn() {
-			val = "on"
-		} else {
-			val = "off"
-		}
-	case "triage":
-		if sess.TriageOn() {
-			val = "on"
-		} else {
-			val = "off"
-		}
-	case "skipping":
-		if sess.SkippingOn() {
-			val = "on"
-		} else {
-			val = "off"
-		}
 	default:
-		return nil, true, fmt.Errorf("unrecognized configuration parameter %q", name)
+		st := engine.LookupSetting(name)
+		if st == nil {
+			return nil, true, fmt.Errorf("unrecognized configuration parameter %q", name)
+		}
+		val = st.Show(sess)
 	}
 	return &utilityResult{
 		tag:   "SHOW",

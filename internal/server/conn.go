@@ -8,10 +8,8 @@ import (
 	"fmt"
 	"net"
 	"strconv"
-	"strings"
 	"time"
 
-	"auditdb/internal/core"
 	"auditdb/internal/engine"
 	"auditdb/internal/value"
 	"auditdb/internal/wire"
@@ -296,68 +294,20 @@ func appendResult(dst []byte, r *engine.Result) ([]byte, error) {
 }
 
 func (c *jsonConn) set(key, val string) *wire.Response {
-	switch key {
-	case wire.KeyUser:
+	if key == wire.KeyUser {
 		if val == "" {
 			return errResp("set user: empty name")
 		}
 		c.sess.SetUser(val)
 		c.tc.Logger().Info("session user set", "remote", c.tc.NetConn().RemoteAddr().String(), "user", val)
-	case wire.KeyAuditAll:
-		switch val {
-		case "on", "true":
-			c.sess.SetAuditAll(true)
-		case "off", "false":
-			c.sess.SetAuditAll(false)
-		default:
-			return errResp("set audit_all: want on|off, got %q", val)
-		}
-	case wire.KeyPlacement:
-		switch strings.ToLower(val) {
-		case "leaf":
-			c.sess.SetHeuristic(core.LeafNode)
-		case "hcn":
-			c.sess.SetHeuristic(core.HighestCommutativeNode)
-		case "highest":
-			c.sess.SetHeuristic(core.HighestNode)
-		default:
-			return errResp("set placement: want leaf|hcn|highest, got %q", val)
-		}
-	case wire.KeyWorkers:
-		n, err := strconv.Atoi(val)
-		if err != nil || n < 0 {
-			return errResp("set workers: want a non-negative integer, got %q", val)
-		}
-		c.sess.SetWorkers(n)
-	case wire.KeyTrace:
-		switch val {
-		case "on", "true":
-			c.sess.SetTrace(true)
-		case "off", "false":
-			c.sess.SetTrace(false)
-		default:
-			return errResp("set trace: want on|off, got %q", val)
-		}
-	case wire.KeyTriage:
-		switch val {
-		case "on", "true":
-			c.sess.SetTriage(true)
-		case "off", "false":
-			c.sess.SetTriage(false)
-		default:
-			return errResp("set triage: want on|off, got %q", val)
-		}
-	case wire.KeySkipping:
-		switch val {
-		case "on", "true":
-			c.sess.SetSkipping(true)
-		case "off", "false":
-			c.sess.SetSkipping(false)
-		default:
-			return errResp("set skipping: want on|off, got %q", val)
-		}
-	default:
+		return &wire.Response{OK: true}
+	}
+	st := engine.LookupSetting(key)
+	if st == nil {
 		return errResp("unknown setting %q", key)
+	}
+	if err := st.Set(c.sess, val); err != nil {
+		return errResp("set: %v", err)
 	}
 	return &wire.Response{OK: true}
 }

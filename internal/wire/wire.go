@@ -26,7 +26,7 @@ const (
 	OpPrepare   = "prepare"    // SQL with ? placeholders -> Stmt handle
 	OpRun       = "run"        // Stmt + Params: execute a prepared statement
 	OpCloseStmt = "close_stmt" // Stmt: drop a prepared statement
-	OpSet       = "set"        // Key in {user, audit_all, placement, workers}, Value
+	OpSet       = "set"        // Key (user, or a Key* session setting), Value
 	OpStats     = "stats"      // engine + server counters
 	OpPing      = "ping"
 	OpQuit      = "quit"
