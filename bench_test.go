@@ -1,30 +1,25 @@
 package auditdb
 
-// Benchmarks regenerating the paper's evaluation (§V), one per figure.
-// Run with:
+// Ablation benchmarks for the design choices DESIGN.md discusses. Run
+// with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench Ablation -benchmem .
 //
-// Figures 6 and 9 report cardinalities (false positives vs offline
-// ground truth); their benchmarks measure the cost of producing those
-// numbers and report the cardinalities as custom metrics. Figures 7, 8
-// and 10 are relative-overhead measurements; their benchmarks time the
-// instrumented versus plain executions directly and report overhead_%
-// as a custom metric. cmd/benchaudit prints the same series as tables.
+// The paper's figures (§V) are regenerated in full by
+// `go run ./cmd/benchaudit -fig all`; end-to-end performance is
+// measured by `bash bench/run.sh` (see bench/README.md).
 
 import (
-	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"auditdb/internal/core"
 	"auditdb/internal/experiments"
 	"auditdb/internal/tpch"
 )
 
-// benchSF is deliberately modest so `go test -bench=.` stays in
-// seconds; cmd/benchaudit defaults to a larger database.
+// benchSF is deliberately modest so the ablations stay in seconds;
+// cmd/benchaudit defaults to a larger database.
 const benchSF = 0.004
 
 var (
@@ -40,178 +35,6 @@ func bench(b *testing.B) *experiments.Workbench {
 		b.Fatal(wbErr)
 	}
 	return wb
-}
-
-// BenchmarkFig6MicroFalsePositives regenerates Figure 6: offline vs
-// leaf-node vs hcn audit cardinality on the orders ⋈ customer micro
-// query at 10% order-date selectivity.
-func BenchmarkFig6MicroFalsePositives(b *testing.B) {
-	w := bench(b)
-	var last experiments.Fig6Point
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pts, err := w.Fig6([]float64{0.1}, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = pts[0]
-	}
-	b.ReportMetric(float64(last.Offline), "offline_ids")
-	b.ReportMetric(float64(last.Leaf), "leaf_ids")
-	b.ReportMetric(float64(last.HCN), "hcn_ids")
-}
-
-// BenchmarkFig7MicroOverheads regenerates Figure 7 at the 40%
-// selectivity point: instrumented vs plain execution time for both
-// heuristics.
-func BenchmarkFig7MicroOverheads(b *testing.B) {
-	w := bench(b)
-	sql := tpch.MicroJoinQuery(0, experiments.CutoffForSelectivity(0.4))
-	for _, h := range []core.Heuristic{core.LeafNode, core.HighestCommutativeNode} {
-		b.Run(h.String(), func(b *testing.B) {
-			w.Engine.SetHeuristic(h)
-			instr, _, err := w.Engine.BuildQueryPlan(sql, true)
-			if err != nil {
-				b.Fatal(err)
-			}
-			plain, _, err := w.Engine.BuildQueryPlan(sql, false)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var tPlain, tInstr time.Duration
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t0 := time.Now()
-				if _, err := w.Engine.RunPlan(plain, sql); err != nil {
-					b.Fatal(err)
-				}
-				tPlain += time.Since(t0)
-				t0 = time.Now()
-				if _, err := w.Engine.RunPlan(instr, sql); err != nil {
-					b.Fatal(err)
-				}
-				tInstr += time.Since(t0)
-			}
-			if tPlain > 0 {
-				b.ReportMetric(100*(float64(tInstr)-float64(tPlain))/float64(tPlain), "overhead_%")
-			}
-		})
-	}
-}
-
-// BenchmarkFig8AuditCardinality regenerates Figure 8: hcn overhead as
-// the audit-expression cardinality sweeps from one customer to the
-// whole table (log scale).
-func BenchmarkFig8AuditCardinality(b *testing.B) {
-	w := bench(b)
-	sql := tpch.MicroJoinQuery(0, experiments.CutoffForSelectivity(0.4))
-	nCust := len(w.Data.Customer)
-	for _, card := range []int{1, 10, 100, nCust} {
-		b.Run(fmt.Sprintf("card=%d", card), func(b *testing.B) {
-			name := fmt.Sprintf("Audit_Bench_%d", card)
-			if _, err := w.Engine.Exec(tpch.AuditCustomerRange(name, card)); err != nil {
-				b.Fatal(err)
-			}
-			defer func() {
-				if _, err := w.Engine.Exec("DROP AUDIT EXPRESSION " + name); err != nil {
-					b.Fatal(err)
-				}
-			}()
-			ae, _ := w.Engine.Registry().Get(name)
-			acc := core.NewAccessed()
-			plain, _, err := w.Engine.BuildQueryPlan(sql, false)
-			if err != nil {
-				b.Fatal(err)
-			}
-			instrBase, _, err := w.Engine.BuildQueryPlan(sql, false)
-			if err != nil {
-				b.Fatal(err)
-			}
-			instr := core.Instrument(instrBase, ae, &core.Probe{Expr: ae, Acc: acc}, core.HighestCommutativeNode)
-			var tPlain, tInstr time.Duration
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t0 := time.Now()
-				if _, err := w.Engine.RunPlan(plain, sql); err != nil {
-					b.Fatal(err)
-				}
-				tPlain += time.Since(t0)
-				t0 = time.Now()
-				if _, err := w.Engine.RunPlan(instr, sql); err != nil {
-					b.Fatal(err)
-				}
-				tInstr += time.Since(t0)
-			}
-			if tPlain > 0 {
-				b.ReportMetric(100*(float64(tInstr)-float64(tPlain))/float64(tPlain), "overhead_%")
-			}
-		})
-	}
-}
-
-// BenchmarkFig9ComplexFalsePositives regenerates Figure 9: per-query
-// offline vs hcn vs leaf audit cardinalities over the seven-query
-// workload. The offline ground truth dominates the cost (hundreds of
-// tuple-deletion re-executions per query).
-func BenchmarkFig9ComplexFalsePositives(b *testing.B) {
-	w := bench(b)
-	for _, q := range tpch.Queries(w.Params) {
-		q := q
-		b.Run(q.Name, func(b *testing.B) {
-			var hcn, offline int
-			for i := 0; i < b.N; i++ {
-				r, err := w.Engine.Query(q.SQL)
-				if err != nil {
-					b.Fatal(err)
-				}
-				hcn = r.Accessed.Len(experiments.SegmentAuditName)
-				rep, err := w.Auditor.Audit(q.SQL, w.Expr)
-				if err != nil {
-					b.Fatal(err)
-				}
-				offline = len(rep.AccessedIDs)
-			}
-			b.ReportMetric(float64(hcn), "hcn_ids")
-			b.ReportMetric(float64(offline), "offline_ids")
-		})
-	}
-}
-
-// BenchmarkFig10ComplexOverheads regenerates Figure 10: hcn overhead
-// per workload query.
-func BenchmarkFig10ComplexOverheads(b *testing.B) {
-	w := bench(b)
-	w.Engine.SetHeuristic(core.HighestCommutativeNode)
-	for _, q := range tpch.Queries(w.Params) {
-		q := q
-		b.Run(q.Name, func(b *testing.B) {
-			plain, _, err := w.Engine.BuildQueryPlan(q.SQL, false)
-			if err != nil {
-				b.Fatal(err)
-			}
-			instr, _, err := w.Engine.BuildQueryPlan(q.SQL, true)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var tPlain, tInstr time.Duration
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t0 := time.Now()
-				if _, err := w.Engine.RunPlan(plain, q.SQL); err != nil {
-					b.Fatal(err)
-				}
-				tPlain += time.Since(t0)
-				t0 = time.Now()
-				if _, err := w.Engine.RunPlan(instr, q.SQL); err != nil {
-					b.Fatal(err)
-				}
-				tInstr += time.Since(t0)
-			}
-			if tPlain > 0 {
-				b.ReportMetric(100*(float64(tInstr)-float64(tPlain))/float64(tPlain), "overhead_%")
-			}
-		})
-	}
 }
 
 // BenchmarkAblationProbeCost isolates the audit operator's per-row
@@ -232,14 +55,14 @@ func BenchmarkAblationProbeCost(b *testing.B) {
 	instr := core.Instrument(instrBase, w.Expr, &core.Probe{Expr: w.Expr, Acc: acc}, core.HighestCommutativeNode)
 	b.Run("plain", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := w.Engine.RunPlan(plain, sql); err != nil {
+			if _, err := w.Engine.DrainPlan(plain, sql); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("probed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := w.Engine.RunPlan(instr, sql); err != nil {
+			if _, err := w.Engine.DrainPlan(instr, sql); err != nil {
 				b.Fatal(err)
 			}
 		}

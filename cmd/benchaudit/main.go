@@ -27,8 +27,6 @@ func main() {
 	sf := flag.Float64("sf", 0.01, "TPC-H scale factor (0.01 = 1500 customers)")
 	fig := flag.String("fig", "all", "which experiment: all, 6, 7, 8, 9, 10, fga")
 	minDur := flag.Duration("mindur", 200*time.Millisecond, "minimum measurement window per timing point")
-	triageBench := flag.Bool("triage", false, "run only the budgeted-triage overhead/overload benchmark")
-	skippingBench := flag.Bool("skipping", false, "run only the audit-aware data-skipping benchmark")
 	flag.Parse()
 
 	fmt.Printf("# SELECT triggers for data auditing — evaluation reproduction\n")
@@ -44,15 +42,6 @@ func main() {
 	fmt.Printf("loaded: %d customers, %d orders, %d lineitems (%.1fs); audited IDs: %d\n\n",
 		counts["customer"], counts["orders"], counts["lineitem"],
 		time.Since(start).Seconds(), w.Expr.Cardinality())
-
-	if *triageBench {
-		runTriage(w, *minDur)
-		return
-	}
-	if *skippingBench {
-		runSkipping(w, *minDur)
-		return
-	}
 
 	want := func(name string) bool { return *fig == "all" || *fig == name }
 

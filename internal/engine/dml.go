@@ -426,20 +426,12 @@ func (e *Engine) LoadRows(table string, rows []value.Row) error {
 	return applyErr
 }
 
-// RunPlan executes a prepared plan against the engine's store with a
-// fresh context; the benchmark harness uses it to time instrumented
-// versus plain plans without re-planning.
-func (e *Engine) RunPlan(n plan.Node, sql string) ([]value.Row, error) {
-	ctx := e.execCtx(rootActionEnv(), sql)
-	rows, err := exec.Run(n, ctx)
-	e.stats.RowsScanned.Add(ctx.Stats.RowsScanned.Load())
-	return rows, err
-}
-
-// DrainPlan executes a prepared plan but discards rows instead of
-// materializing them, returning only the row count. Overhead
-// measurements use it so result-buffer retention (identical on both
-// sides anyway) does not drown the audit operator's cost in GC noise.
+// DrainPlan executes a prepared plan against the engine's store with a
+// fresh context but discards rows instead of materializing them,
+// returning only the row count. Overhead measurements use it to time
+// instrumented versus plain plans without re-planning, and so that
+// result-buffer retention (identical on both sides anyway) does not
+// drown the audit operator's cost in GC noise.
 func (e *Engine) DrainPlan(n plan.Node, sql string) (int, error) {
 	ctx := e.execCtx(rootActionEnv(), sql)
 	count, err := exec.Drain(n, ctx)

@@ -293,25 +293,19 @@ func (s *Session) Exec(sql string) (*Result, error) {
 }
 
 // ExecScript executes a semicolon-separated script under this session,
-// returning the last statement's result.
+// returning the last statement's result and stopping at the first error.
 func (s *Session) ExecScript(sql string) (*Result, error) {
-	if err := s.checkOpen(); err != nil {
-		return nil, err
+	var last *Result
+	var runErr error
+	err := s.ExecMulti(sql, func(_ ast.Stmt, r *Result, err error) bool {
+		last, runErr = r, err
+		return err == nil
+	})
+	if err == nil {
+		err = runErr
 	}
-	parseStart := time.Now()
-	stmts, err := parser.ParseScript(sql)
-	s.pendParse = time.Since(parseStart)
-	s.e.parseSeconds.ObserveDuration(s.pendParse)
 	if err != nil {
 		return nil, err
-	}
-	var last *Result
-	for _, st := range stmts {
-		r, err := s.e.execStmt(st, sql, s.rootEnv())
-		if err != nil {
-			return nil, err
-		}
-		last = r
 	}
 	return last, nil
 }
@@ -321,8 +315,8 @@ func (s *Session) ExecScript(sql string) (*Result, error) {
 // and its result or execution error. fn returns false to stop early —
 // protocol front ends use this to stream one response per statement
 // and to halt at the first error, the way PostgreSQL's simple query
-// protocol does. Like ExecScript, the full script text is what
-// sqltext() reports inside trigger actions. A parse error is returned
+// protocol does. The full script text is what sqltext() reports inside
+// trigger actions. A parse error is returned
 // directly and fn is never called.
 func (s *Session) ExecMulti(sql string, fn func(stmt ast.Stmt, res *Result, err error) bool) error {
 	if err := s.checkOpen(); err != nil {

@@ -76,6 +76,81 @@ func TestScanChunkEmptyTable(t *testing.T) {
 	}
 }
 
+// TestScanRangeMatchesScanChunk: consecutive ScanRange windows over a
+// heap with tombstones on both sides of a chunk boundary return exactly
+// the rows and IDs one ScanChunk pass returns. A full out buffer hands
+// back the position just past the last row copied, and a window that
+// runs past the heap end is clamped to it.
+func TestScanRangeMatchesScanChunk(t *testing.T) {
+	tbl := mustTable(t)
+	heap := ChunkRows + 100
+	for i := 0; i < heap; i++ {
+		if _, err := tbl.Insert(row(int64(i), "p", 30)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []RowID{0, 5, ChunkRows - 2, ChunkRows - 1, ChunkRows, ChunkRows + 1, RowID(heap - 1)} {
+		if _, err := tbl.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	wantRows := make([]value.Row, heap)
+	wantIDs := make([]RowID, heap)
+	n, next := tbl.ScanChunk(0, wantRows, wantIDs)
+	if next != -1 || n != heap-7 {
+		t.Fatalf("ScanChunk = (%d, %d), want (%d, -1)", n, next, heap-7)
+	}
+	wantRows, wantIDs = wantRows[:n], wantIDs[:n]
+
+	// A window that straddles the chunk boundary and an out buffer that
+	// fills mid-window on most calls; the last window ends past the heap.
+	const window, bufLen = 1000, 7
+	var gotRows []value.Row
+	var gotIDs []RowID
+	out := make([]value.Row, bufLen)
+	ids := make([]RowID, bufLen)
+	for start := 0; start < heap; start += window {
+		end := start + window
+		for pos := start; pos >= 0; {
+			n, next := tbl.ScanRange(pos, end, out, ids)
+			for i := 0; i < n; i++ {
+				if int(ids[i]) < pos || int(ids[i]) >= end {
+					t.Fatalf("ScanRange(%d, %d) returned id %d outside the window", pos, end, ids[i])
+				}
+			}
+			if next >= 0 {
+				if n != bufLen {
+					t.Fatalf("ScanRange(%d, %d) resumed at %d with out only %d/%d full", pos, end, next, n, bufLen)
+				}
+				if next != int(ids[n-1])+1 {
+					t.Fatalf("ScanRange(%d, %d) resumed at %d, want %d (just past id %d)", pos, end, next, ids[n-1]+1, ids[n-1])
+				}
+			}
+			gotRows = append(gotRows, out[:n]...)
+			gotIDs = append(gotIDs, ids[:n]...)
+			pos = next
+		}
+	}
+	if len(gotIDs) != len(wantIDs) {
+		t.Fatalf("ScanRange windows returned %d rows, ScanChunk %d", len(gotIDs), len(wantIDs))
+	}
+	for i := range wantIDs {
+		if gotIDs[i] != wantIDs[i] || gotRows[i][0].Int() != wantRows[i][0].Int() {
+			t.Fatalf("row %d: ScanRange (%d, %v), ScanChunk (%d, %v)", i, gotIDs[i], gotRows[i], wantIDs[i], wantRows[i])
+		}
+	}
+
+	// Past the heap end: clamped, so the tail window reports exhaustion
+	// and a window wholly beyond the heap returns nothing.
+	if n, next := tbl.ScanRange(heap-3, heap+1000, out, ids); n != 2 || next != -1 || ids[1] != RowID(heap-2) {
+		t.Errorf("ScanRange(heap-3, heap+1000) = (%d, %d) last id %d, want (2, -1) last id %d", n, next, ids[1], heap-2)
+	}
+	if n, next := tbl.ScanRange(heap+5, heap+10, out, ids); n != 0 || next != -1 {
+		t.Errorf("ScanRange past heap = (%d, %d), want (0, -1)", n, next)
+	}
+}
+
 // TestFetchRowsCompactsDeleted: FetchRows returns the live rows for
 // the requested IDs compacted to the front, skipping deleted ones.
 func TestFetchRowsCompactsDeleted(t *testing.T) {

@@ -330,8 +330,11 @@ func (t *Table) scanPrunedLocked(pos, end int, out []value.Row, ids []RowID, dec
 	return n, -1
 }
 
-// scanWindowLocked is the stats-free fallback: ScanRange's body without
-// the lock. Caller holds t.mu.RLock.
+// scanWindowLocked copies up to len(out) live rows from heap positions
+// [pos, end) and returns the count plus the resume position (-1 once
+// the window is exhausted). It is the one unpruned copy loop behind
+// ScanChunk, ScanRange and the stats-free pruned path. Caller holds
+// t.mu.RLock and has clamped end to the heap.
 func (t *Table) scanWindowLocked(pos, end int, out []value.Row, ids []RowID) (n, next int) {
 	i := pos
 	for ; i < end && n < len(out); i++ {

@@ -346,20 +346,7 @@ func (t *Table) Snapshot(fn func(id RowID, row value.Row) bool) {
 func (t *Table) ScanChunk(pos int, out []value.Row, ids []RowID) (n, next int) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	i := pos
-	for ; i < len(t.rows) && n < len(out); i++ {
-		row := t.rows[i]
-		if row == nil {
-			continue
-		}
-		ids[n] = RowID(i)
-		out[n] = row
-		n++
-	}
-	if i >= len(t.rows) {
-		return n, -1
-	}
-	return n, i
+	return t.scanWindowLocked(pos, len(t.rows), out, ids)
 }
 
 // HeapBound returns the current heap extent: every live row sits at a
@@ -385,20 +372,7 @@ func (t *Table) ScanRange(pos, end int, out []value.Row, ids []RowID) (n, next i
 	if end > len(t.rows) {
 		end = len(t.rows)
 	}
-	i := pos
-	for ; i < end && n < len(out); i++ {
-		row := t.rows[i]
-		if row == nil {
-			continue
-		}
-		ids[n] = RowID(i)
-		out[n] = row
-		n++
-	}
-	if i >= end {
-		return n, -1
-	}
-	return n, i
+	return t.scanWindowLocked(pos, end, out, ids)
 }
 
 // FetchRows copies the live rows with the given IDs into out under one
