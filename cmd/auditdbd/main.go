@@ -66,9 +66,8 @@ func main() {
 		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "default per-query worker budget for parallel execution (1 = serial; sessions override with SET workers)")
 		traceSample  = flag.Int("trace-sample", 0, "capture a full span trace for every nth statement (0 = off; sessions force capture with SET trace = on)")
 		pprofOn      = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on -metrics-addr")
-		triageWork   = flag.Int("triage-workers", 2, "background offline-verification workers draining the audit triage queue (0 = triage disabled)")
-		triageQueue  = flag.Int("triage-queue", 256, "bound on the risk-scored triage queue; overflow evicts the lowest-scored event")
-		triageBudget = flag.Int("triage-budget", 60, "exact offline audits allowed per minute; excess events get skipped-budget verdicts (0 = unlimited)")
+		triageWork   = flag.Int("triage-workers", 2, "background verification workers draining the audit triage queue (0 = triage disabled)")
+		triageQueue  = flag.Int("triage-queue", 256, "bound on the priority-ordered triage queue; overflow evicts the lowest-priority, newest event")
 	)
 	flag.Parse()
 
@@ -159,21 +158,18 @@ func main() {
 		logger.Info("executed init script", "path", *initScript)
 	}
 
-	// Budgeted audit triage: risk-score every trigger firing and verify
-	// the highest-scored ones offline in the background. Verdicts are
-	// signed records in the hash-chained audit stream, so triage needs
-	// the WAL; without -data-dir there is nowhere to write them.
+	// Audit triage: queue every trigger firing by declared PRIORITY and
+	// sign a verdict for it in the background — from the firing itself
+	// when its accessed IDs are exact, by an offline replay otherwise.
+	// Verdicts are signed records in the hash-chained audit stream, so
+	// triage needs the WAL; without -data-dir there is nowhere to write
+	// them.
 	if *triageWork > 0 {
 		if eng.WAL() == nil {
 			logger.Info("triage disabled: verdicts need -data-dir for the audit stream")
 		} else {
-			eng.ConfigureTriage(triage.Config{
-				Workers:      *triageWork,
-				QueueBound:   *triageQueue,
-				BudgetPerMin: *triageBudget,
-			})
-			logger.Info("audit triage running",
-				"workers", *triageWork, "queue", *triageQueue, "budget_per_min", *triageBudget)
+			eng.ConfigureTriage(triage.Config{Workers: *triageWork, QueueBound: *triageQueue})
+			logger.Info("audit triage running", "workers", *triageWork, "queue", *triageQueue)
 		}
 	}
 

@@ -228,48 +228,6 @@ func placeHighest(holder *rootHolder, e *AuditExpression, sink plan.AuditSink) {
 	}
 }
 
-// HasConservativePlacement reports whether an instrumented plan may
-// over-report accesses: true when some audit operator sits below a
-// non-commutative operator (group-by, top-k/limit, distinct — the
-// paper's Theorem 3.7 boundary) or inside a subquery block (Example
-// 3.8: rows observed in a subquery need not influence the outer
-// result). Plans where every audit operator reached the root
-// unobstructed report exactly (no false positives, Theorem 3.7); the
-// observability layer counts the two outcomes separately so operators
-// can see how much of their workload is exactly audited.
-// Under the default HCN heuristic the row-dropping ancestors reduce to
-// exactly the non-commutative set {Aggregate, Limit, Distinct}: the
-// pull-up loop always moves an audit operator past filters, joins and
-// sorts, so one can only remain beneath them when a non-commutative
-// operator blocks the path. For the leaf-node heuristic the extra
-// Filter/Join cases matter — a leaf-placed operator under a join is
-// conservative even though nothing non-commutative is in the plan.
-func HasConservativePlacement(root plan.Node) bool {
-	conservative := false
-	var visit func(n plan.Node, aboveRowDropping bool)
-	visit = func(n plan.Node, above bool) {
-		if _, ok := n.(*plan.Audit); ok && above {
-			conservative = true
-		}
-		switch n.(type) {
-		case *plan.Aggregate, *plan.Limit, *plan.Distinct, *plan.Filter, *plan.Join:
-			above = true
-		}
-		for _, c := range n.Children() {
-			visit(c, above)
-		}
-	}
-	visit(root, false)
-	if !conservative {
-		plan.Subplans(root, func(sq *plan.Subquery) {
-			if CountAuditOps(sq.Plan, true) > 0 {
-				conservative = true
-			}
-		})
-	}
-	return conservative
-}
-
 // CountAuditOps returns how many audit operators are in the plan
 // (excluding subquery blocks when deep is false).
 func CountAuditOps(root plan.Node, deep bool) int {

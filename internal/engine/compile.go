@@ -5,6 +5,7 @@ import (
 
 	"auditdb/internal/ast"
 	"auditdb/internal/core"
+	"auditdb/internal/offline"
 	"auditdb/internal/opt"
 	"auditdb/internal/plan"
 )
@@ -37,12 +38,15 @@ func (s *Session) planKnobs() knobs {
 // sinks belong to whoever compiled it; every execution rebinds them
 // (executeSelect), so a compiled plan can be cached and run again.
 type compiled struct {
-	root         plan.Node
-	targets      []*core.AuditExpression
-	hasAudit     bool // instrumentation placed at least one audit operator
-	conservative bool // some audit operator may over-report (Example 3.8)
-	parallel     bool // the parallelizer rewrote the plan
-	correlated   bool // the plan reads the trigger's NEW/OLD outer row
+	root     plan.Node
+	targets  []*core.AuditExpression
+	hasAudit bool // instrumentation placed at least one audit operator
+	// exact[i] says targets[i]'s ACCESSED set is the Definition 2.3
+	// answer (offline.Classify); false means it may over-report
+	// (Example 3.8). Nil when hasAudit is false.
+	exact      []bool
+	parallel   bool // the parallelizer rewrote the plan
+	correlated bool // the plan reads the trigger's NEW/OLD outer row
 
 	// When opt.Optimize ran, for the compiling statement's trace.
 	optStart time.Time
@@ -71,8 +75,8 @@ func (e *Engine) build(sel *ast.Select, env *actionEnv) (*compiled, error) {
 // compile is the one place the plan pipeline runs, in order: build and
 // optimize, instrument with audit operators — after logical
 // optimization, exactly where the paper's prototype inserts them
-// (§IV-B) — classify their placement, then parallelize. Every SELECT
-// the engine runs or explains is planned here.
+// (§IV-B) — classify each target's placement, then parallelize. Every
+// SELECT the engine runs or explains is planned here.
 func (e *Engine) compile(sel *ast.Select, env *actionEnv, k knobs) (*compiled, error) {
 	c, err := e.build(sel, env)
 	if err != nil {
@@ -89,7 +93,15 @@ func (e *Engine) compile(sel *ast.Select, env *actionEnv, k knobs) (*compiled, e
 		// instrumentation actually placed an operator.
 		if core.CountAuditOps(c.root, true) > 0 {
 			c.hasAudit = true
-			c.conservative = core.HasConservativePlacement(c.root)
+			// The offline auditor's lineage rule decides exactness, on the
+			// serial plan it was written for. It vouches for hcn placement
+			// only: under leaf or highest no target counts exact.
+			c.exact = make([]bool, len(c.targets))
+			if k.heuristic == core.HighestCommutativeNode {
+				for i, ae := range c.targets {
+					c.exact[i] = offline.Classify(e.cat, c.root, ae) == ""
+				}
+			}
 		}
 	}
 	// Parallelize last, over the instrumented plan, so audit operators
@@ -99,6 +111,19 @@ func (e *Engine) compile(sel *ast.Select, env *actionEnv, k knobs) (*compiled, e
 		c.parallel = planIsParallel(c.root)
 	}
 	return c, nil
+}
+
+// placementExact reports whether every target's ACCESSED set is exact:
+// the placement_exact outcome. Targets the plan never reads classify
+// exact (nothing observed, nothing accessed), so only instrumented ones
+// can make it false.
+func (c *compiled) placementExact() bool {
+	for _, x := range c.exact {
+		if !x {
+			return false
+		}
+	}
+	return true
 }
 
 // planIsParallel reports whether the parallelizer actually rewrote the

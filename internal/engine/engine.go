@@ -129,9 +129,9 @@ type Engine struct {
 	tracesSampled      *obs.Counter
 	traceRingEvictions *obs.Counter
 
-	// Budgeted audit triage (see internal/triage and triage.go):
-	// trigger firings are risk-scored into a bounded queue drained by
-	// background offline-verification workers. New() builds the service
+	// Audit triage (see internal/triage and triage.go): trigger firings
+	// enter a bounded priority queue drained by background verification
+	// workers. New() builds the service
 	// disabled (no workers — the enqueue path is skipped entirely);
 	// ConfigureTriage swaps in an enabled one. triageMetrics is
 	// registered once in initMetrics and survives reconfiguration.
@@ -167,10 +167,10 @@ type Stats struct {
 	Sessions *obs.Counter
 	// PlacementExact / PlacementConservative classify every
 	// instrumented SELECT by audit-operator placement outcome: exact
-	// when every operator reached its block root unobstructed (no false
-	// positives, Theorem 3.7), conservative when one sits below a
-	// row-dropping operator or inside a subquery and may over-report
-	// (Example 3.8).
+	// when offline.Classify decides every target's ACCESSED set by
+	// lineage under hcn placement (no false positives: Theorem 3.7 and
+	// the COUNT(*) aggregate rule), conservative when some target's
+	// operator may over-report (Example 3.8).
 	PlacementExact        *obs.Counter
 	PlacementConservative *obs.Counter
 }
@@ -220,7 +220,7 @@ func New() *Engine {
 	e.defaultWorkers.Store(1)
 	e.parallelMinRows.Store(DefaultParallelMinRows)
 	e.execWorkers.Set(1)
-	e.triage = triage.NewService(triage.Config{}, nil, e.verifyTriageEvent, e.triageMetrics)
+	e.triage = triage.NewService(triage.Config{}, e.verifyTriageEvent, e.triageMetrics)
 	e.defSess = newSession(e, "system", false, core.HighestCommutativeNode)
 	return e
 }
@@ -242,9 +242,9 @@ func (e *Engine) initMetrics() {
 		RowsScanned: r.NewCounter("auditdb_rows_scanned_total", "rows_scanned", "Heap and index rows read from storage."),
 		Sessions:    r.NewCounter("auditdb_sessions_total", "sessions", "Sessions ever created, the default session included."),
 		PlacementExact: r.NewCounter("auditdb_placement_exact_total", "placement_exact",
-			"Instrumented SELECTs whose audit operators all reached their block roots (exact auditing, Theorem 3.7)."),
+			"Instrumented SELECTs whose every ACCESSED set is the Def 2.3 answer (hcn placement on a shape the lineage rule decides, Theorem 3.7)."),
 		PlacementConservative: r.NewCounter("auditdb_placement_conservative_total", "placement_conservative",
-			"Instrumented SELECTs with an audit operator below a row-dropping operator or inside a subquery (may over-report)."),
+			"Instrumented SELECTs with an ACCESSED set that may over-report (a shape the lineage rule defers, or leaf/highest placement)."),
 	}
 	e.rowsAuditedByTable = r.NewCounterVec("auditdb_rows_audited_total", "rows_audited_by_table",
 		"Distinct sensitive IDs recorded into ACCESSED, by sensitive table.", "table")
@@ -287,7 +287,7 @@ func (e *Engine) initMetrics() {
 		func() int64 { return int64(e.traceRing.Len()) })
 	e.triageMetrics = triage.NewMetrics(r)
 	e.offlineVerdicts = r.NewCounterVec("auditdb_offline_verdicts_total", "offline_verdicts",
-		"Exact offline verdicts, by path (lineage = decided by the one instrumented run, deletion = some candidate needed the tuple-deletion test).", "path")
+		"Exact offline verdicts, by path (static = an exact triage firing confirmed with no execution, lineage = decided by the one instrumented run, deletion = some candidate needed the tuple-deletion test).", "path")
 	e.offlineExecutions = r.NewCounter("auditdb_offline_executions_total", "offline_executions",
 		"Full query executions performed by offline audits (instrumented runs, baselines and deletion tests).")
 	e.offlineDeferred = r.NewCounterVec("auditdb_offline_deferred_total", "offline_deferred",
@@ -695,10 +695,10 @@ func (e *Engine) executeSelect(c *compiled, sql string, env *actionEnv, workers 
 		rebindProbes(n, acc)
 	}
 	if c.hasAudit {
-		if c.conservative {
-			e.stats.PlacementConservative.Add(1)
-		} else {
+		if c.placementExact() {
 			e.stats.PlacementExact.Add(1)
+		} else {
+			e.stats.PlacementConservative.Add(1)
 		}
 	}
 	if c.parallel {
@@ -772,7 +772,7 @@ func (e *Engine) executeSelect(c *compiled, sql string, env *actionEnv, workers 
 		e.mu.RLock()
 		onAccess := e.onAccess
 		e.mu.RUnlock()
-		for _, ae := range targets {
+		for i, ae := range targets {
 			if acc.Len(ae.Meta.Name) == 0 {
 				continue
 			}
@@ -780,7 +780,7 @@ func (e *Engine) executeSelect(c *compiled, sql string, env *actionEnv, workers 
 			audited += recorded
 			e.stats.RowsAudited.Add(recorded)
 			e.rowsAuditedByTable.With(strings.ToLower(ae.Meta.SensitiveTable)).Add(recorded)
-			if err := e.fireAccessTriggers(ae, acc, sql, env); err != nil {
+			if err := e.fireAccessTriggers(ae, acc, c.exact[i], sql, env); err != nil {
 				return nil, fmt.Errorf("SELECT trigger action failed: %w", err)
 			}
 			if onAccess != nil {
@@ -800,9 +800,9 @@ func (e *Engine) executeSelect(c *compiled, sql string, env *actionEnv, workers 
 	if thr := e.slowQueryNanos.Load(); thr > 0 && int64(elapsed) >= thr {
 		placement := "uninstrumented"
 		if acc != nil {
-			placement = "exact"
-			if c.conservative {
-				placement = "conservative"
+			placement = "conservative"
+			if c.placementExact() {
+				placement = "exact"
 			}
 		}
 		e.Logger().Warn("slow query",

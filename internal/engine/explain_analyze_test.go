@@ -153,9 +153,9 @@ func TestExplainAnalyzeTopK(t *testing.T) {
 }
 
 // TestPlacementOutcomeCounters checks the placement_exact vs
-// placement_conservative classification: a select-join query whose
-// audit operators reach the root counts exact (Theorem 3.7); a top-k
-// query whose operator is blocked below LIMIT counts conservative.
+// placement_conservative classification: a select-join query counts
+// exact (Theorem 3.7); a top-k query whose operator is blocked below
+// LIMIT counts conservative.
 func TestPlacementOutcomeCounters(t *testing.T) {
 	e := newHealthDB(t)
 	withAliceAudit(t, e)
@@ -187,6 +187,41 @@ func TestPlacementOutcomeCounters(t *testing.T) {
 	}
 	if final["rows_audited"] < 1 {
 		t.Errorf("rows_audited = %d, want >= 1", final["rows_audited"])
+	}
+
+	// The counters read offline.Classify, the auditor's lineage rule:
+	// an outer join with Patients on the nullable side may over-report
+	// (a NULL-extended row stands in for a deleted match), a COUNT(*)
+	// aggregate does not, and a second expression's operator on the
+	// same table leaves a select-join exact.
+	if _, err := e.Exec(`CREATE AUDIT EXPRESSION Audit_Old AS
+		SELECT * FROM Patients WHERE Age > 40
+		FOR SENSITIVE TABLE Patients, PARTITION BY PatientID`); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		sql      string
+		auditAll bool
+		exact    bool
+	}{
+		{"SELECT D.Disease FROM Disease D LEFT JOIN Patients P ON D.PatientID = P.PatientID", false, false},
+		{"SELECT COUNT(*) FROM Patients WHERE Name = 'Alice'", false, true},
+		{"SELECT P.Name, D.Disease FROM Patients P, Disease D WHERE P.PatientID = D.PatientID", true, true},
+	} {
+		e.SetAuditAll(tc.auditAll)
+		before := e.StatsSnapshot()
+		mustQuery(t, e, tc.sql)
+		after := e.StatsSnapshot()
+		exact := after["placement_exact"] - before["placement_exact"]
+		conservative := after["placement_conservative"] - before["placement_conservative"]
+		wantExact := int64(0)
+		if tc.exact {
+			wantExact = 1
+		}
+		if exact != wantExact || conservative != 1-wantExact {
+			t.Errorf("%q: placement_exact delta %d, placement_conservative delta %d; want exact=%v",
+				tc.sql, exact, conservative, tc.exact)
+		}
 	}
 }
 

@@ -13,27 +13,24 @@ import (
 	"auditdb/internal/wal"
 )
 
-// ConfigureTriage (re)builds the budgeted-triage service: a bounded
-// risk-priority queue over trigger firings drained by cfg.Workers
-// background goroutines that re-derive each firing with the exact
-// offline auditor and append a signed verdict to the audit chain.
-// Workers <= 0 leaves triage disabled (the engine's default — embedded
-// engines and unit tests pay nothing; auditdbd enables it via
-// -triage-workers). Must be called before the engine serves traffic or
-// between drained configurations, not concurrently with firings.
+// ConfigureTriage (re)builds the triage service: a bounded priority
+// queue over trigger firings drained by cfg.Workers background
+// goroutines that decide each firing's verdict and append it, signed,
+// to the audit chain. Workers <= 0 leaves triage disabled (the engine's
+// default — embedded engines and unit tests pay nothing; auditdbd
+// enables it via -triage-workers). Must be called before the engine
+// serves traffic or between drained configurations, not concurrently
+// with firings.
 func (e *Engine) ConfigureTriage(cfg triage.Config) {
 	if old := e.triage; old != nil && old.Enabled() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		old.Stop(ctx)
 		cancel()
 	}
-	svc := triage.NewService(cfg, nil, e.verifyTriageEvent, e.triageMetrics)
+	svc := triage.NewService(cfg, e.verifyTriageEvent, e.triageMetrics)
 	e.triage = svc
 	svc.Start()
 }
-
-// Triage exposes the triage service (never nil after New).
-func (e *Engine) Triage() *triage.Service { return e.triage }
 
 // StopTriage drains the verification pool: workers finish the backlog
 // while ctx lasts; when it expires, in-flight offline audits are
@@ -69,46 +66,50 @@ func (e *Engine) OfflineAudit(ctx context.Context, sql string, ae *core.AuditExp
 	return rep, nil
 }
 
-// verifyTriageEvent is the triage workers' callback: run the exact
-// offline auditor (Def 2.3) for the event's statement — unless the
-// per-minute budget is exhausted — and chain a signed verdict record.
-// Outcomes: confirmed (the offline audit found accessed sensitive
-// tuples, the firing was right), refuted (it found none — the online
-// placement over-reported, Example 3.8), skipped-budget (budget
-// exhausted, the expression was dropped, or the statement is not a
-// single auditable query, e.g. a script).
-func (e *Engine) verifyTriageEvent(ctx context.Context, ev triage.Event, budgeted bool) (triage.Result, error) {
+// verifyTriageEvent is the triage workers' callback: decide the
+// event's verdict and chain it as a signed record. Outcomes: confirmed
+// (the firing's accessed IDs hold up), refuted (a replay found none —
+// the online placement over-reported, Example 3.8), skipped (the
+// expression was dropped, or the statement is not a single auditable
+// query, e.g. a script).
+//
+// An exact event (compiled.exact) is confirmed as it stands, with no
+// query run: its IDs are the Definition 2.3 answer as of the firing's
+// own read (Theorem 3.7, and ACCESSED is invariant across workers,
+// skipping and plan caches), so the verdict holds whatever the table
+// holds now. Any other event replays its statement through the offline
+// auditor against current data.
+func (e *Engine) verifyTriageEvent(ctx context.Context, ev triage.Event) (triage.Result, error) {
 	if e.wal == nil {
 		return triage.Result{}, fmt.Errorf("triage: no WAL attached")
 	}
 	outcome := wal.VerdictSkipped
-	suspicious := 0
+	suspicious, path, executions := 0, "", 0
 	var elapsed time.Duration
-	var rep *offline.Report
-	if budgeted {
-		if ae, ok := e.reg.Get(ev.Expr); ok {
-			t0 := time.Now()
-			// Serial deletion tests: background verification must not
-			// commandeer the host's cores from foreground statements.
-			var err error
-			rep, err = e.OfflineAudit(ctx, ev.SQL, ae, 1)
-			elapsed = time.Since(t0)
-			if ctx.Err() != nil {
-				// Drain/shutdown cancelled the audit mid-scan: no verdict.
-				return triage.Result{}, ctx.Err()
-			}
-			if err == nil {
-				suspicious = len(rep.AccessedIDs)
-				if suspicious > 0 {
-					outcome = wal.VerdictConfirmed
-				} else {
-					outcome = wal.VerdictRefuted
-				}
-			}
-			// err != nil: the recorded SQL is not offline-auditable (a
-			// multi-statement script, a since-dropped table); the event
-			// still gets a chained skipped verdict rather than vanishing.
+	if ev.Exact {
+		outcome, suspicious, path = wal.VerdictConfirmed, ev.NumIDs, "static"
+		e.offlineVerdicts.With(path).Inc()
+	} else if ae, ok := e.reg.Get(ev.Expr); ok {
+		t0 := time.Now()
+		// Serial deletion tests: background verification must not
+		// commandeer the host's cores from foreground statements.
+		rep, err := e.OfflineAudit(ctx, ev.SQL, ae, 1)
+		elapsed = time.Since(t0)
+		if ctx.Err() != nil {
+			// Drain/shutdown cancelled the audit mid-scan: no verdict.
+			return triage.Result{}, ctx.Err()
 		}
+		if err == nil {
+			suspicious, path, executions = len(rep.AccessedIDs), rep.Path(), rep.Executions
+			if suspicious > 0 {
+				outcome = wal.VerdictConfirmed
+			} else {
+				outcome = wal.VerdictRefuted
+			}
+		}
+		// err != nil: the recorded SQL is not offline-auditable (a
+		// multi-statement script, a since-dropped table); the event
+		// still gets a chained skipped verdict rather than vanishing.
 	}
 	v := &wal.Verdict{
 		AuditSeq:     ev.AuditSeq,
@@ -116,7 +117,7 @@ func (e *Engine) verifyTriageEvent(ctx context.Context, ev triage.Event, budgete
 		User:         ev.User,
 		Expr:         ev.Expr,
 		QID:          ev.QID,
-		Score:        ev.Score,
+		Score:        float64(ev.Priority), // the record's float field carries the priority
 		Suspicious:   uint32(suspicious),
 		ElapsedNanos: int64(elapsed),
 		UnixNano:     time.Now().UnixNano(),
@@ -125,12 +126,7 @@ func (e *Engine) verifyTriageEvent(ctx context.Context, ev triage.Event, budgete
 	if err != nil {
 		return triage.Result{}, err
 	}
-	if budgeted {
-		// Only real audits earn a triage.verify span: a skipped-budget
-		// verdict carries nothing the verdict ring doesn't already
-		// hold, and the skip path runs once per firing under overload.
-		e.retainVerifyTrace(ev, wal.VerdictName(outcome), suspicious, elapsed, rep)
-	}
+	e.retainVerifyTrace(ev, wal.VerdictName(outcome), suspicious, elapsed, path, executions)
 	return triage.Result{
 		ChainSeq:   seq,
 		Outcome:    wal.VerdictName(outcome),
@@ -141,9 +137,10 @@ func (e *Engine) verifyTriageEvent(ctx context.Context, ev triage.Event, budgete
 // retainVerifyTrace pushes a one-span trace for the background
 // verification into the trace ring under the firing statement's query
 // ID, so SHOW TRACE FOR <qid> and /traces?qid= correlate the original
-// statement with its later offline verdict. rep is nil when no audit
-// produced a report (dropped expression, unauditable statement).
-func (e *Engine) retainVerifyTrace(ev triage.Event, outcome string, suspicious int, elapsed time.Duration, rep *offline.Report) {
+// statement with its later verdict. path is "static" for an exact
+// event, the offline report's path for a replay, and empty when no
+// verdict was reached (dropped expression, unauditable statement).
+func (e *Engine) retainVerifyTrace(ev triage.Event, outcome string, suspicious int, elapsed time.Duration, path string, executions int) {
 	var r trace.Rec
 	r.Begin(ev.QID, true)
 	start := time.Now().Add(-elapsed)
@@ -151,10 +148,10 @@ func (e *Engine) retainVerifyTrace(ev triage.Event, outcome string, suspicious i
 		r.SetAttr(id, "expr", ev.Expr)
 		r.SetAttr(id, "outcome", outcome)
 		r.SetAttrInt(id, "suspicious", int64(suspicious))
-		r.SetAttrInt(id, "score", int64(ev.Score))
-		if rep != nil {
-			r.SetAttr(id, "path", rep.Path())
-			r.SetAttrInt(id, "executions", int64(rep.Executions))
+		r.SetAttrInt(id, "priority", int64(ev.Priority))
+		if path != "" {
+			r.SetAttr(id, "path", path)
+			r.SetAttrInt(id, "executions", int64(executions))
 		}
 	}
 	if t := r.Finish(ev.User, ev.SQL, "", true); t != nil {
@@ -165,15 +162,15 @@ func (e *Engine) retainVerifyTrace(ev triage.Event, outcome string, suspicious i
 }
 
 // runShowAuditQueue serves SHOW AUDIT QUEUE: the triage events
-// resident in the bounded queue, highest risk first.
+// resident in the bounded queue, in service order.
 func (e *Engine) runShowAuditQueue() (*Result, error) {
-	res := &Result{Columns: []string{"score", "user", "expression", "qid", "audit_seq", "ids", "sql"}}
+	res := &Result{Columns: []string{"priority", "user", "expression", "qid", "audit_seq", "ids", "sql"}}
 	if e.triage == nil {
 		return res, nil
 	}
 	for _, ev := range e.triage.Snapshot() {
 		res.Rows = append(res.Rows, value.Row{
-			value.NewFloat(ev.Score),
+			value.NewInt(int64(ev.Priority)),
 			value.NewString(ev.User),
 			value.NewString(ev.Expr),
 			value.NewInt(int64(ev.QID)),
@@ -189,7 +186,7 @@ func (e *Engine) runShowAuditQueue() (*Result, error) {
 // ring, newest first. The durable record is the audit chain itself
 // (VERIFY AUDIT LOG covers verdict records too).
 func (e *Engine) runShowAuditVerdicts() (*Result, error) {
-	res := &Result{Columns: []string{"seq", "audit_seq", "outcome", "score", "user", "expression", "qid", "suspicious", "elapsed_us"}}
+	res := &Result{Columns: []string{"seq", "audit_seq", "outcome", "priority", "user", "expression", "qid", "suspicious", "elapsed_us"}}
 	if e.triage == nil {
 		return res, nil
 	}
@@ -198,7 +195,7 @@ func (e *Engine) runShowAuditVerdicts() (*Result, error) {
 			value.NewInt(int64(v.ChainSeq)),
 			value.NewInt(int64(v.AuditSeq)),
 			value.NewString(v.Outcome),
-			value.NewFloat(v.Score),
+			value.NewInt(int64(v.Priority)),
 			value.NewString(v.User),
 			value.NewString(v.Expr),
 			value.NewInt(int64(v.QID)),

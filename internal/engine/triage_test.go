@@ -11,16 +11,18 @@ import (
 	"auditdb/internal/triage"
 )
 
-// triageHealthDB builds a durable engine with the paper's example, an
-// audit expression carrying a PRIORITY, an ON ACCESS trigger, and the
-// triage service running.
+// triageHealthDB builds a durable engine with the paper's example
+// (Alice has a Disease row), an audit expression carrying a PRIORITY,
+// an ON ACCESS trigger, and the triage service running.
 func triageHealthDB(t *testing.T, dir string, cfg triage.Config) *Engine {
 	t.Helper()
 	e := openDurable(t, dir)
 	script := `
 		CREATE TABLE Patients (PatientID INT PRIMARY KEY, Name VARCHAR(30), Age INT);
+		CREATE TABLE Disease (PatientID INT, Disease VARCHAR(30));
 		CREATE TABLE Log (UserID VARCHAR(30), PatientID INT);
 		INSERT INTO Patients VALUES (1, 'Alice', 34), (2, 'Bob', 21), (3, 'Carol', 47);
+		INSERT INTO Disease VALUES (1, 'cancer'), (2, 'flu');
 		CREATE AUDIT EXPRESSION Audit_Alice AS
 			SELECT * FROM Patients WHERE Name = 'Alice'
 			FOR SENSITIVE TABLE Patients, PARTITION BY PatientID PRIORITY 3;
@@ -38,16 +40,40 @@ func quiesceTriage(t *testing.T, e *Engine) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := e.Triage().Quiesce(ctx); err != nil {
+	if err := e.triage.Quiesce(ctx); err != nil {
 		t.Fatalf("triage quiesce: %v", err)
 	}
 }
 
+// verifySpan returns the path and executions the triage.verify span
+// retained for the firing of sql; ok=false when there is none.
+func verifySpan(e *Engine, sql string) (path string, executions int64, ok bool) {
+	for _, tr := range e.traceRing.Snapshot() {
+		if tr.SQL != sql {
+			continue
+		}
+		for _, sp := range tr.Spans {
+			if sp.Name != "triage.verify" {
+				continue
+			}
+			for _, a := range sp.Attrs {
+				switch a.Key {
+				case "path":
+					path = a.Str
+				case "executions":
+					executions = a.Int
+				}
+			}
+			return path, executions, true
+		}
+	}
+	return "", 0, false
+}
+
 // TestTriageVerdictEndToEnd drives the full loop: a query fires the
-// trigger, the firing is scored and enqueued, a background worker
-// re-derives it with the exact offline auditor, and the signed verdict
-// lands in the hash chain, readable via SHOW AUDIT VERDICTS and
-// covered by VERIFY AUDIT LOG.
+// trigger, the firing is enqueued, a background worker signs its
+// verdict, and the verdict lands in the hash chain, readable via SHOW
+// AUDIT VERDICTS and covered by VERIFY AUDIT LOG.
 func TestTriageVerdictEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	e := triageHealthDB(t, dir, triage.Config{Workers: 2})
@@ -58,7 +84,7 @@ func TestTriageVerdictEndToEnd(t *testing.T) {
 	}
 	quiesceTriage(t, e)
 
-	st := e.Triage().Stats()
+	st := e.triage.Stats()
 	if st.Enqueued != 1 || st.Verdicts != 1 || st.Failed != 0 {
 		t.Fatalf("triage stats: %+v", st)
 	}
@@ -96,18 +122,29 @@ func TestTriageVerdictEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTriageRefutedVerdict forces a refutation deterministically: a
-// transaction reads Alice (firing the trigger; the triage event is
-// deferred to commit) and then deletes her row. By the time the
-// deferred event reaches a worker, the offline re-derivation of the
-// recorded statement accesses nothing — the verdict is refuted.
+// TestTriageRefutedVerdict pins when a read is refuted. A LEFT JOIN
+// with Patients on the nullable side over-reports Alice: without her
+// row, her Disease row comes back NULL-extended and projects the same
+// result. That shape is not exact, so the worker replays it and
+// refutes. Then a transaction reads Alice (the event is deferred to
+// commit) and deletes her row before committing. The select-join read
+// is exact, so the worker confirms it from the recorded IDs without
+// running a query — the read happened, whatever the table holds by the
+// time the worker arrives.
 func TestTriageRefutedVerdict(t *testing.T) {
 	dir := t.TempDir()
 	e := triageHealthDB(t, dir, triage.Config{Workers: 1})
 	defer e.CloseWAL()
 
+	const overReport = "SELECT D.Disease FROM Disease D LEFT JOIN Patients P ON D.PatientID = P.PatientID"
+	if _, err := e.Query(overReport); err != nil {
+		t.Fatal(err)
+	}
+	quiesceTriage(t, e)
+
+	const read = "SELECT * FROM Patients WHERE Name = 'Alice'"
 	txn := e.Begin()
-	if _, err := txn.Query("SELECT * FROM Patients WHERE Name = 'Alice'"); err != nil {
+	if _, err := txn.Query(read); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := txn.Exec("DELETE FROM Patients WHERE Name = 'Alice'"); err != nil {
@@ -119,11 +156,27 @@ func TestTriageRefutedVerdict(t *testing.T) {
 	quiesceTriage(t, e)
 
 	r := mustExec(t, e, "SHOW AUDIT VERDICTS")
-	if len(r.Rows) != 1 || r.Rows[0][2].Str() != "refuted" {
-		t.Fatalf("want one refuted verdict, got %v", r.Rows)
+	if len(r.Rows) != 2 || r.Rows[0][2].Str() != "confirmed" || r.Rows[1][2].Str() != "refuted" {
+		t.Fatalf("want confirmed (newest) then refuted, got %v", r.Rows)
+	}
+	if got := r.Rows[0][7].Int(); got != 1 {
+		t.Fatalf("confirmed verdict stands on %d IDs, want 1", got)
+	}
+	for _, tc := range []struct {
+		sql        string
+		path       string
+		executions int64
+	}{
+		{read, "static", 0},
+		{overReport, "deletion", 3}, // leaf pass, baseline, one test
+	} {
+		if path, executions, ok := verifySpan(e, tc.sql); !ok || path != tc.path || executions != tc.executions {
+			t.Errorf("%q: triage.verify path=%q executions=%d (found %v), want %q %d",
+				tc.sql, path, executions, ok, tc.path, tc.executions)
+		}
 	}
 	v := mustExec(t, e, "VERIFY AUDIT LOG")
-	if !v.Rows[0][0].Bool() {
+	if !v.Rows[0][0].Bool() || v.Rows[0][1].Int() != 4 {
 		t.Fatalf("VERIFY AUDIT LOG: %v", v.Rows)
 	}
 }
@@ -140,39 +193,6 @@ func TestTriageQueueHoldsWhenDisabled(t *testing.T) {
 	r := mustExec(t, e, "SHOW AUDIT QUEUE")
 	if len(r.Rows) != 0 {
 		t.Fatalf("disabled triage still queued: %v", r.Rows)
-	}
-}
-
-// TestTriageBudgetSkip pins the budget semantics: past the per-minute
-// budget, events still get chained verdicts — skipped-budget — instead
-// of silently vanishing.
-func TestTriageBudgetSkip(t *testing.T) {
-	dir := t.TempDir()
-	e := triageHealthDB(t, dir, triage.Config{Workers: 1, BudgetPerMin: 1})
-	defer e.CloseWAL()
-
-	for i := 0; i < 3; i++ {
-		if _, err := e.Query("SELECT * FROM Patients WHERE Name = 'Alice'"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	quiesceTriage(t, e)
-
-	r := mustExec(t, e, "SHOW AUDIT VERDICTS")
-	if len(r.Rows) != 3 {
-		t.Fatalf("want 3 verdicts, got %d", len(r.Rows))
-	}
-	byOutcome := map[string]int{}
-	for _, row := range r.Rows {
-		byOutcome[row[2].Str()]++
-	}
-	if byOutcome["confirmed"] != 1 || byOutcome["skipped-budget"] != 2 {
-		t.Fatalf("outcomes = %v, want 1 confirmed + 2 skipped-budget", byOutcome)
-	}
-	// Skipped verdicts are chained records too: the full stream verifies.
-	v := mustExec(t, e, "VERIFY AUDIT LOG")
-	if !v.Rows[0][0].Bool() || v.Rows[0][1].Int() != 6 {
-		t.Fatalf("VERIFY AUDIT LOG: %v", v.Rows)
 	}
 }
 
@@ -202,7 +222,7 @@ func TestTriageOverflowAccounting(t *testing.T) {
 		t.Fatal(err) // priority 3
 	}
 	quiesceTriage(t, e)
-	st := e.Triage().Stats()
+	st := e.triage.Stats()
 	if st.Enqueued != 2 {
 		t.Fatalf("enqueued = %d, want 2", st.Enqueued)
 	}
@@ -212,19 +232,6 @@ func TestTriageOverflowAccounting(t *testing.T) {
 	v := mustExec(t, e, "VERIFY AUDIT LOG")
 	if !v.Rows[0][0].Bool() {
 		t.Fatalf("VERIFY AUDIT LOG: %v", v.Rows)
-	}
-}
-
-// TestTriagePriorityScoreDominates checks the scoring surface end to
-// end: PRIORITY 3 must outscore the default even when the default
-// expression accessed as many rows.
-func TestTriagePriorityScoreDominates(t *testing.T) {
-	svc := triage.NewService(triage.Config{}, nil, nil, nil)
-	now := time.Now().UnixNano()
-	hi := svc.Score("u", 3, 1, now)
-	lo := svc.Score("u", 0, 1, now+int64(time.Second))
-	if hi <= lo {
-		t.Fatalf("PRIORITY 3 score %v not above default %v", hi, lo)
 	}
 }
 
@@ -269,7 +276,7 @@ func TestTriageRollbackLeavesNoQueuedWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	quiesceTriage(t, e)
-	if st := e.Triage().Stats(); st.Enqueued != 0 || st.Verdicts != 0 {
+	if st := e.triage.Stats(); st.Enqueued != 0 || st.Verdicts != 0 {
 		t.Fatalf("rolled-back read produced triage work: %+v", st)
 	}
 	// The audit record itself still chained (§II tamper resistance).
@@ -287,7 +294,7 @@ func TestTriageRollbackLeavesNoQueuedWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	quiesceTriage(t, e)
-	if st := e.Triage().Stats(); st.Enqueued != 1 || st.Verdicts != 1 {
+	if st := e.triage.Stats(); st.Enqueued != 1 || st.Verdicts != 1 {
 		t.Fatalf("committed read did not verify: %+v", st)
 	}
 }
@@ -320,13 +327,13 @@ func TestTriageStressAccounting(t *testing.T) {
 	wg.Wait()
 
 	// Identity holds mid-drain, before quiescing...
-	st := e.Triage().Stats()
+	st := e.triage.Stats()
 	if st.Enqueued != st.Verdicts+st.Dropped+st.Failed+uint64(st.Pending) {
 		t.Fatalf("identity broken mid-drain: %+v", st)
 	}
 	quiesceTriage(t, e)
 	// ...and after: everything enqueued is verified or counted dropped.
-	st = e.Triage().Stats()
+	st = e.triage.Stats()
 	if st.Enqueued != sessions*each {
 		t.Fatalf("enqueued = %d, want %d", st.Enqueued, sessions*each)
 	}
@@ -378,7 +385,7 @@ func TestTriageDoesNotPerturbAccessed(t *testing.T) {
 	e.SetTriage(true)
 	quiesceTriage(t, e)
 	// Only the triage-on firing produced an event.
-	if st := e.Triage().Stats(); st.Enqueued != 1 {
+	if st := e.triage.Stats(); st.Enqueued != 1 {
 		t.Fatalf("SET triage = off still enqueued: %+v", st)
 	}
 }
@@ -410,53 +417,32 @@ func TestTriageSessionToggleInheritance(t *testing.T) {
 // TestTriageVerifySpanAndOfflineMetrics: a background verification
 // says on its triage.verify span which path reached the verdict and
 // what it cost, and /metrics carries the same accounting — a
-// select-join firing is decided by lineage in one execution, a
-// DISTINCT firing is deferred, by name, to the deletion test.
+// select-join firing is exact and confirmed statically with no
+// execution, a DISTINCT firing replays and is deferred, by name, to
+// the deletion test.
 func TestTriageVerifySpanAndOfflineMetrics(t *testing.T) {
 	e := triageHealthDB(t, t.TempDir(), triage.Config{Workers: 1})
 	defer e.CloseWAL()
 
-	for _, sql := range []string{
-		"SELECT * FROM Patients WHERE Name = 'Alice'",
-		"SELECT DISTINCT Age FROM Patients",
-	} {
-		if _, err := e.Query(sql); err != nil {
+	want := []struct {
+		sql        string
+		path       string
+		executions int64
+	}{
+		{"SELECT * FROM Patients WHERE Name = 'Alice'", "static", 0},
+		{"SELECT DISTINCT Age FROM Patients", "deletion", 3}, // leaf pass, baseline, one test
+	}
+	for _, w := range want {
+		if _, err := e.Query(w.sql); err != nil {
 			t.Fatal(err)
 		}
 	}
 	quiesceTriage(t, e)
-
-	want := map[string]struct {
-		path       string
-		executions int64
-	}{
-		"SELECT * FROM Patients WHERE Name = 'Alice'": {"lineage", 1},
-		"SELECT DISTINCT Age FROM Patients":           {"deletion", 3}, // leaf pass, baseline, one test
-	}
-	seen := 0
-	for _, tr := range e.traceRing.Snapshot() {
-		for _, sp := range tr.Spans {
-			if sp.Name != "triage.verify" {
-				continue
-			}
-			seen++
-			var path string
-			var executions int64
-			for _, a := range sp.Attrs {
-				switch a.Key {
-				case "path":
-					path = a.Str
-				case "executions":
-					executions = a.Int
-				}
-			}
-			if w := want[tr.SQL]; path != w.path || executions != w.executions {
-				t.Errorf("%q: triage.verify path=%q executions=%d, want %q %d", tr.SQL, path, executions, w.path, w.executions)
-			}
+	for _, w := range want {
+		if path, executions, ok := verifySpan(e, w.sql); !ok || path != w.path || executions != w.executions {
+			t.Errorf("%q: triage.verify path=%q executions=%d (found %v), want %q %d",
+				w.sql, path, executions, ok, w.path, w.executions)
 		}
-	}
-	if seen != 2 {
-		t.Fatalf("%d triage.verify spans retained, want 2", seen)
 	}
 
 	var b strings.Builder
@@ -464,13 +450,16 @@ func TestTriageVerifySpanAndOfflineMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, line := range []string{
-		`auditdb_offline_verdicts_total{path="lineage"} 1`,
+		`auditdb_offline_verdicts_total{path="static"} 1`,
 		`auditdb_offline_verdicts_total{path="deletion"} 1`,
-		`auditdb_offline_executions_total 4`,
+		`auditdb_offline_executions_total 3`,
 		`auditdb_offline_deferred_total{reason="distinct"} 1`,
 	} {
 		if !strings.Contains(b.String(), line) {
 			t.Errorf("/metrics lacks %q", line)
 		}
+	}
+	if strings.Contains(b.String(), `auditdb_offline_verdicts_total{path="lineage"}`) {
+		t.Error("an exact firing was replayed through the offline auditor")
 	}
 }

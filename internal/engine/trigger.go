@@ -20,8 +20,10 @@ const accessedName = "accessed"
 // fireAccessTriggers runs the actions of every ON ACCESS trigger bound
 // to the audit expression, with the ACCESSED relation holding the IDs
 // the audit operators recorded for this query. Each action runs as its
-// own system transaction after the query completes.
-func (e *Engine) fireAccessTriggers(ae *core.AuditExpression, acc *core.Accessed, sql string, env *actionEnv) error {
+// own system transaction after the query completes. exact says the
+// recorded IDs are the Definition 2.3 answer (compiled.exact), which
+// lets triage sign the firing's verdict without a replay.
+func (e *Engine) fireAccessTriggers(ae *core.AuditExpression, acc *core.Accessed, exact bool, sql string, env *actionEnv) error {
 	triggers := e.cat.TriggersFor(catalog.TriggerOnAccess, ae.Meta.Name)
 	if len(triggers) == 0 {
 		return nil
@@ -59,14 +61,12 @@ func (e *Engine) fireAccessTriggers(ae *core.AuditExpression, acc *core.Accessed
 		if err != nil {
 			return fmt.Errorf("audit log append: %w", err)
 		}
-		// Risk-score the firing and hand it to the background
-		// verification queue. Inside an explicit transaction the event
-		// is deferred to COMMIT: the audit record above survives a
-		// rollback (the chain is evidence either way), but a verdict on
-		// a rolled-back read would audit state that never committed.
+		// Hand the firing to the background verification queue. Inside
+		// an explicit transaction the event is deferred to COMMIT: the
+		// audit record above survives a rollback (the chain is evidence
+		// either way), but a verdict on a rolled-back read would audit
+		// state that never committed.
 		if svc := e.triage; svc.Enabled() && sess.TriageOn() {
-			ts := time.Now()
-			score := svc.Score(sess.User(), ae.Meta.Priority, ae.Cardinality(), ts.UnixNano())
 			ev := triage.Event{
 				AuditSeq: auditSeq,
 				QID:      rec.QID(),
@@ -75,20 +75,12 @@ func (e *Engine) fireAccessTriggers(ae *core.AuditExpression, acc *core.Accessed
 				SQL:      sql,
 				NumIDs:   len(ids),
 				Priority: ae.Meta.Priority,
-				Score:    score,
-				UnixNano: ts.UnixNano(),
+				Exact:    exact,
 			}
 			if env.txn != nil {
 				env.txn.pendTriage = append(env.txn.pendTriage, ev)
 			} else {
 				svc.Enqueue(ev)
-			}
-			if id := rec.AddSpan(rec.Current(), "triage.score", ts, time.Since(ts)); id >= 0 {
-				rec.SetAttr(id, "expr", ae.Meta.Name)
-				rec.SetAttrInt(id, "score", int64(score))
-				if env.txn != nil {
-					rec.SetAttr(id, "deferred", "txn")
-				}
 			}
 		}
 	}

@@ -12,8 +12,10 @@
 //     highest-commutative-node algorithm. For plan shapes where every
 //     output row is owed to exactly the sensitive tuples that flowed
 //     past the operator, membership in the lineage IS the verdict
-//     (classify has the decision table and the argument for each
-//     rule): no baseline, no re-execution.
+//     (Classify is that rule, classify has the decision table and the
+//     argument for each rule): no baseline, no re-execution. The
+//     engine runs the same Classify at compile time to decide which
+//     online ACCESSED sets are exact.
 //   - Candidate pruning. Where the shape decides nothing, Claim 3.5
 //     still does: the leaf-node heuristic's auditIDs are a superset of
 //     accessedIDs, so only tuples flagged by a leaf-node instrumented
@@ -21,10 +23,12 @@
 //     accessed.
 //   - Tuple masking. For an undecided candidate, Q(D - t) is evaluated
 //     by re-running Q with t hidden behind a storage visibility mask —
-//     no real delete, no rollback, no past-state reconstruction (the
+//     no real delete, no rollback, no past-state reconstruction. The
 //     paper's offline systems rebuild past database states; we audit
-//     in place, which preserves the semantics because the engine is
-//     quiesced during the audit).
+//     the current state in place. Triage replays run on a live
+//     engine, so a replay answers Definition 2.3 for the data as of
+//     the replay, which can differ from the data the audited query
+//     read when a write landed in between.
 //
 // Auditor.NoSkip turns the first point off: every leaf candidate gets
 // its deletion test, which is Definition 2.3 read literally and the
@@ -380,10 +384,10 @@ type pass struct {
 	auditOnly bool
 }
 
-// prepare classifies the plan and instruments a clone of it for the
-// placement the rule needs: highest commutative node where lineage
-// decides, the root for top-k, the leaves (today's Claim 3.5 pass)
-// where nothing is decided.
+// prepare instruments a clone of the plan for the placement the rule
+// needs: highest commutative node where Classify decides by lineage,
+// the root for top-k, the leaves (the Claim 3.5 pass) where nothing is
+// decided.
 func (a *Auditor) prepare(root plan.Node, ae *core.AuditExpression) pass {
 	scans, sensitive, subquery := census(root, ae.Meta.SensitiveTable)
 	if sensitive == 0 {
@@ -391,15 +395,12 @@ func (a *Auditor) prepare(root plan.Node, ae *core.AuditExpression) pass {
 	}
 	p := pass{sink: &core.Probe{Expr: ae, Acc: core.NewAccessed()}, reason: ReasonNoSkip}
 	if !a.NoSkip {
-		p.reason = a.blockers(root, ae, sensitive, subquery)
-	}
-	if p.reason == "" {
 		hcn := core.Instrument(plan.CloneNode(root), ae, p.sink, core.HighestCommutativeNode)
-		switch p.reason = classify(hcn); p.reason {
+		switch p.reason = Classify(a.cat, hcn, ae); p.reason {
 		case "", ReasonAggNoCount:
 			p.plan = hcn
 		case ReasonTopKMember:
-			// classify vouched for the path above the operator.
+			// Classify vouched for the path above the operator.
 			p.plan, _ = core.HoistAudit(hcn)
 			p.rowsAreResult = true
 		}
@@ -409,6 +410,27 @@ func (a *Auditor) prepare(root plan.Node, ae *core.AuditExpression) pass {
 	}
 	p.auditOnly = !a.NoSkip && !p.rowsAreResult && scans == 1 && !subquery
 	return p
+}
+
+// Classify is the one rule that decides whether an audit operator's
+// lineage is the Definition 2.3 answer. root is a plan instrumented
+// with the highest-commutative-node placement, possibly for several
+// expressions; Classify returns "" when the IDs reaching ae's operator
+// are exactly the tuples of ae the query accesses — observed ⇔
+// accessed — and otherwise the reason they must go to the deletion
+// test. A plan that never reads ae's sensitive table observes nothing
+// and accesses nothing, so it classifies "". The auditor reads the
+// result to skip deletion tests; the engine reads it to count
+// placement_exact and to sign triage verdicts without a replay.
+func Classify(cat *catalog.Catalog, root plan.Node, ae *core.AuditExpression) string {
+	_, sensitive, subquery := census(root, ae.Meta.SensitiveTable)
+	if sensitive == 0 {
+		return ""
+	}
+	if r := blockers(cat, root, ae, sensitive, subquery); r != "" {
+		return r
+	}
+	return classify(root, ae.Meta.Name)
 }
 
 // census counts the plan's table scans, those of the sensitive table
@@ -430,10 +452,10 @@ func census(root plan.Node, sensitiveTable string) (scans, sensitive int, subque
 	return scans, sensitive, subquery
 }
 
-// blockers checks what no placement can fix, on the plan as given: the
-// reason every candidate must be deferred, or "" when classify should
-// look at the operator arrangement.
-func (a *Auditor) blockers(root plan.Node, ae *core.AuditExpression, sensitiveScans int, subquery bool) string {
+// blockers checks what no placement can fix: the reason every
+// candidate must be deferred, or "" when classify should look at the
+// operator arrangement.
+func blockers(cat *catalog.Catalog, root plan.Node, ae *core.AuditExpression, sensitiveScans int, subquery bool) string {
 	outer := false
 	plan.Walk(root, func(n plan.Node) {
 		if j, ok := n.(*plan.Join); ok && j.Kind == plan.JoinLeft {
@@ -450,7 +472,7 @@ func (a *Auditor) blockers(root plan.Node, ae *core.AuditExpression, sensitiveSc
 	}
 	// Lineage is kept per partition-by key, the deletion test hides one
 	// tuple: the two coincide only when the key identifies the tuple.
-	meta, ok := a.cat.Table(ae.Meta.SensitiveTable)
+	meta, ok := cat.Table(ae.Meta.SensitiveTable)
 	if !ok || len(meta.PrimaryKey) != 1 || meta.PrimaryKey[0] != ae.KeyOrdinal() {
 		return ReasonNonKey
 	}
@@ -459,15 +481,17 @@ func (a *Auditor) blockers(root plan.Node, ae *core.AuditExpression, sensitiveSc
 
 // classify is the decision table. It reads an HCN-instrumented plan
 // that blockers let through (one scan of the sensitive table, hence
-// one audit operator; no subquery block; inner joins only; the key is
-// the primary key) and returns "" when the lineage at the operator is
-// the verdict — observed ⇔ accessed — or the reason the observed IDs
-// must go to the deletion test. Rules go by plan shape, never by
-// statement text. Throughout, "the block" is what sits below the
-// operator: scans, filters, inner joins, projections and sorts. Its
-// output is a bag in which every row is owed to exactly one tuple of
-// the sensitive table, and — scans read in heap order, joins emit in
-// probe order, sorts are stable — deleting a tuple removes that
+// one operator named name; no subquery block; inner joins only; the
+// key is the primary key) and returns "" when the lineage at that
+// operator is the verdict — observed ⇔ accessed — or the reason the
+// observed IDs must go to the deletion test. Rules go by plan shape,
+// never by statement text. Other expressions' operators pass every
+// row through unchanged, so they are invisible to every rule, on the
+// spine and in the block alike. Throughout, "the block" is what sits
+// below the operator: scans, filters, inner joins, projections and
+// sorts. Its output is a bag in which every row is owed to exactly one
+// tuple of the sensitive table, and — scans read in heap order, joins
+// emit in probe order, sorts are stable — deleting a tuple removes that
 // tuple's rows from the sequence and moves nothing else.
 //
 //   - Select-join: only Project and Sort above the operator. Both map
@@ -490,13 +514,16 @@ func (a *Auditor) blockers(root plan.Node, ae *core.AuditExpression, sensitiveSc
 //     ReasonTopKMember, at most k deletion tests.
 //   - DISTINCT (rows or aggregates), a filter above the aggregate
 //     (HAVING), and everything else decide nothing.
-func classify(root plan.Node) string {
+func classify(root plan.Node, name string) string {
 	var above []plan.Node
 	var audit *plan.Audit
 	for n := root; audit == nil; {
 		switch x := n.(type) {
 		case *plan.Audit:
-			audit = x
+			if x.Name == name {
+				audit = x
+			}
+			n = x.Child
 		case *plan.Project, *plan.Sort, *plan.Limit, *plan.Aggregate, *plan.Filter, *plan.Distinct:
 			above = append(above, n)
 			n = n.Children()[0]
@@ -510,7 +537,7 @@ func classify(root plan.Node) string {
 	block := true
 	plan.Walk(audit.Child, func(n plan.Node) {
 		switch n.(type) {
-		case *plan.Scan, *plan.Filter, *plan.Project, *plan.Sort, *plan.Join:
+		case *plan.Scan, *plan.Filter, *plan.Project, *plan.Sort, *plan.Join, *plan.Audit:
 		default:
 			block = false
 		}

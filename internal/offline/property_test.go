@@ -421,7 +421,11 @@ func sameIDs(a, b []value.Value) bool {
 // TestDifferentialFastVsLiteral: over 2,000 generated queries per seed
 // the default auditor, serial and with an 8-wide deletion-test pool,
 // reports exactly the literal auditor's accessedIDs, and its report
-// accounting adds up.
+// accounting adds up. The same queries run online on the harness
+// engine guard the engine's use of the lineage rule: a statement it
+// counts placement_exact reports exactly the literal auditor's IDs,
+// and every statement the auditor decides by lineage from at least one
+// candidate counts exact.
 func TestDifferentialFastVsLiteral(t *testing.T) {
 	queries := 2000
 	if testing.Short() {
@@ -442,6 +446,7 @@ func differential(t *testing.T, seed int64, queries int) {
 	paths := map[string]int{}
 	for q := 0; q < queries; {
 		e, ae := diffDB(t, rng)
+		e.SetAuditAll(true)
 		literal := offline.New(e.Catalog(), e.Store())
 		literal.NoSkip, literal.Parallelism = true, 1
 		for i := 0; i < perDB && q < queries; i, q = i+1, q+1 {
@@ -449,6 +454,15 @@ func differential(t *testing.T, seed int64, queries int) {
 			want, err := literal.Audit(sql, ae)
 			if err != nil {
 				t.Fatalf("literal %q: %v", sql, err)
+			}
+			before := e.StatsSnapshot()
+			r, err := e.Query(sql)
+			if err != nil {
+				t.Fatalf("online %q: %v", sql, err)
+			}
+			exact := e.StatsSnapshot()["placement_exact"] > before["placement_exact"]
+			if online := r.Accessed.IDs(ae.Meta.Name); exact && !sameIDs(online, want.AccessedIDs) {
+				t.Fatalf("seed %d, %q counts placement_exact:\n online  %v\n literal %v", seed, sql, online, want.AccessedIDs)
 			}
 			for _, par := range []int{1, 8} {
 				fast := offline.New(e.Catalog(), e.Store())
@@ -473,6 +487,10 @@ func differential(t *testing.T, seed int64, queries int) {
 				}
 				if par == 1 {
 					paths[got.Path()]++
+					if got.Path() == "lineage" && got.Candidates > 0 && !exact {
+						t.Fatalf("seed %d, %q: decided by lineage from %d candidates but counts placement_conservative",
+							seed, sql, got.Candidates)
+					}
 				}
 			}
 		}

@@ -15,14 +15,8 @@ type Metrics struct {
 	Verdicts  *obs.CounterVec // triage_verdicts by outcome
 	Failed    *obs.Counter    // triage_failed (verdict could not be written)
 	Depth     *obs.Gauge      // triage_queue_depth
-	ScoreHist *obs.Histogram  // triage_score at enqueue
 	VerifyDur *obs.Histogram  // triage_verify_seconds
 }
-
-// scoreBuckets spans the default model's range: one PRIORITY step is
-// worth 16, so the buckets resolve both the heuristic-only band (<16)
-// and several declared-priority bands.
-var scoreBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // NewMetrics registers the triage metrics on r. Registration is
 // idempotent (obs returns existing entries).
@@ -31,24 +25,21 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		Enqueued: r.NewCounter("auditdb_triage_enqueued_total", "triage_enqueued",
 			"Trigger firings admitted to the triage queue."),
 		Dropped: r.NewCounter("auditdb_triage_dropped_total", "triage_dropped",
-			"Triage events dropped by the bounded queue's lowest-score eviction policy."),
+			"Triage events dropped by the bounded queue's lowest-priority eviction policy."),
 		Verdicts: r.NewCounterVec("auditdb_triage_verdicts_total", "triage_verdicts",
 			"Signed triage verdict records appended to the audit chain, by outcome.", "outcome"),
 		Failed: r.NewCounter("auditdb_triage_failed_total", "triage_failed",
 			"Triage events consumed without a verdict (verification or append error)."),
 		Depth: r.NewGauge("auditdb_triage_queue_depth", "triage_queue_depth",
 			"Events currently resident in the triage queue."),
-		ScoreHist: r.NewHistogram("auditdb_triage_score", "triage_score",
-			"Risk score distribution of enqueued triage events.", scoreBuckets),
 		VerifyDur: r.NewHistogram("auditdb_triage_verify_seconds", "triage_verify_seconds",
-			"Offline verification wall time per triage event, in seconds.", obs.LatencyBuckets),
+			"Verification wall time per triage event, in seconds.", obs.LatencyBuckets),
 	}
 }
 
-func (m *Metrics) incEnqueued(score float64) {
+func (m *Metrics) incEnqueued() {
 	if m != nil {
 		m.Enqueued.Inc()
-		m.ScoreHist.Observe(score)
 	}
 }
 

@@ -1,38 +1,45 @@
-// Package triage sits between the trigger-firing path and the exact
-// offline auditor: every firing already hash-chained into the WAL
-// audit stream is additionally risk-scored and enqueued into a bounded
-// priority queue, and a pool of background workers drains the queue,
-// re-derives the firing with the offline auditor (Def 2.3), and writes
-// a signed verdict record back into the same hash chain. Under a fixed
-// verification budget the highest-risk events are audited exactly and
-// the rest degrade deterministically — overflow evicts the lowest
-// score and every drop is counted, so
-// enqueued = verdicts + dropped + failed + pending always holds.
+// Package triage sits between the trigger-firing path and the signed
+// verdict: every firing already hash-chained into the WAL audit stream
+// is also enqueued into a bounded priority queue, and a pool of
+// background workers drains the queue and writes a signed verdict
+// record back into the same hash chain. The worker's callback decides
+// the verdict — from the firing itself when its accessed IDs are
+// exact, by an offline replay (Def 2.3) otherwise. The queue serves
+// the highest declared PRIORITY first, oldest first within a priority;
+// overflow evicts the lowest-priority, newest event and every drop is
+// counted, so enqueued = verdicts + dropped + failed + pending always
+// holds.
 package triage
 
 import "sort"
 
-// Event is one trigger firing awaiting offline verification. It is
-// passed and stored by value so the score-and-enqueue hot path does
-// not allocate; the strings and the accessed-ID count alias state the
-// firing already produced.
+// Event is one trigger firing awaiting verification. It is passed and
+// stored by value so the enqueue hot path does not allocate; the
+// strings alias state the firing already produced.
 type Event struct {
-	AuditSeq uint64  // chain seq of the RecAudit record for this firing
-	QID      uint64  // trace query ID of the firing statement
-	User     string  // session user at firing time
-	Expr     string  // audit expression name
-	SQL      string  // statement text the offline auditor will replay
-	NumIDs   int     // accessed-ID count the trigger reported
-	Priority int     // declared PRIORITY of the audit expression
-	Score    float64 // risk score assigned at enqueue
-	UnixNano int64   // firing wall-clock time
+	AuditSeq uint64 // chain seq of the RecAudit record for this firing
+	QID      uint64 // trace query ID of the firing statement
+	User     string // session user at firing time
+	Expr     string // audit expression name
+	SQL      string // statement text a replay re-runs
+	NumIDs   int    // accessed-ID count the trigger reported
+	Priority int    // declared PRIORITY of the audit expression: the queue key
+	// Exact marks a firing whose accessed IDs are the Definition 2.3
+	// answer as of its own read, so its verdict needs no replay.
+	Exact bool
 
 	// Order is the admission sequence the queue assigned; ties in
-	// Score resolve on it (oldest first out, newest first evicted).
+	// Priority resolve on it (oldest first out, newest first evicted).
 	Order uint64
 }
 
-// queue is a bounded max-priority queue over Event.Score with a
+// before reports whether a is served before b: higher priority first,
+// then older admission.
+func before(a, b *Event) bool {
+	return a.Priority > b.Priority || (a.Priority == b.Priority && a.Order < b.Order)
+}
+
+// queue is a bounded max-priority queue over Event.Priority with a
 // deterministic overflow policy. All methods require the service
 // mutex; the backing array is allocated once at the bound so steady
 // state admission never allocates.
@@ -50,8 +57,8 @@ func newQueue(bound int) *queue {
 
 func (q *queue) len() int { return len(q.items) }
 
-// push admits ev, evicting the lowest-scored resident when full.
-// Ties on score evict the newest admission, so at equal risk the
+// push admits ev, evicting the resident served last — lowest
+// priority, newest admission — when full, so at equal priority the
 // oldest evidence survives. The second return is true when an event
 // (resident or the incoming one) was dropped.
 func (q *queue) push(ev Event) (dropped Event, wasDropped bool) {
@@ -61,15 +68,14 @@ func (q *queue) push(ev Event) (dropped Event, wasDropped bool) {
 	}
 	v := 0
 	for i := 1; i < len(q.items); i++ {
-		it, vic := &q.items[i], &q.items[v]
-		if it.Score < vic.Score || (it.Score == vic.Score && it.Order > vic.Order) {
+		if before(&q.items[v], &q.items[i]) {
 			v = i
 		}
 	}
 	vic := &q.items[v]
-	// The incoming event holds the largest Order, so on a score tie
+	// The incoming event holds the largest Order, so on a priority tie
 	// with the victim it is the one that drops.
-	if ev.Score <= vic.Score {
+	if !before(&ev, vic) {
 		return ev, true
 	}
 	dropped = *vic
@@ -77,16 +83,14 @@ func (q *queue) push(ev Event) (dropped Event, wasDropped bool) {
 	return dropped, true
 }
 
-// popMax removes and returns the highest-scored event, lowest
-// admission order first on ties.
+// popMax removes and returns the event served first.
 func (q *queue) popMax() (Event, bool) {
 	if len(q.items) == 0 {
 		return Event{}, false
 	}
 	b := 0
 	for i := 1; i < len(q.items); i++ {
-		it, best := &q.items[i], &q.items[b]
-		if it.Score > best.Score || (it.Score == best.Score && it.Order < best.Order) {
+		if before(&q.items[i], &q.items[b]) {
 			b = i
 		}
 	}
@@ -97,16 +101,11 @@ func (q *queue) popMax() (Event, bool) {
 	return ev, true
 }
 
-// snapshot copies the resident events ordered score-descending,
-// admission-ascending — the order SHOW AUDIT QUEUE reports.
+// snapshot copies the resident events in service order — the order
+// SHOW AUDIT QUEUE reports.
 func (q *queue) snapshot() []Event {
 	out := make([]Event, len(q.items))
 	copy(out, q.items)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Order < out[j].Order
-	})
+	sort.Slice(out, func(i, j int) bool { return before(&out[i], &out[j]) })
 	return out
 }

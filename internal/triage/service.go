@@ -15,27 +15,23 @@ const verdictRingSize = 256
 // verification entirely: the engine constructs a disabled service by
 // default and the daemon turns it on, so embedded engines pay nothing.
 type Config struct {
-	Workers      int // background verification goroutines
-	QueueBound   int // priority-queue capacity (default 256)
-	BudgetPerMin int // exact verifications per minute; <= 0 = unlimited
+	Workers    int // background verification goroutines
+	QueueBound int // priority-queue capacity (default 256)
 }
 
 // Result is what a VerifyFunc produced for one event: the chain
 // sequence of the verdict record it appended, the outcome name, and
-// what the offline auditor found.
+// how many accessed IDs the verdict stands on.
 type Result struct {
 	ChainSeq   uint64
-	Outcome    string // "confirmed", "refuted", "skipped-budget"
-	Suspicious int    // candidate rows the offline auditor flagged
+	Outcome    string // "confirmed", "refuted", "skipped"
+	Suspicious int    // accessed IDs the verdict confirmed
 }
 
-// VerifyFunc runs the exact offline audit for ev and appends the
-// signed verdict record. budgeted=false means the per-minute budget is
-// exhausted: the callee must skip the expensive audit and append a
-// "skipped-budget" verdict instead, keeping the drop accounting exact.
-// ctx is cancelled at drain/shutdown; an error means no verdict was
-// written and the event is counted failed.
-type VerifyFunc func(ctx context.Context, ev Event, budgeted bool) (Result, error)
+// VerifyFunc decides ev's verdict and appends the signed verdict
+// record. ctx is cancelled at drain/shutdown; an error means no verdict
+// was written and the event is counted failed.
+type VerifyFunc func(ctx context.Context, ev Event) (Result, error)
 
 // VerdictRec is one recent verdict, held in a fixed ring for
 // SHOW AUDIT VERDICTS.
@@ -43,7 +39,7 @@ type VerdictRec struct {
 	ChainSeq     uint64
 	AuditSeq     uint64
 	Outcome      string
-	Score        float64
+	Priority     int
 	User         string
 	Expr         string
 	QID          uint64
@@ -67,7 +63,6 @@ type Stats struct {
 // Service owns the bounded priority queue and the verification pool.
 type Service struct {
 	cfg     Config
-	scorer  Scorer
 	verify  VerifyFunc
 	metrics *Metrics
 
@@ -88,27 +83,20 @@ type Service struct {
 	failed   uint64
 	inflight int
 
-	budgetMinute int64
-	budgetUsed   int
-
 	ring     []VerdictRec
 	ringNext int
 	ringLen  int
 }
 
-// NewService builds a service; Start launches the workers. scorer nil
-// selects the default RiskModel; metrics nil runs unobserved.
-func NewService(cfg Config, scorer Scorer, verify VerifyFunc, m *Metrics) *Service {
+// NewService builds a service; Start launches the workers. metrics nil
+// runs unobserved.
+func NewService(cfg Config, verify VerifyFunc, m *Metrics) *Service {
 	if cfg.QueueBound <= 0 {
 		cfg.QueueBound = 256
-	}
-	if scorer == nil {
-		scorer = NewRiskModel()
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
 		cfg:     cfg,
-		scorer:  scorer,
 		verify:  verify,
 		metrics: m,
 		ctx:     ctx,
@@ -143,16 +131,11 @@ func (s *Service) Start() {
 	}
 }
 
-// Score runs the risk model. Safe on the statement hot path: the
-// default model does not allocate once the user has history.
-func (s *Service) Score(user string, priority, cardinality int, unixNano int64) float64 {
-	return s.scorer.Score(user, priority, cardinality, unixNano)
-}
-
-// Enqueue admits a scored event, evicting the lowest-scored resident
-// when the queue is full. Every admission attempt is counted; every
-// eviction or rejection increments the drop counter, so the
-// accounting identity never skews under overload.
+// Enqueue admits an event, evicting the lowest-priority resident when
+// the queue is full. Safe on the statement hot path: it does not
+// allocate. Every admission attempt is counted; every eviction or
+// rejection increments the drop counter, so the accounting identity
+// never skews under overload.
 func (s *Service) Enqueue(ev Event) {
 	s.mu.Lock()
 	if s.stopped {
@@ -169,7 +152,7 @@ func (s *Service) Enqueue(ev Event) {
 	depth := s.q.len()
 	s.mu.Unlock()
 
-	s.metrics.incEnqueued(ev.Score)
+	s.metrics.incEnqueued()
 	if wasDropped {
 		s.metrics.incDropped()
 	}
@@ -192,13 +175,12 @@ func (s *Service) worker() {
 		}
 		ev, _ := s.q.popMax()
 		s.inflight++
-		budgeted := s.takeBudgetLocked(time.Now().UnixNano())
 		depth := s.q.len()
 		s.mu.Unlock()
 		s.metrics.setDepth(depth)
 
 		start := time.Now()
-		res, err := s.verify(s.ctx, ev, budgeted)
+		res, err := s.verify(s.ctx, ev)
 		elapsed := time.Since(start)
 
 		s.mu.Lock()
@@ -211,7 +193,7 @@ func (s *Service) worker() {
 				ChainSeq:     res.ChainSeq,
 				AuditSeq:     ev.AuditSeq,
 				Outcome:      res.Outcome,
-				Score:        ev.Score,
+				Priority:     ev.Priority,
 				User:         ev.User,
 				Expr:         ev.Expr,
 				QID:          ev.QID,
@@ -229,24 +211,6 @@ func (s *Service) worker() {
 	}
 }
 
-// takeBudgetLocked consumes one verification from the fixed
-// one-minute window. Caller holds s.mu.
-func (s *Service) takeBudgetLocked(nowNano int64) bool {
-	if s.cfg.BudgetPerMin <= 0 {
-		return true
-	}
-	minute := nowNano / int64(time.Minute)
-	if minute != s.budgetMinute {
-		s.budgetMinute = minute
-		s.budgetUsed = 0
-	}
-	if s.budgetUsed >= s.cfg.BudgetPerMin {
-		return false
-	}
-	s.budgetUsed++
-	return true
-}
-
 func (s *Service) pushRingLocked(v VerdictRec) {
 	s.ring[s.ringNext] = v
 	s.ringNext = (s.ringNext + 1) % len(s.ring)
@@ -255,7 +219,7 @@ func (s *Service) pushRingLocked(v VerdictRec) {
 	}
 }
 
-// Snapshot returns the resident queue, highest score first.
+// Snapshot returns the resident queue in service order.
 func (s *Service) Snapshot() []Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()

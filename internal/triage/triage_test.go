@@ -9,22 +9,22 @@ import (
 	"time"
 )
 
-func ev(score float64, order uint64) Event {
-	return Event{Score: score, Order: order, Expr: fmt.Sprintf("e%d", order)}
+func ev(priority int, order uint64) Event {
+	return Event{Priority: priority, Order: order, Expr: fmt.Sprintf("e%d", order)}
 }
 
 func TestQueueEvictsLowestScore(t *testing.T) {
 	q := newQueue(3)
-	for i, s := range []float64{5, 1, 3} {
-		q.push(ev(s, uint64(i+1)))
+	for i, p := range []int{5, 1, 3} {
+		q.push(ev(p, uint64(i+1)))
 	}
 	dropped, was := q.push(ev(4, 4))
-	if !was || dropped.Score != 1 {
-		t.Fatalf("expected the score-1 resident to drop, got %+v (dropped=%v)", dropped, was)
+	if !was || dropped.Priority != 1 {
+		t.Fatalf("expected the priority-1 resident to drop, got %+v (dropped=%v)", dropped, was)
 	}
 	got, _ := q.popMax()
-	if got.Score != 5 {
-		t.Fatalf("popMax = %v, want score 5", got.Score)
+	if got.Priority != 5 {
+		t.Fatalf("popMax = %v, want priority 5", got.Priority)
 	}
 }
 
@@ -32,7 +32,7 @@ func TestQueueRejectsIncomingAtOrBelowVictim(t *testing.T) {
 	q := newQueue(2)
 	q.push(ev(5, 1))
 	q.push(ev(3, 2))
-	// Equal to the victim's score: incoming is newest, so it drops.
+	// Equal to the victim's priority: incoming is newest, so it drops.
 	dropped, was := q.push(ev(3, 3))
 	if !was || dropped.Order != 3 {
 		t.Fatalf("expected the incoming order-3 event to drop, got %+v", dropped)
@@ -53,7 +53,7 @@ func TestQueueTieEvictsNewest(t *testing.T) {
 	q.push(ev(3, 2))
 	dropped, was := q.push(ev(4, 3))
 	if !was || dropped.Order != 2 {
-		t.Fatalf("on a score tie the newest resident must drop; got order %d", dropped.Order)
+		t.Fatalf("on a priority tie the newest resident must drop; got order %d", dropped.Order)
 	}
 }
 
@@ -87,36 +87,11 @@ func TestSnapshotOrdering(t *testing.T) {
 	}
 }
 
-func TestRiskModelPriorityDominates(t *testing.T) {
-	m := NewRiskModel()
-	now := time.Now().UnixNano()
-	low := m.Score("u", 0, 100, now)
-	high := m.Score("u", 2, 1, now)
-	if high <= low {
-		t.Fatalf("PRIORITY 2 must outrank cardinality 100 at priority 0: high=%v low=%v", high, low)
-	}
-}
-
-func TestRiskModelAnomalyGrowsWithRate(t *testing.T) {
-	m := NewRiskModel()
-	base := time.Now().UnixNano()
-	// Establish a slow cadence: one firing per second.
-	for i := 0; i < 10; i++ {
-		m.Score("steady", 0, 1, base+int64(i)*int64(time.Second))
-	}
-	calm := m.Score("steady", 0, 1, base+10*int64(time.Second))
-	// Then a burst: the same user firing every millisecond.
-	burst := m.Score("steady", 0, 1, base+10*int64(time.Second)+int64(time.Millisecond))
-	if burst <= calm {
-		t.Fatalf("burst firing must score above the steady cadence: burst=%v calm=%v", burst, calm)
-	}
-}
-
 func TestServiceAccountingInvariant(t *testing.T) {
 	var mu sync.Mutex
 	verified := 0
-	s := NewService(Config{Workers: 2, QueueBound: 4}, nil,
-		func(ctx context.Context, ev Event, budgeted bool) (Result, error) {
+	s := NewService(Config{Workers: 2, QueueBound: 4},
+		func(ctx context.Context, ev Event) (Result, error) {
 			mu.Lock()
 			verified++
 			mu.Unlock()
@@ -124,7 +99,7 @@ func TestServiceAccountingInvariant(t *testing.T) {
 		}, nil)
 	s.Start()
 	for i := 0; i < 64; i++ {
-		s.Enqueue(Event{Score: float64(i % 7), Expr: "x", SQL: "SELECT 1"})
+		s.Enqueue(Event{Priority: i % 7, Expr: "x", SQL: "SELECT 1"})
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -141,67 +116,13 @@ func TestServiceAccountingInvariant(t *testing.T) {
 	s.Stop(ctx)
 }
 
-func TestServiceBudgetWindow(t *testing.T) {
-	s := NewService(Config{Workers: 1, BudgetPerMin: 2}, nil, nil, nil)
-	now := time.Now().UnixNano()
-	s.mu.Lock()
-	got := []bool{
-		s.takeBudgetLocked(now),
-		s.takeBudgetLocked(now),
-		s.takeBudgetLocked(now),
-		// Next minute: the window resets.
-		s.takeBudgetLocked(now + int64(time.Minute)),
-	}
-	s.mu.Unlock()
-	want := []bool{true, true, false, true}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("budget grant %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestServiceBudgetExhaustionReachesVerify(t *testing.T) {
-	var mu sync.Mutex
-	var budgetedSeen []bool
-	s := NewService(Config{Workers: 1, BudgetPerMin: 1}, nil,
-		func(ctx context.Context, ev Event, budgeted bool) (Result, error) {
-			mu.Lock()
-			budgetedSeen = append(budgetedSeen, budgeted)
-			mu.Unlock()
-			out := "confirmed"
-			if !budgeted {
-				out = "skipped-budget"
-			}
-			return Result{Outcome: out}, nil
-		}, nil)
-	s.Start()
-	s.Enqueue(Event{Score: 2})
-	s.Enqueue(Event{Score: 1})
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.Quiesce(ctx); err != nil {
-		t.Fatalf("quiesce: %v", err)
-	}
-	s.Stop(ctx)
-	mu.Lock()
-	defer mu.Unlock()
-	if len(budgetedSeen) != 2 || !budgetedSeen[0] || budgetedSeen[1] {
-		t.Fatalf("budgeted flags = %v, want [true false]", budgetedSeen)
-	}
-	vs := s.Verdicts()
-	if len(vs) != 2 || vs[1].Outcome != "confirmed" || vs[0].Outcome != "skipped-budget" {
-		t.Fatalf("verdict ring = %+v", vs)
-	}
-}
-
 func TestServiceFailedVerifyCountsFailed(t *testing.T) {
-	s := NewService(Config{Workers: 1}, nil,
-		func(ctx context.Context, ev Event, budgeted bool) (Result, error) {
+	s := NewService(Config{Workers: 1},
+		func(ctx context.Context, ev Event) (Result, error) {
 			return Result{}, errors.New("boom")
 		}, nil)
 	s.Start()
-	s.Enqueue(Event{Score: 1})
+	s.Enqueue(Event{Priority: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := s.Quiesce(ctx); err != nil {
@@ -216,14 +137,14 @@ func TestServiceFailedVerifyCountsFailed(t *testing.T) {
 
 func TestStopCancelsInFlightAudit(t *testing.T) {
 	started := make(chan struct{})
-	s := NewService(Config{Workers: 1}, nil,
-		func(ctx context.Context, ev Event, budgeted bool) (Result, error) {
+	s := NewService(Config{Workers: 1},
+		func(ctx context.Context, ev Event) (Result, error) {
 			close(started)
 			<-ctx.Done() // a long offline scan observing cancellation
 			return Result{}, ctx.Err()
 		}, nil)
 	s.Start()
-	s.Enqueue(Event{Score: 1})
+	s.Enqueue(Event{Priority: 1})
 	<-started
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -240,15 +161,15 @@ func TestStopCancelsInFlightAudit(t *testing.T) {
 }
 
 func TestEnqueueAfterStopIsIgnored(t *testing.T) {
-	s := NewService(Config{Workers: 1}, nil,
-		func(ctx context.Context, ev Event, budgeted bool) (Result, error) {
+	s := NewService(Config{Workers: 1},
+		func(ctx context.Context, ev Event) (Result, error) {
 			return Result{Outcome: "refuted"}, nil
 		}, nil)
 	s.Start()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	s.Stop(ctx)
-	s.Enqueue(Event{Score: 1})
+	s.Enqueue(Event{Priority: 1})
 	if st := s.Stats(); st.Enqueued != 0 {
 		t.Fatalf("post-stop enqueue must be ignored: %+v", st)
 	}
@@ -259,28 +180,27 @@ func TestDisabledServiceIsInert(t *testing.T) {
 	if s.Enabled() {
 		t.Fatal("nil service must report disabled")
 	}
-	d := NewService(Config{}, nil, nil, nil)
+	d := NewService(Config{}, nil, nil)
 	if d.Enabled() {
 		t.Fatal("zero-worker service must report disabled")
 	}
 	d.Start() // no-op
-	d.Enqueue(Event{Score: 1})
+	d.Enqueue(Event{Priority: 1})
 	if st := d.Stats(); st.Enqueued != 1 || st.Depth != 1 {
 		t.Fatalf("disabled service still queues (engine default): %+v", st)
 	}
 }
 
-// TestScoreAndEnqueueDoesNotAllocate gates the trigger hot path: once a
-// user has rate history, scoring and admission must be allocation-free.
-func TestScoreAndEnqueueDoesNotAllocate(t *testing.T) {
-	s := NewService(Config{Workers: 0, QueueBound: 8}, nil, nil, nil)
-	now := time.Now().UnixNano()
+// TestEnqueueDoesNotAllocate gates the trigger hot path: admission,
+// eviction included, must be allocation-free.
+func TestEnqueueDoesNotAllocate(t *testing.T) {
+	s := NewService(Config{Workers: 0, QueueBound: 8}, nil, nil)
+	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		now += int64(time.Millisecond)
-		score := s.Score("hotpath", 1, 4, now)
-		s.Enqueue(Event{Score: score, User: "hotpath", Expr: "e", SQL: "SELECT 1", UnixNano: now})
+		i++
+		s.Enqueue(Event{Priority: i % 4, User: "hotpath", Expr: "e", SQL: "SELECT 1", NumIDs: 1})
 	})
 	if allocs > 0 {
-		t.Fatalf("score+enqueue allocates %.1f per op, want 0", allocs)
+		t.Fatalf("enqueue allocates %.1f per op, want 0", allocs)
 	}
 }

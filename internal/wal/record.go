@@ -107,12 +107,12 @@ func (a *Audit) Hash() [HashSize]byte {
 	return sha256.Sum256(appendAudit(nil, a))
 }
 
-// Verdict outcomes. Confirmed means the exact offline auditor (Def
-// 2.3) reproduced at least one suspicious ID for the firing; refuted
-// means the exact audit cleared every candidate (the online operators
-// over-approximated); skipped means the verification budget was spent
-// — or the event could not be verified (expression dropped, statement
-// not re-runnable) — and the event is on record as unverified.
+// Verdict outcomes. Confirmed means the firing's accessed IDs hold up
+// under Definition 2.3 — exact as recorded, or reproduced by an offline
+// replay; refuted means a replay cleared every candidate (the online
+// operators over-approximated); skipped means the event could not be
+// verified (expression dropped, statement not re-runnable) and is on
+// record as unverified.
 const (
 	VerdictConfirmed uint8 = 1
 	VerdictRefuted   uint8 = 2
@@ -128,7 +128,7 @@ func VerdictName(o uint8) string {
 	case VerdictRefuted:
 		return "refuted"
 	case VerdictSkipped:
-		return "skipped-budget"
+		return "skipped"
 	default:
 		return "unknown"
 	}
@@ -153,14 +153,16 @@ type Verdict struct {
 	// QID correlates the verdict with the firing statement's trace, like
 	// Audit.QID.
 	QID uint64
-	// Score is the triage risk score the event carried when it was
-	// enqueued (the reason it was verified before — or instead of —
-	// lower-risk events).
+	// Score carries the declared PRIORITY of the event's audit
+	// expression, the triage queue's key. The field keeps its float
+	// encoding so records written when it held a risk score still
+	// verify.
 	Score float64
-	// Suspicious counts the IDs the exact auditor reproduced (0 under
+	// Suspicious counts the accessed IDs the verdict confirmed (0 under
 	// refuted/skipped).
 	Suspicious uint32
-	// ElapsedNanos is the verification's wall time (0 when skipped).
+	// ElapsedNanos is the verification's wall time (0 when no query
+	// ran).
 	ElapsedNanos int64
 	UnixNano     int64
 	// Sig is HMAC-SHA256 over the canonical payload with Sig zeroed,

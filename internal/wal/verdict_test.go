@@ -44,7 +44,7 @@ func TestVerdictNames(t *testing.T) {
 	cases := map[uint8]string{
 		VerdictConfirmed: "confirmed",
 		VerdictRefuted:   "refuted",
-		VerdictSkipped:   "skipped-budget",
+		VerdictSkipped:   "skipped",
 		0:                "unknown",
 	}
 	for o, want := range cases {
