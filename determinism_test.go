@@ -204,16 +204,7 @@ func TestPointTemplatesPlanSerial(t *testing.T) {
 		e.SetDefaultWorkers(workers)
 		return e
 	}
-	templates := []string{
-		"SELECT c_name, c_acctbal FROM customer WHERE c_custkey = 7",
-		"SELECT c_custkey, c_name, c_address, c_phone FROM customer WHERE c_custkey = 7 AND c_nationkey >= 0",
-		"SELECT c_custkey, c_mktsegment FROM customer WHERE c_custkey = 7 AND c_acctbal > -1000",
-		"SELECT o_orderkey, o_totalprice, o_orderdate FROM orders WHERE o_orderkey = 7",
-		"SELECT o_orderkey, o_orderstatus FROM orders WHERE o_custkey = 7",
-		"SELECT COUNT(*), SUM(o_totalprice) FROM orders WHERE o_custkey = 7",
-		"SELECT c_name, o_orderkey, o_totalprice FROM customer, orders WHERE c_custkey = o_custkey AND c_custkey = 7 AND o_custkey = 7",
-		"SELECT o_orderkey, o_totalprice FROM orders WHERE o_custkey = 7 ORDER BY o_totalprice DESC LIMIT 3",
-	}
+	templates := hotShapes(7, -1000)
 	serial := load(1)
 	for _, workers := range []int{2, 8} {
 		par := load(workers)

@@ -54,13 +54,18 @@ type Accessed struct {
 }
 
 // NewAccessed returns empty ACCESSED state for one query execution.
+// The per-expression map is made on the first record, so a query that
+// accesses nothing sensitive allocates only the struct.
 func NewAccessed() *Accessed {
-	return &Accessed{byExpr: make(map[string]*idRecord)}
+	return &Accessed{}
 }
 
 func (a *Accessed) record(expr string) *idRecord {
 	rec, ok := a.byExpr[expr]
 	if !ok {
+		if a.byExpr == nil {
+			a.byExpr = make(map[string]*idRecord)
+		}
 		rec = &idRecord{}
 		a.byExpr[expr] = rec
 	}
@@ -172,19 +177,15 @@ func (a *Accessed) MergeSets(expr string, ints map[int64]struct{}, other map[str
 // into the ACCESSED state. This is the paper's "hash join whose build
 // side is the audit expression's ID view" (§IV-A.2).
 //
-// A Probe belongs to one query execution. Query execution is
-// single-threaded, so the row-at-a-time path keeps an unsynchronized
-// first-seen cache: each sensitive ID pays the Record cost (lock + map
-// insert) once, and every further occurrence in the stream is a cheap
-// local lookup. The batch path skips the cache — RecordBatch already
-// dedups in the integer record map at the same per-element cost, so a
-// probe-side cache would only double the map work.
+// A Probe records into one query execution's Acc. It keeps no other
+// per-execution state — RecordBatch dedups in the record map itself —
+// so a cached plan's probes serve the next execution by pointing Acc
+// at its fresh ACCESSED state, and no first-seen cache can carry a
+// previous execution's IDs into a false negative (Claim 3.6).
 type Probe struct {
 	Expr *AuditExpression
 	Acc  *Accessed
 
-	seenInts map[int64]struct{}
-	seenKeys map[string]struct{}
 	// fresh accumulates a batch's matches so ObserveBatch records them
 	// with one RecordBatch call; reused across batches.
 	fresh []value.Value
@@ -193,7 +194,7 @@ type Probe struct {
 // Observe implements plan.AuditSink.
 func (p *Probe) Observe(v value.Value) {
 	p.Acc.observed.Add(1)
-	if p.match(v) {
+	if p.Expr.Contains(v) {
 		p.Acc.Record(p.Expr.Meta.Name, v)
 	}
 }
@@ -288,31 +289,4 @@ func (w *workerProbe) Merge() {
 	}
 	w.parent.Acc.MergeSets(w.parent.Expr.Meta.Name, w.ints, w.other)
 	w.ints, w.other, w.observed = nil, nil, 0
-}
-
-// match performs the sensitive-ID membership probe and the first-seen
-// dedup, returning true when v must be recorded into ACCESSED.
-func (p *Probe) match(v value.Value) bool {
-	if !p.Expr.Contains(v) {
-		return false
-	}
-	if v.Kind == value.KindInt {
-		if _, dup := p.seenInts[v.I]; dup {
-			return false
-		}
-		if p.seenInts == nil {
-			p.seenInts = make(map[int64]struct{})
-		}
-		p.seenInts[v.I] = struct{}{}
-	} else {
-		k := value.KeyOf(v)
-		if _, dup := p.seenKeys[k]; dup {
-			return false
-		}
-		if p.seenKeys == nil {
-			p.seenKeys = make(map[string]struct{})
-		}
-		p.seenKeys[k] = struct{}{}
-	}
-	return true
 }

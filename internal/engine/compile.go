@@ -8,6 +8,7 @@ import (
 	"auditdb/internal/offline"
 	"auditdb/internal/opt"
 	"auditdb/internal/plan"
+	"auditdb/internal/value"
 )
 
 // knobs are the session settings that steer planning. The value is
@@ -35,11 +36,14 @@ func (s *Session) planKnobs() knobs {
 
 // compiled is a SELECT taken through the whole plan pipeline, plus the
 // facts about the result that execution needs. Its audit operators'
-// sinks belong to whoever compiled it; every execution rebinds them
-// (executeSelect), so a compiled plan can be cached and run again.
+// sinks belong to whoever compiled it: probes[i] is the one Probe every
+// operator for targets[i] shares (in subquery blocks too), and each
+// execution points them at its own ACCESSED state (executeSelect), so a
+// compiled plan can be cached and run again.
 type compiled struct {
 	root     plan.Node
 	targets  []*core.AuditExpression
+	probes   []*core.Probe
 	hasAudit bool // instrumentation placed at least one audit operator
 	// exact[i] says targets[i]'s ACCESSED set is the Definition 2.3
 	// answer (offline.Classify); false means it may over-report
@@ -47,6 +51,11 @@ type compiled struct {
 	exact      []bool
 	parallel   bool // the parallelizer rewrote the plan
 	correlated bool // the plan reads the trigger's NEW/OLD outer row
+
+	// The result schema, computed once; every Result of the plan shares
+	// these slices.
+	columns []string
+	kinds   []value.Kind
 
 	// When opt.Optimize ran, for the compiling statement's trace.
 	optStart time.Time
@@ -84,9 +93,10 @@ func (e *Engine) compile(sel *ast.Select, env *actionEnv, k knobs) (*compiled, e
 	}
 	c.targets = e.auditTargets(k.auditAll)
 	if len(c.targets) > 0 {
-		acc := core.NewAccessed()
 		for _, ae := range c.targets {
-			c.root = core.Instrument(c.root, ae, &core.Probe{Expr: ae, Acc: acc}, k.heuristic)
+			p := &core.Probe{Expr: ae}
+			c.probes = append(c.probes, p)
+			c.root = core.Instrument(c.root, ae, p, k.heuristic)
 		}
 		// A query touching no sensitive table (e.g. a trigger body reading
 		// ACCESSED) is not an audited query: classify only when
@@ -109,6 +119,10 @@ func (e *Engine) compile(sel *ast.Select, env *actionEnv, k knobs) (*compiled, e
 	if k.workers >= 2 {
 		c.root = opt.Parallelize(c.root, e.tableEstimate, k.workers, k.minRows)
 		c.parallel = planIsParallel(c.root)
+	}
+	for _, col := range c.root.Schema() {
+		c.columns = append(c.columns, col.Name)
+		c.kinds = append(c.kinds, col.Kind)
 	}
 	return c, nil
 }
@@ -143,34 +157,35 @@ func planIsParallel(root plan.Node) bool {
 	return parallel
 }
 
-// rebindProbes points every audit operator in a plan (main tree and all
-// subquery blocks) at a fresh Probe bound to this execution's ACCESSED
-// state. Like core.Instrument, all audit operators for one expression
-// share one Probe, so the first-seen dedup cache spans the whole query
-// exactly as it does on a fresh plan.
-func rebindProbes(root plan.Node, acc *core.Accessed) {
-	probes := make(map[*core.AuditExpression]*core.Probe)
-	rebind(root, acc, probes)
-}
-
-func rebind(root plan.Node, acc *core.Accessed, probes map[*core.AuditExpression]*core.Probe) {
-	plan.Walk(root, func(n plan.Node) {
-		a, ok := n.(*plan.Audit)
-		if !ok {
-			return
-		}
-		old, ok := a.Sink.(*core.Probe)
-		if !ok {
-			return
-		}
-		p, ok := probes[old.Expr]
-		if !ok {
-			p = &core.Probe{Expr: old.Expr, Acc: acc}
-			probes[old.Expr] = p
-		}
-		a.Sink = p
-	})
-	plan.Subplans(root, func(sq *plan.Subquery) {
-		rebind(sq.Plan, acc, probes)
-	})
+// installProbes gives a cloned plan probes of its own: every audit
+// operator (main tree and all subquery blocks) gets a fresh Probe for
+// its expression, one per target shared by all of the target's
+// operators, exactly as compile's instrumentation shares one. It
+// returns them in targets order.
+func installProbes(root plan.Node, targets []*core.AuditExpression) []*core.Probe {
+	probes := make([]*core.Probe, len(targets))
+	for i, ae := range targets {
+		probes[i] = &core.Probe{Expr: ae}
+	}
+	var install func(root plan.Node)
+	install = func(root plan.Node) {
+		plan.Walk(root, func(n plan.Node) {
+			a, ok := n.(*plan.Audit)
+			if !ok {
+				return
+			}
+			old, ok := a.Sink.(*core.Probe)
+			if !ok {
+				return
+			}
+			for i, ae := range targets {
+				if ae == old.Expr {
+					a.Sink = probes[i]
+				}
+			}
+		})
+		plan.Subplans(root, func(sq *plan.Subquery) { install(sq.Plan) })
+	}
+	install(root)
+	return probes
 }

@@ -188,6 +188,10 @@ type Result struct {
 	// the planner knows it (len(Kinds) == len(Columns)); nil for
 	// results whose schema is synthesized (EXPLAIN, VERIFY). Typed
 	// wire protocols use it for result metadata.
+	//
+	// A SELECT's Columns and Kinds are computed once per compiled plan
+	// and shared by every Result the plan produces: callers must not
+	// modify them (none does).
 	Kinds []value.Kind
 	// Rows holds query output.
 	Rows []value.Row
@@ -577,12 +581,24 @@ func (e *Engine) planEnv(env *actionEnv) *plan.Env {
 
 func (e *Engine) execCtx(env *actionEnv, sql string) *exec.Ctx {
 	ctx := exec.NewCtx(e.store)
+	e.bindCtx(ctx, env, sql)
+	return ctx
+}
+
+// bindCtx sets the per-execution fields of an execution context: the
+// session functions' values (USERID(), sqltext(), now()), the bound
+// parameters, the correlation stack, the transient relations and the
+// skipping switch (SET skipping is no planning knob, so it can change
+// under a cached plan). A reused operator instance's context goes
+// through it before every run, so nothing of the previous execution's
+// inputs survives.
+func (e *Engine) bindCtx(ctx *exec.Ctx, env *actionEnv, sql string) {
 	sess := e.sessionOf(env)
 	ctx.Eval.Session = plan.SessionInfo{User: sess.User(), SQL: sql, Now: time.Now()}
 	ctx.Eval.Params = env.params
+	ctx.Eval.Outer = ctx.Eval.Outer[:0]
 	ctx.Extra = env.extraRows
 	ctx.NoSkip = !sess.SkippingOn()
-	return ctx
 }
 
 // BuildQueryPlan parses, plans, optimizes and (optionally) instruments
@@ -609,7 +625,9 @@ func (e *Engine) BuildQueryPlan(sql string, instrument bool) (plan.Node, *core.A
 		return nil, nil, err
 	}
 	acc := core.NewAccessed()
-	rebindProbes(c.root, acc)
+	for _, p := range c.probes {
+		p.Acc = acc
+	}
 	return c.root, acc, nil
 }
 
@@ -653,7 +671,7 @@ func (e *Engine) runSelect(sel *ast.Select, sql string, env *actionEnv) (*Result
 	if id := notePlan(r, start, time.Since(start), "miss"); id >= 0 {
 		r.AddSpan(id, "optimize", c.optStart, c.optDur)
 	}
-	return e.executeSelect(c, sql, env, k.workers, start)
+	return e.executeSelect(&planEntry{compiled: c, knobs: k}, sql, env, start)
 }
 
 // runSelectNormalized is runSelect's canonical-cache branch: the
@@ -683,16 +701,22 @@ func (e *Engine) runSelectNormalized(sql string, env *actionEnv, sess *Session, 
 }
 
 // executeSelect is the one execution tail for every compiled SELECT,
-// cached or fresh: bind fresh probe sinks to a new ACCESSED state, run
-// the plan, fire ON ACCESS triggers, account metrics and the slow-query
-// log.
-func (e *Engine) executeSelect(c *compiled, sql string, env *actionEnv, workers int, start time.Time) (*Result, error) {
+// cached or fresh: point the plan's probes at a new ACCESSED state, run
+// the entry's operator instance, fire ON ACCESS triggers, account
+// metrics and the slow-query log. pe is the session's L1 entry on the
+// cached path, or a one-use entry wrapping a freshly compiled plan. A
+// statement sampled for tracing runs a fresh tree under an Analyze
+// collector instead of the entry's instance.
+func (e *Engine) executeSelect(pe *planEntry, sql string, env *actionEnv, start time.Time) (*Result, error) {
 	sess := e.sessionOf(env)
+	c := pe.compiled
 	n, targets := c.root, c.targets
 	var acc *core.Accessed
 	if len(targets) > 0 {
 		acc = core.NewAccessed()
-		rebindProbes(n, acc)
+		for _, p := range c.probes {
+			p.Acc = acc
+		}
 	}
 	if c.hasAudit {
 		if c.placementExact() {
@@ -705,25 +729,32 @@ func (e *Engine) executeSelect(c *compiled, sql string, env *actionEnv, workers 
 		e.parallelQueries.Add(1)
 	}
 
-	ctx := e.execCtx(env, sql)
-	ctx.Workers = workers
-	if c.correlated {
-		ctx.Eval.PushOuter(env.outerRow)
-	}
 	rec := &sess.rec
-	if rec.Sampling() && ctx.Analyze == nil {
+	var inst *exec.Instance
+	if rec.Sampling() {
 		// Sampled statements run under an Analyze collector so the trace
 		// can attribute time, rows and morsel claims to individual
 		// operators and workers. Audit semantics are unchanged — Analyze
 		// only disables the physically-neutral scan–audit fusion.
+		ctx := exec.NewCtx(e.store)
 		ctx.Analyze = exec.NewAnalyze()
+		inst = exec.NewInstance(n, ctx)
+	} else {
+		inst = pe.instance(e.store)
+	}
+	ctx := inst.Ctx()
+	e.bindCtx(ctx, env, sql)
+	ctx.Workers = pe.knobs.workers
+	if c.correlated {
+		ctx.Eval.PushOuter(env.outerRow)
 	}
 	execSpan := rec.StartSpan("execute")
 	execStart := time.Now()
-	rows, err := exec.Run(n, ctx)
+	rows, err := inst.Run()
 	execDur := time.Since(execStart)
 	e.execSeconds.ObserveDuration(execDur)
-	e.stats.RowsScanned.Add(ctx.Stats.RowsScanned.Load())
+	scannedRows := ctx.Stats.RowsScanned.Load()
+	e.stats.RowsScanned.Add(scannedRows)
 	if m := ctx.Stats.MorselsClaimed.Load(); m > 0 {
 		e.morselsDispatched.Add(m)
 	}
@@ -758,11 +789,7 @@ func (e *Engine) executeSelect(c *compiled, sql string, env *actionEnv, workers 
 	rec.EndSpan(execSpan)
 	rec.AddPhase(trace.PhaseExec, execDur)
 
-	res := &Result{Rows: rows, Accessed: acc}
-	for _, c := range n.Schema() {
-		res.Columns = append(res.Columns, c.Name)
-		res.Kinds = append(res.Kinds, c.Kind)
-	}
+	res := &Result{Columns: c.columns, Kinds: c.kinds, Rows: rows, Accessed: acc}
 
 	// Fire ON ACCESS triggers as their own system transactions after
 	// the query completes (§II).
@@ -810,7 +837,7 @@ func (e *Engine) executeSelect(c *compiled, sql string, env *actionEnv, workers 
 			"sql", sql,
 			"user", sess.User(),
 			"latency", elapsed,
-			"rows_scanned", ctx.Stats.RowsScanned.Load(),
+			"rows_scanned", scannedRows,
 			"rows_audited", audited,
 			"placement", placement,
 		)

@@ -4,23 +4,27 @@ import (
 	"time"
 
 	"auditdb/internal/ast"
+	"auditdb/internal/exec"
 	"auditdb/internal/lexer"
 	"auditdb/internal/parser"
 	"auditdb/internal/plan"
+	"auditdb/internal/storage"
 	"auditdb/internal/value"
 )
 
 // Plan cache. A SELECT's compiled plan depends only on its canonical
 // (auto-parameterized) text, the session's planning knobs and the
-// catalog version — literals and parameters are evaluated at open
-// time, so one plan serves every binding. Two levels share one entry
-// type: each session's L1 maps canonical text to a private entry
-// (lock-free by the single-goroutine session contract) in front of the
-// engine-wide cache of immutable templates (sharedcache.go). DDL bumps
-// the engine's global version and stale entries fall out lazily on the
-// next lookup. Statements the canonical path declines — fold-sensitive
-// shapes, INSERT ... SELECT, IF bodies, scripts — are compiled on every
-// execution.
+// catalog version — literals and parameters are evaluated when a run
+// resets the operators, so one plan serves every binding. Two levels
+// share one entry type: each session's L1 maps canonical text to a
+// private entry (lock-free by the single-goroutine session contract)
+// in front of the engine-wide cache of immutable templates
+// (sharedcache.go). An L1 entry also owns the plan's operator
+// instance: built by its first execution, reset by every later one.
+// DDL bumps the engine's global version and stale entries fall out
+// lazily on the next lookup. Statements the canonical path declines —
+// fold-sensitive shapes, INSERT ... SELECT, IF bodies, scripts — are
+// compiled on every execution.
 
 // planEntry is one plan-cache entry at either level: a compiled plan
 // with the knobs and catalog version it was compiled under and the
@@ -36,20 +40,36 @@ type planEntry struct {
 	version int64
 	slots   int
 	bypass  bool
+
+	// inst is the plan's operator tree, built by the entry's first
+	// execution and reset by every later one. Only an entry that
+	// executes has one: a session-private L1 entry, or the one-use entry
+	// of a compiled statement — never a shared template.
+	inst *exec.Instance
 }
 
 // matches reports whether the entry serves statements planned under k.
 func (pe *planEntry) matches(k knobs) bool { return pe.bypass || pe.knobs == k }
 
 // adopt returns a session-private copy of a shared template: the same
-// entry over a deep clone of the plan, whose audit operators the
-// session may rebind.
+// entry over a deep clone of the plan with probes of its own, which
+// the session's executions point at their ACCESSED states.
 func (pe *planEntry) adopt() *planEntry {
 	c := *pe.compiled
 	c.root = plan.CloneNode(c.root)
+	c.probes = installProbes(c.root, c.targets)
 	cp := *pe
 	cp.compiled = &c
 	return &cp
+}
+
+// instance returns the entry's operator instance, creating it (and its
+// context) on the first execution.
+func (pe *planEntry) instance(store *storage.Store) *exec.Instance {
+	if pe.inst == nil {
+		pe.inst = exec.NewInstance(pe.root, exec.NewCtx(store))
+	}
+	return pe.inst
 }
 
 // runnable reports whether a resolved entry can execute a statement
@@ -257,7 +277,7 @@ func bindSlots(dst, vals []value.Value, user []bool, userParams []value.Value) [
 // runCanon is the one bind-and-run tail for a cached canonical plan:
 // build the slot vector — lifted literals interleaved with the caller's
 // bindings in env.params — in the session's reusable scratch, then run
-// the execution tail, which binds fresh probes.
+// the execution tail on the entry's operator instance.
 func (e *Engine) runCanon(pe *planEntry, vals []value.Value, user []bool, sql string, env *actionEnv, start time.Time) (*Result, error) {
 	s := e.sessionOf(env)
 	s.lock()
@@ -265,7 +285,7 @@ func (e *Engine) runCanon(pe *planEntry, vals []value.Value, user []bool, sql st
 	s.paramScratch = nil
 	s.unlock()
 	env.params = bindSlots(scratch, vals, user, env.params)
-	res, err := e.executeSelect(pe.compiled, sql, env, pe.knobs.workers, start)
+	res, err := e.executeSelect(pe, sql, env, start)
 	s.lock()
 	s.paramScratch = env.params
 	s.unlock()

@@ -12,9 +12,9 @@ import "sync"
 //
 // An entry's plan is an immutable template: it is never executed.
 // Sessions adopt a template by deep-cloning its node tree
-// (plan.CloneNode) into their own L1 cache, because execution rebinds
-// the audit operators' sinks in place. Many sessions may clone one
-// template concurrently; nothing ever writes to it.
+// (plan.CloneNode) into their own L1 cache, because the copy carries
+// the session's own audit probes and operator instance. Many sessions
+// may clone one template concurrently; nothing ever writes to it.
 //
 // The map is sharded by a hash of the canonical bytes so that adopting
 // sessions contend on 1/sharedCacheShards of the lock traffic.

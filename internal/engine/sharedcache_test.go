@@ -393,12 +393,17 @@ func TestSharedCacheWorkload(t *testing.T) {
 	}
 }
 
-// TestWarmExecAllocBudget gates the warm fast path's allocation count:
-// normalize (0 allocs) + L1 lookup + clone-free execution must stay
-// within a small fixed budget, an order of magnitude below the old
-// parse-per-execution path's ~230 allocations. The gate is the measured
-// count (42, audited point SELECT through the default session) plus 2.
+// TestWarmExecAllocBudget gates what one warm audited point SELECT
+// allocates through the default session's Exec, with the tracing
+// brackets wired in and sampling off: normalize (0 allocations), an L1
+// plan-cache hit, and a run of the entry's reused operator instance.
+// What is left is the statement's output — the Result, the returned
+// row and its slice, the ACCESSED state and the one ID it records (Bob
+// is in Midtown). The gate is the measured count (10) plus 2.
 func TestWarmExecAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets do not hold under the race detector")
+	}
 	e := newAuditedDB(t, false)
 	const q = "SELECT Name FROM Patients WHERE PatientID = 2"
 	if _, err := e.Exec(q); err != nil {
@@ -409,8 +414,9 @@ func TestWarmExecAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 44 {
-		t.Fatalf("warm Exec allocates %.1f/op, want <= 44", allocs)
+	t.Logf("warm Exec: %.1f allocs/op", allocs)
+	if allocs > 12 {
+		t.Fatalf("warm Exec allocates %.1f/op, want <= 12", allocs)
 	}
 }
 

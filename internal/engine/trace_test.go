@@ -262,26 +262,6 @@ func TestTraceParallelWorkers(t *testing.T) {
 	}
 }
 
-// TestTraceOffAllocBudget: with tracing machinery wired into every
-// statement but sampling off, the warm fast path must stay within the
-// same allocation budget TestWarmExecAllocBudget pinned before tracing
-// existed — i.e. the off path adds zero allocations.
-func TestTraceOffAllocBudget(t *testing.T) {
-	e := newAuditedHealthDB(t)
-	const q = "SELECT Name FROM Patients WHERE PatientID = 2"
-	if _, err := e.Exec(q); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := e.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 48 {
-		t.Fatalf("warm Exec with tracing off allocates %.1f/op, want <= 48", allocs)
-	}
-}
-
 // TestShowTraceStatements drives the SQL surface: SHOW TRACES lists
 // retained traces, SHOW TRACE FOR renders one tree, and an unknown qid
 // explains how to sample.

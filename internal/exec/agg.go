@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -27,60 +28,110 @@ type aggGroup struct {
 	states []aggState
 }
 
-// openAggregate performs hash aggregation: consume the entire child,
-// bucket by group-by keys, fold each aggregate, then emit one row per
-// group (or exactly one row for a global aggregate over empty input).
-// A Parallel-marked aggregate executing with a worker budget runs the
-// two-phase path instead.
-func openAggregate(a *plan.Aggregate, ctx *Ctx) (Iterator, error) {
-	if a.Parallel && ctx.Workers >= 2 {
-		return openParallelAggregate(a, ctx)
-	}
-	child, err := open(a.Child, ctx, nil)
+// aggIter is hash aggregation: reset consumes the entire child,
+// buckets by group-by keys, folds each aggregate, then renders one row
+// per group (or exactly one row for a global aggregate over empty
+// input), which NextBatch streams out. A Parallel-marked aggregate
+// executing with a worker budget runs the two-phase path instead.
+type aggIter struct {
+	a      *plan.Aggregate
+	child  Iterator // the serial input
+	ctx    *Ctx
+	groups map[string]*aggGroup
+	folder
+	order []string
+	scanIter
+}
+
+func buildAggregate(a *plan.Aggregate, ctx *Ctx) (Iterator, error) {
+	child, err := build(a.Child, ctx, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer child.Close()
-
-	groups := make(map[string]*aggGroup)
-	if err := foldInput(a, child, ctx, groups); err != nil {
-		return nil, err
-	}
-	return emitGroups(a, groups), nil
+	return &aggIter{a: a, child: child, ctx: ctx}, nil
 }
 
-// foldInput drains child into the group table. A global aggregate (no
+func (it *aggIter) reset() error {
+	it.pos = 0
+	if it.a.Parallel && it.ctx.Workers >= 2 {
+		groups, err := foldParallel(it.a, it.ctx)
+		if err != nil {
+			return err
+		}
+		it.emit(groups)
+		return nil
+	}
+	if it.groups == nil {
+		it.groups = make(map[string]*aggGroup)
+	}
+	err := it.child.reset()
+	if err == nil {
+		err = it.fold(it.a, it.child, it.ctx, it.groups)
+	}
+	it.child.Close()
+	it.in.release()
+	if err != nil {
+		return err
+	}
+	it.emit(it.groups)
+	return nil
+}
+
+func (it *aggIter) Close() {
+	it.rows = recycle(it.rows)
+	it.order = recycle(it.order)
+	it.groups = recycleMap(it.groups)
+	clear(it.keyVals)
+	if it.global != nil {
+		clear(it.global.states)
+	}
+}
+
+// folder is the scratch of one fold: the refill batch, the group-key
+// buffers and a global aggregate's one group, all reused by the next
+// fold of the same operator (the operator's Close empties them).
+type folder struct {
+	in      *Batch
+	keyVals value.Row
+	keyBuf  []byte
+	global  *aggGroup
+}
+
+// fold drains child into the group table. A global aggregate (no
 // GROUP BY) has exactly one group under the empty key, always present
 // (even over empty input); it skips key encoding and the per-row map
 // lookup entirely.
-func foldInput(a *plan.Aggregate, child Iterator, ctx *Ctx, groups map[string]*aggGroup) error {
-	var global *aggGroup
+func (f *folder) fold(a *plan.Aggregate, child Iterator, ctx *Ctx, groups map[string]*aggGroup) error {
+	global := f.global
 	if len(a.GroupBy) == 0 {
-		global = &aggGroup{states: make([]aggState, len(a.Aggs))}
+		if global == nil {
+			global = &aggGroup{states: make([]aggState, len(a.Aggs))}
+			f.global = global
+		}
 		groups[""] = global
+	} else if len(f.keyVals) != len(a.GroupBy) {
+		f.keyVals = make(value.Row, len(a.GroupBy))
 	}
-	keyVals := make(value.Row, len(a.GroupBy)) // per-row scratch
-	var keyBuf []byte                          // reusable key scratch
-	return pull(child, func(rows []value.Row) error {
+	return pull(child, &f.in, func(rows []value.Row) error {
 		for _, row := range rows {
 			grp := global
-			if grp == nil {
-				keyBuf = keyBuf[:0]
+			if len(a.GroupBy) > 0 {
+				f.keyBuf = f.keyBuf[:0]
 				for i, g := range a.GroupBy {
 					v, err := g.Eval(ctx.Eval, row)
 					if err != nil {
 						return err
 					}
-					keyVals[i] = v
-					keyBuf = value.EncodeKey(keyBuf, v)
+					f.keyVals[i] = v
+					f.keyBuf = value.EncodeKey(f.keyBuf, v)
 				}
 				// The string(keyBuf) lookup does not allocate; the key
 				// string and group-by row only materialize per new group.
 				var ok bool
-				grp, ok = groups[string(keyBuf)]
+				grp, ok = groups[string(f.keyBuf)]
 				if !ok {
-					k := string(keyBuf)
-					grp = &aggGroup{keys: keyVals.Clone(), states: make([]aggState, len(a.Aggs))}
+					k := string(f.keyBuf)
+					grp = &aggGroup{keys: f.keyVals.Clone(), states: make([]aggState, len(a.Aggs))}
 					groups[k] = grp
 				}
 			}
@@ -94,27 +145,30 @@ func foldInput(a *plan.Aggregate, child Iterator, ctx *Ctx, groups map[string]*a
 	})
 }
 
-// emitGroups renders the group table as result rows in sorted
-// encoded-key order — deterministic by construction, and identical
-// between the serial and two-phase parallel paths (first-appearance
-// order would differ run to run under parallel folding).
-func emitGroups(a *plan.Aggregate, groups map[string]*aggGroup) *scanIter {
-	order := make([]string, 0, len(groups))
+// emit renders the group table as result rows in sorted encoded-key
+// order — deterministic by construction, and identical between the
+// serial and two-phase parallel paths (first-appearance order would
+// differ run to run under parallel folding). The rows are fresh (they
+// escape to the consumer) and share one backing array.
+func (it *aggIter) emit(groups map[string]*aggGroup) {
+	it.order = it.order[:0]
 	for k := range groups {
-		order = append(order, k)
+		it.order = append(it.order, k)
 	}
-	sort.Strings(order)
-	rows := make([]value.Row, 0, len(groups))
-	for _, k := range order {
+	sort.Strings(it.order)
+	nk := len(it.a.GroupBy)
+	w := nk + len(it.a.Aggs)
+	backing := make([]value.Value, len(it.order)*w)
+	it.rows = it.rows[:0]
+	for i, k := range it.order {
 		grp := groups[k]
-		out := make(value.Row, 0, len(a.GroupBy)+len(a.Aggs))
-		out = append(out, grp.keys...)
-		for i, spec := range a.Aggs {
-			out = append(out, finish(&grp.states[i], spec))
+		out := value.Row(backing[i*w : (i+1)*w : (i+1)*w])
+		copy(out, grp.keys)
+		for j, spec := range it.a.Aggs {
+			out[nk+j] = finish(&grp.states[j], spec)
 		}
-		rows = append(rows, out)
+		it.rows = append(it.rows, out)
 	}
-	return &scanIter{rows: rows}
 }
 
 // mergeState folds one worker's partial aggregate state into dst. The
@@ -136,11 +190,11 @@ func mergeState(dst, src *aggState) {
 	}
 }
 
-// openParallelAggregate is the two-phase path: one fragment per worker
-// folds morsels of the child into a private group table (no shared
-// state, no locks), then the partials merge serially in worker-index
-// order and the merged table emits exactly like the serial operator.
-func openParallelAggregate(a *plan.Aggregate, ctx *Ctx) (Iterator, error) {
+// foldParallel is the two-phase path: one fragment per worker folds
+// morsels of the child into a private group table (no shared state, no
+// locks), then the partials merge serially in worker-index order into
+// a table that emits exactly like the serial operator's.
+func foldParallel(a *plan.Aggregate, ctx *Ctx) (map[string]*aggGroup, error) {
 	ws, err := openWorkers(a.Child, ctx, ctx.Workers)
 	if err != nil {
 		return nil, err
@@ -153,7 +207,8 @@ func openParallelAggregate(a *plan.Aggregate, ctx *Ctx) (Iterator, error) {
 		wg.Add(1)
 		go func(i int, w *worker) {
 			defer wg.Done()
-			errs[i] = w.drive(func() error { return foldInput(a, w.iter, w.ctx, partials[i]) })
+			var f folder
+			errs[i] = w.drive(func() error { return f.fold(a, w.iter, w.ctx, partials[i]) })
 		}(i, w)
 	}
 	wg.Wait()
@@ -176,7 +231,7 @@ func openParallelAggregate(a *plan.Aggregate, ctx *Ctx) (Iterator, error) {
 			}
 		}
 	}
-	return emitGroups(a, groups), nil
+	return groups, nil
 }
 
 func fold(st *aggState, spec plan.AggSpec, ctx *Ctx, row value.Row) error {
@@ -254,53 +309,76 @@ func finish(st *aggState, spec plan.AggSpec) value.Value {
 
 // ---- Sort ----
 
-func openSort(s *plan.Sort, ctx *Ctx) (Iterator, error) {
-	child, err := open(s.Child, ctx, nil)
+// sortIter is a blocking sort: reset drains the child, evaluating
+// every row's sort keys once into keys (row i's at keyed[i].key), and
+// stable-sorts; NextBatch streams the sorted rows out.
+type sortIter struct {
+	s     *plan.Sort
+	child Iterator
+	ctx   *Ctx
+	in    *Batch
+	keyed []sortRow
+	keys  []value.Value
+	scanIter
+}
+
+type sortRow struct {
+	row value.Row
+	key int
+}
+
+func buildSort(s *plan.Sort, ctx *Ctx) (Iterator, error) {
+	child, err := build(s.Child, ctx, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer child.Close()
-	type keyed struct {
-		row  value.Row
-		keys value.Row
-	}
-	var rows []keyed
-	kw := len(s.Keys)
-	err = pull(child, func(in []value.Row) error {
-		// One backing array of sort keys per input batch.
-		backing := make([]value.Value, len(in)*kw)
-		for ri, row := range in {
-			keys := value.Row(backing[ri*kw : (ri+1)*kw : (ri+1)*kw])
-			for i, k := range s.Keys {
-				v, err := k.Expr.Eval(ctx.Eval, row)
-				if err != nil {
-					return err
+	return &sortIter{s: s, child: child, ctx: ctx}, nil
+}
+
+func (it *sortIter) reset() error {
+	it.pos = 0
+	err := it.child.reset()
+	if err == nil {
+		err = pull(it.child, &it.in, func(in []value.Row) error {
+			for _, row := range in {
+				key := len(it.keys)
+				for _, k := range it.s.Keys {
+					v, err := k.Expr.Eval(it.ctx.Eval, row)
+					if err != nil {
+						return err
+					}
+					it.keys = append(it.keys, v)
 				}
-				keys[i] = v
+				it.keyed = append(it.keyed, sortRow{row: row, key: key})
 			}
-			rows = append(rows, keyed{row: row, keys: keys})
-		}
-		return nil
-	})
+			return nil
+		})
+	}
+	it.child.Close()
+	it.in.release()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		for k, key := range s.Keys {
-			c := value.Compare(rows[i].keys[k], rows[j].keys[k])
-			if c == 0 {
-				continue
-			}
+	slices.SortStableFunc(it.keyed, func(a, b sortRow) int {
+		for c, key := range it.s.Keys {
+			cmp := value.Compare(it.keys[a.key+c], it.keys[b.key+c])
 			if key.Desc {
-				return c > 0
+				cmp = -cmp
 			}
-			return c < 0
+			if cmp != 0 {
+				return cmp
+			}
 		}
-		return false
+		return 0
 	})
-	out := make([]value.Row, len(rows))
-	for i, r := range rows {
-		out[i] = r.row
+	for _, r := range it.keyed {
+		it.rows = append(it.rows, r.row)
 	}
-	return &scanIter{rows: out}, nil
+	return nil
+}
+
+func (it *sortIter) Close() {
+	it.rows = recycle(it.rows)
+	it.keyed = recycle(it.keyed)
+	it.keys = recycle(it.keys)
 }

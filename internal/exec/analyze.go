@@ -108,6 +108,11 @@ type analyzedIter struct {
 	closed bool
 }
 
+func (it *analyzedIter) reset() error {
+	it.st, it.closed = obs.NodeStats{}, false
+	return it.child.reset()
+}
+
 func (it *analyzedIter) NextBatch(b *Batch) (int, error) {
 	start := time.Now()
 	n, err := it.child.NextBatch(b)

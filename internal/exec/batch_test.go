@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"auditdb/internal/catalog"
@@ -182,7 +183,10 @@ func TestScanKernelAllocsPerRun(t *testing.T) {
 
 // TestHashJoinProbeAllocsPerRun guards the join fast path: probing
 // 5000 left rows against a built hash table must not allocate per row
-// (reusable key buffer, batched pair backing arrays).
+// (reusable key buffer, slab-carved output pairs), and the pair slabs
+// must be sized by the pending matches, growing only while a batch
+// keeps draining them — not by the room left in the batch, which made
+// a 200-pair join allocate for 680 pairs (~290 KB per run).
 func TestHashJoinProbeAllocsPerRun(t *testing.T) {
 	h := bigHarness(t)
 	n := mustPlan(t, h, "SELECT COUNT(*) FROM big b, emp e WHERE b.grp = e.id")
@@ -199,9 +203,23 @@ func TestHashJoinProbeAllocsPerRun(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Build table (4 buckets) + batch growth + per-batch pair backing
-	// arrays stay double-digit; per-probe-row allocation would be 5000+.
+	// Build table (4 buckets) + batch growth + O(log n) pair slabs per
+	// batch stay double-digit; per-probe-row allocation would be 5000+.
 	if allocs > 150 {
 		t.Errorf("hash join allocations per run = %.0f, want <= 150", allocs)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := Drain(n, NewCtx(h.store)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// ~185 KB measured (scan buffers, batches, build table, ~230 pairs
+	// of slab), plus 25 %.
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > 230<<10 {
+		t.Errorf("hash join allocates %d bytes per run, want <= %d", perRun, 230<<10)
 	}
 }

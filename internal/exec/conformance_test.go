@@ -23,6 +23,7 @@ func (s *bagSink) ObserveBatch(vs []value.Value) {
 	}
 }
 func (s *bagSink) bag() []string { sort.Strings(s.vals); return s.vals }
+func (s *bagSink) forget()       { s.vals = nil }
 
 // forkBagSink is the ParallelAuditSink variant: workers observe into
 // private forks that append to the parent at Merge.
@@ -74,16 +75,23 @@ func rawPlan(t *testing.T, h *harness, sql string) plan.Node {
 	return n
 }
 
-// drainAt pulls n through batches with request ceiling c, checking the
-// contract on every call: at most c rows, b.Rows is exactly the
-// published prefix, and an exhausted operator keeps returning 0. On
-// error it returns the rows published by the calls before it.
+// drainAt opens n and drains it at ceiling c (see drainIt).
 func drainAt(t *testing.T, n plan.Node, ctx *Ctx, c int) ([]value.Row, error) {
 	t.Helper()
 	it, err := open(n, ctx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return drainIt(t, it, c)
+}
+
+// drainIt pulls a reset operator through batches with request ceiling
+// c, checking the contract on every call: at most c rows, b.Rows is
+// exactly the published prefix, and an exhausted operator keeps
+// returning 0. It closes the operator, ending the run. On error it
+// returns the rows published by the calls before it.
+func drainIt(t *testing.T, it Iterator, c int) ([]value.Row, error) {
+	t.Helper()
 	defer it.Close()
 	b := NewBatch(c)
 	var out []value.Row
@@ -122,7 +130,11 @@ var ceilings = []int{1, 3, 8, 1024}
 // contract at several request ceilings: the rows (as a multiset, or in
 // order under a Sort or an aggregate's sorted emission) and the audit
 // sink's observations must not depend on the ceiling, nothing may
-// exceed it, and exhaustion is sticky.
+// exceed it, and exhaustion is sticky. Then one tree is built and run
+// again and again, at every ceiling up and back down, each full run
+// preceded by a run stopped after one batch: every full run must equal
+// a fresh tree's — a missing reset shows up as lost, repeated or
+// leftover rows or observations.
 func TestOperatorConformance(t *testing.T) {
 	h := conformanceHarness(t)
 	planned := func(sql string) func(plan.AuditSink) plan.Node {
@@ -180,25 +192,35 @@ func TestOperatorConformance(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			var refRows, refSeen []string
-			for _, ceiling := range ceilings {
-				var sink interface {
-					plan.AuditSink
-					bag() []string
-				} = &forkBagSink{}
+			newSink := func() interface {
+				plan.AuditSink
+				bag() []string
+				forget()
+			} {
 				if c.plain {
-					sink = &bagSink{}
+					return &bagSink{}
 				}
+				return &forkBagSink{}
+			}
+			newCtx := func() *Ctx {
 				ctx := NewCtx(h.store)
 				ctx.Workers, ctx.Extra = c.workers, c.extra
-				rows, err := drainAt(t, c.build(sink), ctx, ceiling)
+				return ctx
+			}
+			canonical := func(rows []value.Row) []string {
+				if c.ordered {
+					return rowKeys(rows)
+				}
+				return canon(rows)
+			}
+			var refRows, refSeen []string
+			for _, ceiling := range ceilings {
+				sink := newSink()
+				rows, err := drainAt(t, c.build(sink), newCtx(), ceiling)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := canon(rows)
-				if c.ordered {
-					got = rowKeys(rows)
-				}
+				got := canonical(rows)
 				if len(got) != c.want || len(sink.bag()) != c.seen {
 					t.Fatalf("ceiling %d: %d rows, %d observations; want %d, %d", ceiling, len(got), len(sink.bag()), c.want, c.seen)
 				}
@@ -211,6 +233,37 @@ func TestOperatorConformance(t *testing.T) {
 				}
 				if !equalStrings(sink.bag(), refSeen) {
 					t.Errorf("ceiling %d: sink observations differ from ceiling %d", ceiling, ceilings[0])
+				}
+			}
+
+			sink := newSink()
+			it, err := build(c.build(sink), newCtx(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range 2 * len(ceilings) {
+				ceiling := ceilings[min(i, 2*len(ceilings)-1-i)]
+				// A run stopped after one batch, then a full one.
+				if err := it.reset(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := it.NextBatch(NewBatch(ceiling)); err != nil {
+					t.Fatal(err)
+				}
+				it.Close()
+				sink.forget()
+				if err := it.reset(); err != nil {
+					t.Fatal(err)
+				}
+				rows, err := drainIt(t, it, ceiling)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !equalStrings(canonical(rows), refRows) {
+					t.Errorf("run %d, ceiling %d: reused tree's rows differ from a fresh tree's (%d rows, want %d)", i, ceiling, len(rows), len(refRows))
+				}
+				if !equalStrings(sink.bag(), refSeen) {
+					t.Errorf("run %d, ceiling %d: reused tree's sink observations differ from a fresh tree's (%d, want %d)", i, ceiling, len(sink.bag()), len(refSeen))
 				}
 			}
 		})

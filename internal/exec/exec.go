@@ -2,7 +2,8 @@
 // operators (one contract, NextBatch): scans with pushed predicates and
 // visibility masks, hash and nested-loops joins, hash aggregation,
 // sorting, limits, distinct, and the audit operator (a pass-through
-// that feeds partition-by values to its sink, paper §IV-A.2).
+// that feeds partition-by values to its sink, paper §IV-A.2). A plan's
+// operator tree is an Instance: built once, reset for every run.
 package exec
 
 import (
@@ -36,7 +37,7 @@ type Ctx struct {
 	// executor ever sees the plan).
 	Workers int
 	// Analyze, when set, collects per-operator counters for EXPLAIN
-	// ANALYZE: open wraps every operator in a counting shim and disables
+	// ANALYZE: build wraps every operator in a counting shim and disables
 	// scan–audit fusion so each plan node reports its own rows, batches,
 	// and wall time.
 	Analyze *Analyze
@@ -73,6 +74,14 @@ type Stats struct {
 	ChunksSkippedAudit  atomic.Int64
 }
 
+func (s *Stats) reset() {
+	s.RowsScanned.Store(0)
+	s.MorselsClaimed.Store(0)
+	s.ChunksScanned.Store(0)
+	s.ChunksSkippedFilter.Store(0)
+	s.ChunksSkippedAudit.Store(0)
+}
+
 // NewCtx returns a context over the given store with a fresh
 // evaluation context whose subquery runner is already installed, so
 // standalone expression evaluation (trigger IF conditions, DML
@@ -103,50 +112,130 @@ func (ctx *Ctx) init() {
 // count. 0 with a nil error means the operator is exhausted, and it
 // keeps returning 0 if called again. A non-nil error ends the stream:
 // nothing past the failing row is published, and consumers discard
-// whatever the failing call reported. Close releases resources.
+// whatever the failing call reported.
+//
+// An operator runs any number of times. reset starts a run: it rewinds
+// the operator and its inputs and re-derives from the context
+// everything that is not plan shape (bound parameters and the
+// constants compiled from them, the resolved table, mask and index
+// candidates, the skipping switch); blocking operators consume their
+// input here. Close ends a run, successful or not: it folds counters,
+// drops the row references the operator's buffers hold and any
+// data-sized state past keepRows. reset always follows Close (or
+// build), so a run that errored or stopped early leaves nothing behind.
 type Iterator interface {
 	NextBatch(b *Batch) (int, error)
 	Close()
+	reset() error
 }
 
-// Run materializes the full result of a plan.
-func Run(n plan.Node, ctx *Ctx) ([]value.Row, error) {
+// Instance is a plan's operator tree, reusable across runs. The first
+// run builds the tree; every run, the first included, resets it before
+// pulling and closes it after. Between runs the instance keeps only
+// buffers and structure. It is not safe for concurrent or re-entrant
+// use: the engine keeps one per session-private plan-cache entry.
+type Instance struct {
+	root plan.Node
+	ctx  *Ctx
+	it   Iterator    // nil until the first run builds it
+	out  *Batch      // the root's pull batch
+	rows []value.Row // Run's result scratch
+}
+
+// NewInstance returns an instance of plan n executing under ctx.
+// Nothing is built until the first run.
+func NewInstance(n plan.Node, ctx *Ctx) *Instance {
 	ctx.init()
-	return collect(n, ctx)
+	return &Instance{root: n, ctx: ctx}
 }
 
-// Drain executes the plan to completion, discarding rows, and returns
-// the row count. It exists for measurement and side-effect-only runs
+// Ctx returns the context every run of the instance executes under.
+// The caller sets its per-execution fields (session functions,
+// parameters, transient relations, skipping switch, worker budget)
+// before each run; the run zeroes Stats itself and clears the
+// evaluation context's subquery cache when it ends.
+func (in *Instance) Ctx() *Ctx { return in.ctx }
+
+// Run executes the instance once and materializes its result.
+func (in *Instance) Run() ([]value.Row, error) {
+	err := in.run(func(rows []value.Row) error {
+		in.rows = append(in.rows, rows...)
+		return nil
+	})
+	out := in.rows
+	switch {
+	case err != nil || len(out) == 0:
+		out = nil
+	case len(out) > keepRows:
+		// A large result is handed over whole rather than copied; the
+		// scratch would be dropped anyway.
+		in.rows = nil
+		return out, nil
+	default:
+		out = append([]value.Row(nil), out...)
+	}
+	in.rows = recycle(in.rows)
+	return out, err
+}
+
+// Drain executes the instance once, discarding rows, and returns the
+// row count. It exists for measurement and side-effect-only runs
 // (audit probes fire as usual); the rows are never retained, so the
 // garbage collector sees far less pressure than under Run.
-func Drain(n plan.Node, ctx *Ctx) (int, error) {
-	ctx.init()
-	it, err := open(n, ctx, nil)
-	if err != nil {
-		return 0, err
-	}
-	defer it.Close()
+func (in *Instance) Drain() (int, error) {
 	count := 0
-	err = pull(it, func(rows []value.Row) error {
+	err := in.run(func(rows []value.Row) error {
 		count += len(rows)
 		return nil
 	})
 	return count, err
 }
 
+func (in *Instance) run(each func(rows []value.Row) error) error {
+	in.ctx.Stats.reset()
+	// Uncorrelated subquery results are cached per evaluation context;
+	// the next run must re-read current data, and an idle instance must
+	// not pin the rows.
+	defer in.ctx.Eval.ClearSubqueryCache()
+	if in.it == nil {
+		it, err := build(in.root, in.ctx, nil)
+		if err != nil {
+			return err
+		}
+		in.it = it
+	}
+	defer in.it.Close()
+	if err := in.it.reset(); err != nil {
+		return err
+	}
+	err := pull(in.it, &in.out, each)
+	in.out.release()
+	return err
+}
+
+// Run materializes the full result of a plan: an instance run once.
+func Run(n plan.Node, ctx *Ctx) ([]value.Row, error) {
+	return NewInstance(n, ctx).Run()
+}
+
+// Drain executes the plan to completion once, discarding rows, and
+// returns the row count (see Instance.Drain).
+func Drain(n plan.Node, ctx *Ctx) (int, error) {
+	return NewInstance(n, ctx).Drain()
+}
+
+// collect runs a subtree once within an execution that is already
+// under way (subqueries, parallel build sides): unlike an Instance run
+// it leaves the statement's Stats alone.
 func collect(n plan.Node, ctx *Ctx) ([]value.Row, error) {
 	it, err := open(n, ctx, nil)
 	if err != nil {
 		return nil, err
 	}
-	return materialize(it)
-}
-
-// materialize drains an operator's full output and closes it.
-func materialize(it Iterator) ([]value.Row, error) {
 	defer it.Close()
+	var b *Batch
 	var out []value.Row
-	err := pull(it, func(rows []value.Row) error {
+	err = pull(it, &b, func(rows []value.Row) error {
 		out = append(out, rows...)
 		return nil
 	})
@@ -156,31 +245,48 @@ func materialize(it Iterator) ([]value.Row, error) {
 	return out, nil
 }
 
-// open is the one function that turns a plan node into an operator.
-// w is the worker whose pipeline fragment is being built (nil for
-// serial execution); a fragment differs from the serial tree in three
-// places only: its scans claim morsels from the run's shared source,
-// its audit operators feed worker-local sinks, and its hash joins
-// probe the run's shared build table. Under EXPLAIN ANALYZE
-// (ctx.Analyze set) every operator is wrapped in a counting shim.
+// open builds a tree that runs once and resets it for that run: the
+// parts of an execution that are built per run (subquery trees,
+// parallel fragments). On a reset error the tree is closed.
 func open(n plan.Node, ctx *Ctx, w *worker) (Iterator, error) {
+	it, err := build(n, ctx, w)
+	if err != nil {
+		return nil, err
+	}
+	if err := it.reset(); err != nil {
+		it.Close()
+		return nil, err
+	}
+	return it, nil
+}
+
+// build is the one function that turns a plan node into an operator.
+// It only builds structure; storage and the execution's inputs are
+// first read by reset. w is the worker whose pipeline fragment is
+// being built (nil for serial execution); a fragment differs from the
+// serial tree in three places only: its scans claim morsels from the
+// run's shared source, its audit operators feed worker-local sinks,
+// and its hash joins probe the run's shared build table. Under EXPLAIN
+// ANALYZE (ctx.Analyze set) every operator is wrapped in a counting
+// shim.
+func build(n plan.Node, ctx *Ctx, w *worker) (Iterator, error) {
 	var it Iterator
 	var err error
 	switch x := n.(type) {
 	case *plan.Scan:
-		it, err = openScan(x, ctx, w)
+		it = buildScan(x, ctx, w)
 	case *plan.Filter:
-		if it, err = open(x.Child, ctx, w); err == nil {
-			it = &filterIter{child: it, pred: x.Pred, quick: compilePred(x.Pred, ctx), ctx: ctx}
+		if it, err = build(x.Child, ctx, w); err == nil {
+			it = &filterIter{child: it, pred: x.Pred, quick: compilePred(x.Pred), ctx: ctx}
 		}
 	case *plan.Project:
-		if it, err = open(x.Child, ctx, w); err == nil {
+		if it, err = build(x.Child, ctx, w); err == nil {
 			it = &projectIter{child: it, exprs: x.Exprs, ctx: ctx}
 		}
 	case *plan.Audit:
-		it, err = openAudit(x, ctx, w)
+		it, err = buildAudit(x, ctx, w)
 	case *plan.Join:
-		it, err = openJoin(x, ctx, w)
+		it, err = buildJoin(x, ctx, w)
 	default:
 		// Everything else runs above the exchange, never inside a
 		// fragment (the planner's fragmentOK admits only the cases above).
@@ -189,20 +295,20 @@ func open(n plan.Node, ctx *Ctx, w *worker) (Iterator, error) {
 		}
 		switch x := n.(type) {
 		case *plan.ValuesScan:
-			it, err = openValues(x, ctx)
+			it = &valuesIter{name: x.Name, ctx: ctx}
 		case *plan.Aggregate:
-			it, err = openAggregate(x, ctx)
+			it, err = buildAggregate(x, ctx)
 		case *plan.Gather:
-			it, err = openGather(x, ctx)
+			it, err = buildGather(x, ctx)
 		case *plan.Sort:
-			it, err = openSort(x, ctx)
+			it, err = buildSort(x, ctx)
 		case *plan.Limit:
-			if it, err = open(x.Child, ctx, nil); err == nil {
+			if it, err = build(x.Child, ctx, nil); err == nil {
 				it = &limitIter{child: it, n: x.N}
 			}
 		case *plan.Distinct:
-			if it, err = open(x.Child, ctx, nil); err == nil {
-				it = &distinctIter{child: it, seen: make(map[string]struct{})}
+			if it, err = build(x.Child, ctx, nil); err == nil {
+				it = &distinctIter{child: it}
 			}
 		default:
 			err = fmt.Errorf("exec: unsupported plan node %T", n)
@@ -217,24 +323,21 @@ func open(n plan.Node, ctx *Ctx, w *worker) (Iterator, error) {
 	return it, nil
 }
 
-// openAudit places an audit operator. Leaf-placed ones fuse into the
+// buildAudit places an audit operator. Leaf-placed ones fuse into the
 // scan kernel: one batch pass applies the pushed predicate and the
 // sensitive-ID probe without an extra operator boundary per row.
 // Semantics match auditIter-over-scan exactly (the probe sees
 // post-predicate rows); only the probe granularity changes. EXPLAIN
 // ANALYZE keeps the operators separate so each reports its own
 // counters.
-func openAudit(x *plan.Audit, ctx *Ctx, w *worker) (Iterator, error) {
+func buildAudit(x *plan.Audit, ctx *Ctx, w *worker) (Iterator, error) {
 	sink := x.Sink
 	if w != nil {
 		sink = w.sink(sink)
 	}
 	if ctx.Analyze == nil {
 		if s, ok := x.Child.(*plan.Scan); ok {
-			k, err := openScan(s, ctx, w)
-			if err != nil {
-				return nil, err
-			}
+			k := buildScan(s, ctx, w)
 			k.fuseAudit(sink, x.IDIdx, x.Pruner)
 			return k, nil
 		}
@@ -245,17 +348,14 @@ func openAudit(x *plan.Audit, ctx *Ctx, w *worker) (Iterator, error) {
 		if pj, ok := x.Child.(*plan.Project); ok {
 			if s, ok := pj.Child.(*plan.Scan); ok {
 				if col, ok := projectedScanColumn(pj, x.IDIdx); ok {
-					k, err := openScan(s, ctx, w)
-					if err != nil {
-						return nil, err
-					}
+					k := buildScan(s, ctx, w)
 					k.fuseAudit(sink, col, x.Pruner)
 					return &projectIter{child: k, exprs: pj.Exprs, ctx: ctx}, nil
 				}
 			}
 		}
 	}
-	child, err := open(x.Child, ctx, w)
+	child, err := build(x.Child, ctx, w)
 	if err != nil {
 		return nil, err
 	}
@@ -264,8 +364,8 @@ func openAudit(x *plan.Audit, ctx *Ctx, w *worker) (Iterator, error) {
 
 // ---- Scans ----
 
-// scanIter iterates over an in-memory row slice (transient relations,
-// aggregation and sort output).
+// scanIter iterates over an in-memory row slice: the output of
+// aggregation and sort, and transient relations.
 type scanIter struct {
 	rows []value.Row
 	pos  int
@@ -278,20 +378,28 @@ type scanIter struct {
 // fused in — feeds surviving partition-by values to the sink one batch
 // at a time.
 type scanKernel struct {
-	tbl   *storage.Table
-	name  string
-	mask  *storage.Mask // nil when the mask hides nothing in this table
-	pred  plan.Expr
-	quick predFn // compiled fast path for pred; nil for complex shapes
+	scan  *plan.Scan
 	ctx   *Ctx
+	w     *worker   // the worker whose fragment this is; nil when serial
+	quick quickPred // compiled fast path for the pushed predicate
 
-	// Heap path: pos is the next heap slot, -1 once exhausted.
-	pos int
-	// Index-assisted path: ids are the candidate row IDs; the kernel
-	// fetches their rows chunk by chunk instead of up front.
+	// Fused audit probe (sink nil when not fused) and the expression's
+	// sketch pruner; whether the pruner applies is decided per run.
+	sink        plan.AuditSink
+	bsink       plan.BatchAuditSink
+	idIdx       int
+	auditPruner plan.SketchPruner
+
+	// The run's access path (resolveScan): table, mask (nil when it
+	// hides nothing in this table) and, on the index-assisted path, the
+	// candidate row IDs, fetched chunk by chunk instead of up front.
+	tbl    *storage.Table
+	mask   *storage.Mask
 	useIDs bool
 	ids    []storage.RowID
-	idPos  int
+	// Heap path: pos is the next heap slot, -1 once exhausted.
+	pos   int
+	idPos int
 
 	// Morsel-driven mode (parallel scans): src is the shared claim
 	// cursor; the kernel works one claimed window at a time —
@@ -303,25 +411,19 @@ type scanKernel struct {
 	idEnd     int
 	morsels   int64
 
-	// Fused audit probe (sink nil when not fused).
-	sink  plan.AuditSink
-	bsink plan.BatchAuditSink
-	idIdx int
-
 	// Chunk skipping (skip.go): compiled filter refutation terms, the
 	// fused audit expression's sketch pruner, and the decide callback
 	// handed to the pruned storage scans. chunkElide marks the current
 	// chunk's probes as elided (counted via csink, never recorded);
 	// elidedRows accumulates until the next flushAudit. lastChunk
 	// keeps the per-chunk counters exact across mid-chunk resumes.
-	prune       []prunePred
-	pruner      plan.SketchPruner
-	csink       plan.CountingAuditSink
-	decideFn    func(storage.ChunkInfo) bool
-	decideBuilt bool
-	chunkElide  bool
-	elidedRows  int64
-	lastChunk   int
+	prune      []prunePred
+	pruner     plan.SketchPruner
+	csink      plan.CountingAuditSink
+	decideFn   func(storage.ChunkInfo) bool
+	chunkElide bool
+	elidedRows int64
+	lastChunk  int
 
 	chunksScanned    int64
 	chunksSkipFilter int64
@@ -348,12 +450,14 @@ type scanSource struct {
 	src    *morselSource // nil for a serial scan
 }
 
-func resolveScan(s *plan.Scan, ctx *Ctx) (scanSource, error) {
+// resolveScan resolves s under ctx's bindings; index candidates are
+// appended to ids.
+func resolveScan(s *plan.Scan, ctx *Ctx, ids []storage.RowID) (scanSource, error) {
 	tbl, ok := ctx.Store.Table(s.Table)
 	if !ok {
 		return scanSource{}, fmt.Errorf("exec: table %q does not exist", s.Table)
 	}
-	ss := scanSource{tbl: tbl}
+	ss := scanSource{tbl: tbl, ids: ids}
 	if ctx.Mask.HidesTable(s.Table) {
 		ss.mask = ctx.Mask
 	}
@@ -365,61 +469,69 @@ func resolveScan(s *plan.Scan, ctx *Ctx) (scanSource, error) {
 	// that false positives do not depend on physical operators).
 	if s.Pushed != nil {
 		if col, v, found := equalityProbe(s.Pushed, ctx); found {
-			ss.ids, ss.useIDs = tbl.LookupEq(col, v)
+			ss.ids, ss.useIDs = tbl.LookupEq(col, v, ids)
 		}
 	}
 	return ss, nil
 }
 
-// openScan builds the scan kernel, serial or morsel-driven. Predicate
-// and prune terms compile against the opening context (cheap — a
-// handful of constant resolutions), so each worker owns its closures.
-func openScan(s *plan.Scan, ctx *Ctx, w *worker) (*scanKernel, error) {
+// buildScan builds a scan kernel, serial or morsel-driven. The pushed
+// predicate's fast path is compiled here, once; its constants are bound
+// per run, so each worker owns its compiled predicate.
+func buildScan(s *plan.Scan, ctx *Ctx, w *worker) *scanKernel {
+	k := &scanKernel{scan: s, ctx: ctx, w: w, idIdx: -1}
+	if s.Pushed != nil {
+		k.quick = compilePred(s.Pushed)
+	}
+	return k
+}
+
+// reset resolves the access path and binds the predicate and prune
+// constants under the run's parameters and skipping switch.
+func (k *scanKernel) reset() error {
 	var ss scanSource
 	var err error
-	if w != nil {
-		ss, err = w.run.source(s)
+	if k.w != nil {
+		ss, err = k.w.run.source(k.scan)
 	} else {
-		ss, err = resolveScan(s, ctx)
+		ss, err = resolveScan(k.scan, k.ctx, k.ids[:0])
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	k := &scanKernel{
-		tbl: ss.tbl, name: s.Table, mask: ss.mask, pred: s.Pushed, ctx: ctx,
-		useIDs: ss.useIDs, ids: ss.ids, src: ss.src, idIdx: -1,
-	}
-	if ss.src != nil {
+	k.tbl, k.mask, k.useIDs, k.ids, k.src = ss.tbl, ss.mask, ss.useIDs, ss.ids, ss.src
+	k.pos, k.idPos, k.morselEnd, k.idEnd, k.morsels = 0, 0, 0, 0, 0
+	if k.src != nil {
 		k.pos = -1 // nothing claimed yet
 	}
-	if s.Pushed != nil {
-		k.quick = compilePred(s.Pushed, ctx)
+	k.quick.bind(k.ctx)
+	k.prune, k.pruner, k.csink = k.prune[:0], nil, nil
+	if !k.ctx.NoSkip {
+		k.prune = compilePrune(k.prune, k.scan.Prune, k.tbl, k.ctx)
+		// Probe elision additionally requires a counting sink (so the
+		// observed-row counter stays byte-identical); a non-counting
+		// sink keeps per-row probes for every scanned chunk.
+		if k.auditPruner != nil && k.idIdx >= 0 {
+			if cs, ok := k.sink.(plan.CountingAuditSink); ok {
+				k.pruner, k.csink = k.auditPruner, cs
+			} else if k.ctx.AuditOnly {
+				k.pruner = k.auditPruner
+			}
+		}
 	}
-	if !ctx.NoSkip {
-		k.prune = compilePrune(s.Prune, ss.tbl, ctx)
-	}
-	return k, nil
+	k.chunkElide, k.elidedRows, k.lastChunk = false, 0, -1
+	k.chunksScanned, k.chunksSkipFilter, k.chunksSkipAudit = 0, 0, 0
+	k.closed = false
+	return nil
 }
 
 // fuseAudit attaches a leaf audit operator's sink to the kernel, along
-// with the expression's sketch pruner when skipping is enabled. Probe
-// elision additionally requires a counting sink (so the observed-row
-// counter stays byte-identical); a non-counting sink keeps per-row
-// probes for every scanned chunk.
+// with the expression's sketch pruner.
 func (k *scanKernel) fuseAudit(sink plan.AuditSink, idIdx int, pruner plan.SketchPruner) {
 	k.sink = sink
 	k.idIdx = idIdx
-	if bs, ok := sink.(plan.BatchAuditSink); ok {
-		k.bsink = bs
-	}
-	if pruner != nil && !k.ctx.NoSkip && idIdx >= 0 {
-		if cs, ok := sink.(plan.CountingAuditSink); ok {
-			k.pruner = pruner
-			k.csink = cs
-		} else if k.ctx.AuditOnly {
-			k.pruner = pruner
-		}
-	}
+	k.bsink, _ = sink.(plan.BatchAuditSink)
+	k.auditPruner = pruner
 }
 
 // flushAudit delivers the batch's accumulated partition-by values to
@@ -455,10 +567,10 @@ func (k *scanKernel) NextBatch(b *Batch) (int, error) {
 		if need > limit {
 			need = limit
 		}
-		if cap(k.raw) < need {
+		if len(k.raw) < need {
 			k.raw = make([]value.Row, need)
 		}
-	} else if cap(k.raw) < limit {
+	} else if len(k.raw) < limit || len(k.rawIDs) < limit {
 		k.raw = make([]value.Row, limit)
 		k.rawIDs = make([]storage.RowID, limit)
 	}
@@ -519,16 +631,16 @@ func (k *scanKernel) NextBatch(b *Batch) (int, error) {
 		k.ctx.Stats.RowsScanned.Add(int64(n))
 		for i := 0; i < n; i++ {
 			row := k.raw[i]
-			if k.mask != nil && k.mask.Hidden(k.name, chunkIDs[i]) {
+			if k.mask != nil && k.mask.Hidden(k.scan.Table, chunkIDs[i]) {
 				continue
 			}
-			if k.pred != nil {
+			if pred := k.scan.Pushed; pred != nil {
 				t, handled := value.Unknown, false
-				if k.quick != nil {
-					t, handled = k.quick(row)
+				if k.quick.ok {
+					t, handled = k.quick.eval(row)
 				}
 				if !handled {
-					v, err := k.pred.Eval(k.ctx.Eval, row)
+					v, err := pred.Eval(k.ctx.Eval, row)
 					if err != nil {
 						k.flushAudit()
 						b.setRows(kept)
@@ -558,13 +670,20 @@ func (k *scanKernel) NextBatch(b *Batch) (int, error) {
 	return kept, nil
 }
 
-// Close folds the kernel's chunk counters into the statement stats.
-// (EXPLAIN ANALYZE harvests them per node through analyzedIter.)
+// Close folds the kernel's chunk counters into the statement stats
+// (EXPLAIN ANALYZE harvests them per node through analyzedIter) and
+// lets go of the run's rows and table.
 func (k *scanKernel) Close() {
 	if k.closed {
 		return
 	}
 	k.closed = true
+	clear(k.raw)
+	clear(k.vals[:cap(k.vals)])
+	if cap(k.ids) > keepRows {
+		k.ids = nil
+	}
+	k.tbl, k.mask, k.src = nil, nil, nil
 	if k.chunksScanned|k.chunksSkipFilter|k.chunksSkipAudit == 0 {
 		return
 	}
@@ -614,26 +733,45 @@ func (it *scanIter) NextBatch(b *Batch) (int, error) {
 	return n, nil
 }
 
-func (it *scanIter) Close() {}
+// dualRows is the one empty row a FROM-less SELECT reads.
+var dualRows = []value.Row{{}}
 
-func openValues(s *plan.ValuesScan, ctx *Ctx) (Iterator, error) {
-	if s.Name == plan.DualName {
-		return &scanIter{rows: []value.Row{{}}}, nil
-	}
-	rows, ok := ctx.Extra[s.Name]
-	if !ok {
-		return nil, fmt.Errorf("exec: transient relation %q is not bound", s.Name)
-	}
-	return &scanIter{rows: rows}, nil
+// valuesIter scans a transient relation bound in the context (resolved
+// per run) or the dual row.
+type valuesIter struct {
+	name string
+	ctx  *Ctx
+	scanIter
 }
+
+func (it *valuesIter) reset() error {
+	it.pos = 0
+	if it.name == plan.DualName {
+		it.rows = dualRows
+		return nil
+	}
+	rows, ok := it.ctx.Extra[it.name]
+	if !ok {
+		return fmt.Errorf("exec: transient relation %q is not bound", it.name)
+	}
+	it.rows = rows
+	return nil
+}
+
+func (it *valuesIter) Close() { it.rows = nil }
 
 // ---- Filter / Project ----
 
 type filterIter struct {
 	child Iterator
 	pred  plan.Expr
-	quick predFn
+	quick quickPred
 	ctx   *Ctx
+}
+
+func (it *filterIter) reset() error {
+	it.quick.bind(it.ctx)
+	return it.child.reset()
 }
 
 // NextBatch filters the child's batch in place: surviving rows are
@@ -652,8 +790,8 @@ func (it *filterIter) NextBatch(b *Batch) (int, error) {
 		kept := 0
 		for _, row := range b.Rows {
 			t, handled := value.Unknown, false
-			if it.quick != nil {
-				t, handled = it.quick(row)
+			if it.quick.ok {
+				t, handled = it.quick.eval(row)
 			}
 			if !handled {
 				v, err := it.pred.Eval(it.ctx.Eval, row)
@@ -681,7 +819,10 @@ type projectIter struct {
 	exprs []plan.Expr
 	ctx   *Ctx
 	in    *Batch
+	view  Batch // in sized to the caller's ceiling; a field so it does not escape per call
 }
+
+func (it *projectIter) reset() error { return it.child.reset() }
 
 // NextBatch projects a whole input batch at once. Output rows must be
 // freshly allocated (they escape to the consumer), but one backing
@@ -692,11 +833,11 @@ func (it *projectIter) NextBatch(b *Batch) (int, error) {
 		b.setRows(0)
 		return 0, nil
 	}
-	if it.in == nil || it.in.limit() < limit {
+	if it.in == nil || cap(it.in.buf) < limit {
 		it.in = NewBatch(limit)
 	}
-	in := it.in.view(limit)
-	n, err := it.child.NextBatch(&in)
+	it.view = it.in.view(limit)
+	n, err := it.child.NextBatch(&it.view)
 	if err != nil {
 		return 0, err
 	}
@@ -706,7 +847,7 @@ func (it *projectIter) NextBatch(b *Batch) (int, error) {
 	}
 	w := len(it.exprs)
 	backing := make([]value.Value, n*w)
-	for i, row := range in.Rows {
+	for i, row := range it.view.Rows {
 		out := backing[i*w : (i+1)*w : (i+1)*w]
 		for j, e := range it.exprs {
 			v, err := e.Eval(it.ctx.Eval, row)
@@ -721,7 +862,11 @@ func (it *projectIter) NextBatch(b *Batch) (int, error) {
 	return n, nil
 }
 
-func (it *projectIter) Close() { it.child.Close() }
+func (it *projectIter) Close() {
+	it.child.Close()
+	it.in.release()
+	it.view = Batch{}
+}
 
 // ---- Audit operator ----
 
@@ -742,11 +887,11 @@ type auditIter struct {
 
 func newAuditIter(child Iterator, idIdx int, sink plan.AuditSink) *auditIter {
 	it := &auditIter{child: child, idIdx: idIdx, sink: sink}
-	if bs, ok := sink.(plan.BatchAuditSink); ok {
-		it.bsink = bs
-	}
+	it.bsink, _ = sink.(plan.BatchAuditSink)
 	return it
 }
+
+func (it *auditIter) reset() error { return it.child.reset() }
 
 func (it *auditIter) NextBatch(b *Batch) (int, error) {
 	n, err := it.child.NextBatch(b)
@@ -772,7 +917,10 @@ func (it *auditIter) NextBatch(b *Batch) (int, error) {
 	return n, nil
 }
 
-func (it *auditIter) Close() { it.child.Close() }
+func (it *auditIter) Close() {
+	it.child.Close()
+	clear(it.vals[:cap(it.vals)])
+}
 
 // ---- Limit / Distinct ----
 
@@ -780,6 +928,12 @@ type limitIter struct {
 	child Iterator
 	n     int64
 	count int64
+	view  Batch // the caller's batch shrunk to the budget; a field so it does not escape per call
+}
+
+func (it *limitIter) reset() error {
+	it.count = 0
+	return it.child.reset()
 }
 
 // NextBatch shrinks the request ceiling to the remaining row budget
@@ -797,8 +951,8 @@ func (it *limitIter) NextBatch(b *Batch) (int, error) {
 	if remaining < req {
 		req = remaining
 	}
-	view := b.view(int(req))
-	n, err := it.child.NextBatch(&view)
+	it.view = b.view(int(req))
+	n, err := it.child.NextBatch(&it.view)
 	if err != nil {
 		return 0, err
 	}
@@ -807,12 +961,22 @@ func (it *limitIter) NextBatch(b *Batch) (int, error) {
 	return n, nil
 }
 
-func (it *limitIter) Close() { it.child.Close() }
+func (it *limitIter) Close() {
+	it.child.Close()
+	it.view = Batch{}
+}
 
 type distinctIter struct {
 	child  Iterator
 	seen   map[string]struct{}
 	keyBuf []byte
+}
+
+func (it *distinctIter) reset() error {
+	if it.seen == nil {
+		it.seen = make(map[string]struct{})
+	}
+	return it.child.reset()
 }
 
 // NextBatch drops rows already seen, compacting first occurrences to
@@ -850,4 +1014,7 @@ func (it *distinctIter) NextBatch(b *Batch) (int, error) {
 	}
 }
 
-func (it *distinctIter) Close() { it.child.Close() }
+func (it *distinctIter) Close() {
+	it.child.Close()
+	it.seen = recycleMap(it.seen)
+}

@@ -66,18 +66,18 @@ func buildFor(t *testing.T, h *harness, sql string) plan.Node {
 func TestLookupEqMissingIndex(t *testing.T) {
 	h := newHarness(t)
 	tbl, _ := h.store.Table("emp")
-	if _, ok := tbl.LookupEq(1, value.NewString("eng")); ok {
+	if _, ok := tbl.LookupEq(1, value.NewString("eng"), nil); ok {
 		t.Error("no index on dept yet; LookupEq must report unusable")
 	}
 	if err := tbl.AddIndex("by_dept", []int{1}); err != nil {
 		t.Fatal(err)
 	}
-	ids, ok := tbl.LookupEq(1, value.NewString("eng"))
+	ids, ok := tbl.LookupEq(1, value.NewString("eng"), nil)
 	if !ok || len(ids) != 2 {
 		t.Errorf("LookupEq = %v, %v", ids, ok)
 	}
 	// Missing key: usable index, zero rows.
-	ids, ok = tbl.LookupEq(1, value.NewString("nope"))
+	ids, ok = tbl.LookupEq(1, value.NewString("nope"), nil)
 	if !ok || len(ids) != 0 {
 		t.Errorf("LookupEq(miss) = %v, %v", ids, ok)
 	}

@@ -5,36 +5,27 @@ import (
 	"auditdb/internal/value"
 )
 
-// openJoin opens the probe (left) side, then obtains the build side: a
-// serial join drains its own right input (into a hash table when there
-// are equi-keys, a row list otherwise); a worker's fragment probes the
-// partitioned table its run built once.
-func openJoin(j *plan.Join, ctx *Ctx, w *worker) (Iterator, error) {
-	left, err := open(j.Left, ctx, w)
+// buildJoin builds the probe (left) side and, for a serial join, the
+// build (right) side: a serial join drains its right input every run
+// (into a hash table when there are equi-keys, a row list otherwise); a
+// worker's fragment probes the partitioned table its run built once.
+func buildJoin(j *plan.Join, ctx *Ctx, w *worker) (Iterator, error) {
+	left, err := build(j.Left, ctx, w)
 	if err != nil {
 		return nil, err
+	}
+	var right Iterator
+	if w == nil {
+		if right, err = build(j.Right, ctx, nil); err != nil {
+			return nil, err
+		}
 	}
 	rightWidth := len(j.Right.Schema())
 	if w == nil && len(j.LeftKeys) == 0 {
-		rows, err := collect(j.Right, ctx)
-		if err != nil {
-			left.Close()
-			return nil, err
-		}
-		return &nlJoinIter{j: j, left: left, rightRows: rows, rightWidth: rightWidth, ctx: ctx}, nil
-	}
-	var parts []map[string]*joinBucket
-	if w != nil {
-		parts, err = w.run.join(j)
-	} else {
-		parts, err = buildJoinTable(j, ctx)
-	}
-	if err != nil {
-		left.Close()
-		return nil, err
+		return &nlJoinIter{j: j, left: left, right: right, rightWidth: rightWidth, ctx: ctx}, nil
 	}
 	return &hashJoinIter{
-		j: j, left: left, ctx: ctx, parts: parts,
+		j: j, left: left, right: right, ctx: ctx, w: w,
 		leftWidth: len(j.Left.Schema()), rightWidth: rightWidth,
 	}, nil
 }
@@ -53,18 +44,29 @@ type joinBucket struct {
 // equi-join keys and probes it with left rows, applying the residual
 // predicate to each candidate pair. Left-outer rows with no surviving
 // match are null-extended. Both sides move through reusable key
-// scratch buffers, and pairs are emitted into one backing array per
-// output batch instead of one allocation per row.
+// scratch buffers, and pairs are carved out of slabs instead of one
+// allocation per row.
 type hashJoinIter struct {
-	j    *plan.Join
-	left Iterator
-	ctx  *Ctx
-	// parts is the build table split by key hash: one partition for a
-	// serial build, one per worker for the table a parallel run shares
-	// (each probe then hashes its key onto a partition first).
+	j     *plan.Join
+	left  Iterator
+	right Iterator // the serial build side; nil in a worker's fragment
+	ctx   *Ctx
+	w     *worker
+	// parts is the build table split by key hash: the serial table as
+	// one partition, or the table a parallel run shares, one partition
+	// per worker (each probe then hashes its key onto a partition first).
 	parts      []map[string]*joinBucket
 	leftWidth  int
 	rightWidth int
+
+	// The serial build table, kept between runs while it stays within
+	// keepRows: Close empties it and moves its buckets to free, and the
+	// next build takes buckets from there.
+	table map[string]*joinBucket
+	built int
+	free  []*joinBucket
+	one   [1]map[string]*joinBucket
+	rin   *Batch
 
 	cur     value.Row // current left row
 	matches []value.Row
@@ -72,42 +74,78 @@ type hashJoinIter struct {
 	matched bool
 	done    bool
 
+	// Output pair memory: slab is the unused rest of the last refill
+	// (kept across calls and runs: no emitted pair points into it), pair
+	// an uncommitted slot (a candidate the residual rejected) taken from
+	// it, refill the size in pairs of this NextBatch call's last refill.
+	slab   []value.Value
+	pair   value.Row
+	refill int
+
 	keyBuf []byte
 	leftIn leftInput
 }
 
-// buildJoinTable drains the right input into a one-partition table.
-func buildJoinTable(j *plan.Join, ctx *Ctx) ([]map[string]*joinBucket, error) {
-	right, err := open(j.Right, ctx, nil)
-	if err != nil {
-		return nil, err
+func (it *hashJoinIter) reset() error {
+	if err := it.left.reset(); err != nil {
+		return err
 	}
-	defer right.Close()
-	table := make(map[string]*joinBucket)
-	var keyBuf []byte
-	err = pull(right, func(rows []value.Row) error {
+	it.cur, it.matches, it.mi, it.matched, it.done = nil, nil, 0, false, false
+	it.leftIn.pos = 0
+	if it.w != nil {
+		parts, err := it.w.run.join(it.j)
+		if err != nil {
+			return err
+		}
+		it.parts = parts
+		return nil
+	}
+	if err := it.buildTable(); err != nil {
+		return err
+	}
+	it.one[0] = it.table
+	it.parts = it.one[:]
+	return nil
+}
+
+// buildTable drains the right input into the serial build table.
+func (it *hashJoinIter) buildTable() error {
+	defer it.right.Close()
+	if err := it.right.reset(); err != nil {
+		return err
+	}
+	if it.table == nil {
+		it.table = make(map[string]*joinBucket)
+	}
+	err := pull(it.right, &it.rin, func(rows []value.Row) error {
 		for _, row := range rows {
 			var null bool
 			var err error
-			keyBuf, null, err = appendJoinKey(keyBuf[:0], j.RightKeys, ctx, row)
+			it.keyBuf, null, err = appendJoinKey(it.keyBuf[:0], it.j.RightKeys, it.ctx, row)
 			if err != nil {
 				return err
 			}
 			if null {
 				continue // NULL keys never join
 			}
-			if bkt, ok := table[string(keyBuf)]; ok {
+			it.built++
+			if bkt, ok := it.table[string(it.keyBuf)]; ok {
 				bkt.rows = append(bkt.rows, row)
-			} else {
-				table[string(keyBuf)] = &joinBucket{rows: []value.Row{row}}
+				continue
 			}
+			var bkt *joinBucket
+			if n := len(it.free); n > 0 {
+				bkt, it.free = it.free[n-1], it.free[:n-1]
+			} else {
+				bkt = &joinBucket{}
+			}
+			bkt.rows = append(bkt.rows, row)
+			it.table[string(it.keyBuf)] = bkt
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return []map[string]*joinBucket{table}, nil
+	it.rin.release()
+	return err
 }
 
 // appendJoinKey encodes the key expressions of row into buf, reusing
@@ -126,32 +164,37 @@ func appendJoinKey(buf []byte, keys []plan.Expr, ctx *Ctx, row value.Row) ([]byt
 	return buf, false, nil
 }
 
+// takePair returns the output slot for the next pair: the slot a
+// rejected candidate left uncommitted, or a fresh one carved from the
+// slab. A dry slab is refilled with room for the current left row's
+// pending matches — at least double the call's previous refill, so a
+// stream of one-match rows costs O(log n) refills per batch, not one
+// per pair — and never more than the batch still has room for.
+func (it *hashJoinIter) takePair(pending, room int) value.Row {
+	if it.pair == nil {
+		w := it.leftWidth + it.rightWidth
+		if len(it.slab) < w {
+			it.refill = max(pending, 2*it.refill)
+			it.slab = make([]value.Value, min(it.refill, room)*w)
+		}
+		it.pair = value.Row(it.slab[:w:w])
+		it.slab = it.slab[w:]
+	}
+	return it.pair
+}
+
 // NextBatch advances the probe state machine until the output batch is
-// full or the left input is exhausted. Emitted pairs are carved out of
-// one backing array per batch; a candidate rejected by the residual
-// predicate reuses its slot for the next candidate.
+// full or the left input is exhausted.
 func (it *hashJoinIter) NextBatch(b *Batch) (int, error) {
 	limit := b.limit()
-	w := it.leftWidth + it.rightWidth
-	var backing []value.Value
-	var pair value.Row // allocated but not yet committed output slot
 	n := 0
-	takePair := func() value.Row {
-		if pair == nil {
-			if len(backing) < w {
-				backing = make([]value.Value, (limit-n)*w)
-			}
-			pair = value.Row(backing[:w:w])
-			backing = backing[w:]
-		}
-		return pair
-	}
+	it.refill = 0
 	for n < limit {
 		// Drain pending matches for the current left row.
 		if it.mi < len(it.matches) {
 			r := it.matches[it.mi]
 			it.mi++
-			p := takePair()
+			p := it.takePair(len(it.matches)-it.mi+1, limit-n)
 			copy(p, it.cur)
 			copy(p[it.leftWidth:], r)
 			if it.j.Residual != nil {
@@ -167,21 +210,21 @@ func (it *hashJoinIter) NextBatch(b *Batch) (int, error) {
 			it.matched = true
 			b.buf[n] = p
 			n++
-			pair = nil
+			it.pair = nil
 			continue
 		}
 		// Left-outer null extension, emitted exactly once per
 		// unmatched left row.
 		if it.cur != nil && !it.matched && it.j.Kind == plan.JoinLeft {
 			it.matched = true
-			p := takePair()
+			p := it.takePair(1, limit-n)
 			copy(p, it.cur)
-			for i := it.leftWidth; i < w; i++ {
+			for i := it.leftWidth; i < len(p); i++ {
 				p[i] = value.Null
 			}
 			b.buf[n] = p
 			n++
-			pair = nil
+			it.pair = nil
 			continue
 		}
 		if it.done {
@@ -245,7 +288,24 @@ func (l *leftInput) next(left Iterator) (value.Row, bool, error) {
 	return row, true, nil
 }
 
-func (it *hashJoinIter) Close() { it.left.Close() }
+// Close ends the run: the build table is emptied for the next run, or
+// dropped with its buckets when it outgrew keepRows.
+func (it *hashJoinIter) Close() {
+	it.left.Close()
+	it.leftIn.in.release()
+	it.cur, it.matches, it.parts, it.one[0] = nil, nil, nil, nil
+	clear(it.pair)
+	clear(it.slab)
+	if it.built > keepRows {
+		it.table, it.free = nil, nil
+	}
+	for _, bkt := range it.table {
+		bkt.rows = recycle(bkt.rows)
+		it.free = append(it.free, bkt)
+	}
+	clear(it.table)
+	it.built = 0
+}
 
 // ---- Nested loops join ----
 
@@ -255,15 +315,35 @@ func (it *hashJoinIter) Close() { it.left.Close() }
 type nlJoinIter struct {
 	j          *plan.Join
 	left       Iterator
+	right      Iterator
 	rightRows  []value.Row
 	rightWidth int
 	ctx        *Ctx
+	rin        *Batch
 
 	cur     value.Row // current left row
 	ri      int
 	matched bool
 	done    bool
 	leftIn  leftInput
+}
+
+func (it *nlJoinIter) reset() error {
+	if err := it.left.reset(); err != nil {
+		return err
+	}
+	it.cur, it.ri, it.matched, it.done = nil, 0, false, false
+	it.leftIn.pos = 0
+	defer it.right.Close()
+	if err := it.right.reset(); err != nil {
+		return err
+	}
+	err := pull(it.right, &it.rin, func(rows []value.Row) error {
+		it.rightRows = append(it.rightRows, rows...)
+		return nil
+	})
+	it.rin.release()
+	return err
 }
 
 // NextBatch resumes the pair loop where the last call stopped and
@@ -317,7 +397,12 @@ func (it *nlJoinIter) NextBatch(b *Batch) (int, error) {
 	return n, nil
 }
 
-func (it *nlJoinIter) Close() { it.left.Close() }
+func (it *nlJoinIter) Close() {
+	it.left.Close()
+	it.leftIn.in.release()
+	it.cur = nil
+	it.rightRows = recycle(it.rightRows)
+}
 
 func nullRow(n int) value.Row {
 	row := make(value.Row, n)

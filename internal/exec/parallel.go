@@ -124,7 +124,7 @@ func (pr *parallelRun) source(s *plan.Scan) (scanSource, error) {
 	if !s.Parallel {
 		return scanSource{}, fmt.Errorf("exec: scan of %q inside a parallel fragment is not morsel-driven", s.Table)
 	}
-	ss, err := resolveScan(s, pr.ctx)
+	ss, err := resolveScan(s, pr.ctx, nil)
 	if err != nil {
 		return ss, err
 	}
@@ -329,12 +329,49 @@ func buildSharedJoin(j *plan.Join, ctx *Ctx, workers int) ([]map[string]*joinBuc
 
 // ---- Gather exchange ----
 
-// gatherIter funnels the batches of a worker pool into one serial row
-// stream. Row order across morsels is unspecified; operators that need
-// an order must sit above an explicit Sort. Close (or exhaustion)
-// guarantees every worker has finished and merged its audit sinks, so
-// the engine can read the ACCESSED state the moment execution returns.
+// gatherIter is the Gather operator. Every run starts a new exchange —
+// worker fragments, shared sources and build tables, channels and
+// goroutines — so nothing of one parallel run survives into the next.
 type gatherIter struct {
+	g   *plan.Gather
+	ctx *Ctx
+	x   *exchange // the current run's; nil between runs
+}
+
+func buildGather(g *plan.Gather, ctx *Ctx) (Iterator, error) {
+	if g.Workers <= 1 {
+		// A degenerate exchange executes its child serially; parallel
+		// markers below are ignored by the serial operators.
+		return build(g.Child, ctx, nil)
+	}
+	return &gatherIter{g: g, ctx: ctx}, nil
+}
+
+func (it *gatherIter) reset() error {
+	x, err := startExchange(it.g, it.ctx)
+	if err != nil {
+		return err
+	}
+	it.x = x
+	return nil
+}
+
+func (it *gatherIter) NextBatch(b *Batch) (int, error) { return it.x.NextBatch(b) }
+
+// Close guarantees every worker has finished and merged its audit
+// sinks, so the engine can read the ACCESSED state the moment
+// execution returns.
+func (it *gatherIter) Close() {
+	if it.x != nil {
+		it.x.Close()
+		it.x = nil
+	}
+}
+
+// exchange funnels the batches of a worker pool into one serial row
+// stream. Row order across morsels is unspecified; operators that need
+// an order must sit above an explicit Sort.
+type exchange struct {
 	out  chan []value.Row // produced row slices, closed after last worker exits
 	free chan []value.Row // recycled slices, best-effort
 	stop chan struct{}    // closed to cancel workers (error or early Close)
@@ -350,13 +387,10 @@ type gatherIter struct {
 	pos int
 }
 
-func openGather(g *plan.Gather, ctx *Ctx) (Iterator, error) {
+// startExchange builds one fragment of g's child per worker and starts
+// the workers.
+func startExchange(g *plan.Gather, ctx *Ctx) (*exchange, error) {
 	workers := g.Workers
-	if workers <= 1 {
-		// A degenerate exchange executes its child serially; parallel
-		// markers below are ignored by the serial operators.
-		return open(g.Child, ctx, nil)
-	}
 	ws, err := openWorkers(g.Child, ctx, workers)
 	if err != nil {
 		return nil, err
@@ -364,7 +398,7 @@ func openGather(g *plan.Gather, ctx *Ctx) (Iterator, error) {
 	if az := ctx.Analyze; az != nil {
 		az.Node(g).Workers = int64(workers)
 	}
-	it := &gatherIter{
+	it := &exchange{
 		out:  make(chan []value.Row, workers),
 		free: make(chan []value.Row, workers*2),
 		stop: make(chan struct{}),
@@ -387,7 +421,7 @@ func openGather(g *plan.Gather, ctx *Ctx) (Iterator, error) {
 
 // pump drives one fragment to exhaustion, shipping each non-empty
 // batch to the consumer, until the exchange is stopped.
-func (it *gatherIter) pump(src Iterator) error {
+func (it *exchange) pump(src Iterator) error {
 	var b *Batch
 	for {
 		select {
@@ -414,7 +448,7 @@ func (it *gatherIter) pump(src Iterator) error {
 	}
 }
 
-func (it *gatherIter) fail(err error) {
+func (it *exchange) fail(err error) {
 	it.errMu.Lock()
 	if it.err == nil {
 		it.err = err
@@ -423,7 +457,7 @@ func (it *gatherIter) fail(err error) {
 	it.stopOnce.Do(func() { close(it.stop) })
 }
 
-func (it *gatherIter) takeErr() error {
+func (it *exchange) takeErr() error {
 	it.errMu.Lock()
 	defer it.errMu.Unlock()
 	return it.err
@@ -432,7 +466,7 @@ func (it *gatherIter) takeErr() error {
 // NextBatch refills from the worker channel. Batches buffered before
 // an error may still be delivered; the error surfaces when the channel
 // drains, and the engine discards partial results on error.
-func (it *gatherIter) NextBatch(b *Batch) (int, error) {
+func (it *exchange) NextBatch(b *Batch) (int, error) {
 	limit := b.limit()
 	for it.cur == nil || it.pos >= len(it.cur) {
 		if it.cur != nil {
@@ -458,7 +492,7 @@ func (it *gatherIter) NextBatch(b *Batch) (int, error) {
 // Close cancels outstanding work and blocks until every worker has
 // exited — which is what makes the post-execution ACCESSED state
 // complete: all worker-local sink merges happen-before Close returns.
-func (it *gatherIter) Close() {
+func (it *exchange) Close() {
 	it.closeOnce.Do(func() {
 		it.stopOnce.Do(func() { close(it.stop) })
 		for range it.out {

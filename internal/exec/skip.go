@@ -15,7 +15,7 @@ import (
 )
 
 // prunePred is one compiled chunk-refutation predicate: a term whose
-// constant side resolved to an I-backed value at Open. refutes answers
+// constant side resolved to an I-backed value at reset. refutes answers
 // "can no row of this chunk satisfy the term?" — the one-sided proof
 // obligation, where any uncertainty answers false (scan the chunk).
 type prunePred struct {
@@ -36,15 +36,12 @@ func iBacked(k value.Kind) bool {
 }
 
 // compilePrune resolves a scan's declarative prune terms against the
-// current parameter bindings. Terms whose constant is not I-backed (or
-// whose column kind is not) are dropped — pruning simply does less; the
-// full predicate still runs over every scanned row.
-func compilePrune(terms []plan.PruneTerm, tbl *storage.Table, ctx *Ctx) []prunePred {
-	if len(terms) == 0 {
-		return nil
-	}
+// current parameter bindings, appending to out (the kernel's buffer,
+// reused every run). Terms whose constant is not I-backed (or whose
+// column kind is not) are dropped — pruning simply does less; the full
+// predicate still runs over every scanned row.
+func compilePrune(out []prunePred, terms []plan.PruneTerm, tbl *storage.Table, ctx *Ctx) []prunePred {
 	cols := tbl.Meta().Columns
-	out := make([]prunePred, 0, len(terms))
 	for _, t := range terms {
 		if t.Col < 0 || t.Col >= len(cols) {
 			continue
@@ -61,7 +58,7 @@ func compilePrune(terms []plan.PruneTerm, tbl *storage.Table, ctx *Ctx) []pruneP
 				continue
 			}
 			if v.Kind == value.KindNull {
-				return []prunePred{{alwaysFalse: true}}
+				return append(out[:0], prunePred{alwaysFalse: true})
 			}
 			if !iBacked(v.Kind) {
 				continue
@@ -132,15 +129,15 @@ func projectedScanColumn(pj *plan.Project, idx int) (int, bool) {
 }
 
 // decider returns the kernel's chunk-pruning callback, or nil when no
-// pruning applies (skipping disabled, index-assisted path, or nothing
-// to prune with). Built once; the method value is reused across calls.
+// pruning applies this run (skipping disabled, index-assisted path, or
+// nothing to prune with). The method value is built once per kernel
+// and reused across calls and runs.
 func (k *scanKernel) decider() func(storage.ChunkInfo) bool {
-	if !k.decideBuilt {
-		k.decideBuilt = true
-		if !k.useIDs && (len(k.prune) > 0 || k.pruner != nil) {
-			k.lastChunk = -1
-			k.decideFn = k.decide
-		}
+	if k.useIDs || (len(k.prune) == 0 && k.pruner == nil) {
+		return nil
+	}
+	if k.decideFn == nil {
+		k.decideFn = k.decide
 	}
 	return k.decideFn
 }

@@ -47,6 +47,11 @@ func (c *EvalCtx) PushOuter(row value.Row) { c.Outer = append(c.Outer, row) }
 // PopOuter removes the top of the correlation stack.
 func (c *EvalCtx) PopOuter() { c.Outer = c.Outer[:len(c.Outer)-1] }
 
+// ClearSubqueryCache forgets the uncorrelated subquery results cached
+// on this context, so a context reused for another execution re-runs
+// its subqueries against current data.
+func (c *EvalCtx) ClearSubqueryCache() { clear(c.subqCache) }
+
 // ---- Leaf expressions ----
 
 // Col reads column Idx of the current row.

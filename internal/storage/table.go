@@ -245,34 +245,35 @@ func (t *Table) AddIndex(name string, cols []int) error {
 	return nil
 }
 
-// LookupEq returns the live row IDs whose single column col equals v,
-// using the primary-key index or any single-column secondary index
-// that covers col. ok=false means no usable index exists and the
-// caller must scan.
-func (t *Table) LookupEq(col int, v value.Value) (ids []RowID, ok bool) {
+// LookupEq appends to dst the live row IDs whose single column col
+// equals v, using the primary-key index or any single-column secondary
+// index that covers col. ok=false means no usable index exists and the
+// caller must scan (dst comes back unchanged). The probe key is encoded
+// into stack scratch — the bytes EncodeRowKey(value.Row{v}, []int{0})
+// would return — so a lookup into a reused dst allocates nothing.
+func (t *Table) LookupEq(col int, v value.Value, dst []RowID) (ids []RowID, ok bool) {
+	var scratch [32]byte
+	key := value.EncodeKey(scratch[:0], v)
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if t.pk != nil && len(t.meta.PrimaryKey) == 1 && t.meta.PrimaryKey[0] == col {
-		key := value.EncodeRowKey(value.Row{v}, []int{0})
-		if id, hit := t.pk[key]; hit {
-			return []RowID{id}, true
+		if id, hit := t.pk[string(key)]; hit {
+			dst = append(dst, id)
 		}
-		return nil, true
+		return dst, true
 	}
 	for _, idx := range t.secondary {
 		if len(idx.cols) != 1 || idx.cols[0] != col {
 			continue
 		}
-		key := value.EncodeRowKey(value.Row{v}, []int{0})
-		var out []RowID
-		for _, id := range idx.entries[key] {
+		for _, id := range idx.entries[string(key)] {
 			if t.rows[id] != nil {
-				out = append(out, id)
+				dst = append(dst, id)
 			}
 		}
-		return out, true
+		return dst, true
 	}
-	return nil, false
+	return dst, false
 }
 
 // DropIndex removes a secondary index from the table.
@@ -420,9 +421,11 @@ func (s *Store) Create(meta *catalog.TableMeta) (*Table, error) {
 
 // Table looks up a table by name.
 func (s *Store) Table(name string) (*Table, bool) {
+	var scratch [64]byte
+	key := lowerKey(scratch[:0], name)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	t, ok := s.tables[lower(name)]
+	t, ok := s.tables[string(key)]
 	return t, ok
 }
 
@@ -438,12 +441,18 @@ func (s *Store) Drop(name string) error {
 	return nil
 }
 
-func lower(s string) string {
-	b := []byte(s)
-	for i, c := range b {
+// lowerKey appends s, ASCII-lower-cased, to buf: the key of a map
+// keyed by lower-case table name. Indexing with m[string(key)] over
+// stack scratch keeps every run's table lookup allocation-free.
+func lowerKey(buf []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
 		if c >= 'A' && c <= 'Z' {
-			b[i] = c + 'a' - 'A'
+			c += 'a' - 'A'
 		}
+		buf = append(buf, c)
 	}
-	return string(b)
+	return buf
 }
+
+func lower(s string) string { return string(lowerKey(make([]byte, 0, len(s)), s)) }

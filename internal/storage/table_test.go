@@ -322,3 +322,84 @@ func TestInsertLookupQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestLookupEqScratchKey: LookupEq encodes its probe key into stack
+// scratch with value.EncodeKey, so those bytes must be exactly the key
+// the indexes were built with (EncodeRowKey over one column) for every
+// key kind, or lookups silently miss. It appends to the caller's slice
+// and, reusing it, allocates nothing for a key that fits the scratch.
+func TestLookupEqScratchKey(t *testing.T) {
+	long := "a string key longer than the 32 bytes of scratch"
+	for _, v := range []value.Value{
+		value.NewInt(42), value.NewInt(-7), value.NewString("Alice"), value.NewString(long),
+		value.Null, value.NewFloat(2.5), value.NewFloat(3),
+	} {
+		if got, want := string(value.EncodeKey(nil, v)), value.EncodeRowKey(value.Row{v}, []int{0}); got != want {
+			t.Errorf("%v: scratch key %x, EncodeRowKey %x", v, got, want)
+		}
+	}
+
+	tb := NewTable(&catalog.TableMeta{
+		Name: "Keys",
+		Columns: []catalog.Column{
+			{Name: "k", Type: value.KindInt},
+			{Name: "s", Type: value.KindString},
+			{Name: "f", Type: value.KindFloat},
+			{Name: "n", Type: value.KindInt},
+		},
+		PrimaryKey: []int{0},
+	})
+	for i := int64(0); i < 12; i++ {
+		n := value.NewInt(i % 3)
+		if i%4 == 0 {
+			n = value.Null
+		}
+		r := value.Row{value.NewInt(i), value.NewString([]string{"x", long}[i%2]), value.NewFloat(float64(i%5) / 2), n}
+		if _, err := tb.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for col, name := range []string{"", "by_s", "by_f", "by_n"} {
+		if col > 0 {
+			if err := tb.AddIndex(name, []int{col}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	probes := []struct {
+		col int
+		v   value.Value
+		n   int
+	}{
+		{0, value.NewInt(5), 1}, {0, value.NewInt(99), 0},
+		{1, value.NewString(long), 6}, {1, value.NewString("x"), 6},
+		{2, value.NewFloat(1.5), 2}, {2, value.NewFloat(2), 2}, {2, value.NewInt(2), 2},
+		{3, value.Null, 3}, {3, value.NewInt(1), 3},
+	}
+	sentinel := RowID(-1)
+	for _, p := range probes {
+		ids, ok := tb.LookupEq(p.col, p.v, []RowID{sentinel})
+		if !ok || len(ids) != 1+p.n || ids[0] != sentinel {
+			t.Errorf("LookupEq(col %d, %v) = %v, %v; want the sentinel then %d ids", p.col, p.v, ids, ok, p.n)
+			continue
+		}
+		if p.col == 0 {
+			continue
+		}
+		want, err := tb.IndexLookup([]string{"", "by_s", "by_f", "by_n"}[p.col], value.Row{p.v})
+		if err != nil || fmt.Sprint(ids[1:]) != fmt.Sprint(want) {
+			t.Errorf("LookupEq(col %d, %v) = %v, IndexLookup = %v, %v", p.col, p.v, ids[1:], want, err)
+		}
+	}
+	if _, ok := tb.LookupEq(9, value.NewInt(1), nil); ok {
+		t.Error("LookupEq on an unindexed column must report unusable")
+	}
+	buf := make([]RowID, 0, 16)
+	allocs := testing.AllocsPerRun(100, func() {
+		buf, _ = tb.LookupEq(1, value.NewString("x"), buf[:0])
+		buf, _ = tb.LookupEq(0, value.NewInt(5), buf[:0])
+	})
+	if allocs != 0 {
+		t.Errorf("LookupEq into a reused slice allocates %.1f/op, want 0", allocs)
+	}
+}

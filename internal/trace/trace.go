@@ -85,7 +85,8 @@ type Trace struct {
 // Rec records one statement at a time and is reused across statements:
 // Begin resets it, Finish closes it. When the statement is not sampled
 // every method is a field update on preallocated storage — zero
-// allocations (gated by TestTraceOffAllocGate in internal/engine).
+// allocations (gated by TestRecUnsampledZeroAlloc, and end to end by
+// TestWarmExecAllocBudget in internal/engine).
 type Rec struct {
 	active  bool
 	sampled bool
