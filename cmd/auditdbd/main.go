@@ -186,6 +186,11 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	// Catch SIGTERM before the first client can connect: a client that
+	// signals right after its first reply must get the drain, not the
+	// default action's immediate death.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	if err := srv.Start(); err != nil {
 		logger.Error("start failed", "err", err)
 		os.Exit(1)
@@ -251,8 +256,6 @@ func main() {
 		close(ckptDone)
 	}
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	sig := <-sigCh
 	logger.Info("draining connections", "signal", sig.String(), "deadline", *gracePeriod)
 	ctx, cancel := context.WithTimeout(context.Background(), *gracePeriod)
