@@ -109,11 +109,11 @@ func Open() *DB {
 }
 
 // Session is one user's execution context over a shared database:
-// per-session USERID() identity, audit-all flag, placement heuristic,
-// and SQL-level transaction. Sessions are safe to use concurrently
-// with each other (a single Session is not goroutine-safe, like
-// database/sql.Conn); trigger actions fired by a session's queries
-// attribute the access to that session's user.
+// per-session USERID() identity, audit-all flag and SQL-level
+// transaction; placement is the database's (DB.SetPlacement). Sessions
+// are safe to use concurrently with each other (a single Session is not
+// goroutine-safe, like database/sql.Conn); trigger actions fired by a
+// session's queries attribute the access to that session's user.
 type Session struct {
 	s *engine.Session
 }
@@ -157,10 +157,6 @@ func (s *Session) User() string { return s.s.User() }
 
 // SetAuditAll toggles audit-all instrumentation for this session only.
 func (s *Session) SetAuditAll(on bool) { s.s.SetAuditAll(on) }
-
-// SetPlacement selects this session's audit-operator placement
-// heuristic.
-func (s *Session) SetPlacement(p Placement) { s.s.SetHeuristic(p) }
 
 // Prepare parses a ?-parameterized statement bound to this session.
 func (s *Session) Prepare(sql string) (*Stmt, error) {
@@ -223,7 +219,7 @@ func wrap(r *engine.Result) *Result {
 func (db *DB) SetUser(u string) { db.eng.SetUser(u) }
 
 // SetPlacement selects the audit-operator placement heuristic for
-// subsequent queries.
+// every session's subsequent queries.
 func (db *DB) SetPlacement(p Placement) { db.eng.SetHeuristic(p) }
 
 // SetAuditAll instruments every query for every audit expression even

@@ -1,18 +1,24 @@
 package main
 
 import (
+	"bufio"
+	"encoding/json"
+	"net"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"auditdb/internal/client"
+	"auditdb/internal/wire"
 )
 
-// TestTriageDaemon drives budgeted triage through the daemon: audited
-// queries enqueue risk-scored events, background workers chain signed
+// TestTriageDaemon drives triage through the daemon: audited queries
+// enqueue priority-ordered events, background workers chain signed
 // verdicts, SHOW AUDIT VERDICTS reads them over the wire, the mixed
-// stream verifies, and a SIGTERM drain flushes the backlog before the
-// final checkpoint. Restart then proves the verdicts persist.
+// stream verifies, and a client cannot take its own firings out of
+// verification. A SIGTERM drain flushes the backlog before the final
+// checkpoint; restart then proves the verdicts persist.
 func TestTriageDaemon(t *testing.T) {
 	if testing.Short() {
 		t.Skip("daemon test builds the binary")
@@ -38,30 +44,32 @@ func TestTriageDaemon(t *testing.T) {
 	}
 
 	// Wait for the workers to drain: each firing must end as a verdict.
-	deadline := time.Now().Add(10 * time.Second)
-	var rows int
-	for time.Now().Before(deadline) {
-		r, err := c.Exec("SHOW AUDIT VERDICTS")
-		if err != nil {
-			t.Fatalf("SHOW AUDIT VERDICTS: %v", err)
-		}
-		rows = len(r.Rows)
-		if rows == firings {
-			for _, row := range r.Rows {
-				if row[2].(string) != "confirmed" {
-					t.Fatalf("verdict outcome = %v, want confirmed", row[2])
-				}
-				if row[4].(string) != "dr_mallory" {
-					t.Fatalf("verdict user = %v", row[4])
-				}
+	awaitVerdicts := func(want int) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		var rows int
+		for time.Now().Before(deadline) {
+			r, err := c.Exec("SHOW AUDIT VERDICTS")
+			if err != nil {
+				t.Fatalf("SHOW AUDIT VERDICTS: %v", err)
 			}
-			break
+			rows = len(r.Rows)
+			if rows == want {
+				for _, row := range r.Rows {
+					if row[2].(string) != "confirmed" {
+						t.Fatalf("verdict outcome = %v, want confirmed", row[2])
+					}
+					if row[4].(string) != "dr_mallory" {
+						t.Fatalf("verdict user = %v", row[4])
+					}
+				}
+				return
+			}
+			time.Sleep(50 * time.Millisecond)
 		}
-		time.Sleep(50 * time.Millisecond)
+		t.Fatalf("verdicts = %d, want %d", rows, want)
 	}
-	if rows != firings {
-		t.Fatalf("verdicts = %d, want %d", rows, firings)
-	}
+	awaitVerdicts(firings)
 
 	// The chain now interleaves audits and verdicts: both verify.
 	v, err := c.VerifyAuditLog()
@@ -72,26 +80,19 @@ func TestTriageDaemon(t *testing.T) {
 		t.Fatalf("verify = %+v, want valid with %d records", v, 2*firings)
 	}
 
-	// SET triage = off gates this session out of the queue.
-	if err := c.SetTriage(false); err != nil {
-		t.Fatal(err)
+	// Triage is the server's (-triage-workers), not the client's: a
+	// "set triage off" is refused, and the next firing is verified too.
+	if resp := rawSet(t, addr, "triage", "off"); resp.OK || !strings.Contains(resp.Error, "-triage-workers") {
+		t.Fatalf("set triage = off: %+v, want refused naming -triage-workers", resp)
 	}
 	if _, err := c.Query("SELECT * FROM Patients WHERE Name = 'Alice'"); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond)
-	r, err := c.Exec("SHOW AUDIT VERDICTS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != firings {
-		t.Fatalf("triage-off firing still verified: %d verdicts", len(r.Rows))
-	}
+	awaitVerdicts(firings + 1)
 	c.Close()
 	sigtermAndWait(t, cmd)
 
-	// Restart: the verdict records and their chain survive (the one
-	// extra audit record came from the gated firing above).
+	// Restart: every firing's audit record and verdict survive.
 	cmd, addr = startDaemon(t, bin, args...)
 	defer func() { sigtermAndWait(t, cmd) }()
 	c, err = client.Dial(addr, client.WithRetry(10, 50*time.Millisecond))
@@ -103,7 +104,32 @@ func TestTriageDaemon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v.Valid || v.Records != 2*firings+1 {
-		t.Fatalf("post-restart verify = %+v, want valid with %d records", v, 2*firings+1)
+	if !v.Valid || v.Records != 2*(firings+1) {
+		t.Fatalf("post-restart verify = %+v, want valid with %d records", v, 2*(firings+1))
 	}
+}
+
+// rawSet sends one line-JSON "set" on a fresh connection and returns
+// the reply; the client package has no method for keys it must not set.
+func rawSet(t *testing.T, addr, key, val string) wire.Response {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	line, _ := json.Marshal(wire.Request{Op: wire.OpSet, Key: key, Value: val})
+	if _, err := nc.Write(append(line, '\n')); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := bufio.NewReader(nc).ReadBytes('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp wire.Response
+	if err := json.Unmarshal(reply, &resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp
 }

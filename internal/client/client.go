@@ -197,28 +197,10 @@ func (c *Client) SetAuditAll(on bool) error {
 	return err
 }
 
-// SetPlacement selects this session's audit-operator placement:
-// "leaf", "hcn", or "highest".
-func (c *Client) SetPlacement(p string) error {
-	_, err := c.roundTrip(&wire.Request{Op: wire.OpSet, Key: wire.KeyPlacement, Value: p})
-	return err
-}
-
 // SetWorkers sets this session's parallel-execution worker budget:
 // 1 forces serial execution, 0 resets to the server default.
 func (c *Client) SetWorkers(n int) error {
 	_, err := c.roundTrip(&wire.Request{Op: wire.OpSet, Key: wire.KeyWorkers, Value: strconv.Itoa(n)})
-	return err
-}
-
-// SetTriage gates this session's trigger firings in or out of the
-// server's background offline-verification queue.
-func (c *Client) SetTriage(on bool) error {
-	v := "off"
-	if on {
-		v = "on"
-	}
-	_, err := c.roundTrip(&wire.Request{Op: wire.OpSet, Key: wire.KeyTriage, Value: v})
 	return err
 }
 

@@ -199,7 +199,11 @@ func HoistAudit(root plan.Node) (plan.Node, bool) {
 
 // placeHighest implements the highest-node strawman: one operator at
 // the shallowest node whose schema still exposes the partition-by
-// column. Used to demonstrate false negatives (Example 3.2).
+// column and that reads the sensitive table. Used to demonstrate false
+// negatives (Example 3.2). A block that never scans the sensitive table
+// is not instrumented, however its columns are named: a trigger body's
+// read of ACCESSED would otherwise re-fire its own trigger, and a read
+// of another table would report that table's values as accessed IDs.
 func placeHighest(holder *rootHolder, e *AuditExpression, sink plan.AuditSink) {
 	var best struct {
 		parent plan.Node
@@ -212,6 +216,9 @@ func placeHighest(holder *rootHolder, e *AuditExpression, sink plan.AuditSink) {
 	var visit func(parent plan.Node, slot int, n plan.Node, depth int)
 	visit = func(parent plan.Node, slot int, n plan.Node, depth int) {
 		if idx, ok := n.Schema().IndexOf("", e.Meta.PartitionBy); ok {
+			if !scans(n, e.Meta.SensitiveTable) {
+				return // nor does any subtree of n
+			}
 			if !best.found || depth < best.depth {
 				best.parent, best.slot, best.node, best.idx, best.depth, best.found =
 					parent, slot, n, idx, depth, true
@@ -226,6 +233,18 @@ func placeHighest(holder *rootHolder, e *AuditExpression, sink plan.AuditSink) {
 	if best.found {
 		best.parent.SetChild(best.slot, &plan.Audit{Child: best.node, Name: e.Meta.Name, IDIdx: best.idx, Sink: sink, Pruner: e})
 	}
+}
+
+// scans reports whether the plan reads the table (subquery blocks
+// excluded: they are instrumented on their own).
+func scans(root plan.Node, table string) bool {
+	found := false
+	plan.Walk(root, func(n plan.Node) {
+		if s, ok := n.(*plan.Scan); ok && strings.EqualFold(s.Table, table) {
+			found = true
+		}
+	})
+	return found
 }
 
 // CountAuditOps returns how many audit operators are in the plan

@@ -161,6 +161,35 @@ func TestExample32HighestNodeFalseNegative(t *testing.T) {
 	}
 }
 
+// TestHighestNodeSkipsTriggerBody: the trigger body's read of ACCESSED
+// exposes a PatientID column but scans no Patients, so highest-node
+// placement must leave it uninstrumented; otherwise the body's own read
+// re-fires the trigger until the cascade depth limit fails the query.
+func TestHighestNodeSkipsTriggerBody(t *testing.T) {
+	e := auditSetup(t)
+	e.SetHeuristic(core.HighestNode)
+	mustQuery(t, e, "SELECT * FROM Patients WHERE Name = 'Alice'")
+	if n := logCount(t, e); n != 1 {
+		t.Errorf("log rows = %d, want 1 (Log_Alice_Accesses fires once)", n)
+	}
+}
+
+// TestHighestNodeSkipsOtherTables: a query over Disease alone reads no
+// patient record, so even under audit-all its Disease.PatientID values
+// must not be recorded as accessed patients.
+func TestHighestNodeSkipsOtherTables(t *testing.T) {
+	e := newHealthDB(t)
+	mustExec(t, e, `CREATE AUDIT EXPRESSION Audit_All AS
+		SELECT * FROM Patients WHERE PatientID > 0
+		FOR SENSITIVE TABLE Patients, PARTITION BY PatientID`)
+	e.SetAuditAll(true)
+	e.SetHeuristic(core.HighestNode)
+	r := mustQuery(t, e, "SELECT * FROM Disease")
+	if r.Accessed != nil && r.Accessed.Len("Audit_All") != 0 {
+		t.Errorf("Disease-only read recorded IDs %v", r.Accessed.IDs("Audit_All"))
+	}
+}
+
 func TestExample39HavingFalsePositive(t *testing.T) {
 	// Example 3.9: diseases with at least two patients. diabetes has
 	// one (Dave); the HAVING clause filters that group, so Dave is NOT

@@ -14,18 +14,17 @@ import (
 // knobs are the session settings that steer planning. The value is
 // comparable and is the whole knob half of every plan-cache key: two
 // statements with the same canonical text compile to the same plan
-// exactly when their knobs are equal.
+// exactly when their knobs (and the engine's version) are equal.
 type knobs struct {
-	heuristic core.Heuristic
-	auditAll  bool
-	workers   int // resolved budget: the session's SET workers, else the engine default
-	minRows   int // opt.Parallelize threshold
+	auditAll bool
+	workers  int // resolved budget: the session's SET workers, else the engine default
+	minRows  int // opt.Parallelize threshold
 }
 
 // planKnobs reads the session's planning knobs under one lock.
 func (s *Session) planKnobs() knobs {
 	s.lock()
-	k := knobs{heuristic: s.heuristic, auditAll: s.auditAll, workers: s.workers}
+	k := knobs{auditAll: s.auditAll, workers: s.workers}
 	s.unlock()
 	if k.workers <= 0 {
 		k.workers = s.e.DefaultWorkers()
@@ -84,19 +83,22 @@ func (e *Engine) build(sel *ast.Select, env *actionEnv) (*compiled, error) {
 // compile is the one place the plan pipeline runs, in order: build and
 // optimize, instrument with audit operators — after logical
 // optimization, exactly where the paper's prototype inserts them
-// (§IV-B) — classify each target's placement, then parallelize. Every
-// SELECT the engine runs or explains is planned here.
+// (§IV-B), under the engine's placement heuristic — classify each
+// target's placement, then parallelize. Every SELECT the engine runs or
+// explains is planned here. Callers that cache the plan load the
+// version first, so a racing SetHeuristic makes it stale on arrival.
 func (e *Engine) compile(sel *ast.Select, env *actionEnv, k knobs) (*compiled, error) {
 	c, err := e.build(sel, env)
 	if err != nil {
 		return nil, err
 	}
+	h := e.Heuristic()
 	c.targets = e.auditTargets(k.auditAll)
 	if len(c.targets) > 0 {
 		for _, ae := range c.targets {
 			p := &core.Probe{Expr: ae}
 			c.probes = append(c.probes, p)
-			c.root = core.Instrument(c.root, ae, p, k.heuristic)
+			c.root = core.Instrument(c.root, ae, p, h)
 		}
 		// A query touching no sensitive table (e.g. a trigger body reading
 		// ACCESSED) is not an audited query: classify only when
@@ -107,7 +109,7 @@ func (e *Engine) compile(sel *ast.Select, env *actionEnv, k knobs) (*compiled, e
 			// serial plan it was written for. It vouches for hcn placement
 			// only: under leaf or highest no target counts exact.
 			c.exact = make([]bool, len(c.targets))
-			if k.heuristic == core.HighestCommutativeNode {
+			if h == core.HighestCommutativeNode {
 				for i, ae := range c.targets {
 					c.exact[i] = offline.Classify(e.cat, c.root, ae) == ""
 				}

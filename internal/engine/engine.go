@@ -58,11 +58,18 @@ type Engine struct {
 	views    map[string]*ast.Select
 
 	// defSess is the built-in session Engine.Exec/Query run under; its
-	// per-session state (user, audit-all, placement heuristic, open SQL
-	// transaction) used to be engine-global fields, which made USERID()
-	// attribution wrong under concurrent users. NewSession creates
-	// independent peers seeded from it.
+	// per-session state (user, audit-all, the other session settings,
+	// open SQL transaction) used to be engine-global fields, which made
+	// USERID() attribution wrong under concurrent users. NewSession
+	// creates independent peers seeded from it.
 	defSess *Session
+
+	// heuristic is the audit-operator placement every session's plans
+	// are instrumented under (a core.Heuristic). It is an engine
+	// property, never a session one: Claim 3.6's no-false-negative
+	// guarantee holds only under hcn, so the audited client must not be
+	// able to choose another.
+	heuristic atomic.Uint32
 
 	// metrics is the engine's observability registry: every counter in
 	// Stats lives here, so the wire "stats" op (Snapshot) and the HTTP
@@ -88,7 +95,8 @@ type Engine struct {
 	// auditdbd raises it to GOMAXPROCS via -workers. parallelMinRows is
 	// the estimated driving-scan size below which opt.Parallelize
 	// leaves a plan serial. ddlVersion increments on every successful
-	// DDL statement and invalidates session plan caches.
+	// DDL statement and every placement change, and invalidates both
+	// plan-cache levels.
 	defaultWorkers  atomic.Int64
 	parallelMinRows atomic.Int64
 	ddlVersion      atomic.Int64
@@ -225,7 +233,8 @@ func New() *Engine {
 	e.parallelMinRows.Store(DefaultParallelMinRows)
 	e.execWorkers.Set(1)
 	e.triage = triage.NewService(triage.Config{}, e.verifyTriageEvent, e.triageMetrics)
-	e.defSess = newSession(e, "system", false, core.HighestCommutativeNode)
+	e.heuristic.Store(uint32(core.HighestCommutativeNode))
+	e.defSess = newSession(e, "system", false)
 	return e
 }
 
@@ -342,12 +351,16 @@ func (e *Engine) StatsSnapshot() map[string]int64 {
 // embeddable single-session API.
 func (e *Engine) SetUser(u string) { e.defSess.SetUser(u) }
 
-// SetHeuristic selects the default session's audit-operator placement
-// algorithm. New sessions inherit it.
-func (e *Engine) SetHeuristic(h core.Heuristic) { e.defSess.SetHeuristic(h) }
+// SetHeuristic selects the audit-operator placement algorithm for
+// every session. Cached plans were placed under the old one, so it
+// bumps the version DDL bumps and both plan-cache levels drop them.
+func (e *Engine) SetHeuristic(h core.Heuristic) {
+	e.heuristic.Store(uint32(h))
+	e.ddlVersion.Add(1)
+}
 
-// Heuristic returns the default session's placement algorithm.
-func (e *Engine) Heuristic() core.Heuristic { return e.defSess.Heuristic() }
+// Heuristic returns the engine's placement algorithm.
+func (e *Engine) Heuristic() core.Heuristic { return core.Heuristic(e.heuristic.Load()) }
 
 // SetAuditAll makes every SELECT on the default session instrumented
 // for every compiled audit expression even without ON ACCESS triggers;
@@ -604,8 +617,9 @@ func (e *Engine) bindCtx(ctx *exec.Ctx, env *actionEnv, sql string) {
 // BuildQueryPlan parses, plans, optimizes and (optionally) instruments
 // a SELECT without executing it; used by tests, EXPLAIN-style tooling
 // and the benchmark harness. The plan is always serial; an instrumented
-// one uses the default session's placement and audit-all knobs, and
-// its audit operators record into the returned ACCESSED state.
+// one uses the engine's placement and the default session's audit-all
+// knob, and its audit operators record into the returned ACCESSED
+// state.
 func (e *Engine) BuildQueryPlan(sql string, instrument bool) (plan.Node, *core.Accessed, error) {
 	sel, err := parser.ParseQuery(sql)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"auditdb/internal/ast"
-	"auditdb/internal/core"
 	"auditdb/internal/lexer"
 	"auditdb/internal/parser"
 	"auditdb/internal/trace"
@@ -14,11 +13,13 @@ import (
 
 // Session is one user's execution context against a shared Engine: it
 // carries the identity reported by USERID(), the audit-all flag, the
-// audit-operator placement heuristic, and the session's open SQL-level
-// transaction. Concurrent sessions over one engine are independent —
-// trigger actions fired by a session's queries resolve USERID() and
-// sqltext() from that session, never from another one (the paper's §II
-// multi-user attribution requirement).
+// other per-session settings (settings.go), and the session's open
+// SQL-level transaction. Audit-operator placement and triage are not
+// among them: they are engine properties, so the audited party cannot
+// switch off its own audit. Concurrent sessions over one engine are
+// independent — trigger actions fired by a session's queries resolve
+// USERID() and sqltext() from that session, never from another one (the
+// paper's §II multi-user attribution requirement).
 //
 // A Session is cheap; servers create one per connection. Like
 // database/sql.Conn, a single Session must not be used from multiple
@@ -26,10 +27,9 @@ import (
 type Session struct {
 	e *Engine
 
-	mu        chan struct{} // 1-token semaphore guarding the fields below
-	user      string
-	auditAll  bool
-	heuristic core.Heuristic
+	mu       chan struct{} // 1-token semaphore guarding the fields below
+	user     string
+	auditAll bool
 	// workers is this session's SET WORKERS override for parallel
 	// query execution; 0 means inherit the engine default.
 	workers int
@@ -45,12 +45,6 @@ type Session struct {
 	// the session's own statement path (single goroutine by contract),
 	// never from trigger cascades, which run at depth > 0.
 	norm lexer.Norm
-
-	// triageOff is the SET triage = off flag: it gates this session's
-	// firings out of the triage queue without touching the engine-wide
-	// service. Default off (triage on) — the service itself is disabled
-	// unless ConfigureTriage armed workers.
-	triageOff bool
 
 	// skipOff is the SET skipping = off flag: this session's scans
 	// read every chunk instead of pruning against zone maps and
@@ -79,22 +73,22 @@ type Session struct {
 	pendPlanNanos int64
 }
 
-func newSession(e *Engine, user string, auditAll bool, h core.Heuristic) *Session {
-	s := &Session{e: e, mu: make(chan struct{}, 1), user: user, auditAll: auditAll, heuristic: h}
+func newSession(e *Engine, user string, auditAll bool) *Session {
+	s := &Session{e: e, mu: make(chan struct{}, 1), user: user, auditAll: auditAll}
 	e.stats.Sessions.Add(1)
 	return s
 }
 
 // NewSession creates an independent session seeded from the engine's
-// current default-session settings (user, audit-all, placement).
+// current default-session settings (user, audit-all, workers,
+// skipping).
 func (e *Engine) NewSession() *Session {
 	d := e.defSess
 	d.lock()
-	user, auditAll, h, workers, triageOff, skipOff := d.user, d.auditAll, d.heuristic, d.workers, d.triageOff, d.skipOff
+	user, auditAll, workers, skipOff := d.user, d.auditAll, d.workers, d.skipOff
 	d.unlock()
-	s := newSession(e, user, auditAll, h)
+	s := newSession(e, user, auditAll)
 	s.workers = workers
-	s.triageOff = triageOff
 	s.skipOff = skipOff
 	return s
 }
@@ -139,21 +133,6 @@ func (s *Session) AuditAll() bool {
 	return s.auditAll
 }
 
-// SetHeuristic selects the audit-operator placement algorithm for this
-// session's queries.
-func (s *Session) SetHeuristic(h core.Heuristic) {
-	s.lock()
-	s.heuristic = h
-	s.unlock()
-}
-
-// Heuristic returns the session's active placement algorithm.
-func (s *Session) Heuristic() core.Heuristic {
-	s.lock()
-	defer s.unlock()
-	return s.heuristic
-}
-
 // SetWorkers sets this session's worker budget for parallel query
 // execution (SET WORKERS). 1 forces serial execution; 0 resets to the
 // engine default; negatives clamp to serial.
@@ -188,23 +167,6 @@ func (s *Session) TraceOn() bool {
 	s.lock()
 	defer s.unlock()
 	return s.traceOn
-}
-
-// SetTriage toggles triage enqueueing for this session's trigger
-// firings (SET triage = on|off). It has no effect unless the engine's
-// triage service is enabled.
-func (s *Session) SetTriage(on bool) {
-	s.lock()
-	s.triageOff = !on
-	s.unlock()
-}
-
-// TriageOn reports whether this session's firings enter the triage
-// queue (when the engine's service is enabled).
-func (s *Session) TriageOn() bool {
-	s.lock()
-	defer s.unlock()
-	return !s.triageOff
 }
 
 // SetSkipping toggles chunk-level data skipping for this session's

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"auditdb/internal/core"
 	"auditdb/internal/value"
 )
 
@@ -79,8 +78,8 @@ func TestSessionUserAttribution(t *testing.T) {
 
 func tag(u, i int) int { return (u+1)*1000000 + i }
 
-// TestSessionSettingsIndependent checks that audit-all, placement, and
-// user are per-session, seeded from the default session at creation.
+// TestSessionSettingsIndependent checks that audit-all and user are
+// per-session, seeded from the default session at creation.
 func TestSessionSettingsIndependent(t *testing.T) {
 	e := New()
 	if _, err := e.ExecScript(sessionFixture); err != nil {
@@ -94,10 +93,6 @@ func TestSessionSettingsIndependent(t *testing.T) {
 	a.SetAuditAll(true)
 	if b.AuditAll() {
 		t.Fatal("SetAuditAll leaked across sessions")
-	}
-	a.SetHeuristic(core.LeafNode)
-	if b.Heuristic() != core.HighestCommutativeNode {
-		t.Fatal("SetHeuristic leaked across sessions")
 	}
 	a.SetUser("alice")
 	if got := b.User(); got != "system" {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"auditdb/internal/core"
 )
 
 // Setting is one session setting front ends expose by name: pgwire's
@@ -32,26 +30,17 @@ var settings = []*Setting{
 		},
 		show: func(s *Session) string { return strconv.Itoa(s.Workers()) }},
 	boolSetting("audit_all", "off", (*Session).SetAuditAll, (*Session).AuditAll),
-	{name: "placement", reset: "hcn",
-		apply: func(s *Session, val string) error {
-			for h, name := range placementNames {
-				if strings.EqualFold(val, name) {
-					s.SetHeuristic(h)
-					return nil
-				}
-			}
-			return fmt.Errorf("parameter %q requires leaf, hcn or highest: %q", "placement", val)
-		},
-		show: func(s *Session) string { return placementNames[s.Heuristic()] }},
+	fixed("placement", "audit-operator placement is fixed by the server",
+		func(s *Session) string { return s.e.Heuristic().String() }),
 	boolSetting("trace", "off", (*Session).SetTrace, (*Session).TraceOn),
-	boolSetting("triage", "on", (*Session).SetTriage, (*Session).TriageOn),
+	fixed("triage", "triage is set server-wide by auditdbd -triage-workers",
+		func(s *Session) string {
+			if s.e.triage.Enabled() {
+				return "on"
+			}
+			return "off"
+		}),
 	boolSetting("skipping", "on", (*Session).SetSkipping, (*Session).SkippingOn),
-}
-
-var placementNames = map[core.Heuristic]string{
-	core.LeafNode:               "leaf",
-	core.HighestCommutativeNode: "hcn",
-	core.HighestNode:            "highest",
 }
 
 func boolSetting(name, reset string, set func(*Session, bool), get func(*Session) bool) *Setting {
@@ -75,6 +64,17 @@ func boolSetting(name, reset string, set func(*Session, bool), get func(*Session
 		}}
 }
 
+// fixed declares a read-only row for an engine property no session may
+// change: SHOW reports the engine's value, SET fails whatever the value
+// and names the server-side control, RESET does nothing. Declaring the
+// name keeps pgwire from absorbing a SET of it as driver boilerplate.
+func fixed(name, control string, show func(s *Session) string) *Setting {
+	return &Setting{name: name, show: show,
+		apply: func(*Session, string) error {
+			return fmt.Errorf("parameter %q cannot be changed: %s", name, control)
+		}}
+}
+
 // LookupSetting returns the session setting with the given lower-case
 // name, or nil when there is none.
 func LookupSetting(name string) *Setting {
@@ -89,8 +89,10 @@ func LookupSetting(name string) *Setting {
 // Set parses val and applies it to the session.
 func (st *Setting) Set(s *Session, val string) error { return st.apply(s, val) }
 
-// Show reports the session's current value in the spelling Set accepts.
+// Show reports the current value; a settable row's in the spelling Set
+// accepts.
 func (st *Setting) Show(s *Session) string { return st.show(s) }
 
-// Reset restores the setting's default (RESET).
-func (st *Setting) Reset(s *Session) { _ = st.apply(s, st.reset) } // reset values always parse
+// Reset restores the setting's default (RESET). Reset values always
+// parse; a fixed row's apply only refuses, so its RESET changes nothing.
+func (st *Setting) Reset(s *Session) { _ = st.apply(s, st.reset) }

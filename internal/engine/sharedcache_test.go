@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"auditdb/internal/core"
 )
 
 // healthScript is newHealthDB's setup plus the audit expressions the
@@ -214,6 +216,44 @@ func TestCanonCacheDDLInvalidation(t *testing.T) {
 	}
 	if ids := r.Accessed.IDs("Seniors"); len(ids) != 1 || ids[0].Int() != 5 {
 		t.Fatalf("Seniors IDs = %v, want [5]", ids)
+	}
+}
+
+// TestPlacementChangeInvalidatesCachedPlans: placement is no planning
+// knob, so nothing in a plan-cache key tells an hcn plan from a leaf
+// one; SetHeuristic's version bump must drop both levels. Session a
+// warms the flu join (its L1 entry and the shared template are hcn);
+// after the switch to leaf, session b's first run must not adopt that
+// template and a's next run must not hit its L1 entry.
+func TestPlacementChangeInvalidatesCachedPlans(t *testing.T) {
+	e := newAuditedDB(t, false)
+	a, b := e.NewSession(), e.NewSession()
+	defer a.Close()
+	defer b.Close()
+	const q = `SELECT P.Name FROM Patients P, Disease D
+		WHERE P.PatientID = D.PatientID AND D.Disease = 'flu'`
+	ids := func(s *Session) string {
+		t.Helper()
+		r, err := s.Exec(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(r.Accessed.IDs("Elderly"), r.Accessed.IDs("Midtown"))
+	}
+	// hcn audits the join result (Bob, Carol); leaf audits every
+	// patient its scan passes (Alice and Erin too).
+	const hcn, leaf = "[3] [2]", "[3 5] [1 2]"
+	for i := 0; i < 2; i++ { // cold, then an L1 hit
+		if got := ids(a); got != hcn {
+			t.Fatalf("hcn run %d: accessed %s, want %s", i, got, hcn)
+		}
+	}
+	e.SetHeuristic(core.LeafNode)
+	if got := ids(b); got != leaf {
+		t.Fatalf("session b adopted the hcn template after the switch to leaf: accessed %s, want %s", got, leaf)
+	}
+	if got := ids(a); got != leaf {
+		t.Fatalf("session a hit its hcn L1 entry after the switch to leaf: accessed %s, want %s", got, leaf)
 	}
 }
 

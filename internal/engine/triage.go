@@ -41,11 +41,6 @@ func (e *Engine) StopTriage(ctx context.Context) {
 	}
 }
 
-// SetTriage toggles triage enqueueing for the default session
-// (SET triage = on|off). The service itself keeps running; new
-// sessions inherit the setting.
-func (e *Engine) SetTriage(on bool) { e.defSess.SetTriage(on) }
-
 // OfflineAudit runs the exact offline auditor (Def 2.3) for one query
 // against one audit expression and accounts for the verdict in the
 // engine's metrics: which path reached it, how many query executions it

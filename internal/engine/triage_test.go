@@ -350,12 +350,13 @@ func TestTriageStressAccounting(t *testing.T) {
 }
 
 // TestTriageDoesNotPerturbAccessed: the ACCESSED set a query reports
-// must be byte-identical with triage on and off — scoring and
-// enqueueing ride after audit capture and never touch it.
+// must be byte-identical on an engine with triage workers and one
+// without — enqueueing rides after audit capture and never touches it.
 func TestTriageDoesNotPerturbAccessed(t *testing.T) {
-	dir := t.TempDir()
-	e := triageHealthDB(t, dir, triage.Config{Workers: 1})
+	e := triageHealthDB(t, t.TempDir(), triage.Config{Workers: 1})
 	defer e.CloseWAL()
+	plain := triageHealthDB(t, t.TempDir(), triage.Config{})
+	defer plain.CloseWAL()
 
 	render := func(r *Result) string {
 		if r.Accessed == nil {
@@ -374,43 +375,19 @@ func TestTriageDoesNotPerturbAccessed(t *testing.T) {
 
 	const q = "SELECT * FROM Patients WHERE Name = 'Alice'"
 	on := mustQuery(t, e, q)
-	e.SetTriage(false)
-	off := mustQuery(t, e, q)
+	off := mustQuery(t, plain, q)
 	if render(on) != render(off) {
 		t.Fatalf("ACCESSED differs with triage on/off:\non:  %q\noff: %q", render(on), render(off))
 	}
 	if render(on) == "<nil>" {
 		t.Fatal("query reported no ACCESSED set at all")
 	}
-	e.SetTriage(true)
 	quiesceTriage(t, e)
-	// Only the triage-on firing produced an event.
 	if st := e.triage.Stats(); st.Enqueued != 1 {
-		t.Fatalf("SET triage = off still enqueued: %+v", st)
+		t.Fatalf("triage engine enqueued %+v, want the one firing", st)
 	}
-}
-
-// TestTriageSessionToggleInheritance: sessions snapshot the default
-// session's triage flag at creation, like the other session knobs.
-func TestTriageSessionToggleInheritance(t *testing.T) {
-	e := New()
-	s1 := e.NewSession()
-	defer s1.Close()
-	if !s1.TriageOn() {
-		t.Fatal("fresh session must default to triage on")
-	}
-	e.SetTriage(false)
-	s2 := e.NewSession()
-	defer s2.Close()
-	if s2.TriageOn() {
-		t.Fatal("session created after SET triage = off must inherit off")
-	}
-	if !s1.TriageOn() {
-		t.Fatal("existing session flipped by the default changing")
-	}
-	s2.SetTriage(true)
-	if !s2.TriageOn() {
-		t.Fatal("per-session toggle failed")
+	if st := plain.triage.Stats(); plain.triage.Enabled() || st.Enqueued != 0 {
+		t.Fatalf("engine without triage workers enqueued: %+v", st)
 	}
 }
 

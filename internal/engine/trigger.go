@@ -66,7 +66,7 @@ func (e *Engine) fireAccessTriggers(ae *core.AuditExpression, acc *core.Accessed
 		// audit record above survives a rollback (the chain is evidence
 		// either way), but a verdict on a rolled-back read would audit
 		// state that never committed.
-		if svc := e.triage; svc.Enabled() && sess.TriageOn() {
+		if svc := e.triage; svc.Enabled() {
 			ev := triage.Event{
 				AuditSeq: auditSeq,
 				QID:      rec.QID(),

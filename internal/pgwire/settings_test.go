@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,9 +16,12 @@ import (
 // TestSessionSettingsBothProtocols: the session settings are declared
 // once in the engine, so pgwire SET and line-JSON "set" accept and
 // reject exactly the same spellings, SHOW reports what was set, and
-// RESET restores each setting's declared default. Unknown names stay
-// protocol-specific: pgwire absorbs them (driver boilerplate),
-// line-JSON rejects them.
+// RESET restores each setting's declared default. placement and triage
+// are engine properties: SET of either is refused on both doors
+// whatever the value (pgwire answers with an ErrorResponse, not a SET
+// tag), SHOW still reports the engine's value, RESET changes nothing.
+// Unknown names stay protocol-specific: pgwire absorbs them (driver
+// boilerplate), line-JSON rejects them.
 func TestSessionSettingsBothProtocols(t *testing.T) {
 	srv, addr := startPG(t, server.Config{})
 	pc := dialPG(t, addr, "ops")
@@ -71,20 +75,26 @@ func TestSessionSettingsBothProtocols(t *testing.T) {
 		{"audit_all", "0", "off"},
 		{"audit_all", "TRUE", "on"},
 		{"audit_all", "maybe", ""},
-		{"placement", "LEAF", "leaf"},
-		{"placement", "highest", "highest"},
+		{"placement", "LEAF", ""},
+		{"placement", "highest", ""},
+		{"placement", "hcn", ""},
 		{"placement", "root", ""},
 		{"trace", "1", "on"},
 		{"trace", "Off", "off"},
-		{"triage", "false", "off"},
-		{"triage", "ON", "on"},
+		{"triage", "false", ""},
+		{"triage", "ON", ""},
+		{"triage", "bogus", ""},
 		{"skipping", "0", "off"},
 		{"skipping", "yes", ""},
 	} {
 		msgs, _ := query(t, pc, "SET "+tc.name+" = '"+tc.val+"'")
-		if tc.show == "" {
+		settable := tc.show != ""
+		if !settable {
 			if got := sqlstate(t, msgs); got != "22023" {
 				t.Errorf("pgwire SET %s = %q: sqlstate %q, want 22023", tc.name, tc.val, got)
+			}
+			if got := tags(t, msgs); len(got) != 0 {
+				t.Errorf("pgwire SET %s = %q: refused but tagged %v", tc.name, tc.val, got)
 			}
 		} else {
 			if got := tags(t, msgs); len(got) != 1 || got[0] != "SET" {
@@ -94,9 +104,34 @@ func TestSessionSettingsBothProtocols(t *testing.T) {
 				t.Errorf("SHOW %s after SET %q = %q, want %q", tc.name, tc.val, got, tc.show)
 			}
 		}
-		if resp := jsonSet(tc.name, tc.val); resp.OK != (tc.show != "") {
+		if resp := jsonSet(tc.name, tc.val); resp.OK != settable {
 			t.Errorf("line-JSON set %s = %q: ok=%v error=%q, want ok=%v",
-				tc.name, tc.val, resp.OK, resp.Error, tc.show != "")
+				tc.name, tc.val, resp.OK, resp.Error, settable)
+		}
+	}
+
+	// The read-only rows report the engine's values, and their refusal
+	// names the server-side control.
+	for _, tc := range []struct{ name, show, control string }{
+		{"placement", "hcn", "fixed by the server"},
+		{"triage", "off", "-triage-workers"}, // no -triage-workers here
+	} {
+		if got := show(tc.name); got != tc.show {
+			t.Errorf("SHOW %s = %q, want %q", tc.name, got, tc.show)
+		}
+		if resp := jsonSet(tc.name, tc.show); !strings.Contains(resp.Error, tc.control) {
+			t.Errorf("line-JSON set %s: error %q does not name %q", tc.name, resp.Error, tc.control)
+		}
+		msgs, _ := query(t, pc, "SET "+tc.name+" = "+tc.show)
+		if errs := byType(msgs, 'E'); len(errs) != 1 || !strings.Contains(pgtest.ErrorFields(errs[0].Body)['M'], tc.control) {
+			t.Errorf("pgwire SET %s: %v does not name %q", tc.name, msgs, tc.control)
+		}
+		msgs, _ = query(t, pc, "RESET "+tc.name)
+		if got := tags(t, msgs); len(got) != 1 || got[0] != "RESET" {
+			t.Errorf("RESET %s: %v", tc.name, msgs)
+		}
+		if got := show(tc.name); got != tc.show {
+			t.Errorf("SHOW %s after RESET = %q, want %q", tc.name, got, tc.show)
 		}
 	}
 
@@ -104,9 +139,7 @@ func TestSessionSettingsBothProtocols(t *testing.T) {
 	for _, tc := range []struct{ name, set, reset string }{
 		{"workers", "4", "0"},
 		{"audit_all", "on", "off"},
-		{"placement", "leaf", "hcn"},
 		{"trace", "on", "off"},
-		{"triage", "off", "on"},
 		{"skipping", "off", "on"},
 	} {
 		query(t, pc, "SET "+tc.name+" = "+tc.set)

@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +14,7 @@ import (
 	"auditdb"
 	"auditdb/internal/client"
 	"auditdb/internal/engine"
+	"auditdb/internal/wire"
 )
 
 func startServer(t *testing.T, cfg Config) *Server {
@@ -375,8 +379,33 @@ func TestPreparedOverWire(t *testing.T) {
 	}
 }
 
-// TestPerSessionSettings checks audit_all and placement apply to one
-// connection only.
+// rawSet sends one line-JSON "set" on a fresh connection and returns
+// the reply; the client package has no method for keys it must not set.
+func rawSet(t *testing.T, srv *Server, key, val string) wire.Response {
+	t.Helper()
+	nc, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	line, _ := json.Marshal(wire.Request{Op: wire.OpSet, Key: key, Value: val})
+	if _, err := nc.Write(append(line, '\n')); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := bufio.NewReader(nc).ReadBytes('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp wire.Response
+	if err := json.Unmarshal(reply, &resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// TestPerSessionSettings checks audit_all applies to one connection
+// only, and that placement is no session setting at all.
 func TestPerSessionSettings(t *testing.T) {
 	srv := startServer(t, Config{})
 	a := dial(t, srv)
@@ -384,11 +413,8 @@ func TestPerSessionSettings(t *testing.T) {
 	if err := a.SetAuditAll(true); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.SetPlacement("leaf"); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.SetPlacement("bogus"); err == nil {
-		t.Fatal("bogus placement accepted")
+	if resp := rawSet(t, srv, "placement", "leaf"); resp.OK || !strings.Contains(resp.Error, "fixed by the server") {
+		t.Fatalf("set placement = leaf: %+v, want refused naming the server", resp)
 	}
 	// Bob's query touches Bob's row only; with audit-all off for b and
 	// the trigger bound to Alice's record, nothing is audited.

@@ -35,11 +35,13 @@ const (
 	OpCheckpoint  = "checkpoint"   // snapshot + truncate the data WAL
 )
 
-// Set keys.
+// Set keys. The engine's settings table also declares placement and
+// triage, as read-only rows: a "set" of either is refused (placement is
+// fixed by the server, triage is auditdbd -triage-workers), so no key
+// is declared for them here.
 const (
-	KeyUser      = "user"
-	KeyAuditAll  = "audit_all"
-	KeyPlacement = "placement"
+	KeyUser     = "user"
+	KeyAuditAll = "audit_all"
 	// KeyWorkers sets the session's parallel-execution worker budget:
 	// a positive integer, 1 forcing serial, 0 resetting to the server
 	// default.
@@ -48,10 +50,6 @@ const (
 	// this session runs ("on"/"off"); retained traces are read back with
 	// SHOW TRACE FOR <qid> or the /traces endpoint.
 	KeyTrace = "trace"
-	// KeyTriage gates this session's trigger firings in or out of the
-	// background offline-verification queue ("on"/"off"); read triage
-	// state back with SHOW AUDIT QUEUE / SHOW AUDIT VERDICTS.
-	KeyTriage = "triage"
 	// KeySkipping toggles chunk skipping (zone maps + sensitive-ID
 	// sketches) for this session's scans ("on"/"off"). Skipping never
 	// changes results or the audit trail; off is for measurement and
