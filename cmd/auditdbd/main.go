@@ -58,7 +58,7 @@ func main() {
 		metricsAddr  = flag.String("metrics-addr", "", "HTTP listen address for /metrics and /healthz (empty = disabled)")
 		logFormat    = flag.String("log-format", "text", "log output format: text or json")
 		logLevel     = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-		slowQuery    = flag.Duration("slow-query", 0, "log SELECTs with end-to-end latency at or above this (0 = disabled)")
+		slowQuery    = flag.Duration("slow-query", 0, "log statements with end-to-end latency at or above this (0 = disabled)")
 		dataDir      = flag.String("data-dir", "", "directory for the write-ahead log and checkpoints (empty = in-memory only)")
 		syncMode     = flag.String("sync", "interval", "WAL fsync policy: always, interval, or off")
 		syncInterval = flag.Duration("sync-interval", 50*time.Millisecond, "fsync period under -sync interval")

@@ -68,7 +68,7 @@ func (e *Engine) Recover(rec *wal.Recovery) error {
 	}
 	start := time.Now()
 	if rec.HasSnapshot {
-		if _, err := e.defSess.ExecScript(rec.SnapshotSQL); err != nil {
+		if err := e.replay(rec.SnapshotSQL); err != nil {
 			return fmt.Errorf("loading checkpoint snapshot: %w", err)
 		}
 	}
@@ -86,17 +86,29 @@ func (e *Engine) Recover(rec *wal.Recovery) error {
 	return nil
 }
 
+// replay re-executes logged SQL under the default session. Recovery is
+// not a statement: no record opens, so replay takes no query IDs and
+// leaves no traces.
+func (e *Engine) replay(sql string) error {
+	stmts, err := parser.ParseScript(sql)
+	if err != nil {
+		return err
+	}
+	for _, st := range stmts {
+		if _, err := e.execStmt(st, sql, rootActionEnv()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // applyCommit replays one unit: DDL by re-execution, DML by applying
 // the logged row images directly to storage. Triggers do not fire —
 // every write a trigger made at runtime is an op in some record.
 func (e *Engine) applyCommit(c *wal.Commit) error {
 	for _, op := range c.Ops {
 		if op.Kind == wal.OpDDL {
-			stmt, err := parser.Parse(op.SQL)
-			if err != nil {
-				return fmt.Errorf("replayed DDL %q: %w", op.SQL, err)
-			}
-			if _, err := e.execStmt(stmt, op.SQL, rootActionEnv()); err != nil {
+			if err := e.replay(op.SQL); err != nil {
 				return fmt.Errorf("replayed DDL %q: %w", op.SQL, err)
 			}
 			continue

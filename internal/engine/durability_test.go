@@ -57,14 +57,32 @@ func TestDurableReplayMatchesDump(t *testing.T) {
 		t.Fatalf("CloseWAL: %v", err)
 	}
 
-	e2 := openDurable(t, dir)
+	// The boot sequence of openDurable, with every statement sampled:
+	// recovery is not a statement, so replaying the DDL above takes no
+	// query IDs and retains no traces.
+	m, rec, err := wal.Open(dir, wal.Options{Sync: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2 := New()
+	e2.SetTraceSampling(1)
+	if err := e2.Recover(rec); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	e2.AttachWAL(m)
 	defer e2.CloseWAL()
+	if n := e2.TraceRing().Len(); n != 0 {
+		t.Fatalf("recovery retained %d traces: %+v", n, e2.TraceRing().Snapshot())
+	}
 	if after := dumpString(t, e2); after != before {
 		t.Fatalf("recovered dump differs\n--- before ---\n%s\n--- after ---\n%s", before, after)
 	}
 	r := mustQuery(t, e2, "SELECT Age FROM Patients WHERE Name = 'Alice'")
 	if len(r.Rows) != 1 || r.Rows[0][0].Int() != 35 {
 		t.Fatalf("update lost in replay: %v", r.Rows)
+	}
+	if r.QID != 1 {
+		t.Fatalf("first statement after recovery has qid %d, want 1", r.QID)
 	}
 }
 

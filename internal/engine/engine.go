@@ -19,7 +19,6 @@ import (
 	"auditdb/internal/catalog"
 	"auditdb/internal/core"
 	"auditdb/internal/exec"
-	"auditdb/internal/lexer"
 	"auditdb/internal/obs"
 	"auditdb/internal/parser"
 	"auditdb/internal/plan"
@@ -81,12 +80,13 @@ type Engine struct {
 	// sensitive table for the auditdb_rows_audited_total{table=...}
 	// Prometheus family.
 	rowsAuditedByTable *obs.CounterVec
-	// Per-phase latency histograms (seconds).
+	// Per-statement latency histograms (seconds), fed from the
+	// statement record by traceFinish.
 	parseSeconds, planSeconds, execSeconds, queryLatency *obs.Histogram
 
 	// logger receives structured events (trigger firings, slow queries);
 	// defaults to a discard handler. slowQueryNanos > 0 enables the
-	// slow-query log for SELECTs at or above the threshold.
+	// slow-query log for top-level statements at or above the threshold.
 	logger         atomic.Pointer[slog.Logger]
 	slowQueryNanos atomic.Int64
 
@@ -262,13 +262,13 @@ func (e *Engine) initMetrics() {
 	e.rowsAuditedByTable = r.NewCounterVec("auditdb_rows_audited_total", "rows_audited_by_table",
 		"Distinct sensitive IDs recorded into ACCESSED, by sensitive table.", "table")
 	e.parseSeconds = r.NewHistogram("auditdb_parse_seconds", "parse_seconds",
-		"SQL parse latency in seconds.", obs.LatencyBuckets)
+		"Normalize + parse phases of each top-level statement, in seconds.", obs.LatencyBuckets)
 	e.planSeconds = r.NewHistogram("auditdb_plan_seconds", "plan_seconds",
-		"Plan, optimize and audit-instrumentation latency in seconds.", obs.LatencyBuckets)
+		"Plan phase of each top-level statement (plan-cache lookup, or plan + optimize + instrument), in seconds.", obs.LatencyBuckets)
 	e.execSeconds = r.NewHistogram("auditdb_exec_seconds", "exec_seconds",
-		"Plan execution latency in seconds.", obs.LatencyBuckets)
+		"Execute phase of each top-level statement, nested statements included, in seconds.", obs.LatencyBuckets)
 	e.queryLatency = r.NewHistogram("auditdb_query_latency_seconds", "query_latency_seconds",
-		"End-to-end SELECT latency in seconds, trigger firing included.", obs.LatencyBuckets)
+		"Elapsed time of each top-level statement's record, trigger firing and WAL commit included, in seconds.", obs.LatencyBuckets)
 	r.NewUptimeGauge("auditdb_uptime_seconds", "uptime_seconds")
 	e.execWorkers = r.NewGauge("auditdb_exec_workers", "exec_workers",
 		"Default per-query worker budget for parallel execution (1 = serial).")
@@ -324,9 +324,10 @@ func (e *Engine) SetLogger(l *slog.Logger) {
 // Logger returns the engine's current structured logger.
 func (e *Engine) Logger() *slog.Logger { return e.logger.Load() }
 
-// SetSlowQueryThreshold enables the slow-query log: SELECTs whose
-// end-to-end latency reaches d are logged with their SQL, latency,
-// rows scanned/audited and placement outcome. d <= 0 disables it.
+// SetSlowQueryThreshold enables the slow-query log: top-level
+// statements whose record's elapsed time reaches d are logged with
+// their SQL, latency, rows scanned/audited and placement outcome (nested
+// statements included). d <= 0 disables it.
 func (e *Engine) SetSlowQueryThreshold(d time.Duration) {
 	e.slowQueryNanos.Store(int64(d))
 }
@@ -431,6 +432,9 @@ type actionEnv struct {
 	// trigger actions — the paper's system transactions).
 	lockHeld bool
 	depth    int
+	// canonTried marks a top-level statement already offered to the
+	// canonical plan cache (runCanonSelect), so it is normalized once.
+	canonTried bool
 	// unit buffers WAL operations for the atomic unit this statement
 	// belongs to; trigger cascades share their firing statement's unit,
 	// SELECT-trigger system transactions get their own (trigger.go).
@@ -455,20 +459,11 @@ func (a *actionEnv) systemChild() *actionEnv {
 	return &actionEnv{depth: a.depth + 1, sess: a.sess, lockHeld: a.lockHeld || a.txn != nil}
 }
 
-// execStmt runs one statement. At depth 0 it brackets the execution
-// with the statement tracer (query-ID assignment, span capture, tail
-// retention); nested executions — trigger cascades, IF bodies — record
-// into the enclosing statement's trace instead.
+// execStmt runs one parsed statement. It records into whatever statement
+// record the session has open — the front door's for a top-level
+// statement, the enclosing statement's for trigger cascades and IF
+// bodies, none for recovery's replay.
 func (e *Engine) execStmt(stmt ast.Stmt, sql string, env *actionEnv) (*Result, error) {
-	if env.depth == 0 {
-		return e.traced(e.sessionOf(env), sql, func() (*Result, error) {
-			return e.execStmtInner(stmt, sql, env)
-		})
-	}
-	return e.execStmtInner(stmt, sql, env)
-}
-
-func (e *Engine) execStmtInner(stmt ast.Stmt, sql string, env *actionEnv) (*Result, error) {
 	if env.depth > MaxCascadeDepth {
 		return nil, fmt.Errorf("trigger cascade exceeds maximum depth %d", MaxCascadeDepth)
 	}
@@ -659,69 +654,39 @@ func (e *Engine) auditTargets(auditAll bool) []*core.AuditExpression {
 }
 
 func (e *Engine) runSelect(sel *ast.Select, sql string, env *actionEnv) (*Result, error) {
-	start := time.Now()
 	e.stats.Queries.Add(1)
-	sess := e.sessionOf(env)
-	k := sess.planKnobs()
 
 	// A top-level statement that arrived parsed (pgwire simple, a script
-	// of one SELECT, a bypassed or declined fast-path text) still shares
-	// plans engine-wide through the canonical cache. Anything whose text
-	// is not this one SELECT — scripts, INSERT ... SELECT, IF bodies —
-	// fails to normalize and is compiled below.
-	if env.depth == 0 && env.outerSchema == nil && env.extraSchema == nil &&
-		env.extraRows == nil && !e.disablePlanCache {
-		if res, ok, err := e.runSelectNormalized(sql, env, sess, k, start); ok {
+	// of one SELECT, Txn.Exec) still shares plans engine-wide through the
+	// canonical cache. Anything whose text is not this one SELECT —
+	// scripts, INSERT ... SELECT, IF bodies — fails to normalize and is
+	// compiled below.
+	if env.depth == 0 && env.outerSchema == nil && env.extraSchema == nil && env.extraRows == nil {
+		if res, ok, err := e.runCanonSelect(sql, nil, env, false); ok {
 			return res, err
 		}
 	}
 
+	sess := e.sessionOf(env)
+	k := sess.planKnobs()
+	start := time.Now()
 	c, err := e.compile(sel, env, k)
 	if err != nil {
 		return nil, err
 	}
-	e.planSeconds.ObserveDuration(time.Since(start))
 	r := &sess.rec
-	if id := notePlan(r, start, time.Since(start), "miss"); id >= 0 {
-		r.AddSpan(id, "optimize", c.optStart, c.optDur)
-	}
-	return e.executeSelect(&planEntry{compiled: c, knobs: k}, sql, env, start)
-}
-
-// runSelectNormalized is runSelect's canonical-cache branch: the
-// statement was parsed by the caller, but its plan can still come from
-// (or seed) the plan cache keyed by normalized text. The trace recorder
-// is already active here (runSelect executes under execStmt's bracket),
-// so normalize and plan-cache outcome are recorded directly rather than
-// staged the way the unparsed path stages them. ok=false falls through
-// to compiling the parsed statement.
-func (e *Engine) runSelectNormalized(sql string, env *actionEnv, sess *Session, k knobs, start time.Time) (*Result, bool, error) {
-	normStart := time.Now()
-	if !lexer.Normalize(sql, &sess.norm) || sess.norm.NUser != len(env.params) {
-		return nil, false, nil
-	}
-	r := &sess.rec
-	d := time.Since(normStart)
-	e.parseSeconds.ObserveDuration(d)
-	noteNormalize(r, normStart, d)
-	adoptStart := time.Now()
-	pe, src := e.adoptCanonPlan(sess, sess.norm.Canonical, sess.norm.User, k, e.ddlVersion.Load())
-	if !pe.runnable(len(sess.norm.Vals)) {
-		return nil, false, nil
-	}
-	notePlan(r, adoptStart, time.Since(adoptStart), src)
-	res, err := e.runCanon(pe, sess.norm.Vals, sess.norm.User, sql, env, start)
-	return res, true, err
+	r.AddSpan(notePlan(r, start, time.Since(start), "miss"), "optimize", c.optStart, c.optDur)
+	return e.executeSelect(&planEntry{compiled: c, knobs: k}, sql, env)
 }
 
 // executeSelect is the one execution tail for every compiled SELECT,
 // cached or fresh: point the plan's probes at a new ACCESSED state, run
-// the entry's operator instance, fire ON ACCESS triggers, account
-// metrics and the slow-query log. pe is the session's L1 entry on the
-// cached path, or a one-use entry wrapping a freshly compiled plan. A
-// statement sampled for tracing runs a fresh tree under an Analyze
-// collector instead of the entry's instance.
-func (e *Engine) executeSelect(pe *planEntry, sql string, env *actionEnv, start time.Time) (*Result, error) {
+// the entry's operator instance, fire ON ACCESS triggers, account the
+// engine counters and the statement record's slow-log fields. pe is the
+// session's L1 entry on the cached path, or a one-use entry wrapping a
+// freshly compiled plan. A statement sampled for tracing runs a fresh
+// tree under an Analyze collector instead of the entry's instance.
+func (e *Engine) executeSelect(pe *planEntry, sql string, env *actionEnv) (*Result, error) {
 	sess := e.sessionOf(env)
 	c := pe.compiled
 	n, targets := c.root, c.targets
@@ -737,6 +702,12 @@ func (e *Engine) executeSelect(pe *planEntry, sql string, env *actionEnv, start 
 			e.stats.PlacementExact.Add(1)
 		} else {
 			e.stats.PlacementConservative.Add(1)
+		}
+	}
+	if acc != nil && sess.recPlacement != "conservative" {
+		sess.recPlacement = "conservative"
+		if c.placementExact() {
+			sess.recPlacement = "exact"
 		}
 	}
 	if c.parallel {
@@ -766,9 +737,9 @@ func (e *Engine) executeSelect(pe *planEntry, sql string, env *actionEnv, start 
 	execStart := time.Now()
 	rows, err := inst.Run()
 	execDur := time.Since(execStart)
-	e.execSeconds.ObserveDuration(execDur)
 	scannedRows := ctx.Stats.RowsScanned.Load()
 	e.stats.RowsScanned.Add(scannedRows)
+	sess.recScanned += scannedRows
 	if m := ctx.Stats.MorselsClaimed.Load(); m > 0 {
 		e.morselsDispatched.Add(m)
 	}
@@ -792,22 +763,19 @@ func (e *Engine) executeSelect(pe *planEntry, sql string, env *actionEnv, start 
 			rec.SetAttrInt(skipSpan, "chunks_skipped_audit", skipAudit)
 		}
 	}
-	if err != nil {
-		rec.EndSpan(execSpan)
-		rec.AddPhase(trace.PhaseExec, execDur)
-		return nil, err
-	}
-	if execSpan >= 0 && ctx.Analyze != nil {
+	if err == nil && execSpan >= 0 && ctx.Analyze != nil {
 		addOperatorSpans(rec, execSpan, n, ctx.Analyze, execStart)
 	}
 	rec.EndSpan(execSpan)
 	rec.AddPhase(trace.PhaseExec, execDur)
+	if err != nil {
+		return nil, err
+	}
 
 	res := &Result{Columns: c.columns, Kinds: c.kinds, Rows: rows, Accessed: acc}
 
 	// Fire ON ACCESS triggers as their own system transactions after
 	// the query completes (§II).
-	var audited int64
 	if acc != nil {
 		auditStart := time.Now()
 		e.mu.RLock()
@@ -818,7 +786,7 @@ func (e *Engine) executeSelect(pe *planEntry, sql string, env *actionEnv, start 
 				continue
 			}
 			recorded := int64(acc.Len(ae.Meta.Name))
-			audited += recorded
+			sess.recAudited += recorded
 			e.stats.RowsAudited.Add(recorded)
 			e.rowsAuditedByTable.With(strings.ToLower(ae.Meta.SensitiveTable)).Add(recorded)
 			if err := e.fireAccessTriggers(ae, acc, c.exact[i], sql, env); err != nil {
@@ -834,27 +802,6 @@ func (e *Engine) executeSelect(pe *planEntry, sql string, env *actionEnv, start 
 			}
 		}
 		rec.AddPhase(trace.PhaseAudit, time.Since(auditStart))
-	}
-
-	elapsed := time.Since(start)
-	e.queryLatency.ObserveDuration(elapsed)
-	if thr := e.slowQueryNanos.Load(); thr > 0 && int64(elapsed) >= thr {
-		placement := "uninstrumented"
-		if acc != nil {
-			placement = "conservative"
-			if c.placementExact() {
-				placement = "exact"
-			}
-		}
-		e.Logger().Warn("slow query",
-			"qid", rec.QID(),
-			"sql", sql,
-			"user", sess.User(),
-			"latency", elapsed,
-			"rows_scanned", scannedRows,
-			"rows_audited", audited,
-			"placement", placement,
-		)
 	}
 	return res, nil
 }

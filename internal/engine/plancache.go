@@ -9,6 +9,7 @@ import (
 	"auditdb/internal/parser"
 	"auditdb/internal/plan"
 	"auditdb/internal/storage"
+	"auditdb/internal/trace"
 	"auditdb/internal/value"
 )
 
@@ -156,12 +157,10 @@ func (e *Engine) planCanonSelect(s *Session, canon []byte, user []bool, k knobs,
 		s.storeCanonPlan(canon, pe)
 		return pe
 	}
-	planStart := time.Now()
 	c, err := e.compile(sel, rootActionEnv(), k)
 	if err != nil {
 		return nil
 	}
-	e.planSeconds.ObserveDuration(time.Since(planStart))
 	tmpl := &planEntry{compiled: c, knobs: k, version: version, slots: len(user)}
 	e.publishSharedPlan(canon, tmpl)
 	pe := tmpl.adopt()
@@ -274,67 +273,58 @@ func bindSlots(dst, vals []value.Value, user []bool, userParams []value.Value) [
 	return dst
 }
 
-// runCanon is the one bind-and-run tail for a cached canonical plan:
-// build the slot vector — lifted literals interleaved with the caller's
-// bindings in env.params — in the session's reusable scratch, then run
-// the execution tail on the entry's operator instance.
-func (e *Engine) runCanon(pe *planEntry, vals []value.Value, user []bool, sql string, env *actionEnv, start time.Time) (*Result, error) {
+// runCanonSelect is the one canonical-cache routine: normalize sql (a
+// Prepared passes the form it normalized at prepare time), adopt the
+// plan for the canonical text (L1 → shared → cold), then bind the slot
+// vector — lifted literals interleaved with the caller's bindings in
+// env.params — in the session's reusable scratch and run the entry's
+// operator instance. handled=false sends the caller to the compile
+// path: the text is not one plain SELECT binding len(env.params) user
+// placeholders, the shape is fold-sensitive, the canonical text failed
+// to plan (the error is then reported against the original SQL), or the
+// statement was already offered. A statement is offered once: by the
+// pre-parse fast path (unparsed: no statement preamble has run, so the
+// counters, open transaction and WAL unit are set up here), or by
+// runSelect when it arrived parsed.
+func (e *Engine) runCanonSelect(sql string, n *lexer.Norm, env *actionEnv, unparsed bool) (*Result, bool, error) {
+	if e.disablePlanCache || env.canonTried {
+		return nil, false, nil
+	}
+	env.canonTried = true
 	s := e.sessionOf(env)
-	s.lock()
-	scratch := s.paramScratch
-	s.paramScratch = nil
-	s.unlock()
-	env.params = bindSlots(scratch, vals, user, env.params)
-	res, err := e.executeSelect(pe, sql, env, start)
-	s.lock()
-	s.paramScratch = env.params
-	s.unlock()
-	return res, err
-}
-
-// execCanonSelect executes a statement that skipped parsing through
-// the canonical plan cache: resolve the plan (L1 → shared → cold), then
-// run it under the same depth-0 preamble as a parsed statement.
-// handled=false sends the caller to the ordinary parse path — either
-// the canonical text failed to plan (error fidelity) or the shape is
-// fold-sensitive.
-func (s *Session) execCanonSelect(sql string, canon []byte, vals []value.Value, user []bool, userParams []value.Value) (*Result, bool, error) {
-	e := s.e
-	if e.disablePlanCache {
+	r := &s.rec
+	start := time.Now()
+	if n == nil {
+		if !lexer.Normalize(sql, &s.norm) || s.norm.NUser != len(env.params) {
+			return nil, false, nil
+		}
+		now := time.Now()
+		charge(r, trace.PhaseNormalize, "normalize", start, now.Sub(start))
+		n, start = &s.norm, now
+	}
+	pe, src := e.adoptCanonPlan(s, n.Canonical, n.User, s.planKnobs(), e.ddlVersion.Load())
+	if !pe.runnable(len(n.Vals)) {
 		return nil, false, nil
 	}
-	adoptStart := time.Now()
-	pe, src := e.adoptCanonPlan(s, canon, user, s.planKnobs(), e.ddlVersion.Load())
-	if !pe.runnable(len(vals)) {
-		return nil, false, nil
+	notePlan(r, start, time.Since(start), src)
+	run := func() (*Result, error) {
+		s.lock()
+		scratch := s.paramScratch
+		s.paramScratch = nil
+		s.unlock()
+		env.params = bindSlots(scratch, n.Vals, n.User, env.params)
+		res, err := e.executeSelect(pe, sql, env)
+		s.lock()
+		s.paramScratch = env.params
+		s.unlock()
+		return res, err
 	}
-	// The statement's trace recorder has not begun yet — stage the
-	// plan-cache outcome for traceBegin to consume.
-	s.pendPlanSrc = src
-	s.pendPlanNanos = int64(time.Since(adoptStart))
-	res, err := e.traced(s, sql, func() (*Result, error) {
-		start := time.Now()
-		e.stats.Statements.Add(1)
-		e.stats.Queries.Add(1)
-		env := s.rootEnv()
-		env.params = userParams
-		return e.inUnit(env, func() (*Result, error) {
-			return e.runCanon(pe, vals, user, sql, env, start)
-		})
-	})
+	if !unparsed {
+		res, err := run()
+		return res, true, err
+	}
+	e.stats.Statements.Add(1)
+	e.stats.Queries.Add(1)
+	res, err := e.inUnit(env, run)
 	return res, true, err
-}
-
-// tryNormSelect is the zero-parse fast path for a statement a session
-// issues directly (Exec/Query): normalize, then execute through the
-// canonical plan cache. handled=false means "not a plain SELECT, or
-// the cache declined" and the caller parses as before.
-func (s *Session) tryNormSelect(sql string, userParams []value.Value) (*Result, bool, error) {
-	normStart := time.Now()
-	if !lexer.Normalize(sql, &s.norm) || s.norm.NUser != len(userParams) {
-		return nil, false, nil
-	}
-	s.pendNorm = time.Since(normStart)
-	s.e.parseSeconds.ObserveDuration(s.pendNorm)
-	return s.execCanonSelect(sql, s.norm.Canonical, s.norm.Vals, s.norm.User, userParams)
 }

@@ -25,11 +25,9 @@ type Prepared struct {
 	sql    string
 	params int
 
-	// Canonical form captured at prepare time (normOK only).
-	normOK bool
-	canon  []byte
-	vals   []value.Value
-	user   []bool
+	// norm is the canonical form captured at prepare time; nil when the
+	// statement is not a plain SELECT the canonical cache can serve.
+	norm *lexer.Norm
 }
 
 // Prepare parses a single statement containing ? placeholders, bound
@@ -52,10 +50,12 @@ func prepare(sess *Session, sql string) (*Prepared, error) {
 		var norm lexer.Norm
 		if lexer.Normalize(sql, &norm) && norm.NUser == n {
 			// Private copies: the Norm's slices are scan scratch.
-			p.normOK = true
-			p.canon = append([]byte(nil), norm.Canonical...)
-			p.vals = append([]value.Value(nil), norm.Vals...)
-			p.user = append([]bool(nil), norm.User...)
+			p.norm = &lexer.Norm{
+				Canonical: append([]byte(nil), norm.Canonical...),
+				Vals:      append([]value.Value(nil), norm.Vals...),
+				User:      append([]bool(nil), norm.User...),
+				NUser:     norm.NUser,
+			}
 		}
 	}
 	return p, nil
@@ -96,18 +96,24 @@ func (p *Prepared) Describe() ([]string, []value.Kind, error) {
 // Run executes the statement with the given parameter values bound in
 // source order.
 func (p *Prepared) Run(params ...value.Value) (*Result, error) {
-	if len(params) != p.params {
-		return nil, fmt.Errorf("statement expects %d parameters, got %d", p.params, len(params))
-	}
-	if err := p.sess.checkOpen(); err != nil {
-		return nil, err
-	}
-	if p.normOK {
-		if res, ok, err := p.sess.execCanonSelect(p.sql, p.canon, p.vals, p.user, params); ok {
-			return res, err
+	s := p.sess
+	return s.e.traced(s, p.sql, func() (*Result, error) {
+		if len(params) != p.params {
+			return nil, fmt.Errorf("statement expects %d parameters, got %d", p.params, len(params))
 		}
-	}
-	env := p.sess.rootEnv()
-	env.params = params
-	return p.sess.e.execStmt(p.stmt, p.sql, env)
+		if err := s.checkOpen(); err != nil {
+			return nil, err
+		}
+		env := s.rootEnv()
+		env.params = params
+		if p.norm != nil {
+			if res, ok, err := s.e.runCanonSelect(p.sql, p.norm, env, true); ok {
+				return res, err
+			}
+		}
+		// The canonical cache has seen the text: just above, or at
+		// prepare time when it could not normalize.
+		env.canonTried = true
+		return s.e.execStmt(p.stmt, p.sql, env)
+	})
 }

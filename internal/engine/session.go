@@ -52,25 +52,26 @@ type Session struct {
 	// hatch exists to measure and to rule skipping out when debugging.
 	skipOff bool
 
-	// traceOn is the SET trace = on flag; pendProto/pendRead stage the
-	// front end's transport-read note for the next statement. All three
-	// are guarded by mu because protocol front ends may note the read
-	// from a connection goroutine before handing off to the statement
-	// path.
+	// traceOn is the SET trace = on flag; pendProto/pendRead hold the
+	// front end's transport-read note for the next front-door call. All
+	// three are guarded by mu because protocol front ends may note the
+	// read from a connection goroutine before handing off to the
+	// statement path.
 	traceOn   bool
 	pendProto string
 	pendRead  time.Duration
 
-	// rec is the statement trace recorder; like norm, it and the
-	// pend* staging fields below are touched only from the session's
-	// own statement path. They stage work measured before the recorder
-	// begins (normalize, parse, plan-cache adoption) for traceBegin to
-	// consume.
-	rec           trace.Rec
-	pendNorm      time.Duration
-	pendParse     time.Duration
-	pendPlanSrc   string
-	pendPlanNanos int64
+	// rec is the statement record, the only per-statement clock: the
+	// front doors (Exec, Query, ExecMulti, Prepared.Run, Txn.Exec) open
+	// it before any work and traceFinish closes it. recScanned,
+	// recAudited and recPlacement carry the slow-query log's fields,
+	// summed over the statement and its nested ones (recPlacement is the
+	// most conservative outcome). Like norm, all four are touched only
+	// from the session's own statement path.
+	rec          trace.Rec
+	recScanned   int64
+	recAudited   int64
+	recPlacement string
 }
 
 func newSession(e *Engine, user string, auditAll bool) *Session {
@@ -186,9 +187,9 @@ func (s *Session) SkippingOn() bool {
 }
 
 // NoteTransport records the protocol name and wire read/decode time of
-// the request about to execute; the next statement's trace charges it
-// to the transport phase. Front ends call it just before handing the
-// statement to the engine.
+// the request about to execute. The next front-door call consumes it —
+// refused calls included — and charges it to the transport phase. Front
+// ends call it just before handing the statement to the engine.
 func (s *Session) NoteTransport(proto string, d time.Duration) {
 	s.lock()
 	s.pendProto, s.pendRead = proto, d
@@ -237,21 +238,40 @@ func (s *Session) InTxn() bool { return s.openTxn() != nil }
 // (literals auto-parameterized) in a single zero-allocation token scan
 // and executed through the two-level plan cache; only statements the
 // cache has never seen — or declines — are parsed.
-func (s *Session) Exec(sql string) (*Result, error) {
-	if err := s.checkOpen(); err != nil {
-		return nil, err
-	}
-	if res, ok, err := s.tryNormSelect(sql, nil); ok {
-		return res, err
-	}
-	parseStart := time.Now()
-	stmt, err := parser.Parse(sql)
-	s.pendParse = time.Since(parseStart)
-	s.e.parseSeconds.ObserveDuration(s.pendParse)
-	if err != nil {
-		return nil, err
-	}
-	return s.e.execStmt(stmt, sql, s.rootEnv())
+func (s *Session) Exec(sql string) (*Result, error) { return runText(s, sql, parser.Parse) }
+
+// Query parses and executes a SELECT under this session. Like Exec,
+// the warm path normalizes instead of parsing and serves the plan from
+// the two-level cache.
+func (s *Session) Query(sql string) (*Result, error) { return runText(s, sql, parser.ParseQuery) }
+
+// runText is the front door of Exec and Query: open the statement
+// record, offer the text to the pre-parse fast path, and otherwise
+// parse it with parse and execute it.
+func runText[T ast.Stmt](s *Session, sql string, parse func(string) (T, error)) (*Result, error) {
+	return s.e.traced(s, sql, func() (*Result, error) {
+		if err := s.checkOpen(); err != nil {
+			return nil, err
+		}
+		env := s.rootEnv()
+		if res, ok, err := s.e.runCanonSelect(sql, nil, env, true); ok {
+			return res, err
+		}
+		stmt, err := parseTimed(&s.rec, sql, parse)
+		if err != nil {
+			return nil, err
+		}
+		return s.e.execStmt(stmt, sql, env)
+	})
+}
+
+// parseTimed runs one of the parser's entry points and charges it to
+// the statement record's parse phase.
+func parseTimed[T any](r *trace.Rec, sql string, parse func(string) (T, error)) (T, error) {
+	start := time.Now()
+	v, err := parse(sql)
+	charge(r, trace.PhaseParse, "parse", start, time.Since(start))
+	return v, err
 }
 
 // ExecScript executes a semicolon-separated script under this session,
@@ -280,44 +300,36 @@ func (s *Session) ExecScript(sql string) (*Result, error) {
 // protocol does. The full script text is what sqltext() reports inside
 // trigger actions. A parse error is returned
 // directly and fn is never called.
+//
+// Each statement gets its own record; the first one's also covers the
+// script parse.
 func (s *Session) ExecMulti(sql string, fn func(stmt ast.Stmt, res *Result, err error) bool) error {
-	if err := s.checkOpen(); err != nil {
-		return err
+	e := s.e
+	began := e.traceBegin(s)
+	err := s.checkOpen()
+	var stmts []ast.Stmt
+	if err == nil {
+		stmts, err = parseTimed(&s.rec, sql, parser.ParseScript)
 	}
-	parseStart := time.Now()
-	stmts, err := parser.ParseScript(sql)
-	s.pendParse = time.Since(parseStart)
-	s.e.parseSeconds.ObserveDuration(s.pendParse)
 	if err != nil {
+		if began {
+			e.traceFinish(s, sql, nil, err)
+		}
 		return err
 	}
-	for _, st := range stmts {
-		r, err := s.e.execStmt(st, sql, s.rootEnv())
+	for i, st := range stmts {
+		if i > 0 {
+			began = e.traceBegin(s)
+		}
+		r, err := e.execStmt(st, sql, s.rootEnv())
+		if began {
+			e.traceFinish(s, sql, r, err)
+		}
 		if !fn(st, r, err) {
 			return nil
 		}
 	}
 	return nil
-}
-
-// Query parses and executes a SELECT under this session. Like Exec,
-// the warm path normalizes instead of parsing and serves the plan from
-// the two-level cache.
-func (s *Session) Query(sql string) (*Result, error) {
-	if err := s.checkOpen(); err != nil {
-		return nil, err
-	}
-	if res, ok, err := s.tryNormSelect(sql, nil); ok {
-		return res, err
-	}
-	parseStart := time.Now()
-	sel, err := parser.ParseQuery(sql)
-	s.pendParse = time.Since(parseStart)
-	s.e.parseSeconds.ObserveDuration(s.pendParse)
-	if err != nil {
-		return nil, err
-	}
-	return s.e.execStmt(sel, sql, s.rootEnv())
 }
 
 // Prepare parses a statement with ? placeholders for repeated

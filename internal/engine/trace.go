@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"auditdb/internal/exec"
+	"auditdb/internal/obs"
 	"auditdb/internal/plan"
 	"auditdb/internal/trace"
 	"auditdb/internal/value"
@@ -29,14 +30,11 @@ func (e *Engine) SetTraceSampling(n int) {
 // mount its Handler at /traces on the metrics listener.
 func (e *Engine) TraceRing() *trace.Ring { return e.traceRing }
 
-// traceBegin starts the session's statement recorder for one top-level
-// statement, assigning the query ID and deciding span capture. It
-// consumes the work the front end and fast path staged before the
-// recorder existed: the transport read note, normalize/parse timing,
-// and the plan-cache adoption outcome. Returns false when a statement
-// is already being recorded (nested entry points — IF bodies, trigger
-// cascades — stay inside the enclosing statement's record). The
-// unsampled path allocates nothing.
+// traceBegin opens the session's statement record for one front-door
+// call, assigning the query ID, deciding span capture and consuming the
+// front end's transport note. Returns false when a statement is already
+// being recorded (a callback re-entering the session), which stays
+// inside the enclosing record. The unsampled path allocates nothing.
 func (e *Engine) traceBegin(s *Session) bool {
 	r := &s.rec
 	if r.Active() {
@@ -51,32 +49,15 @@ func (e *Engine) traceBegin(s *Session) bool {
 		}
 	}
 	r.Begin(qid, sampled)
+	s.recScanned, s.recAudited, s.recPlacement = 0, 0, "uninstrumented"
 	if proto != "" {
-		r.AddPhase(trace.PhaseTransport, read)
-		if id := r.AddSpan(r.Current(), "transport.read", r.Start(), read); id >= 0 {
-			r.SetAttr(id, "protocol", proto)
-		}
-	}
-	if d := s.pendNorm; d > 0 {
-		s.pendNorm = 0
-		noteNormalize(r, r.Start(), d)
-	}
-	if d := s.pendParse; d > 0 {
-		s.pendParse = 0
-		r.AddPhase(trace.PhaseParse, d)
-		r.AddSpan(r.Current(), "parse", r.Start(), d)
-	}
-	if src := s.pendPlanSrc; src != "" {
-		d := time.Duration(s.pendPlanNanos)
-		s.pendPlanSrc, s.pendPlanNanos = "", 0
-		notePlan(r, r.Start(), d, src)
+		r.SetAttr(charge(r, trace.PhaseTransport, "transport.read", r.Start(), read), "protocol", proto)
 	}
 	return true
 }
 
-// traced runs a depth-0 statement inside the session's trace record,
-// between traceBegin and traceFinish. When a statement is already being
-// recorded (an IF body at depth 0) run joins that record.
+// traced runs one front-door call inside the session's statement
+// record, between traceBegin and traceFinish.
 func (e *Engine) traced(s *Session, sql string, run func() (*Result, error)) (*Result, error) {
 	if !e.traceBegin(s) {
 		return run()
@@ -86,11 +67,12 @@ func (e *Engine) traced(s *Session, sql string, run func() (*Result, error)) (*R
 	return res, err
 }
 
-// noteNormalize charges one normalization to the normalize phase and,
-// when sampling, records its span.
-func noteNormalize(r *trace.Rec, start time.Time, d time.Duration) {
-	r.AddPhase(trace.PhaseNormalize, d)
-	r.AddSpan(r.Current(), "normalize", start, d)
+// charge adds d to phase p of the statement record and, when sampling,
+// records a span for it under the innermost open span. It returns the
+// span's ID, -1 (a no-op handle) when not sampling.
+func charge(r *trace.Rec, p trace.Phase, name string, start time.Time, d time.Duration) int {
+	r.AddPhase(p, d)
+	return r.AddSpan(r.Current(), name, start, d)
 }
 
 // notePlan charges plan resolution to the plan phase and, when
@@ -98,18 +80,17 @@ func noteNormalize(r *trace.Rec, start time.Time, d time.Duration) {
 // ("hit", "shared", "cold", or "miss" for a per-execution compile). It
 // returns the span's ID, -1 when not sampling.
 func notePlan(r *trace.Rec, start time.Time, d time.Duration, src string) int {
-	r.AddPhase(trace.PhasePlan, d)
-	id := r.AddSpan(r.Current(), "plan", start, d)
-	if id >= 0 {
-		r.SetAttr(id, "cache", src)
-	}
+	id := charge(r, trace.PhasePlan, "plan", start, d)
+	r.SetAttr(id, "cache", src)
 	return id
 }
 
-// traceFinish closes the statement the matching traceBegin opened,
-// stamps the query ID into the result, and retains the trace when it
-// was sampled — or, tail-based, when the statement was slow or errored.
-// The not-retained path allocates nothing.
+// traceFinish closes the statement the matching traceBegin opened and
+// is the one place its clocks leave the record: it stamps the query ID
+// into the result, feeds the phase histograms, writes the slow-query
+// log, and retains the trace when it was sampled — or, tail-based, when
+// the statement was slow or errored. The not-retained path allocates
+// nothing.
 func (e *Engine) traceFinish(s *Session, sql string, res *Result, err error) {
 	r := &s.rec
 	if !r.Active() {
@@ -118,8 +99,33 @@ func (e *Engine) traceFinish(s *Session, sql string, res *Result, err error) {
 	if res != nil {
 		res.QID = r.QID()
 	}
+	elapsed := r.Elapsed()
+	for _, o := range [...]struct {
+		h *obs.Histogram
+		d time.Duration
+	}{
+		{e.parseSeconds, r.Phase(trace.PhaseNormalize) + r.Phase(trace.PhaseParse)},
+		{e.planSeconds, r.Phase(trace.PhasePlan)},
+		{e.execSeconds, r.Phase(trace.PhaseExec)},
+		{e.queryLatency, elapsed},
+	} {
+		if o.d > 0 {
+			o.h.ObserveDuration(o.d)
+		}
+	}
 	thr := e.slowQueryNanos.Load()
-	slow := thr > 0 && int64(r.Elapsed()) >= thr
+	slow := thr > 0 && int64(elapsed) >= thr
+	if slow {
+		e.Logger().Warn("slow query",
+			"qid", r.QID(),
+			"sql", sql,
+			"user", s.User(),
+			"latency", elapsed,
+			"rows_scanned", s.recScanned,
+			"rows_audited", s.recAudited,
+			"placement", s.recPlacement,
+		)
+	}
 	sampled := r.Sampling()
 	if !sampled && !slow && err == nil {
 		r.Finish("", "", "", false)
@@ -150,10 +156,7 @@ func (e *Engine) flushUnitTraced(s *Session, u *walUnit) error {
 	err := e.flushUnit(u)
 	d := time.Since(start)
 	r := &s.rec
-	r.AddPhase(trace.PhaseWAL, d)
-	if id := r.AddSpan(r.Current(), "wal.commit", start, d); id >= 0 {
-		r.SetAttrInt(id, "ops", int64(n))
-	}
+	r.SetAttrInt(charge(r, trace.PhaseWAL, "wal.commit", start, d), "ops", int64(n))
 	return err
 }
 

@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
+	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,7 +12,9 @@ import (
 	"time"
 
 	"auditdb/internal/ast"
+	"auditdb/internal/obs"
 	"auditdb/internal/trace"
+	"auditdb/internal/value"
 	"auditdb/internal/wal"
 )
 
@@ -432,5 +437,286 @@ func TestTraceMetricsExposition(t *testing.T) {
 	snap := e.StatsSnapshot()
 	if snap["wal_fsync_seconds_count"] == 0 {
 		t.Errorf("wal_fsync_seconds_count = 0 after SyncAlways commits; stats = %v", snap)
+	}
+}
+
+// tracedSession returns a session over the audited health database
+// with every statement sampled.
+func tracedSession(t *testing.T) (*Engine, *Session) {
+	t.Helper()
+	e := newAuditedHealthDB(t)
+	s := e.NewSession()
+	t.Cleanup(func() { s.Close() })
+	s.SetTrace(true)
+	return e, s
+}
+
+func retained(t *testing.T, e *Engine, res *Result) *trace.Trace {
+	t.Helper()
+	tr := e.TraceRing().Get(res.QID)
+	if tr == nil {
+		t.Fatalf("no trace retained for qid %d", res.QID)
+	}
+	return tr
+}
+
+// TestTraceParseAfterFailedParse: a failed parse is charged to its own
+// statement, never to the next one — here a plan-cache hit that does
+// not parse at all.
+func TestTraceParseAfterFailedParse(t *testing.T) {
+	e, s := tracedSession(t)
+	const q = "SELECT Name FROM Patients WHERE PatientID = 2"
+	if _, err := s.Exec(q); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Exec("SELEC Name FROM Patients"); err == nil {
+		t.Fatal("expected a parse error")
+	}
+	res, err := s.Exec(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := retained(t, e, res)
+	if d := tr.Phases["parse"]; d != 0 {
+		t.Fatalf("cache hit charged %dns of parse: %v", d, tr.Phases)
+	}
+	if len(spansNamed(tr, "parse")) != 0 {
+		t.Fatalf("cache hit has a parse span:\n%s", strings.Join(tr.Render(), "\n"))
+	}
+}
+
+// TestTraceRefusedRunConsumesTransport: a Prepared.Run refused for
+// arity consumes the transport note it was handed, so the next
+// in-process statement has no transport phase.
+func TestTraceRefusedRunConsumesTransport(t *testing.T) {
+	e, s := tracedSession(t)
+	p, err := s.Prepare("SELECT Name FROM Patients WHERE PatientID = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.NoteTransport("test", 123*time.Millisecond)
+	if _, err := p.Run(); err == nil {
+		t.Fatal("expected an arity error")
+	}
+	res, err := s.Exec("SELECT Name FROM Patients WHERE PatientID = 3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := retained(t, e, res)
+	if d, ok := tr.Phases["transport"]; ok {
+		t.Fatalf("in-process Exec charged %dns of transport: %v", d, tr.Phases)
+	}
+	// The refused call itself carries the note.
+	snap := e.TraceRing().Snapshot()
+	if len(snap) < 2 || snap[1].Err == "" || snap[1].Phases["transport"] != int64(123*time.Millisecond) {
+		t.Fatalf("the refused Run's trace does not carry the note: %+v", snap)
+	}
+}
+
+// TestTraceParseErrorRetained: a statement that fails to parse is a
+// statement — it gets a fresh qid and a retained error trace, through
+// every front door that parses.
+func TestTraceParseErrorRetained(t *testing.T) {
+	e := newAuditedHealthDB(t)
+	s := e.NewSession()
+	defer s.Close()
+	last := mustQuery(t, e, "SELECT Name FROM Patients WHERE PatientID = 1").QID
+	txn := s.Begin()
+	defer txn.Rollback()
+	for name, run := range map[string]func(string) error{
+		"Exec":  func(q string) error { _, err := s.Exec(q); return err },
+		"Query": func(q string) error { _, err := s.Query(q); return err },
+		"ExecMulti": func(q string) error {
+			return s.ExecMulti(q, func(ast.Stmt, *Result, error) bool { return true })
+		},
+		"Txn.Exec": func(q string) error { _, err := txn.Exec(q); return err },
+	} {
+		bad := "SELEC Name FROM Patients -- " + name
+		err := run(bad)
+		if err == nil {
+			t.Fatalf("%s: expected a parse error", name)
+		}
+		snap := e.TraceRing().Snapshot()
+		if len(snap) == 0 {
+			t.Fatalf("%s: parse error %q retained no trace", name, err)
+		}
+		tr := snap[0]
+		if tr.SQL != bad || tr.Err != err.Error() || tr.QID <= last {
+			t.Fatalf("%s: newest trace = qid %d sql %q err %q, want a fresh qid (> %d) for %q with %q",
+				name, tr.QID, tr.SQL, tr.Err, last, bad, err)
+		}
+		if tr.Phases["parse"] == 0 {
+			t.Fatalf("%s: parse error trace has no parse phase: %v", name, tr.Phases)
+		}
+		last = tr.QID
+	}
+}
+
+// TestTraceFoldSensitiveNormalizedOnce: a SELECT the canonical cache
+// declines (constant folding makes its plan literal-sensitive) is
+// normalized once per execution, not again after parsing.
+func TestTraceFoldSensitiveNormalizedOnce(t *testing.T) {
+	e, s := tracedSession(t)
+	for i := 0; i < 2; i++ {
+		res, err := s.Exec("SELECT Name FROM Patients WHERE 1 = 1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 5 {
+			t.Fatalf("rows = %v", res.Rows)
+		}
+		tr := retained(t, e, res)
+		if n := len(spansNamed(tr, "normalize")); n != 1 {
+			t.Fatalf("execution %d: %d normalize spans, want 1:\n%s", i, n, strings.Join(tr.Render(), "\n"))
+		}
+		// Alice is in the result, so Log_Alice's body plans too, under
+		// its audit.fire span; the statement's own plan is the root's.
+		var plans []trace.Span
+		for _, sp := range spansNamed(tr, "plan") {
+			if sp.Parent == 0 {
+				plans = append(plans, sp)
+			}
+		}
+		if len(plans) != 1 {
+			t.Fatalf("execution %d: top-level plan spans = %+v, want one", i, plans)
+		}
+		if src, _ := spanAttrStr(plans[0], "cache"); src != "miss" {
+			t.Fatalf("execution %d: plan cache = %q, want miss", i, src)
+		}
+	}
+}
+
+// TestTraceTxnExecChargesParse: Txn.Exec is a front door like Exec —
+// its parse lands in the statement's own record.
+func TestTraceTxnExecChargesParse(t *testing.T) {
+	e, s := tracedSession(t)
+	txn := s.Begin()
+	defer txn.Rollback()
+	res, err := txn.Exec("INSERT INTO Disease VALUES (9, 'flu')")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := retained(t, e, res)
+	if tr.Phases["parse"] == 0 || len(spansNamed(tr, "parse")) != 1 {
+		t.Fatalf("Txn.Exec parse not charged: phases %v\n%s", tr.Phases, strings.Join(tr.Render(), "\n"))
+	}
+}
+
+// TestTraceMetricsAgree: the phase histograms are fed from the
+// statement record, so with every statement retained their sums equal
+// the sums of the retained traces' phases, and query latency counts
+// one observation per top-level statement.
+func TestTraceMetricsAgree(t *testing.T) {
+	e := New()
+	s := e.NewSession()
+	defer s.Close()
+	s.SetTrace(true)
+	if _, err := s.ExecScript(auditedHealthSchema); err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.Prepare("SELECT Name FROM Patients WHERE PatientID = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		for _, q := range []string{
+			"SELECT Name FROM Patients WHERE PatientID = 2",                                         // hits after the first
+			"SELECT * FROM Patients WHERE Name = 'Alice'",                                           // fires Log_Alice
+			"SELECT Name FROM Patients WHERE 1 = 1",                                                 // fold-sensitive: compiled each time
+			fmt.Sprintf("SELECT Age FROM Patients WHERE Age > %d ORDER BY Age LIMIT %d", 20+i, 1+i), // new shape each time
+			fmt.Sprintf("INSERT INTO Disease VALUES (%d, 'flu')", 10+i),                             // fires nothing
+		} {
+			if _, err := s.Exec(q); err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+		}
+		if _, err := s.ExecScript("SELECT COUNT(*) FROM Disease; SELECT Name FROM Patients WHERE Age < 30"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Run(value.NewInt(int64(1 + i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Exec("SELEC broken"); err == nil {
+		t.Fatal("expected a parse error")
+	}
+
+	traces := e.TraceRing().Snapshot()
+	if len(traces) < 20 || e.traceRingEvictions.Load() != 0 {
+		t.Fatalf("%d traces retained, %d evicted", len(traces), e.traceRingEvictions.Load())
+	}
+	var parse, plan, exec int64
+	for _, tr := range traces {
+		parse += tr.Phases["normalize"] + tr.Phases["parse"]
+		plan += tr.Phases["plan"]
+		exec += tr.Phases["execute"]
+	}
+	for _, c := range []struct {
+		name  string
+		h     *obs.Histogram
+		trace int64
+	}{
+		{"parse", e.parseSeconds, parse},
+		{"plan", e.planSeconds, plan},
+		{"exec", e.execSeconds, exec},
+	} {
+		want := time.Duration(c.trace).Seconds()
+		if c.trace == 0 || math.Abs(c.h.Sum()-want) > 1e-12 {
+			t.Errorf("auditdb_%s_seconds sum = %.12f, traces sum to %.12f", c.name, c.h.Sum(), want)
+		}
+	}
+	if n := e.queryLatency.Count(); n != int64(len(traces)) {
+		t.Errorf("auditdb_query_latency_seconds count = %d, want one per statement (%d)", n, len(traces))
+	}
+}
+
+// TestTraceSlowQueryLog: the slow-query log writes one line per
+// top-level statement, from its record — the statement's qid, and the
+// placement and audit counts of the statement and everything nested in
+// it.
+func TestTraceSlowQueryLog(t *testing.T) {
+	e := newAuditedHealthDB(t)
+	var buf bytes.Buffer
+	e.SetLogger(slog.New(slog.NewTextHandler(&buf, nil)))
+	e.SetSlowQueryThreshold(time.Nanosecond)
+	slowLines := func() []string {
+		var out []string
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.Contains(line, `msg="slow query"`) {
+				out = append(out, line)
+			}
+		}
+		buf.Reset()
+		return out
+	}
+	for _, c := range []struct {
+		sql, placement string
+		audited        int
+	}{
+		// Select-join: exact. Log_Alice's body runs its own
+		// INSERT ... SELECT, which must not log a second line.
+		{"SELECT Name FROM Patients WHERE Name = 'Alice'", "exact", 1},
+		{"SELECT D.Disease FROM Disease D LEFT JOIN Patients P ON D.PatientID = P.PatientID", "conservative", 1},
+		// Every top-level statement is logged, not only SELECTs.
+		{"INSERT INTO Disease VALUES (9, 'flu')", "uninstrumented", 0},
+	} {
+		buf.Reset()
+		res := mustExec(t, e, c.sql)
+		lines := slowLines()
+		if len(lines) != 1 {
+			t.Fatalf("%s: %d slow-query lines, want 1:\n%s", c.sql, len(lines), strings.Join(lines, "\n"))
+		}
+		for _, want := range []string{
+			fmt.Sprintf("qid=%d ", res.QID),
+			"placement=" + c.placement,
+			fmt.Sprintf("rows_audited=%d ", c.audited),
+		} {
+			if !strings.Contains(lines[0], want) {
+				t.Errorf("%s: slow-query line lacks %q:\n%s", c.sql, want, lines[0])
+			}
+		}
+		if c.audited > 0 && strings.Contains(lines[0], "rows_scanned=0 ") {
+			t.Errorf("%s: no rows scanned:\n%s", c.sql, lines[0])
+		}
 	}
 }

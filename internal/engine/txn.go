@@ -18,7 +18,7 @@ import (
 type Txn struct {
 	e *Engine
 	// sess attributes the transaction's statements (USERID() in trigger
-	// actions); nil means the default session.
+	// actions) and holds their statement records.
 	sess *Session
 	undo []change
 	// wal buffers the transaction's operations (created lazily); Commit
@@ -44,21 +44,22 @@ func (e *Engine) Begin() *Txn {
 
 // Exec runs one statement inside the transaction.
 func (t *Txn) Exec(sql string) (*Result, error) {
-	if t.done {
-		return nil, fmt.Errorf("transaction already finished")
-	}
-	stmt, err := parser.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	switch stmt.(type) {
-	case *ast.TxBegin, *ast.TxCommit, *ast.TxRollback:
-		return nil, fmt.Errorf("nested transaction control inside Txn.Exec; use Commit/Rollback")
-	}
-	env := rootActionEnv()
-	env.txn = t
-	env.sess = t.sess
-	return t.e.execStmt(stmt, sql, env)
+	return t.e.traced(t.sess, sql, func() (*Result, error) {
+		if t.done {
+			return nil, fmt.Errorf("transaction already finished")
+		}
+		stmt, err := parseTimed(&t.sess.rec, sql, parser.Parse)
+		if err != nil {
+			return nil, err
+		}
+		switch stmt.(type) {
+		case *ast.TxBegin, *ast.TxCommit, *ast.TxRollback:
+			return nil, fmt.Errorf("nested transaction control inside Txn.Exec; use Commit/Rollback")
+		}
+		env := t.sess.rootEnv()
+		env.txn = t
+		return t.e.execStmt(stmt, sql, env)
+	})
 }
 
 // Query runs a SELECT inside the transaction (audited as usual).

@@ -142,6 +142,14 @@ func (r *Rec) AddPhase(p Phase, d time.Duration) {
 	}
 }
 
+// Phase returns the time charged to p so far.
+func (r *Rec) Phase(p Phase) time.Duration {
+	if p < NumPhases {
+		return time.Duration(r.phases[p])
+	}
+	return 0
+}
+
 // Current returns the innermost open span's ID (the root, 0, when only
 // it is open). Meaningless unless Sampling.
 func (r *Rec) Current() int {
