@@ -113,6 +113,10 @@ type Engine struct {
 	chunksScanned *obs.Counter
 	chunksSkipped *obs.CounterVec
 
+	// predInterpreted counts rows whose scan or filter predicate fell
+	// back from the compiled fast path to the interpreter.
+	predInterpreted *obs.Counter
+
 	// sharedPlans is the engine-wide plan cache keyed by canonical
 	// (auto-parameterized) statement text; session caches act as an L1
 	// in front of it. See sharedcache.go and plancache.go.
@@ -280,6 +284,8 @@ func (e *Engine) initMetrics() {
 		"SELECTs served from a session's prepared-plan cache, skipping plan/optimize/instrument work.")
 	e.chunksScanned = r.NewCounter("auditdb_chunks_scanned_total", "chunks_scanned",
 		"Chunks read by scan kernels when chunk statistics were consulted.")
+	e.predInterpreted = r.NewCounter("auditdb_pred_interpreted_rows_total", "pred_interpreted_rows",
+		"Rows whose scan or filter predicate the interpreter evaluated because the compiled fast path did not claim them.")
 	e.chunksSkipped = r.NewCounterVec("auditdb_chunks_skipped_total", "chunks_skipped",
 		"Chunks skipped by data skipping, by reason (filter = zone-map refutation of the pushed predicate, audit = sensitive-ID sketch refutation).", "reason")
 	e.sharedCacheHits = r.NewCounter("auditdb_plan_cache_shared_hits_total", "plan_cache_shared_hits",
@@ -742,6 +748,9 @@ func (e *Engine) executeSelect(pe *planEntry, sql string, env *actionEnv) (*Resu
 	sess.recScanned += scannedRows
 	if m := ctx.Stats.MorselsClaimed.Load(); m > 0 {
 		e.morselsDispatched.Add(m)
+	}
+	if n := ctx.Stats.PredInterpreted.Load(); n > 0 {
+		e.predInterpreted.Add(n)
 	}
 	skipFilter := ctx.Stats.ChunksSkippedFilter.Load()
 	skipAudit := ctx.Stats.ChunksSkippedAudit.Load()

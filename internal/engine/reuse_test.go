@@ -107,7 +107,7 @@ func (p *reusePair) write(sql string) {
 // reuseCounters are the per-statement engine counters the signature
 // covers: they tell a scan that restarted or skipped differently apart
 // even when the rows agree.
-var reuseCounters = []string{"rows_scanned", "chunks_scanned", "chunks_skipped_filter", "chunks_skipped_audit", "triggers_fired"}
+var reuseCounters = []string{"rows_scanned", "chunks_scanned", "chunks_skipped_filter", "chunks_skipped_audit", "pred_interpreted_rows", "triggers_fired"}
 
 // sig runs sql on s and renders the result, its ACCESSED state and the
 // engine counters it moved (or the error) as one string.
@@ -303,6 +303,37 @@ func TestInstanceReuseInterleavings(t *testing.T) {
 		}
 		p.write("DROP INDEX idx_c_nation")
 		p.exec(q)
+		p.log()
+	})
+
+	t.Run("INSERTs flip the hash join's build side", func(t *testing.T) {
+		p := newReusePair(t)
+		p.write("CREATE TABLE vip (v_custkey INT, v_tag VARCHAR(10))")
+		p.write("INSERT INTO vip VALUES (3, 'gold'), (7, 'gold'), (450, 'silver'), (NULL, 'none')")
+		const q = "SELECT v_tag, c_custkey, c_name FROM vip, customer WHERE v_custkey = c_custkey"
+		buildsLeft := func() bool {
+			text, err := p.reuse.Engine().ExplainAnalyze(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return strings.Contains(text, "build=left")
+		}
+		// vip is the smaller input, so its join builds vip; once the
+		// INSERT makes vip the larger one, the same reused instance
+		// builds customer.
+		hits := func() int64 { return p.reuse.Engine().StatsSnapshot()["plan_cache_hits"] }
+		before := hits()
+		for _, left := range []bool{true, false} {
+			if got := buildsLeft(); got != left {
+				t.Fatalf("built left = %v, want %v", got, left)
+			}
+			p.exec(q)
+			p.exec(q)
+			p.write("INSERT INTO vip SELECT c_custkey, 'all' FROM customer WHERE c_custkey <= 599")
+		}
+		if hits()-before < 3 {
+			t.Fatalf("%d plan-cache hits: the instance was not reused across the flip", hits()-before)
+		}
 		p.log()
 	})
 

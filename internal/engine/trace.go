@@ -193,6 +193,9 @@ func addOperatorSpans(r *trace.Rec, parent int, n plan.Node, az *exec.Analyze, e
 			r.SetAttrInt(id, "chunks_scanned", st.ChunksScanned)
 			r.SetAttrInt(id, "chunks_skipped", st.ChunksSkipped)
 		}
+		if st.BuildLeft > 0 {
+			r.SetAttr(id, "build", "left")
+		}
 	}
 	for _, ws := range az.WorkerRuns(n) {
 		wid := r.AddSpan(id, "worker", execStart, ws.Wall)

@@ -83,6 +83,7 @@ func (a *Analyze) merge(n plan.Node, st *obs.NodeStats) {
 	dst.Workers += st.Workers
 	dst.ChunksScanned += st.ChunksScanned
 	dst.ChunksSkipped += st.ChunksSkipped
+	dst.BuildLeft += st.BuildLeft
 	if st.Workers == 0 {
 		return
 	}
@@ -96,9 +97,11 @@ func (a *Analyze) merge(n plan.Node, st *obs.NodeStats) {
 // operator, serial or inside a worker's fragment, into a private
 // record that folds into the node's shared record exactly once, at
 // Close — which, for a fragment, the exchange operator guarantees
-// happens before the query's EXPLAIN ANALYZE output renders. A scan
-// kernel's chunk and morsel-claim counters are harvested at the same
-// moment.
+// happens before the query's EXPLAIN ANALYZE output renders. Wall time
+// covers reset as well as NextBatch, so the blocking work done in
+// reset (join builds, aggregation, sorts) is charged to its operator.
+// A scan kernel's chunk and morsel-claim counters, and which input a
+// hash join built, are harvested at Close.
 type analyzedIter struct {
 	child  Iterator
 	az     *Analyze
@@ -110,7 +113,10 @@ type analyzedIter struct {
 
 func (it *analyzedIter) reset() error {
 	it.st, it.closed = obs.NodeStats{}, false
-	return it.child.reset()
+	start := time.Now()
+	err := it.child.reset()
+	it.st.Wall += time.Since(start)
+	return err
 }
 
 func (it *analyzedIter) NextBatch(b *Batch) (int, error) {
@@ -130,10 +136,15 @@ func (it *analyzedIter) Close() {
 	}
 	it.closed = true
 	it.child.Close()
-	if k, ok := it.child.(*scanKernel); ok {
-		it.st.Morsels = k.morsels
-		it.st.ChunksScanned = k.chunksScanned
-		it.st.ChunksSkipped = k.chunksSkipFilter + k.chunksSkipAudit
+	switch c := it.child.(type) {
+	case *scanKernel:
+		it.st.Morsels = c.morsels
+		it.st.ChunksScanned = c.chunksScanned
+		it.st.ChunksSkipped = c.chunksSkipFilter + c.chunksSkipAudit
+	case *hashJoinIter:
+		if c.buildLeft {
+			it.st.BuildLeft = 1
+		}
 	}
 	if it.worker {
 		it.st.Workers = 1
@@ -169,6 +180,9 @@ func renderAnalyze(b *strings.Builder, n plan.Node, a *Analyze, depth int) {
 		}
 		if st.ChunksScanned+st.ChunksSkipped > 0 {
 			fmt.Fprintf(b, " chunks=%d/%d", st.ChunksSkipped, st.ChunksScanned)
+		}
+		if st.BuildLeft > 0 {
+			b.WriteString(" build=left")
 		}
 		b.WriteString(")")
 	} else {

@@ -171,6 +171,11 @@ func TestOperatorConformance(t *testing.T) {
 		{name: "limit", build: planned("SELECT k FROM big WHERE grp < 3 LIMIT 37"), want: 37, ordered: true},
 		{name: "distinct", build: planned("SELECT DISTINCT k - k % 5 FROM big"), want: 1000},
 		{name: "hash join inner", build: planned("SELECT b.k, e.dept FROM big b, emp e WHERE b.grp = e.id"), want: 200},
+		{name: "hash join inner, build left", build: planned("SELECT e.dept, b.k FROM emp e, big b WHERE e.id = b.grp"), want: 200},
+		{name: "hash join inner, build left, audited", build: func(s plan.AuditSink) plan.Node {
+			return auditWrapIf(mustPlan(t, h, "SELECT e.id, b.k FROM emp e, big b WHERE e.id = b.grp AND b.k < 3000"), s,
+				func(n plan.Node) bool { _, ok := n.(*plan.Join); return ok })
+		}, want: 120, seen: 120},
 		{name: "hash join left", build: planned("SELECT b.k, e.dept FROM big b LEFT JOIN emp e ON b.grp = e.id AND e.sal > 100 WHERE b.grp < 6"), want: 300},
 		{name: "nl join inner", build: planned("SELECT la.id, rb.z FROM la, rb WHERE la.x < rb.z"), want: 6},
 		{name: "nl join left", build: planned("SELECT e.id, la.id FROM emp e LEFT JOIN la ON e.sal > la.x * 6"), want: 5},
@@ -289,6 +294,9 @@ func TestOperatorErrorMidBatch(t *testing.T) {
 			"SELECT 10 / (k - 5) FROM big WHERE k < 5"},
 		{"hash join residual", func() plan.Node {
 			return mustPlan(t, h, "SELECT b.k FROM big b JOIN emp e ON b.grp = e.id AND 10 / (b.k - 200 - e.id) <> 99 WHERE b.grp < 5")
+		}, "SELECT k FROM big WHERE grp BETWEEN 1 AND 4 AND k < 201"},
+		{"hash join residual, build left", func() plan.Node {
+			return mustPlan(t, h, "SELECT b.k FROM emp e JOIN big b ON e.id = b.grp AND 10 / (b.k - 200 - e.id) <> 99 WHERE b.grp < 5")
 		}, "SELECT k FROM big WHERE grp BETWEEN 1 AND 4 AND k < 201"},
 		{"nl join condition", func() plan.Node {
 			return mustPlan(t, h, "SELECT e1.id, e2.id FROM emp e1 JOIN emp e2 ON 10 / (e1.id * 4 + e2.id - 11) <> 99")

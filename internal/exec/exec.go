@@ -72,6 +72,10 @@ type Stats struct {
 	ChunksScanned       atomic.Int64
 	ChunksSkippedFilter atomic.Int64
 	ChunksSkippedAudit  atomic.Int64
+	// PredInterpreted counts rows whose scan or filter predicate the
+	// interpreter evaluated because the compiled fast path did not
+	// claim them (quickPred). Folded in at operator Close.
+	PredInterpreted atomic.Int64
 }
 
 func (s *Stats) reset() {
@@ -80,6 +84,7 @@ func (s *Stats) reset() {
 	s.ChunksScanned.Store(0)
 	s.ChunksSkippedFilter.Store(0)
 	s.ChunksSkippedAudit.Store(0)
+	s.PredInterpreted.Store(0)
 }
 
 // NewCtx returns a context over the given store with a fresh
@@ -428,6 +433,7 @@ type scanKernel struct {
 	chunksScanned    int64
 	chunksSkipFilter int64
 	chunksSkipAudit  int64
+	interpreted      int64 // rows the pushed predicate's interpreter evaluated
 	closed           bool
 
 	raw    []value.Row     // chunk read buffer, grown to the request ceiling
@@ -521,6 +527,7 @@ func (k *scanKernel) reset() error {
 	}
 	k.chunkElide, k.elidedRows, k.lastChunk = false, 0, -1
 	k.chunksScanned, k.chunksSkipFilter, k.chunksSkipAudit = 0, 0, 0
+	k.interpreted = 0
 	k.closed = false
 	return nil
 }
@@ -640,6 +647,7 @@ func (k *scanKernel) NextBatch(b *Batch) (int, error) {
 					t, handled = k.quick.eval(row)
 				}
 				if !handled {
+					k.interpreted++
 					v, err := pred.Eval(k.ctx.Eval, row)
 					if err != nil {
 						k.flushAudit()
@@ -670,9 +678,9 @@ func (k *scanKernel) NextBatch(b *Batch) (int, error) {
 	return kept, nil
 }
 
-// Close folds the kernel's chunk counters into the statement stats
-// (EXPLAIN ANALYZE harvests them per node through analyzedIter) and
-// lets go of the run's rows and table.
+// Close folds the kernel's chunk and interpreted-row counters into the
+// statement stats (EXPLAIN ANALYZE harvests the chunk counters per
+// node through analyzedIter) and lets go of the run's rows and table.
 func (k *scanKernel) Close() {
 	if k.closed {
 		return
@@ -684,6 +692,9 @@ func (k *scanKernel) Close() {
 		k.ids = nil
 	}
 	k.tbl, k.mask, k.src = nil, nil, nil
+	if k.interpreted > 0 {
+		k.ctx.Stats.PredInterpreted.Add(k.interpreted)
+	}
 	if k.chunksScanned|k.chunksSkipFilter|k.chunksSkipAudit == 0 {
 		return
 	}
@@ -763,14 +774,16 @@ func (it *valuesIter) Close() { it.rows = nil }
 // ---- Filter / Project ----
 
 type filterIter struct {
-	child Iterator
-	pred  plan.Expr
-	quick quickPred
-	ctx   *Ctx
+	child       Iterator
+	pred        plan.Expr
+	quick       quickPred
+	ctx         *Ctx
+	interpreted int64 // rows pred's interpreter evaluated this run
 }
 
 func (it *filterIter) reset() error {
 	it.quick.bind(it.ctx)
+	it.interpreted = 0
 	return it.child.reset()
 }
 
@@ -794,6 +807,7 @@ func (it *filterIter) NextBatch(b *Batch) (int, error) {
 				t, handled = it.quick.eval(row)
 			}
 			if !handled {
+				it.interpreted++
 				v, err := it.pred.Eval(it.ctx.Eval, row)
 				if err != nil {
 					return 0, err
@@ -812,7 +826,13 @@ func (it *filterIter) NextBatch(b *Batch) (int, error) {
 	}
 }
 
-func (it *filterIter) Close() { it.child.Close() }
+func (it *filterIter) Close() {
+	it.child.Close()
+	if it.interpreted > 0 {
+		it.ctx.Stats.PredInterpreted.Add(it.interpreted)
+		it.interpreted = 0
+	}
+}
 
 type projectIter struct {
 	child Iterator

@@ -5,10 +5,11 @@ import (
 	"auditdb/internal/value"
 )
 
-// buildJoin builds the probe (left) side and, for a serial join, the
-// build (right) side: a serial join drains its right input every run
-// (into a hash table when there are equi-keys, a row list otherwise); a
-// worker's fragment probes the partitioned table its run built once.
+// buildJoin builds the left input and, for a serial join, the right
+// one: a serial join drains one input every run (into a hash table
+// when there are equi-keys, a row list otherwise) and probes with the
+// other; a worker's fragment probes with its left input the
+// partitioned table its run built once.
 func buildJoin(j *plan.Join, ctx *Ctx, w *worker) (Iterator, error) {
 	left, err := build(j.Left, ctx, w)
 	if err != nil {
@@ -24,10 +25,49 @@ func buildJoin(j *plan.Join, ctx *Ctx, w *worker) (Iterator, error) {
 	if w == nil && len(j.LeftKeys) == 0 {
 		return &nlJoinIter{j: j, left: left, right: right, rightWidth: rightWidth, ctx: ctx}, nil
 	}
-	return &hashJoinIter{
-		j: j, left: left, right: right, ctx: ctx, w: w,
+	it := &hashJoinIter{
+		j: j, left: left, right: right, ctx: ctx, w: w, probe: left,
 		leftWidth: len(j.Left.Schema()), rightWidth: rightWidth,
-	}, nil
+	}
+	// Only a serial inner join may build its left input: a left join
+	// null-extends left rows, so it probes with them, and a worker's
+	// fragment probes the table its run built from the right input.
+	if w == nil && j.Kind == plan.JoinInner {
+		it.leftScans = appendScans(nil, j.Left)
+		it.rightScans = appendScans(nil, j.Right)
+	}
+	return it, nil
+}
+
+// appendScans appends the table scans in n.
+func appendScans(scans []*plan.Scan, n plan.Node) []*plan.Scan {
+	if s, ok := n.(*plan.Scan); ok {
+		return append(scans, s)
+	}
+	for _, c := range n.Children() {
+		scans = appendScans(scans, c)
+	}
+	return scans
+}
+
+// estimateRows estimates the size of a join input from its scans under
+// the run's data: the largest live row count among their tables. An
+// index point lookup counts one row without touching its table. A
+// deletion-test mask does not change a table's live count, so masked
+// re-executions estimate exactly as their unmasked baseline does.
+func estimateRows(scans []*plan.Scan, ctx *Ctx) int {
+	est := 0
+	for _, s := range scans {
+		rows := 1
+		if !s.IndexPoint() {
+			rows = 0
+			if tbl, ok := ctx.Store.Table(s.Table); ok {
+				rows = tbl.Len()
+			}
+		}
+		est = max(est, rows)
+	}
+	return est
 }
 
 // ---- Hash join ----
@@ -40,18 +80,32 @@ type joinBucket struct {
 	rows []value.Row
 }
 
-// hashJoinIter builds a hash table over the right input keyed by the
-// equi-join keys and probes it with left rows, applying the residual
-// predicate to each candidate pair. Left-outer rows with no surviving
-// match are null-extended. Both sides move through reusable key
-// scratch buffers, and pairs are carved out of slabs instead of one
+// hashJoinIter builds a hash table over one input keyed by its
+// equi-join keys and probes it with the other input's rows, applying
+// the residual predicate to each candidate pair. It builds the right
+// input, except that a serial inner join builds its left input when
+// that input's estimate is the smaller one (decided per run, in reset);
+// either way every pair is laid out left|right. Left-outer rows with no
+// surviving match are null-extended. Both sides move through reusable
+// key scratch buffers, and pairs are carved out of slabs instead of one
 // allocation per row.
 type hashJoinIter struct {
 	j     *plan.Join
 	left  Iterator
-	right Iterator // the serial build side; nil in a worker's fragment
+	right Iterator // nil in a worker's fragment
 	ctx   *Ctx
 	w     *worker
+
+	// The scans each input's estimate is taken from; nil unless the
+	// join may build its left input.
+	leftScans, rightScans []*plan.Scan
+	// This run's roles: buildLeft says the left input was built and the
+	// right one probes; probe and probeKeys are the probing input and
+	// its key expressions.
+	buildLeft bool
+	probe     Iterator
+	probeKeys []plan.Expr
+
 	// parts is the build table split by key hash: the serial table as
 	// one partition, or the table a parallel run shares, one partition
 	// per worker (each probe then hashes its key onto a partition first).
@@ -68,7 +122,7 @@ type hashJoinIter struct {
 	one   [1]map[string]*joinBucket
 	rin   *Batch
 
-	cur     value.Row // current left row
+	cur     value.Row // current probe row
 	matches []value.Row
 	mi      int
 	matched bool
@@ -82,16 +136,23 @@ type hashJoinIter struct {
 	pair   value.Row
 	refill int
 
-	keyBuf []byte
-	leftIn leftInput
+	keyBuf  []byte
+	probeIn probeInput
 }
 
 func (it *hashJoinIter) reset() error {
-	if err := it.left.reset(); err != nil {
+	it.buildLeft = estimateRows(it.leftScans, it.ctx) < estimateRows(it.rightScans, it.ctx)
+	build, buildKeys := it.right, it.j.RightKeys
+	it.probe, it.probeKeys = it.left, it.j.LeftKeys
+	if it.buildLeft {
+		build, buildKeys = it.left, it.j.LeftKeys
+		it.probe, it.probeKeys = it.right, it.j.RightKeys
+	}
+	if err := it.probe.reset(); err != nil {
 		return err
 	}
 	it.cur, it.matches, it.mi, it.matched, it.done = nil, nil, 0, false, false
-	it.leftIn.pos = 0
+	it.probeIn.pos = 0
 	if it.w != nil {
 		parts, err := it.w.run.join(it.j)
 		if err != nil {
@@ -100,7 +161,7 @@ func (it *hashJoinIter) reset() error {
 		it.parts = parts
 		return nil
 	}
-	if err := it.buildTable(); err != nil {
+	if err := it.buildTable(build, buildKeys); err != nil {
 		return err
 	}
 	it.one[0] = it.table
@@ -108,20 +169,20 @@ func (it *hashJoinIter) reset() error {
 	return nil
 }
 
-// buildTable drains the right input into the serial build table.
-func (it *hashJoinIter) buildTable() error {
-	defer it.right.Close()
-	if err := it.right.reset(); err != nil {
+// buildTable drains the build input into the serial build table.
+func (it *hashJoinIter) buildTable(build Iterator, keys []plan.Expr) error {
+	defer build.Close()
+	if err := build.reset(); err != nil {
 		return err
 	}
 	if it.table == nil {
 		it.table = make(map[string]*joinBucket)
 	}
-	err := pull(it.right, &it.rin, func(rows []value.Row) error {
+	err := pull(build, &it.rin, func(rows []value.Row) error {
 		for _, row := range rows {
 			var null bool
 			var err error
-			it.keyBuf, null, err = appendJoinKey(it.keyBuf[:0], it.j.RightKeys, it.ctx, row)
+			it.keyBuf, null, err = appendJoinKey(it.keyBuf[:0], keys, it.ctx, row)
 			if err != nil {
 				return err
 			}
@@ -166,7 +227,7 @@ func appendJoinKey(buf []byte, keys []plan.Expr, ctx *Ctx, row value.Row) ([]byt
 
 // takePair returns the output slot for the next pair: the slot a
 // rejected candidate left uncommitted, or a fresh one carved from the
-// slab. A dry slab is refilled with room for the current left row's
+// slab. A dry slab is refilled with room for the current probe row's
 // pending matches — at least double the call's previous refill, so a
 // stream of one-match rows costs O(log n) refills per batch, not one
 // per pair — and never more than the batch still has room for.
@@ -184,18 +245,22 @@ func (it *hashJoinIter) takePair(pending, room int) value.Row {
 }
 
 // NextBatch advances the probe state machine until the output batch is
-// full or the left input is exhausted.
+// full or the probe input is exhausted.
 func (it *hashJoinIter) NextBatch(b *Batch) (int, error) {
 	limit := b.limit()
 	n := 0
 	it.refill = 0
 	for n < limit {
-		// Drain pending matches for the current left row.
+		// Drain pending matches for the current probe row.
 		if it.mi < len(it.matches) {
 			r := it.matches[it.mi]
 			it.mi++
 			p := it.takePair(len(it.matches)-it.mi+1, limit-n)
-			copy(p, it.cur)
+			l, r := it.cur, r
+			if it.buildLeft {
+				l, r = r, l
+			}
+			copy(p, l)
 			copy(p[it.leftWidth:], r)
 			if it.j.Residual != nil {
 				v, err := it.j.Residual.Eval(it.ctx.Eval, p)
@@ -214,7 +279,8 @@ func (it *hashJoinIter) NextBatch(b *Batch) (int, error) {
 			continue
 		}
 		// Left-outer null extension, emitted exactly once per
-		// unmatched left row.
+		// unmatched left row (a left join always probes with its left
+		// input).
 		if it.cur != nil && !it.matched && it.j.Kind == plan.JoinLeft {
 			it.matched = true
 			p := it.takePair(1, limit-n)
@@ -230,7 +296,7 @@ func (it *hashJoinIter) NextBatch(b *Batch) (int, error) {
 		if it.done {
 			break
 		}
-		row, ok, err := it.leftIn.next(it.left)
+		row, ok, err := it.probeIn.next(it.probe)
 		if err != nil {
 			b.setRows(n)
 			return n, err
@@ -244,7 +310,7 @@ func (it *hashJoinIter) NextBatch(b *Batch) (int, error) {
 		it.matched = false
 		it.mi = 0
 		var null bool
-		it.keyBuf, null, err = appendJoinKey(it.keyBuf[:0], it.j.LeftKeys, it.ctx, row)
+		it.keyBuf, null, err = appendJoinKey(it.keyBuf[:0], it.probeKeys, it.ctx, row)
 		if err != nil {
 			b.setRows(n)
 			return n, err
@@ -264,35 +330,35 @@ func (it *hashJoinIter) NextBatch(b *Batch) (int, error) {
 	return n, nil
 }
 
-// leftInput hands a join its probe rows one at a time, refilling from
-// the left operator a grown() batch at a time.
-type leftInput struct {
+// probeInput hands a join its probe rows one at a time, refilling from
+// the probing operator a grown() batch at a time.
+type probeInput struct {
 	in  *Batch
 	pos int
 }
 
-func (l *leftInput) next(left Iterator) (value.Row, bool, error) {
-	for l.in == nil || l.pos >= len(l.in.Rows) {
-		l.in = grown(l.in)
-		n, err := left.NextBatch(l.in)
+func (p *probeInput) next(probe Iterator) (value.Row, bool, error) {
+	for p.in == nil || p.pos >= len(p.in.Rows) {
+		p.in = grown(p.in)
+		n, err := probe.NextBatch(p.in)
 		if err != nil {
 			return nil, false, err
 		}
 		if n == 0 {
 			return nil, false, nil
 		}
-		l.pos = 0
+		p.pos = 0
 	}
-	row := l.in.Rows[l.pos]
-	l.pos++
+	row := p.in.Rows[p.pos]
+	p.pos++
 	return row, true, nil
 }
 
 // Close ends the run: the build table is emptied for the next run, or
 // dropped with its buckets when it outgrew keepRows.
 func (it *hashJoinIter) Close() {
-	it.left.Close()
-	it.leftIn.in.release()
+	it.probe.Close()
+	it.probeIn.in.release()
 	it.cur, it.matches, it.parts, it.one[0] = nil, nil, nil, nil
 	clear(it.pair)
 	clear(it.slab)
@@ -325,7 +391,7 @@ type nlJoinIter struct {
 	ri      int
 	matched bool
 	done    bool
-	leftIn  leftInput
+	leftIn  probeInput
 }
 
 func (it *nlJoinIter) reset() error {

@@ -1,9 +1,12 @@
 package exec
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 
 	"auditdb/internal/catalog"
+	"auditdb/internal/plan"
 	"auditdb/internal/value"
 )
 
@@ -177,5 +180,149 @@ func TestNestedLoopsLeftJoinNullExtension(t *testing.T) {
 		if row[0].Int() != int64(i+1) || !row[1].IsNull() {
 			t.Errorf("row %d = %v, want [%d NULL]", i, row, i+1)
 		}
+	}
+}
+
+// findJoin returns the first join in n (pre-order).
+func findJoin(n plan.Node) *plan.Join {
+	if j, ok := n.(*plan.Join); ok {
+		return j
+	}
+	for _, c := range n.Children() {
+		if j := findJoin(c); j != nil {
+			return j
+		}
+	}
+	return nil
+}
+
+// analyzed runs n once under an EXPLAIN ANALYZE collector.
+func analyzed(t *testing.T, h *harness, n plan.Node) ([]value.Row, *Analyze) {
+	t.Helper()
+	ctx := NewCtx(h.store)
+	ctx.Analyze = NewAnalyze()
+	rows, err := Run(n, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows, ctx.Analyze
+}
+
+// TestHashJoinBuildSideMatchesNestedLoops: random inner equi-joins —
+// duplicate keys, NULL keys on both sides, INT keys against FLOAT keys
+// (1 joins 1.0) and a residual — return exactly the multiset the
+// nested-loops operator returns for the same condition written without
+// an equality, whichever input is the smaller and gets built.
+func TestHashJoinBuildSideMatchesNestedLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	builtLeft, builtRight, pairs := 0, 0, 0
+	for trial := 0; trial < 150; trial++ {
+		h := newHarness(t)
+		key := func(float bool) value.Value {
+			switch k := rng.Intn(7); {
+			case k == 6:
+				return value.Null
+			case float && rng.Intn(5) == 0:
+				return value.NewFloat(float64(k) + 0.5)
+			case float:
+				return value.NewFloat(float64(k))
+			default:
+				return value.NewInt(int64(k))
+			}
+		}
+		side := func(name, keyCol, valCol string, float bool) {
+			kind := value.KindInt
+			if float {
+				kind = value.KindFloat
+			}
+			rows := make([]value.Row, rng.Intn(40))
+			for i := range rows {
+				v := value.NewInt(int64(rng.Intn(10)))
+				if rng.Intn(8) == 0 {
+					v = value.Null
+				}
+				rows[i] = value.Row{key(float), v}
+			}
+			addTable(t, h, &catalog.TableMeta{Name: name, Columns: []catalog.Column{
+				{Name: keyCol, Type: kind}, {Name: valCol, Type: value.KindInt},
+			}}, rows)
+		}
+		side("jl", "lk", "a", rng.Intn(2) == 0)
+		side("jr", "rk", "b", rng.Intn(2) == 0)
+
+		hash := mustPlan(t, h, "SELECT lk, a, rk, b FROM jl, jr WHERE lk = rk AND a < b")
+		j := findJoin(hash)
+		if j == nil || len(j.LeftKeys) == 0 {
+			t.Fatalf("trial %d: no hash join in\n%s", trial, plan.Explain(hash))
+		}
+		nl := mustPlan(t, h, "SELECT lk, a, rk, b FROM jl, jr WHERE lk <= rk AND lk >= rk AND a < b")
+		if j := findJoin(nl); j == nil || len(j.LeftKeys) != 0 {
+			t.Fatalf("trial %d: reference is not a nested-loops join", trial)
+		}
+		got, az := analyzed(t, h, hash)
+		want, err := Run(nl, NewCtx(h.store))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalStrings(canon(got), canon(want)) {
+			t.Fatalf("trial %d: hash join returned %d rows, nested loops %d", trial, len(got), len(want))
+		}
+		pairs += len(got)
+		if az.Stats(j).BuildLeft > 0 {
+			builtLeft++
+		} else {
+			builtRight++
+		}
+	}
+	if builtLeft == 0 || builtRight == 0 || pairs == 0 {
+		t.Fatalf("built left %d times, right %d times, %d pairs: both sides must be exercised", builtLeft, builtRight, pairs)
+	}
+}
+
+// TestAnalyzeBuildSide: EXPLAIN ANALYZE names a join that built its
+// left input and says nothing for the usual right build, and its
+// time= covers the build it did in reset — a join whose build side is
+// a big scan reports at least that scan's time.
+func TestAnalyzeBuildSide(t *testing.T) {
+	h := conformanceHarness(t)
+	joinLine := func(text string) string {
+		for _, line := range strings.Split(text, "\n") {
+			if strings.Contains(line, "Join(") {
+				return line
+			}
+		}
+		t.Fatalf("no join in\n%s", text)
+		return ""
+	}
+	for _, c := range []struct {
+		sql  string
+		left bool
+	}{
+		{"SELECT e.dept, b.k FROM emp e, big b WHERE e.id = b.grp", true},
+		{"SELECT e.dept, b.k FROM big b, emp e WHERE e.id = b.grp", false},
+		{"SELECT e.dept, b.k FROM emp e LEFT JOIN big b ON e.id = b.grp", false},
+	} {
+		n := mustPlan(t, h, c.sql)
+		_, az := analyzed(t, h, n)
+		line := joinLine(RenderAnalyze(n, az))
+		if strings.Contains(line, "build=left") != c.left {
+			t.Errorf("%s: build=left printed %v, want %v:\n%s", c.sql, !c.left, c.left, line)
+		}
+		if !c.left && strings.Contains(line, "build=") {
+			t.Errorf("%s: a right build printed a build side:\n%s", c.sql, line)
+		}
+	}
+
+	// The left input is one index lookup; the right one, built in
+	// reset, scans all of big.
+	n := mustPlan(t, h, "SELECT b1.k, b2.v FROM big b1 LEFT JOIN big b2 ON b1.grp = b2.grp WHERE b1.k = 5")
+	j := findJoin(n)
+	_, az := analyzed(t, h, n)
+	join, build := az.Stats(j), az.Stats(j.Right)
+	if build.RowsOut != 5000 {
+		t.Fatalf("build side emitted %d rows, want 5000", build.RowsOut)
+	}
+	if join.Wall < build.Wall {
+		t.Errorf("join time %v < its build side's %v: the build in reset is unclocked", join.Wall, build.Wall)
 	}
 }

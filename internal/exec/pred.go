@@ -1,26 +1,42 @@
 package exec
 
 import (
+	"strings"
+
 	"auditdb/internal/plan"
 	"auditdb/internal/value"
 )
 
 // quickPred is the compiled fast path of a row predicate: a
-// conjunction of integer column-vs-constant comparisons, evaluated
-// without interface dispatch or Value boxing. compilePred fixes its
-// shape once, when the operator is built; bind resolves the constants
-// at every reset, so one compiled predicate serves every binding of a
-// cached plan, and a correlated outer value is re-read per run.
+// conjunction of column-vs-constant comparisons, evaluated without
+// interface dispatch or Value boxing. compilePred fixes its shape once,
+// when the operator is built; bind resolves the constants at every
+// reset, so one compiled predicate serves every binding of a cached
+// plan, and a correlated outer value is re-read per run.
 //
-// The fast path only claims a row (handled=true) when the runtime
-// kinds match what was compiled, so results are bit-identical to the
-// interpreter: integer/integer comparison is exactly value.Compare's
-// both-int branch, and a NULL column value yields Unknown exactly as
-// CompareSQL would. Compiled predicates never error.
+// Each term compares the way the bound constant's kind says, and only
+// claims a row (handled=true) whose kind pairs with it in one of
+// value.Compare's branches, reproduced exactly, so results are
+// bit-identical to the interpreter:
+//
+//	constant      row value        comparison
+//	INT, BOOL     INT, BOOL        int64 (Compare's integer branch)
+//	INT, BOOL     FLOAT            float64 (its float branch)
+//	FLOAT         INT, BOOL, FLOAT float64 (its float branch)
+//	DATE          DATE             int64 (day numbers)
+//	STRING        STRING           strings.Compare
+//	NULL          any              Unknown
+//
+// A NULL row value yields Unknown, as CompareSQL does. Every other
+// pair (DATE against a string, a number against a string, ...) is left
+// to the interpreter. A term `k op col` runs as `col flip(op) k`, which
+// is exact because each claimed comparison is antisymmetric: the float
+// branch orders NaN equal to everything, from either side. Compiled
+// predicates never error.
 type quickPred struct {
 	terms []quickTerm
 	// ok says the fast path applies to this run: the predicate has a
-	// supported shape and every constant bound to an integer.
+	// supported shape and every constant evaluated.
 	ok bool
 }
 
@@ -30,7 +46,14 @@ type quickTerm struct {
 	col int
 	op  plan.CmpOp
 	k   plan.Expr
-	c   int64 // k's value under the current binding
+	// Under the current binding: the comparison the term runs, named by
+	// its constant's kind (KindInt for INT and BOOL), and the constant
+	// as an integer (INT, BOOL, DATE), a float (INT, BOOL, FLOAT) or a
+	// string.
+	kind value.Kind
+	c    int64
+	f    float64
+	s    string
 }
 
 // compilePred returns the fast-path shape of e — a Cmp of a column
@@ -76,17 +99,21 @@ func constShape(e plan.Expr) bool {
 }
 
 // bind resolves the constants under ctx's bindings. A constant that
-// does not evaluate to an integer turns the fast path off for this
-// run; the interpreter handles every row.
+// does not evaluate turns the fast path off for this run; the
+// interpreter handles every row.
 func (q *quickPred) bind(ctx *Ctx) {
 	q.ok = len(q.terms) > 0
 	for i := range q.terms {
-		v, ok := constValue(q.terms[i].k, ctx)
-		if !ok || v.Kind != value.KindInt {
+		t := &q.terms[i]
+		v, ok := constValue(t.k, ctx)
+		if !ok {
 			q.ok = false
 			return
 		}
-		q.terms[i].c = v.I
+		t.kind, t.c, t.f, t.s = v.Kind, v.I, v.Float(), v.S
+		if v.Kind == value.KindBool {
+			t.kind = value.KindInt
+		}
 	}
 }
 
@@ -111,29 +138,73 @@ func (t *quickTerm) eval(row value.Row) (value.Tri, bool) {
 	if t.col >= len(row) {
 		return value.Unknown, false
 	}
-	v := row[t.col]
+	v := &row[t.col]
 	if v.Kind == value.KindNull {
 		return value.Unknown, true
 	}
-	if v.Kind != value.KindInt {
-		return value.Unknown, false
+	switch t.kind {
+	case value.KindInt:
+		switch v.Kind {
+		case value.KindInt, value.KindBool:
+			return intHolds(t.op, v.I, t.c), true
+		case value.KindFloat:
+			return floatHolds(t.op, v.F, t.f), true
+		}
+	case value.KindFloat:
+		switch v.Kind {
+		case value.KindInt, value.KindBool, value.KindFloat:
+			return floatHolds(t.op, v.Float(), t.f), true
+		}
+	case value.KindDate:
+		if v.Kind == value.KindDate {
+			return intHolds(t.op, v.I, t.c), true
+		}
+	case value.KindString:
+		if v.Kind == value.KindString {
+			return signHolds(t.op, strings.Compare(v.S, t.s)), true
+		}
+	case value.KindNull:
+		return value.Unknown, true
 	}
-	var b bool
-	switch t.op {
+	return value.Unknown, false
+}
+
+// intHolds compares two integers directly.
+func intHolds(op plan.CmpOp, a, b int64) value.Tri {
+	var r bool
+	switch op {
 	case plan.CmpEq:
-		b = v.I == t.c
+		r = a == b
 	case plan.CmpNe:
-		b = v.I != t.c
+		r = a != b
 	case plan.CmpLt:
-		b = v.I < t.c
+		r = a < b
 	case plan.CmpLe:
-		b = v.I <= t.c
+		r = a <= b
 	case plan.CmpGt:
-		b = v.I > t.c
+		r = a > b
 	case plan.CmpGe:
-		b = v.I >= t.c
+		r = a >= b
 	}
-	return value.TriOf(b), true
+	return value.TriOf(r)
+}
+
+// floatHolds orders two floats as value.Compare does — neither less
+// nor greater is equal, so NaN equals everything and -0 equals +0 —
+// and applies op to that order.
+func floatHolds(op plan.CmpOp, a, b float64) value.Tri {
+	c := 0
+	if a < b {
+		c = -1
+	} else if a > b {
+		c = 1
+	}
+	return signHolds(op, c)
+}
+
+// signHolds applies op to a three-way comparison result.
+func signHolds(op plan.CmpOp, c int) value.Tri {
+	return intHolds(op, int64(c), 0)
 }
 
 func flipCmp(op plan.CmpOp) plan.CmpOp {

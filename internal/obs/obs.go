@@ -376,10 +376,11 @@ type NodeStats struct {
 	RowsOut int64
 	// Batches counts non-empty NextBatch deliveries.
 	Batches int64
-	// Wall is cumulative wall time spent inside the operator's
-	// NextBatch/Next calls, children included (Postgres-style
-	// "actual time"). Under parallel execution worker walls sum, so a
-	// parallel operator can report more wall time than the query took.
+	// Wall is cumulative wall time spent inside the operator's reset
+	// (where joins build, aggregates fold and sorts sort) and NextBatch
+	// calls, children included (Postgres-style "actual time"). Under
+	// parallel execution worker walls sum, so a parallel operator can
+	// report more wall time than the query took.
 	Wall time.Duration
 
 	// Audit-operator extras (zero elsewhere): probe invocations, probes
@@ -394,4 +395,8 @@ type NodeStats struct {
 	// Data-skipping extras (scan operators): chunks actually read and
 	// chunks refuted by zone maps or sensitive-ID sketches.
 	ChunksScanned, ChunksSkipped int64
+
+	// Hash-join extra: runs that built the left input (an inner join
+	// whose left input had the smaller estimate) instead of the right.
+	BuildLeft int64
 }

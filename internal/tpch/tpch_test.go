@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -258,4 +259,47 @@ func TestNonCustomerQueriesNotInstrumented(t *testing.T) {
 			t.Errorf("%s recorded accesses", q.Name)
 		}
 	}
+}
+
+// TestQ3BuildsSmallerInput: Q3's lineitem join builds its hash table on
+// the customer⋈orders input, the smaller one, and EXPLAIN ANALYZE says
+// so; the rows it builds are fewer than the lineitem rows it probes.
+func TestQ3BuildsSmallerInput(t *testing.T) {
+	e := loadSmall(t)
+	text, err := e.ExplainAnalyze(Queries(DefaultParams())[0].SQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsOf := func(line string) int {
+		i := strings.Index(line, "(rows=")
+		if i < 0 {
+			t.Fatalf("no row count in %q", line)
+		}
+		n, err := strconv.Atoi(line[i+len("(rows=") : i+strings.IndexByte(line[i:], ' ')])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	lines := strings.Split(text, "\n")
+	for i, line := range lines {
+		if !strings.Contains(line, "InnerJoin((l_orderkey = o_orderkey))") {
+			continue
+		}
+		if !strings.Contains(line, "build=left") {
+			t.Fatalf("the lineitem join built its right input:\n%s", text)
+		}
+		built, probe := lines[i+1], ""
+		for _, l := range lines[i+1:] {
+			if strings.Contains(l, "Scan(lineitem") {
+				probe = l
+				break
+			}
+		}
+		if probe == "" || rowsOf(built) >= rowsOf(probe) {
+			t.Fatalf("built %q, probed %q: the build is not the smaller input\n%s", built, probe, text)
+		}
+		return
+	}
+	t.Fatalf("no lineitem join in\n%s", text)
 }
