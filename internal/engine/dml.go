@@ -8,7 +8,10 @@ import (
 	"auditdb/internal/storage"
 	"auditdb/internal/value"
 	"auditdb/internal/wal"
+	"cmp"
 	"fmt"
+	"slices"
+	"strings"
 )
 
 // acquireWrite takes the engine's writer lock for one statement, or is
@@ -58,15 +61,11 @@ func (e *Engine) runInsert(s *ast.Insert, sql string, env *actionEnv) (*Result, 
 			rows = append(rows, row)
 		}
 	default:
-		schema := env.outerSchema
-		if schema == nil {
-			schema = plan.Schema{}
-		}
 		ctx := e.execCtx(env, sql)
 		for _, exprRow := range s.Rows {
 			src := make(value.Row, len(exprRow))
 			for i, ex := range exprRow {
-				compiled, err := plan.BuildScalar(e.planEnv(env), schema, ex)
+				compiled, err := plan.BuildScalar(e.planEnv(env), env.outerSchema, ex)
 				if err != nil {
 					return nil, err
 				}
@@ -83,23 +82,132 @@ func (e *Engine) runInsert(s *ast.Insert, sql string, env *actionEnv) (*Result, 
 			rows = append(rows, row)
 		}
 	}
+	return e.applyDML(meta, sql, env, catalog.TriggerAfterInsert, func(tbl *storage.Table) ([]change, error) {
+		return insertRows(tbl, rows)
+	})
+}
 
-	unlock := e.acquireWrite(env)
-	tbl, ok := e.store.Table(s.Table)
+func (e *Engine) runUpdate(s *ast.Update, sql string, env *actionEnv) (*Result, error) {
+	meta, ok := e.cat.Table(s.Table)
 	if !ok {
-		unlock()
-		return nil, fmt.Errorf("table %q has no storage", s.Table)
+		return nil, fmt.Errorf("unknown table %q", s.Table)
 	}
-	var applied []change
-	for _, row := range rows {
-		id, err := tbl.Insert(row)
+	ords := make([]int, len(s.Set))
+	set := make([]ast.Expr, len(s.Set))
+	for i, a := range s.Set {
+		if ords[i] = meta.ColumnIndex(a.Column); ords[i] < 0 {
+			return nil, fmt.Errorf("unknown column %q in UPDATE", a.Column)
+		}
+		if plan.ContainsAggregate(a.Value) {
+			return nil, fmt.Errorf("aggregate in UPDATE SET %s is not allowed", a.Column)
+		}
+		set[i] = a.Value
+	}
+	width := len(meta.Columns)
+	return e.writeMatched(meta, s.Alias, s.Where, set, sql, env, catalog.TriggerAfterUpdate,
+		func(tbl *storage.Table, id storage.RowID, row value.Row) (change, error) {
+			// The read's row is the executor's own: the old values, then
+			// the SET values computed from them, assigned in order so a
+			// repeated column's last one wins.
+			newRow := row[:width:width]
+			for j, ord := range ords {
+				newRow[ord] = row[width+j]
+			}
+			old, err := tbl.Update(id, newRow)
+			stored, _ := tbl.Get(id)
+			return change{table: tbl, id: id, old: old, new: stored}, err
+		})
+}
+
+func (e *Engine) runDelete(s *ast.Delete, sql string, env *actionEnv) (*Result, error) {
+	meta, ok := e.cat.Table(s.Table)
+	if !ok {
+		return nil, fmt.Errorf("unknown table %q", s.Table)
+	}
+	return e.writeMatched(meta, s.Alias, s.Where, nil, sql, env, catalog.TriggerAfterDelete,
+		func(tbl *storage.Table, id storage.RowID, _ value.Row) (change, error) {
+			old, err := tbl.Delete(id)
+			return change{table: tbl, id: id, old: old}, err
+		})
+}
+
+// writeMatched is UPDATE's and DELETE's body. It plans their read as the
+// SELECT it is, SELECT * [, set...] FROM table [AS alias] [WHERE where],
+// through the SELECT pipeline's front half (build, against the trigger's
+// NEW/OLD row inside a trigger body, and optimize) but never instruments
+// or parallelizes it: the paper leaves DML reads out of auditing, and
+// the rows must come back as one stream carrying their row IDs. Under
+// the writer lock it runs the read to the end, and only then calls write
+// for each matched row, so a SET that fails on some row writes nothing.
+// Rows are written in ascending RowID order: a heap scan produces them
+// so, an index lookup produces its candidates in insertion order.
+func (e *Engine) writeMatched(meta *catalog.TableMeta, alias string, where ast.Expr, set []ast.Expr, sql string, env *actionEnv,
+	kind catalog.TriggerKind, write func(*storage.Table, storage.RowID, value.Row) (change, error)) (*Result, error) {
+	sel := &ast.Select{
+		Items: []ast.SelectItem{{Star: true}},
+		From:  []ast.TableRef{&ast.BaseTable{Name: meta.Name, Alias: alias}},
+		Where: where,
+		Limit: -1,
+	}
+	for _, x := range set {
+		sel.Items = append(sel.Items, ast.SelectItem{Expr: x})
+	}
+	benv := *env
+	if _, ok := env.extraSchema[strings.ToLower(meta.Name)]; ok {
+		// The target is the stored table, even where a trigger's ACCESSED
+		// relation shares its name.
+		benv.extraSchema = nil
+	}
+	read, err := e.build(sel, &benv)
+	if err != nil {
+		return nil, err
+	}
+	return e.applyDML(meta, sql, env, kind, func(tbl *storage.Table) ([]change, error) {
+		ctx := e.execCtx(env, sql)
+		if read.correlated {
+			ctx.Eval.PushOuter(env.outerRow)
+		}
+		rows, ids, err := exec.RunIDs(read.root, ctx)
+		e.foldStats(e.sessionOf(env), ctx.Stats)
 		if err != nil {
-			undo(applied)
-			unlock()
 			return nil, err
 		}
-		stored, _ := tbl.Get(id)
-		applied = append(applied, change{table: tbl, id: id, new: stored})
+		order := make([]int, len(ids))
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortFunc(order, func(a, b int) int { return cmp.Compare(ids[a], ids[b]) })
+		applied := make([]change, 0, len(ids))
+		for _, i := range order {
+			c, err := write(tbl, ids[i], rows[i])
+			if err != nil {
+				return applied, err
+			}
+			applied = append(applied, c)
+		}
+		return applied, nil
+	})
+}
+
+// applyDML is the write tail INSERT, UPDATE and DELETE share. Under the
+// writer lock it runs apply, which reads what it needs and writes the
+// rows, returning the changes it made (those before the failure when it
+// fails), and undoes a failed apply; it records the changes in the
+// transaction's undo log and the statement's WAL unit and folds them
+// into the audit expressions' ID sets. With the lock released it fires
+// the table's AFTER triggers of kind, one row at a time in apply order.
+func (e *Engine) applyDML(meta *catalog.TableMeta, sql string, env *actionEnv, kind catalog.TriggerKind, apply func(*storage.Table) ([]change, error)) (*Result, error) {
+	unlock := e.acquireWrite(env)
+	tbl, ok := e.store.Table(meta.Name)
+	if !ok {
+		unlock()
+		return nil, fmt.Errorf("table %q has no storage", meta.Name)
+	}
+	applied, err := apply(tbl)
+	if err != nil {
+		undo(applied)
+		unlock()
+		return nil, err
 	}
 	if env.txn != nil {
 		env.txn.record(applied)
@@ -110,186 +218,25 @@ func (e *Engine) runInsert(s *ast.Insert, sql string, env *actionEnv) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-
-	if err := e.fireDMLTriggers(meta, applied, sql, env, catalog.TriggerAfterInsert); err != nil {
+	if err := e.fireDMLTriggers(meta, applied, sql, env, kind); err != nil {
 		return nil, err
 	}
 	return &Result{RowsAffected: len(applied)}, nil
 }
 
-func (e *Engine) runUpdate(s *ast.Update, sql string, env *actionEnv) (*Result, error) {
-	meta, ok := e.cat.Table(s.Table)
-	if !ok {
-		return nil, fmt.Errorf("unknown table %q", s.Table)
-	}
-	qual := s.Alias
-	if qual == "" {
-		qual = meta.Name
-	}
-	schema := tableSchema(meta, qual)
-
-	var where plan.Expr
-	if s.Where != nil {
-		w, err := plan.BuildScalar(e.planEnv(env), schema, s.Where)
-		if err != nil {
-			return nil, err
-		}
-		where = w
-	}
-	type assign struct {
-		ord  int
-		expr plan.Expr
-	}
-	var assigns []assign
-	for _, a := range s.Set {
-		ord := meta.ColumnIndex(a.Column)
-		if ord < 0 {
-			return nil, fmt.Errorf("unknown column %q in UPDATE", a.Column)
-		}
-		compiled, err := plan.BuildScalar(e.planEnv(env), schema, a.Value)
-		if err != nil {
-			return nil, err
-		}
-		assigns = append(assigns, assign{ord: ord, expr: compiled})
-	}
-
-	ctx := e.execCtx(env, sql)
-	unlock := e.acquireWrite(env)
-	tbl, ok := e.store.Table(s.Table)
-	if !ok {
-		unlock()
-		return nil, fmt.Errorf("table %q has no storage", s.Table)
-	}
-	// Plan the row set first, then apply, to keep iteration stable.
-	type pending struct {
-		id  storage.RowID
-		new value.Row
-	}
-	var todo []pending
-	var evalErr error
-	tbl.Snapshot(func(id storage.RowID, row value.Row) bool {
-		if where != nil {
-			v, err := where.Eval(ctx.Eval, row)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if value.TriFromValue(v) != value.True {
-				return true
-			}
-		}
-		newRow := row.Clone()
-		for _, a := range assigns {
-			v, err := a.expr.Eval(ctx.Eval, row)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			newRow[a.ord] = v
-		}
-		todo = append(todo, pending{id: id, new: newRow})
-		return true
-	})
-	if evalErr != nil {
-		unlock()
-		return nil, evalErr
-	}
+// insertRows inserts rows into tbl, returning the changes made (those
+// before the failing row when one fails).
+func insertRows(tbl *storage.Table, rows []value.Row) ([]change, error) {
 	var applied []change
-	for _, p := range todo {
-		old, err := tbl.Update(p.id, p.new)
+	for _, row := range rows {
+		id, err := tbl.Insert(row)
 		if err != nil {
-			undo(applied)
-			unlock()
-			return nil, err
+			return applied, err
 		}
-		stored, _ := tbl.Get(p.id)
-		applied = append(applied, change{table: tbl, id: p.id, old: old, new: stored})
+		stored, _ := tbl.Get(id)
+		applied = append(applied, change{table: tbl, id: id, new: stored})
 	}
-	if env.txn != nil {
-		env.txn.record(applied)
-	}
-	e.bufferDML(env, meta, applied)
-	err := e.maintainIDSets(meta, applied)
-	unlock()
-	if err != nil {
-		return nil, err
-	}
-
-	if err := e.fireDMLTriggers(meta, applied, sql, env, catalog.TriggerAfterUpdate); err != nil {
-		return nil, err
-	}
-	return &Result{RowsAffected: len(applied)}, nil
-}
-
-func (e *Engine) runDelete(s *ast.Delete, sql string, env *actionEnv) (*Result, error) {
-	meta, ok := e.cat.Table(s.Table)
-	if !ok {
-		return nil, fmt.Errorf("unknown table %q", s.Table)
-	}
-	qual := s.Alias
-	if qual == "" {
-		qual = meta.Name
-	}
-	var where plan.Expr
-	if s.Where != nil {
-		w, err := plan.BuildScalar(e.planEnv(env), tableSchema(meta, qual), s.Where)
-		if err != nil {
-			return nil, err
-		}
-		where = w
-	}
-
-	ctx := e.execCtx(env, sql)
-	unlock := e.acquireWrite(env)
-	tbl, ok := e.store.Table(s.Table)
-	if !ok {
-		unlock()
-		return nil, fmt.Errorf("table %q has no storage", s.Table)
-	}
-	var ids []storage.RowID
-	var evalErr error
-	tbl.Snapshot(func(id storage.RowID, row value.Row) bool {
-		if where != nil {
-			v, err := where.Eval(ctx.Eval, row)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if value.TriFromValue(v) != value.True {
-				return true
-			}
-		}
-		ids = append(ids, id)
-		return true
-	})
-	if evalErr != nil {
-		unlock()
-		return nil, evalErr
-	}
-	var applied []change
-	for _, id := range ids {
-		old, err := tbl.Delete(id)
-		if err != nil {
-			undo(applied)
-			unlock()
-			return nil, err
-		}
-		applied = append(applied, change{table: tbl, id: id, old: old})
-	}
-	if env.txn != nil {
-		env.txn.record(applied)
-	}
-	e.bufferDML(env, meta, applied)
-	err := e.maintainIDSets(meta, applied)
-	unlock()
-	if err != nil {
-		return nil, err
-	}
-
-	if err := e.fireDMLTriggers(meta, applied, sql, env, catalog.TriggerAfterDelete); err != nil {
-		return nil, err
-	}
-	return &Result{RowsAffected: len(applied)}, nil
+	return applied, nil
 }
 
 // maintainIDSets folds the applied changes into the audit expressions'
@@ -397,16 +344,11 @@ func (e *Engine) LoadRows(table string, rows []value.Row) error {
 		e.dmlMu.Unlock()
 		return fmt.Errorf("table %q has no storage", table)
 	}
-	var applied []change
-	for _, row := range rows {
-		id, err := tbl.Insert(row)
-		if err != nil {
-			undo(applied)
-			e.dmlMu.Unlock()
-			return err
-		}
-		stored, _ := tbl.Get(id)
-		applied = append(applied, change{table: tbl, id: id, new: stored})
+	applied, err := insertRows(tbl, rows)
+	if err != nil {
+		undo(applied)
+		e.dmlMu.Unlock()
+		return err
 	}
 	// One commit record for the whole batch, appended while the writer
 	// lock still excludes checkpoints.

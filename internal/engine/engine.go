@@ -743,34 +743,14 @@ func (e *Engine) executeSelect(pe *planEntry, sql string, env *actionEnv) (*Resu
 	execStart := time.Now()
 	rows, err := inst.Run()
 	execDur := time.Since(execStart)
-	scannedRows := ctx.Stats.RowsScanned.Load()
-	e.stats.RowsScanned.Add(scannedRows)
-	sess.recScanned += scannedRows
-	if m := ctx.Stats.MorselsClaimed.Load(); m > 0 {
-		e.morselsDispatched.Add(m)
-	}
-	if n := ctx.Stats.PredInterpreted.Load(); n > 0 {
-		e.predInterpreted.Add(n)
-	}
-	skipFilter := ctx.Stats.ChunksSkippedFilter.Load()
-	skipAudit := ctx.Stats.ChunksSkippedAudit.Load()
-	if scanned := ctx.Stats.ChunksScanned.Load(); scanned+skipFilter+skipAudit > 0 {
-		e.chunksScanned.Add(scanned)
-		if skipFilter > 0 {
-			e.chunksSkipped.With("filter").Add(skipFilter)
-		}
-		if skipAudit > 0 {
-			e.chunksSkipped.With("audit").Add(skipAudit)
-		}
-		if execSpan >= 0 {
-			// The pruning decisions happen inside the scan kernels; the
-			// span records their outcome (counts, not time) under the
-			// execute span so traces show what skipping did.
-			skipSpan := rec.AddSpan(execSpan, "storage.skip", execStart, 0)
-			rec.SetAttrInt(skipSpan, "chunks_scanned", scanned)
-			rec.SetAttrInt(skipSpan, "chunks_skipped_filter", skipFilter)
-			rec.SetAttrInt(skipSpan, "chunks_skipped_audit", skipAudit)
-		}
+	if scanned, skipFilter, skipAudit := e.foldStats(sess, ctx.Stats); execSpan >= 0 && scanned+skipFilter+skipAudit > 0 {
+		// The pruning decisions happen inside the scan kernels; the span
+		// records their outcome (counts, not time) under the execute span
+		// so traces show what skipping did.
+		skipSpan := rec.AddSpan(execSpan, "storage.skip", execStart, 0)
+		rec.SetAttrInt(skipSpan, "chunks_scanned", scanned)
+		rec.SetAttrInt(skipSpan, "chunks_skipped_filter", skipFilter)
+		rec.SetAttrInt(skipSpan, "chunks_skipped_audit", skipAudit)
 	}
 	if err == nil && execSpan >= 0 && ctx.Analyze != nil {
 		addOperatorSpans(rec, execSpan, n, ctx.Analyze, execStart)
@@ -815,12 +795,34 @@ func (e *Engine) executeSelect(pe *planEntry, sql string, env *actionEnv) (*Resu
 	return res, nil
 }
 
-func (e *Engine) runIf(s *ast.If, sql string, env *actionEnv) (*Result, error) {
-	schema := env.outerSchema
-	if schema == nil {
-		schema = plan.Schema{}
+// foldStats folds one execution's scan counters into the engine's
+// metrics and the statement record's rows_scanned: every SELECT's, and
+// every UPDATE's and DELETE's read. It returns the chunk counters.
+func (e *Engine) foldStats(sess *Session, st *exec.Stats) (scanned, skipFilter, skipAudit int64) {
+	rows := st.RowsScanned.Load()
+	e.stats.RowsScanned.Add(rows)
+	sess.recScanned += rows
+	if m := st.MorselsClaimed.Load(); m > 0 {
+		e.morselsDispatched.Add(m)
 	}
-	cond, err := plan.BuildScalar(e.planEnv(env), schema, s.Cond)
+	if n := st.PredInterpreted.Load(); n > 0 {
+		e.predInterpreted.Add(n)
+	}
+	scanned, skipFilter, skipAudit = st.ChunksScanned.Load(), st.ChunksSkippedFilter.Load(), st.ChunksSkippedAudit.Load()
+	if scanned+skipFilter+skipAudit > 0 {
+		e.chunksScanned.Add(scanned)
+		if skipFilter > 0 {
+			e.chunksSkipped.With("filter").Add(skipFilter)
+		}
+		if skipAudit > 0 {
+			e.chunksSkipped.With("audit").Add(skipAudit)
+		}
+	}
+	return scanned, skipFilter, skipAudit
+}
+
+func (e *Engine) runIf(s *ast.If, sql string, env *actionEnv) (*Result, error) {
+	cond, err := plan.BuildScalar(e.planEnv(env), env.outerSchema, s.Cond)
 	if err != nil {
 		return nil, err
 	}
@@ -847,11 +849,7 @@ func (e *Engine) runIf(s *ast.If, sql string, env *actionEnv) (*Result, error) {
 }
 
 func (e *Engine) runNotify(s *ast.Notify, env *actionEnv) (*Result, error) {
-	schema := env.outerSchema
-	if schema == nil {
-		schema = plan.Schema{}
-	}
-	msg, err := plan.BuildScalar(e.planEnv(env), schema, s.Message)
+	msg, err := plan.BuildScalar(e.planEnv(env), env.outerSchema, s.Message)
 	if err != nil {
 		return nil, err
 	}

@@ -192,13 +192,22 @@ func TestQueryRejectsNonSelect(t *testing.T) {
 
 func TestTriggerOnAccessedKeywordTable(t *testing.T) {
 	// A user table named "accessed" must not be shadowed by the
-	// trigger pseudo-relation outside trigger bodies.
+	// trigger pseudo-relation outside trigger bodies, nor as the target
+	// of a trigger body's UPDATE or DELETE.
 	e := New()
 	mustExec(t, e, "CREATE TABLE accessed (x INT)")
 	mustExec(t, e, "INSERT INTO accessed VALUES (7)")
 	r := mustQuery(t, e, "SELECT x FROM accessed")
 	if len(r.Rows) != 1 || r.Rows[0][0].Int() != 7 {
 		t.Errorf("rows = %v", r.Rows)
+	}
+	mustExec(t, e, "CREATE TABLE Pt (ID INT PRIMARY KEY)")
+	mustExec(t, e, "INSERT INTO Pt VALUES (1)")
+	mustExec(t, e, "CREATE AUDIT EXPRESSION A AS SELECT * FROM Pt FOR SENSITIVE TABLE Pt, PARTITION BY ID")
+	mustExec(t, e, "CREATE TRIGGER bump ON ACCESS TO A AS UPDATE accessed SET x = x + 1 WHERE x > 0")
+	mustQuery(t, e, "SELECT * FROM Pt")
+	if r := mustQuery(t, e, "SELECT x FROM accessed"); len(r.Rows) != 1 || r.Rows[0][0].Int() != 8 {
+		t.Errorf("after the trigger's UPDATE rows = %v", r.Rows)
 	}
 }
 

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"auditdb/internal/storage"
 	"auditdb/internal/value"
 )
 
@@ -30,10 +31,21 @@ type Batch struct {
 	Rows []value.Row
 
 	buf []value.Row
+	// ids is the optional row-ID lane (RunIDs; SELECTs never carry it),
+	// as long as buf's capacity: ids[i] is the RowID Rows[i] was read
+	// from. Scan kernels fill it, filters compact it with the rows and
+	// projections pass it through 1:1; nothing else writes it.
+	ids []storage.RowID
 }
 
 // NewBatch allocates a batch with room for n rows.
 func NewBatch(n int) *Batch { return &Batch{buf: make([]value.Row, n)} }
+
+// withIDs gives b a row-ID lane.
+func (b *Batch) withIDs() *Batch {
+	b.ids = make([]storage.RowID, cap(b.buf))
+	return b
+}
 
 // limit returns the maximum number of rows a producer may emit.
 func (b *Batch) limit() int { return len(b.buf) }
@@ -48,7 +60,7 @@ func (b *Batch) view(n int) Batch {
 	if n > cap(b.buf) {
 		n = cap(b.buf)
 	}
-	return Batch{buf: b.buf[:n]}
+	return Batch{buf: b.buf[:n], ids: b.ids}
 }
 
 // grown implements adaptive batch sizing for batch-owning loops: pass
@@ -67,6 +79,9 @@ func grown(b *Batch) *Batch {
 			b.buf = b.buf[:n]
 		} else {
 			b.buf = make([]value.Row, n)
+		}
+		if b.ids != nil && len(b.ids) < n {
+			b.withIDs()
 		}
 	}
 	return b

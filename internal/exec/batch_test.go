@@ -7,6 +7,7 @@ import (
 
 	"auditdb/internal/catalog"
 	"auditdb/internal/plan"
+	"auditdb/internal/storage"
 	"auditdb/internal/value"
 )
 
@@ -221,5 +222,66 @@ func TestHashJoinProbeAllocsPerRun(t *testing.T) {
 	// of slab), plus 25 %.
 	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > 230<<10 {
 		t.Errorf("hash join allocates %d bytes per run, want <= %d", perRun, 230<<10)
+	}
+}
+
+// TestRunIDsCarriesRowIDs: RunIDs returns Run's rows, in Run's order,
+// each beside the RowID it was read from — on the heap path across
+// growing batches, on the index path, through a filter the optimizer
+// could not push into the scan and under a mask — and refuses a plan
+// whose operators do not carry the lane.
+func TestRunIDsCarriesRowIDs(t *testing.T) {
+	h := bigHarness(t)
+	tbl, _ := h.store.Table("big")
+	if err := tbl.AddIndex("by_grp", []int{1}); err != nil {
+		t.Fatal(err)
+	}
+	// Holes in the heap, and a key whose index entries are out of RowID
+	// order.
+	for _, id := range []storage.RowID{5, 6, 300, 4999} {
+		if _, err := tbl.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	moved, _ := tbl.Get(3)
+	row := append(value.Row(nil), moved...)
+	row[1] = value.NewInt(7)
+	if _, err := tbl.Update(3, row); err != nil {
+		t.Fatal(err)
+	}
+	mask := storage.NewMask()
+	mask.Hide("big", 1000)
+	for _, c := range []struct {
+		sql  string
+		mask *storage.Mask
+	}{
+		{"SELECT * FROM big WHERE grp < 50", nil},
+		{"SELECT k, k * 2 FROM big WHERE grp = 7", nil},
+		{"SELECT * FROM big b WHERE EXISTS (SELECT 1 FROM big c WHERE c.k = b.k AND c.grp < 20)", nil},
+		{"SELECT k FROM big", mask},
+	} {
+		n := mustPlan(t, h, c.sql)
+		ctx := NewCtx(h.store)
+		ctx.Mask = c.mask
+		want, err := Run(n, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, ids, err := RunIDs(n, ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		if len(rows) != len(want) || len(ids) != len(rows) || len(rows) == 0 {
+			t.Fatalf("%s: %d rows and %d IDs, Run returned %d rows", c.sql, len(rows), len(ids), len(want))
+		}
+		for i, r := range rows {
+			stored, ok := tbl.Get(ids[i])
+			if !ok || r[0].Int() != stored[0].Int() || r[0].Int() != want[i][0].Int() {
+				t.Fatalf("%s: row %d = %v with RowID %d (stored %v), Run's row %v", c.sql, i, r, ids[i], stored, want[i])
+			}
+		}
+	}
+	if _, _, err := RunIDs(mustPlan(t, h, "SELECT * FROM big, dept WHERE big.v = dept.name"), NewCtx(h.store)); err == nil {
+		t.Error("RunIDs accepted a join")
 	}
 }

@@ -89,8 +89,8 @@ func (s *Stats) reset() {
 
 // NewCtx returns a context over the given store with a fresh
 // evaluation context whose subquery runner is already installed, so
-// standalone expression evaluation (trigger IF conditions, DML
-// predicates) can run subplans too.
+// standalone expression evaluation (trigger IF conditions, INSERT
+// values) can run subplans too.
 func NewCtx(store *storage.Store) *Ctx {
 	ctx := &Ctx{Store: store}
 	ctx.init()
@@ -221,6 +221,38 @@ func (in *Instance) run(each func(rows []value.Row) error) error {
 // Run materializes the full result of a plan: an instance run once.
 func Run(n plan.Node, ctx *Ctx) ([]value.Row, error) {
 	return NewInstance(n, ctx).Run()
+}
+
+// RunIDs is Run for a plan that reads one stored table through filters
+// and projections only: an UPDATE's or DELETE's read. Beside the rows it
+// returns, in step, the RowID each was read from, carried up the
+// operator tree on the batches' row-ID lane.
+func RunIDs(n plan.Node, ctx *Ctx) ([]value.Row, []storage.RowID, error) {
+	if !carriesIDs(n) {
+		return nil, nil, fmt.Errorf("exec: plan %s cannot carry row IDs", n.Label())
+	}
+	in := NewInstance(n, ctx)
+	in.out = NewBatch(batchSeed).withIDs()
+	var ids []storage.RowID
+	err := in.run(func(rows []value.Row) error {
+		in.rows = append(in.rows, rows...)
+		ids = append(ids, in.out.ids[:len(rows)]...)
+		return nil
+	})
+	return in.rows, ids, err
+}
+
+// carriesIDs reports whether n is a table scan under filters and
+// projections only, the operators that keep the row-ID lane.
+func carriesIDs(n plan.Node) bool {
+	switch x := n.(type) {
+	case *plan.Filter:
+		return carriesIDs(x.Child)
+	case *plan.Project:
+		return carriesIDs(x.Child)
+	}
+	_, ok := n.(*plan.Scan)
+	return ok
 }
 
 // Drain executes the plan to completion once, discarding rows, and
@@ -670,6 +702,9 @@ func (k *scanKernel) NextBatch(b *Batch) (int, error) {
 				}
 			}
 			b.buf[kept] = row
+			if b.ids != nil {
+				b.ids[kept] = chunkIDs[i]
+			}
 			kept++
 		}
 	}
@@ -801,7 +836,7 @@ func (it *filterIter) NextBatch(b *Batch) (int, error) {
 			return 0, nil
 		}
 		kept := 0
-		for _, row := range b.Rows {
+		for i, row := range b.Rows {
 			t, handled := value.Unknown, false
 			if it.quick.ok {
 				t, handled = it.quick.eval(row)
@@ -816,6 +851,9 @@ func (it *filterIter) NextBatch(b *Batch) (int, error) {
 			}
 			if t == value.True {
 				b.buf[kept] = row
+				if b.ids != nil {
+					b.ids[kept] = b.ids[i]
+				}
 				kept++
 			}
 		}
@@ -853,8 +891,11 @@ func (it *projectIter) NextBatch(b *Batch) (int, error) {
 		b.setRows(0)
 		return 0, nil
 	}
-	if it.in == nil || cap(it.in.buf) < limit {
+	if it.in == nil || cap(it.in.buf) < limit || b.ids != nil && it.in.ids == nil {
 		it.in = NewBatch(limit)
+		if b.ids != nil {
+			it.in.withIDs()
+		}
 	}
 	it.view = it.in.view(limit)
 	n, err := it.child.NextBatch(&it.view)
@@ -877,6 +918,9 @@ func (it *projectIter) NextBatch(b *Batch) (int, error) {
 			out[j] = v
 		}
 		b.buf[i] = out
+	}
+	if b.ids != nil {
+		copy(b.ids, it.view.ids[:n])
 	}
 	b.setRows(n)
 	return n, nil

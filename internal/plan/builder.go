@@ -71,8 +71,8 @@ func BuildWithOuter(env *Env, sel *ast.Select, outer Schema) (Node, bool, error)
 }
 
 // BuildScalar compiles a standalone expression against a fixed row
-// schema (used for UPDATE/DELETE predicates, assignments and trigger
-// conditions). Subqueries are supported and resolve correlated
+// schema (used for INSERT values, trigger IF conditions and NOTIFY
+// messages). Subqueries are supported and resolve correlated
 // references against schema.
 func BuildScalar(env *Env, schema Schema, e ast.Expr) (Expr, error) {
 	b := &builder{env: env}
@@ -166,7 +166,7 @@ func (b *builder) buildSelect(sel *ast.Select) (Node, error) {
 	grouped := len(sel.GroupBy) > 0
 	if !grouped {
 		for _, item := range sel.Items {
-			if item.Expr != nil && containsAggregate(item.Expr) {
+			if item.Expr != nil && ContainsAggregate(item.Expr) {
 				grouped = true
 				break
 			}
@@ -458,7 +458,7 @@ func (b *builder) compileAggSpec(fc *ast.FuncCall, sc *scope) (AggSpec, error) {
 	if len(fc.Args) != 1 {
 		return AggSpec{}, fmt.Errorf("%s expects one argument", fc.Name)
 	}
-	if containsAggregate(fc.Args[0]) {
+	if ContainsAggregate(fc.Args[0]) {
 		return AggSpec{}, fmt.Errorf("aggregates cannot be nested")
 	}
 	// Aggregate arguments are evaluated against the pre-aggregation
@@ -556,7 +556,8 @@ func resolveOutput(e ast.Expr, out Schema, items []ast.SelectItem) (int, bool) {
 	return 0, false
 }
 
-func containsAggregate(e ast.Expr) bool {
+// ContainsAggregate reports whether e calls an aggregate function.
+func ContainsAggregate(e ast.Expr) bool {
 	found := false
 	ast.WalkExprs(e, func(x ast.Expr) {
 		if fc, ok := x.(*ast.FuncCall); ok && IsAggregateFunc(fc.Name) {

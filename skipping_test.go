@@ -19,11 +19,15 @@ const skipWatchExpr = "Audit_Watch"
 
 // buildSkipEngine loads a multi-chunk table, registers an audit
 // expression whose watch set is concentrated in one chunk, and turns
-// audit-all on so every query carries a probe.
+// audit-all on so every query carries a probe. Grp carries a secondary
+// index; F, D and S give the compiled scan predicate FLOAT, DATE and
+// STRING terms to claim.
 func buildSkipEngine(t *testing.T, workers int) *engine.Engine {
 	t.Helper()
 	eng := engine.New()
-	if _, err := eng.Exec("CREATE TABLE People (ID INT PRIMARY KEY, Grp INT, Val INT)"); err != nil {
+	if _, err := eng.ExecScript(`
+		CREATE TABLE People (ID INT PRIMARY KEY, Grp INT, Val INT, F FLOAT, D DATE, S VARCHAR(8));
+		CREATE INDEX people_grp ON People (Grp);`); err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
@@ -33,7 +37,7 @@ func buildSkipEngine(t *testing.T, workers int) *engine.Engine {
 		} else {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "(%d, %d, %d)", i, i/100, i%1000)
+		fmt.Fprintf(&b, "(%d, %d, %d, %s)", i, i/100, i%1000, skipTyped(i))
 		if (i+1)%1024 == 0 || i == skipTestRows-1 {
 			if _, err := eng.Exec(b.String()); err != nil {
 				t.Fatal(err)
@@ -53,6 +57,11 @@ func buildSkipEngine(t *testing.T, workers int) *engine.Engine {
 		eng.SetParallelMinRows(1)
 	}
 	return eng
+}
+
+// skipTyped renders row i's F, D and S values.
+func skipTyped(i int) string {
+	return fmt.Sprintf("%d.5, DATE '1995-%02d-%02d', 's%d'", i%1000, 1+i%12, 1+i%28, i%50)
 }
 
 func engAccessedKeys(r *engine.Result, expr string) []string {
@@ -80,9 +89,16 @@ var skipEquivalenceQueries = []string{
 
 // TestSkippingEquivalenceRandomDML is the property test for the data
 // skipping layer: under randomized DML interleavings (inserts, point
-// and range deletes, zone-map-widening and NULL-ing updates), every
-// query must return the same rows AND record the same ACCESSED id-set
-// whether chunk skipping is on or off — serially and at workers=8.
+// and range deletes, zone-map-widening and NULL-ing updates, writes
+// whose WHERE holds subqueries or typed terms or goes through the
+// secondary index), every query must return the same rows AND record
+// the same ACCESSED id-set whether chunk skipping is on or off —
+// serially and at workers=8. The writes alternate between the two
+// sessions, and each UPDATE or DELETE must affect exactly the rows a
+// SELECT COUNT(*) with its WHERE, run just before on the other session,
+// counts — and the right ones: no row a DELETE's WHERE matches is left,
+// and the rows a marking UPDATE wrote its marker into are exactly the
+// rows its WHERE matches.
 func TestSkippingEquivalenceRandomDML(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -103,26 +119,45 @@ func TestSkippingEquivalenceRandomDML(t *testing.T) {
 					alive[i] = i
 				}
 				nextID := 20000
+				marks := 0
+				mark := func() string { marks++; return fmt.Sprintf("m%d", marks) }
+				pick := func() int { return alive[rng.Intn(len(alive))] }
+				// reread refreshes alive after a write that deleted rows
+				// by something other than their ID.
+				reread := func() {
+					r, err := skipOn.Query("SELECT ID FROM People")
+					if err != nil {
+						t.Fatal(err)
+					}
+					alive = alive[:0]
+					for _, row := range r.Rows {
+						alive = append(alive, int(row[0].Int()))
+					}
+				}
 
 				for phase := 0; phase < 4; phase++ {
 					for op := 0; op < 150; op++ {
-						var sql string
-						switch rng.Intn(10) {
+						// Each write is a statement and its WHERE (an INSERT
+						// has none); a marking UPDATE also sets S to mark.
+						type write struct{ stmt, where, mark string }
+						var writes []write
+						kind := rng.Intn(15)
+						if kind > 2 && len(alive) == 0 {
+							continue
+						}
+						switch kind {
 						case 0, 1, 2: // insert fresh rows (can grow a new chunk)
-							sql = fmt.Sprintf("INSERT INTO People VALUES (%d, %d, %d)",
-								nextID, rng.Intn(200), rng.Intn(1000))
+							writes = []write{{fmt.Sprintf("INSERT INTO People VALUES (%d, %d, %d, %s)",
+								nextID, rng.Intn(200), rng.Intn(1000), skipTyped(nextID)), "", ""}}
 							alive = append(alive, nextID)
 							nextID++
 						case 3, 4: // point delete
-							if len(alive) == 0 {
-								continue
-							}
 							i := rng.Intn(len(alive))
-							sql = fmt.Sprintf("DELETE FROM People WHERE ID = %d", alive[i])
+							writes = []write{{"DELETE FROM People", fmt.Sprintf("ID = %d", alive[i]), ""}}
 							alive = append(alive[:i], alive[i+1:]...)
 						case 5: // range delete: chunk-emptying pressure
 							lo := rng.Intn(skipTestRows)
-							sql = fmt.Sprintf("DELETE FROM People WHERE ID BETWEEN %d AND %d", lo, lo+60)
+							writes = []write{{"DELETE FROM People", fmt.Sprintf("ID BETWEEN %d AND %d", lo, lo+60), ""}}
 							kept := alive[:0]
 							for _, id := range alive {
 								if id < lo || id > lo+60 {
@@ -131,26 +166,84 @@ func TestSkippingEquivalenceRandomDML(t *testing.T) {
 							}
 							alive = kept
 						case 6: // widening update: stretch the Val zone map
-							if len(alive) == 0 {
-								continue
-							}
-							sql = fmt.Sprintf("UPDATE People SET Val = %d WHERE ID = %d",
-								100000+rng.Intn(1000), alive[rng.Intn(len(alive))])
+							writes = []write{{fmt.Sprintf("UPDATE People SET Val = %d", 100000+rng.Intn(1000)),
+								fmt.Sprintf("ID = %d", pick()), ""}}
 						case 7: // NULL-ing update: exercise null counts
-							if len(alive) == 0 {
-								continue
+							writes = []write{{"UPDATE People SET Val = NULL", fmt.Sprintf("ID = %d", pick()), ""}}
+						case 8, 9: // ordinary update, moving the indexed Grp
+							writes = []write{{fmt.Sprintf("UPDATE People SET Val = %d, Grp = %d", rng.Intn(1000), rng.Intn(200)),
+								fmt.Sprintf("ID = %d", pick()), ""}}
+						case 10: // range delete on the zone-mapped Val
+							lo := rng.Intn(1000)
+							writes = []write{{"DELETE FROM People", fmt.Sprintf("Val BETWEEN %d AND %d", lo, lo+2), ""}}
+						case 11: // IN (subquery)
+							m := mark()
+							writes = []write{{fmt.Sprintf("UPDATE People SET Val = Val + 1, S = '%s'", m),
+								fmt.Sprintf("Grp IN (SELECT Grp FROM People WHERE ID = %d)", pick()), m}}
+						case 12: // correlated EXISTS
+							m := mark()
+							writes = []write{{fmt.Sprintf("UPDATE People SET S = '%s'", m),
+								fmt.Sprintf("Val < %d AND EXISTS (SELECT 1 FROM People q WHERE q.ID = People.Grp AND q.Val < 50)", rng.Intn(40)), m}}
+						case 13: // FLOAT, DATE and STRING terms
+							n := rng.Intn(1000)
+							where := []string{
+								fmt.Sprintf("F > %d.25 AND F < %d.75", n, n+3),
+								fmt.Sprintf("D = DATE '1995-%02d-%02d' AND Val < %d", 1+rng.Intn(12), 1+rng.Intn(28), n),
+								fmt.Sprintf("S = 's%d' AND F >= %d.0", rng.Intn(50), n),
+							}[rng.Intn(3)]
+							writes = []write{{"DELETE FROM People", where, ""}}
+						default: // move a row's indexed Grp, then update through the index
+							g, m := 200+rng.Intn(20), mark()
+							writes = []write{
+								{fmt.Sprintf("UPDATE People SET Grp = %d", g), fmt.Sprintf("ID = %d", pick()), ""},
+								{fmt.Sprintf("UPDATE People SET Val = %d, S = '%s'", rng.Intn(1000), m), fmt.Sprintf("Grp = %d", g), m},
 							}
-							sql = fmt.Sprintf("UPDATE People SET Val = NULL WHERE ID = %d",
-								alive[rng.Intn(len(alive))])
-						default: // ordinary update
-							if len(alive) == 0 {
-								continue
-							}
-							sql = fmt.Sprintf("UPDATE People SET Val = %d, Grp = %d WHERE ID = %d",
-								rng.Intn(1000), rng.Intn(200), alive[rng.Intn(len(alive))])
 						}
-						if _, err := eng.Exec(sql); err != nil {
-							t.Fatalf("seed=%d phase=%d: %s: %v", seed, phase, sql, err)
+						for i, w := range writes {
+							// Alternate the writing session; count on the other.
+							writer, counter := skipOn, skipOff
+							if (op+i)%2 == 1 {
+								writer, counter = skipOff, skipOn
+							}
+							if w.where == "" {
+								if _, err := writer.Exec(w.stmt); err != nil {
+									t.Fatalf("seed=%d phase=%d: %s: %v", seed, phase, w.stmt, err)
+								}
+								continue
+							}
+							sql := w.stmt + " WHERE " + w.where
+							count := func(where string) int {
+								t.Helper()
+								r, err := counter.Query("SELECT COUNT(*) FROM People WHERE " + where)
+								if err != nil {
+									t.Fatalf("seed=%d phase=%d: count for %s: %v", seed, phase, sql, err)
+								}
+								return int(r.Rows[0][0].Int())
+							}
+							want := count(w.where)
+							r, err := writer.Exec(sql)
+							if err != nil {
+								t.Fatalf("seed=%d phase=%d: %s: %v", seed, phase, sql, err)
+							}
+							if r.RowsAffected != want {
+								t.Fatalf("seed=%d phase=%d: %s affected %d rows, COUNT(*) with its WHERE said %d",
+									seed, phase, sql, r.RowsAffected, want)
+							}
+							if strings.HasPrefix(sql, "DELETE") {
+								if n := count(w.where); n != 0 {
+									t.Fatalf("seed=%d phase=%d: %s left %d matching rows", seed, phase, sql, n)
+								}
+							}
+							if w.mark != "" {
+								marked := fmt.Sprintf("S = '%s'", w.mark)
+								if n, m := count(marked), count(marked+" AND "+w.where); n != want || m != want {
+									t.Fatalf("seed=%d phase=%d: %s marked %d rows, %d of them matching, want %d",
+										seed, phase, sql, n, m, want)
+								}
+							}
+						}
+						if kind == 10 || kind == 13 {
+							reread()
 						}
 					}
 
