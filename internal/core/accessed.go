@@ -191,24 +191,16 @@ type Probe struct {
 	fresh []value.Value
 }
 
-// Observe implements plan.AuditSink.
-func (p *Probe) Observe(v value.Value) {
-	p.Acc.observed.Add(1)
-	if p.Expr.Contains(v) {
-		p.Acc.Record(p.Expr.Meta.Name, v)
-	}
-}
-
-// ObserveCount implements plan.CountingAuditSink: the fused kernel
-// advances the observed-row counter for a chunk whose sensitive-ID
-// sketch refuted every row, eliding the per-row probes. ACCESSED is
-// untouched — identical to n probes that all missed.
+// ObserveCount implements plan.AuditSink: the fused kernel advances
+// the observed-row counter for a chunk whose sensitive-ID sketch
+// refuted every row, eliding the per-row probes. ACCESSED is untouched
+// — identical to n probes that all missed.
 func (p *Probe) ObserveCount(n int64) { p.Acc.observed.Add(n) }
 
-// ObserveBatch implements plan.BatchAuditSink: one atomic add for the
+// ObserveBatch implements plan.AuditSink: one atomic add for the
 // observed counter, the lock-free membership probe per value, and at
 // most one ACCESSED lock acquisition per batch.
-func (p *Probe) ObserveBatch(vs []value.Value) {
+func (p *Probe) ObserveBatch(vs []value.Value) int {
 	p.Acc.observed.Add(int64(len(vs)))
 	p.fresh = p.fresh[:0]
 	for _, v := range vs {
@@ -219,9 +211,10 @@ func (p *Probe) ObserveBatch(vs []value.Value) {
 	if len(p.fresh) > 0 {
 		p.Acc.RecordBatch(p.Expr.Meta.Name, p.fresh)
 	}
+	return len(p.fresh)
 }
 
-// Fork implements plan.ParallelAuditSink: it returns a worker-local
+// Fork implements plan.AuditSink: it returns a worker-local
 // probe whose matches accumulate in private sets, untouched by any
 // lock, until Merge folds them into the shared ACCESSED state. The
 // membership side (Expr.Contains) reads an atomic snapshot of the ID
@@ -240,30 +233,22 @@ type workerProbe struct {
 	observed int64
 }
 
-// ObserveCount implements plan.CountingAuditSink on the worker-local
-// sink: the fused kernel calls it for chunks whose sensitive-ID sketch
-// refuted every row, keeping Observed() identical without per-row
-// probes. ACCESSED is untouched, exactly as n misses would leave it.
+// ObserveCount implements plan.WorkerAuditSink: sketch-refuted
+// probes advance the worker's observed count and nothing else.
 func (w *workerProbe) ObserveCount(n int64) { w.observed += n }
 
-// Observe implements plan.AuditSink on the worker-local sink.
-func (w *workerProbe) Observe(v value.Value) {
-	w.observed++
-	if !w.parent.Expr.Contains(v) {
-		return
-	}
-	w.add(v)
-}
-
-// ObserveBatch implements plan.BatchAuditSink on the worker-local
-// sink: no locks, no atomics — the whole batch lands in private maps.
-func (w *workerProbe) ObserveBatch(vs []value.Value) {
+// ObserveBatch implements plan.WorkerAuditSink: no locks, no atomics —
+// the whole batch lands in private maps.
+func (w *workerProbe) ObserveBatch(vs []value.Value) int {
 	w.observed += int64(len(vs))
+	hits := 0
 	for _, v := range vs {
 		if w.parent.Expr.Contains(v) {
 			w.add(v)
+			hits++
 		}
 	}
+	return hits
 }
 
 func (w *workerProbe) add(v value.Value) {

@@ -37,9 +37,9 @@ func TestRecordBatchMatchesRecord(t *testing.T) {
 	}
 }
 
-// TestObserveBatchMatchesObserve: the batched probe path must produce
-// the same ACCESSED contents and observed count as the row-at-a-time
-// path for the same value stream, duplicates included.
+// TestObserveBatchMatchesObserve: multi-value batches must produce the
+// same ACCESSED contents and observed count as one-value batches (the
+// row-at-a-time stream) for the same values, duplicates included.
 func TestObserveBatchMatchesObserve(t *testing.T) {
 	f := newFixture(t)
 	stream := []value.Value{
@@ -49,8 +49,8 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 
 	rowAcc := NewAccessed()
 	rowProbe := &Probe{Expr: f.ae, Acc: rowAcc}
-	for _, v := range stream {
-		rowProbe.Observe(v)
+	for i := range stream {
+		rowProbe.ObserveBatch(stream[i : i+1])
 	}
 
 	batchAcc := NewAccessed()

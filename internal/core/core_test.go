@@ -203,9 +203,9 @@ func TestProbeRecordsOnlySensitive(t *testing.T) {
 	f := newFixture(t)
 	acc := NewAccessed()
 	p := &Probe{Expr: f.ae, Acc: acc}
-	p.Observe(value.NewInt(1))
-	p.Observe(value.NewInt(999))
-	p.Observe(value.Null)
+	for _, v := range []value.Value{value.NewInt(1), value.NewInt(999), value.Null} {
+		p.ObserveBatch([]value.Value{v})
+	}
 	if acc.Len("Audit_All") != 1 {
 		t.Errorf("recorded = %d", acc.Len("Audit_All"))
 	}

@@ -167,8 +167,10 @@ func (e *Engine) writeMatched(meta *catalog.TableMeta, alias string, where ast.E
 		if read.correlated {
 			ctx.Eval.PushOuter(env.outerRow)
 		}
-		rows, ids, err := exec.RunIDs(read.root, ctx)
-		e.foldStats(e.sessionOf(env), ctx.Stats)
+		in := exec.NewInstance(read.root, ctx)
+		rows, ids, err := in.RunIDs()
+		t := in.Totals()
+		e.foldStats(e.sessionOf(env), &t)
 		if err != nil {
 			return nil, err
 		}
@@ -375,8 +377,8 @@ func (e *Engine) LoadRows(table string, rows []value.Row) error {
 // result-buffer retention (identical on both sides anyway) does not
 // drown the audit operator's cost in GC noise.
 func (e *Engine) DrainPlan(n plan.Node, sql string) (int, error) {
-	ctx := e.execCtx(rootActionEnv(), sql)
-	count, err := exec.Drain(n, ctx)
-	e.stats.RowsScanned.Add(ctx.Stats.RowsScanned.Load())
+	in := exec.NewInstance(n, e.execCtx(rootActionEnv(), sql))
+	count, err := in.Drain()
+	e.stats.RowsScanned.Add(in.Totals().RowsScanned)
 	return count, err
 }

@@ -71,11 +71,11 @@ type Engine struct {
 	heuristic atomic.Uint32
 
 	// metrics is the engine's observability registry: every counter in
-	// Stats lives here, so the wire "stats" op (Snapshot) and the HTTP
+	// stats lives here, so the wire "stats" op (Snapshot) and the HTTP
 	// /metrics endpoint (WritePrometheus) read the same atomics and can
 	// never disagree.
 	metrics *obs.Registry
-	stats   Stats
+	stats   counters
 	// rowsAuditedByTable partitions the rows-audited counter by
 	// sensitive table for the auditdb_rows_audited_total{table=...}
 	// Prometheus family.
@@ -158,10 +158,10 @@ type Engine struct {
 	offlineDeferred   *obs.CounterVec
 }
 
-// Stats counts engine activity. Each field is a counter registered in
-// the engine's obs.Registry; the field names are stable API, the
-// registry supplies the Prometheus names and wire-stats aliases.
-type Stats struct {
+// counters count engine activity. Each field is a counter registered
+// in the engine's obs.Registry, which supplies the Prometheus names and
+// wire-stats aliases.
+type counters struct {
 	Queries       *obs.Counter
 	Statements    *obs.Counter
 	TriggersFired *obs.Counter
@@ -248,7 +248,7 @@ func New() *Engine {
 func (e *Engine) initMetrics() {
 	r := obs.NewRegistry()
 	e.metrics = r
-	e.stats = Stats{
+	e.stats = counters{
 		Queries:       r.NewCounter("auditdb_queries_total", "queries", "SELECT statements executed."),
 		Statements:    r.NewCounter("auditdb_statements_total", "statements", "Statements of any kind executed."),
 		TriggersFired: r.NewCounter("auditdb_triggers_fired_total", "triggers_fired", "Trigger actions fired (SELECT and DML triggers)."),
@@ -690,12 +690,11 @@ func (e *Engine) runSelect(sel *ast.Select, sql string, env *actionEnv) (*Result
 // the entry's operator instance, fire ON ACCESS triggers, account the
 // engine counters and the statement record's slow-log fields. pe is the
 // session's L1 entry on the cached path, or a one-use entry wrapping a
-// freshly compiled plan. A statement sampled for tracing runs a fresh
-// tree under an Analyze collector instead of the entry's instance.
+// freshly compiled plan.
 func (e *Engine) executeSelect(pe *planEntry, sql string, env *actionEnv) (*Result, error) {
 	sess := e.sessionOf(env)
 	c := pe.compiled
-	n, targets := c.root, c.targets
+	targets := c.targets
 	var acc *core.Accessed
 	if len(targets) > 0 {
 		acc = core.NewAccessed()
@@ -716,47 +715,9 @@ func (e *Engine) executeSelect(pe *planEntry, sql string, env *actionEnv) (*Resu
 			sess.recPlacement = "exact"
 		}
 	}
-	if c.parallel {
-		e.parallelQueries.Add(1)
-	}
 
 	rec := &sess.rec
-	var inst *exec.Instance
-	if rec.Sampling() {
-		// Sampled statements run under an Analyze collector so the trace
-		// can attribute time, rows and morsel claims to individual
-		// operators and workers. Audit semantics are unchanged — Analyze
-		// only disables the physically-neutral scan–audit fusion.
-		ctx := exec.NewCtx(e.store)
-		ctx.Analyze = exec.NewAnalyze()
-		inst = exec.NewInstance(n, ctx)
-	} else {
-		inst = pe.instance(e.store)
-	}
-	ctx := inst.Ctx()
-	e.bindCtx(ctx, env, sql)
-	ctx.Workers = pe.knobs.workers
-	if c.correlated {
-		ctx.Eval.PushOuter(env.outerRow)
-	}
-	execSpan := rec.StartSpan("execute")
-	execStart := time.Now()
-	rows, err := inst.Run()
-	execDur := time.Since(execStart)
-	if scanned, skipFilter, skipAudit := e.foldStats(sess, ctx.Stats); execSpan >= 0 && scanned+skipFilter+skipAudit > 0 {
-		// The pruning decisions happen inside the scan kernels; the span
-		// records their outcome (counts, not time) under the execute span
-		// so traces show what skipping did.
-		skipSpan := rec.AddSpan(execSpan, "storage.skip", execStart, 0)
-		rec.SetAttrInt(skipSpan, "chunks_scanned", scanned)
-		rec.SetAttrInt(skipSpan, "chunks_skipped_filter", skipFilter)
-		rec.SetAttrInt(skipSpan, "chunks_skipped_audit", skipAudit)
-	}
-	if err == nil && execSpan >= 0 && ctx.Analyze != nil {
-		addOperatorSpans(rec, execSpan, n, ctx.Analyze, execStart)
-	}
-	rec.EndSpan(execSpan)
-	rec.AddPhase(trace.PhaseExec, execDur)
+	rows, _, err := e.run(pe, sql, env, rec.Sampling())
 	if err != nil {
 		return nil, err
 	}
@@ -795,30 +756,74 @@ func (e *Engine) executeSelect(pe *planEntry, sql string, env *actionEnv) (*Resu
 	return res, nil
 }
 
-// foldStats folds one execution's scan counters into the engine's
-// metrics and the statement record's rows_scanned: every SELECT's, and
-// every UPDATE's and DELETE's read. It returns the chunk counters.
-func (e *Engine) foldStats(sess *Session, st *exec.Stats) (scanned, skipFilter, skipAudit int64) {
-	rows := st.RowsScanned.Load()
-	e.stats.RowsScanned.Add(rows)
-	sess.recScanned += rows
-	if m := st.MorselsClaimed.Load(); m > 0 {
-		e.morselsDispatched.Add(m)
+// run is the one run routine of a compiled SELECT, observed or not: it
+// binds the entry's operator instance to the statement, runs it, folds
+// its records into the engine's metrics and the statement record, and
+// under a sampled statement adds the storage.skip span and one span per
+// operator. timed (a sampled statement, EXPLAIN ANALYZE) only makes the
+// operators read wall clocks. It returns the rows and the exec phase's
+// duration.
+func (e *Engine) run(pe *planEntry, sql string, env *actionEnv, timed bool) ([]value.Row, time.Duration, error) {
+	sess := e.sessionOf(env)
+	if pe.parallel {
+		e.parallelQueries.Add(1)
 	}
-	if n := st.PredInterpreted.Load(); n > 0 {
-		e.predInterpreted.Add(n)
+	inst := pe.instance(e.store)
+	ctx := inst.Ctx()
+	e.bindCtx(ctx, env, sql)
+	ctx.Workers = pe.knobs.workers
+	ctx.Timed = timed
+	if pe.correlated {
+		ctx.Eval.PushOuter(env.outerRow)
 	}
-	scanned, skipFilter, skipAudit = st.ChunksScanned.Load(), st.ChunksSkippedFilter.Load(), st.ChunksSkippedAudit.Load()
-	if scanned+skipFilter+skipAudit > 0 {
-		e.chunksScanned.Add(scanned)
-		if skipFilter > 0 {
-			e.chunksSkipped.With("filter").Add(skipFilter)
+	rec := &sess.rec
+	execSpan := rec.StartSpan("execute")
+	execStart := time.Now()
+	rows, err := inst.Run()
+	execDur := time.Since(execStart)
+	t := inst.Totals()
+	e.foldStats(sess, &t)
+	if execSpan >= 0 {
+		if t.ChunksScanned+t.ChunksSkippedFilter+t.ChunksSkippedAudit > 0 {
+			// The pruning decisions happen inside the scan kernels; the
+			// span records their outcome (counts, not time) under the
+			// execute span so traces show what skipping did.
+			skipSpan := rec.AddSpan(execSpan, "storage.skip", execStart, 0)
+			rec.SetAttrInt(skipSpan, "chunks_scanned", t.ChunksScanned)
+			rec.SetAttrInt(skipSpan, "chunks_skipped_filter", t.ChunksSkippedFilter)
+			rec.SetAttrInt(skipSpan, "chunks_skipped_audit", t.ChunksSkippedAudit)
 		}
-		if skipAudit > 0 {
-			e.chunksSkipped.With("audit").Add(skipAudit)
+		if err == nil {
+			addOperatorSpans(rec, execSpan, inst, execStart)
 		}
 	}
-	return scanned, skipFilter, skipAudit
+	rec.EndSpan(execSpan)
+	rec.AddPhase(trace.PhaseExec, execDur)
+	return rows, execDur, err
+}
+
+// foldStats folds one execution's scan totals (exec.Instance.Totals)
+// into the engine's metrics and the statement record's rows_scanned:
+// every SELECT's, EXPLAIN ANALYZE's, and every UPDATE's and DELETE's
+// read.
+func (e *Engine) foldStats(sess *Session, t *obs.NodeStats) {
+	e.stats.RowsScanned.Add(t.RowsScanned)
+	sess.recScanned += t.RowsScanned
+	if t.Morsels > 0 {
+		e.morselsDispatched.Add(t.Morsels)
+	}
+	if t.PredInterpreted > 0 {
+		e.predInterpreted.Add(t.PredInterpreted)
+	}
+	if t.ChunksScanned+t.ChunksSkippedFilter+t.ChunksSkippedAudit > 0 {
+		e.chunksScanned.Add(t.ChunksScanned)
+		if t.ChunksSkippedFilter > 0 {
+			e.chunksSkipped.With("filter").Add(t.ChunksSkippedFilter)
+		}
+		if t.ChunksSkippedAudit > 0 {
+			e.chunksSkipped.With("audit").Add(t.ChunksSkippedAudit)
+		}
+	}
 }
 
 func (e *Engine) runIf(s *ast.If, sql string, env *actionEnv) (*Result, error) {

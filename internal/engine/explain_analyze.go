@@ -8,103 +8,49 @@ import (
 	"auditdb/internal/ast"
 	"auditdb/internal/core"
 	"auditdb/internal/exec"
-	"auditdb/internal/obs"
 	"auditdb/internal/parser"
-	"auditdb/internal/plan"
 	"auditdb/internal/value"
 )
 
-// analyzeSink is the audit operator's sink under EXPLAIN ANALYZE: it
-// performs the same sensitive-ID membership probe a real execution
-// would (so probe/hit counts are faithful) but records nothing into
-// ACCESSED state — EXPLAIN ANALYZE must be side-effect-free: no
-// trigger fires and no audit trail is written. One sink belongs to one
-// audit operator (plan node), so counters attribute per node even with
-// several operators for the same expression (self-joins, subqueries).
-type analyzeSink struct {
-	expr     *core.AuditExpression
-	st       *obs.NodeStats
-	distinct map[string]struct{}
-}
-
-// Observe implements plan.AuditSink.
-func (s *analyzeSink) Observe(v value.Value) {
-	s.st.Probes++
-	if !s.expr.Contains(v) {
-		return
-	}
-	s.st.Hits++
-	k := value.KeyOf(v)
-	if _, dup := s.distinct[k]; !dup {
-		s.distinct[k] = struct{}{}
-		s.st.DistinctIDs++
-	}
-}
-
-// ObserveBatch implements plan.BatchAuditSink so the vectorized audit
-// iterator keeps its batch path under ANALYZE.
-func (s *analyzeSink) ObserveBatch(vs []value.Value) {
-	for _, v := range vs {
-		s.Observe(v)
-	}
-}
-
-// analyzeAuditSinks replaces every audit operator's probe sink with a
-// per-node analyzeSink bound to the collector, in the main tree and in
-// every (nested) subquery block.
-func analyzeAuditSinks(root plan.Node, az *exec.Analyze) {
-	plan.Walk(root, func(n plan.Node) {
-		a, ok := n.(*plan.Audit)
-		if !ok {
-			return
-		}
-		if p, ok := a.Sink.(*core.Probe); ok {
-			a.Sink = &analyzeSink{expr: p.Expr, st: az.Node(a), distinct: make(map[string]struct{})}
-		}
-	})
-	plan.Subplans(root, func(sq *plan.Subquery) {
-		analyzeAuditSinks(sq.Plan, az)
-	})
-}
-
 // runExplainAnalyze executes the query for real — same plan, same
-// optimization, same audit-operator placement — with every iterator
-// wrapped in a counting shim, then reports the plan tree annotated
-// with observed rows, batches, wall time, and per-audit-operator
-// probe/hit/distinct-ID counts. It deliberately never fires ON ACCESS
-// triggers and never persists ACCESSED state; the only engine counters
-// it moves are statements and rows_scanned.
+// optimization, same audit-operator placement, same operator instance
+// and run routine as the statement itself, timed — then reports the
+// plan tree annotated with each operator's record: rows, batches, wall
+// time, and per-audit-operator probes and hits, with distinct_ids the
+// run's ACCESSED size. It is a statement in the record: its compile is
+// charged to the plan phase and its run to the exec phase, and its
+// counters fold like a SELECT's. The plan's probes record into a
+// throwaway ACCESSED state, so it never fires ON ACCESS triggers,
+// records nothing, and moves neither queries, rows_audited,
+// triggers_fired nor the placement counters.
 func (e *Engine) runExplainAnalyze(s *ast.Explain, sql string, env *actionEnv) (*Result, error) {
+	sess := e.sessionOf(env)
+	k := sess.planKnobs()
 	start := time.Now()
-	k := e.sessionOf(env).planKnobs()
 	c, err := e.compile(s.Query, env, k)
 	if err != nil {
 		return nil, err
 	}
-	// The compiled plan's probes never receive a record: every one is
-	// swapped for an analyzeSink.
-	n := c.root
-	az := exec.NewAnalyze()
-	analyzeAuditSinks(n, az)
-
-	ctx := e.execCtx(env, sql)
-	ctx.Workers = k.workers
-	ctx.Analyze = az
-	rows, err := exec.Run(n, ctx)
-	e.stats.RowsScanned.Add(ctx.Stats.RowsScanned.Load())
+	r := &sess.rec
+	r.AddSpan(notePlan(r, start, time.Since(start), "miss"), "optimize", c.optStart, c.optDur)
+	acc := core.NewAccessed()
+	for _, p := range c.probes {
+		p.Acc = acc
+	}
+	pe := &planEntry{compiled: c, knobs: k}
+	rows, elapsed, err := e.run(pe, sql, env, true)
 	if err != nil {
 		return nil, err
 	}
-	elapsed := time.Since(start)
 
 	res := &Result{Columns: []string{"plan"}}
-	for _, line := range strings.Split(strings.TrimRight(exec.RenderAnalyze(n, az), "\n"), "\n") {
+	for _, line := range strings.Split(strings.TrimRight(exec.RenderAnalyze(pe.inst, acc.Len), "\n"), "\n") {
 		res.Rows = append(res.Rows, value.Row{value.NewString(line)})
 	}
-	skipped := ctx.Stats.ChunksSkippedFilter.Load() + ctx.Stats.ChunksSkippedAudit.Load()
+	t := pe.inst.Totals()
 	res.Rows = append(res.Rows, value.Row{value.NewString(fmt.Sprintf(
 		"Execution: rows=%d rows_scanned=%d chunks=%d/%d time=%s",
-		len(rows), ctx.Stats.RowsScanned.Load(), skipped, ctx.Stats.ChunksScanned.Load(),
+		len(rows), t.RowsScanned, t.ChunksSkippedFilter+t.ChunksSkippedAudit, t.ChunksScanned,
 		elapsed.Round(time.Microsecond)))})
 	return res, nil
 }

@@ -40,8 +40,10 @@ func analyzeText(t *testing.T, e *Engine, sql string) string {
 // TestExplainAnalyzeSideEffectFree is the tentpole guarantee: EXPLAIN
 // ANALYZE executes the query for real (probes run, rows flow) but
 // fires no trigger, records no ACCESSED state, and leaves the
-// rows_audited and triggers_fired counters untouched. Only statements
-// and rows_scanned may move.
+// rows_audited, triggers_fired and queries counters untouched. It is
+// a statement in the record, so what a run moves does move:
+// statements, rows_scanned, the chunk counters and the plan and exec
+// phase histograms.
 func TestExplainAnalyzeSideEffectFree(t *testing.T) {
 	e := newHealthDB(t)
 	withAliceAudit(t, e)

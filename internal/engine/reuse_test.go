@@ -3,7 +3,9 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -11,11 +13,13 @@ import (
 )
 
 // The reuse tests run the same statements on an engine whose plan-cache
-// entries reuse their operator instances and on a disablePlanCache
-// engine, where every statement builds and runs a fresh tree, and
-// demand identical results, ACCESSED sets, engine counters and trigger
-// logs. A reset that misses anything an execution left behind shows up
-// as a difference.
+// entries reuse their operator instances, on a disablePlanCache engine,
+// where every statement builds and runs a fresh tree, and on a second
+// reusing engine whose session samples every statement (SET trace = on),
+// and demand identical results, ACCESSED sets, engine counters and
+// trigger logs. A reset that misses anything an execution left behind,
+// or an observed run that takes another path, shows up as a
+// difference.
 
 const (
 	reuseCustomers = 600
@@ -75,29 +79,36 @@ func newReuseDB(t *testing.T, uncached bool) *Engine {
 	return e
 }
 
-// reusePair is one session on each engine, driven in lockstep.
+// reusePair is one session on each engine, driven in lockstep: reuse
+// and traced reuse their instances, traced with every statement
+// sampled; fresh builds a tree per statement.
 type reusePair struct {
-	t            *testing.T
-	reuse, fresh *Session
+	t                    *testing.T
+	reuse, fresh, traced *Session
 }
 
 func newReusePair(t *testing.T) *reusePair {
-	p := &reusePair{t: t, reuse: newReuseDB(t, false).NewSession(), fresh: newReuseDB(t, true).NewSession()}
+	p := &reusePair{t: t, reuse: newReuseDB(t, false).NewSession(), fresh: newReuseDB(t, true).NewSession(),
+		traced: newReuseDB(t, false).NewSession()}
+	p.traced.SetTrace(true)
 	p.both(func(s *Session) { s.SetUser("u1") })
 	return p
 }
 
-// both applies a session change (a setting, a write) to both sides.
+// both applies a session change (a setting, a write) to every side.
 func (p *reusePair) both(f func(s *Session)) {
-	f(p.reuse)
-	f(p.fresh)
+	for _, s := range p.sessions() {
+		f(s)
+	}
 }
 
+func (p *reusePair) sessions() []*Session { return []*Session{p.reuse, p.fresh, p.traced} }
+
 // write runs a statement whose result is not compared (DML, DDL) on
-// both sides.
+// every side.
 func (p *reusePair) write(sql string) {
 	p.t.Helper()
-	for _, s := range []*Session{p.reuse, p.fresh} {
+	for _, s := range p.sessions() {
 		if _, err := s.Exec(sql); err != nil {
 			p.t.Fatalf("%s: %v", sql, err)
 		}
@@ -126,18 +137,21 @@ func sig(s *Session, sql string) string {
 	return b.String()
 }
 
-// exec runs sql on both sides, fails on any difference, and returns the
-// signature.
+// exec runs sql on every side, fails on any difference, and returns
+// the signature.
 func (p *reusePair) exec(sql string) string {
 	p.t.Helper()
-	got, want := sig(p.reuse, sql), sig(p.fresh, sql)
+	got, want, traced := sig(p.reuse, sql), sig(p.fresh, sql), sig(p.traced, sql)
 	if got != want {
 		p.t.Fatalf("%s\nreused instance:\n%s\nfresh tree:\n%s", sql, got, want)
+	}
+	if traced != got {
+		p.t.Fatalf("%s\ntraced reused instance:\n%s\nuntraced:\n%s", sql, traced, got)
 	}
 	return got
 }
 
-// log returns the AccessLog rows of both sides, sorted, failing if they
+// log returns the AccessLog rows of every side, sorted, failing if they
 // differ. (Sorted because one statement firing two expressions fires
 // them in registry map order.)
 func (p *reusePair) log() [][]string {
@@ -154,9 +168,9 @@ func (p *reusePair) log() [][]string {
 		sort.Slice(out, func(i, j int) bool { return fmt.Sprint(out[i]) < fmt.Sprint(out[j]) })
 		return out
 	}
-	got, want := read(p.reuse), read(p.fresh)
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		p.t.Fatalf("trigger logs differ\nreused:\n%v\nfresh:\n%v", got, want)
+	got, want, traced := read(p.reuse), read(p.fresh), read(p.traced)
+	if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(traced) != fmt.Sprint(got) {
+		p.t.Fatalf("trigger logs differ\nreused:\n%v\nfresh:\n%v\ntraced:\n%v", got, want, traced)
 	}
 	return got
 }
@@ -208,6 +222,11 @@ var reuseShapes = []func(c, bal, o, lo, hi int64) string{
 		return fmt.Sprintf("SELECT c_custkey, o_orderkey FROM customer, orders WHERE c_custkey = o_custkey AND o_orderkey BETWEEN %d AND %d AND c_custkey > %d", lo, hi, c%50)
 	},
 }
+
+// reuseSubqueryRead reads orders through an uncorrelated IN subquery
+// whose audited customer scan has no prunable predicate (c_acctbal is a
+// DECIMAL).
+const reuseSubqueryRead = "SELECT o_orderkey FROM orders WHERE o_custkey IN (SELECT c_custkey FROM customer WHERE c_acctbal > 9990) ORDER BY o_orderkey"
 
 // TestInstanceReuseHotShapes draws the shapes with random bindings, a
 // quarter of the customer keys from the audited range as the benchmark
@@ -281,7 +300,7 @@ func TestInstanceReuseInterleavings(t *testing.T) {
 
 	t.Run("uncorrelated IN subquery with DML between", func(t *testing.T) {
 		p := newReusePair(t)
-		const q = "SELECT o_orderkey FROM orders WHERE o_custkey IN (SELECT c_custkey FROM customer WHERE c_acctbal > 9990) ORDER BY o_orderkey"
+		q := reuseSubqueryRead
 		before := p.exec(q)
 		p.write("UPDATE customer SET c_acctbal = 9995 WHERE c_custkey = 300")
 		if after := p.exec(q); after == before {
@@ -353,4 +372,71 @@ func TestInstanceReuseInterleavings(t *testing.T) {
 			p.exec(good)
 		}
 	})
+}
+
+// TestInstanceReuseAnalyzeAgrees is one more pass over reuseShapes, at
+// a sensitive and a non-sensitive binding, and reuseSubqueryRead:
+// EXPLAIN ANALYZE of each statement must report what a plain run of it
+// does —
+// the footer's rows_scanned and chunks= equal the run's counter
+// deltas, and the audit lines' probes sum to the run's
+// Accessed.Observed(). EXPLAIN ANALYZE runs the statement's own fused
+// path, so sketch-elided chunks and probes show in both.
+func TestInstanceReuseAnalyzeAgrees(t *testing.T) {
+	s := newReuseDB(t, false).NewSession()
+	footer := regexp.MustCompile(`^Execution: rows=\d+ rows_scanned=(\d+) chunks=(\d+)/(\d+) `)
+	probes := regexp.MustCompile(`^\s*Audit\(.* probes=(\d+) `)
+	atoi := func(x string) int64 {
+		n, err := strconv.ParseInt(x, 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	statements := []string{reuseSubqueryRead}
+	for _, shape := range reuseShapes {
+		for _, c := range []int64{7, 300} {
+			statements = append(statements, shape(c, 500, 4100, 4000, 4300))
+		}
+	}
+	for _, sql := range statements {
+		r, err := s.Exec("EXPLAIN ANALYZE " + sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		var report []string
+		var scanned, skipped, chunks, probed int64 = -1, -1, -1, 0
+		for _, row := range r.Rows {
+			line := row[0].Str()
+			report = append(report, line)
+			if m := footer.FindStringSubmatch(line); m != nil {
+				scanned, skipped, chunks = atoi(m[1]), atoi(m[2]), atoi(m[3])
+			}
+			if m := probes.FindStringSubmatch(line); m != nil {
+				probed += atoi(m[1])
+			}
+		}
+		if scanned < 0 {
+			t.Fatalf("%s: no footer in\n%s", sql, strings.Join(report, "\n"))
+		}
+
+		before := s.Engine().StatsSnapshot()
+		res, err := s.Exec(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		after := s.Engine().StatsSnapshot()
+		delta := func(k string) int64 { return after[k] - before[k] }
+		observed := int64(0)
+		if res.Accessed != nil {
+			observed = res.Accessed.Observed()
+		}
+		if scanned != delta("rows_scanned") || chunks != delta("chunks_scanned") ||
+			skipped != delta("chunks_skipped_filter")+delta("chunks_skipped_audit") || probed != observed {
+			t.Errorf("%s\nEXPLAIN ANALYZE: rows_scanned=%d chunks=%d/%d probes=%d\nrun: rows_scanned=%d chunks=%d/%d observed=%d\n%s",
+				sql, scanned, skipped, chunks, probed,
+				delta("rows_scanned"), delta("chunks_skipped_filter")+delta("chunks_skipped_audit"), delta("chunks_scanned"), observed,
+				strings.Join(report, "\n"))
+		}
+	}
 }

@@ -460,6 +460,45 @@ func TestWarmExecAllocBudget(t *testing.T) {
 	}
 }
 
+// TestSampledWarmExecReusesInstance: a sampled statement runs the same
+// reused operator instance as an unsampled one, so sampling every
+// statement adds only the trace itself — spans, the retained trace and
+// the clocks — to TestWarmExecAllocBudget's warm audited point SELECT,
+// not a rebuilt operator tree. The trace still carries operator spans.
+// The measured count is 16; the gate is 30, where a sampled statement
+// that rebuilt its tree (71) fails.
+func TestSampledWarmExecReusesInstance(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets do not hold under the race detector")
+	}
+	e := newAuditedDB(t, false)
+	e.SetTraceSampling(1)
+	const q = "SELECT Name FROM Patients WHERE PatientID = 2"
+	if _, err := e.Exec(q); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := e.Exec(q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("sampled warm Exec: %.1f allocs/op", allocs)
+	if allocs > 30 {
+		t.Fatalf("sampled warm Exec allocates %.1f/op, want <= 30", allocs)
+	}
+	res, err := e.Exec(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := e.TraceRing().Get(res.QID)
+	if tr == nil {
+		t.Fatal("the sampled statement's trace was not retained")
+	}
+	if len(spansNamed(tr, "Scan(Patients WHERE (PatientID = $1))")) != 1 {
+		t.Fatalf("no operator span in the sampled trace:\n%s", strings.Join(tr.Render(), "\n"))
+	}
+}
+
 // TestSharedCacheReplaceUnderLookup: lookup scans a variant list after
 // dropping the shard lock, so store must never modify a published list
 // in place (two sessions re-planning the same stale text). Run with

@@ -6,7 +6,6 @@ import (
 
 	"auditdb/internal/exec"
 	"auditdb/internal/obs"
-	"auditdb/internal/plan"
 	"auditdb/internal/trace"
 	"auditdb/internal/value"
 )
@@ -161,55 +160,66 @@ func (e *Engine) flushUnitTraced(s *Session, u *walUnit) error {
 }
 
 // addOperatorSpans synthesizes one span per plan operator from the
-// Analyze collector, nested to mirror the plan tree, with one child
-// span per parallel worker where fragments executed under an exchange.
-// It runs on the statement goroutine after exec.Run returned — the
-// exchange's Close is the happens-before edge for the workers' folded
-// records, so no worker ever touches the Rec (the Probe.Fork/Merge
-// discipline applied to tracing). Operator Start offsets are the exec
-// phase start; Dur is the operator's observed cumulative wall clock.
-func addOperatorSpans(r *trace.Rec, parent int, n plan.Node, az *exec.Analyze, execStart time.Time) {
-	st := az.Stats(n)
-	var dur time.Duration
-	if st != nil {
-		dur = st.Wall
-	}
-	id := r.AddSpan(parent, n.Label(), execStart, dur)
-	if id < 0 {
-		return
-	}
-	if st == nil {
-		r.SetAttr(id, "executed", "never")
-	} else {
-		r.SetAttrInt(id, "rows", st.RowsOut)
-		r.SetAttrInt(id, "batches", st.Batches)
-		if st.Workers > 0 {
-			r.SetAttrInt(id, "workers", st.Workers)
+// records of the instance that just ran, nested to mirror the plan
+// tree, then one span per parallel worker under each operator whose
+// fragments executed under an exchange. It runs on the statement
+// goroutine after the run returned — the exchange's Close is the
+// happens-before edge for the workers' folded records, so no worker
+// ever touches the Rec (the Probe.Fork/Merge discipline applied to
+// tracing). Operator Start offsets are the exec phase start; Dur is the
+// operator's observed cumulative wall clock. The labels come from the
+// instance's kept operator list and the attributes share one
+// allocation, so tracing a reused instance costs a few allocations, not
+// a relabelled plan.
+func addOperatorSpans(r *trace.Rec, parent int, in *exec.Instance, execStart time.Time) {
+	ops := in.Ops()
+	attrs := make([]trace.Attr, 0, 4*len(ops))
+	first := -1
+	for i, op := range ops {
+		p := parent
+		if op.Parent >= 0 {
+			p = first + op.Parent
 		}
-		if st.Morsels > 0 {
-			r.SetAttrInt(id, "morsels", st.Morsels)
+		st := in.Stats(op.Node)
+		var dur time.Duration
+		if st != nil {
+			dur = st.Wall
 		}
-		if st.ChunksScanned+st.ChunksSkipped > 0 {
-			r.SetAttrInt(id, "chunks_scanned", st.ChunksScanned)
-			r.SetAttrInt(id, "chunks_skipped", st.ChunksSkipped)
+		id := r.AddSpan(p, op.Label, execStart, dur)
+		if id < 0 {
+			return
 		}
-		if st.BuildLeft > 0 {
-			r.SetAttr(id, "build", "left")
+		if i == 0 {
+			first = id
+		}
+		lo := len(attrs)
+		if st == nil {
+			attrs = append(attrs, trace.Attr{Key: "executed", Str: "never"})
+		} else {
+			attrs = append(attrs, trace.Attr{Key: "rows", Int: st.RowsOut}, trace.Attr{Key: "batches", Int: st.Batches})
+			if st.Workers > 0 {
+				attrs = append(attrs, trace.Attr{Key: "workers", Int: st.Workers})
+			}
+			if st.Morsels > 0 {
+				attrs = append(attrs, trace.Attr{Key: "morsels", Int: st.Morsels})
+			}
+			if skipped := st.ChunksSkippedFilter + st.ChunksSkippedAudit; st.ChunksScanned+skipped > 0 {
+				attrs = append(attrs, trace.Attr{Key: "chunks_scanned", Int: st.ChunksScanned},
+					trace.Attr{Key: "chunks_skipped", Int: skipped})
+			}
+			if st.BuildLeft > 0 {
+				attrs = append(attrs, trace.Attr{Key: "build", Str: "left"})
+			}
+		}
+		r.SetAttrs(id, attrs[lo:len(attrs):len(attrs)])
+	}
+	for i, op := range ops {
+		for _, ws := range in.WorkerRuns(op.Node) {
+			wid := r.AddSpan(first+i, "worker", execStart, ws.Wall)
+			r.SetAttrInt(wid, "rows", ws.RowsOut)
+			r.SetAttrInt(wid, "morsels", ws.Morsels)
 		}
 	}
-	for _, ws := range az.WorkerRuns(n) {
-		wid := r.AddSpan(id, "worker", execStart, ws.Wall)
-		r.SetAttrInt(wid, "rows", ws.RowsOut)
-		r.SetAttrInt(wid, "morsels", ws.Morsels)
-	}
-	for _, c := range n.Children() {
-		addOperatorSpans(r, id, c, az, execStart)
-	}
-	plan.WalkNodeExprs(n, func(ex plan.Expr) {
-		if sq, ok := ex.(*plan.Subquery); ok {
-			addOperatorSpans(r, id, sq.Plan, az, execStart)
-		}
-	})
 }
 
 // runShowTraces serves SHOW TRACES: the retained traces, newest first.

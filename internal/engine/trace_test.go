@@ -605,7 +605,9 @@ func TestTraceTxnExecChargesParse(t *testing.T) {
 // TestTraceMetricsAgree: the phase histograms are fed from the
 // statement record, so with every statement retained their sums equal
 // the sums of the retained traces' phases, and query latency counts
-// one observation per top-level statement.
+// one observation per top-level statement. EXPLAIN ANALYZE is a
+// statement like any other: its compile lands in the plan phase and
+// its run in the exec phase.
 func TestTraceMetricsAgree(t *testing.T) {
 	e := New()
 	s := e.NewSession()
@@ -625,9 +627,15 @@ func TestTraceMetricsAgree(t *testing.T) {
 			"SELECT Name FROM Patients WHERE 1 = 1",                                                 // fold-sensitive: compiled each time
 			fmt.Sprintf("SELECT Age FROM Patients WHERE Age > %d ORDER BY Age LIMIT %d", 20+i, 1+i), // new shape each time
 			fmt.Sprintf("INSERT INTO Disease VALUES (%d, 'flu')", 10+i),                             // fires nothing
+			"EXPLAIN ANALYZE SELECT Name FROM Patients WHERE Age > 30",                              // a compile and a run
 		} {
+			planN, execN := e.planSeconds.Count(), e.execSeconds.Count()
 			if _, err := s.Exec(q); err != nil {
 				t.Fatalf("%s: %v", q, err)
+			}
+			if strings.HasPrefix(q, "EXPLAIN") && (e.planSeconds.Count() != planN+1 || e.execSeconds.Count() != execN+1) {
+				t.Errorf("%s: plan_seconds_count moved %d, exec_seconds_count %d; want 1 each",
+					q, e.planSeconds.Count()-planN, e.execSeconds.Count()-execN)
 			}
 		}
 		if _, err := s.ExecScript("SELECT COUNT(*) FROM Disease; SELECT Name FROM Patients WHERE Age < 30"); err != nil {

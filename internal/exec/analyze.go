@@ -10,193 +10,261 @@ import (
 	"auditdb/internal/plan"
 )
 
-// Analyze collects per-operator execution statistics for EXPLAIN
-// ANALYZE. When Ctx.Analyze is set, open wraps every operator in a
-// counting shim and disables the scan–audit fusion so each plan node
-// keeps its own operator (semantics are unchanged — fusion is purely
-// physical). Stats are keyed by plan-node identity, so repeated
-// executions of the same node (correlated subqueries) accumulate.
-type Analyze struct {
-	mu    sync.Mutex
-	nodes map[plan.Node]*obs.NodeStats
-	// workers keeps each parallel worker's folded record per node, in
-	// merge order, so tracing can attribute rows and morsel claims to
-	// individual workers after the exchange closes. Appended under mu by
-	// the same once-per-worker fold that updates the shared record.
+// profile is an instance's records: one obs.NodeStats per plan node
+// that ran under it, subquery blocks included, created with the node's
+// first operator and zeroed at the start of every run. A plan node
+// keeps its record however often its operator is rebuilt (a subquery's
+// tree is built per evaluation), so repeated executions accumulate.
+// Operators are built on the statement goroutine only (a parallel run
+// builds its fragments before any worker starts), so nodes needs no
+// lock; mu guards the worker folds. Plans are small, so nodes is a
+// list searched in order, kept in the profile's own array up to eight
+// nodes.
+type profile struct {
+	nodes  []nodeRecord
+	inline [8]nodeRecord
+	mu     sync.Mutex
+	// workers keeps each parallel worker's record per node, in fold
+	// order, so tracing can attribute rows and morsel claims to
+	// individual workers.
 	workers map[plan.Node][]obs.NodeStats
 }
 
-// NewAnalyze returns an empty collector.
-func NewAnalyze() *Analyze {
-	return &Analyze{nodes: make(map[plan.Node]*obs.NodeStats)}
+type nodeRecord struct {
+	n  plan.Node
+	st *obs.NodeStats
 }
 
-// Node returns the stats record for a plan node, creating it on first
-// use. The engine uses it to attach audit-probe counts to Audit nodes.
-func (a *Analyze) Node(n plan.Node) *obs.NodeStats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	st, ok := a.nodes[n]
-	if !ok {
-		st = &obs.NodeStats{}
-		a.nodes[n] = st
+// find returns n's record, nil if n has none yet.
+func (p *profile) find(n plan.Node) *obs.NodeStats {
+	for _, r := range p.nodes {
+		if r.n == n {
+			return r.st
+		}
 	}
+	return nil
+}
+
+// record returns n's record, making st (a fresh one when nil) n's
+// record if it has none yet.
+func (p *profile) record(n plan.Node, st *obs.NodeStats) *obs.NodeStats {
+	if r := p.find(n); r != nil {
+		return r
+	}
+	if st == nil {
+		st = &obs.NodeStats{}
+	}
+	if p.nodes == nil {
+		p.nodes = p.inline[:0]
+	}
+	p.nodes = append(p.nodes, nodeRecord{n, st})
 	return st
 }
 
-// peek returns the stats record if the node ever executed.
-func (a *Analyze) peek(n plan.Node) *obs.NodeStats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.nodes[n]
-}
-
-// Stats returns the collected record for n, or nil if the node never
-// executed. Callers must not read it until execution has completed
-// (for parallel plans, until the exchange's Close returned — that is
-// the happens-before edge for the workers' folds).
-func (a *Analyze) Stats(n plan.Node) *obs.NodeStats { return a.peek(n) }
-
-// WorkerRuns returns one folded record per parallel worker that
-// executed n (empty for serial nodes), in fold order. Same
-// happens-before requirement as Stats.
-func (a *Analyze) WorkerRuns(n plan.Node) []obs.NodeStats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.workers[n]
-}
-
-// merge folds one operator instance's record into its node's shared
-// record under the collector's lock — once per instance, at close, so
-// parallel workers never contend on the hot path. A worker's record
-// (Workers = 1) is also kept on its own for WorkerRuns. Only the
-// counters analyzedIter owns are folded: probe counts are written by
-// the engine's sinks.
-func (a *Analyze) merge(n plan.Node, st *obs.NodeStats) {
-	dst := a.Node(n)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	dst.RowsOut += st.RowsOut
-	dst.Batches += st.Batches
-	dst.Wall += st.Wall
-	dst.Morsels += st.Morsels
-	dst.Workers += st.Workers
-	dst.ChunksScanned += st.ChunksScanned
-	dst.ChunksSkipped += st.ChunksSkipped
-	dst.BuildLeft += st.BuildLeft
-	if st.Workers == 0 {
-		return
+// zero starts a run: every record and worker list empties in place.
+func (p *profile) zero() {
+	for _, r := range p.nodes {
+		*r.st = obs.NodeStats{}
 	}
-	if a.workers == nil {
-		a.workers = make(map[plan.Node][]obs.NodeStats)
+	for n, ws := range p.workers {
+		p.workers[n] = ws[:0]
 	}
-	a.workers[n] = append(a.workers[n], *st)
 }
 
-// analyzedIter counts rows, batches, and wall time through one
-// operator, serial or inside a worker's fragment, into a private
-// record that folds into the node's shared record exactly once, at
-// Close — which, for a fragment, the exchange operator guarantees
-// happens before the query's EXPLAIN ANALYZE output renders. Wall time
-// covers reset as well as NextBatch, so the blocking work done in
-// reset (join builds, aggregation, sorts) is charged to its operator.
-// A scan kernel's chunk and morsel-claim counters, and which input a
-// hash join built, are harvested at Close.
-type analyzedIter struct {
+// fold adds one worker's record for n into n's record dst, and keeps
+// it on its own for WorkerRuns — once per worker operator, at its
+// Close, so workers never contend on the hot path.
+func (p *profile) fold(n plan.Node, dst, st *obs.NodeStats) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	dst.Add(st)
+	if p.workers == nil {
+		p.workers = make(map[plan.Node][]obs.NodeStats)
+	}
+	p.workers[n] = append(p.workers[n], *st)
+}
+
+// counted is the wrapper every built operator runs under: it counts the
+// operator's starts, rows and batches into st and, on a timed run, the
+// wall clock of its reset and NextBatch calls — reset included, so the
+// blocking work done there (join builds, aggregation, sorts) is charged
+// to its operator. Operators with more to count (scan kernels, audit
+// operators, filters, hash joins, the exchange) count into the same
+// record. Serially st is the node's record — rec, unless an earlier
+// build of the node already made one; inside a parallel fragment st is
+// rec as the worker's private record, folded into the node's record
+// (shared) at Close, which the exchange guarantees happens before the
+// run returns.
+type counted struct {
 	child  Iterator
-	az     *Analyze
+	ctx    *Ctx
 	node   plan.Node
-	worker bool
-	st     obs.NodeStats
-	closed bool
+	st     *obs.NodeStats
+	shared *obs.NodeStats // inside a parallel fragment only
+	rec    obs.NodeStats
 }
 
-func (it *analyzedIter) reset() error {
-	it.st, it.closed = obs.NodeStats{}, false
+func newCounted(n plan.Node, ctx *Ctx, w *worker) *counted {
+	if ctx.prof == nil {
+		// Built outside an instance run (standalone expression
+		// evaluation): the context keeps records of its own.
+		ctx.prof = &profile{}
+	}
+	c := &counted{ctx: ctx, node: n}
+	if w == nil {
+		c.st = ctx.prof.record(n, &c.rec)
+	} else {
+		c.shared, c.st = ctx.prof.record(n, nil), &c.rec
+	}
+	return c
+}
+
+func (c *counted) reset() error {
+	c.st.Runs++
+	if !c.ctx.Timed {
+		return c.child.reset()
+	}
 	start := time.Now()
-	err := it.child.reset()
-	it.st.Wall += time.Since(start)
+	err := c.child.reset()
+	c.st.Wall += time.Since(start)
 	return err
 }
 
-func (it *analyzedIter) NextBatch(b *Batch) (int, error) {
-	start := time.Now()
-	n, err := it.child.NextBatch(b)
-	it.st.Wall += time.Since(start)
+func (c *counted) NextBatch(b *Batch) (int, error) {
+	var start time.Time
+	if c.ctx.Timed {
+		start = time.Now()
+	}
+	n, err := c.child.NextBatch(b)
+	if c.ctx.Timed {
+		c.st.Wall += time.Since(start)
+	}
 	if n > 0 {
-		it.st.Batches++
-		it.st.RowsOut += int64(n)
+		c.st.Batches++
+		c.st.RowsOut += int64(n)
 	}
 	return n, err
 }
 
-func (it *analyzedIter) Close() {
-	if it.closed {
-		return
+func (c *counted) Close() {
+	c.child.Close()
+	if c.shared != nil && c.rec.Runs > 0 {
+		c.rec.Workers = 1
+		c.ctx.prof.fold(c.node, c.shared, &c.rec)
+		c.rec = obs.NodeStats{}
 	}
-	it.closed = true
-	it.child.Close()
-	switch c := it.child.(type) {
-	case *scanKernel:
-		it.st.Morsels = c.morsels
-		it.st.ChunksScanned = c.chunksScanned
-		it.st.ChunksSkipped = c.chunksSkipFilter + c.chunksSkipAudit
-	case *hashJoinIter:
-		if c.buildLeft {
-			it.st.BuildLeft = 1
+}
+
+// Stats returns the last run's record for n, or nil if n never
+// executed in it.
+func (in *Instance) Stats(n plan.Node) *obs.NodeStats {
+	if st := in.prof.find(n); st != nil && st.Runs > 0 {
+		return st
+	}
+	return nil
+}
+
+// WorkerRuns returns one record per parallel worker that executed n in
+// the last run (empty for serial nodes), in fold order.
+func (in *Instance) WorkerRuns(n plan.Node) []obs.NodeStats { return in.prof.workers[n] }
+
+// Totals folds the last run's records into the statement's scan
+// totals: rows read from storage, morsels claimed, chunks scanned and
+// skipped by reason, and rows whose predicate the interpreter
+// evaluated. Only those fields are set.
+func (in *Instance) Totals() obs.NodeStats {
+	var t obs.NodeStats
+	for _, r := range in.prof.nodes {
+		st := r.st
+		t.RowsScanned += st.RowsScanned
+		t.Morsels += st.Morsels
+		t.ChunksScanned += st.ChunksScanned
+		t.ChunksSkippedFilter += st.ChunksSkippedFilter
+		t.ChunksSkippedAudit += st.ChunksSkippedAudit
+		t.PredInterpreted += st.PredInterpreted
+	}
+	return t
+}
+
+// Op is one operator of an instance's plan, in render order: depth
+// first, a node's children before the subquery blocks its expressions
+// reference.
+type Op struct {
+	Node  plan.Node
+	Label string
+	// Parent is the index of the operator above, -1 for the root. A
+	// subquery block's root has the referencing node as its parent.
+	Parent   int
+	Depth    int
+	Subquery bool // the root of a subquery block
+}
+
+// Ops returns the instance's operators in render order, labelled. The
+// list is built on first use and kept, so a reused instance renders
+// and traces without relabelling its plan.
+func (in *Instance) Ops() []Op {
+	if in.ops == nil {
+		in.ops = appendOps(nil, in.root, -1, 0, false)
+	}
+	return in.ops
+}
+
+func appendOps(ops []Op, n plan.Node, parent, depth int, sub bool) []Op {
+	self := len(ops)
+	ops = append(ops, Op{Node: n, Label: n.Label(), Parent: parent, Depth: depth, Subquery: sub})
+	for _, c := range n.Children() {
+		ops = appendOps(ops, c, self, depth+1, false)
+	}
+	plan.WalkNodeExprs(n, func(e plan.Expr) {
+		if sq, ok := e.(*plan.Subquery); ok {
+			ops = appendOps(ops, sq.Plan, self, depth+2, true)
 		}
-	}
-	if it.worker {
-		it.st.Workers = 1
-	}
-	it.az.merge(it.node, &it.st)
+	})
+	return ops
 }
 
-// RenderAnalyze renders the plan tree with each operator's observed
-// counters, in the same indented shape as plan.Explain. Subquery
-// blocks referenced by a node's expressions are rendered beneath it
-// under a "Subquery" marker. Operators that never executed (e.g. a
-// subquery short-circuited away) say so.
-func RenderAnalyze(root plan.Node, a *Analyze) string {
+// RenderAnalyze renders the instance's plan tree with each operator's
+// counters from its last run, in the same indented shape as
+// plan.Explain. Subquery blocks referenced by a node's expressions are
+// rendered beneath it under a "Subquery" marker. Operators that never
+// executed (e.g. a subquery short-circuited away) say so. distinct
+// gives an audit line's distinct_ids: the run's ACCESSED size for the
+// operator's expression.
+func RenderAnalyze(in *Instance, distinct func(expr string) int) string {
 	var b strings.Builder
-	renderAnalyze(&b, root, a, 0)
-	return b.String()
-}
-
-func renderAnalyze(b *strings.Builder, n plan.Node, a *Analyze, depth int) {
-	indent := strings.Repeat("  ", depth)
-	b.WriteString(indent)
-	b.WriteString(n.Label())
-	if st := a.peek(n); st != nil {
-		fmt.Fprintf(b, "  (rows=%d batches=%d time=%s", st.RowsOut, st.Batches, st.Wall.Round(time.Microsecond))
-		if _, ok := n.(*plan.Audit); ok {
-			fmt.Fprintf(b, " probes=%d hits=%d distinct_ids=%d", st.Probes, st.Hits, st.DistinctIDs)
+	for _, op := range in.Ops() {
+		if op.Subquery {
+			b.WriteString(strings.Repeat("  ", op.Depth-1))
+			b.WriteString("Subquery\n")
+		}
+		b.WriteString(strings.Repeat("  ", op.Depth))
+		b.WriteString(op.Label)
+		st := in.Stats(op.Node)
+		if st == nil {
+			b.WriteString("  (never executed)\n")
+			continue
+		}
+		fmt.Fprintf(&b, "  (rows=%d batches=%d time=%s", st.RowsOut, st.Batches, st.Wall.Round(time.Microsecond))
+		if a, ok := op.Node.(*plan.Audit); ok {
+			ids := 0
+			if distinct != nil {
+				ids = distinct(a.Name)
+			}
+			fmt.Fprintf(&b, " probes=%d hits=%d distinct_ids=%d", st.Probes, st.Hits, ids)
 		}
 		if st.Workers > 0 {
-			fmt.Fprintf(b, " workers=%d", st.Workers)
+			fmt.Fprintf(&b, " workers=%d", st.Workers)
 		}
 		if st.Morsels > 0 {
-			fmt.Fprintf(b, " morsels=%d", st.Morsels)
+			fmt.Fprintf(&b, " morsels=%d", st.Morsels)
 		}
-		if st.ChunksScanned+st.ChunksSkipped > 0 {
-			fmt.Fprintf(b, " chunks=%d/%d", st.ChunksSkipped, st.ChunksScanned)
+		if skipped := st.ChunksSkippedFilter + st.ChunksSkippedAudit; st.ChunksScanned+skipped > 0 {
+			fmt.Fprintf(&b, " chunks=%d/%d", skipped, st.ChunksScanned)
 		}
 		if st.BuildLeft > 0 {
 			b.WriteString(" build=left")
 		}
-		b.WriteString(")")
-	} else {
-		b.WriteString("  (never executed)")
+		b.WriteString(")\n")
 	}
-	b.WriteByte('\n')
-	for _, c := range n.Children() {
-		renderAnalyze(b, c, a, depth+1)
-	}
-	plan.WalkNodeExprs(n, func(e plan.Expr) {
-		if sq, ok := e.(*plan.Subquery); ok {
-			b.WriteString(strings.Repeat("  ", depth+1))
-			b.WriteString("Subquery\n")
-			renderAnalyze(b, sq.Plan, a, depth+2)
-		}
-	})
+	return b.String()
 }

@@ -50,16 +50,16 @@ func bigHarness(t *testing.T) *harness {
 func TestLimitScanStreamsBoundedWork(t *testing.T) {
 	h := bigHarness(t)
 	for _, sql := range []string{"SELECT k FROM big LIMIT 1", "SELECT DISTINCT grp FROM big LIMIT 1"} {
-		ctx := NewCtx(h.store)
-		rows, err := Run(mustPlan(t, h, sql), ctx)
+		in := NewInstance(mustPlan(t, h, sql), NewCtx(h.store))
+		rows, err := in.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(rows) != 1 {
 			t.Fatalf("%s: rows = %d, want 1", sql, len(rows))
 		}
-		if ctx.Stats.RowsScanned.Load() > batchSeed {
-			t.Errorf("%s scanned %d storage rows, want <= %d (one seed batch)", sql, ctx.Stats.RowsScanned.Load(), batchSeed)
+		if scanned := in.Totals().RowsScanned; scanned > batchSeed {
+			t.Errorf("%s scanned %d storage rows, want <= %d (one seed batch)", sql, scanned, batchSeed)
 		}
 	}
 }
@@ -71,17 +71,16 @@ func TestLimitWithPredicateStreamsBoundedWork(t *testing.T) {
 	h := bigHarness(t)
 	// grp = 7 matches every 100th row; LIMIT 2 is satisfied after ~108
 	// heap rows. Allow request-granularity slack, but far below 5000.
-	n := mustPlan(t, h, "SELECT k FROM big WHERE grp = 7 LIMIT 2")
-	ctx := NewCtx(h.store)
-	rows, err := Run(n, ctx)
+	in := NewInstance(mustPlan(t, h, "SELECT k FROM big WHERE grp = 7 LIMIT 2"), NewCtx(h.store))
+	rows, err := in.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(rows))
 	}
-	if ctx.Stats.RowsScanned.Load() >= 5000 {
-		t.Errorf("LIMIT 2 walked the whole heap (%d rows scanned)", ctx.Stats.RowsScanned.Load())
+	if scanned := in.Totals().RowsScanned; scanned >= 5000 {
+		t.Errorf("LIMIT 2 walked the whole heap (%d rows scanned)", scanned)
 	}
 }
 
@@ -89,41 +88,42 @@ func TestLimitWithPredicateStreamsBoundedWork(t *testing.T) {
 // kernel must fetch exactly the candidate row IDs, not the table.
 func TestPointLookupProbesOnlyIndexResult(t *testing.T) {
 	h := bigHarness(t)
-	n := mustPlan(t, h, "SELECT v FROM big WHERE k = 17")
-	ctx := NewCtx(h.store)
-	rows, err := Run(n, ctx)
+	in := NewInstance(mustPlan(t, h, "SELECT v FROM big WHERE k = 17"), NewCtx(h.store))
+	rows, err := in.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 1 || rows[0][0].S != "v17" {
 		t.Fatalf("rows = %v", rows)
 	}
-	if ctx.Stats.RowsScanned.Load() != 1 {
-		t.Errorf("point lookup scanned %d storage rows, want 1", ctx.Stats.RowsScanned.Load())
+	if scanned := in.Totals().RowsScanned; scanned != 1 {
+		t.Errorf("point lookup scanned %d storage rows, want 1", scanned)
 	}
 }
 
-// countingBatchSink implements plan.BatchAuditSink for fused-kernel
-// tests without importing internal/core (which itself imports exec).
+// countingBatchSink implements plan.AuditSink for fused-kernel tests
+// without importing internal/core (which itself imports exec). It is
+// never forked: the tests that use it run serially.
 type countingBatchSink struct {
-	observes int // Observe calls (row-at-a-time path)
-	batches  int // ObserveBatch calls
-	vals     []value.Value
+	batches int // ObserveBatch calls
+	elided  int64
+	vals    []value.Value
 }
 
-func (s *countingBatchSink) Observe(v value.Value) {
-	s.observes++
-	s.vals = append(s.vals, v)
-}
-
-func (s *countingBatchSink) ObserveBatch(vs []value.Value) {
+func (s *countingBatchSink) ObserveBatch(vs []value.Value) int {
 	s.batches++
 	s.vals = append(s.vals, vs...)
+	return 0
+}
+
+func (s *countingBatchSink) ObserveCount(n int64) { s.elided += n }
+func (s *countingBatchSink) Fork() plan.WorkerAuditSink {
+	panic("countingBatchSink: serial tests only")
 }
 
 // TestFusedAuditScanObservesPostPredicateRows: the fused kernel must
 // deliver exactly the predicate-surviving partition-by values to the
-// sink, batched (ObserveBatch, not per-row Observe).
+// sink, batched (far fewer ObserveBatch calls than values).
 func TestFusedAuditScanObservesPostPredicateRows(t *testing.T) {
 	h := bigHarness(t)
 	scan := mustPlan(t, h, "SELECT k, grp, v FROM big WHERE grp < 2")
@@ -150,8 +150,8 @@ func TestFusedAuditScanObservesPostPredicateRows(t *testing.T) {
 	if len(sink.vals) != 100 {
 		t.Errorf("sink observed %d values, want 100 (post-predicate rows only)", len(sink.vals))
 	}
-	if sink.observes != 0 || sink.batches == 0 {
-		t.Errorf("fused kernel used per-row Observe (%d calls), want batched (%d batches)", sink.observes, sink.batches)
+	if sink.batches == 0 || sink.batches >= len(sink.vals) || sink.elided != 0 {
+		t.Errorf("fused kernel probed %d values in %d calls (%d elided), want batched, none elided", len(sink.vals), sink.batches, sink.elided)
 	}
 }
 
@@ -171,7 +171,7 @@ func TestScanKernelAllocsPerRun(t *testing.T) {
 		t.Fatalf("rows = %v, want [[2500]]", rows)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := Drain(n, NewCtx(h.store)); err != nil {
+		if _, err := NewInstance(n, NewCtx(h.store)).Drain(); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -200,7 +200,7 @@ func TestHashJoinProbeAllocsPerRun(t *testing.T) {
 		t.Fatalf("rows = %v, want [[200]]", rows)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := Drain(n, NewCtx(h.store)); err != nil {
+		if _, err := NewInstance(n, NewCtx(h.store)).Drain(); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -213,7 +213,7 @@ func TestHashJoinProbeAllocsPerRun(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		if _, err := Drain(n, NewCtx(h.store)); err != nil {
+		if _, err := NewInstance(n, NewCtx(h.store)).Drain(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -267,7 +267,7 @@ func TestRunIDsCarriesRowIDs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, ids, err := RunIDs(n, ctx)
+		rows, ids, err := NewInstance(n, ctx).RunIDs()
 		if err != nil {
 			t.Fatalf("%s: %v", c.sql, err)
 		}
@@ -281,7 +281,7 @@ func TestRunIDsCarriesRowIDs(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := RunIDs(mustPlan(t, h, "SELECT * FROM big, dept WHERE big.v = dept.name"), NewCtx(h.store)); err == nil {
+	if _, _, err := NewInstance(mustPlan(t, h, "SELECT * FROM big, dept WHERE big.v = dept.name"), NewCtx(h.store)).RunIDs(); err == nil {
 		t.Error("RunIDs accepted a join")
 	}
 }

@@ -11,22 +11,26 @@ import (
 )
 
 // bagSink records the multiset of observed partition-by values. It is
-// deliberately unsynchronized and not forkable: inside a parallel
-// fragment it is only safe behind the exchange's lockedSink, which is
-// what -race checks.
+// deliberately unsynchronized: inside a parallel fragment only a
+// worker's private fork may observe into one, which is what -race
+// checks.
 type bagSink struct{ vals []string }
 
-func (s *bagSink) Observe(v value.Value) { s.vals = append(s.vals, value.KeyOf(v)) }
-func (s *bagSink) ObserveBatch(vs []value.Value) {
+func (s *bagSink) ObserveBatch(vs []value.Value) int {
 	for _, v := range vs {
-		s.Observe(v)
+		s.vals = append(s.vals, value.KeyOf(v))
 	}
+	return 0
 }
-func (s *bagSink) bag() []string { sort.Strings(s.vals); return s.vals }
-func (s *bagSink) forget()       { s.vals = nil }
 
-// forkBagSink is the ParallelAuditSink variant: workers observe into
-// private forks that append to the parent at Merge.
+// ObserveCount is never called: the conformance plans carry no sketch
+// pruner, so no probe may be elided.
+func (s *bagSink) ObserveCount(int64) { panic("bagSink: a probe was elided without a sketch pruner") }
+func (s *bagSink) bag() []string      { sort.Strings(s.vals); return s.vals }
+func (s *bagSink) forget()            { s.vals = nil }
+
+// forkBagSink is the audit sink: serial operators observe into its bag,
+// workers into private forks that append to it at Merge.
 type forkBagSink struct {
 	bagSink
 	mu sync.Mutex
@@ -147,7 +151,6 @@ func TestOperatorConformance(t *testing.T) {
 		seen    int  // sink observations (0: no audit operator)
 		ordered bool // compare row sequences, not multisets
 		workers int
-		plain   bool // non-forkable sink
 		extra   map[string][]value.Row
 	}{
 		{name: "heap scan", build: planned("SELECT k, grp, v FROM big WHERE grp < 3"), want: 150},
@@ -190,23 +193,13 @@ func TestOperatorConformance(t *testing.T) {
 		{name: "gather 4 workers, join, shared sink", build: func(s plan.AuditSink) plan.Node {
 			n := parallelPlan(t, h, "SELECT b.k, e.dept FROM big b, emp e WHERE b.grp = e.id", 4)
 			return auditWrapIf(n, s, func(n plan.Node) bool { sc, ok := n.(*plan.Scan); return ok && sc.Table == "big" })
-		}, want: 200, seen: 5000, workers: 4, plain: true},
+		}, want: 200, seen: 5000, workers: 4},
 		{name: "aggregate 4 workers", build: func(plan.AuditSink) plan.Node {
 			return parallelPlan(t, h, "SELECT grp, COUNT(*), SUM(k) FROM big GROUP BY grp", 4)
 		}, want: 100, ordered: true, workers: 4},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			newSink := func() interface {
-				plan.AuditSink
-				bag() []string
-				forget()
-			} {
-				if c.plain {
-					return &bagSink{}
-				}
-				return &forkBagSink{}
-			}
 			newCtx := func() *Ctx {
 				ctx := NewCtx(h.store)
 				ctx.Workers, ctx.Extra = c.workers, c.extra
@@ -220,7 +213,7 @@ func TestOperatorConformance(t *testing.T) {
 			}
 			var refRows, refSeen []string
 			for _, ceiling := range ceilings {
-				sink := newSink()
+				sink := &forkBagSink{}
 				rows, err := drainAt(t, c.build(sink), newCtx(), ceiling)
 				if err != nil {
 					t.Fatal(err)
@@ -241,7 +234,7 @@ func TestOperatorConformance(t *testing.T) {
 				}
 			}
 
-			sink := newSink()
+			sink := &forkBagSink{}
 			it, err := build(c.build(sink), newCtx(), nil)
 			if err != nil {
 				t.Fatal(err)

@@ -8,8 +8,8 @@ package exec
 
 import (
 	"fmt"
-	"sync/atomic"
 
+	"auditdb/internal/obs"
 	"auditdb/internal/plan"
 	"auditdb/internal/storage"
 	"auditdb/internal/value"
@@ -28,19 +28,16 @@ type Ctx struct {
 	// Extra supplies transient named relations (ACCESSED, NEW, OLD);
 	// keys are lower-case.
 	Extra map[string][]value.Row
-	// Stats accumulates execution counters for this statement. It is a
-	// pointer so worker contexts cloned by the Gather exchange share
-	// one accumulator with the statement's root context.
-	Stats *Stats
 	// Workers is the parallelism budget a Gather operator may spend
 	// (<= 1 means serial; the planner normally decides this before the
 	// executor ever sees the plan).
 	Workers int
-	// Analyze, when set, collects per-operator counters for EXPLAIN
-	// ANALYZE: build wraps every operator in a counting shim and disables
-	// scan–audit fusion so each plan node reports its own rows, batches,
-	// and wall time.
-	Analyze *Analyze
+	// Timed makes the run read wall clocks into its operators' records
+	// (a sampled statement, EXPLAIN ANALYZE). It is the only thing
+	// observation changes: every run counts rows, batches, chunks and
+	// probes through the same operators, fused or not, feeding the same
+	// sinks.
+	Timed bool
 	// NoSkip disables chunk-level data skipping (SET skipping = off):
 	// the scan kernels read every chunk and probe every row, the
 	// byte-identical baseline the skipping paths are proven against.
@@ -51,40 +48,11 @@ type Ctx struct {
 	// sensitive-ID sketch refutes outright instead of merely eliding
 	// their probes. Never set for statements that return rows.
 	AuditOnly bool
-}
 
-// Stats counts per-statement execution work. Fields are atomic
-// because parallel scan workers account into the same statement
-// context concurrently.
-type Stats struct {
-	// RowsScanned is the number of heap/index rows the scan kernels
-	// actually read from storage — the measure that a LIMIT 1 query
-	// streams with bounded work instead of materializing whole tables.
-	RowsScanned atomic.Int64
-	// MorselsClaimed counts morsels handed out by parallel scan
-	// cursors across the statement.
-	MorselsClaimed atomic.Int64
-	// ChunksScanned counts chunks the scan kernels actually read;
-	// ChunksSkippedFilter and ChunksSkippedAudit count chunks refuted
-	// by zone maps against the pushed predicate and by sensitive-ID
-	// sketches against attached audit expressions (probe elision or,
-	// under AuditOnly, full skips). Folded in at kernel Close.
-	ChunksScanned       atomic.Int64
-	ChunksSkippedFilter atomic.Int64
-	ChunksSkippedAudit  atomic.Int64
-	// PredInterpreted counts rows whose scan or filter predicate the
-	// interpreter evaluated because the compiled fast path did not
-	// claim them (quickPred). Folded in at operator Close.
-	PredInterpreted atomic.Int64
-}
-
-func (s *Stats) reset() {
-	s.RowsScanned.Store(0)
-	s.MorselsClaimed.Store(0)
-	s.ChunksScanned.Store(0)
-	s.ChunksSkippedFilter.Store(0)
-	s.ChunksSkippedAudit.Store(0)
-	s.PredInterpreted.Store(0)
+	// prof holds the records the run's operators count into: the
+	// running instance's, shared by its subquery runs and worker
+	// contexts.
+	prof *profile
 }
 
 // NewCtx returns a context over the given store with a fresh
@@ -101,9 +69,6 @@ func NewCtx(store *storage.Store) *Ctx {
 func (ctx *Ctx) init() {
 	if ctx.Eval == nil {
 		ctx.Eval = &plan.EvalCtx{}
-	}
-	if ctx.Stats == nil {
-		ctx.Stats = &Stats{}
 	}
 	if ctx.Eval.RunSubquery == nil {
 		ctx.Eval.RunSubquery = func(sub plan.Node, _ *plan.EvalCtx) ([]value.Row, error) {
@@ -124,24 +89,30 @@ func (ctx *Ctx) init() {
 // everything that is not plan shape (bound parameters and the
 // constants compiled from them, the resolved table, mask and index
 // candidates, the skipping switch); blocking operators consume their
-// input here. Close ends a run, successful or not: it folds counters,
-// drops the row references the operator's buffers hold and any
-// data-sized state past keepRows. reset always follows Close (or
-// build), so a run that errored or stopped early leaves nothing behind.
+// input here. Close ends a run, successful or not: it drops the row
+// references the operator's buffers hold and any data-sized state past
+// keepRows, and inside a parallel fragment folds the worker's records.
+// reset always follows Close (or build), so a run that errored or
+// stopped early leaves nothing behind.
 type Iterator interface {
 	NextBatch(b *Batch) (int, error)
 	Close()
 	reset() error
 }
 
-// Instance is a plan's operator tree, reusable across runs. The first
-// run builds the tree; every run, the first included, resets it before
+// Instance is a plan's operator tree, reusable across runs, and its
+// records: one obs.NodeStats per plan node, subquery blocks included,
+// that every run counts into and the next run zeroes. The first run
+// builds the tree; every run, the first included, resets it before
 // pulling and closes it after. Between runs the instance keeps only
-// buffers and structure. It is not safe for concurrent or re-entrant
-// use: the engine keeps one per session-private plan-cache entry.
+// buffers, structure and the last run's records. It is not safe for
+// concurrent or re-entrant use: the engine keeps one per
+// session-private plan-cache entry.
 type Instance struct {
 	root plan.Node
 	ctx  *Ctx
+	prof profile
+	ops  []Op        // Ops' list, built on first use
 	it   Iterator    // nil until the first run builds it
 	out  *Batch      // the root's pull batch
 	rows []value.Row // Run's result scratch
@@ -156,9 +127,9 @@ func NewInstance(n plan.Node, ctx *Ctx) *Instance {
 
 // Ctx returns the context every run of the instance executes under.
 // The caller sets its per-execution fields (session functions,
-// parameters, transient relations, skipping switch, worker budget)
-// before each run; the run zeroes Stats itself and clears the
-// evaluation context's subquery cache when it ends.
+// parameters, transient relations, skipping switch, worker budget,
+// clock bit) before each run; the run zeroes the records itself and
+// clears the evaluation context's subquery cache when it ends.
 func (in *Instance) Ctx() *Ctx { return in.ctx }
 
 // Run executes the instance once and materializes its result.
@@ -196,8 +167,30 @@ func (in *Instance) Drain() (int, error) {
 	return count, err
 }
 
+// RunIDs is Run for a plan that reads one stored table through filters
+// and projections only: an UPDATE's or DELETE's read. Beside the rows it
+// returns, in step, the RowID each was read from, carried up the
+// operator tree on the batches' row-ID lane.
+func (in *Instance) RunIDs() ([]value.Row, []storage.RowID, error) {
+	if !carriesIDs(in.root) {
+		return nil, nil, fmt.Errorf("exec: plan %s cannot carry row IDs", in.root.Label())
+	}
+	if in.out == nil || in.out.ids == nil {
+		in.out = NewBatch(batchSeed).withIDs()
+	}
+	var rows []value.Row
+	var ids []storage.RowID
+	err := in.run(func(batch []value.Row) error {
+		rows = append(rows, batch...)
+		ids = append(ids, in.out.ids[:len(batch)]...)
+		return nil
+	})
+	return rows, ids, err
+}
+
 func (in *Instance) run(each func(rows []value.Row) error) error {
-	in.ctx.Stats.reset()
+	in.ctx.prof = &in.prof
+	in.prof.zero()
 	// Uncorrelated subquery results are cached per evaluation context;
 	// the next run must re-read current data, and an idle instance must
 	// not pin the rows.
@@ -223,25 +216,6 @@ func Run(n plan.Node, ctx *Ctx) ([]value.Row, error) {
 	return NewInstance(n, ctx).Run()
 }
 
-// RunIDs is Run for a plan that reads one stored table through filters
-// and projections only: an UPDATE's or DELETE's read. Beside the rows it
-// returns, in step, the RowID each was read from, carried up the
-// operator tree on the batches' row-ID lane.
-func RunIDs(n plan.Node, ctx *Ctx) ([]value.Row, []storage.RowID, error) {
-	if !carriesIDs(n) {
-		return nil, nil, fmt.Errorf("exec: plan %s cannot carry row IDs", n.Label())
-	}
-	in := NewInstance(n, ctx)
-	in.out = NewBatch(batchSeed).withIDs()
-	var ids []storage.RowID
-	err := in.run(func(rows []value.Row) error {
-		in.rows = append(in.rows, rows...)
-		ids = append(ids, in.out.ids[:len(rows)]...)
-		return nil
-	})
-	return in.rows, ids, err
-}
-
 // carriesIDs reports whether n is a table scan under filters and
 // projections only, the operators that keep the row-ID lane.
 func carriesIDs(n plan.Node) bool {
@@ -255,15 +229,9 @@ func carriesIDs(n plan.Node) bool {
 	return ok
 }
 
-// Drain executes the plan to completion once, discarding rows, and
-// returns the row count (see Instance.Drain).
-func Drain(n plan.Node, ctx *Ctx) (int, error) {
-	return NewInstance(n, ctx).Drain()
-}
-
 // collect runs a subtree once within an execution that is already
-// under way (subqueries, parallel build sides): unlike an Instance run
-// it leaves the statement's Stats alone.
+// under way (subqueries, parallel build sides); its operators count
+// into the running instance's records.
 func collect(n plan.Node, ctx *Ctx) ([]value.Row, error) {
 	it, err := open(n, ctx, nil)
 	if err != nil {
@@ -297,33 +265,33 @@ func open(n plan.Node, ctx *Ctx, w *worker) (Iterator, error) {
 	return it, nil
 }
 
-// build is the one function that turns a plan node into an operator.
-// It only builds structure; storage and the execution's inputs are
-// first read by reset. w is the worker whose pipeline fragment is
-// being built (nil for serial execution); a fragment differs from the
-// serial tree in three places only: its scans claim morsels from the
-// run's shared source, its audit operators feed worker-local sinks,
-// and its hash joins probe the run's shared build table. Under EXPLAIN
-// ANALYZE (ctx.Analyze set) every operator is wrapped in a counting
-// shim.
+// build is the one function that turns a plan node into an operator,
+// wrapped in the counting every run does (counted). It only builds
+// structure; storage and the execution's inputs are first read by
+// reset. w is the worker whose pipeline fragment is being built (nil
+// for serial execution); a fragment differs from the serial tree in
+// three places only: its scans claim morsels from the run's shared
+// source, its audit operators feed worker-local sinks, and its hash
+// joins probe the run's shared build table.
 func build(n plan.Node, ctx *Ctx, w *worker) (Iterator, error) {
+	c := newCounted(n, ctx, w)
 	var it Iterator
 	var err error
 	switch x := n.(type) {
 	case *plan.Scan:
-		it = buildScan(x, ctx, w)
+		it = buildScan(x, ctx, w, c.st)
 	case *plan.Filter:
 		if it, err = build(x.Child, ctx, w); err == nil {
-			it = &filterIter{child: it, pred: x.Pred, quick: compilePred(x.Pred), ctx: ctx}
+			it = &filterIter{child: it, pred: x.Pred, quick: compilePred(x.Pred), ctx: ctx, st: c.st}
 		}
 	case *plan.Project:
 		if it, err = build(x.Child, ctx, w); err == nil {
 			it = &projectIter{child: it, exprs: x.Exprs, ctx: ctx}
 		}
 	case *plan.Audit:
-		it, err = buildAudit(x, ctx, w)
+		it, err = buildAudit(x, ctx, w, c.st)
 	case *plan.Join:
-		it, err = buildJoin(x, ctx, w)
+		it, err = buildJoin(x, ctx, w, c.st)
 	default:
 		// Everything else runs above the exchange, never inside a
 		// fragment (the planner's fragmentOK admits only the cases above).
@@ -336,7 +304,7 @@ func build(n plan.Node, ctx *Ctx, w *worker) (Iterator, error) {
 		case *plan.Aggregate:
 			it, err = buildAggregate(x, ctx)
 		case *plan.Gather:
-			it, err = buildGather(x, ctx)
+			it, err = buildGather(x, ctx, c.st)
 		case *plan.Sort:
 			it, err = buildSort(x, ctx)
 		case *plan.Limit:
@@ -354,41 +322,42 @@ func build(n plan.Node, ctx *Ctx, w *worker) (Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ctx.Analyze != nil {
-		it = &analyzedIter{child: it, az: ctx.Analyze, node: n, worker: w != nil}
-	}
-	return it, nil
+	c.child = it
+	return c, nil
 }
 
-// buildAudit places an audit operator. Leaf-placed ones fuse into the
-// scan kernel: one batch pass applies the pushed predicate and the
-// sensitive-ID probe without an extra operator boundary per row.
-// Semantics match auditIter-over-scan exactly (the probe sees
-// post-predicate rows); only the probe granularity changes. EXPLAIN
-// ANALYZE keeps the operators separate so each reports its own
-// counters.
-func buildAudit(x *plan.Audit, ctx *Ctx, w *worker) (Iterator, error) {
-	sink := x.Sink
+// buildAudit places an audit operator, counting into st. Leaf-placed
+// ones fuse into the scan kernel: one batch pass applies the pushed
+// predicate and the sensitive-ID probe without an extra operator
+// boundary per row. Semantics match auditIter-over-scan exactly (the
+// probe sees post-predicate rows); only the probe granularity changes.
+// A fused operator still counts every node it stands for, so the Scan
+// (and Project) under the Audit keep records of their own.
+func buildAudit(x *plan.Audit, ctx *Ctx, w *worker, st *obs.NodeStats) (Iterator, error) {
+	var sink plan.AuditObserver = x.Sink
 	if w != nil {
-		sink = w.sink(sink)
+		sink = w.sink(x.Sink)
 	}
-	if ctx.Analyze == nil {
-		if s, ok := x.Child.(*plan.Scan); ok {
-			k := buildScan(s, ctx, w)
-			k.fuseAudit(sink, x.IDIdx, x.Pruner)
-			return k, nil
-		}
-		// An audit operator hoisted just above a column-pruning Project
-		// over the sensitive scan fuses too: the Project is 1:1, so the
-		// probe sees the same multiset of key values either side of it.
-		// The key ordinal is remapped through the projection.
-		if pj, ok := x.Child.(*plan.Project); ok {
-			if s, ok := pj.Child.(*plan.Scan); ok {
-				if col, ok := projectedScanColumn(pj, x.IDIdx); ok {
-					k := buildScan(s, ctx, w)
-					k.fuseAudit(sink, col, x.Pruner)
-					return &projectIter{child: k, exprs: pj.Exprs, ctx: ctx}, nil
-				}
+	fused := func(s *plan.Scan, idIdx int) Iterator {
+		c := newCounted(s, ctx, w)
+		k := buildScan(s, ctx, w, c.st)
+		k.sink, k.idIdx, k.auditPruner, k.ast = sink, idIdx, x.Pruner, st
+		c.child = k
+		return c
+	}
+	if s, ok := x.Child.(*plan.Scan); ok {
+		return fused(s, x.IDIdx), nil
+	}
+	// An audit operator hoisted just above a column-pruning Project
+	// over the sensitive scan fuses too: the Project is 1:1, so the
+	// probe sees the same multiset of key values either side of it.
+	// The key ordinal is remapped through the projection.
+	if pj, ok := x.Child.(*plan.Project); ok {
+		if s, ok := pj.Child.(*plan.Scan); ok {
+			if col, ok := projectedScanColumn(pj, x.IDIdx); ok {
+				c := newCounted(pj, ctx, w)
+				c.child = &projectIter{child: fused(s, col), exprs: pj.Exprs, ctx: ctx}
+				return c, nil
 			}
 		}
 	}
@@ -396,7 +365,7 @@ func buildAudit(x *plan.Audit, ctx *Ctx, w *worker) (Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newAuditIter(child, x.IDIdx, sink), nil
+	return &auditIter{child: child, idIdx: x.IDIdx, sink: sink, st: st}, nil
 }
 
 // ---- Scans ----
@@ -417,13 +386,15 @@ type scanIter struct {
 type scanKernel struct {
 	scan  *plan.Scan
 	ctx   *Ctx
-	w     *worker   // the worker whose fragment this is; nil when serial
-	quick quickPred // compiled fast path for the pushed predicate
+	w     *worker        // the worker whose fragment this is; nil when serial
+	quick quickPred      // compiled fast path for the pushed predicate
+	st    *obs.NodeStats // the Scan node's record
 
-	// Fused audit probe (sink nil when not fused) and the expression's
-	// sketch pruner; whether the pruner applies is decided per run.
-	sink        plan.AuditSink
-	bsink       plan.BatchAuditSink
+	// Fused audit probe (sink nil when not fused), the Audit node's
+	// record it counts probes into, and the expression's sketch pruner;
+	// whether the pruner applies is decided per run.
+	sink        plan.AuditObserver
+	ast         *obs.NodeStats
 	idIdx       int
 	auditPruner plan.SketchPruner
 
@@ -442,31 +413,24 @@ type scanKernel struct {
 	// cursor; the kernel works one claimed window at a time —
 	// [pos, morselEnd) heap positions, or [idPos, idEnd) offsets into
 	// the shared ids slice — and claims the next window when it runs
-	// dry. morsels counts this worker's claims for EXPLAIN ANALYZE.
+	// dry.
 	src       *morselSource
 	morselEnd int
 	idEnd     int
-	morsels   int64
 
 	// Chunk skipping (skip.go): compiled filter refutation terms, the
 	// fused audit expression's sketch pruner, and the decide callback
 	// handed to the pruned storage scans. chunkElide marks the current
-	// chunk's probes as elided (counted via csink, never recorded);
-	// elidedRows accumulates until the next flushAudit. lastChunk
-	// keeps the per-chunk counters exact across mid-chunk resumes.
+	// chunk's probes as elided (counted via ObserveCount, never
+	// recorded); elidedRows accumulates until the next flushAudit.
+	// lastChunk keeps the per-chunk counters exact across mid-chunk
+	// resumes.
 	prune      []prunePred
 	pruner     plan.SketchPruner
-	csink      plan.CountingAuditSink
 	decideFn   func(storage.ChunkInfo) bool
 	chunkElide bool
 	elidedRows int64
 	lastChunk  int
-
-	chunksScanned    int64
-	chunksSkipFilter int64
-	chunksSkipAudit  int64
-	interpreted      int64 // rows the pushed predicate's interpreter evaluated
-	closed           bool
 
 	raw    []value.Row     // chunk read buffer, grown to the request ceiling
 	rawIDs []storage.RowID // row IDs matching raw, for mask checks
@@ -513,11 +477,12 @@ func resolveScan(s *plan.Scan, ctx *Ctx, ids []storage.RowID) (scanSource, error
 	return ss, nil
 }
 
-// buildScan builds a scan kernel, serial or morsel-driven. The pushed
-// predicate's fast path is compiled here, once; its constants are bound
-// per run, so each worker owns its compiled predicate.
-func buildScan(s *plan.Scan, ctx *Ctx, w *worker) *scanKernel {
-	k := &scanKernel{scan: s, ctx: ctx, w: w, idIdx: -1}
+// buildScan builds a scan kernel, serial or morsel-driven, counting
+// into st. The pushed predicate's fast path is compiled here, once; its
+// constants are bound per run, so each worker owns its compiled
+// predicate.
+func buildScan(s *plan.Scan, ctx *Ctx, w *worker, st *obs.NodeStats) *scanKernel {
+	k := &scanKernel{scan: s, ctx: ctx, w: w, st: st, idIdx: -1}
 	if s.Pushed != nil {
 		k.quick = compilePred(s.Pushed)
 	}
@@ -538,60 +503,37 @@ func (k *scanKernel) reset() error {
 		return err
 	}
 	k.tbl, k.mask, k.useIDs, k.ids, k.src = ss.tbl, ss.mask, ss.useIDs, ss.ids, ss.src
-	k.pos, k.idPos, k.morselEnd, k.idEnd, k.morsels = 0, 0, 0, 0, 0
+	k.pos, k.idPos, k.morselEnd, k.idEnd = 0, 0, 0, 0
 	if k.src != nil {
 		k.pos = -1 // nothing claimed yet
 	}
 	k.quick.bind(k.ctx)
-	k.prune, k.pruner, k.csink = k.prune[:0], nil, nil
+	k.prune, k.pruner = k.prune[:0], nil
 	if !k.ctx.NoSkip {
 		k.prune = compilePrune(k.prune, k.scan.Prune, k.tbl, k.ctx)
-		// Probe elision additionally requires a counting sink (so the
-		// observed-row counter stays byte-identical); a non-counting
-		// sink keeps per-row probes for every scanned chunk.
 		if k.auditPruner != nil && k.idIdx >= 0 {
-			if cs, ok := k.sink.(plan.CountingAuditSink); ok {
-				k.pruner, k.csink = k.auditPruner, cs
-			} else if k.ctx.AuditOnly {
-				k.pruner = k.auditPruner
-			}
+			k.pruner = k.auditPruner
 		}
 	}
 	k.chunkElide, k.elidedRows, k.lastChunk = false, 0, -1
-	k.chunksScanned, k.chunksSkipFilter, k.chunksSkipAudit = 0, 0, 0
-	k.interpreted = 0
-	k.closed = false
 	return nil
 }
 
-// fuseAudit attaches a leaf audit operator's sink to the kernel, along
-// with the expression's sketch pruner.
-func (k *scanKernel) fuseAudit(sink plan.AuditSink, idIdx int, pruner plan.SketchPruner) {
-	k.sink = sink
-	k.idIdx = idIdx
-	k.bsink, _ = sink.(plan.BatchAuditSink)
-	k.auditPruner = pruner
-}
-
 // flushAudit delivers the batch's accumulated partition-by values to
-// the sink: one ObserveBatch call when the sink is batch-aware. Rows
-// whose probes were elided by a sketch-refuted chunk advance the
-// observed counter in one ObserveCount call instead.
+// the sink in one ObserveBatch call. Rows whose probes were elided by a
+// sketch-refuted chunk advance the observed counter in one
+// ObserveCount call instead. Both count as the Audit node's probes.
 func (k *scanKernel) flushAudit() {
 	if k.elidedRows > 0 {
-		k.csink.ObserveCount(k.elidedRows)
+		k.sink.ObserveCount(k.elidedRows)
+		k.ast.Probes += k.elidedRows
 		k.elidedRows = 0
 	}
 	if len(k.vals) == 0 {
 		return
 	}
-	if k.bsink != nil {
-		k.bsink.ObserveBatch(k.vals)
-	} else {
-		for _, v := range k.vals {
-			k.sink.Observe(v)
-		}
-	}
+	k.ast.Probes += int64(len(k.vals))
+	k.ast.Hits += int64(k.sink.ObserveBatch(k.vals))
 	k.vals = k.vals[:0]
 }
 
@@ -624,7 +566,7 @@ func (k *scanKernel) NextBatch(b *Batch) (int, error) {
 					break
 				}
 				k.idPos, k.idEnd = lo, hi
-				k.morsels++
+				k.st.Morsels++
 			}
 			bound := len(k.ids)
 			if k.src != nil {
@@ -648,7 +590,7 @@ func (k *scanKernel) NextBatch(b *Batch) (int, error) {
 					break
 				}
 				k.pos, k.morselEnd = lo, hi
-				k.morsels++
+				k.st.Morsels++
 			}
 			if decide := k.decider(); decide != nil {
 				n, k.pos = k.tbl.ScanRangePruned(k.pos, k.morselEnd, k.raw[:limit-kept], k.rawIDs, decide)
@@ -667,7 +609,7 @@ func (k *scanKernel) NextBatch(b *Batch) (int, error) {
 			}
 			chunkIDs = k.rawIDs[:n]
 		}
-		k.ctx.Stats.RowsScanned.Add(int64(n))
+		k.st.RowsScanned += int64(n)
 		for i := 0; i < n; i++ {
 			row := k.raw[i]
 			if k.mask != nil && k.mask.Hidden(k.scan.Table, chunkIDs[i]) {
@@ -679,7 +621,7 @@ func (k *scanKernel) NextBatch(b *Batch) (int, error) {
 					t, handled = k.quick.eval(row)
 				}
 				if !handled {
-					k.interpreted++
+					k.st.PredInterpreted++
 					v, err := pred.Eval(k.ctx.Eval, row)
 					if err != nil {
 						k.flushAudit()
@@ -713,29 +655,14 @@ func (k *scanKernel) NextBatch(b *Batch) (int, error) {
 	return kept, nil
 }
 
-// Close folds the kernel's chunk and interpreted-row counters into the
-// statement stats (EXPLAIN ANALYZE harvests the chunk counters per
-// node through analyzedIter) and lets go of the run's rows and table.
+// Close lets go of the run's rows and table.
 func (k *scanKernel) Close() {
-	if k.closed {
-		return
-	}
-	k.closed = true
 	clear(k.raw)
 	clear(k.vals[:cap(k.vals)])
 	if cap(k.ids) > keepRows {
 		k.ids = nil
 	}
 	k.tbl, k.mask, k.src = nil, nil, nil
-	if k.interpreted > 0 {
-		k.ctx.Stats.PredInterpreted.Add(k.interpreted)
-	}
-	if k.chunksScanned|k.chunksSkipFilter|k.chunksSkipAudit == 0 {
-		return
-	}
-	k.ctx.Stats.ChunksScanned.Add(k.chunksScanned)
-	k.ctx.Stats.ChunksSkippedFilter.Add(k.chunksSkipFilter)
-	k.ctx.Stats.ChunksSkippedAudit.Add(k.chunksSkipAudit)
 }
 
 // equalityProbe evaluates the conjunct plan.EqProbe picks out of pred
@@ -809,16 +736,15 @@ func (it *valuesIter) Close() { it.rows = nil }
 // ---- Filter / Project ----
 
 type filterIter struct {
-	child       Iterator
-	pred        plan.Expr
-	quick       quickPred
-	ctx         *Ctx
-	interpreted int64 // rows pred's interpreter evaluated this run
+	child Iterator
+	pred  plan.Expr
+	quick quickPred
+	ctx   *Ctx
+	st    *obs.NodeStats // the Filter node's record
 }
 
 func (it *filterIter) reset() error {
 	it.quick.bind(it.ctx)
-	it.interpreted = 0
 	return it.child.reset()
 }
 
@@ -842,7 +768,7 @@ func (it *filterIter) NextBatch(b *Batch) (int, error) {
 				t, handled = it.quick.eval(row)
 			}
 			if !handled {
-				it.interpreted++
+				it.st.PredInterpreted++
 				v, err := it.pred.Eval(it.ctx.Eval, row)
 				if err != nil {
 					return 0, err
@@ -864,13 +790,7 @@ func (it *filterIter) NextBatch(b *Batch) (int, error) {
 	}
 }
 
-func (it *filterIter) Close() {
-	it.child.Close()
-	if it.interpreted > 0 {
-		it.ctx.Stats.PredInterpreted.Add(it.interpreted)
-		it.interpreted = 0
-	}
-}
+func (it *filterIter) Close() { it.child.Close() }
 
 type projectIter struct {
 	child Iterator
@@ -944,15 +864,9 @@ func (it *projectIter) Close() {
 type auditIter struct {
 	child Iterator
 	idIdx int
-	sink  plan.AuditSink
-	bsink plan.BatchAuditSink
+	sink  plan.AuditObserver
+	st    *obs.NodeStats // the Audit node's record
 	vals  []value.Value
-}
-
-func newAuditIter(child Iterator, idIdx int, sink plan.AuditSink) *auditIter {
-	it := &auditIter{child: child, idIdx: idIdx, sink: sink}
-	it.bsink, _ = sink.(plan.BatchAuditSink)
-	return it
 }
 
 func (it *auditIter) reset() error { return it.child.reset() }
@@ -971,13 +885,8 @@ func (it *auditIter) NextBatch(b *Batch) (int, error) {
 			it.vals = append(it.vals, row[it.idIdx])
 		}
 	}
-	if it.bsink != nil {
-		it.bsink.ObserveBatch(it.vals)
-	} else {
-		for _, v := range it.vals {
-			it.sink.Observe(v)
-		}
-	}
+	it.st.Probes += int64(len(it.vals))
+	it.st.Hits += int64(it.sink.ObserveBatch(it.vals))
 	return n, nil
 }
 

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"auditdb/internal/obs"
 	"auditdb/internal/plan"
 	"auditdb/internal/value"
 )
@@ -9,8 +10,9 @@ import (
 // one: a serial join drains one input every run (into a hash table
 // when there are equi-keys, a row list otherwise) and probes with the
 // other; a worker's fragment probes with its left input the
-// partitioned table its run built once.
-func buildJoin(j *plan.Join, ctx *Ctx, w *worker) (Iterator, error) {
+// partitioned table its run built once. A hash join counts the runs
+// that built its left input into st.
+func buildJoin(j *plan.Join, ctx *Ctx, w *worker, st *obs.NodeStats) (Iterator, error) {
 	left, err := build(j.Left, ctx, w)
 	if err != nil {
 		return nil, err
@@ -26,7 +28,7 @@ func buildJoin(j *plan.Join, ctx *Ctx, w *worker) (Iterator, error) {
 		return &nlJoinIter{j: j, left: left, right: right, rightWidth: rightWidth, ctx: ctx}, nil
 	}
 	it := &hashJoinIter{
-		j: j, left: left, right: right, ctx: ctx, w: w, probe: left,
+		j: j, left: left, right: right, ctx: ctx, w: w, st: st, probe: left,
 		leftWidth: len(j.Left.Schema()), rightWidth: rightWidth,
 	}
 	// Only a serial inner join may build its left input: a left join
@@ -95,6 +97,7 @@ type hashJoinIter struct {
 	right Iterator // nil in a worker's fragment
 	ctx   *Ctx
 	w     *worker
+	st    *obs.NodeStats // the Join node's record
 
 	// The scans each input's estimate is taken from; nil unless the
 	// join may build its left input.
@@ -147,6 +150,7 @@ func (it *hashJoinIter) reset() error {
 	if it.buildLeft {
 		build, buildKeys = it.left, it.j.LeftKeys
 		it.probe, it.probeKeys = it.right, it.j.RightKeys
+		it.st.BuildLeft++
 	}
 	if err := it.probe.reset(); err != nil {
 		return err

@@ -196,16 +196,18 @@ func findJoin(n plan.Node) *plan.Join {
 	return nil
 }
 
-// analyzed runs n once under an EXPLAIN ANALYZE collector.
-func analyzed(t *testing.T, h *harness, n plan.Node) ([]value.Row, *Analyze) {
+// analyzed runs n once, timed as EXPLAIN ANALYZE runs it, and returns
+// the instance holding its records.
+func analyzed(t *testing.T, h *harness, n plan.Node) ([]value.Row, *Instance) {
 	t.Helper()
 	ctx := NewCtx(h.store)
-	ctx.Analyze = NewAnalyze()
-	rows, err := Run(n, ctx)
+	ctx.Timed = true
+	in := NewInstance(n, ctx)
+	rows, err := in.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rows, ctx.Analyze
+	return rows, in
 }
 
 // TestHashJoinBuildSideMatchesNestedLoops: random inner equi-joins —
@@ -259,7 +261,7 @@ func TestHashJoinBuildSideMatchesNestedLoops(t *testing.T) {
 		if j := findJoin(nl); j == nil || len(j.LeftKeys) != 0 {
 			t.Fatalf("trial %d: reference is not a nested-loops join", trial)
 		}
-		got, az := analyzed(t, h, hash)
+		got, in := analyzed(t, h, hash)
 		want, err := Run(nl, NewCtx(h.store))
 		if err != nil {
 			t.Fatal(err)
@@ -268,7 +270,7 @@ func TestHashJoinBuildSideMatchesNestedLoops(t *testing.T) {
 			t.Fatalf("trial %d: hash join returned %d rows, nested loops %d", trial, len(got), len(want))
 		}
 		pairs += len(got)
-		if az.Stats(j).BuildLeft > 0 {
+		if in.Stats(j).BuildLeft > 0 {
 			builtLeft++
 		} else {
 			builtRight++
@@ -279,8 +281,8 @@ func TestHashJoinBuildSideMatchesNestedLoops(t *testing.T) {
 	}
 }
 
-// TestAnalyzeBuildSide: EXPLAIN ANALYZE names a join that built its
-// left input and says nothing for the usual right build, and its
+// TestAnalyzeBuildSide: the instance's records name a join that built
+// its left input and say nothing for the usual right build, and its
 // time= covers the build it did in reset — a join whose build side is
 // a big scan reports at least that scan's time.
 func TestAnalyzeBuildSide(t *testing.T) {
@@ -302,9 +304,8 @@ func TestAnalyzeBuildSide(t *testing.T) {
 		{"SELECT e.dept, b.k FROM big b, emp e WHERE e.id = b.grp", false},
 		{"SELECT e.dept, b.k FROM emp e LEFT JOIN big b ON e.id = b.grp", false},
 	} {
-		n := mustPlan(t, h, c.sql)
-		_, az := analyzed(t, h, n)
-		line := joinLine(RenderAnalyze(n, az))
+		_, in := analyzed(t, h, mustPlan(t, h, c.sql))
+		line := joinLine(RenderAnalyze(in, nil))
 		if strings.Contains(line, "build=left") != c.left {
 			t.Errorf("%s: build=left printed %v, want %v:\n%s", c.sql, !c.left, c.left, line)
 		}
@@ -317,8 +318,8 @@ func TestAnalyzeBuildSide(t *testing.T) {
 	// reset, scans all of big.
 	n := mustPlan(t, h, "SELECT b1.k, b2.v FROM big b1 LEFT JOIN big b2 ON b1.grp = b2.grp WHERE b1.k = 5")
 	j := findJoin(n)
-	_, az := analyzed(t, h, n)
-	join, build := az.Stats(j), az.Stats(j.Right)
+	_, in := analyzed(t, h, n)
+	join, build := in.Stats(j), in.Stats(j.Right)
 	if build.RowsOut != 5000 {
 		t.Fatalf("build side emitted %d rows, want 5000", build.RowsOut)
 	}

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"auditdb/internal/obs"
 	"auditdb/internal/plan"
 	"auditdb/internal/value"
 )
@@ -30,7 +31,6 @@ const MorselSize = 4096
 type morselSource struct {
 	cursor atomic.Int64
 	bound  int64
-	stats  *Stats
 }
 
 // claim reserves the next morsel. ok=false means the input is fully
@@ -44,16 +44,13 @@ func (m *morselSource) claim() (lo, hi int, ok bool) {
 	if h > m.bound {
 		h = m.bound
 	}
-	if m.stats != nil {
-		m.stats.MorselsClaimed.Add(1)
-	}
 	return int(l), int(h), true
 }
 
 // workerCtx clones a statement context for one worker: everything is
-// shared (store, mask, transient relations, stats accumulator, analyze
-// collector, skipping switches) except the parallelism budget and the
-// evaluation context — EvalCtx carries a correlation stack and a
+// shared (store, mask, transient relations, the instance's records,
+// the clock bit, skipping switches) except the parallelism budget and
+// the evaluation context — EvalCtx carries a correlation stack and a
 // subquery cache that must not be shared across goroutines. (The
 // planner only parallelizes subquery-free fragments; the runner is
 // installed anyway so a missed gate fails loudly in -race runs rather
@@ -69,38 +66,9 @@ func workerCtx(ctx *Ctx) *Ctx {
 	return &w
 }
 
-// lockedSink shares one non-forkable audit sink across workers behind
-// a mutex. It is the correctness fallback — core.Probe implements
-// ParallelAuditSink and never takes this path, but instrumentation
-// sinks (EXPLAIN ANALYZE) may not.
-type lockedSink struct {
-	mu sync.Mutex
-	s  plan.AuditSink
-	bs plan.BatchAuditSink
-}
-
-func (l *lockedSink) Observe(v value.Value) {
-	l.mu.Lock()
-	l.s.Observe(v)
-	l.mu.Unlock()
-}
-
-func (l *lockedSink) ObserveBatch(vs []value.Value) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.bs != nil {
-		l.bs.ObserveBatch(vs)
-		return
-	}
-	for _, v := range vs {
-		l.s.Observe(v)
-	}
-}
-
 // parallelRun is the shared state of one parallel subtree execution:
 // one resolved scanSource (with its morsel cursor) per parallel scan,
-// one prebuilt partitioned hash table per parallel join, and the
-// mutex-wrapped fallbacks for non-forkable audit sinks. The first
+// and one prebuilt partitioned hash table per parallel join. The first
 // worker's open resolves each entry and the rest reuse it; every
 // fragment is built serially, before any worker goroutine starts, so
 // none of the maps need locking — and join build sides execute, and
@@ -110,7 +78,6 @@ type parallelRun struct {
 	workers int
 	sources map[*plan.Scan]scanSource
 	joins   map[*plan.Join][]map[string]*joinBucket
-	locked  map[plan.AuditSink]*lockedSink
 }
 
 // source returns the shared access path and claim cursor of s. The
@@ -136,7 +103,7 @@ func (pr *parallelRun) source(s *plan.Scan) (scanSource, error) {
 	if ss.useIDs {
 		bound = len(ss.ids)
 	}
-	ss.src = &morselSource{bound: int64(bound), stats: pr.ctx.Stats}
+	ss.src = &morselSource{bound: int64(bound)}
 	pr.sources[s] = ss
 	return ss, nil
 }
@@ -175,7 +142,6 @@ func openWorkers(root plan.Node, ctx *Ctx, workers int) ([]*worker, error) {
 		workers: workers,
 		sources: make(map[*plan.Scan]scanSource),
 		joins:   make(map[*plan.Join][]map[string]*joinBucket),
-		locked:  make(map[plan.AuditSink]*lockedSink),
 	}
 	ws := make([]*worker, workers)
 	for i := range ws {
@@ -192,22 +158,12 @@ func openWorkers(root plan.Node, ctx *Ctx, workers int) ([]*worker, error) {
 	return ws, nil
 }
 
-// sink returns the audit sink this worker's fragment should feed: a
-// forked worker-local sink (recorded for the post-run union) when s
-// supports it, otherwise the run's shared mutex wrapper.
-func (w *worker) sink(s plan.AuditSink) plan.AuditSink {
-	if ps, ok := s.(plan.ParallelAuditSink); ok {
-		f := ps.Fork()
-		w.merges = append(w.merges, f)
-		return f
-	}
-	ls, ok := w.run.locked[s]
-	if !ok {
-		ls = &lockedSink{s: s}
-		ls.bs, _ = s.(plan.BatchAuditSink)
-		w.run.locked[s] = ls
-	}
-	return ls
+// sink forks s for this worker's fragment, recording the fork for the
+// post-run union.
+func (w *worker) sink(s plan.AuditSink) plan.WorkerAuditSink {
+	f := s.Fork()
+	w.merges = append(w.merges, f)
+	return f
 }
 
 // drive runs body on the worker's goroutine. When body returns the
@@ -335,16 +291,17 @@ func buildSharedJoin(j *plan.Join, ctx *Ctx, workers int) ([]map[string]*joinBuc
 type gatherIter struct {
 	g   *plan.Gather
 	ctx *Ctx
-	x   *exchange // the current run's; nil between runs
+	st  *obs.NodeStats // the Gather node's record
+	x   *exchange      // the current run's; nil between runs
 }
 
-func buildGather(g *plan.Gather, ctx *Ctx) (Iterator, error) {
+func buildGather(g *plan.Gather, ctx *Ctx, st *obs.NodeStats) (Iterator, error) {
 	if g.Workers <= 1 {
 		// A degenerate exchange executes its child serially; parallel
 		// markers below are ignored by the serial operators.
 		return build(g.Child, ctx, nil)
 	}
-	return &gatherIter{g: g, ctx: ctx}, nil
+	return &gatherIter{g: g, ctx: ctx, st: st}, nil
 }
 
 func (it *gatherIter) reset() error {
@@ -353,6 +310,7 @@ func (it *gatherIter) reset() error {
 		return err
 	}
 	it.x = x
+	it.st.Workers = int64(it.g.Workers)
 	return nil
 }
 
@@ -394,9 +352,6 @@ func startExchange(g *plan.Gather, ctx *Ctx) (*exchange, error) {
 	ws, err := openWorkers(g.Child, ctx, workers)
 	if err != nil {
 		return nil, err
-	}
-	if az := ctx.Analyze; az != nil {
-		az.Node(g).Workers = int64(workers)
 	}
 	it := &exchange{
 		out:  make(chan []value.Row, workers),

@@ -26,15 +26,16 @@ func parallelPlan(t *testing.T, h *harness, sql string, workers int) plan.Node {
 	return opt.Parallelize(n, est, workers, 1)
 }
 
-func runWorkers(t *testing.T, h *harness, n plan.Node, workers int) ([]value.Row, *Ctx) {
+func runWorkers(t *testing.T, h *harness, n plan.Node, workers int) ([]value.Row, *Instance) {
 	t.Helper()
 	ctx := NewCtx(h.store)
 	ctx.Workers = workers
-	rows, err := Run(n, ctx)
+	in := NewInstance(n, ctx)
+	rows, err := in.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rows, ctx
+	return rows, in
 }
 
 // canon renders rows as sorted strings: a Gather exchange does not
@@ -75,29 +76,30 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 				t.Fatalf("workers=%d: plan root is %T, want *plan.Gather", workers, n)
 			}
 		}
-		rows, ctx := runWorkers(t, h, n, workers)
+		rows, in := runWorkers(t, h, n, workers)
 		sameRows(t, fmt.Sprintf("workers=%d", workers), serial, rows)
-		if workers >= 2 && ctx.Stats.MorselsClaimed.Load() == 0 {
+		if workers >= 2 && in.Totals().Morsels == 0 {
 			t.Errorf("workers=%d: no morsels claimed on a parallel scan", workers)
 		}
-		if got := ctx.Stats.RowsScanned.Load(); got != 5000 {
+		if got := in.Totals().RowsScanned; got != 5000 {
 			t.Errorf("workers=%d: rows scanned = %d, want 5000", workers, got)
 		}
 	}
 }
 
 // TestParallelStatsCountersRaceFree is the regression test for the
-// shared-Ctx counters: every worker of a Gather adds to
-// Stats.RowsScanned and Stats.MorselsClaimed concurrently, so plain
-// int64 fields would be flagged by `go test -race` here (and would
-// drop updates in production). Many parallel queries back to back give
-// the race detector scheduling variety.
+// worker folds: every worker of a Gather counts rows scanned and
+// morsels claimed into a private record that folds into the node's at
+// close, so a worker writing the shared record directly would be
+// flagged by `go test -race` here (and would drop updates in
+// production). Many parallel queries back to back give the race
+// detector scheduling variety.
 func TestParallelStatsCountersRaceFree(t *testing.T) {
 	h := bigHarness(t)
 	n := parallelPlan(t, h, "SELECT k FROM big WHERE grp < 80", 8)
 	for i := 0; i < 10; i++ {
-		_, ctx := runWorkers(t, h, n, 8)
-		if got := ctx.Stats.RowsScanned.Load(); got != 5000 {
+		_, in := runWorkers(t, h, n, 8)
+		if got := in.Totals().RowsScanned; got != 5000 {
 			t.Fatalf("run %d: rows scanned = %d, want 5000 (lost update?)", i, got)
 		}
 	}
@@ -148,8 +150,8 @@ func TestParallelAggregateMatchesSerial(t *testing.T) {
 	}
 }
 
-// forkableSink is a test double for core.Probe: a ParallelAuditSink
-// whose forks accumulate worker-locally and union-merge at close.
+// forkableSink is a test double for core.Probe: an audit sink whose
+// forks accumulate worker-locally and union-merge at close.
 type forkableSink struct {
 	mu     sync.Mutex
 	seen   map[string]struct{}
@@ -160,19 +162,16 @@ func newForkableSink() *forkableSink {
 	return &forkableSink{seen: make(map[string]struct{})}
 }
 
-func (s *forkableSink) Observe(v value.Value) {
-	s.mu.Lock()
-	s.seen[value.KeyOf(v)] = struct{}{}
-	s.mu.Unlock()
-}
-
-func (s *forkableSink) ObserveBatch(vs []value.Value) {
+func (s *forkableSink) ObserveBatch(vs []value.Value) int {
 	s.mu.Lock()
 	for _, v := range vs {
 		s.seen[value.KeyOf(v)] = struct{}{}
 	}
 	s.mu.Unlock()
+	return 0
 }
+
+func (s *forkableSink) ObserveCount(int64) {}
 
 func (s *forkableSink) Fork() plan.WorkerAuditSink {
 	return &forkedSink{parent: s, seen: make(map[string]struct{})}
@@ -183,12 +182,13 @@ type forkedSink struct {
 	seen   map[string]struct{}
 }
 
-func (w *forkedSink) Observe(v value.Value) { w.seen[value.KeyOf(v)] = struct{}{} }
-func (w *forkedSink) ObserveBatch(vs []value.Value) {
+func (w *forkedSink) ObserveBatch(vs []value.Value) int {
 	for _, v := range vs {
 		w.seen[value.KeyOf(v)] = struct{}{}
 	}
+	return 0
 }
+func (w *forkedSink) ObserveCount(int64) {}
 func (w *forkedSink) Merge() {
 	w.parent.mu.Lock()
 	for k := range w.seen {
@@ -260,12 +260,12 @@ func TestParallelLimitStaysSerial(t *testing.T) {
 	if parallel {
 		t.Fatalf("plan under LIMIT was parallelized:\n%s", plan.Explain(n))
 	}
-	rows, ctx := runWorkers(t, h, n, 8)
+	rows, in := runWorkers(t, h, n, 8)
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(rows))
 	}
-	if ctx.Stats.RowsScanned.Load() > batchSeed {
-		t.Errorf("LIMIT 3 scanned %d rows, want bounded", ctx.Stats.RowsScanned.Load())
+	if scanned := in.Totals().RowsScanned; scanned > batchSeed {
+		t.Errorf("LIMIT 3 scanned %d rows, want bounded", scanned)
 	}
 }
 

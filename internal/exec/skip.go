@@ -156,7 +156,7 @@ func (k *scanKernel) decide(ci storage.ChunkInfo) bool {
 	for i := range k.prune {
 		if k.prune[i].refutes(ci) {
 			if newChunk {
-				k.chunksSkipFilter++
+				k.st.ChunksSkippedFilter++
 			}
 			return false
 		}
@@ -165,26 +165,22 @@ func (k *scanKernel) decide(ci storage.ChunkInfo) bool {
 	if k.pruner != nil && k.pruner.RefuteChunk(k.idIdx, ci) {
 		// The sketch proves no row of this chunk is sensitive. With
 		// AuditOnly (offline candidate pruning: result rows discarded)
-		// the whole chunk skips; online the rows still flow to the
-		// consumer and only the per-row probes are elided — legal only
-		// against a counting sink, so Observed() stays identical.
+		// the whole chunk skips; otherwise the rows still flow to the
+		// consumer and only the per-row probes are elided, counted
+		// through ObserveCount so Observed() stays identical.
 		if k.ctx.AuditOnly {
 			if newChunk {
-				k.chunksSkipAudit++
+				k.st.ChunksSkippedAudit++
 			}
 			return false
 		}
-		if k.csink != nil {
-			k.chunkElide = true
-			if newChunk {
-				k.chunksSkipAudit++
-				k.chunksScanned++
-			}
-			return true
+		k.chunkElide = true
+		if newChunk {
+			k.st.ChunksSkippedAudit++
 		}
 	}
 	if newChunk {
-		k.chunksScanned++
+		k.st.ChunksScanned++
 	}
 	return true
 }

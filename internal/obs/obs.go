@@ -2,7 +2,8 @@
 // dependency-free metrics registry (atomic counters, gauges,
 // fixed-bucket histograms, and label-partitioned counter families)
 // rendered as Prometheus text exposition format, plus the per-node
-// statistics tree EXPLAIN ANALYZE reports over.
+// record every operator instance keeps and EXPLAIN ANALYZE and the
+// tracer report.
 //
 // One Registry serves both surfaces the daemon exposes — the HTTP
 // /metrics endpoint and the wire protocol's "stats" op — so the two
@@ -364,14 +365,17 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // formatBound renders a bucket bound the way Prometheus clients do.
 func formatBound(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
-// NodeStats is one plan operator's EXPLAIN ANALYZE record: what
-// actually flowed through it during one instrumented execution. The
-// executor fills the row/batch/time fields; the engine's analyzing
-// audit sink fills the probe fields for audit operators. Under
-// parallel execution each worker accumulates into a private NodeStats
-// and the executor folds them into the shared record under the
-// collector's lock at close, so the fields themselves stay plain.
+// NodeStats is one plan operator's record: what flowed through it
+// during one execution of an operator instance. Every run counts into
+// it, observed or not; only Wall waits for a timed run (a sampled
+// statement or EXPLAIN ANALYZE). Under parallel execution each worker
+// counts into a private NodeStats that Add folds into the node's
+// record at close, so the fields themselves stay plain.
 type NodeStats struct {
+	// Runs counts the operator's starts: one per statement for most
+	// operators, one per outer row for a correlated subquery's, one per
+	// worker inside a parallel fragment. Zero means never executed.
+	Runs int64
 	// RowsOut counts rows the operator emitted.
 	RowsOut int64
 	// Batches counts non-empty NextBatch deliveries.
@@ -380,23 +384,48 @@ type NodeStats struct {
 	// (where joins build, aggregates fold and sorts sort) and NextBatch
 	// calls, children included (Postgres-style "actual time"). Under
 	// parallel execution worker walls sum, so a parallel operator can
-	// report more wall time than the query took.
+	// report more wall time than the query took. Zero unless timed.
 	Wall time.Duration
 
-	// Audit-operator extras (zero elsewhere): probe invocations, probes
-	// that hit the sensitive-ID set, and the number of distinct
-	// partition-by IDs those hits covered.
-	Probes, Hits, DistinctIDs int64
+	// Audit-operator extras (zero elsewhere): probes presented to the
+	// sink or elided on a sketch-refuted chunk, and probes that hit the
+	// sensitive-ID set.
+	Probes, Hits int64
 
 	// Parallel-execution extras: morsels claimed by this operator's
 	// scan cursor, and the worker-pool size of a Gather exchange.
 	Morsels, Workers int64
 
-	// Data-skipping extras (scan operators): chunks actually read and
-	// chunks refuted by zone maps or sensitive-ID sketches.
-	ChunksScanned, ChunksSkipped int64
+	// Scan extras: rows read from storage, chunks actually read, and
+	// chunks refuted by zone maps against the pushed predicate or by
+	// sensitive-ID sketches against a fused audit expression (probe
+	// elision or, for an audit-only run, a full skip).
+	RowsScanned, ChunksScanned              int64
+	ChunksSkippedFilter, ChunksSkippedAudit int64
+	// PredInterpreted counts rows whose scan or filter predicate the
+	// interpreter evaluated because the compiled fast path did not
+	// claim them.
+	PredInterpreted int64
 
 	// Hash-join extra: runs that built the left input (an inner join
 	// whose left input had the smaller estimate) instead of the right.
 	BuildLeft int64
+}
+
+// Add folds o into s, field by field.
+func (s *NodeStats) Add(o *NodeStats) {
+	s.Runs += o.Runs
+	s.RowsOut += o.RowsOut
+	s.Batches += o.Batches
+	s.Wall += o.Wall
+	s.Probes += o.Probes
+	s.Hits += o.Hits
+	s.Morsels += o.Morsels
+	s.Workers += o.Workers
+	s.RowsScanned += o.RowsScanned
+	s.ChunksScanned += o.ChunksScanned
+	s.ChunksSkippedFilter += o.ChunksSkippedFilter
+	s.ChunksSkippedAudit += o.ChunksSkippedAudit
+	s.PredInterpreted += o.PredInterpreted
+	s.BuildLeft += o.BuildLeft
 }

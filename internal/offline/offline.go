@@ -335,14 +335,15 @@ func (a *Auditor) execute(n plan.Node, mask *storage.Mask, keep, auditOnly bool)
 	ctx.Mask = mask
 	ctx.NoSkip = a.NoSkip
 	ctx.AuditOnly = auditOnly
+	in := exec.NewInstance(n, ctx)
 	var rows []value.Row
 	var err error
 	if keep {
-		rows, err = exec.Run(n, ctx)
+		rows, err = in.Run()
 	} else {
-		_, err = exec.Drain(n, ctx)
+		_, err = in.Drain()
 	}
-	return rows, ctx.Stats.RowsScanned.Load(), err
+	return rows, in.Totals().RowsScanned, err
 }
 
 // digest is an order-insensitive multiset digest of the first width

@@ -193,7 +193,13 @@ func TestAuditNodeBlocksPushdown(t *testing.T) {
 
 type nopSink struct{}
 
-func (nopSink) Observe(value.Value) {}
+func (nopSink) ObserveBatch([]value.Value) int { return 0 }
+func (nopSink) ObserveCount(int64)             {}
+func (nopSink) Fork() plan.WorkerAuditSink     { return nopFork{} }
+
+type nopFork struct{ nopSink }
+
+func (nopFork) Merge() {}
 
 func TestOptimizerPreservesResultsProperty(t *testing.T) {
 	// Optimization must never change results: checked end-to-end in

@@ -8,7 +8,13 @@ import (
 
 type stubSink struct{ seen int }
 
-func (s *stubSink) Observe(value.Value) { s.seen++ }
+func (s *stubSink) ObserveBatch(vs []value.Value) int { s.seen += len(vs); return 0 }
+func (s *stubSink) ObserveCount(n int64)              { s.seen += int(n) }
+func (s *stubSink) Fork() WorkerAuditSink             { return stubFork{s} }
+
+type stubFork struct{ *stubSink }
+
+func (stubFork) Merge() {}
 
 // TestCloneNodeIsolatesMutableState: CloneNode exists so that adopted
 // copies of a shared plan template can have their Audit sinks rebound

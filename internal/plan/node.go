@@ -433,32 +433,39 @@ func (g *Gather) SetChild(i int, n Node) { g.Child = n }
 // Label implements Node.
 func (g *Gather) Label() string { return fmt.Sprintf("Gather(workers=%d)", g.Workers) }
 
-// AuditSink receives the partition-by values that flow past an audit
-// operator during execution. internal/core implements it with a
-// sensitive-ID hash probe that records matches into the query's
-// ACCESSED state (paper §IV-A.2).
+// AuditSink is what an audit operator feeds: the partition-by values
+// that flow past it. internal/core's Probe is the one implementation,
+// a sensitive-ID hash probe that records matches into the query's
+// ACCESSED state (paper §IV-A.2). Fork makes every sink usable inside
+// a parallel fragment: because the probe is pure and commutative
+// (paper Claim 3.6), the union of per-worker observations equals the
+// serial result — no false negatives, no spurious entries.
 type AuditSink interface {
-	Observe(v value.Value)
-}
-
-// BatchAuditSink is the vectorized extension of AuditSink: sinks that
-// implement it receive whole batches of partition-by values, paying
-// synchronization once per batch instead of once per row. Semantics
-// are identical to calling Observe on each element in order, so audit
-// cardinalities cannot depend on which path the executor picks. The
-// slice is only valid for the duration of the call.
-type BatchAuditSink interface {
-	AuditSink
-	ObserveBatch(vs []value.Value)
+	AuditObserver
+	// Fork returns a worker-local sink for one parallel fragment.
+	Fork() WorkerAuditSink
 }
 
 // WorkerAuditSink is one worker's private view of a forked audit
-// sink. Workers call Observe/ObserveBatch without synchronization;
-// Merge folds the worker's observations into the parent exactly once,
-// after the worker has stopped producing.
+// sink. The worker observes without synchronization; Merge folds its
+// observations into the parent exactly once, after the worker has
+// stopped producing.
 type WorkerAuditSink interface {
-	BatchAuditSink
+	AuditObserver
 	Merge()
+}
+
+// AuditObserver is the probing half an audit sink and its forks share.
+type AuditObserver interface {
+	// ObserveBatch probes a batch of partition-by values and returns
+	// how many hit. The slice is only valid for the duration of the
+	// call.
+	ObserveBatch(vs []value.Value) (hits int)
+	// ObserveCount advances the observed-row count by n probes the
+	// scan kernel elided: their chunk's sensitive-ID sketch refuted
+	// every row, so none could hit and ACCESSED is untouched — exactly
+	// what n misses would leave.
+	ObserveCount(n int64)
 }
 
 // PruneKind discriminates chunk-refutation terms.
@@ -484,17 +491,6 @@ type PruneTerm struct {
 	Val  Expr
 }
 
-// CountingAuditSink is an audit sink whose observed-row accounting can
-// be advanced without presenting the values. The fused kernel uses it
-// when a chunk's sensitive-ID sketch refutes every row: the per-row
-// probes are elided (none could match, so ACCESSED is untouched) while
-// the observation count stays byte-identical to the unelided run.
-// Sinks that do not implement this interface never have probes elided.
-type CountingAuditSink interface {
-	AuditSink
-	ObserveCount(n int64)
-}
-
 // ChunkSketch is the read-only statistics view the storage layer hands
 // to pruning decisions: zone-map range, null counts, and sensitive-ID
 // membership for one chunk. All answers are conservative — "may
@@ -513,18 +509,6 @@ type SketchPruner interface {
 	RefuteChunk(col int, ck ChunkSketch) bool
 }
 
-// ParallelAuditSink is an audit sink that supports fork/merge
-// parallelism: Fork returns a worker-local sink whose observations are
-// union-merged into the parent by its Merge method. Because the audit
-// operator is a pure, commutative probe (paper Claim 3.6), the union
-// of per-worker ACCESSED observations equals the serial result — no
-// false negatives, no spurious entries. Sinks that do not implement
-// this interface are shared across workers behind a mutex instead.
-type ParallelAuditSink interface {
-	AuditSink
-	Fork() WorkerAuditSink
-}
-
 // Audit is the paper's audit operator: a no-op "data viewer" derived
 // from the filter operator. It forwards every input row unchanged and
 // feeds the partition-by column (ordinal IDIdx of its input) to the
@@ -535,7 +519,11 @@ type Audit struct {
 	Name string
 	// IDIdx is the ordinal of the partition-by column in Child's schema.
 	IDIdx int
-	// Sink checks membership in the sensitive-ID set and records hits.
+	// Sink probes the sensitive-ID set and records hits into the
+	// ACCESSED state its owner points it at for the run: a statement's,
+	// or under EXPLAIN ANALYZE a throwaway one. Observed or not, the
+	// run feeds the same sink through the same (fused or unfused)
+	// operator.
 	Sink AuditSink
 	// Pruner, when set, can refute whole chunks against the audit
 	// expression's sensitive-ID sketch. It is the stable compiled

@@ -235,6 +235,16 @@ func (r *Rec) SetAttrInt(id int, key string, n int64) {
 	r.spans[id].Attrs = append(r.spans[id].Attrs, Attr{Key: key, Int: n})
 }
 
+// SetAttrs sets a span's attributes wholesale, replacing any, so a
+// caller recording many spans can carve their attributes out of one
+// allocation.
+func (r *Rec) SetAttrs(id int, attrs []Attr) {
+	if id < 0 || id >= len(r.spans) || !r.Sampling() {
+		return
+	}
+	r.spans[id].Attrs = attrs
+}
+
 // Finish closes the recorder. With retain=false it only clears the
 // active flag — no allocation, the unsampled fast path. With
 // retain=true it builds the Trace to keep: sampled statements get a

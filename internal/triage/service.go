@@ -47,10 +47,10 @@ type VerdictRec struct {
 	ElapsedNanos int64
 }
 
-// Stats is a consistent snapshot of the service's accounting. The
+// Snapshot is a consistent snapshot of the service's accounting. The
 // invariant Enqueued == Verdicts + Dropped + Failed + Pending holds at
 // every instant (Pending counts resident and in-flight events).
-type Stats struct {
+type Snapshot struct {
 	Enqueued uint64
 	Dropped  uint64
 	Verdicts uint64
@@ -239,10 +239,10 @@ func (s *Service) Verdicts() []VerdictRec {
 }
 
 // Stats returns a consistent accounting snapshot.
-func (s *Service) Stats() Stats {
+func (s *Service) Stats() Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return Stats{
+	return Snapshot{
 		Enqueued: s.enqueued,
 		Dropped:  s.dropped,
 		Verdicts: s.verdicts,
