@@ -88,3 +88,61 @@ func TestHotShapeAllocBudget(t *testing.T) {
 		t.Errorf("hot shapes allocate %.2f/op on average, want <= 12", mean)
 	}
 }
+
+// TestFiringAllocBudget gates what one warm execution of hot shapes 0–2
+// allocates when its key is sensitive, so the statement fires the
+// paper's access-log trigger (§II) in its four-column form: ACCESSED is
+// built, the chain record and the action run as their own system
+// transaction, and the action's INSERT ... SELECT appends one AccessLog
+// row through its session's cached plan. Gate: every shape <= 25.
+func TestFiringAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets do not hold under the race detector")
+	}
+	d := tpch.Generate(tpch.Config{SF: 0.01})
+	db := Open()
+	eng := db.Engine()
+	if _, err := eng.ExecScript(tpch.SchemaDDL); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.LoadRows("customer", d.Customer); err != nil {
+		t.Fatal(err)
+	}
+	for _, ddl := range []string{
+		tpch.AuditCustomerRange("Audit_Cust", 100),
+		"CREATE TABLE AccessLog (At VARCHAR(40), UserID VARCHAR(30), SQL VARCHAR(600), CustKey INT)",
+		"CREATE TRIGGER Log_Access ON ACCESS TO Audit_Cust AS INSERT INTO AccessLog SELECT now(), userid(), sqltext(), c_custkey FROM ACCESSED",
+	} {
+		if _, err := db.Exec(ddl); err != nil {
+			t.Fatalf("%s: %v", ddl, err)
+		}
+	}
+	s := db.NewSession()
+	s.SetUser("bench0")
+	// Customer 7 is inside the audited range; every balance passes.
+	for i, sql := range hotShapes(7, -1000)[:3] {
+		r, err := s.Exec(sql)
+		if err != nil {
+			t.Fatalf("shape %d: %v", i, err)
+		}
+		if n := r.AccessedCount("Audit_Cust"); n != 1 {
+			t.Fatalf("shape %d recorded %d ids, want the one sensitive key", i, n)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := s.Exec(sql); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("shape %d: %.1f allocs/op  %s", i, allocs, sql)
+		if allocs > 25 {
+			t.Errorf("shape %d allocates %.1f/op firing, want <= 25", i, allocs)
+		}
+	}
+	r, err := db.Query("SELECT COUNT(*) FROM AccessLog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := r.Rows[0][0].Int(), int64(3*(1+201)); got != want {
+		t.Fatalf("AccessLog holds %d rows, want one per firing statement (%d)", got, want)
+	}
+}

@@ -5,9 +5,11 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"auditdb/internal/value"
 )
@@ -116,7 +118,7 @@ type Catalog struct {
 	mu       sync.RWMutex
 	tables   map[string]*TableMeta
 	indexes  map[string]*IndexMeta
-	triggers map[string]*TriggerMeta
+	triggers []*TriggerMeta // sorted by name
 	audits   map[string]*AuditExprMeta
 	views    map[string]*ViewMeta
 }
@@ -124,15 +126,32 @@ type Catalog struct {
 // New returns an empty catalog.
 func New() *Catalog {
 	return &Catalog{
-		tables:   make(map[string]*TableMeta),
-		indexes:  make(map[string]*IndexMeta),
-		triggers: make(map[string]*TriggerMeta),
-		audits:   make(map[string]*AuditExprMeta),
-		views:    make(map[string]*ViewMeta),
+		tables:  make(map[string]*TableMeta),
+		indexes: make(map[string]*IndexMeta),
+		audits:  make(map[string]*AuditExprMeta),
+		views:   make(map[string]*ViewMeta),
 	}
 }
 
 func key(name string) string { return strings.ToLower(name) }
+
+// AppendKey appends the map key of a case-insensitive name, its
+// strings.ToLower form, to buf. An ASCII name is lower-cased into buf
+// itself, so a lookup m[string(AppendKey(scratch[:0], name))] over
+// stack scratch allocates nothing.
+func AppendKey(buf []byte, name string) []byte {
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if c >= utf8.RuneSelf {
+			return append(buf[:len(buf)-i], key(name)...)
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf = append(buf, c)
+	}
+	return buf
+}
 
 // AddTable registers a table schema.
 func (c *Catalog) AddTable(t *TableMeta) error {
@@ -164,9 +183,11 @@ func (c *Catalog) AddTable(t *TableMeta) error {
 
 // Table looks up a table schema by name (case-insensitive).
 func (c *Catalog) Table(name string) (*TableMeta, bool) {
+	var scratch [64]byte
+	k := AppendKey(scratch[:0], name)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	t, ok := c.tables[key(name)]
+	t, ok := c.tables[string(k)]
 	return t, ok
 }
 
@@ -317,11 +338,11 @@ func (c *Catalog) DropIndex(name string) (*IndexMeta, error) {
 func (c *Catalog) AddTrigger(t *TriggerMeta) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	k := key(t.Name)
-	if _, ok := c.triggers[k]; ok {
+	if c.triggerAt(t.Name) >= 0 {
 		return fmt.Errorf("trigger %q already exists", t.Name)
 	}
-	c.triggers[k] = t
+	i, _ := slices.BinarySearchFunc(c.triggers, t.Name, func(x *TriggerMeta, name string) int { return strings.Compare(x.Name, name) })
+	c.triggers = slices.Insert(c.triggers, i, t)
 	return nil
 }
 
@@ -329,32 +350,35 @@ func (c *Catalog) AddTrigger(t *TriggerMeta) error {
 func (c *Catalog) DropTrigger(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	k := key(name)
-	if _, ok := c.triggers[k]; !ok {
+	i := c.triggerAt(name)
+	if i < 0 {
 		return fmt.Errorf("trigger %q does not exist", name)
 	}
-	delete(c.triggers, k)
+	c.triggers = slices.Delete(c.triggers, i, i+1)
 	return nil
+}
+
+// triggerAt returns the position of the named trigger, -1 if none.
+func (c *Catalog) triggerAt(name string) int {
+	k := key(name)
+	return slices.IndexFunc(c.triggers, func(t *TriggerMeta) bool { return key(t.Name) == k })
 }
 
 // Trigger looks up a trigger by name.
 func (c *Catalog) Trigger(name string) (*TriggerMeta, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	t, ok := c.triggers[key(name)]
-	return t, ok
+	if i := c.triggerAt(name); i >= 0 {
+		return c.triggers[i], true
+	}
+	return nil, false
 }
 
 // Triggers returns all triggers sorted by name.
 func (c *Catalog) Triggers() []*TriggerMeta {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out := make([]*TriggerMeta, 0, len(c.triggers))
-	for _, t := range c.triggers {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return slices.Clone(c.triggers)
 }
 
 // TriggersFor returns the triggers of the given kind whose target
@@ -368,7 +392,6 @@ func (c *Catalog) TriggersFor(kind TriggerKind, target string) []*TriggerMeta {
 			out = append(out, t)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

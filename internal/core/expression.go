@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -219,12 +220,18 @@ type Registry struct {
 	store *storage.Store
 
 	mu    sync.RWMutex
-	exprs map[string]*AuditExpression
+	exprs []*AuditExpression // in creation order
 }
 
 // NewRegistry creates an empty registry bound to a catalog and store.
 func NewRegistry(cat *catalog.Catalog, store *storage.Store) *Registry {
-	return &Registry{cat: cat, store: store, exprs: make(map[string]*AuditExpression)}
+	return &Registry{cat: cat, store: store}
+}
+
+// find returns the position of the named expression, -1 if none.
+func (r *Registry) find(name string) int {
+	k := strings.ToLower(name)
+	return slices.IndexFunc(r.exprs, func(e *AuditExpression) bool { return strings.ToLower(e.Meta.Name) == k })
 }
 
 // Compile registers an audit expression declaration: it validates the
@@ -290,11 +297,10 @@ func (r *Registry) Compile(meta *catalog.AuditExprMeta, query *ast.Select) (*Aud
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	key := strings.ToLower(meta.Name)
-	if _, dup := r.exprs[key]; dup {
+	if r.find(meta.Name) >= 0 {
 		return nil, fmt.Errorf("audit expression %q already compiled", meta.Name)
 	}
-	r.exprs[key] = e
+	r.exprs = append(r.exprs, e)
 	return e, nil
 }
 
@@ -302,26 +308,26 @@ func (r *Registry) Compile(meta *catalog.AuditExprMeta, query *ast.Select) (*Aud
 func (r *Registry) Drop(name string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	delete(r.exprs, strings.ToLower(name))
+	if i := r.find(name); i >= 0 {
+		r.exprs = slices.Delete(r.exprs, i, i+1)
+	}
 }
 
 // Get returns the compiled expression by name.
 func (r *Registry) Get(name string) (*AuditExpression, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	e, ok := r.exprs[strings.ToLower(name)]
-	return e, ok
+	if i := r.find(name); i >= 0 {
+		return r.exprs[i], true
+	}
+	return nil, false
 }
 
-// All returns every compiled expression.
+// All returns every compiled expression, in creation order.
 func (r *Registry) All() []*AuditExpression {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]*AuditExpression, 0, len(r.exprs))
-	for _, e := range r.exprs {
-		out = append(out, e)
-	}
-	return out
+	return slices.Clone(r.exprs)
 }
 
 // Apply maintains materialized ID sets after a DML statement against
@@ -331,11 +337,12 @@ func (r *Registry) All() []*AuditExpression {
 // maintenance would be incremental too; wholesale refresh keeps the
 // same observable behaviour, §IV-A.1).
 func (r *Registry) Apply(table string, inserted, deleted []value.Row) error {
-	key := strings.ToLower(table)
+	var scratch [64]byte
+	key := catalog.AppendKey(scratch[:0], table)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for _, e := range r.exprs {
-		if !e.refTables[key] {
+		if !e.refTables[string(key)] {
 			continue
 		}
 		if e.singlePred != nil && strings.EqualFold(table, e.Meta.SensitiveTable) {

@@ -131,17 +131,18 @@ func (e *Engine) runCreateTrigger(s *ast.CreateTrigger) (*Result, error) {
 		return nil, err
 	}
 	e.mu.Lock()
-	e.triggers[strings.ToLower(s.Name)] = &compiledTrigger{meta: meta, body: s.Body}
+	e.triggers[meta] = &compiledTrigger{body: s.Body, plans: triggerPlanKeys(s.Body, e.triggerSeq.Add(1))}
 	e.mu.Unlock()
 	return &Result{}, nil
 }
 
 func (e *Engine) runDropTrigger(s *ast.DropTrigger) (*Result, error) {
+	meta, _ := e.cat.Trigger(s.Name)
 	if err := e.cat.DropTrigger(s.Name); err != nil {
 		return nil, err
 	}
 	e.mu.Lock()
-	delete(e.triggers, strings.ToLower(s.Name))
+	delete(e.triggers, meta)
 	e.mu.Unlock()
 	return &Result{}, nil
 }

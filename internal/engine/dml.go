@@ -14,17 +14,6 @@ import (
 	"strings"
 )
 
-// acquireWrite takes the engine's writer lock for one statement, or is
-// a no-op when the statement runs inside a transaction that already
-// holds it. The returned function releases whatever was taken.
-func (e *Engine) acquireWrite(env *actionEnv) func() {
-	if env.txn != nil || env.lockHeld {
-		return func() {}
-	}
-	e.dmlMu.Lock()
-	return e.dmlMu.Unlock
-}
-
 // change records one applied row mutation for undo and trigger firing.
 type change struct {
 	table    *storage.Table
@@ -38,48 +27,44 @@ func (e *Engine) runInsert(s *ast.Insert, sql string, env *actionEnv) (*Result, 
 		return nil, fmt.Errorf("unknown table %q", s.Table)
 	}
 
-	// Resolve the optional explicit column list to target ordinals.
+	// Resolve the optional explicit column list to target ordinals; nil
+	// when the rows already come in the table's own column order.
 	targets, err := resolveColumns(meta, s.Columns)
 	if err != nil {
 		return nil, err
 	}
 
 	var rows []value.Row
-	switch {
-	case s.Query != nil:
+	if s.Query != nil {
 		// INSERT ... SELECT runs the query through the full audited
 		// pipeline, so SELECT triggers observe its accesses too.
 		r, err := e.runSelect(s.Query, sql, env)
 		if err != nil {
 			return nil, err
 		}
-		for _, src := range r.Rows {
-			row, err := spreadRow(meta, targets, src)
-			if err != nil {
+		rows = r.Rows
+		for i, src := range rows {
+			if rows[i], err = spreadRow(meta, targets, src); err != nil {
 				return nil, err
 			}
-			rows = append(rows, row)
 		}
-	default:
+	} else {
 		ctx := e.execCtx(env, sql)
-		for _, exprRow := range s.Rows {
+		rows = make([]value.Row, len(s.Rows))
+		for i, exprRow := range s.Rows {
 			src := make(value.Row, len(exprRow))
-			for i, ex := range exprRow {
+			for j, ex := range exprRow {
 				compiled, err := plan.BuildScalar(e.planEnv(env), env.outerSchema, ex)
 				if err != nil {
 					return nil, err
 				}
-				v, err := compiled.Eval(ctx.Eval, env.outerRow)
-				if err != nil {
+				if src[j], err = compiled.Eval(ctx.Eval, env.outerRow); err != nil {
 					return nil, err
 				}
-				src[i] = v
 			}
-			row, err := spreadRow(meta, targets, src)
-			if err != nil {
+			if rows[i], err = spreadRow(meta, targets, src); err != nil {
 				return nil, err
 			}
-			rows = append(rows, row)
 		}
 	}
 	return e.applyDML(meta, sql, env, catalog.TriggerAfterInsert, func(tbl *storage.Table) ([]change, error) {
@@ -153,10 +138,10 @@ func (e *Engine) writeMatched(meta *catalog.TableMeta, alias string, where ast.E
 		sel.Items = append(sel.Items, ast.SelectItem{Expr: x})
 	}
 	benv := *env
-	if _, ok := env.extraSchema[strings.ToLower(meta.Name)]; ok {
+	if strings.EqualFold(meta.Name, accessedName) {
 		// The target is the stored table, even where a trigger's ACCESSED
 		// relation shares its name.
-		benv.extraSchema = nil
+		benv.accessed = plan.ColInfo{}
 	}
 	read, err := e.build(sel, &benv)
 	if err != nil {
@@ -192,53 +177,51 @@ func (e *Engine) writeMatched(meta *catalog.TableMeta, alias string, where ast.E
 }
 
 // applyDML is the write tail INSERT, UPDATE and DELETE share. Under the
-// writer lock it runs apply, which reads what it needs and writes the
-// rows, returning the changes it made (those before the failure when it
+// writer lock — unless the statement's transaction already holds it —
+// it runs apply, which reads what it needs and writes the rows,
+// returning the changes it made (those before the failure when it
 // fails), and undoes a failed apply; it records the changes in the
 // transaction's undo log and the statement's WAL unit and folds them
 // into the audit expressions' ID sets. With the lock released it fires
 // the table's AFTER triggers of kind, one row at a time in apply order.
 func (e *Engine) applyDML(meta *catalog.TableMeta, sql string, env *actionEnv, kind catalog.TriggerKind, apply func(*storage.Table) ([]change, error)) (*Result, error) {
-	unlock := e.acquireWrite(env)
-	tbl, ok := e.store.Table(meta.Name)
-	if !ok {
-		unlock()
-		return nil, fmt.Errorf("table %q has no storage", meta.Name)
+	applied, err := func() ([]change, error) {
+		if env.txn == nil && !env.lockHeld {
+			e.dmlMu.Lock()
+			defer e.dmlMu.Unlock()
+		}
+		tbl, ok := e.store.Table(meta.Name)
+		if !ok {
+			return nil, fmt.Errorf("table %q has no storage", meta.Name)
+		}
+		applied, err := apply(tbl)
+		if err != nil {
+			undo(applied)
+			return nil, err
+		}
+		if env.txn != nil {
+			env.txn.record(applied)
+		}
+		e.bufferDML(env, meta, applied)
+		return applied, e.maintainIDSets(meta, applied)
+	}()
+	if err == nil {
+		err = e.fireDMLTriggers(meta, applied, sql, env, kind)
 	}
-	applied, err := apply(tbl)
 	if err != nil {
-		undo(applied)
-		unlock()
-		return nil, err
-	}
-	if env.txn != nil {
-		env.txn.record(applied)
-	}
-	e.bufferDML(env, meta, applied)
-	err = e.maintainIDSets(meta, applied)
-	unlock()
-	if err != nil {
-		return nil, err
-	}
-	if err := e.fireDMLTriggers(meta, applied, sql, env, kind); err != nil {
 		return nil, err
 	}
 	return &Result{RowsAffected: len(applied)}, nil
 }
 
-// insertRows inserts rows into tbl, returning the changes made (those
-// before the failing row when one fails).
+// insertRows inserts rows into tbl as one batch, returning the changes
+// made (those before the failing row when one fails).
 func insertRows(tbl *storage.Table, rows []value.Row) ([]change, error) {
-	var applied []change
-	for _, row := range rows {
-		id, err := tbl.Insert(row)
-		if err != nil {
-			return applied, err
-		}
-		stored, _ := tbl.Get(id)
+	applied := make([]change, 0, len(rows))
+	err := tbl.InsertRows(rows, func(id storage.RowID, stored value.Row) {
 		applied = append(applied, change{table: tbl, id: id, new: stored})
-	}
-	return applied, nil
+	})
+	return applied, err
 }
 
 // maintainIDSets folds the applied changes into the audit expressions'
@@ -284,16 +267,16 @@ func undo(applied []change) {
 	}
 }
 
+// resolveColumns maps an INSERT's column list to target ordinals. It
+// returns nil when the list is absent or names every column in table
+// order: the source rows are then full-width rows as they stand.
 func resolveColumns(meta *catalog.TableMeta, names []string) ([]int, error) {
 	if len(names) == 0 {
-		out := make([]int, len(meta.Columns))
-		for i := range out {
-			out[i] = i
-		}
-		return out, nil
+		return nil, nil
 	}
 	out := make([]int, len(names))
 	seen := map[int]bool{}
+	inOrder := len(names) == len(meta.Columns)
 	for i, n := range names {
 		ord := meta.ColumnIndex(n)
 		if ord < 0 {
@@ -304,15 +287,27 @@ func resolveColumns(meta *catalog.TableMeta, names []string) ([]int, error) {
 		}
 		seen[ord] = true
 		out[i] = ord
+		inOrder = inOrder && ord == i
+	}
+	if inOrder {
+		return nil, nil
 	}
 	return out, nil
 }
 
 // spreadRow expands a source tuple (matching the target column list)
-// into a full-width row, NULL-filling unlisted columns.
+// into a full-width row, NULL-filling unlisted columns. With nil
+// targets the tuple is the row itself.
 func spreadRow(meta *catalog.TableMeta, targets []int, src value.Row) (value.Row, error) {
-	if len(src) != len(targets) {
-		return nil, fmt.Errorf("table %s: expected %d values, got %d", meta.Name, len(targets), len(src))
+	want := len(targets)
+	if targets == nil {
+		want = len(meta.Columns)
+	}
+	if len(src) != want {
+		return nil, fmt.Errorf("table %s: expected %d values, got %d", meta.Name, want, len(src))
+	}
+	if targets == nil {
+		return src, nil
 	}
 	row := make(value.Row, len(meta.Columns))
 	for i := range row {

@@ -7,8 +7,8 @@
 package engine
 
 import (
+	"context"
 	"fmt"
-	"io"
 	"log/slog"
 	"strings"
 	"sync"
@@ -53,7 +53,7 @@ type Engine struct {
 	mu       sync.RWMutex
 	notify   func(msg string)
 	onAccess func(ev AccessEvent)
-	triggers map[string]*compiledTrigger
+	triggers map[*catalog.TriggerMeta]*compiledTrigger
 	views    map[string]*ast.Select
 
 	// defSess is the built-in session Engine.Exec/Query run under; its
@@ -100,6 +100,11 @@ type Engine struct {
 	defaultWorkers  atomic.Int64
 	parallelMinRows atomic.Int64
 	ddlVersion      atomic.Int64
+	// triggerSeq numbers CREATE TRIGGERs for their bodies' plan keys.
+	triggerSeq atomic.Uint64
+	// clock is what NOW() reads: time.Now, fixed by tests. Set before
+	// the engine serves traffic.
+	clock func() time.Time
 
 	// Parallel-execution metrics (registered in initMetrics).
 	execWorkers       *obs.Gauge
@@ -188,8 +193,10 @@ type counters struct {
 }
 
 type compiledTrigger struct {
-	meta *catalog.TriggerMeta
 	body []ast.Stmt
+	// plans maps each SELECT the body runs to the key of its plan in the
+	// firing session's L1 (triggerPlanKeys).
+	plans map[*ast.Select][]byte
 }
 
 // Result is the outcome of one statement.
@@ -227,12 +234,13 @@ func New() *Engine {
 		cat:      cat,
 		store:    store,
 		reg:      core.NewRegistry(cat, store),
-		triggers: make(map[string]*compiledTrigger),
+		triggers: make(map[*catalog.TriggerMeta]*compiledTrigger),
 		views:    make(map[string]*ast.Select),
+		clock:    time.Now,
 	}
 	e.traceRing = trace.NewRing(DefaultTraceRingCap)
 	e.initMetrics()
-	e.logger.Store(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	e.logger.Store(slog.New(discardHandler{}))
 	e.defaultWorkers.Store(1)
 	e.parallelMinRows.Store(DefaultParallelMinRows)
 	e.execWorkers.Set(1)
@@ -322,10 +330,20 @@ func (e *Engine) Metrics() *obs.Registry { return e.metrics }
 // firings and slow-query events. nil restores the discard logger.
 func (e *Engine) SetLogger(l *slog.Logger) {
 	if l == nil {
-		l = slog.New(slog.NewTextHandler(io.Discard, nil))
+		l = slog.New(discardHandler{})
 	}
 	e.logger.Store(l)
 }
+
+// discardHandler is the default logger's handler: it is enabled at no
+// level, so a caller that checks Logger().Enabled builds no record.
+// (slog.DiscardHandler is the same, from go 1.24 on.)
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h discardHandler) WithGroup(string) slog.Handler           { return h }
 
 // Logger returns the engine's current structured logger.
 func (e *Engine) Logger() *slog.Logger { return e.logger.Load() }
@@ -425,10 +443,14 @@ func (e *Engine) Query(sql string) (*Result, error) { return e.defSess.Query(sql
 type actionEnv struct {
 	outerSchema plan.Schema
 	outerRow    value.Row
-	extraSchema map[string]plan.Schema
-	extraRows   map[string][]value.Row
-	params      []value.Value
-	txn         *Txn
+	// accessed is the ACCESSED relation's one column inside a SELECT
+	// trigger's action (zero elsewhere), and extraRows binds its rows.
+	// planEnv turns the column into a schema only when a statement of
+	// the action is planned.
+	accessed  plan.ColInfo
+	extraRows map[string][]value.Row
+	params    []value.Value
+	txn       *Txn
 	// sess is the session the statement executes under; trigger actions
 	// inherit it so USERID()/sqltext() resolve to the user whose query
 	// fired them. nil means the engine's default session.
@@ -445,24 +467,29 @@ type actionEnv struct {
 	// belongs to; trigger cascades share their firing statement's unit,
 	// SELECT-trigger system transactions get their own (trigger.go).
 	unit *walUnit
+	// trigger is the trigger whose body the statement belongs to, nil
+	// outside trigger bodies; runSelect caches the body's SELECTs.
+	trigger *compiledTrigger
 }
 
 func rootActionEnv() *actionEnv { return &actionEnv{} }
 
-func (a *actionEnv) child() *actionEnv {
+// child derives the environment for the action of trigger t, a classic
+// trigger.
+func (a *actionEnv) child(t *compiledTrigger) *actionEnv {
 	// Classic trigger actions join the enclosing transaction's undo
 	// scope (and its WAL unit); SELECT-trigger actions clear txn via
 	// systemChild.
-	return &actionEnv{depth: a.depth + 1, txn: a.txn, sess: a.sess, lockHeld: a.lockHeld, unit: a.unit}
+	return &actionEnv{depth: a.depth + 1, txn: a.txn, sess: a.sess, lockHeld: a.lockHeld, unit: a.unit, trigger: t}
 }
 
-// systemChild derives the environment for a SELECT trigger's action:
-// it runs as its own system transaction (§II of the paper), so a
-// rollback of the reading transaction cannot erase the audit trail.
-// The firing session carries over — the logged USERID() must be the
-// reader's, not whoever touched the engine last.
-func (a *actionEnv) systemChild() *actionEnv {
-	return &actionEnv{depth: a.depth + 1, sess: a.sess, lockHeld: a.lockHeld || a.txn != nil}
+// systemChild derives the environment for the action of trigger t, a
+// SELECT trigger: it runs as its own system transaction (§II of the
+// paper), so a rollback of the reading transaction cannot erase the
+// audit trail. The firing session carries over — the logged USERID()
+// must be the reader's, not whoever touched the engine last.
+func (a *actionEnv) systemChild(t *compiledTrigger) *actionEnv {
+	return &actionEnv{depth: a.depth + 1, sess: a.sess, lockHeld: a.lockHeld || a.txn != nil, trigger: t}
 }
 
 // execStmt runs one parsed statement. It records into whatever statement
@@ -579,8 +606,8 @@ func (e *Engine) execDDL(env *actionEnv, stmt ast.Stmt, run func() (*Result, err
 // the given action environment.
 func (e *Engine) planEnv(env *actionEnv) *plan.Env {
 	pe := &plan.Env{Catalog: e.cat}
-	if env.extraSchema != nil {
-		pe.Extra = env.extraSchema
+	if env.accessed.Name != "" {
+		pe.Extra = map[string]plan.Schema{accessedName: {env.accessed}}
 	}
 	e.mu.RLock()
 	if len(e.views) > 0 {
@@ -608,11 +635,14 @@ func (e *Engine) execCtx(env *actionEnv, sql string) *exec.Ctx {
 // inputs survives.
 func (e *Engine) bindCtx(ctx *exec.Ctx, env *actionEnv, sql string) {
 	sess := e.sessionOf(env)
-	ctx.Eval.Session = plan.SessionInfo{User: sess.User(), SQL: sql, Now: time.Now()}
+	sess.lock()
+	user, skipOff := sess.user, sess.skipOff
+	sess.unlock()
+	ctx.Eval.Session = plan.SessionInfo{User: user, SQL: sql, Now: e.clock()}
 	ctx.Eval.Params = env.params
 	ctx.Eval.Outer = ctx.Eval.Outer[:0]
 	ctx.Extra = env.extraRows
-	ctx.NoSkip = !sess.SkippingOn()
+	ctx.NoSkip = skipOff
 }
 
 // BuildQueryPlan parses, plans, optimizes and (optionally) instruments
@@ -667,22 +697,41 @@ func (e *Engine) runSelect(sel *ast.Select, sql string, env *actionEnv) (*Result
 	// canonical cache. Anything whose text is not this one SELECT —
 	// scripts, INSERT ... SELECT, IF bodies — fails to normalize and is
 	// compiled below.
-	if env.depth == 0 && env.outerSchema == nil && env.extraSchema == nil && env.extraRows == nil {
+	if env.depth == 0 && env.outerSchema == nil && env.extraRows == nil {
 		if res, ok, err := e.runCanonSelect(sql, nil, env, false); ok {
 			return res, err
 		}
 	}
 
+	// A trigger body's SELECT is planned once per session, knobs and
+	// catalog version: its entry lives in the session's L1 under the
+	// trigger's key, and every later firing resets the entry's operator
+	// instance, ACCESSED and NEW/OLD being bound per run (bindCtx).
 	sess := e.sessionOf(env)
 	k := sess.planKnobs()
+	r := &sess.rec
 	start := time.Now()
+	var key []byte
+	if env.trigger != nil && !e.disablePlanCache {
+		key = env.trigger.plans[sel]
+	}
+	version := e.ddlVersion.Load()
+	if key != nil {
+		if pe := sess.cachedCanonPlan(key, k, version); pe != nil {
+			notePlan(r, start, time.Since(start), "hit")
+			return e.executeSelect(pe, sql, env)
+		}
+	}
 	c, err := e.compile(sel, env, k)
 	if err != nil {
 		return nil, err
 	}
-	r := &sess.rec
 	r.AddSpan(notePlan(r, start, time.Since(start), "miss"), "optimize", c.optStart, c.optDur)
-	return e.executeSelect(&planEntry{compiled: c, knobs: k}, sql, env)
+	pe := &planEntry{compiled: c, knobs: k, version: version}
+	if key != nil {
+		sess.storeCanonPlan(key, pe)
+	}
+	return e.executeSelect(pe, sql, env)
 }
 
 // executeSelect is the one execution tail for every compiled SELECT,
@@ -725,33 +774,44 @@ func (e *Engine) executeSelect(pe *planEntry, sql string, env *actionEnv) (*Resu
 	res := &Result{Columns: c.columns, Kinds: c.kinds, Rows: rows, Accessed: acc}
 
 	// Fire ON ACCESS triggers as their own system transactions after
-	// the query completes (§II).
-	if acc != nil {
-		auditStart := time.Now()
-		e.mu.RLock()
-		onAccess := e.onAccess
-		e.mu.RUnlock()
+	// the query completes (§II). Without an audit operator nothing was
+	// recorded.
+	if acc != nil && c.hasAudit {
+		// The audit phase starts at the first expression that recorded
+		// an ID: a statement that recorded none reads no clock.
+		var auditStart time.Time
+		var onAccess func(AccessEvent)
 		for i, ae := range targets {
-			if acc.Len(ae.Meta.Name) == 0 {
+			recorded := int64(acc.Len(ae.Meta.Name))
+			if recorded == 0 {
 				continue
 			}
-			recorded := int64(acc.Len(ae.Meta.Name))
+			if auditStart.IsZero() {
+				auditStart = time.Now()
+				e.mu.RLock()
+				onAccess = e.onAccess
+				e.mu.RUnlock()
+			}
 			sess.recAudited += recorded
 			e.stats.RowsAudited.Add(recorded)
 			e.rowsAuditedByTable.With(strings.ToLower(ae.Meta.SensitiveTable)).Add(recorded)
-			if err := e.fireAccessTriggers(ae, acc, c.exact[i], sql, env); err != nil {
+			triggers := e.cat.TriggersFor(catalog.TriggerOnAccess, ae.Meta.Name)
+			if len(triggers) == 0 && onAccess == nil {
+				continue
+			}
+			// The sorted IDs are built once and shared by the firing and
+			// the callback.
+			ids := acc.IDs(ae.Meta.Name)
+			if err := e.fireAccessTriggers(ae, triggers, ids, c.exact[i], sql, env); err != nil {
 				return nil, fmt.Errorf("SELECT trigger action failed: %w", err)
 			}
 			if onAccess != nil {
-				onAccess(AccessEvent{
-					Expression: ae.Meta.Name,
-					User:       sess.User(),
-					SQL:        sql,
-					IDs:        acc.IDs(ae.Meta.Name),
-				})
+				onAccess(AccessEvent{Expression: ae.Meta.Name, User: sess.User(), SQL: sql, IDs: ids})
 			}
 		}
-		rec.AddPhase(trace.PhaseAudit, time.Since(auditStart))
+		if !auditStart.IsZero() {
+			rec.AddPhase(trace.PhaseAudit, time.Since(auditStart))
+		}
 	}
 	return res, nil
 }

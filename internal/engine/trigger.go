@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"context"
 	"fmt"
-	"strings"
+	"log/slog"
+	"slices"
 	"time"
 
 	"auditdb/internal/catalog"
@@ -17,30 +19,31 @@ import (
 // actions (the paper's ACCESSED internal state, §II).
 const accessedName = "accessed"
 
-// fireAccessTriggers runs the actions of every ON ACCESS trigger bound
-// to the audit expression, with the ACCESSED relation holding the IDs
-// the audit operators recorded for this query. Each action runs as its
-// own system transaction after the query completes. exact says the
-// recorded IDs are the Definition 2.3 answer (compiled.exact), which
-// lets triage sign the firing's verdict without a replay.
-func (e *Engine) fireAccessTriggers(ae *core.AuditExpression, acc *core.Accessed, exact bool, sql string, env *actionEnv) error {
-	triggers := e.cat.TriggersFor(catalog.TriggerOnAccess, ae.Meta.Name)
+// fireAccessTriggers runs the actions of triggers, the ON ACCESS
+// triggers bound to the audit expression, with the ACCESSED relation
+// holding ids, the sorted IDs the audit operators recorded for this
+// query. Each action runs as its own system transaction after the query
+// completes. exact says the recorded IDs are the Definition 2.3 answer
+// (compiled.exact), which lets triage sign the firing's verdict without
+// a replay.
+func (e *Engine) fireAccessTriggers(ae *core.AuditExpression, triggers []*catalog.TriggerMeta, ids []value.Value, exact bool, sql string, env *actionEnv) error {
 	if len(triggers) == 0 {
 		return nil
 	}
 
-	// Bind ACCESSED: one column named after the partition-by key.
+	// Bind ACCESSED: one column named after the partition-by key, its
+	// rows cut from one copy of ids.
 	tbl, ok := e.cat.Table(ae.Meta.SensitiveTable)
 	if !ok {
 		return fmt.Errorf("sensitive table %q disappeared", ae.Meta.SensitiveTable)
 	}
-	keyKind := tbl.Columns[ae.KeyOrdinal()].Type
-	schema := plan.Schema{{Qual: "ACCESSED", Name: ae.Meta.PartitionBy, Kind: keyKind}}
-	ids := acc.IDs(ae.Meta.Name)
+	col := plan.ColInfo{Qual: "ACCESSED", Name: ae.Meta.PartitionBy, Kind: tbl.Columns[ae.KeyOrdinal()].Type}
+	backing := slices.Clone(ids)
 	rows := make([]value.Row, len(ids))
-	for i, id := range ids {
-		rows[i] = value.Row{id}
+	for i := range rows {
+		rows[i] = backing[i : i+1 : i+1]
 	}
+	extraRows := map[string][]value.Row{accessedName: rows}
 
 	// The firing itself is evidence: append it to the hash-chained audit
 	// stream before the action bodies run, so even an action that errors
@@ -86,7 +89,7 @@ func (e *Engine) fireAccessTriggers(ae *core.AuditExpression, acc *core.Accessed
 	}
 
 	for _, meta := range triggers {
-		ct := e.compiled(meta.Name)
+		ct := e.compiled(meta)
 		if ct == nil {
 			return fmt.Errorf("trigger %q has no compiled body", meta.Name)
 		}
@@ -94,22 +97,17 @@ func (e *Engine) fireAccessTriggers(ae *core.AuditExpression, acc *core.Accessed
 		// not roll back with a reading transaction, keeping the audit
 		// trail tamper-resistant — and its own WAL unit, committed when
 		// the action completes, for the same reason.
-		sub := env.systemChild()
-		sub.extraSchema = map[string]plan.Schema{accessedName: schema}
-		sub.extraRows = map[string][]value.Row{accessedName: rows}
+		sub := env.systemChild(ct)
+		sub.accessed, sub.extraRows = col, extraRows
 		if e.wal != nil {
 			sub.unit = &walUnit{}
 		}
 		e.stats.TriggersFired.Add(1)
-		e.Logger().Info("select trigger fired",
-			"trigger", meta.Name,
-			"expression", ae.Meta.Name,
-			"table", ae.Meta.SensitiveTable,
-			"user", sess.User(),
-			"accessed_ids", len(ids),
-			"qid", rec.QID(),
-			"sql", sql,
-		)
+		if l := e.Logger(); l.Enabled(context.Background(), slog.LevelInfo) {
+			l.Info("select trigger fired", "trigger", meta.Name, "expression", ae.Meta.Name,
+				"table", ae.Meta.SensitiveTable, "user", sess.User(), "accessed_ids", len(ids),
+				"qid", rec.QID(), "sql", sql)
+		}
 		span := rec.StartSpan("audit.fire")
 		if span >= 0 {
 			rec.SetAttr(span, "trigger", meta.Name)
@@ -163,11 +161,11 @@ func (e *Engine) fireDMLTriggers(meta *catalog.TableMeta, applied []change, sql 
 			return fmt.Errorf("unexpected trigger kind %v", kind)
 		}
 		for _, tm := range triggers {
-			ct := e.compiled(tm.Name)
+			ct := e.compiled(tm)
 			if ct == nil {
 				return fmt.Errorf("trigger %q has no compiled body", tm.Name)
 			}
-			sub := env.child()
+			sub := env.child(ct)
 			sub.outerSchema = schema
 			sub.outerRow = row
 			e.stats.TriggersFired.Add(1)
@@ -186,8 +184,8 @@ func (e *Engine) fireDMLTriggers(meta *catalog.TableMeta, applied []change, sql 
 	return nil
 }
 
-func (e *Engine) compiled(name string) *compiledTrigger {
+func (e *Engine) compiled(meta *catalog.TriggerMeta) *compiledTrigger {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.triggers[strings.ToLower(name)]
+	return e.triggers[meta]
 }

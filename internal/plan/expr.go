@@ -32,6 +32,9 @@ type EvalCtx struct {
 	Params []value.Value
 
 	subqCache map[Node][]value.Row
+	// nowText is NOW()'s text for the second nowSec, kept across runs.
+	nowSec  int64
+	nowText string
 }
 
 // SessionInfo provides values for session-scoped SQL functions.
