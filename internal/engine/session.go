@@ -36,6 +36,8 @@ type Session struct {
 	// canonCache is the session's L1 in front of the engine-wide shared
 	// plan cache, keyed by canonical (auto-parameterized) text.
 	canonCache map[string]*planEntry
+	// canonVersion is the catalog version canonCache was last swept at.
+	canonVersion int64
 	// paramScratch is the reusable per-execution slot-binding vector.
 	paramScratch []value.Value
 	txn          *Txn // open SQL-level BEGIN ... COMMIT/ROLLBACK transaction

@@ -78,6 +78,46 @@ func TestInsertCoercesTypes(t *testing.T) {
 	}
 }
 
+// TestInsertRowsAcrossSlices: a batch longer than one ChunkRows slice
+// lands in order with converted copies, and a row failing conversion or
+// the primary key in a later slice leaves exactly the rows before it.
+func TestInsertRowsAcrossSlices(t *testing.T) {
+	n := ChunkRows + 10
+	for _, bad := range []struct {
+		name string
+		row  value.Row
+	}{
+		{"conversion", value.Row{value.NewString("xx"), value.NewString("a"), value.NewInt(1)}},
+		{"duplicate key", row(3, "dup", 1)},
+	} {
+		tb := NewTable(patientsMeta())
+		rows := make([]value.Row, n)
+		for i := range rows {
+			rows[i] = value.Row{value.NewString(fmt.Sprint(i)), value.NewString("p"), value.NewFloat(float64(i % 90))}
+		}
+		fail := ChunkRows + 5
+		rows[fail] = bad.row
+		var ids []RowID
+		err := tb.InsertRows(rows, func(id RowID, stored value.Row) { ids = append(ids, id) })
+		if err == nil {
+			t.Fatalf("%s: the failing row was accepted", bad.name)
+		}
+		if tb.Len() != fail || len(ids) != fail {
+			t.Fatalf("%s: %d rows stored, %d reported, want %d", bad.name, tb.Len(), len(ids), fail)
+		}
+		rows[fail-1][2] = value.NewInt(-1) // the table keeps its own copy
+		for i, id := range ids {
+			got, ok := tb.Get(id)
+			if id != RowID(i) || !ok || got[0].Kind != value.KindInt || got[0].Int() != int64(i) || got[2].Int() != int64(i%90) {
+				t.Fatalf("%s: row %d stored as id %d: %v", bad.name, i, id, got)
+			}
+			if pk, ok := tb.LookupPK(value.Row{value.NewInt(int64(i))}); !ok || pk != id {
+				t.Fatalf("%s: primary key %d -> %d, %v", bad.name, i, pk, ok)
+			}
+		}
+	}
+}
+
 func TestPrimaryKeyUniqueness(t *testing.T) {
 	tb := NewTable(patientsMeta())
 	if _, err := tb.Insert(row(1, "Alice", 30)); err != nil {
