@@ -94,7 +94,7 @@ func TestHotShapeAllocBudget(t *testing.T) {
 // paper's access-log trigger (§II) in its four-column form: ACCESSED is
 // built, the chain record and the action run as their own system
 // transaction, and the action's INSERT ... SELECT appends one AccessLog
-// row through its session's cached plan. Gate: every shape <= 25.
+// row through its session's cached plan. Gate: every shape <= 23.
 func TestFiringAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets do not hold under the race detector")
@@ -134,8 +134,8 @@ func TestFiringAllocBudget(t *testing.T) {
 			}
 		})
 		t.Logf("shape %d: %.1f allocs/op  %s", i, allocs, sql)
-		if allocs > 25 {
-			t.Errorf("shape %d allocates %.1f/op firing, want <= 25", i, allocs)
+		if allocs > 23 {
+			t.Errorf("shape %d allocates %.1f/op firing, want <= 23", i, allocs)
 		}
 	}
 	r, err := db.Query("SELECT COUNT(*) FROM AccessLog")

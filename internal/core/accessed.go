@@ -1,57 +1,22 @@
 package core
 
 import (
-	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"auditdb/internal/plan"
 	"auditdb/internal/value"
 )
 
-// idRecord is the per-expression set of recorded IDs. Integer IDs — the
-// overwhelmingly common partition-by key kind — live in a map keyed by
-// the raw int64, so recording one costs a single map insert and zero
-// allocations (no encoded-key string); every other kind falls back to a
-// string-keyed map.
-type idRecord struct {
-	ints  map[int64]struct{}
-	other map[string]value.Value
-}
-
-func (r *idRecord) add(id value.Value) {
-	if id.Kind == value.KindInt {
-		if r.ints == nil {
-			r.ints = make(map[int64]struct{})
-		}
-		r.ints[id.I] = struct{}{}
-		return
-	}
-	if r.other == nil {
-		r.other = make(map[string]value.Value)
-	}
-	r.other[value.KeyOf(id)] = id
-}
-
-func (r *idRecord) size() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.ints) + len(r.other)
-}
-
 // Accessed is a query's ACCESSED internal state (§II of the paper): the
 // per-query, in-memory relation of partition-by IDs recorded by the
 // audit operators in its plan. When a plan carries several audit
 // operators (multiple expressions, or one per subquery block), the
-// state holds the union per expression.
+// state holds the union per expression. A nil *Accessed is a query
+// that recorded nothing.
 type Accessed struct {
 	mu     sync.Mutex
-	byExpr map[string]*idRecord
-	// observed counts every row an audit operator inspected,
-	// independent of matches; used by the overhead benchmarks.
-	observed atomic.Int64
+	byExpr map[string]*idSet
 }
 
 // NewAccessed returns empty ACCESSED state for one query execution.
@@ -61,13 +26,13 @@ func NewAccessed() *Accessed {
 	return &Accessed{}
 }
 
-func (a *Accessed) record(expr string) *idRecord {
+func (a *Accessed) record(expr string) *idSet {
 	rec, ok := a.byExpr[expr]
 	if !ok {
 		if a.byExpr == nil {
-			a.byExpr = make(map[string]*idRecord)
+			a.byExpr = make(map[string]*idSet)
 		}
-		rec = &idRecord{}
+		rec = &idSet{}
 		a.byExpr[expr] = rec
 	}
 	return rec
@@ -98,60 +63,45 @@ func (a *Accessed) RecordBatch(expr string, ids []value.Value) {
 	}
 }
 
-// AddObserved bulk-increments the observed-row counter (one atomic add
-// per batch on the vectorized path).
-func (a *Accessed) AddObserved(n int64) { a.observed.Add(n) }
-
 // IDs returns the audited IDs for one expression, sorted for
 // deterministic consumption by trigger actions and tests.
 func (a *Accessed) IDs(expr string) []value.Value {
+	if a == nil {
+		return nil
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	rec := a.byExpr[expr]
 	if rec == nil {
 		return nil
 	}
-	out := make([]value.Value, 0, rec.size())
-	if len(rec.other) == 0 {
-		// Integer keys only, the common case: sort them as int64s, the
-		// order value.Compare gives, then box. A small set sorts on the
-		// stack.
-		var buf [64]int64
-		keys := buf[:0]
-		for i := range rec.ints {
-			keys = append(keys, i)
-		}
-		slices.Sort(keys)
-		for _, i := range keys {
-			out = append(out, value.NewInt(i))
-		}
-		return out
-	}
-	for i := range rec.ints {
-		out = append(out, value.NewInt(i))
-	}
-	for _, v := range rec.other {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return value.Compare(out[i], out[j]) < 0 })
-	return out
+	return rec.sorted()
 }
 
 // Len returns the number of distinct audited IDs for one expression.
 func (a *Accessed) Len(expr string) int {
+	if a == nil {
+		return 0
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.byExpr[expr].size()
+	if rec := a.byExpr[expr]; rec != nil {
+		return rec.len()
+	}
+	return 0
 }
 
 // Expressions returns the names of expressions with at least one
 // audited ID, sorted.
 func (a *Accessed) Expressions() []string {
+	if a == nil {
+		return nil
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	out := make([]string, 0, len(a.byExpr))
 	for name, rec := range a.byExpr {
-		if rec.size() > 0 {
+		if rec.len() > 0 {
 			out = append(out, name)
 		}
 	}
@@ -159,39 +109,12 @@ func (a *Accessed) Expressions() []string {
 	return out
 }
 
-// Observed returns how many rows flowed through audit operators.
-func (a *Accessed) Observed() int64 { return a.observed.Load() }
-
-// MergeSets unions a worker-local observation set into the expression's
-// record under one lock acquisition — the union-merge step of parallel
-// audit probing. Audit probes are pure and commutative (paper Claim
-// 3.6), so the union over workers equals the serial ACCESSED set
-// regardless of how morsels were interleaved.
-func (a *Accessed) MergeSets(expr string, ints map[int64]struct{}, other map[string]value.Value) {
-	if len(ints) == 0 && len(other) == 0 {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	rec := a.record(expr)
-	if len(ints) > 0 && rec.ints == nil {
-		rec.ints = make(map[int64]struct{}, len(ints))
-	}
-	for i := range ints {
-		rec.ints[i] = struct{}{}
-	}
-	if len(other) > 0 && rec.other == nil {
-		rec.other = make(map[string]value.Value, len(other))
-	}
-	for k, v := range other {
-		rec.other[k] = v
-	}
-}
-
 // Probe is the audit operator's sink (plan.AuditSink): a hash probe of
 // the expression's materialized sensitive-ID set; matches are recorded
 // into the ACCESSED state. This is the paper's "hash join whose build
-// side is the audit expression's ID view" (§IV-A.2).
+// side is the audit expression's ID view" (§IV-A.2). The operator's
+// record counts the probes (obs.NodeStats.Probes), elided ones
+// included.
 //
 // A Probe records into one query execution's Acc. It keeps no other
 // per-execution state — RecordBatch dedups in the record map itself —
@@ -207,17 +130,9 @@ type Probe struct {
 	fresh []value.Value
 }
 
-// ObserveCount implements plan.AuditSink: the fused kernel advances
-// the observed-row counter for a chunk whose sensitive-ID sketch
-// refuted every row, eliding the per-row probes. ACCESSED is untouched
-// — identical to n probes that all missed.
-func (p *Probe) ObserveCount(n int64) { p.Acc.observed.Add(n) }
-
-// ObserveBatch implements plan.AuditSink: one atomic add for the
-// observed counter, the lock-free membership probe per value, and at
-// most one ACCESSED lock acquisition per batch.
+// ObserveBatch implements plan.AuditSink: the lock-free membership
+// probe per value, and at most one ACCESSED lock acquisition per batch.
 func (p *Probe) ObserveBatch(vs []value.Value) int {
-	p.Acc.observed.Add(int64(len(vs)))
 	p.fresh = p.fresh[:0]
 	for _, v := range vs {
 		if p.Expr.Contains(v) {
@@ -230,11 +145,11 @@ func (p *Probe) ObserveBatch(vs []value.Value) int {
 	return len(p.fresh)
 }
 
-// Fork implements plan.AuditSink: it returns a worker-local
-// probe whose matches accumulate in private sets, untouched by any
-// lock, until Merge folds them into the shared ACCESSED state. The
-// membership side (Expr.Contains) reads an atomic snapshot of the ID
-// set and is safe to share across workers.
+// Fork implements plan.AuditSink: it returns a worker-local probe
+// whose matches accumulate in a private set, untouched by any lock,
+// until Merge unions it into the shared ACCESSED state. The membership
+// side (Expr.Contains) reads an atomic snapshot of the ID set and is
+// safe to share across workers.
 func (p *Probe) Fork() plan.WorkerAuditSink {
 	return &workerProbe{parent: p}
 }
@@ -243,51 +158,34 @@ func (p *Probe) Fork() plan.WorkerAuditSink {
 // touched by exactly one goroutine until Merge, which the exchange
 // operator calls after the worker has stopped producing.
 type workerProbe struct {
-	parent   *Probe
-	ints     map[int64]struct{}
-	other    map[string]value.Value
-	observed int64
+	parent *Probe
+	ids    idSet
 }
 
-// ObserveCount implements plan.WorkerAuditSink: sketch-refuted
-// probes advance the worker's observed count and nothing else.
-func (w *workerProbe) ObserveCount(n int64) { w.observed += n }
-
 // ObserveBatch implements plan.WorkerAuditSink: no locks, no atomics —
-// the whole batch lands in private maps.
+// the whole batch lands in the private set.
 func (w *workerProbe) ObserveBatch(vs []value.Value) int {
-	w.observed += int64(len(vs))
 	hits := 0
 	for _, v := range vs {
 		if w.parent.Expr.Contains(v) {
-			w.add(v)
+			w.ids.add(v)
 			hits++
 		}
 	}
 	return hits
 }
 
-func (w *workerProbe) add(v value.Value) {
-	if v.Kind == value.KindInt {
-		if w.ints == nil {
-			w.ints = make(map[int64]struct{})
-		}
-		w.ints[v.I] = struct{}{}
-		return
-	}
-	if w.other == nil {
-		w.other = make(map[string]value.Value)
-	}
-	w.other[value.KeyOf(v)] = v
-}
-
-// Merge folds this worker's observations into the parent's ACCESSED
-// state: one atomic add for the observed counter and one MergeSets
-// lock acquisition — per worker per query, not per batch.
+// Merge unions this worker's matches into the parent's ACCESSED state
+// under one lock acquisition — per worker per query, not per batch.
+// Audit probes are pure and commutative (paper Claim 3.6), so the union
+// over workers equals the serial ACCESSED set regardless of how
+// morsels were interleaved.
 func (w *workerProbe) Merge() {
-	if w.observed > 0 {
-		w.parent.Acc.observed.Add(w.observed)
+	if w.ids.len() > 0 {
+		acc := w.parent.Acc
+		acc.mu.Lock()
+		acc.record(w.parent.Expr.Meta.Name).union(&w.ids)
+		acc.mu.Unlock()
 	}
-	w.parent.Acc.MergeSets(w.parent.Expr.Meta.Name, w.ints, w.other)
-	w.ints, w.other, w.observed = nil, nil, 0
+	w.ids = idSet{}
 }

@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -22,93 +23,20 @@ import (
 	"auditdb/internal/value"
 )
 
-// idSet is an immutable snapshot of sensitive IDs keyed by their
-// canonical encoding. Maintenance replaces the whole snapshot, so the
-// audit operator probes lock-free against a consistent set. When every
-// ID is integral (the overwhelmingly common case — partition keys are
-// primary keys), ints carries an allocation-free probe index for the
-// executor's hot path.
-type idSet struct {
-	byKey map[string]value.Value
-	ints  map[int64]struct{} // nil when some ID is non-integral
-
-	// sorted is the ascending view of ints, built lazily on the first
-	// chunk-pruning refutation against this snapshot. Maintenance
-	// stores a fresh idSet (and clone builds a fresh struct), so once
-	// a snapshot is published its ints never change and the Once is
-	// race-free.
-	sortedOnce sync.Once
-	sorted     []int64
+// watchSet is a published snapshot of an expression's sensitive IDs.
+// Maintenance stores a fresh snapshot and never changes a published
+// one, so the audit operator probes lock-free against a consistent set,
+// and asc — the int lane in ascending order, built on the first
+// chunk-pruning refutation against this snapshot — is race-free.
+type watchSet struct {
+	idSet
+	ascOnce sync.Once
+	asc     []int64
 }
 
-// sortedInts returns the set's IDs in ascending order (nil when the
-// set holds non-integral IDs).
-func (s *idSet) sortedInts() []int64 {
-	s.sortedOnce.Do(func() {
-		if s.ints == nil {
-			return
-		}
-		s.sorted = make([]int64, 0, len(s.ints))
-		for v := range s.ints {
-			s.sorted = append(s.sorted, v)
-		}
-		sort.Slice(s.sorted, func(i, j int) bool { return s.sorted[i] < s.sorted[j] })
-	})
-	return s.sorted
-}
-
-func newIDSet(capacity int) *idSet {
-	return &idSet{
-		byKey: make(map[string]value.Value, capacity),
-		ints:  make(map[int64]struct{}, capacity),
-	}
-}
-
-// add inserts an ID, dropping the integer index if v is not integral.
-func (s *idSet) add(v value.Value) {
-	s.byKey[value.KeyOf(v)] = v
-	if s.ints != nil {
-		if v.Kind == value.KindInt {
-			s.ints[v.I] = struct{}{}
-		} else {
-			s.ints = nil
-		}
-	}
-}
-
-func (s *idSet) remove(v value.Value) {
-	delete(s.byKey, value.KeyOf(v))
-	if s.ints != nil && v.Kind == value.KindInt {
-		delete(s.ints, v.I)
-	}
-}
-
-func (s *idSet) contains(v value.Value) bool {
-	if s.ints != nil {
-		if v.Kind == value.KindInt {
-			_, ok := s.ints[v.I]
-			return ok
-		}
-		if v.Kind != value.KindFloat && v.Kind != value.KindBool && v.Kind != value.KindDate {
-			return false // strings can never match an all-int set
-		}
-	}
-	_, ok := s.byKey[value.KeyOf(v)]
-	return ok
-}
-
-func (s *idSet) clone() *idSet {
-	out := &idSet{byKey: make(map[string]value.Value, len(s.byKey))}
-	for k, v := range s.byKey {
-		out.byKey[k] = v
-	}
-	if s.ints != nil {
-		out.ints = make(map[int64]struct{}, len(s.ints))
-		for k := range s.ints {
-			out.ints[k] = struct{}{}
-		}
-	}
-	return out
+func (w *watchSet) ascending() []int64 {
+	w.ascOnce.Do(func() { w.asc = w.appendInts(make([]int64, 0, len(w.ints))) })
+	return w.asc
 }
 
 // AuditExpression is a declared audit expression compiled to its
@@ -127,14 +55,15 @@ type AuditExpression struct {
 	keyOrdinal int
 	// singlePred, when non-nil, is the defining predicate compiled
 	// against the sensitive table's row shape; set only for
-	// single-table definitions, enabling per-row incremental
-	// maintenance. Multi-table definitions refresh wholesale.
+	// single-table definitions partitioned by the table's primary key,
+	// enabling per-row incremental maintenance. Other definitions
+	// refresh wholesale.
 	singlePred plan.Expr
 	// refTables are the lower-cased names of all tables the definition
 	// reads; DML against any of them invalidates the set.
 	refTables map[string]bool
 
-	ids atomic.Pointer[idSet]
+	ids atomic.Pointer[watchSet]
 }
 
 // Name returns the expression's declared name.
@@ -145,16 +74,11 @@ func (e *AuditExpression) Name() string { return e.Meta.Name }
 func (e *AuditExpression) KeyOrdinal() int { return e.keyOrdinal }
 
 // Cardinality returns the current number of sensitive IDs.
-func (e *AuditExpression) Cardinality() int { return len(e.ids.Load().byKey) }
+func (e *AuditExpression) Cardinality() int { return e.ids.Load().len() }
 
-// Contains reports whether v is a sensitive ID. It is safe to call
-// concurrently with maintenance.
-func (e *AuditExpression) Contains(v value.Value) bool {
-	if v.IsNull() {
-		return false
-	}
-	return e.ids.Load().contains(v)
-}
+// Contains reports whether v is a sensitive ID (never NULL: maintenance
+// adds no NULL). It is safe to call concurrently with maintenance.
+func (e *AuditExpression) Contains(v value.Value) bool { return e.ids.Load().has(v) }
 
 // refuteProbeCap bounds how many candidate IDs RefuteChunk will test
 // individually against a chunk's Bloom filter. Beyond this the range
@@ -169,16 +93,13 @@ const refuteProbeCap = 64
 // safe under concurrent maintenance.
 func (e *AuditExpression) RefuteChunk(col int, ck plan.ChunkSketch) bool {
 	set := e.ids.Load()
-	if set == nil {
-		return false
-	}
-	if len(set.byKey) == 0 {
+	if set.len() == 0 {
 		return true // empty watch set: no row anywhere is sensitive
 	}
-	sorted := set.sortedInts()
-	if sorted == nil {
-		return false // non-integral IDs: no sketch support
+	if len(set.other) > 0 {
+		return false // IDs outside the int lane: no sketch support
 	}
+	sorted := set.ascending()
 	if _, nonNull := ck.NullCounts(col); nonNull == 0 {
 		return true // all-null column values never match (NULL ∉ set)
 	}
@@ -203,15 +124,8 @@ func (e *AuditExpression) RefuteChunk(col int, ck plan.ChunkSketch) bool {
 	return true
 }
 
-// IDs returns a snapshot of the sensitive IDs (unordered).
-func (e *AuditExpression) IDs() []value.Value {
-	set := e.ids.Load().byKey
-	out := make([]value.Value, 0, len(set))
-	for _, v := range set {
-		out = append(out, v)
-	}
-	return out
-}
+// IDs returns a snapshot of the sensitive IDs, sorted.
+func (e *AuditExpression) IDs() []value.Value { return e.ids.Load().sorted() }
 
 // Registry owns the compiled audit expressions of one database and
 // keeps their materialized ID sets consistent with the data.
@@ -221,6 +135,8 @@ type Registry struct {
 
 	mu    sync.RWMutex
 	exprs []*AuditExpression // in creation order
+	// reads holds the lower-cased tables some definition reads.
+	reads map[string]bool
 }
 
 // NewRegistry creates an empty registry bound to a catalog and store.
@@ -273,8 +189,13 @@ func (r *Registry) Compile(meta *catalog.AuditExprMeta, query *ast.Select) (*Aud
 		return nil, fmt.Errorf("audit expression %s: defining query does not read sensitive table %s", meta.Name, meta.SensitiveTable)
 	}
 
-	// Single-table fast path for incremental maintenance.
-	if len(e.refTables) == 1 && len(query.From) == 1 && query.Where != nil && !hasSubquery(query.Where) {
+	// Incremental maintenance for a single-table definition keyed by
+	// the sensitive table's primary key: a key names at most one row,
+	// so a deleted row's ID leaves the set with it. Under any other key
+	// another row may still hold the ID (Claim 3.6), so those definitions
+	// re-materialize like joins.
+	if len(e.refTables) == 1 && len(query.From) == 1 && query.Where != nil && !hasSubquery(query.Where) &&
+		slices.Equal(tbl.PrimaryKey, []int{keyOrd}) {
 		if bt, ok := query.From[0].(*ast.BaseTable); ok {
 			schema := tableSchema(tbl, qualifierOf(bt))
 			pred, err := plan.BuildScalar(&plan.Env{Catalog: r.cat}, schema, query.Where)
@@ -301,6 +222,7 @@ func (r *Registry) Compile(meta *catalog.AuditExprMeta, query *ast.Select) (*Aud
 		return nil, fmt.Errorf("audit expression %q already compiled", meta.Name)
 	}
 	r.exprs = append(r.exprs, e)
+	r.index()
 	return e, nil
 }
 
@@ -310,7 +232,26 @@ func (r *Registry) Drop(name string) {
 	defer r.mu.Unlock()
 	if i := r.find(name); i >= 0 {
 		r.exprs = slices.Delete(r.exprs, i, i+1)
+		r.index()
 	}
+}
+
+// index rebuilds reads from exprs; callers hold mu for writing.
+func (r *Registry) index() {
+	r.reads = map[string]bool{}
+	for _, e := range r.exprs {
+		maps.Copy(r.reads, e.refTables)
+	}
+}
+
+// Reads reports whether some expression's definition reads table, so
+// DML against it needs maintenance (Apply).
+func (r *Registry) Reads(table string) bool {
+	var scratch [64]byte
+	key := catalog.AppendKey(scratch[:0], table)
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.reads[string(key)]
 }
 
 // Get returns the compiled expression by name.
@@ -332,8 +273,8 @@ func (r *Registry) All() []*AuditExpression {
 
 // Apply maintains materialized ID sets after a DML statement against
 // table touched inserted/deleted rows (an update contributes to both
-// slices). Expressions with a single-table definition update
-// incrementally; join definitions re-materialize (standard view
+// slices). Single-table definitions partitioned by the table's primary
+// key update incrementally; the others re-materialize (standard view
 // maintenance would be incremental too; wholesale refresh keeps the
 // same observable behaviour, §IV-A.1).
 func (r *Registry) Apply(table string, inserted, deleted []value.Row) error {
@@ -383,7 +324,7 @@ func (e *AuditExpression) refresh(cat *catalog.Catalog, store *storage.Store) er
 	if err != nil {
 		return fmt.Errorf("audit expression %s: %w", e.Meta.Name, err)
 	}
-	set := newIDSet(len(rows))
+	set := &watchSet{idSet: idSet{ints: make(map[int64]struct{}, len(rows))}}
 	for _, row := range rows {
 		if row[0].IsNull() {
 			continue
@@ -396,7 +337,7 @@ func (e *AuditExpression) refresh(cat *catalog.Catalog, store *storage.Store) er
 
 // applyIncremental folds per-row changes into a fresh snapshot.
 func (e *AuditExpression) applyIncremental(inserted, deleted []value.Row) error {
-	set := e.ids.Load().clone()
+	set := &watchSet{idSet: e.ids.Load().clone()}
 	ctx := &plan.EvalCtx{}
 	for _, row := range deleted {
 		match, err := e.singlePred.Eval(ctx, row)

@@ -311,6 +311,41 @@ func TestAuditExpressionMaintenance(t *testing.T) {
 	}
 }
 
+// TestDeleteKeepsSharedNonKeyID: when the PARTITION BY column is not
+// the primary key, two rows can hold one sensitive ID. Deleting one of
+// them must leave the ID in the watch set, or a later read of the other
+// row goes unlogged (a false negative, Claim 3.6). A fresh engine
+// holding the surviving rows is the reference.
+func TestDeleteKeepsSharedNonKeyID(t *testing.T) {
+	setup := func(rows string) *Engine {
+		e := New()
+		if _, err := e.ExecScript(`
+			CREATE TABLE T (ID INT PRIMARY KEY, K INT, V INT);
+			INSERT INTO T VALUES ` + rows + `;
+			CREATE TABLE Log (UserID VARCHAR(30), K INT);
+			CREATE AUDIT EXPRESSION Audit_K AS
+				SELECT * FROM T WHERE V > 10
+				FOR SENSITIVE TABLE T, PARTITION BY K;
+			CREATE TRIGGER Log_Access ON ACCESS TO Audit_K AS
+				INSERT INTO Log SELECT userid(), K FROM ACCESSED;`); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	logged := func(e *Engine) []string {
+		mustQuery(t, e, "SELECT * FROM T WHERE ID = 2")
+		return renderRows(mustQuery(t, e, "SELECT K FROM Log"))
+	}
+
+	e := setup("(1, 5, 50), (2, 5, 60)")
+	mustExec(t, e, "DELETE FROM T WHERE ID = 1")
+	got := logged(e)
+	want := logged(setup("(2, 5, 60)"))
+	if strings.Join(got, ";") != strings.Join(want, ";") || len(want) != 1 {
+		t.Errorf("after deleting a row that shares K = 5: logged %v, a fresh engine logs %v", got, want)
+	}
+}
+
 func TestJoinAuditExpression(t *testing.T) {
 	// Example 2.2: cancer patients are sensitive, defined via a join.
 	e := newHealthDB(t)

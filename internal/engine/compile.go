@@ -129,6 +129,16 @@ func (e *Engine) compile(sel *ast.Select, env *actionEnv, k knobs) (*compiled, e
 	return c, nil
 }
 
+// record points the plan's probes at a fresh ACCESSED state and
+// returns it.
+func (c *compiled) record() *core.Accessed {
+	acc := core.NewAccessed()
+	for _, p := range c.probes {
+		p.Acc = acc
+	}
+	return acc
+}
+
 // placementExact reports whether every target's ACCESSED set is exact:
 // the placement_exact outcome. Targets the plan never reads classify
 // exact (nothing observed, nothing accessed), so only instrumented ones

@@ -225,16 +225,17 @@ func insertRows(tbl *storage.Table, rows []value.Row) ([]change, error) {
 }
 
 // maintainIDSets folds the applied changes into the audit expressions'
-// materialized ID sets. Callers hold the writer lock: the sets are
-// replaced by clone-and-store, so two writers applying their deltas
-// concurrently — or in the opposite order to their row changes — would
-// lose or revert an ID (a false negative, Claim 3.6). Under the lock
-// the deltas land in commit order. A rollback re-materializes the sets
-// after undoing the rows (Txn.Rollback). Callers buffer the changes for
-// the WAL first: the rows are in the store whether or not maintenance
-// succeeds, so they must be in the log too.
+// materialized ID sets; a table no expression reads costs one lookup.
+// Callers hold the writer lock: the sets are replaced by
+// clone-and-store, so two writers applying their deltas concurrently —
+// or in the opposite order to their row changes — would lose or revert
+// an ID (a false negative, Claim 3.6). Under the lock the deltas land
+// in commit order. A rollback re-materializes the sets after undoing
+// the rows (Txn.Rollback). Callers buffer the changes for the WAL
+// first: the rows are in the store whether or not maintenance succeeds,
+// so they must be in the log too.
 func (e *Engine) maintainIDSets(meta *catalog.TableMeta, applied []change) error {
-	if len(applied) == 0 {
+	if len(applied) == 0 || !e.reg.Reads(meta.Name) {
 		return nil
 	}
 	var inserted, deleted []value.Row
@@ -370,10 +371,13 @@ func (e *Engine) LoadRows(table string, rows []value.Row) error {
 // returning only the row count. Overhead measurements use it to time
 // instrumented versus plain plans without re-planning, and so that
 // result-buffer retention (identical on both sides anyway) does not
-// drown the audit operator's cost in GC noise.
+// drown the audit operator's cost in GC noise. The run's rows scanned
+// and audit probes fold into the engine's counters.
 func (e *Engine) DrainPlan(n plan.Node, sql string) (int, error) {
 	in := exec.NewInstance(n, e.execCtx(rootActionEnv(), sql))
 	count, err := in.Drain()
-	e.stats.RowsScanned.Add(in.Totals().RowsScanned)
+	t := in.Totals()
+	e.stats.RowsScanned.Add(t.RowsScanned)
+	e.auditProbes.Add(t.Probes)
 	return count, err
 }

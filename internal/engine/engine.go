@@ -122,6 +122,10 @@ type Engine struct {
 	// back from the compiled fast path to the interpreter.
 	predInterpreted *obs.Counter
 
+	// auditProbes counts rows audit operators inspected, sketch-elided
+	// probes included: the deterministic overhead metric (Figures 7/8).
+	auditProbes *obs.Counter
+
 	// sharedPlans is the engine-wide plan cache keyed by canonical
 	// (auto-parameterized) statement text; session caches act as an L1
 	// in front of it. See sharedcache.go and plancache.go.
@@ -294,6 +298,8 @@ func (e *Engine) initMetrics() {
 		"Chunks read by scan kernels when chunk statistics were consulted.")
 	e.predInterpreted = r.NewCounter("auditdb_pred_interpreted_rows_total", "pred_interpreted_rows",
 		"Rows whose scan or filter predicate the interpreter evaluated because the compiled fast path did not claim them.")
+	e.auditProbes = r.NewCounter("auditdb_audit_probes_total", "audit_probes",
+		"Rows audit operators inspected, probes elided on a sketch-refuted chunk included.")
 	e.chunksSkipped = r.NewCounterVec("auditdb_chunks_skipped_total", "chunks_skipped",
 		"Chunks skipped by data skipping, by reason (filter = zone-map refutation of the pushed predicate, audit = sensitive-ID sketch refutation).", "reason")
 	e.sharedCacheHits = r.NewCounter("auditdb_plan_cache_shared_hits_total", "plan_cache_shared_hits",
@@ -669,11 +675,7 @@ func (e *Engine) BuildQueryPlan(sql string, instrument bool) (plan.Node, *core.A
 	if err != nil {
 		return nil, nil, err
 	}
-	acc := core.NewAccessed()
-	for _, p := range c.probes {
-		p.Acc = acc
-	}
-	return c.root, acc, nil
+	return c.root, c.record(), nil
 }
 
 // auditTargets returns the audit expressions whose accesses must be
@@ -735,30 +737,26 @@ func (e *Engine) runSelect(sel *ast.Select, sql string, env *actionEnv) (*Result
 }
 
 // executeSelect is the one execution tail for every compiled SELECT,
-// cached or fresh: point the plan's probes at a new ACCESSED state, run
-// the entry's operator instance, fire ON ACCESS triggers, account the
-// engine counters and the statement record's slow-log fields. pe is the
-// session's L1 entry on the cached path, or a one-use entry wrapping a
-// freshly compiled plan.
+// cached or fresh: point the plan's probes at a new ACCESSED state (a
+// plan without an audit operator records none, and its Result's
+// Accessed stays nil), run the entry's operator instance, fire ON
+// ACCESS triggers, account the engine counters and the statement
+// record's slow-log fields. pe is the session's L1 entry on the cached
+// path, or a one-use entry wrapping a freshly compiled plan.
 func (e *Engine) executeSelect(pe *planEntry, sql string, env *actionEnv) (*Result, error) {
 	sess := e.sessionOf(env)
 	c := pe.compiled
 	targets := c.targets
 	var acc *core.Accessed
-	if len(targets) > 0 {
-		acc = core.NewAccessed()
-		for _, p := range c.probes {
-			p.Acc = acc
-		}
-	}
 	if c.hasAudit {
+		acc = c.record()
 		if c.placementExact() {
 			e.stats.PlacementExact.Add(1)
 		} else {
 			e.stats.PlacementConservative.Add(1)
 		}
 	}
-	if acc != nil && sess.recPlacement != "conservative" {
+	if len(targets) > 0 && sess.recPlacement != "conservative" {
 		sess.recPlacement = "conservative"
 		if c.placementExact() {
 			sess.recPlacement = "exact"
@@ -776,7 +774,7 @@ func (e *Engine) executeSelect(pe *planEntry, sql string, env *actionEnv) (*Resu
 	// Fire ON ACCESS triggers as their own system transactions after
 	// the query completes (§II). Without an audit operator nothing was
 	// recorded.
-	if acc != nil && c.hasAudit {
+	if acc != nil {
 		// The audit phase starts at the first expression that recorded
 		// an ID: a statement that recorded none reads no clock.
 		var auditStart time.Time
@@ -874,6 +872,9 @@ func (e *Engine) foldStats(sess *Session, t *obs.NodeStats) {
 	}
 	if t.PredInterpreted > 0 {
 		e.predInterpreted.Add(t.PredInterpreted)
+	}
+	if t.Probes > 0 {
+		e.auditProbes.Add(t.Probes)
 	}
 	if t.ChunksScanned+t.ChunksSkippedFilter+t.ChunksSkippedAudit > 0 {
 		e.chunksScanned.Add(t.ChunksScanned)

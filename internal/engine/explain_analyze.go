@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"auditdb/internal/ast"
-	"auditdb/internal/core"
 	"auditdb/internal/exec"
 	"auditdb/internal/parser"
 	"auditdb/internal/value"
@@ -33,10 +32,7 @@ func (e *Engine) runExplainAnalyze(s *ast.Explain, sql string, env *actionEnv) (
 	}
 	r := &sess.rec
 	r.AddSpan(notePlan(r, start, time.Since(start), "miss"), "optimize", c.optStart, c.optDur)
-	acc := core.NewAccessed()
-	for _, p := range c.probes {
-		p.Acc = acc
-	}
+	acc := c.record()
 	pe := &planEntry{compiled: c, knobs: k}
 	rows, elapsed, err := e.run(pe, sql, env, true)
 	if err != nil {

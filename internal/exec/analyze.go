@@ -170,8 +170,8 @@ func (in *Instance) WorkerRuns(n plan.Node) []obs.NodeStats { return in.prof.wor
 
 // Totals folds the last run's records into the statement's scan
 // totals: rows read from storage, morsels claimed, chunks scanned and
-// skipped by reason, and rows whose predicate the interpreter
-// evaluated. Only those fields are set.
+// skipped by reason, rows whose predicate the interpreter evaluated,
+// and audit probes. Only those fields are set.
 func (in *Instance) Totals() obs.NodeStats {
 	var t obs.NodeStats
 	for _, r := range in.prof.nodes {
@@ -182,6 +182,7 @@ func (in *Instance) Totals() obs.NodeStats {
 		t.ChunksSkippedFilter += st.ChunksSkippedFilter
 		t.ChunksSkippedAudit += st.ChunksSkippedAudit
 		t.PredInterpreted += st.PredInterpreted
+		t.Probes += st.Probes
 	}
 	return t
 }

@@ -106,7 +106,6 @@ func TestPointLookupProbesOnlyIndexResult(t *testing.T) {
 // never forked: the tests that use it run serially.
 type countingBatchSink struct {
 	batches int // ObserveBatch calls
-	elided  int64
 	vals    []value.Value
 }
 
@@ -116,7 +115,6 @@ func (s *countingBatchSink) ObserveBatch(vs []value.Value) int {
 	return 0
 }
 
-func (s *countingBatchSink) ObserveCount(n int64) { s.elided += n }
 func (s *countingBatchSink) Fork() plan.WorkerAuditSink {
 	panic("countingBatchSink: serial tests only")
 }
@@ -140,7 +138,8 @@ func TestFusedAuditScanObservesPostPredicateRows(t *testing.T) {
 		}
 		return n
 	}
-	rows, err := Run(wrap(scan), NewCtx(h.store))
+	in := NewInstance(wrap(scan), NewCtx(h.store))
+	rows, err := in.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +149,9 @@ func TestFusedAuditScanObservesPostPredicateRows(t *testing.T) {
 	if len(sink.vals) != 100 {
 		t.Errorf("sink observed %d values, want 100 (post-predicate rows only)", len(sink.vals))
 	}
-	if sink.batches == 0 || sink.batches >= len(sink.vals) || sink.elided != 0 {
-		t.Errorf("fused kernel probed %d values in %d calls (%d elided), want batched, none elided", len(sink.vals), sink.batches, sink.elided)
+	elided := in.Totals().ChunksSkippedAudit
+	if sink.batches == 0 || sink.batches >= len(sink.vals) || elided != 0 {
+		t.Errorf("fused kernel probed %d values in %d calls (%d chunks elided), want batched, none elided", len(sink.vals), sink.batches, elided)
 	}
 }
 

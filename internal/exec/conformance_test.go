@@ -23,11 +23,19 @@ func (s *bagSink) ObserveBatch(vs []value.Value) int {
 	return 0
 }
 
-// ObserveCount is never called: the conformance plans carry no sketch
-// pruner, so no probe may be elided.
-func (s *bagSink) ObserveCount(int64) { panic("bagSink: a probe was elided without a sketch pruner") }
-func (s *bagSink) bag() []string      { sort.Strings(s.vals); return s.vals }
-func (s *bagSink) forget()            { s.vals = nil }
+func (s *bagSink) bag() []string { sort.Strings(s.vals); return s.vals }
+func (s *bagSink) forget()       { s.vals = nil }
+
+// elidedChunks counts the chunks whose probes ctx's operators elided on
+// a sketch refutation. The conformance plans carry no sketch pruner, so
+// it must stay 0.
+func elidedChunks(ctx *Ctx) int64 {
+	var n int64
+	for _, r := range ctx.prof.nodes {
+		n += r.st.ChunksSkippedAudit
+	}
+	return n
+}
 
 // forkBagSink is the audit sink: serial operators observe into its bag,
 // workers into private forks that append to it at Merge.
@@ -214,9 +222,13 @@ func TestOperatorConformance(t *testing.T) {
 			var refRows, refSeen []string
 			for _, ceiling := range ceilings {
 				sink := &forkBagSink{}
-				rows, err := drainAt(t, c.build(sink), newCtx(), ceiling)
+				ctx := newCtx()
+				rows, err := drainAt(t, c.build(sink), ctx, ceiling)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if n := elidedChunks(ctx); n != 0 {
+					t.Fatalf("ceiling %d: probes of %d chunks elided without a sketch pruner", ceiling, n)
 				}
 				got := canonical(rows)
 				if len(got) != c.want || len(sink.bag()) != c.seen {
@@ -235,7 +247,8 @@ func TestOperatorConformance(t *testing.T) {
 			}
 
 			sink := &forkBagSink{}
-			it, err := build(c.build(sink), newCtx(), nil)
+			ctx := newCtx()
+			it, err := build(c.build(sink), ctx, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -263,6 +276,9 @@ func TestOperatorConformance(t *testing.T) {
 				if !equalStrings(sink.bag(), refSeen) {
 					t.Errorf("run %d, ceiling %d: reused tree's sink observations differ from a fresh tree's (%d, want %d)", i, ceiling, len(sink.bag()), len(refSeen))
 				}
+			}
+			if n := elidedChunks(ctx); n != 0 {
+				t.Errorf("reused tree: probes of %d chunks elided without a sketch pruner", n)
 			}
 		})
 	}

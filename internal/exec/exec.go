@@ -421,8 +421,9 @@ type scanKernel struct {
 	// Chunk skipping (skip.go): compiled filter refutation terms, the
 	// fused audit expression's sketch pruner, and the decide callback
 	// handed to the pruned storage scans. chunkElide marks the current
-	// chunk's probes as elided (counted via ObserveCount, never
-	// recorded); elidedRows accumulates until the next flushAudit.
+	// chunk's probes as elided (counted as the Audit node's probes,
+	// never presented to the sink); elidedRows accumulates until the
+	// next flushAudit.
 	// lastChunk keeps the per-chunk counters exact across mid-chunk
 	// resumes.
 	prune      []prunePred
@@ -521,11 +522,11 @@ func (k *scanKernel) reset() error {
 
 // flushAudit delivers the batch's accumulated partition-by values to
 // the sink in one ObserveBatch call. Rows whose probes were elided by a
-// sketch-refuted chunk advance the observed counter in one
-// ObserveCount call instead. Both count as the Audit node's probes.
+// sketch-refuted chunk never reach the sink: none could hit, so
+// ACCESSED is what that many misses would leave. Both count as the
+// Audit node's probes.
 func (k *scanKernel) flushAudit() {
 	if k.elidedRows > 0 {
-		k.sink.ObserveCount(k.elidedRows)
 		k.ast.Probes += k.elidedRows
 		k.elidedRows = 0
 	}
@@ -637,7 +638,7 @@ func (k *scanKernel) NextBatch(b *Batch) (int, error) {
 			if k.sink != nil && k.idIdx >= 0 && k.idIdx < len(row) {
 				if k.chunkElide {
 					// Sketch-refuted chunk: this probe cannot hit, so
-					// only the observed count advances (at flush).
+					// only the probe count advances (at flush).
 					k.elidedRows++
 				} else {
 					k.vals = append(k.vals, row[k.idIdx])

@@ -230,7 +230,6 @@ func TestDistinctRows(t *testing.T) {
 type countingSink struct{ n int }
 
 func (c *countingSink) ObserveBatch(vs []value.Value) int { c.n += len(vs); return 0 }
-func (c *countingSink) ObserveCount(n int64)              { c.n += int(n) }
 func (c *countingSink) Fork() plan.WorkerAuditSink        { panic("countingSink: serial tests only") }
 
 func TestAuditOperatorPassThrough(t *testing.T) {

@@ -171,8 +171,6 @@ func (s *forkableSink) ObserveBatch(vs []value.Value) int {
 	return 0
 }
 
-func (s *forkableSink) ObserveCount(int64) {}
-
 func (s *forkableSink) Fork() plan.WorkerAuditSink {
 	return &forkedSink{parent: s, seen: make(map[string]struct{})}
 }
@@ -188,7 +186,6 @@ func (w *forkedSink) ObserveBatch(vs []value.Value) int {
 	}
 	return 0
 }
-func (w *forkedSink) ObserveCount(int64) {}
 func (w *forkedSink) Merge() {
 	w.parent.mu.Lock()
 	for k := range w.seen {

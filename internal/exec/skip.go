@@ -166,8 +166,8 @@ func (k *scanKernel) decide(ci storage.ChunkInfo) bool {
 		// The sketch proves no row of this chunk is sensitive. With
 		// AuditOnly (offline candidate pruning: result rows discarded)
 		// the whole chunk skips; otherwise the rows still flow to the
-		// consumer and only the per-row probes are elided, counted
-		// through ObserveCount so Observed() stays identical.
+		// consumer and only the per-row probes are elided, still
+		// counted in the Audit node's Probes.
 		if k.ctx.AuditOnly {
 			if newChunk {
 				k.st.ChunksSkippedAudit++

@@ -87,35 +87,36 @@ func CutoffForSelectivity(sel float64) string {
 }
 
 // runIDs executes the query under the given heuristic and returns the
-// audit cardinality.
+// audit cardinality (0 when the plan carries no audit operator).
 func (w *Workbench) runIDs(sql string, h core.Heuristic) (int, error) {
 	w.Engine.SetHeuristic(h)
 	r, err := w.Engine.Query(sql)
 	if err != nil {
 		return 0, err
 	}
-	if r.Accessed == nil {
-		return 0, fmt.Errorf("query was not instrumented")
-	}
 	return r.Accessed.Len(SegmentAuditName), nil
 }
 
 // pairedOverhead measures the relative execution-time overhead of the
-// instrumented plan against the plain plan. Each measurement round
-// runs both plans back to back — alternating which goes first to
-// cancel warm-cache bias — and contributes one instr/plain time ratio.
-// Machine-state drift hits both halves of a ratio almost equally, and
-// the median of the per-round ratios shrugs off stray GC or scheduler
-// pauses, which matters on shared/virtualized hardware.
-func (w *Workbench) pairedOverhead(plain, instr plan.Node, sql string, minDur time.Duration) (float64, error) {
+// instrumented plan against the plain plan, and the rows its audit
+// operators inspect per execution (the audit_probes delta of the
+// instrumented warm-up run). Each measurement round runs both plans
+// back to back — alternating which goes first to cancel warm-cache
+// bias — and contributes one instr/plain time ratio. Machine-state
+// drift hits both halves of a ratio almost equally, and the median of
+// the per-round ratios shrugs off stray GC or scheduler pauses, which
+// matters on shared/virtualized hardware.
+func (w *Workbench) pairedOverhead(plain, instr plan.Node, sql string, minDur time.Duration) (float64, int64, error) {
 	const minRounds = 15
 	// Warm both paths.
 	if _, err := w.Engine.DrainPlan(plain, sql); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
+	before := w.Engine.StatsSnapshot()["audit_probes"]
 	if _, err := w.Engine.DrainPlan(instr, sql); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
+	probed := w.Engine.StatsSnapshot()["audit_probes"] - before
 	runtime.GC()
 	var ratios []float64
 	start := time.Now()
@@ -126,12 +127,12 @@ func (w *Workbench) pairedOverhead(plain, instr plan.Node, sql string, minDur ti
 		}
 		t0 := time.Now()
 		if _, err := w.Engine.DrainPlan(first, sql); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		d1 := time.Since(t0)
 		t0 = time.Now()
 		if _, err := w.Engine.DrainPlan(second, sql); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		d2 := time.Since(t0)
 		tPlain, tInstr := d1, d2
@@ -143,7 +144,7 @@ func (w *Workbench) pairedOverhead(plain, instr plan.Node, sql string, minDur ti
 		}
 	}
 	if len(ratios) == 0 {
-		return 0, fmt.Errorf("degenerate timing for %q", sql)
+		return 0, 0, fmt.Errorf("degenerate timing for %q", sql)
 	}
 	// Interquartile mean: drop the top and bottom quarter of ratios
 	// (virtualized hosts show multi-x per-run swings), average the rest.
@@ -153,20 +154,21 @@ func (w *Workbench) pairedOverhead(plain, instr plan.Node, sql string, minDur ti
 	for _, r := range ratios[lo:hi] {
 		sum += r
 	}
-	return 100 * (sum/float64(hi-lo) - 1), nil
+	return 100 * (sum/float64(hi-lo) - 1), probed, nil
 }
 
 // OverheadPct measures the relative execution-time overhead of the
-// instrumented plan for one query under the given heuristic.
-func (w *Workbench) OverheadPct(sql string, h core.Heuristic, minDur time.Duration) (float64, error) {
+// instrumented plan for one query under the given heuristic, and the
+// rows its audit operators inspect per execution.
+func (w *Workbench) OverheadPct(sql string, h core.Heuristic, minDur time.Duration) (float64, int64, error) {
 	w.Engine.SetHeuristic(h)
 	plain, _, err := w.Engine.BuildQueryPlan(sql, false)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	instr, _, err := w.Engine.BuildQueryPlan(sql, true)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	return w.pairedOverhead(plain, instr, sql, minDur)
 }
@@ -234,19 +236,11 @@ func (w *Workbench) Fig7(selectivities []float64, acctbal float64, minDur time.D
 	var out []Fig7Point
 	for _, sel := range selectivities {
 		sql := tpch.MicroJoinQuery(acctbal, CutoffForSelectivity(sel))
-		leaf, err := w.OverheadPct(sql, core.LeafNode, minDur)
+		leaf, leafProbed, err := w.OverheadPct(sql, core.LeafNode, minDur)
 		if err != nil {
 			return nil, err
 		}
-		hcn, err := w.OverheadPct(sql, core.HighestCommutativeNode, minDur)
-		if err != nil {
-			return nil, err
-		}
-		leafProbed, err := w.probedRows(sql, core.LeafNode)
-		if err != nil {
-			return nil, err
-		}
-		hcnProbed, err := w.probedRows(sql, core.HighestCommutativeNode)
+		hcn, hcnProbed, err := w.OverheadPct(sql, core.HighestCommutativeNode, minDur)
 		if err != nil {
 			return nil, err
 		}
@@ -256,20 +250,6 @@ func (w *Workbench) Fig7(selectivities []float64, acctbal float64, minDur time.D
 		})
 	}
 	return out, nil
-}
-
-// probedRows runs the query once under the heuristic and returns how
-// many rows the audit operators inspected.
-func (w *Workbench) probedRows(sql string, h core.Heuristic) (int64, error) {
-	w.Engine.SetHeuristic(h)
-	n, acc, err := w.Engine.BuildQueryPlan(sql, true)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := w.Engine.DrainPlan(n, sql); err != nil {
-		return 0, err
-	}
-	return acc.Observed(), nil
 }
 
 // ---- Figure 8: audit-expression cardinality ----
@@ -325,19 +305,12 @@ func (w *Workbench) overheadForOnly(name, sql string, minDur time.Duration) (flo
 	if !ok {
 		return 0, 0, fmt.Errorf("audit expression %s missing", name)
 	}
-	acc := core.NewAccessed()
 	instr, _, err := w.Engine.BuildQueryPlan(sql, false)
 	if err != nil {
 		return 0, 0, err
 	}
-	instr = core.Instrument(instr, ae, &core.Probe{Expr: ae, Acc: acc}, core.HighestCommutativeNode)
-	before := acc.Observed()
-	if _, err := w.Engine.DrainPlan(instr, sql); err != nil {
-		return 0, 0, err
-	}
-	probed := acc.Observed() - before
-	pct, err := w.pairedOverhead(plain, instr, sql, minDur)
-	return pct, probed, err
+	instr = core.Instrument(instr, ae, &core.Probe{Expr: ae, Acc: core.NewAccessed()}, core.HighestCommutativeNode)
+	return w.pairedOverhead(plain, instr, sql, minDur)
 }
 
 // ---- Figure 9: complex-query false positives ----
@@ -394,7 +367,7 @@ type Fig10Row struct {
 func (w *Workbench) Fig10(minDur time.Duration) ([]Fig10Row, error) {
 	var out []Fig10Row
 	for _, q := range tpch.Queries(w.Params) {
-		pct, err := w.OverheadPct(q.SQL, core.HighestCommutativeNode, minDur)
+		pct, _, err := w.OverheadPct(q.SQL, core.HighestCommutativeNode, minDur)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", q.Name, err)
 		}

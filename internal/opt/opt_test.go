@@ -194,7 +194,6 @@ func TestAuditNodeBlocksPushdown(t *testing.T) {
 type nopSink struct{}
 
 func (nopSink) ObserveBatch([]value.Value) int { return 0 }
-func (nopSink) ObserveCount(int64)             {}
 func (nopSink) Fork() plan.WorkerAuditSink     { return nopFork{} }
 
 type nopFork struct{ nopSink }

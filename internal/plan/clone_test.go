@@ -9,7 +9,6 @@ import (
 type stubSink struct{ seen int }
 
 func (s *stubSink) ObserveBatch(vs []value.Value) int { s.seen += len(vs); return 0 }
-func (s *stubSink) ObserveCount(n int64)              { s.seen += int(n) }
 func (s *stubSink) Fork() WorkerAuditSink             { return stubFork{s} }
 
 type stubFork struct{ *stubSink }

@@ -461,11 +461,6 @@ type AuditObserver interface {
 	// how many hit. The slice is only valid for the duration of the
 	// call.
 	ObserveBatch(vs []value.Value) (hits int)
-	// ObserveCount advances the observed-row count by n probes the
-	// scan kernel elided: their chunk's sensitive-ID sketch refuted
-	// every row, so none could hit and ACCESSED is untouched — exactly
-	// what n misses would leave.
-	ObserveCount(n int64)
 }
 
 // PruneKind discriminates chunk-refutation terms.

@@ -67,6 +67,21 @@ func EncodeKey(dst []byte, v Value) []byte {
 	}
 }
 
+// IntKey returns the int64 v's key encodes when that key is integral
+// (EncodeKey's rule): every BOOL, INT and DATE, and a FLOAT with an
+// integral int64 value.
+func IntKey(v Value) (int64, bool) {
+	switch v.Kind {
+	case KindBool, KindInt, KindDate:
+		return v.I, true
+	case KindFloat:
+		if f := v.F; f == math.Trunc(f) && f >= -9.2e18 && f <= 9.2e18 {
+			return int64(f), true
+		}
+	}
+	return 0, false
+}
+
 func appendNumeric(dst []byte, f float64, i int64, integral bool) []byte {
 	dst = append(dst, 0x01)
 	var n [8]byte
