@@ -15,8 +15,8 @@ import (
 
 // TestTriageDaemon drives triage through the daemon: audited queries
 // enqueue priority-ordered events, background workers chain signed
-// verdicts, SHOW AUDIT VERDICTS reads them over the wire, the mixed
-// stream verifies, and a client cannot take its own firings out of
+// verdicts, a SELECT over sys.verdicts reads them over the wire, the
+// mixed stream verifies, and a client cannot take its own firings out of
 // verification. A SIGTERM drain flushes the backlog before the final
 // checkpoint; restart then proves the verdicts persist.
 func TestTriageDaemon(t *testing.T) {
@@ -49,9 +49,9 @@ func TestTriageDaemon(t *testing.T) {
 		deadline := time.Now().Add(10 * time.Second)
 		var rows int
 		for time.Now().Before(deadline) {
-			r, err := c.Exec("SHOW AUDIT VERDICTS")
+			r, err := c.Exec("SELECT * FROM sys.verdicts")
 			if err != nil {
-				t.Fatalf("SHOW AUDIT VERDICTS: %v", err)
+				t.Fatalf("sys.verdicts: %v", err)
 			}
 			rows = len(r.Rows)
 			if rows == want {

@@ -328,8 +328,9 @@ type TableRef interface {
 	tableRefNode()
 }
 
-// BaseTable names a stored table (or the ACCESSED pseudo-relation, or
-// NEW/OLD inside trigger bodies).
+// BaseTable names a stored table (or the ACCESSED pseudo-relation,
+// NEW/OLD inside trigger bodies, or a dotted system relation such as
+// sys.traces, whose Name keeps the dot).
 type BaseTable struct {
 	Name  string
 	Alias string
@@ -500,24 +501,6 @@ type Notify struct {
 // the hash chain is intact (VERIFY AUDIT LOG).
 type VerifyAuditLog struct{}
 
-// ShowTrace renders the retained span tree of one traced statement
-// (SHOW TRACE FOR <query id>).
-type ShowTrace struct {
-	QID uint64
-}
-
-// ShowTraces lists the statements currently retained in the trace ring
-// (SHOW TRACES), newest first.
-type ShowTraces struct{}
-
-// ShowAuditQueue lists the triage events resident in the bounded
-// verification queue (SHOW AUDIT QUEUE), highest risk first.
-type ShowAuditQueue struct{}
-
-// ShowAuditVerdicts lists recent offline-verification verdicts
-// (SHOW AUDIT VERDICTS), newest first.
-type ShowAuditVerdicts struct{}
-
 // TxBegin starts an explicit transaction (BEGIN).
 type TxBegin struct{}
 
@@ -559,10 +542,6 @@ func (*TxBegin) stmtNode()               {}
 func (*TxCommit) stmtNode()              {}
 func (*TxRollback) stmtNode()            {}
 func (*VerifyAuditLog) stmtNode()        {}
-func (*ShowTrace) stmtNode()             {}
-func (*ShowTraces) stmtNode()            {}
-func (*ShowAuditQueue) stmtNode()        {}
-func (*ShowAuditVerdicts) stmtNode()     {}
 
 // WalkExprs calls fn for every sub-expression of e (including e),
 // without descending into subquery Select nodes.

@@ -33,8 +33,8 @@ type Result struct {
 	// Audited maps audit-expression name to the number of sensitive
 	// partition keys this statement accessed.
 	Audited map[string]int
-	// QID is the query ID the server's tracer assigned; pass it to
-	// SHOW TRACE FOR to read the retained span tree.
+	// QID is the query ID the server's tracer assigned; select sys.spans
+	// WHERE qid = QID to read the retained span tree.
 	QID uint64
 }
 

@@ -50,6 +50,9 @@ type compiled struct {
 	exact      []bool
 	parallel   bool // the parallelizer rewrote the plan
 	correlated bool // the plan reads the trigger's NEW/OLD outer row
+	// sys names the system relations the plan reads, subqueries
+	// included; every run binds a fresh snapshot of each. Nil when none.
+	sys []string
 
 	// The result schema, computed once; every Result of the plan shares
 	// these slices.
@@ -77,6 +80,7 @@ func (e *Engine) build(sel *ast.Select, env *actionEnv) (*compiled, error) {
 	c.optStart = time.Now()
 	c.root = opt.Optimize(c.root)
 	c.optDur = time.Since(c.optStart)
+	c.sys = sysReads(c.root)
 	return c, nil
 }
 

@@ -58,6 +58,7 @@ func (e *Engine) runInsert(s *ast.Insert, sql string, env *actionEnv) (*Result, 
 				if err != nil {
 					return nil, err
 				}
+				e.bindSysExpr(ctx, compiled)
 				if src[j], err = compiled.Eval(ctx.Eval, env.outerRow); err != nil {
 					return nil, err
 				}
@@ -149,6 +150,9 @@ func (e *Engine) writeMatched(meta *catalog.TableMeta, alias string, where ast.E
 	}
 	return e.applyDML(meta, sql, env, kind, func(tbl *storage.Table) ([]change, error) {
 		ctx := e.execCtx(env, sql)
+		if read.sys != nil {
+			e.bindSys(ctx, read.sys)
+		}
 		if read.correlated {
 			ctx.Eval.PushOuter(env.outerRow)
 		}

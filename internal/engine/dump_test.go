@@ -15,6 +15,7 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 			FOR SENSITIVE TABLE Patients, PARTITION BY PatientID;
 		CREATE TRIGGER Log_Alice ON ACCESS TO Audit_Alice AS
 			INSERT INTO Log SELECT now(), userid(), sqltext(), PatientID FROM ACCESSED;
+		CREATE VIEW recent AS SELECT qid, sql FROM sys.traces;
 	`); err != nil {
 		t.Fatal(err)
 	}
@@ -28,6 +29,7 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 		"CREATE TABLE Patients", "INSERT INTO Patients VALUES",
 		"CREATE INDEX idx_zip", "CREATE AUDIT EXPRESSION Audit_Alice",
 		"CREATE TRIGGER Log_Alice ON ACCESS TO Audit_Alice",
+		"CREATE VIEW recent AS SELECT qid, sql FROM sys.traces",
 	} {
 		if !strings.Contains(script, want) {
 			t.Fatalf("dump missing %q:\n%s", want, script)
@@ -50,6 +52,10 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 	lg := mustQuery(t, e2, "SELECT COUNT(*) FROM Log")
 	if lg.Rows[0][0].Int() != 1 {
 		t.Errorf("restored trigger did not fire exactly once: %v", lg.Rows)
+	}
+
+	if r := mustQuery(t, e2, "SELECT * FROM recent"); len(r.Columns) != 2 {
+		t.Errorf("restored view over sys.traces: %v", r.Columns)
 	}
 
 	// Data round-trips. (These scans read Alice's row too and rightly

@@ -48,6 +48,7 @@ func TestDurableReplayMatchesDump(t *testing.T) {
 		UPDATE Patients SET Age = 35 WHERE Name = 'Alice';
 		DELETE FROM Patients WHERE Name = 'Bob';
 		CREATE INDEX idx_age ON Patients (Age);
+		CREATE VIEW recent AS SELECT qid, sql FROM sys.traces;
 	`
 	if _, err := e.ExecScript(script); err != nil {
 		t.Fatalf("setup: %v", err)
@@ -83,6 +84,10 @@ func TestDurableReplayMatchesDump(t *testing.T) {
 	}
 	if r.QID != 1 {
 		t.Fatalf("first statement after recovery has qid %d, want 1", r.QID)
+	}
+	// The replayed view reads the new engine's ring: the statement above.
+	if v := mustQuery(t, e2, "SELECT qid FROM recent"); len(v.Rows) != 1 || v.Rows[0][0].Int() != 1 {
+		t.Fatalf("replayed view over sys.traces: %v", v.Rows)
 	}
 }
 

@@ -142,7 +142,7 @@ type Engine struct {
 	// Tracing. qidCtr issues the engine-unique 64-bit query IDs every
 	// top-level statement gets; traceEvery is the head-sampling rate
 	// (capture every nth statement, 0 = off); traceRing retains
-	// finished traces for SHOW TRACE FOR / SHOW TRACES and /traces.
+	// finished traces for sys.traces, sys.spans and /traces.
 	// See trace.go and internal/trace.
 	qidCtr             atomic.Uint64
 	traceEvery         atomic.Int64
@@ -225,8 +225,8 @@ type Result struct {
 	Accessed *core.Accessed
 	// QID is the query ID the tracer assigned to the statement; front
 	// ends surface it so a trace can be looked up after the fact
-	// (SHOW TRACE FOR <qid>). Zero for nested statements, which execute
-	// inside their parent's trace.
+	// (SELECT trace FROM sys.spans WHERE qid = <qid>). Zero for nested
+	// statements, which execute inside their parent's trace.
 	QID uint64
 }
 
@@ -580,14 +580,6 @@ func (e *Engine) dispatchStmt(stmt ast.Stmt, sql string, env *actionEnv) (*Resul
 		return e.execDDL(env, stmt, func() (*Result, error) { return e.runDropIndex(s) })
 	case *ast.VerifyAuditLog:
 		return e.runVerifyAuditLog()
-	case *ast.ShowTrace:
-		return e.runShowTrace(s.QID)
-	case *ast.ShowTraces:
-		return e.runShowTraces()
-	case *ast.ShowAuditQueue:
-		return e.runShowAuditQueue()
-	case *ast.ShowAuditVerdicts:
-		return e.runShowAuditVerdicts()
 	default:
 		return nil, fmt.Errorf("unsupported statement %T", stmt)
 	}
@@ -611,7 +603,7 @@ func (e *Engine) execDDL(env *actionEnv, stmt ast.Stmt, run func() (*Result, err
 // planEnv builds the plan environment for a statement executed under
 // the given action environment.
 func (e *Engine) planEnv(env *actionEnv) *plan.Env {
-	pe := &plan.Env{Catalog: e.cat}
+	pe := &plan.Env{Catalog: e.cat, System: sysSchemas}
 	if env.accessed.Name != "" {
 		pe.Extra = map[string]plan.Schema{accessedName: {env.accessed}}
 	}
@@ -829,6 +821,9 @@ func (e *Engine) run(pe *planEntry, sql string, env *actionEnv, timed bool) ([]v
 	inst := pe.instance(e.store)
 	ctx := inst.Ctx()
 	e.bindCtx(ctx, env, sql)
+	if pe.sys != nil {
+		e.bindSys(ctx, pe.sys)
+	}
 	ctx.Workers = pe.knobs.workers
 	ctx.Timed = timed
 	if pe.correlated {
@@ -893,6 +888,7 @@ func (e *Engine) runIf(s *ast.If, sql string, env *actionEnv) (*Result, error) {
 		return nil, err
 	}
 	ctx := e.execCtx(env, sql)
+	e.bindSysExpr(ctx, cond)
 	v, err := cond.Eval(ctx.Eval, env.outerRow)
 	if err != nil {
 		return nil, err
@@ -920,6 +916,7 @@ func (e *Engine) runNotify(s *ast.Notify, env *actionEnv) (*Result, error) {
 		return nil, err
 	}
 	ctx := e.execCtx(env, "")
+	e.bindSysExpr(ctx, msg)
 	v, err := msg.Eval(ctx.Eval, env.outerRow)
 	if err != nil {
 		return nil, err

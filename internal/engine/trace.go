@@ -1,17 +1,15 @@
 package engine
 
 import (
-	"fmt"
 	"time"
 
 	"auditdb/internal/exec"
 	"auditdb/internal/obs"
 	"auditdb/internal/trace"
-	"auditdb/internal/value"
 )
 
 // DefaultTraceRingCap bounds how many finished traces the engine
-// retains for SHOW TRACES / SHOW TRACE FOR and the /traces endpoint.
+// retains for sys.traces, sys.spans and the /traces endpoint.
 const DefaultTraceRingCap = 128
 
 // SetTraceSampling enables head sampling: every nth top-level
@@ -220,41 +218,4 @@ func addOperatorSpans(r *trace.Rec, parent int, in *exec.Instance, execStart tim
 			r.SetAttrInt(wid, "morsels", ws.Morsels)
 		}
 	}
-}
-
-// runShowTraces serves SHOW TRACES: the retained traces, newest first.
-func (e *Engine) runShowTraces() (*Result, error) {
-	res := &Result{Columns: []string{"qid", "user", "elapsed_us", "sampled", "spans", "error", "sql"}}
-	for _, t := range e.traceRing.Snapshot() {
-		sampled := value.Value{Kind: value.KindBool}
-		if t.Sampled {
-			sampled.I = 1
-		}
-		res.Rows = append(res.Rows, value.Row{
-			value.Value{Kind: value.KindInt, I: int64(t.QID)},
-			value.NewString(t.User),
-			value.Value{Kind: value.KindInt, I: t.Elapsed / 1000},
-			sampled,
-			value.Value{Kind: value.KindInt, I: int64(len(t.Spans))},
-			value.NewString(t.Err),
-			value.NewString(t.SQL),
-		})
-	}
-	return res, nil
-}
-
-// runShowTrace serves SHOW TRACE FOR <qid>: the span tree of one
-// retained trace, one indented line per row.
-func (e *Engine) runShowTrace(qid uint64) (*Result, error) {
-	t := e.traceRing.Get(qid)
-	if t == nil {
-		return nil, fmt.Errorf(
-			"no trace retained for query %d (sample with SET trace = on or -trace-sample; slow and errored statements are retained automatically)",
-			qid)
-	}
-	res := &Result{Columns: []string{"trace"}}
-	for _, line := range t.Render() {
-		res.Rows = append(res.Rows, value.Row{value.NewString(line)})
-	}
-	return res, nil
 }

@@ -267,58 +267,6 @@ func TestTraceParallelWorkers(t *testing.T) {
 	}
 }
 
-// TestShowTraceStatements drives the SQL surface: SHOW TRACES lists
-// retained traces, SHOW TRACE FOR renders one tree, and an unknown qid
-// explains how to sample.
-func TestShowTraceStatements(t *testing.T) {
-	e := newAuditedHealthDB(t)
-	e.SetTraceSampling(1)
-	res := mustQuery(t, e, "SELECT Name FROM Patients WHERE Name = 'Alice'")
-	if res.QID == 0 {
-		t.Fatal("sampled query has no qid")
-	}
-
-	list := mustExec(t, e, "SHOW TRACES")
-	if list.Columns[0] != "qid" {
-		t.Fatalf("SHOW TRACES columns = %v", list.Columns)
-	}
-	found := false
-	for _, row := range list.Rows {
-		if uint64(row[0].Int()) == res.QID {
-			found = true
-			if row[6].Str() != "SELECT Name FROM Patients WHERE Name = 'Alice'" {
-				t.Errorf("SHOW TRACES sql = %q", row[6].Str())
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("qid %d not in SHOW TRACES output %v", res.QID, list.Rows)
-	}
-
-	tree := mustExec(t, e, fmt.Sprintf("SHOW TRACE FOR %d", res.QID))
-	if len(tree.Rows) < 2 || tree.Columns[0] != "trace" {
-		t.Fatalf("SHOW TRACE FOR = %v", tree.Rows)
-	}
-	head := tree.Rows[0][0].Str()
-	if !strings.Contains(head, fmt.Sprintf("qid=%d", res.QID)) {
-		t.Fatalf("trace header = %q", head)
-	}
-	var full strings.Builder
-	for _, row := range tree.Rows {
-		full.WriteString(row[0].Str() + "\n")
-	}
-	for _, want := range []string{"statement", "execute", "audit.fire"} {
-		if !strings.Contains(full.String(), want) {
-			t.Errorf("rendered trace missing %q:\n%s", want, full.String())
-		}
-	}
-
-	if _, err := e.Exec("SHOW TRACE FOR 99999999"); err == nil ||
-		!strings.Contains(err.Error(), "no trace retained") {
-		t.Fatalf("unknown qid error = %v", err)
-	}
-}
-
 // TestTraceTailCapture: slow and errored statements are retained even
 // with sampling off — slow ones as coarse phase-clock trees, errored
 // ones with the error message.

@@ -9,7 +9,6 @@ import (
 	"auditdb/internal/offline"
 	"auditdb/internal/trace"
 	"auditdb/internal/triage"
-	"auditdb/internal/value"
 	"auditdb/internal/wal"
 )
 
@@ -131,8 +130,8 @@ func (e *Engine) verifyTriageEvent(ctx context.Context, ev triage.Event) (triage
 
 // retainVerifyTrace pushes a one-span trace for the background
 // verification into the trace ring under the firing statement's query
-// ID, so SHOW TRACE FOR <qid> and /traces?qid= correlate the original
-// statement with its later verdict. path is "static" for an exact
+// ID, so sys.spans and /traces?qid= correlate the original statement
+// with its later verdict. path is "static" for an exact
 // event, the offline report's path for a replay, and empty when no
 // verdict was reached (dropped expression, unauditable statement).
 func (e *Engine) retainVerifyTrace(ev triage.Event, outcome string, suspicious int, elapsed time.Duration, path string, executions int) {
@@ -154,49 +153,4 @@ func (e *Engine) retainVerifyTrace(ev triage.Event, outcome string, suspicious i
 			e.traceRingEvictions.Inc()
 		}
 	}
-}
-
-// runShowAuditQueue serves SHOW AUDIT QUEUE: the triage events
-// resident in the bounded queue, in service order.
-func (e *Engine) runShowAuditQueue() (*Result, error) {
-	res := &Result{Columns: []string{"priority", "user", "expression", "qid", "audit_seq", "ids", "sql"}}
-	if e.triage == nil {
-		return res, nil
-	}
-	for _, ev := range e.triage.Snapshot() {
-		res.Rows = append(res.Rows, value.Row{
-			value.NewInt(int64(ev.Priority)),
-			value.NewString(ev.User),
-			value.NewString(ev.Expr),
-			value.NewInt(int64(ev.QID)),
-			value.NewInt(int64(ev.AuditSeq)),
-			value.NewInt(int64(ev.NumIDs)),
-			value.NewString(ev.SQL),
-		})
-	}
-	return res, nil
-}
-
-// runShowAuditVerdicts serves SHOW AUDIT VERDICTS: the recent-verdict
-// ring, newest first. The durable record is the audit chain itself
-// (VERIFY AUDIT LOG covers verdict records too).
-func (e *Engine) runShowAuditVerdicts() (*Result, error) {
-	res := &Result{Columns: []string{"seq", "audit_seq", "outcome", "priority", "user", "expression", "qid", "suspicious", "elapsed_us"}}
-	if e.triage == nil {
-		return res, nil
-	}
-	for _, v := range e.triage.Verdicts() {
-		res.Rows = append(res.Rows, value.Row{
-			value.NewInt(int64(v.ChainSeq)),
-			value.NewInt(int64(v.AuditSeq)),
-			value.NewString(v.Outcome),
-			value.NewInt(int64(v.Priority)),
-			value.NewString(v.User),
-			value.NewString(v.Expr),
-			value.NewInt(int64(v.QID)),
-			value.NewInt(int64(v.Suspicious)),
-			value.NewInt(v.ElapsedNanos / 1000),
-		})
-	}
-	return res, nil
 }

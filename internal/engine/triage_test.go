@@ -72,8 +72,8 @@ func verifySpan(e *Engine, sql string) (path string, executions int64, ok bool) 
 
 // TestTriageVerdictEndToEnd drives the full loop: a query fires the
 // trigger, the firing is enqueued, a background worker signs its
-// verdict, and the verdict lands in the hash chain, readable via SHOW
-// AUDIT VERDICTS and covered by VERIFY AUDIT LOG.
+// verdict, and the verdict lands in the hash chain, readable from
+// sys.verdicts and covered by VERIFY AUDIT LOG.
 func TestTriageVerdictEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	e := triageHealthDB(t, dir, triage.Config{Workers: 2})
@@ -89,9 +89,9 @@ func TestTriageVerdictEndToEnd(t *testing.T) {
 		t.Fatalf("triage stats: %+v", st)
 	}
 
-	r := mustExec(t, e, "SHOW AUDIT VERDICTS")
+	r := mustExec(t, e, "SELECT * FROM sys.verdicts")
 	if len(r.Rows) != 1 {
-		t.Fatalf("SHOW AUDIT VERDICTS rows: %v", r.Rows)
+		t.Fatalf("sys.verdicts rows: %v", r.Rows)
 	}
 	row := r.Rows[0]
 	cols := map[string]int{}
@@ -155,7 +155,7 @@ func TestTriageRefutedVerdict(t *testing.T) {
 	}
 	quiesceTriage(t, e)
 
-	r := mustExec(t, e, "SHOW AUDIT VERDICTS")
+	r := mustExec(t, e, "SELECT * FROM sys.verdicts")
 	if len(r.Rows) != 2 || r.Rows[0][2].Str() != "confirmed" || r.Rows[1][2].Str() != "refuted" {
 		t.Fatalf("want confirmed (newest) then refuted, got %v", r.Rows)
 	}
@@ -190,7 +190,7 @@ func TestTriageQueueHoldsWhenDisabled(t *testing.T) {
 	}
 	// Workers=0: the trigger path must not enqueue at all (embedded
 	// engines pay nothing), so the queue stays empty.
-	r := mustExec(t, e, "SHOW AUDIT QUEUE")
+	r := mustExec(t, e, "SELECT * FROM sys.audit_queue")
 	if len(r.Rows) != 0 {
 		t.Fatalf("disabled triage still queued: %v", r.Rows)
 	}

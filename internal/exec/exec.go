@@ -25,8 +25,8 @@ type Ctx struct {
 	// Eval is the expression evaluation context (session functions,
 	// correlation stack). Run installs its RunSubquery callback.
 	Eval *plan.EvalCtx
-	// Extra supplies transient named relations (ACCESSED, NEW, OLD);
-	// keys are lower-case.
+	// Extra supplies transient named relations (ACCESSED, NEW, OLD, the
+	// sys.* relations); keys are lower-case.
 	Extra map[string][]value.Row
 	// Workers is the parallelism budget a Gather operator may spend
 	// (<= 1 means serial; the planner normally decides this before the

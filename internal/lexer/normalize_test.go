@@ -30,10 +30,17 @@ func TestNormalizeLiftsWhereLiterals(t *testing.T) {
 }
 
 func TestNormalizeSharedFingerprint(t *testing.T) {
-	a := string(normOf(t, "SELECT name FROM patients WHERE id = 7").Canonical)
-	b := string(normOf(t, "select name from patients where id = 9;").Canonical)
-	if a != b {
-		t.Fatalf("fingerprints differ:\n  %q\n  %q", a, b)
+	for _, c := range []struct{ a, b, want string }{
+		{"SELECT name FROM patients WHERE id = 7", "select name from patients where id = 9;",
+			"SELECT name FROM patients WHERE id = ?"},
+		{"SELECT trace FROM sys.spans WHERE qid = 7", "select trace from sys . spans where qid = 9",
+			"SELECT trace FROM sys . spans WHERE qid = ?"},
+	} {
+		a := string(normOf(t, c.a).Canonical)
+		b := string(normOf(t, c.b).Canonical)
+		if a != b || a != c.want {
+			t.Errorf("fingerprints:\n  %q\n  %q\nwant %q", a, b, c.want)
+		}
 	}
 }
 

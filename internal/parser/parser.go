@@ -252,12 +252,6 @@ func (p *parser) parseStatement() (ast.Stmt, error) {
 	if p.softIdent(t, "VERIFY") {
 		return p.parseVerifyAuditLog()
 	}
-	// SHOW is likewise soft: only SHOW TRACES / SHOW TRACE FOR <id>
-	// reach the engine (front doors answer SHOW <session knob> without
-	// parsing).
-	if p.softIdent(t, "SHOW") {
-		return p.parseShowTrace()
-	}
 	if t.kind != lexer.TokKeyword {
 		return nil, p.errf("expected statement, found %s", p.describe(t))
 	}
@@ -504,6 +498,14 @@ func (p *parser) parseTablePrimary() (ast.TableRef, error) {
 	name, err := p.ident()
 	if err != nil {
 		return nil, err
+	}
+	if p.matchOp(lexer.OpDot) {
+		// schema.name: the system relations (sys.traces, ...).
+		rel, err := p.ident()
+		if err != nil {
+			return nil, err
+		}
+		name += "." + rel
 	}
 	bt := p.a.baseTable(name)
 	if p.matchKeyword(lexer.KwAs) {
@@ -1031,47 +1033,4 @@ func (p *parser) parseVerifyAuditLog() (ast.Stmt, error) {
 	}
 	p.next()
 	return &ast.VerifyAuditLog{}, nil
-}
-
-func (p *parser) parseShowTrace() (ast.Stmt, error) {
-	if t := p.peek(); !p.softIdent(t, "SHOW") {
-		return nil, p.errf("expected SHOW, found %s", p.describe(t))
-	}
-	p.next()
-	t := p.peek()
-	if p.matchKeyword(lexer.KwAudit) {
-		// SHOW AUDIT QUEUE | SHOW AUDIT VERDICTS (triage surfaces).
-		t = p.peek()
-		switch {
-		case p.softIdent(t, "QUEUE"):
-			p.next()
-			return &ast.ShowAuditQueue{}, nil
-		case p.softIdent(t, "VERDICTS"):
-			p.next()
-			return &ast.ShowAuditVerdicts{}, nil
-		default:
-			return nil, p.errf("expected QUEUE or VERDICTS after SHOW AUDIT, found %s", p.describe(t))
-		}
-	}
-	if p.softIdent(t, "TRACES") {
-		p.next()
-		return &ast.ShowTraces{}, nil
-	}
-	if !p.softIdent(t, "TRACE") {
-		return nil, p.errf("expected TRACE or TRACES after SHOW, found %s", p.describe(t))
-	}
-	p.next()
-	if err := p.expectKeyword(lexer.KwFor); err != nil {
-		return nil, err
-	}
-	t = p.peek()
-	if t.kind != lexer.TokNumber {
-		return nil, p.errf("expected query id after SHOW TRACE FOR, found %s", p.describe(t))
-	}
-	p.next()
-	qid, err := strconv.ParseUint(p.text(t), 10, 64)
-	if err != nil {
-		return nil, p.errf("invalid query id %q", p.text(t))
-	}
-	return &ast.ShowTrace{QID: qid}, nil
 }

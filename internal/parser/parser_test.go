@@ -508,18 +508,38 @@ func TestParseCreateAuditExpressionPriority(t *testing.T) {
 	}
 }
 
-func TestParseShowAudit(t *testing.T) {
-	if s, err := Parse("SHOW AUDIT QUEUE"); err != nil {
-		t.Fatal(err)
-	} else if _, ok := s.(*ast.ShowAuditQueue); !ok {
-		t.Errorf("SHOW AUDIT QUEUE parsed as %T", s)
+// TestParseSysRelation: a dotted name in table position is one
+// BaseTable whose Name keeps the dot; the SHOW statements the system
+// relations replaced no longer parse, and no DML or DDL takes a dotted
+// target.
+func TestParseSysRelation(t *testing.T) {
+	for sql, want := range map[string]ast.BaseTable{
+		"SELECT * FROM sys.traces":                       {Name: "sys.traces"},
+		"SELECT trace FROM sys.spans AS s WHERE qid = 5": {Name: "sys.spans", Alias: "s"},
+		"SELECT * FROM SYS.Verdicts v":                   {Name: "SYS.Verdicts", Alias: "v"},
+	} {
+		sel, err := ParseQuery(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if bt, ok := sel.From[0].(*ast.BaseTable); !ok || *bt != want {
+			t.Errorf("%s: FROM = %#v, want %#v", sql, sel.From[0], want)
+		}
 	}
-	if s, err := Parse("SHOW AUDIT VERDICTS"); err != nil {
-		t.Fatal(err)
-	} else if _, ok := s.(*ast.ShowAuditVerdicts); !ok {
-		t.Errorf("SHOW AUDIT VERDICTS parsed as %T", s)
-	}
-	if _, err := Parse("SHOW AUDIT NONSENSE"); err == nil {
-		t.Error("SHOW AUDIT NONSENSE accepted")
+	for _, bad := range []string{
+		"SHOW TRACES",
+		"SHOW TRACE FOR 5",
+		"SHOW AUDIT QUEUE",
+		"SHOW AUDIT VERDICTS",
+		"SELECT * FROM sys.",
+		"SELECT * FROM sys.traces.x",
+		"INSERT INTO sys.traces VALUES (1)",
+		"UPDATE sys.traces SET qid = 1",
+		"DELETE FROM sys.traces",
+		"CREATE TABLE sys.traces (qid INT)",
+	} {
+		if _, err := Parse(bad); err == nil {
+			t.Errorf("accepted %q", bad)
+		}
 	}
 }

@@ -21,6 +21,7 @@ func TestRenderParseRoundTrip(t *testing.T) {
 		"SELECT a FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.id = t.id)",
 		"SELECT a FROM t WHERE x IN (SELECT x FROM u) AND y = (SELECT MAX(y) FROM u)",
 		"SELECT a FROM t WHERE d >= DATE '1995-01-01'",
+		"SELECT s.trace FROM sys.spans s JOIN sys.traces ON s.qid = traces.qid WHERE s.qid = 5",
 	}
 	for _, q := range queries {
 		first, err := ParseQuery(q)

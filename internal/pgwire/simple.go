@@ -131,7 +131,7 @@ func writeAuditNotice(w *writer, res *engine.Result) {
 		w.out = strconv.AppendInt(w.out, int64(res.Accessed.Len(name)), 10)
 	}
 	if res.QID != 0 {
-		// The query ID keys the retained trace: SHOW TRACE FOR <qid>.
+		// The query ID keys the retained trace in sys.traces and sys.spans.
 		w.out = append(w.out, " qid="...)
 		w.out = strconv.AppendUint(w.out, res.QID, 10)
 	}
@@ -182,8 +182,6 @@ func commandTag(stmt ast.Stmt, res *engine.Result, rows int) (tag string, n int)
 		return "EXPLAIN", -1
 	case *ast.VerifyAuditLog:
 		return "VERIFY AUDIT LOG", -1
-	case *ast.ShowTrace, *ast.ShowTraces:
-		return "SHOW", -1
 	default:
 		if len(res.Columns) > 0 {
 			return "SELECT", rows

@@ -2,6 +2,7 @@ package pgwire_test
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -236,10 +237,11 @@ func TestTraceCrossProtocol(t *testing.T) {
 	}
 }
 
-// TestShowTracePG: SHOW TRACE FOR and SHOW TRACES pass through the
-// pg utility front door to the engine, so psql users can inspect the
-// trace a NOTICE pointed them at.
-func TestShowTracePG(t *testing.T) {
+// TestSysSpansPG: psql users read the trace a NOTICE pointed them at
+// with a SELECT over sys.spans and sys.traces — a plain SELECT to the
+// front door, tagged SELECT n, typed over the extended protocol — while
+// SHOW is left to session parameters.
+func TestSysSpansPG(t *testing.T) {
 	_, _, pgAddr, _ := startTracedPG(t)
 	pc := dialPG(t, pgAddr, "dr_mallory")
 	msgs, _ := query(t, pc, "SELECT Name FROM Patients WHERE Name = 'Alice'")
@@ -253,13 +255,13 @@ func TestShowTracePG(t *testing.T) {
 		t.Fatal("no qid in NOTICE")
 	}
 
-	msgs, _ = query(t, pc, "SHOW TRACE FOR "+qid)
-	if got := tags(t, msgs); len(got) != 1 || got[0] != "SHOW" {
-		t.Fatalf("tags = %v", got)
-	}
+	msgs, _ = query(t, pc, "SELECT trace FROM sys.spans WHERE qid = "+qid)
 	rows := byType(msgs, 'D')
 	if len(rows) < 2 {
-		t.Fatalf("SHOW TRACE FOR returned %d rows", len(rows))
+		t.Fatalf("sys.spans returned %d rows", len(rows))
+	}
+	if got := tags(t, msgs); len(got) != 1 || got[0] != fmt.Sprintf("SELECT %d", len(rows)) {
+		t.Fatalf("tags = %v", got)
 	}
 	first, err := pgtest.DataRow(rows[0].Body)
 	if err != nil {
@@ -269,7 +271,7 @@ func TestShowTracePG(t *testing.T) {
 		t.Fatalf("first trace line = %q", first[0])
 	}
 
-	msgs, _ = query(t, pc, "SHOW TRACES")
+	msgs, _ = query(t, pc, "SELECT qid FROM sys.traces")
 	listed := false
 	for _, m := range byType(msgs, 'D') {
 		cells, err := pgtest.DataRow(m.Body)
@@ -281,7 +283,48 @@ func TestShowTracePG(t *testing.T) {
 		}
 	}
 	if !listed {
-		t.Fatalf("qid %s not in SHOW TRACES", qid)
+		t.Fatalf("qid %s not in sys.traces", qid)
+	}
+
+	// Extended protocol: the qid is a parameter, the columns are typed.
+	for _, step := range []func() error{
+		func() error { return pc.Parse("", "SELECT qid, trace FROM sys.spans WHERE qid = $1", nil) },
+		func() error { return pc.Bind("", "", [][]byte{[]byte(qid)}) },
+		func() error { return pc.Describe('P', "") },
+		func() error { return pc.Execute("", 0) },
+		pc.Sync,
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	emsgs, _, err := pc.ReadUntilReady()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := byType(emsgs, 'E'); len(e) > 0 {
+		t.Fatalf("extended sys.spans: %v", pgtest.ErrorFields(e[0].Body))
+	}
+	desc := byType(emsgs, 'T')
+	if len(desc) != 1 {
+		t.Fatalf("extended sys.spans: %d RowDescriptions", len(desc))
+	}
+	fields, err := pgtest.RowDescription(desc[0].Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fields) != 2 || fields[0].Name != "qid" || fields[0].OID != 20 ||
+		fields[1].Name != "trace" || fields[1].OID != 25 { // int8, text
+		t.Fatalf("RowDescription = %+v, want qid int8, trace text", fields)
+	}
+	if n := len(byType(emsgs, 'D')); n != len(rows) {
+		t.Fatalf("extended sys.spans returned %d rows, simple %d", n, len(rows))
+	}
+
+	// SHOW names session parameters only.
+	msgs, _ = query(t, pc, "SHOW TRACES")
+	if len(byType(msgs, 'E')) != 1 {
+		t.Fatal("SHOW TRACES did not error")
 	}
 
 	// Bare SHOW trace still reports the session flag, not a trace.

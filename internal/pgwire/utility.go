@@ -53,15 +53,6 @@ func tryUtility(sess *engine.Session, sql string) (res *utilityResult, handled b
 		if len(fields) < 2 {
 			return nil, false, nil
 		}
-		// SHOW TRACES, SHOW TRACE FOR <qid>, and SHOW AUDIT QUEUE /
-		// VERDICTS are engine statements (the trace ring and triage queue
-		// live in the engine), not session parameters; bare SHOW trace
-		// still reports the session flag below.
-		if strings.EqualFold(fields[1], "traces") ||
-			strings.EqualFold(fields[1], "audit") ||
-			(strings.EqualFold(fields[1], "trace") && len(fields) > 2) {
-			return nil, false, nil
-		}
 		return showUtility(sess, strings.ToLower(strings.Join(fields[1:], "_")))
 	}
 	return nil, false, nil

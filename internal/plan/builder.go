@@ -14,11 +14,13 @@ import (
 const DualName = "$dual"
 
 // Env supplies the builder with schema information: the catalog for
-// stored tables and Extra for transient named relations (the ACCESSED
-// internal state and NEW/OLD pseudo-rows inside trigger bodies).
+// stored tables, Extra for transient named relations (the ACCESSED
+// internal state and NEW/OLD pseudo-rows inside trigger bodies) and
+// System for the dotted ones (sys.traces, ...), lower-cased.
 type Env struct {
 	Catalog *catalog.Catalog
 	Extra   map[string]Schema
+	System  map[string]Schema
 	// Views maps lower-cased view names to their defining queries;
 	// references expand inline at plan time.
 	Views map[string]*ast.Select
@@ -271,9 +273,20 @@ func checkDuplicateQualifiers(s Schema) error {
 func (b *builder) buildTableRef(ref ast.TableRef) (Node, error) {
 	switch r := ref.(type) {
 	case *ast.BaseTable:
+		// A dotted name is a system relation, never a catalog table; its
+		// default qualifier is the part after the dot.
+		dot := strings.IndexByte(r.Name, '.')
 		alias := r.Alias
 		if alias == "" {
-			alias = r.Name
+			alias = r.Name[dot+1:]
+		}
+		if dot >= 0 {
+			name := strings.ToLower(r.Name)
+			sys, ok := b.env.System[name]
+			if !ok {
+				return nil, fmt.Errorf("unknown table %q", r.Name)
+			}
+			return &ValuesScan{Name: name, Out: sys.WithQual(alias)}, nil
 		}
 		if extra, ok := b.env.ExtraSchema(r.Name); ok {
 			return &ValuesScan{Name: strings.ToLower(r.Name), Out: extra.WithQual(alias)}, nil

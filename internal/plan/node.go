@@ -127,7 +127,8 @@ func (s *Scan) Label() string {
 
 // ValuesScan reads a named transient relation supplied by the
 // execution context: the ACCESSED internal state inside SELECT-trigger
-// actions, and the NEW/OLD pseudo-rows inside DML trigger actions.
+// actions, the NEW/OLD pseudo-rows inside DML trigger actions, and the
+// system relations (sys.traces, ...).
 type ValuesScan struct {
 	Name string
 	Out  Schema

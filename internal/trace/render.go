@@ -7,8 +7,8 @@ import (
 )
 
 // Render formats the trace as indented text lines — one header line
-// followed by the span tree — the shape SHOW TRACE FOR <id> returns,
-// one line per row.
+// followed by the span tree — the lines sys.spans returns, one per
+// row.
 func (t *Trace) Render() []string {
 	lines := make([]string, 0, len(t.Spans)+1)
 	head := fmt.Sprintf("qid=%d user=%s elapsed=%s sampled=%t",

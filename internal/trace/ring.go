@@ -42,11 +42,14 @@ func (g *Ring) Add(t *Trace) (evicted bool) {
 	return evicted
 }
 
-// Get returns the retained trace for qid, or nil.
+// Get returns the oldest retained trace for qid, or nil. A statement
+// and its later triage.verify trace share a qid; the statement's own
+// is the older one.
 func (g *Ring) Get(qid uint64) *Trace {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for _, t := range g.buf {
+	for i := range g.buf {
+		t := g.buf[(g.pos+i)%len(g.buf)] // from pos: oldest to newest
 		if t != nil && t.QID == qid {
 			return t
 		}

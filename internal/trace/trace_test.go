@@ -176,6 +176,20 @@ func TestRingEviction(t *testing.T) {
 	}
 }
 
+// TestRingGetOldestForQID: two retained traces share a qid (a statement
+// and its triage.verify trace); Get returns the older, whichever slot
+// the ring's wrap put it in.
+func TestRingGetOldestForQID(t *testing.T) {
+	g := NewRing(3)
+	stmt := mkTrace(1)
+	for _, tr := range []*Trace{mkTrace(9), stmt, mkTrace(8), mkTrace(1)} {
+		g.Add(tr) // the fourth evicts qid 9 from slot 0
+	}
+	if got := g.Get(1); got != stmt {
+		t.Fatalf("Get(1) = %p, want the statement's trace %p (the older of the two)", got, stmt)
+	}
+}
+
 func TestRingHandler(t *testing.T) {
 	g := NewRing(4)
 	g.Add(mkTrace(1))

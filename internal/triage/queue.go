@@ -102,7 +102,7 @@ func (q *queue) popMax() (Event, bool) {
 }
 
 // snapshot copies the resident events in service order — the order
-// SHOW AUDIT QUEUE reports.
+// sys.audit_queue reports.
 func (q *queue) snapshot() []Event {
 	out := make([]Event, len(q.items))
 	copy(out, q.items)

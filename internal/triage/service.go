@@ -7,8 +7,8 @@ import (
 )
 
 // verdictRingSize bounds the in-memory tail of recent verdicts that
-// SHOW AUDIT VERDICTS reports; the authoritative record is the
-// hash-chained audit stream.
+// sys.verdicts reports; the authoritative record is the hash-chained
+// audit stream.
 const verdictRingSize = 256
 
 // Config sizes the service. Workers <= 0 disables background
@@ -34,7 +34,7 @@ type Result struct {
 type VerifyFunc func(ctx context.Context, ev Event) (Result, error)
 
 // VerdictRec is one recent verdict, held in a fixed ring for
-// SHOW AUDIT VERDICTS.
+// sys.verdicts.
 type VerdictRec struct {
 	ChainSeq     uint64
 	AuditSeq     uint64

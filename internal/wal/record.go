@@ -94,7 +94,7 @@ type Audit struct {
 	UnixNano int64
 	// QID is the query ID the tracing layer assigned to the statement
 	// that produced this access, joining the audit record to its trace
-	// (SHOW TRACE FOR <qid>), slow-query log lines, and the client
+	// (sys.traces, sys.spans), slow-query log lines, and the client
 	// response. Part of the canonical encoding, so it is covered by the
 	// hash chain and cannot be silently rewritten.
 	QID uint64
@@ -119,8 +119,8 @@ const (
 	VerdictSkipped   uint8 = 3
 )
 
-// VerdictName renders a verdict outcome the way SHOW AUDIT VERDICTS
-// and the metrics labels spell it.
+// VerdictName renders a verdict outcome the way sys.verdicts and the
+// metrics labels spell it.
 func VerdictName(o uint8) string {
 	switch o {
 	case VerdictConfirmed:

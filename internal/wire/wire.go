@@ -47,8 +47,8 @@ const (
 	// default.
 	KeyWorkers = "workers"
 	// KeyTrace toggles forced full trace capture for every statement
-	// this session runs ("on"/"off"); retained traces are read back with
-	// SHOW TRACE FOR <qid> or the /traces endpoint.
+	// this session runs ("on"/"off"); retained traces are read back from
+	// sys.traces and sys.spans or the /traces endpoint.
 	KeyTrace = "trace"
 	// KeySkipping toggles chunk skipping (zone maps + sensitive-ID
 	// sketches) for this session's scans ("on"/"off"). Skipping never
@@ -75,8 +75,8 @@ type Response struct {
 	Rows         [][]any  `json:"rows,omitempty"`
 	RowsAffected int      `json:"rows_affected,omitempty"`
 	// QID is the query ID the engine's tracer assigned to the
-	// statement; SHOW TRACE FOR <qid> retrieves its span tree when the
-	// trace was retained.
+	// statement; SELECT trace FROM sys.spans WHERE qid = <qid> reads
+	// its span tree when the trace was retained.
 	QID uint64 `json:"qid,omitempty"`
 	// Audited maps audit-expression name to the number of sensitive
 	// partition keys the statement accessed.
