@@ -192,9 +192,9 @@ func (*Placeholder) exprNode()    {}
 
 func (e *ColumnRef) String() string {
 	if e.Table != "" {
-		return e.Table + "." + e.Name
+		return Ident(e.Table) + "." + Ident(e.Name)
 	}
-	return e.Name
+	return Ident(e.Name)
 }
 
 func (e *Literal) String() string { return e.Val.SQL() }

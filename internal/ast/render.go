@@ -3,7 +3,31 @@ package ast
 import (
 	"fmt"
 	"strings"
+
+	"auditdb/internal/lexer"
 )
+
+// Ident renders an identifier so the parser reads it back as the same
+// name: a reserved word, or a name that does not scan as one bare
+// identifier, is double-quoted.
+func Ident(name string) string {
+	var s lexer.Scanner
+	s.Init(name)
+	if s.Scan() == lexer.TokIdent && s.Pos == 0 && s.End == len(name) {
+		return name
+	}
+	return `"` + name + `"`
+}
+
+// qualifiedName renders a possibly dotted name (a system relation's
+// sys.traces) one Ident per part.
+func qualifiedName(name string) string {
+	parts := strings.Split(name, ".")
+	for i, p := range parts {
+		parts[i] = Ident(p)
+	}
+	return strings.Join(parts, ".")
+}
 
 // RenderSelect reconstructs parseable SQL text for a query block. The
 // engine uses it to store canonical single-statement DDL text in the
@@ -24,13 +48,13 @@ func RenderSelect(s *Select) string {
 		}
 		switch {
 		case item.Star && item.StarTable != "":
-			b.WriteString(item.StarTable + ".*")
+			b.WriteString(Ident(item.StarTable) + ".*")
 		case item.Star:
 			b.WriteString("*")
 		default:
 			b.WriteString(item.Expr.String())
 			if item.Alias != "" {
-				b.WriteString(" AS " + item.Alias)
+				b.WriteString(" AS " + Ident(item.Alias))
 			}
 		}
 	}
@@ -76,9 +100,9 @@ func renderTableRef(ref TableRef) string {
 	switch r := ref.(type) {
 	case *BaseTable:
 		if r.Alias != "" && !strings.EqualFold(r.Alias, r.Name) {
-			return r.Name + " " + r.Alias
+			return qualifiedName(r.Name) + " " + Ident(r.Alias)
 		}
-		return r.Name
+		return qualifiedName(r.Name)
 	case *JoinRef:
 		out := renderTableRef(r.Left) + " " + r.Kind.String() + " " + renderTableRef(r.Right)
 		if r.On != nil {
@@ -86,7 +110,7 @@ func renderTableRef(ref TableRef) string {
 		}
 		return out
 	case *SubqueryRef:
-		return "(" + RenderSelect(r.Sub) + ") AS " + r.Alias
+		return "(" + RenderSelect(r.Sub) + ") AS " + Ident(r.Alias)
 	default:
 		return "<?>"
 	}
@@ -95,7 +119,7 @@ func renderTableRef(ref TableRef) string {
 // RenderAuditExpression reconstructs the CREATE AUDIT EXPRESSION DDL.
 func RenderAuditExpression(s *CreateAuditExpression) string {
 	out := fmt.Sprintf("CREATE AUDIT EXPRESSION %s AS %s FOR SENSITIVE TABLE %s PARTITION BY %s",
-		s.Name, RenderSelect(s.Query), s.SensitiveTable, s.PartitionBy)
+		Ident(s.Name), RenderSelect(s.Query), Ident(s.SensitiveTable), Ident(s.PartitionBy))
 	if s.Priority != 0 {
 		out += fmt.Sprintf(" PRIORITY %d", s.Priority)
 	}

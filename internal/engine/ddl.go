@@ -156,7 +156,7 @@ func (e *Engine) runCreateView(s *ast.CreateView) (*Result, error) {
 	}
 	meta := &catalog.ViewMeta{
 		Name:       s.Name,
-		Definition: fmt.Sprintf("CREATE VIEW %s AS %s", s.Name, ast.RenderSelect(s.Query)),
+		Definition: renderDDL(s),
 	}
 	if err := e.cat.AddView(meta); err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 
+	"auditdb/internal/ast"
 	"auditdb/internal/catalog"
 	"auditdb/internal/storage"
 	"auditdb/internal/value"
@@ -42,10 +43,10 @@ func (e *Engine) dumpLocked(w io.Writer) error {
 		}
 		cols := make([]string, len(idx.Columns))
 		for i, ord := range idx.Columns {
-			cols[i] = meta.Columns[ord].Name
+			cols[i] = ast.Ident(meta.Columns[ord].Name)
 		}
 		if _, err := fmt.Fprintf(bw, "CREATE INDEX %s ON %s (%s);\n",
-			idx.Name, meta.Name, strings.Join(cols, ", ")); err != nil {
+			ast.Ident(idx.Name), ast.Ident(meta.Name), strings.Join(cols, ", ")); err != nil {
 			return err
 		}
 	}
@@ -64,15 +65,16 @@ func (e *Engine) dumpLocked(w io.Writer) error {
 	// 5. Triggers, rebuilt from their stored action text.
 	for _, tr := range e.cat.Triggers() {
 		var head string
+		name, target := ast.Ident(tr.Name), ast.Ident(tr.Target)
 		switch tr.Kind {
 		case catalog.TriggerOnAccess:
-			head = fmt.Sprintf("CREATE TRIGGER %s ON ACCESS TO %s AS", tr.Name, tr.Target)
+			head = fmt.Sprintf("CREATE TRIGGER %s ON ACCESS TO %s AS", name, target)
 		case catalog.TriggerAfterInsert:
-			head = fmt.Sprintf("CREATE TRIGGER %s ON %s AFTER INSERT AS", tr.Name, tr.Target)
+			head = fmt.Sprintf("CREATE TRIGGER %s ON %s AFTER INSERT AS", name, target)
 		case catalog.TriggerAfterUpdate:
-			head = fmt.Sprintf("CREATE TRIGGER %s ON %s AFTER UPDATE AS", tr.Name, tr.Target)
+			head = fmt.Sprintf("CREATE TRIGGER %s ON %s AFTER UPDATE AS", name, target)
 		case catalog.TriggerAfterDelete:
-			head = fmt.Sprintf("CREATE TRIGGER %s ON %s AFTER DELETE AS", tr.Name, tr.Target)
+			head = fmt.Sprintf("CREATE TRIGGER %s ON %s AFTER DELETE AS", name, target)
 		}
 		if _, err := fmt.Fprintf(bw, "%s %s;\n", head, tr.Action); err != nil {
 			return err
@@ -88,7 +90,7 @@ func dumpTable(w *bufio.Writer, e *Engine, meta *catalog.TableMeta) error {
 	var cols []string
 	pkInline := len(meta.PrimaryKey) == 1
 	for i, c := range meta.Columns {
-		def := fmt.Sprintf("%s %s", c.Name, c.Type)
+		def := fmt.Sprintf("%s %s", ast.Ident(c.Name), c.Type)
 		if pkInline && meta.PrimaryKey[0] == i {
 			def += " PRIMARY KEY"
 		}
@@ -97,11 +99,11 @@ func dumpTable(w *bufio.Writer, e *Engine, meta *catalog.TableMeta) error {
 	if len(meta.PrimaryKey) > 1 {
 		names := make([]string, len(meta.PrimaryKey))
 		for i, ord := range meta.PrimaryKey {
-			names[i] = meta.Columns[ord].Name
+			names[i] = ast.Ident(meta.Columns[ord].Name)
 		}
 		cols = append(cols, "PRIMARY KEY ("+strings.Join(names, ", ")+")")
 	}
-	if _, err := fmt.Fprintf(w, "CREATE TABLE %s (%s);\n", meta.Name, strings.Join(cols, ", ")); err != nil {
+	if _, err := fmt.Fprintf(w, "CREATE TABLE %s (%s);\n", ast.Ident(meta.Name), strings.Join(cols, ", ")); err != nil {
 		return err
 	}
 
@@ -134,7 +136,7 @@ func dumpRows(w *bufio.Writer, table string, rows []value.Row) error {
 		if end > len(rows) {
 			end = len(rows)
 		}
-		if _, err := fmt.Fprintf(w, "INSERT INTO %s VALUES\n", table); err != nil {
+		if _, err := fmt.Fprintf(w, "INSERT INTO %s VALUES\n", ast.Ident(table)); err != nil {
 			return err
 		}
 		for i, row := range rows[start:end] {

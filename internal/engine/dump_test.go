@@ -145,3 +145,52 @@ func TestDumpCompositePrimaryKey(t *testing.T) {
 		t.Error("restored composite pk should reject duplicates")
 	}
 }
+
+// TestDumpQuotesReservedIdentifiers: names that are reserved words (or
+// not bare identifiers at all) are written double-quoted wherever a
+// dump or the WAL's DDL records carry them — tables, columns, indexes,
+// views, audit expressions, triggers — so dump → restore → dump is
+// byte-identical and a durable engine with them reopens.
+func TestDumpQuotesReservedIdentifiers(t *testing.T) {
+	const script = `
+		CREATE TABLE "order" ("date" INT PRIMARY KEY, "select" VARCHAR(20), "two words" INT);
+		INSERT INTO "order" VALUES (1, 'a', 10), (2, 'b', 20);
+		CREATE TABLE "Log" ("view" INT);
+		CREATE INDEX "index" ON "order" ("select");
+		CREATE VIEW "table" AS SELECT o."date" AS "from", "two words" FROM "order" o WHERE "select" = 'a';
+		CREATE VIEW v AS SELECT "expression", qid FROM sys.verdicts;
+		CREATE AUDIT EXPRESSION "audit" AS SELECT * FROM "order" WHERE "date" < 2
+			FOR SENSITIVE TABLE "order", PARTITION BY "date";
+		CREATE TRIGGER "trigger" ON ACCESS TO "audit" AS INSERT INTO "Log" SELECT "date" FROM ACCESSED;
+	`
+	e := New()
+	if _, err := e.ExecScript(script); err != nil {
+		t.Fatal(err)
+	}
+	dump := dumpString(t, e)
+	e2 := New()
+	if _, err := e2.ExecScript(dump); err != nil {
+		t.Fatalf("restore: %v\n%s", err, dump)
+	}
+	if again := dumpString(t, e2); again != dump {
+		t.Fatalf("dump after restore differs:\n%s\nfirst:\n%s", again, dump)
+	}
+	if r := mustQuery(t, e2, `SELECT "from" FROM "table"`); len(r.Rows) != 1 || r.Rows[0][0].Int() != 1 {
+		t.Fatalf("restored view: %v", r.Rows)
+	}
+
+	dir := t.TempDir()
+	d := openDurable(t, dir)
+	if _, err := d.ExecScript(script); err != nil {
+		t.Fatal(err)
+	}
+	before := dumpString(t, d)
+	if err := d.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	d2 := openDurable(t, dir)
+	defer d2.CloseWAL()
+	if after := dumpString(t, d2); after != before {
+		t.Fatalf("recovered dump differs:\n%s\nbefore:\n%s", after, before)
+	}
+}

@@ -317,47 +317,57 @@ func renderDDL(stmt ast.Stmt) string {
 		var cols []string
 		inlinePK := len(s.PrimaryKey) == 0
 		for _, c := range s.Columns {
-			def := fmt.Sprintf("%s %s", c.Name, c.Type)
+			def := fmt.Sprintf("%s %s", ast.Ident(c.Name), c.Type)
 			if inlinePK && c.PrimaryKey {
 				def += " PRIMARY KEY"
 			}
 			cols = append(cols, def)
 		}
 		if len(s.PrimaryKey) > 0 {
-			cols = append(cols, "PRIMARY KEY ("+strings.Join(s.PrimaryKey, ", ")+")")
+			cols = append(cols, "PRIMARY KEY ("+idents(s.PrimaryKey)+")")
 		}
-		return fmt.Sprintf("CREATE TABLE %s (%s)", s.Name, strings.Join(cols, ", "))
+		return fmt.Sprintf("CREATE TABLE %s (%s)", ast.Ident(s.Name), strings.Join(cols, ", "))
 	case *ast.CreateIndex:
-		return fmt.Sprintf("CREATE INDEX %s ON %s (%s)", s.Name, s.Table, strings.Join(s.Columns, ", "))
+		return fmt.Sprintf("CREATE INDEX %s ON %s (%s)", ast.Ident(s.Name), ast.Ident(s.Table), idents(s.Columns))
 	case *ast.CreateView:
-		return fmt.Sprintf("CREATE VIEW %s AS %s", s.Name, ast.RenderSelect(s.Query))
+		return fmt.Sprintf("CREATE VIEW %s AS %s", ast.Ident(s.Name), ast.RenderSelect(s.Query))
 	case *ast.CreateAuditExpression:
 		return ast.RenderAuditExpression(s)
 	case *ast.CreateTrigger:
+		name, target := ast.Ident(s.Name), ast.Ident(s.Target)
 		switch s.Event {
 		case ast.EventAccess:
-			return fmt.Sprintf("CREATE TRIGGER %s ON ACCESS TO %s AS %s", s.Name, s.Target, s.ActionSQL)
+			return fmt.Sprintf("CREATE TRIGGER %s ON ACCESS TO %s AS %s", name, target, s.ActionSQL)
 		case ast.EventInsert:
-			return fmt.Sprintf("CREATE TRIGGER %s ON %s AFTER INSERT AS %s", s.Name, s.Target, s.ActionSQL)
+			return fmt.Sprintf("CREATE TRIGGER %s ON %s AFTER INSERT AS %s", name, target, s.ActionSQL)
 		case ast.EventUpdate:
-			return fmt.Sprintf("CREATE TRIGGER %s ON %s AFTER UPDATE AS %s", s.Name, s.Target, s.ActionSQL)
+			return fmt.Sprintf("CREATE TRIGGER %s ON %s AFTER UPDATE AS %s", name, target, s.ActionSQL)
 		case ast.EventDelete:
-			return fmt.Sprintf("CREATE TRIGGER %s ON %s AFTER DELETE AS %s", s.Name, s.Target, s.ActionSQL)
+			return fmt.Sprintf("CREATE TRIGGER %s ON %s AFTER DELETE AS %s", name, target, s.ActionSQL)
 		}
 		return ""
 	case *ast.DropTable:
-		return "DROP TABLE " + s.Name
+		return "DROP TABLE " + ast.Ident(s.Name)
 	case *ast.DropIndex:
-		return "DROP INDEX " + s.Name
+		return "DROP INDEX " + ast.Ident(s.Name)
 	case *ast.DropView:
-		return "DROP VIEW " + s.Name
+		return "DROP VIEW " + ast.Ident(s.Name)
 	case *ast.DropTrigger:
-		return "DROP TRIGGER " + s.Name
+		return "DROP TRIGGER " + ast.Ident(s.Name)
 	case *ast.DropAuditExpression:
-		return "DROP AUDIT EXPRESSION " + s.Name
+		return "DROP AUDIT EXPRESSION " + ast.Ident(s.Name)
 	default:
 		return ""
 	}
+}
+
+// idents renders a list of identifiers, comma-separated.
+func idents(names []string) string {
+	out := make([]string, len(names))
+	for i, n := range names {
+		out[i] = ast.Ident(n)
+	}
+	return strings.Join(out, ", ")
 }
 
 // Dump serializes the whole database as a replayable SQL script,

@@ -303,15 +303,18 @@ func (s *Session) ExecScript(sql string) (*Result, error) {
 // trigger actions. A parse error is returned
 // directly and fn is never called.
 //
-// Each statement gets its own record; the first one's also covers the
-// script parse.
+// Each statement gets its own record, traced with the statement's own
+// text; the first one's also covers the script parse.
 func (s *Session) ExecMulti(sql string, fn func(stmt ast.Stmt, res *Result, err error) bool) error {
 	e := s.e
 	began := e.traceBegin(s)
 	err := s.checkOpen()
 	var stmts []ast.Stmt
+	var texts []string
 	if err == nil {
-		stmts, err = parseTimed(&s.rec, sql, parser.ParseScript)
+		start := time.Now()
+		stmts, texts, err = parser.ParseScriptText(sql)
+		charge(&s.rec, trace.PhaseParse, "parse", start, time.Since(start))
 	}
 	if err != nil {
 		if began {
@@ -325,7 +328,7 @@ func (s *Session) ExecMulti(sql string, fn func(stmt ast.Stmt, res *Result, err 
 		}
 		r, err := e.execStmt(st, sql, s.rootEnv())
 		if began {
-			e.traceFinish(s, sql, r, err)
+			e.traceFinish(s, texts[i], r, err)
 		}
 		if !fn(st, r, err) {
 			return nil

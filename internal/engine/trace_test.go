@@ -676,3 +676,53 @@ func TestTraceSlowQueryLog(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceScriptStatementsOwnText: each statement of a script is
+// traced with its own text, so sys.traces tells a script's statements
+// apart, while sqltext() inside a trigger action still reports the
+// whole script.
+func TestTraceScriptStatementsOwnText(t *testing.T) {
+	e := newAuditedHealthDB(t)
+	e.SetTraceSampling(1)
+	s := e.NewSession()
+	defer s.Close()
+	stmts := []string{
+		"SELECT Name FROM Patients WHERE Name = 'Alice'",
+		"INSERT INTO Disease VALUES (6, 'flu')",
+		"SELECT COUNT(*) FROM Disease",
+	}
+	script := "  " + strings.Join(stmts, ";\n  ") + ";  "
+	var qids []uint64
+	if err := s.ExecMulti(script, func(_ ast.Stmt, r *Result, err error) bool {
+		if err != nil {
+			t.Fatal(err)
+		}
+		qids = append(qids, r.QID)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, qid := range qids {
+		tr := e.TraceRing().Get(qid)
+		if tr == nil {
+			t.Fatalf("statement %d: no trace for qid %d", i, qid)
+		}
+		if tr.SQL != stmts[i] {
+			t.Errorf("statement %d traced as %q, want %q", i, tr.SQL, stmts[i])
+		}
+	}
+	rows := mustQuery(t, e, "SELECT sql FROM sys.traces").Rows
+	distinct := map[string]bool{}
+	for _, r := range rows {
+		distinct[r[0].S] = true
+	}
+	for _, want := range stmts {
+		if !distinct[want] {
+			t.Errorf("sys.traces has no row for %q", want)
+		}
+	}
+	lg := mustQuery(t, e, "SELECT SQL FROM Log").Rows
+	if len(lg) != 1 || lg[0][0].S != script {
+		t.Errorf("sqltext() in the trigger action = %v, want the whole script", lg)
+	}
+}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -310,8 +311,11 @@ func finish(st *aggState, spec plan.AggSpec) value.Value {
 // ---- Sort ----
 
 // sortIter is a blocking sort: reset drains the child, evaluating
-// every row's sort keys once into keys (row i's at keyed[i].key), and
-// stable-sorts; NextBatch streams the sorted rows out.
+// every row's sort keys once into keys (row r's at r.key), and
+// stable-sorts; NextBatch streams the sorted rows out. Under a Limit
+// (topK) it keeps only the first k rows in (keys, input position)
+// order, in a bounded heap: the same rows, in the same order, as the
+// full stable sort truncated to k.
 type sortIter struct {
 	s     *plan.Sort
 	child Iterator
@@ -319,12 +323,16 @@ type sortIter struct {
 	in    *Batch
 	keyed []sortRow
 	keys  []value.Value
+	// k bounds the rows kept (topK); negative keeps them all. Once keyed
+	// holds k rows it is a heap with its last row in order on top.
+	k int64
 	scanIter
 }
 
 type sortRow struct {
 	row value.Row
-	key int
+	key int // offset of the row's sort keys in keys
+	pos int // input position, which breaks ties
 }
 
 func buildSort(s *plan.Sort, ctx *Ctx) (Iterator, error) {
@@ -332,16 +340,54 @@ func buildSort(s *plan.Sort, ctx *Ctx) (Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &sortIter{s: s, child: child, ctx: ctx}, nil
+	return &sortIter{s: s, child: child, ctx: ctx, k: -1}, nil
+}
+
+// topK hands a Sort the row budget of the Limit above it. The Limit
+// reads the Sort directly or through Audit and Project operators, which
+// pass rows on one for one and in order, so the Sort is asked for at
+// most n rows.
+func topK(it Iterator, n int64) {
+	for {
+		switch x := it.(type) {
+		case *counted:
+			it = x.child
+		case *projectIter:
+			it = x.child
+		case *auditIter:
+			it = x.child
+		case *sortIter:
+			x.k = n
+			return
+		default:
+			return
+		}
+	}
+}
+
+// compare orders two rows by their sort keys, then input position.
+func (it *sortIter) compare(a, b sortRow) int {
+	for c, key := range it.s.Keys {
+		d := value.Compare(it.keys[a.key+c], it.keys[b.key+c])
+		if key.Desc {
+			d = -d
+		}
+		if d != 0 {
+			return d
+		}
+	}
+	return cmp.Compare(a.pos, b.pos)
 }
 
 func (it *sortIter) reset() error {
 	it.pos = 0
 	err := it.child.reset()
 	if err == nil {
+		pos := 0
 		err = pull(it.child, &it.in, func(in []value.Row) error {
 			for _, row := range in {
-				key := len(it.keys)
+				r := sortRow{row: row, key: len(it.keys), pos: pos}
+				pos++
 				for _, k := range it.s.Keys {
 					v, err := k.Expr.Eval(it.ctx.Eval, row)
 					if err != nil {
@@ -349,7 +395,7 @@ func (it *sortIter) reset() error {
 					}
 					it.keys = append(it.keys, v)
 				}
-				it.keyed = append(it.keyed, sortRow{row: row, key: key})
+				it.add(r)
 			}
 			return nil
 		})
@@ -359,22 +405,52 @@ func (it *sortIter) reset() error {
 	if err != nil {
 		return err
 	}
-	slices.SortStableFunc(it.keyed, func(a, b sortRow) int {
-		for c, key := range it.s.Keys {
-			cmp := value.Compare(it.keys[a.key+c], it.keys[b.key+c])
-			if key.Desc {
-				cmp = -cmp
-			}
-			if cmp != 0 {
-				return cmp
-			}
-		}
-		return 0
-	})
+	slices.SortFunc(it.keyed, it.compare)
 	for _, r := range it.keyed {
 		it.rows = append(it.rows, r.row)
 	}
 	return nil
+}
+
+// add takes r, whose keys were just appended to keys. Past k rows, r
+// replaces the heap's last row if it orders before it and is dropped
+// otherwise; either way its keys leave the tail of keys.
+func (it *sortIter) add(r sortRow) {
+	if it.k < 0 || int64(len(it.keyed)) < it.k {
+		it.keyed = append(it.keyed, r)
+		if int64(len(it.keyed)) == it.k {
+			for i := len(it.keyed)/2 - 1; i >= 0; i-- {
+				it.down(i)
+			}
+		}
+		return
+	}
+	if len(it.keyed) > 0 && it.compare(r, it.keyed[0]) < 0 {
+		top := &it.keyed[0]
+		copy(it.keys[top.key:top.key+len(it.s.Keys)], it.keys[r.key:])
+		top.row, top.pos = r.row, r.pos
+		it.down(0)
+	}
+	it.keys = it.keys[:r.key]
+}
+
+// down restores the max-heap order of keyed below i.
+func (it *sortIter) down(i int) {
+	h := it.keyed
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && it.compare(h[c+1], h[c]) > 0 {
+			c++
+		}
+		if it.compare(h[c], h[i]) <= 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 func (it *sortIter) Close() {

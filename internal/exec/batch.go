@@ -109,6 +109,21 @@ func (b *Batch) release() {
 // are always kept.
 const keepRows = BatchSize
 
+// sized returns s resized to n, reallocated when it is too small: a
+// per-row lane that follows its batches (selection vectors, join
+// keys). Past the seed it goes straight to BatchSize, so a lane does
+// not reallocate at every step of a batch's growth.
+func sized[E any](s []E, n int) []E {
+	if cap(s) < n {
+		c := n
+		if n > batchSeed {
+			c = max(n, BatchSize)
+		}
+		s = make([]E, c)
+	}
+	return s[:n]
+}
+
 // recycle empties s for the next run, dropping the references it holds,
 // or drops it when it grew past keepRows.
 func recycle[S ~[]E, E any](s S) S {

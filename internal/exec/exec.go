@@ -282,7 +282,7 @@ func build(n plan.Node, ctx *Ctx, w *worker) (Iterator, error) {
 		it = buildScan(x, ctx, w, c.st)
 	case *plan.Filter:
 		if it, err = build(x.Child, ctx, w); err == nil {
-			it = &filterIter{child: it, pred: x.Pred, quick: compilePred(x.Pred), ctx: ctx, st: c.st}
+			it = &filterIter{child: it, pred: newBatchPred(x.Pred), ctx: ctx, st: c.st}
 		}
 	case *plan.Project:
 		if it, err = build(x.Child, ctx, w); err == nil {
@@ -309,6 +309,7 @@ func build(n plan.Node, ctx *Ctx, w *worker) (Iterator, error) {
 			it, err = buildSort(x, ctx)
 		case *plan.Limit:
 			if it, err = build(x.Child, ctx, nil); err == nil {
+				topK(it, x.N)
 				it = &limitIter{child: it, n: x.N}
 			}
 		case *plan.Distinct:
@@ -384,11 +385,11 @@ type scanIter struct {
 // fused in — feeds surviving partition-by values to the sink one batch
 // at a time.
 type scanKernel struct {
-	scan  *plan.Scan
-	ctx   *Ctx
-	w     *worker        // the worker whose fragment this is; nil when serial
-	quick quickPred      // compiled fast path for the pushed predicate
-	st    *obs.NodeStats // the Scan node's record
+	scan *plan.Scan
+	ctx  *Ctx
+	w    *worker        // the worker whose fragment this is; nil when serial
+	pred batchPred      // the pushed predicate, evaluated a chunk at a time
+	st   *obs.NodeStats // the Scan node's record
 
 	// Fused audit probe (sink nil when not fused), the Audit node's
 	// record it counts probes into, and the expression's sketch pruner;
@@ -483,11 +484,7 @@ func resolveScan(s *plan.Scan, ctx *Ctx, ids []storage.RowID) (scanSource, error
 // constants are bound per run, so each worker owns its compiled
 // predicate.
 func buildScan(s *plan.Scan, ctx *Ctx, w *worker, st *obs.NodeStats) *scanKernel {
-	k := &scanKernel{scan: s, ctx: ctx, w: w, st: st, idIdx: -1}
-	if s.Pushed != nil {
-		k.quick = compilePred(s.Pushed)
-	}
-	return k
+	return &scanKernel{scan: s, ctx: ctx, w: w, st: st, idIdx: -1, pred: newBatchPred(s.Pushed)}
 }
 
 // reset resolves the access path and binds the predicate and prune
@@ -508,7 +505,7 @@ func (k *scanKernel) reset() error {
 	if k.src != nil {
 		k.pos = -1 // nothing claimed yet
 	}
-	k.quick.bind(k.ctx)
+	k.pred.bind(k.ctx)
 	k.prune, k.pruner = k.prune[:0], nil
 	if !k.ctx.NoSkip {
 		k.prune = compilePrune(k.prune, k.scan.Prune, k.tbl, k.ctx)
@@ -611,27 +608,24 @@ func (k *scanKernel) NextBatch(b *Batch) (int, error) {
 			chunkIDs = k.rawIDs[:n]
 		}
 		k.st.RowsScanned += int64(n)
-		for i := 0; i < n; i++ {
+		// The mask and the predicate's fast path decide the whole chunk
+		// first; the rows they leave undecided go to the interpreter here,
+		// in row order, so the first error stops the batch where a
+		// row-at-a-time scan would have.
+		k.pred.eval(k.raw, n, k.mask, k.scan.Table, chunkIDs)
+		for i, st := range k.pred.state {
 			row := k.raw[i]
-			if k.mask != nil && k.mask.Hidden(k.scan.Table, chunkIDs[i]) {
-				continue
-			}
-			if pred := k.scan.Pushed; pred != nil {
-				t, handled := value.Unknown, false
-				if k.quick.ok {
-					t, handled = k.quick.eval(row)
+			if st != rowTrue {
+				if st != rowSlow {
+					continue
 				}
-				if !handled {
-					k.st.PredInterpreted++
-					v, err := pred.Eval(k.ctx.Eval, row)
-					if err != nil {
-						k.flushAudit()
-						b.setRows(kept)
-						return kept, err
-					}
-					t = value.TriFromValue(v)
+				ok, err := k.pred.interpret(row, k.ctx, k.st)
+				if err != nil {
+					k.flushAudit()
+					b.setRows(kept)
+					return kept, err
 				}
-				if t != value.True {
+				if !ok {
 					continue
 				}
 			}
@@ -738,20 +732,20 @@ func (it *valuesIter) Close() { it.rows = nil }
 
 type filterIter struct {
 	child Iterator
-	pred  plan.Expr
-	quick quickPred
+	pred  batchPred
 	ctx   *Ctx
 	st    *obs.NodeStats // the Filter node's record
 }
 
 func (it *filterIter) reset() error {
-	it.quick.bind(it.ctx)
+	it.pred.bind(it.ctx)
 	return it.child.reset()
 }
 
-// NextBatch filters the child's batch in place: surviving rows are
-// compacted to the front of the shared buffer, so a filter adds no
-// copies and no allocations to the pipeline.
+// NextBatch filters the child's batch in place: the predicate decides
+// the batch (batchPred), then surviving rows are compacted to the front
+// of the shared buffer, so a filter adds no copies and no allocations
+// to the pipeline.
 func (it *filterIter) NextBatch(b *Batch) (int, error) {
 	for {
 		n, err := it.child.NextBatch(b)
@@ -762,27 +756,27 @@ func (it *filterIter) NextBatch(b *Batch) (int, error) {
 			b.setRows(0)
 			return 0, nil
 		}
+		it.pred.eval(b.Rows, n, nil, "", nil)
 		kept := 0
-		for i, row := range b.Rows {
-			t, handled := value.Unknown, false
-			if it.quick.ok {
-				t, handled = it.quick.eval(row)
-			}
-			if !handled {
-				it.st.PredInterpreted++
-				v, err := it.pred.Eval(it.ctx.Eval, row)
+		for i, st := range it.pred.state {
+			row := b.Rows[i]
+			if st != rowTrue {
+				if st != rowSlow {
+					continue
+				}
+				ok, err := it.pred.interpret(row, it.ctx, it.st)
 				if err != nil {
 					return 0, err
 				}
-				t = value.TriFromValue(v)
-			}
-			if t == value.True {
-				b.buf[kept] = row
-				if b.ids != nil {
-					b.ids[kept] = b.ids[i]
+				if !ok {
+					continue
 				}
-				kept++
 			}
+			b.buf[kept] = row
+			if b.ids != nil {
+				b.ids[kept] = b.ids[i]
+			}
+			kept++
 		}
 		if kept > 0 {
 			b.setRows(kept)

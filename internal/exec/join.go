@@ -72,15 +72,221 @@ func estimateRows(scans []*plan.Scan, ctx *Ctx) int {
 	return est
 }
 
-// ---- Hash join ----
+// ---- Join keys and the join table ----
 
-// joinBucket holds the build rows for one key. The indirection lets
-// the probe side append to a bucket found by a string(buf) lookup
-// without re-materializing the key string (map assignment, unlike map
-// lookup, cannot elide the []byte→string conversion).
-type joinBucket struct {
-	rows []value.Row
+// The lanes a gathered join key lives in.
+const (
+	laneInt  uint8 = iota // a single-column key with an integral encoding: joinKey.i
+	laneKey               // any other key: its value.EncodeKey encoding
+	laneNull              // a SQL NULL in the key, which never joins
+)
+
+// joinKey is one row's gathered join key and, on the probe side, the
+// bucket it found.
+type joinKey struct {
+	i   int64 // the key, on the int lane
+	end int32 // where the row's encoding ends in keyLane.buf (empty off laneKey)
+	// The partition and bucket a probe row's lookup found; bucket -1
+	// when none.
+	part, bucket int32
+	lane         uint8
 }
+
+// keyLane holds one batch's join keys, gathered in one loop before a
+// join table is touched. Like the audit layer's ID sets, it gives a
+// single-column key that value.IntKey holds for (INT, BOOL, DATE, an
+// integral FLOAT) an int64 lane, and every other key (multi-column,
+// string, non-integral float) its EncodeKey encoding. Two keys match
+// exactly when their encodings are equal, and no key fits both lanes,
+// so INT 1, FLOAT 1.0 and TRUE join each other and NULL joins nothing.
+// The buffers are batch-sized and kept across runs.
+type keyLane struct {
+	keys []joinKey
+	buf  []byte
+	// err is the first key that failed to evaluate, at row errAt;
+	// nothing past it is gathered. errAt is the batch length if none
+	// failed.
+	err   error
+	errAt int
+}
+
+// gather evaluates the join keys of rows. A plain column key is read
+// straight from the row: first its kind and integer payload, in a loop
+// that does nothing else, so the rows' cache misses overlap; then the
+// keys off the int lane are filed from the rows, now in cache.
+func (l *keyLane) gather(keys []plan.Expr, ctx *Ctx, rows []value.Row) {
+	l.keys = sized(l.keys, len(rows))
+	l.buf, l.err, l.errAt = l.buf[:0], nil, len(rows)
+	if col, ok := keys[0].(*plan.Col); ok && len(keys) == 1 {
+		for i, row := range rows {
+			if k := &l.keys[i]; col.Idx < len(row) {
+				k.lane, k.i = uint8(row[col.Idx].Kind), row[col.Idx].I
+			}
+		}
+		for i, row := range rows {
+			k := &l.keys[i]
+			switch {
+			case col.Idx >= len(row):
+				if err := l.eval(i, keys, ctx, row); err != nil {
+					l.err, l.errAt = err, i
+					return
+				}
+			case value.Kind(k.lane) == value.KindInt:
+				k.lane, k.end = laneInt, int32(len(l.buf))
+			default:
+				l.put(i, row[col.Idx])
+			}
+		}
+		return
+	}
+	for i, row := range rows {
+		if err := l.eval(i, keys, ctx, row); err != nil {
+			l.err, l.errAt = err, i
+			return
+		}
+	}
+}
+
+// put files v as row i's single-column key.
+func (l *keyLane) put(i int, v value.Value) {
+	k := &l.keys[i]
+	if n, ok := value.IntKey(v); ok {
+		k.lane, k.i = laneInt, n
+	} else if v.IsNull() {
+		k.lane = laneNull
+	} else {
+		k.lane, l.buf = laneKey, value.EncodeKey(l.buf, v)
+	}
+	k.end = int32(len(l.buf))
+}
+
+// eval evaluates row i's key expressions. A multi-column key stops at
+// its first NULL, which no later column can make join.
+func (l *keyLane) eval(i int, keys []plan.Expr, ctx *Ctx, row value.Row) error {
+	if len(keys) == 1 {
+		v, err := keys[0].Eval(ctx.Eval, row)
+		if err == nil {
+			l.put(i, v)
+		}
+		return err
+	}
+	k, start := &l.keys[i], len(l.buf)
+	k.lane = laneKey
+	for _, e := range keys {
+		v, err := e.Eval(ctx.Eval, row)
+		if err != nil {
+			return err
+		}
+		if v.IsNull() {
+			k.lane, l.buf = laneNull, l.buf[:start]
+			break
+		}
+		l.buf = value.EncodeKey(l.buf, v)
+	}
+	k.end = int32(len(l.buf))
+	return nil
+}
+
+// encoded returns row i's key encoding (laneKey rows).
+func (l *keyLane) encoded(i int) []byte {
+	start := int32(0)
+	if i > 0 {
+		start = l.keys[i-1].end
+	}
+	return l.buf[start:l.keys[i].end]
+}
+
+// partition hashes row i's key onto one of n partitions: an int-lane
+// key by a multiplicative hash of the int64, any other by partitionOf.
+func (l *keyLane) partition(i, n int) int {
+	if k := &l.keys[i]; k.lane == laneInt {
+		return int((uint64(k.i) * 0x9e3779b97f4a7c15 >> 32) % uint64(n))
+	}
+	return partitionOf(l.encoded(i), n)
+}
+
+// joinTable is a hash join's build table: one per serial join, and one
+// per partition of a parallel run's shared build. Each lane maps a key
+// to a bucket, the build rows with that key in build order. Buckets
+// are reused across runs while the table stays within keepRows.
+type joinTable struct {
+	ints    map[int64]int32
+	encoded map[string]int32
+	buckets [][]value.Row
+	used    int // buckets holding this run's rows
+	rows    int // build rows added this run
+}
+
+// add appends row to the bucket of row i's gathered key. NULL keys are
+// not added: they never join.
+func (t *joinTable) add(l *keyLane, i int, row value.Row) {
+	var b int32
+	var ok bool
+	switch k := &l.keys[i]; k.lane {
+	case laneNull:
+		return
+	case laneInt:
+		if b, ok = t.ints[k.i]; !ok {
+			if t.ints == nil {
+				t.ints = make(map[int64]int32)
+			}
+			b = t.bucket()
+			t.ints[k.i] = b
+		}
+	default:
+		key := l.encoded(i)
+		if b, ok = t.encoded[string(key)]; !ok {
+			if t.encoded == nil {
+				t.encoded = make(map[string]int32)
+			}
+			b = t.bucket()
+			t.encoded[string(key)] = b
+		}
+	}
+	t.buckets[b] = append(t.buckets[b], row)
+	t.rows++
+}
+
+// bucket takes the next empty bucket.
+func (t *joinTable) bucket() int32 {
+	if t.used == len(t.buckets) {
+		t.buckets = append(t.buckets, nil)
+	}
+	t.used++
+	return int32(t.used - 1)
+}
+
+// find returns the bucket holding row i's gathered key, or -1.
+func (t *joinTable) find(l *keyLane, i int) int32 {
+	b, ok := int32(0), false
+	switch k := &l.keys[i]; k.lane {
+	case laneInt:
+		b, ok = t.ints[k.i]
+	case laneKey:
+		b, ok = t.encoded[string(l.encoded(i))]
+	}
+	if !ok {
+		return -1
+	}
+	return b
+}
+
+// recycle empties the table for the next run, or drops it when it
+// outgrew keepRows.
+func (t *joinTable) recycle() {
+	if t.rows > keepRows {
+		*t = joinTable{}
+		return
+	}
+	for b := range t.buckets[:t.used] {
+		t.buckets[b] = recycle(t.buckets[b])
+	}
+	clear(t.ints)
+	clear(t.encoded)
+	t.used, t.rows = 0, 0
+}
+
+// ---- Hash join ----
 
 // hashJoinIter builds a hash table over one input keyed by its
 // equi-join keys and probes it with the other input's rows, applying
@@ -89,8 +295,8 @@ type joinBucket struct {
 // that input's estimate is the smaller one (decided per run, in reset);
 // either way every pair is laid out left|right. Left-outer rows with no
 // surviving match are null-extended. Both sides move through reusable
-// key scratch buffers, and pairs are carved out of slabs instead of one
-// allocation per row.
+// key lanes, a batch at a time, and pairs are carved out of slabs
+// instead of one allocation per row.
 type hashJoinIter struct {
 	j     *plan.Join
 	left  Iterator
@@ -112,18 +318,17 @@ type hashJoinIter struct {
 	// parts is the build table split by key hash: the serial table as
 	// one partition, or the table a parallel run shares, one partition
 	// per worker (each probe then hashes its key onto a partition first).
-	parts      []map[string]*joinBucket
+	parts      []joinTable
 	leftWidth  int
 	rightWidth int
 
-	// The serial build table, kept between runs while it stays within
-	// keepRows: Close empties it and moves its buckets to free, and the
-	// next build takes buckets from there.
-	table map[string]*joinBucket
-	built int
-	free  []*joinBucket
-	one   [1]map[string]*joinBucket
+	// table is the serial build table, as one partition; it keeps its
+	// buckets between runs while it stays within keepRows.
+	table [1]joinTable
 	rin   *Batch
+	// lane holds the keys of the build batch being added, then of the
+	// probe batch and the buckets they found.
+	lane keyLane
 
 	cur     value.Row // current probe row
 	matches []value.Row
@@ -139,7 +344,6 @@ type hashJoinIter struct {
 	pair   value.Row
 	refill int
 
-	keyBuf  []byte
 	probeIn probeInput
 }
 
@@ -165,68 +369,59 @@ func (it *hashJoinIter) reset() error {
 		it.parts = parts
 		return nil
 	}
-	if err := it.buildTable(build, buildKeys); err != nil {
-		return err
-	}
-	it.one[0] = it.table
-	it.parts = it.one[:]
-	return nil
+	it.parts = it.table[:]
+	return it.buildTable(build, buildKeys)
 }
 
-// buildTable drains the build input into the serial build table.
+// buildTable drains the build input into the serial build table, a
+// batch at a time: the batch's keys are gathered, then added.
 func (it *hashJoinIter) buildTable(build Iterator, keys []plan.Expr) error {
 	defer build.Close()
 	if err := build.reset(); err != nil {
 		return err
 	}
-	if it.table == nil {
-		it.table = make(map[string]*joinBucket)
-	}
+	t, l := &it.table[0], &it.lane
 	err := pull(build, &it.rin, func(rows []value.Row) error {
-		for _, row := range rows {
-			var null bool
-			var err error
-			it.keyBuf, null, err = appendJoinKey(it.keyBuf[:0], keys, it.ctx, row)
-			if err != nil {
-				return err
-			}
-			if null {
-				continue // NULL keys never join
-			}
-			it.built++
-			if bkt, ok := it.table[string(it.keyBuf)]; ok {
-				bkt.rows = append(bkt.rows, row)
-				continue
-			}
-			var bkt *joinBucket
-			if n := len(it.free); n > 0 {
-				bkt, it.free = it.free[n-1], it.free[:n-1]
-			} else {
-				bkt = &joinBucket{}
-			}
-			bkt.rows = append(bkt.rows, row)
-			it.table[string(it.keyBuf)] = bkt
+		l.gather(keys, it.ctx, rows)
+		for i, row := range rows[:l.errAt] {
+			t.add(l, i, row)
 		}
-		return nil
+		return l.err
 	})
 	it.rin.release()
 	return err
 }
 
-// appendJoinKey encodes the key expressions of row into buf, reusing
-// its capacity. null=true reports a SQL NULL in the key (never joins).
-func appendJoinKey(buf []byte, keys []plan.Expr, ctx *Ctx, row value.Row) ([]byte, bool, error) {
-	for _, k := range keys {
-		v, err := k.Eval(ctx.Eval, row)
-		if err != nil {
-			return buf, false, err
+// nextProbe returns the next probe row and the build rows its key
+// matches. A refill gathers the new batch's keys, then looks them all
+// up; a key that failed to evaluate surfaces when its row comes up,
+// after every row before it has been joined.
+func (it *hashJoinIter) nextProbe() (value.Row, []value.Row, bool, error) {
+	p, l := &it.probeIn, &it.lane
+	if p.in == nil || p.pos >= len(p.in.Rows) {
+		if ok, err := p.refill(it.probe); !ok {
+			return nil, nil, false, err
 		}
-		if v.IsNull() {
-			return buf, true, nil
+		l.gather(it.probeKeys, it.ctx, p.in.Rows)
+		for i := range l.errAt {
+			k := &l.keys[i]
+			k.part = 0
+			if len(it.parts) > 1 {
+				k.part = int32(l.partition(i, len(it.parts)))
+			}
+			k.bucket = it.parts[k.part].find(l, i)
 		}
-		buf = value.EncodeKey(buf, v)
 	}
-	return buf, false, nil
+	i := p.pos
+	if i == l.errAt {
+		return nil, nil, false, l.err
+	}
+	p.pos++
+	var matches []value.Row
+	if k := &l.keys[i]; k.bucket >= 0 {
+		matches = it.parts[k.part].buckets[k.bucket]
+	}
+	return p.in.Rows[i], matches, true, nil
 }
 
 // takePair returns the output slot for the next pair: the slot a
@@ -300,7 +495,7 @@ func (it *hashJoinIter) NextBatch(b *Batch) (int, error) {
 		if it.done {
 			break
 		}
-		row, ok, err := it.probeIn.next(it.probe)
+		row, matches, ok, err := it.nextProbe()
 		if err != nil {
 			b.setRows(n)
 			return n, err
@@ -310,25 +505,9 @@ func (it *hashJoinIter) NextBatch(b *Batch) (int, error) {
 			it.cur = nil
 			continue
 		}
-		it.cur = row
+		it.cur, it.matches = row, matches
 		it.matched = false
 		it.mi = 0
-		var null bool
-		it.keyBuf, null, err = appendJoinKey(it.keyBuf[:0], it.probeKeys, it.ctx, row)
-		if err != nil {
-			b.setRows(n)
-			return n, err
-		}
-		it.matches = nil
-		if !null {
-			table := it.parts[0]
-			if len(it.parts) > 1 {
-				table = it.parts[partitionOf(it.keyBuf, len(it.parts))]
-			}
-			if bkt, ok := table[string(it.keyBuf)]; ok {
-				it.matches = bkt.rows
-			}
-		}
 	}
 	b.setRows(n)
 	return n, nil
@@ -341,17 +520,20 @@ type probeInput struct {
 	pos int
 }
 
+// refill reads the probe's next batch; ok=false when the input is
+// exhausted or failed.
+func (p *probeInput) refill(probe Iterator) (bool, error) {
+	p.in = grown(p.in)
+	n, err := probe.NextBatch(p.in)
+	p.pos = 0
+	return n > 0 && err == nil, err
+}
+
 func (p *probeInput) next(probe Iterator) (value.Row, bool, error) {
-	for p.in == nil || p.pos >= len(p.in.Rows) {
-		p.in = grown(p.in)
-		n, err := probe.NextBatch(p.in)
-		if err != nil {
+	if p.in == nil || p.pos >= len(p.in.Rows) {
+		if ok, err := p.refill(probe); !ok {
 			return nil, false, err
 		}
-		if n == 0 {
-			return nil, false, nil
-		}
-		p.pos = 0
 	}
 	row := p.in.Rows[p.pos]
 	p.pos++
@@ -363,18 +545,10 @@ func (p *probeInput) next(probe Iterator) (value.Row, bool, error) {
 func (it *hashJoinIter) Close() {
 	it.probe.Close()
 	it.probeIn.in.release()
-	it.cur, it.matches, it.parts, it.one[0] = nil, nil, nil, nil
+	it.cur, it.matches, it.parts = nil, nil, nil
 	clear(it.pair)
 	clear(it.slab)
-	if it.built > keepRows {
-		it.table, it.free = nil, nil
-	}
-	for _, bkt := range it.table {
-		bkt.rows = recycle(bkt.rows)
-		it.free = append(it.free, bkt)
-	}
-	clear(it.table)
-	it.built = 0
+	it.table[0].recycle()
 }
 
 // ---- Nested loops join ----

@@ -77,7 +77,7 @@ type parallelRun struct {
 	ctx     *Ctx
 	workers int
 	sources map[*plan.Scan]scanSource
-	joins   map[*plan.Join][]map[string]*joinBucket
+	joins   map[*plan.Join][]joinTable
 }
 
 // source returns the shared access path and claim cursor of s. The
@@ -109,7 +109,7 @@ func (pr *parallelRun) source(s *plan.Scan) (scanSource, error) {
 }
 
 // join returns j's shared build table, building it on first use.
-func (pr *parallelRun) join(j *plan.Join) ([]map[string]*joinBucket, error) {
+func (pr *parallelRun) join(j *plan.Join) ([]joinTable, error) {
 	if parts, ok := pr.joins[j]; ok {
 		return parts, nil
 	}
@@ -141,7 +141,7 @@ func openWorkers(root plan.Node, ctx *Ctx, workers int) ([]*worker, error) {
 		ctx:     ctx,
 		workers: workers,
 		sources: make(map[*plan.Scan]scanSource),
-		joins:   make(map[*plan.Join][]map[string]*joinBucket),
+		joins:   make(map[*plan.Join][]joinTable),
 	}
 	ws := make([]*worker, workers)
 	for i := range ws {
@@ -201,82 +201,61 @@ func partitionOf(key []byte, n int) int {
 	return int(h % uint32(n))
 }
 
-// keyedRow pairs a build row with its materialized join key.
-type keyedRow struct {
-	key string
-	row value.Row
-}
-
 // buildSharedJoin executes the build side serially (it may be an
-// arbitrary subtree), then builds the hash table split into key-hash
+// arbitrary subtree), then builds the join table split into key-hash
 // partitions, so the build itself runs on all workers without a
-// shared-map bottleneck: phase 1 splits the rows into contiguous segments, one
-// worker per segment, each encoding keys and binning keyed rows by
-// partition; phase 2 runs one goroutine per partition, folding the
-// segments in ascending worker order — which reproduces the serial
-// build's bucket row order exactly, so probe outputs cannot depend on
-// build parallelism.
-func buildSharedJoin(j *plan.Join, ctx *Ctx, workers int) ([]map[string]*joinBucket, error) {
+// shared-map bottleneck: phase 1 splits the rows into contiguous
+// segments, one worker per segment, each gathering its segment's keys
+// into a key lane and binning the rows by partition; phase 2 runs one
+// goroutine per partition, adding the segments' rows in ascending
+// worker order — which reproduces the serial build's bucket row order
+// exactly, so probe outputs cannot depend on build parallelism.
+func buildSharedJoin(j *plan.Join, ctx *Ctx, workers int) ([]joinTable, error) {
 	rows, err := collect(j.Right, ctx)
 	if err != nil {
 		return nil, err
 	}
 
-	segs := workers
-	if segs > len(rows) {
-		segs = len(rows)
-	}
-	per := make([][][]keyedRow, segs)
-	errs := make([]error, segs)
+	segs := min(workers, len(rows))
+	lanes := make([]keyLane, segs)
+	per := make([][][]int32, segs) // per[w][p]: segment w's rows in partition p, as offsets
 	var wg sync.WaitGroup
 	for w := 0; w < segs; w++ {
 		lo, hi := len(rows)*w/segs, len(rows)*(w+1)/segs
-		per[w] = make([][]keyedRow, workers)
+		per[w] = make([][]int32, workers)
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			wctx := workerCtx(ctx)
-			var keyBuf []byte
-			for _, row := range rows[lo:hi] {
-				var null bool
-				var err error
-				keyBuf, null, err = appendJoinKey(keyBuf[:0], j.RightKeys, wctx, row)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				if null {
+			l := &lanes[w]
+			l.gather(j.RightKeys, workerCtx(ctx), rows[lo:hi])
+			for i := range l.errAt {
+				if l.keys[i].lane == laneNull {
 					continue // NULL keys never join
 				}
-				p := partitionOf(keyBuf, workers)
-				per[w][p] = append(per[w][p], keyedRow{key: string(keyBuf), row: row})
+				p := l.partition(i, workers)
+				per[w][p] = append(per[w][p], int32(i))
 			}
 		}(w, lo, hi)
 	}
 	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
+	for w := range lanes {
+		if lanes[w].err != nil {
+			return nil, lanes[w].err
 		}
 	}
 
-	parts := make([]map[string]*joinBucket, workers)
+	parts := make([]joinTable, workers)
 	var bw sync.WaitGroup
 	for p := 0; p < workers; p++ {
 		bw.Add(1)
 		go func(p int) {
 			defer bw.Done()
-			m := make(map[string]*joinBucket)
 			for w := 0; w < segs; w++ {
-				for _, kr := range per[w][p] {
-					if bkt, ok := m[kr.key]; ok {
-						bkt.rows = append(bkt.rows, kr.row)
-					} else {
-						m[kr.key] = &joinBucket{rows: []value.Row{kr.row}}
-					}
+				seg := rows[len(rows)*w/segs:]
+				for _, i := range per[w][p] {
+					parts[p].add(&lanes[w], int(i), seg[i])
 				}
 			}
-			parts[p] = m
 		}(p)
 	}
 	bw.Wait()

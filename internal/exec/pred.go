@@ -3,7 +3,9 @@ package exec
 import (
 	"strings"
 
+	"auditdb/internal/obs"
 	"auditdb/internal/plan"
+	"auditdb/internal/storage"
 	"auditdb/internal/value"
 )
 
@@ -117,50 +119,161 @@ func (q *quickPred) bind(ctx *Ctx) {
 	}
 }
 
-// eval returns the three-valued truth of the conjunction on row, or
-// handled=false when some row value's kind is outside the fast path.
-func (q *quickPred) eval(row value.Row) (value.Tri, bool) {
-	t := value.True
-	for i := range q.terms {
-		tt, ok := q.terms[i].eval(row)
-		if !ok {
-			return value.Unknown, false
-		}
-		if tt == value.False {
-			return value.False, true // And(False, x) = False for all x
-		}
-		t = t.And(tt)
-	}
-	return t, true
+// Row states of a batch under a predicate. Terms run one at a time over
+// the whole batch, and a row's state follows exactly the left-to-right
+// scan an And tree makes of that row alone: it stops at the first term
+// that is False for the row or that leaves the fast path.
+const (
+	rowTrue    uint8 = iota // every term so far held
+	rowUnknown              // no term was False and at least one was Unknown
+	rowFalse                // a term was False, or the visibility mask hid the row
+	rowSlow                 // a term met a kind pair outside the fast path: the interpreter decides
+)
+
+// batchPred evaluates a scan's or a filter's predicate a batch at a
+// time: the compiled fast path runs term by term over a selection
+// vector, each term one tight loop over the rows still selected, and
+// leaves a state per row; the rows it cannot decide go to the
+// interpreter afterwards, in row order. The state and selection buffers
+// are batch-sized and kept across runs.
+type batchPred struct {
+	pred  plan.Expr // nil: every row holds
+	quick quickPred
+	state []uint8 // per row of the batch: own, or allTrue
+	own   []uint8
+	sel   []int32      // rows still claimed by the fast path, ascending
+	kinds []value.Kind // a term's column kinds, per selected row
 }
 
-func (t *quickTerm) eval(row value.Row) (value.Tri, bool) {
-	if t.col >= len(row) {
-		return value.Unknown, false
+func newBatchPred(pred plan.Expr) batchPred {
+	p := batchPred{pred: pred}
+	if pred != nil {
+		p.quick = compilePred(pred)
 	}
-	v := &row[t.col]
-	if v.Kind == value.KindNull {
+	return p
+}
+
+// bind resolves the fast path's constants for a run.
+func (p *batchPred) bind(ctx *Ctx) { p.quick.bind(ctx) }
+
+// allTrue is the state of a batch nothing can reject. It is never
+// written.
+var allTrue [BatchSize]uint8
+
+// eval decides an n-row batch: rowFalse for each row the mask hides
+// (ids[i] is row i's RowID; a nil mask hides nothing), then the fast
+// path over the rest. rows holds at least n rows.
+func (p *batchPred) eval(rows []value.Row, n int, mask *storage.Mask, table string, ids []storage.RowID) {
+	if p.pred == nil && mask == nil && n <= len(allTrue) {
+		p.state = allTrue[:n]
+		return
+	}
+	p.own = sized(p.own, n)
+	p.state, p.sel = p.own, sized(p.sel, n)[:0]
+	for i := range n {
+		if mask != nil && mask.Hidden(table, ids[i]) {
+			p.state[i] = rowFalse
+			continue
+		}
+		p.state[i] = rowTrue
+		p.sel = append(p.sel, int32(i))
+	}
+	if p.pred == nil {
+		return
+	}
+	if !p.quick.ok {
+		for _, i := range p.sel {
+			p.state[i] = rowSlow
+		}
+		return
+	}
+	p.kinds = sized(p.kinds, n)
+	for t := range p.quick.terms {
+		if len(p.sel) == 0 {
+			break
+		}
+		p.sel = p.quick.terms[t].narrow(rows, p.state, p.sel, p.kinds)
+	}
+}
+
+// interpret decides a rowSlow row with the interpreter, counting it
+// into st.PredInterpreted.
+func (p *batchPred) interpret(row value.Row, ctx *Ctx, st *obs.NodeStats) (bool, error) {
+	st.PredInterpreted++
+	v, err := p.pred.Eval(ctx.Eval, row)
+	if err != nil {
+		return false, err
+	}
+	return value.TriFromValue(v) == value.True, nil
+}
+
+// narrow applies the term to the selected rows in one loop and returns
+// the selection less the rows it decided: those it finds False and
+// those whose kind pair it does not claim. sel is narrowed in place.
+func (t *quickTerm) narrow(rows []value.Row, state []uint8, sel []int32, kinds []value.Kind) []int32 {
+	// The kinds are gathered first, in a loop that does nothing else, so
+	// the rows' cache misses overlap; the comparisons then find the rows
+	// in cache.
+	kinds = kinds[:len(sel)]
+	for j, i := range sel {
+		if row := rows[i]; t.col < len(row) {
+			kinds[j] = row[t.col].Kind
+		}
+	}
+	out := sel[:0]
+	for j, i := range sel {
+		row := rows[i]
+		if t.col >= len(row) {
+			state[i] = rowSlow
+			continue
+		}
+		tri, ok := t.test(kinds[j], &row[t.col])
+		switch {
+		case !ok:
+			state[i] = rowSlow
+		case tri == value.False:
+			state[i] = rowFalse
+		default:
+			if tri == value.Unknown {
+				state[i] = rowUnknown
+			}
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// test returns the three-valued truth of `v op k`, or ok=false when
+// v's kind (kind) does not pair with the constant's on the fast path.
+func (t *quickTerm) test(kind value.Kind, v *value.Value) (value.Tri, bool) {
+	if kind == value.KindNull {
 		return value.Unknown, true
 	}
 	switch t.kind {
 	case value.KindInt:
-		switch v.Kind {
+		switch kind {
 		case value.KindInt, value.KindBool:
 			return intHolds(t.op, v.I, t.c), true
 		case value.KindFloat:
 			return floatHolds(t.op, v.F, t.f), true
 		}
 	case value.KindFloat:
-		switch v.Kind {
+		switch kind {
 		case value.KindInt, value.KindBool, value.KindFloat:
 			return floatHolds(t.op, v.Float(), t.f), true
 		}
 	case value.KindDate:
-		if v.Kind == value.KindDate {
+		if kind == value.KindDate {
 			return intHolds(t.op, v.I, t.c), true
 		}
 	case value.KindString:
-		if v.Kind == value.KindString {
+		if kind == value.KindString {
+			switch t.op {
+			case plan.CmpEq:
+				return value.TriOf(v.S == t.s), true
+			case plan.CmpNe:
+				return value.TriOf(v.S != t.s), true
+			}
 			return signHolds(t.op, strings.Compare(v.S, t.s)), true
 		}
 	case value.KindNull:

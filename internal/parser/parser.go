@@ -63,30 +63,41 @@ func Parse(input string) (ast.Stmt, error) {
 
 // ParseScript parses a semicolon-separated sequence of statements.
 func ParseScript(input string) ([]ast.Stmt, error) {
+	stmts, _, err := ParseScriptText(input)
+	return stmts, err
+}
+
+// ParseScriptText is ParseScript that also returns each statement's
+// own source text: the span from its first token to its terminating
+// semicolon (or the end of input), trimmed of surrounding space.
+func ParseScriptText(input string) ([]ast.Stmt, []string, error) {
 	p := newParser(input)
 	var stmts []ast.Stmt
+	var texts []string
 	for {
 		for p.matchOp(lexer.OpSemi) {
 		}
 		if p.peek().kind == lexer.TokEOF {
 			break
 		}
+		start := p.peek().pos
 		s, err := p.parseStatement()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		stmts = append(stmts, s)
+		texts = append(texts, strings.TrimSpace(input[start:p.peek().pos]))
 		if !p.matchOp(lexer.OpSemi) && p.peek().kind != lexer.TokEOF {
-			return nil, p.errf("expected ';' or end of input, found %s", p.describe(p.peek()))
+			return nil, nil, p.errf("expected ';' or end of input, found %s", p.describe(p.peek()))
 		}
 	}
 	if p.lexErr != nil {
-		return nil, p.lexErr
+		return nil, nil, p.lexErr
 	}
 	if len(stmts) == 0 {
-		return nil, fmt.Errorf("empty statement")
+		return nil, nil, fmt.Errorf("empty statement")
 	}
-	return stmts, nil
+	return stmts, texts, nil
 }
 
 // CountParams reports how many ? placeholders a statement uses.

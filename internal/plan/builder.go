@@ -150,9 +150,6 @@ func (b *builder) buildSelect(sel *ast.Select) (Node, error) {
 		}
 	}
 	fromSchema := root.Schema()
-	if err := checkDuplicateQualifiers(fromSchema); err != nil {
-		return nil, err
-	}
 
 	// WHERE clause evaluates against the from-row shape.
 	sc.schema = fromSchema
@@ -253,21 +250,6 @@ func (b *builder) buildSelect(sel *ast.Select) (Node, error) {
 		root = &Limit{Child: root, N: sel.Limit}
 	}
 	return root, nil
-}
-
-func checkDuplicateQualifiers(s Schema) error {
-	seen := map[string]bool{}
-	for _, c := range s {
-		if c.Qual == "" {
-			continue
-		}
-		seen[strings.ToLower(c.Qual)] = true
-	}
-	// Duplicate qualifiers are detected lazily at resolve time (two
-	// tables may intentionally expose disjoint column names), so this
-	// only guards pathological empty schemas.
-	_ = seen
-	return nil
 }
 
 func (b *builder) buildTableRef(ref ast.TableRef) (Node, error) {
