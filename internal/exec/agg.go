@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"auditdb/internal/plan"
@@ -14,33 +13,26 @@ import (
 // ---- Aggregation ----
 
 type aggState struct {
-	count   int64
-	sumI    int64
-	sumF    float64
-	isFloat bool
-	min     value.Value
-	max     value.Value
-	seen    map[string]struct{} // DISTINCT values
-	any     bool
+	count    int64
+	sumI     int64
+	sumF     float64
+	isFloat  bool
+	min      value.Value
+	max      value.Value
+	distinct keyTable // a DISTINCT aggregate's argument values
+	any      bool
 }
 
-type aggGroup struct {
-	keys   value.Row
-	states []aggState
-}
-
-// aggIter is hash aggregation: reset consumes the entire child,
-// buckets by group-by keys, folds each aggregate, then renders one row
-// per group (or exactly one row for a global aggregate over empty
-// input), which NextBatch streams out. A Parallel-marked aggregate
-// executing with a worker budget runs the two-phase path instead.
+// aggIter is hash aggregation: reset consumes the entire child, folds
+// every row into its group's states, then renders one row per group
+// (or exactly one row for a global aggregate over empty input), which
+// NextBatch streams out. A Parallel-marked aggregate executing with a
+// worker budget runs the two-phase path instead.
 type aggIter struct {
-	a      *plan.Aggregate
-	child  Iterator // the serial input
-	ctx    *Ctx
-	groups map[string]*aggGroup
+	a     *plan.Aggregate
+	child Iterator // the serial input
+	ctx   *Ctx
 	folder
-	order []string
 	scanIter
 }
 
@@ -55,125 +47,163 @@ func buildAggregate(a *plan.Aggregate, ctx *Ctx) (Iterator, error) {
 func (it *aggIter) reset() error {
 	it.pos = 0
 	if it.a.Parallel && it.ctx.Workers >= 2 {
-		groups, err := foldParallel(it.a, it.ctx)
+		f, err := foldParallel(it.a, it.ctx)
 		if err != nil {
 			return err
 		}
-		it.emit(groups)
+		it.emit(f)
 		return nil
-	}
-	if it.groups == nil {
-		it.groups = make(map[string]*aggGroup)
 	}
 	err := it.child.reset()
 	if err == nil {
-		err = it.fold(it.a, it.child, it.ctx, it.groups)
+		err = it.fold(it.a, it.child, it.ctx)
 	}
 	it.child.Close()
 	it.in.release()
 	if err != nil {
 		return err
 	}
-	it.emit(it.groups)
+	it.emit(&it.folder)
 	return nil
 }
 
 func (it *aggIter) Close() {
 	it.rows = recycle(it.rows)
-	it.order = recycle(it.order)
-	it.groups = recycleMap(it.groups)
-	clear(it.keyVals)
-	if it.global != nil {
-		clear(it.global.states)
-	}
+	it.folder.recycle()
 }
 
-// folder is the scratch of one fold: the refill batch, the group-key
-// buffers and a global aggregate's one group, all reused by the next
-// fold of the same operator (the operator's Close empties them).
+// folder is one fold's group table: the key table over the group keys
+// and, by slot, each group's key values (its first row's) and aggregate
+// states. A global aggregate (no GROUP BY) has no keys and exactly one
+// group, slot 0, present even over empty input. The serial operator
+// keeps its folder for the next run (its Close empties it); a parallel
+// run folds one per worker.
 type folder struct {
-	in      *Batch
-	keyVals value.Row
-	keyBuf  []byte
-	global  *aggGroup
+	in     *Batch
+	groups keyTable
+	keys   []value.Value // group s's key values: keys[s*len(GroupBy):]
+	states []aggState    // group s's states: states[s*len(Aggs):]
+	// The keys of the batch being folded: its group keys, and each
+	// DISTINCT aggregate's arguments (args is indexed by aggregate).
+	lane keyLane
+	args []keyLane
 }
 
-// fold drains child into the group table. A global aggregate (no
-// GROUP BY) has exactly one group under the empty key, always present
-// (even over empty input); it skips key encoding and the per-row map
-// lookup entirely.
-func (f *folder) fold(a *plan.Aggregate, child Iterator, ctx *Ctx, groups map[string]*aggGroup) error {
-	global := f.global
-	if len(a.GroupBy) == 0 {
-		if global == nil {
-			global = &aggGroup{states: make([]aggState, len(a.Aggs))}
-			f.global = global
-		}
-		groups[""] = global
-	} else if len(f.keyVals) != len(a.GroupBy) {
-		f.keyVals = make(value.Row, len(a.GroupBy))
+// fold drains child into the group table a batch at a time: the
+// batch's group keys and DISTINCT arguments are gathered, then each row
+// is folded into its group. A key or argument that failed to evaluate
+// surfaces at its row, after every row before it.
+func (f *folder) fold(a *plan.Aggregate, child Iterator, ctx *Ctx) error {
+	nk, na := len(a.GroupBy), len(a.Aggs)
+	if nk == 0 && len(f.states) == 0 {
+		f.states = append(f.states, make([]aggState, na)...)
+	}
+	if len(f.args) != na {
+		f.args = make([]keyLane, na)
 	}
 	return pull(child, &f.in, func(rows []value.Row) error {
-		for _, row := range rows {
-			grp := global
-			if len(a.GroupBy) > 0 {
-				f.keyBuf = f.keyBuf[:0]
-				for i, g := range a.GroupBy {
-					v, err := g.Eval(ctx.Eval, row)
-					if err != nil {
-						return err
-					}
-					f.keyVals[i] = v
-					f.keyBuf = value.EncodeKey(f.keyBuf, v)
-				}
-				// The string(keyBuf) lookup does not allocate; the key
-				// string and group-by row only materialize per new group.
-				var ok bool
-				grp, ok = groups[string(f.keyBuf)]
-				if !ok {
-					k := string(f.keyBuf)
-					grp = &aggGroup{keys: f.keyVals.Clone(), states: make([]aggState, len(a.Aggs))}
-					groups[k] = grp
-				}
-			}
-			for i, spec := range a.Aggs {
-				if err := fold(&grp.states[i], spec, ctx, row); err != nil {
-					return err
-				}
+		if nk > 0 {
+			f.lane.gather(a.GroupBy, ctx, rows)
+			rows = rows[:f.lane.errAt]
+		}
+		for j, spec := range a.Aggs {
+			if spec.Distinct {
+				f.args[j].gather([]plan.Expr{spec.Arg}, ctx, rows)
 			}
 		}
-		return nil
+		for i, row := range rows {
+			s := 0
+			if nk > 0 {
+				slot, added := f.groups.slot(&f.lane, i)
+				if added {
+					for _, g := range a.GroupBy {
+						v, _ := g.Eval(ctx.Eval, row) // it did not fail when gathered
+						f.keys = append(f.keys, v)
+					}
+					f.states = append(f.states, make([]aggState, na)...)
+				}
+				s = int(slot)
+			}
+			if err := f.foldRow(a, f.states[s*na:(s+1)*na], i, ctx, row); err != nil {
+				return err
+			}
+		}
+		return f.lane.err // nil without GROUP BY: the lane never gathers
 	})
 }
 
-// emit renders the group table as result rows in sorted encoded-key
-// order — deterministic by construction, and identical between the
-// serial and two-phase parallel paths (first-appearance order would
-// differ run to run under parallel folding). The rows are fresh (they
-// escape to the consumer) and share one backing array.
-func (it *aggIter) emit(groups map[string]*aggGroup) {
-	it.order = it.order[:0]
-	for k := range groups {
-		it.order = append(it.order, k)
+// foldRow folds row i of the batch into its group's states.
+func (f *folder) foldRow(a *plan.Aggregate, states []aggState, i int, ctx *Ctx, row value.Row) error {
+	for j, spec := range a.Aggs {
+		st := &states[j]
+		var v value.Value
+		switch l := &f.args[j]; {
+		case spec.Arg == nil:
+			st.count++ // COUNT(*) counts rows unconditionally
+			continue
+		case spec.Distinct:
+			if i == l.errAt {
+				return l.err
+			}
+			if l.keys[i].null {
+				continue
+			}
+			if _, added := st.distinct.slot(l, i); !added {
+				continue
+			}
+			v, _ = spec.Arg.Eval(ctx.Eval, row) // it did not fail when gathered
+		default:
+			var err error
+			if v, err = spec.Arg.Eval(ctx.Eval, row); err != nil {
+				return err
+			}
+			if v.IsNull() {
+				continue // NULLs are ignored by all aggregates
+			}
+		}
+		if err := st.add(spec, v); err != nil {
+			return err
+		}
 	}
-	sort.Strings(it.order)
-	nk := len(it.a.GroupBy)
-	w := nk + len(it.a.Aggs)
-	backing := make([]value.Value, len(it.order)*w)
+	return nil
+}
+
+// recycle empties the group table for the next fold, dropping what
+// outgrew keepRows.
+func (f *folder) recycle() {
+	f.groups.recycle()
+	f.keys = recycle(f.keys)
+	f.states = recycle(f.states)
+}
+
+// emit renders the group table as result rows in ascending order of
+// the groups' encoded keys — deterministic by construction, and
+// identical between the serial and two-phase parallel paths
+// (first-appearance order would differ run to run under parallel
+// folding). The rows are fresh (they escape to the consumer) and share
+// one backing array.
+func (it *aggIter) emit(f *folder) {
+	nk, na := len(it.a.GroupBy), len(it.a.Aggs)
+	order := []keyed{{}} // the global group, slot 0
+	if nk > 0 {
+		order = f.groups.sorted()
+	}
+	w := nk + na
+	backing := make([]value.Value, len(order)*w)
 	it.rows = it.rows[:0]
-	for i, k := range it.order {
-		grp := groups[k]
+	for i, g := range order {
+		s := int(g.slot)
 		out := value.Row(backing[i*w : (i+1)*w : (i+1)*w])
-		copy(out, grp.keys)
+		copy(out, f.keys[s*nk:(s+1)*nk])
 		for j, spec := range it.a.Aggs {
-			out[nk+j] = finish(&grp.states[j], spec)
+			out[nk+j] = finish(&f.states[s*na+j], spec)
 		}
 		it.rows = append(it.rows, out)
 	}
 }
 
 // mergeState folds one worker's partial aggregate state into dst. The
-// planner never parallelizes DISTINCT aggregates (per-worker seen-sets
+// planner never parallelizes DISTINCT aggregates (per-worker DISTINCT tables
 // are not mergeable into correct counts) and gates SUM/AVG to integer
 // arguments (float accumulation order would leak into results), so the
 // merge is exact: counts and integer sums add, extrema compare.
@@ -193,23 +223,23 @@ func mergeState(dst, src *aggState) {
 
 // foldParallel is the two-phase path: one fragment per worker folds
 // morsels of the child into a private group table (no shared state, no
-// locks), then the partials merge serially in worker-index order into
-// a table that emits exactly like the serial operator's.
-func foldParallel(a *plan.Aggregate, ctx *Ctx) (map[string]*aggGroup, error) {
+// locks), then the partials merge serially, in worker-index order, into
+// worker 0's table, which emits exactly like the serial operator's.
+// Each partial's keys are re-slotted lane by lane into worker 0's key
+// table; a group new to it keeps the partial's key values and states.
+func foldParallel(a *plan.Aggregate, ctx *Ctx) (*folder, error) {
 	ws, err := openWorkers(a.Child, ctx, ctx.Workers)
 	if err != nil {
 		return nil, err
 	}
-	partials := make([]map[string]*aggGroup, len(ws))
+	folders := make([]folder, len(ws))
 	errs := make([]error, len(ws))
 	var wg sync.WaitGroup
 	for i, w := range ws {
-		partials[i] = make(map[string]*aggGroup)
 		wg.Add(1)
 		go func(i int, w *worker) {
 			defer wg.Done()
-			var f folder
-			errs[i] = w.drive(func() error { return f.fold(a, w.iter, w.ctx, partials[i]) })
+			errs[i] = w.drive(func() error { return folders[i].fold(a, w.iter, w.ctx) })
 		}(i, w)
 	}
 	wg.Wait()
@@ -219,45 +249,32 @@ func foldParallel(a *plan.Aggregate, ctx *Ctx) (map[string]*aggGroup, error) {
 		}
 	}
 
-	groups := partials[0]
-	for _, part := range partials[1:] {
-		for k, g := range part {
-			dst, ok := groups[k]
-			if !ok {
-				groups[k] = g
-				continue
-			}
-			for i := range dst.states {
-				mergeState(&dst.states[i], &g.states[i])
-			}
+	dst := &folders[0]
+	var src *folder
+	nk, na := len(a.GroupBy), len(a.Aggs)
+	merge := func(from, to int32, added bool) {
+		states := src.states[int(from)*na : int(from+1)*na]
+		if added {
+			dst.keys = append(dst.keys, src.keys[int(from)*nk:int(from+1)*nk]...)
+			dst.states = append(dst.states, states...)
+			return
+		}
+		for j := range states {
+			mergeState(&dst.states[int(to)*na+j], &states[j])
 		}
 	}
-	return groups, nil
+	for i := 1; i < len(folders); i++ {
+		if src = &folders[i]; nk == 0 {
+			merge(0, 0, false)
+		} else {
+			dst.groups.merge(&src.groups, merge)
+		}
+	}
+	return dst, nil
 }
 
-func fold(st *aggState, spec plan.AggSpec, ctx *Ctx, row value.Row) error {
-	// COUNT(*) counts rows unconditionally.
-	if spec.Arg == nil {
-		st.count++
-		return nil
-	}
-	v, err := spec.Arg.Eval(ctx.Eval, row)
-	if err != nil {
-		return err
-	}
-	if v.IsNull() {
-		return nil // NULLs are ignored by all aggregates
-	}
-	if spec.Distinct {
-		if st.seen == nil {
-			st.seen = make(map[string]struct{})
-		}
-		k := value.KeyOf(v)
-		if _, dup := st.seen[k]; dup {
-			return nil
-		}
-		st.seen[k] = struct{}{}
-	}
+// add folds v, a non-NULL argument, into st.
+func (st *aggState) add(spec plan.AggSpec, v value.Value) error {
 	st.any = true
 	st.count++
 	switch spec.Func {

@@ -134,15 +134,6 @@ func recycle[S ~[]E, E any](s S) S {
 	return s[:0]
 }
 
-// recycleMap is recycle for a map.
-func recycleMap[M ~map[K]V, K comparable, V any](m M) M {
-	if len(m) > keepRows {
-		return nil
-	}
-	clear(m)
-	return m
-}
-
 // pull drives it to exhaustion on behalf of a batch-owning consumer,
 // refilling *bp with grown's seed-8/×4 policy and handing each
 // non-empty batch's rows to each (the slice is only valid during that

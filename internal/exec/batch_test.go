@@ -225,6 +225,42 @@ func TestHashJoinProbeAllocsPerRun(t *testing.T) {
 	}
 }
 
+// TestKeyTableAllocsPerRun guards the key table's reuse in GROUP BY,
+// aggregate DISTINCT and SELECT DISTINCT: a warm instance rerun over
+// 5000 rows with 100 distinct keys allocates per group at most, never
+// per row. Encoding each argument before its duplicate check made
+// COUNT(DISTINCT grp) allocate once per row (5,013 allocations per run).
+func TestKeyTableAllocsPerRun(t *testing.T) {
+	h := bigHarness(t)
+	for _, c := range []struct {
+		sql    string
+		rows   int
+		budget float64
+	}{
+		{"SELECT COUNT(DISTINCT grp) FROM big", 1, 200},
+		{"SELECT grp, COUNT(*) FROM big GROUP BY grp", 100, 404},
+		{"SELECT DISTINCT grp FROM big", 100, 141},
+	} {
+		in := NewInstance(mustPlan(t, h, c.sql), NewCtx(h.store))
+		rows, err := in.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != c.rows || c.rows == 1 && rows[0][0].Int() != 100 {
+			t.Fatalf("%s: rows = %v", c.sql, rows)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := in.Drain(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocations per run", c.sql, allocs)
+		if allocs > c.budget {
+			t.Errorf("%s: %.0f allocations per run, want <= %.0f", c.sql, allocs, c.budget)
+		}
+	}
+}
+
 // TestRunIDsCarriesRowIDs: RunIDs returns Run's rows, in Run's order,
 // each beside the RowID it was read from — on the heap path across
 // growing batches, on the index path, through a filter the optimizer

@@ -1,9 +1,10 @@
 // Package exec interprets logical plans with batch-at-a-time pull
 // operators (one contract, NextBatch): scans with pushed predicates and
-// visibility masks, hash and nested-loops joins, hash aggregation,
-// sorting, limits, distinct, and the audit operator (a pass-through
-// that feeds partition-by values to its sink, paper §IV-A.2). A plan's
-// operator tree is an Instance: built once, reset for every run.
+// visibility masks, hash joins (nested loops among them), hash
+// aggregation, sorting, limits, distinct, and the audit operator (a
+// pass-through that feeds partition-by values to its sink, paper
+// §IV-A.2). A plan's operator tree is an Instance: built once, reset
+// for every run.
 package exec
 
 import (
@@ -313,9 +314,7 @@ func build(n plan.Node, ctx *Ctx, w *worker) (Iterator, error) {
 				it = &limitIter{child: it, n: x.N}
 			}
 		case *plan.Distinct:
-			if it, err = build(x.Child, ctx, nil); err == nil {
-				it = &distinctIter{child: it}
-			}
+			it, err = buildDistinct(x, ctx)
 		default:
 			err = fmt.Errorf("exec: unsupported plan node %T", n)
 		}
@@ -934,22 +933,35 @@ func (it *limitIter) Close() {
 	it.view = Batch{}
 }
 
+// distinctIter keeps the first occurrence of each row, in stream order:
+// a batch's rows are gathered whole as keys, and a row whose key the
+// table already holds is dropped.
 type distinctIter struct {
-	child  Iterator
-	seen   map[string]struct{}
-	keyBuf []byte
+	child Iterator
+	ctx   *Ctx
+	cols  []plan.Expr // every column: the key is the whole row
+	lane  keyLane
+	table keyTable
 }
 
-func (it *distinctIter) reset() error {
-	if it.seen == nil {
-		it.seen = make(map[string]struct{})
+func buildDistinct(d *plan.Distinct, ctx *Ctx) (Iterator, error) {
+	child, err := build(d.Child, ctx, nil)
+	if err != nil {
+		return nil, err
 	}
-	return it.child.reset()
+	cols := make([]plan.Expr, len(d.Schema()))
+	for c := range cols {
+		cols[c] = &plan.Col{Idx: c}
+	}
+	return &distinctIter{child: child, ctx: ctx, cols: cols}, nil
 }
+
+func (it *distinctIter) reset() error { return it.child.reset() }
 
 // NextBatch drops rows already seen, compacting first occurrences to
 // the front of the shared buffer exactly as filterIter does.
 func (it *distinctIter) NextBatch(b *Batch) (int, error) {
+	l := &it.lane
 	for {
 		n, err := it.child.NextBatch(b)
 		if err != nil {
@@ -959,30 +971,22 @@ func (it *distinctIter) NextBatch(b *Batch) (int, error) {
 			b.setRows(0)
 			return 0, nil
 		}
+		l.gather(it.cols, it.ctx, b.Rows)
 		kept := 0
-		for _, row := range b.Rows {
-			// Reusable key scratch: the map lookup on string(buf) does not
-			// allocate; the key string is only materialized on insert.
-			buf := it.keyBuf[:0]
-			for _, v := range row {
-				buf = value.EncodeKey(buf, v)
+		for i, row := range b.Rows[:l.errAt] {
+			if _, added := it.table.slot(l, i); added {
+				b.buf[kept] = row
+				kept++
 			}
-			it.keyBuf = buf
-			if _, dup := it.seen[string(buf)]; dup {
-				continue
-			}
-			it.seen[string(buf)] = struct{}{}
-			b.buf[kept] = row
-			kept++
 		}
-		if kept > 0 {
+		if kept > 0 || l.err != nil {
 			b.setRows(kept)
-			return kept, nil
+			return kept, l.err
 		}
 	}
 }
 
 func (it *distinctIter) Close() {
 	it.child.Close()
-	it.seen = recycleMap(it.seen)
+	it.table.recycle()
 }

@@ -7,11 +7,10 @@ import (
 )
 
 // buildJoin builds the left input and, for a serial join, the right
-// one: a serial join drains one input every run (into a hash table
-// when there are equi-keys, a row list otherwise) and probes with the
-// other; a worker's fragment probes with its left input the
-// partitioned table its run built once. A hash join counts the runs
-// that built its left input into st.
+// one: a serial join drains one input every run into a hash table and
+// probes with the other; a worker's fragment probes with its left input
+// the partitioned table its run built once. A join counts the runs that
+// built its left input into st.
 func buildJoin(j *plan.Join, ctx *Ctx, w *worker, st *obs.NodeStats) (Iterator, error) {
 	left, err := build(j.Left, ctx, w)
 	if err != nil {
@@ -23,18 +22,18 @@ func buildJoin(j *plan.Join, ctx *Ctx, w *worker, st *obs.NodeStats) (Iterator, 
 			return nil, err
 		}
 	}
-	rightWidth := len(j.Right.Schema())
-	if w == nil && len(j.LeftKeys) == 0 {
-		return &nlJoinIter{j: j, left: left, right: right, rightWidth: rightWidth, ctx: ctx}, nil
-	}
 	it := &hashJoinIter{
-		j: j, left: left, right: right, ctx: ctx, w: w, st: st, probe: left,
-		leftWidth: len(j.Left.Schema()), rightWidth: rightWidth,
+		j: j, left: left, right: right, ctx: ctx, w: w, st: st, probe: left, cond: j.Residual,
+		leftWidth: len(j.Left.Schema()), rightWidth: len(j.Right.Schema()),
 	}
-	// Only a serial inner join may build its left input: a left join
-	// null-extends left rows, so it probes with them, and a worker's
-	// fragment probes the table its run built from the right input.
-	if w == nil && j.Kind == plan.JoinInner {
+	if len(j.LeftKeys) == 0 {
+		it.cond = j.Cond
+	}
+	// Only a serial inner equi-join may build its left input: a left
+	// join null-extends left rows, so it probes with them; a worker's
+	// fragment probes the table its run built from the right input; and
+	// a join without equi-keys emits in left-row order.
+	if w == nil && j.Kind == plan.JoinInner && len(j.LeftKeys) > 0 {
 		it.leftScans = appendScans(nil, j.Left)
 		it.rightScans = appendScans(nil, j.Right)
 	}
@@ -72,203 +71,38 @@ func estimateRows(scans []*plan.Scan, ctx *Ctx) int {
 	return est
 }
 
-// ---- Join keys and the join table ----
-
-// The lanes a gathered join key lives in.
-const (
-	laneInt  uint8 = iota // a single-column key with an integral encoding: joinKey.i
-	laneKey               // any other key: its value.EncodeKey encoding
-	laneNull              // a SQL NULL in the key, which never joins
-)
-
-// joinKey is one row's gathered join key and, on the probe side, the
-// bucket it found.
-type joinKey struct {
-	i   int64 // the key, on the int lane
-	end int32 // where the row's encoding ends in keyLane.buf (empty off laneKey)
-	// The partition and bucket a probe row's lookup found; bucket -1
-	// when none.
-	part, bucket int32
-	lane         uint8
-}
-
-// keyLane holds one batch's join keys, gathered in one loop before a
-// join table is touched. Like the audit layer's ID sets, it gives a
-// single-column key that value.IntKey holds for (INT, BOOL, DATE, an
-// integral FLOAT) an int64 lane, and every other key (multi-column,
-// string, non-integral float) its EncodeKey encoding. Two keys match
-// exactly when their encodings are equal, and no key fits both lanes,
-// so INT 1, FLOAT 1.0 and TRUE join each other and NULL joins nothing.
-// The buffers are batch-sized and kept across runs.
-type keyLane struct {
-	keys []joinKey
-	buf  []byte
-	// err is the first key that failed to evaluate, at row errAt;
-	// nothing past it is gathered. errAt is the batch length if none
-	// failed.
-	err   error
-	errAt int
-}
-
-// gather evaluates the join keys of rows. A plain column key is read
-// straight from the row: first its kind and integer payload, in a loop
-// that does nothing else, so the rows' cache misses overlap; then the
-// keys off the int lane are filed from the rows, now in cache.
-func (l *keyLane) gather(keys []plan.Expr, ctx *Ctx, rows []value.Row) {
-	l.keys = sized(l.keys, len(rows))
-	l.buf, l.err, l.errAt = l.buf[:0], nil, len(rows)
-	if col, ok := keys[0].(*plan.Col); ok && len(keys) == 1 {
-		for i, row := range rows {
-			if k := &l.keys[i]; col.Idx < len(row) {
-				k.lane, k.i = uint8(row[col.Idx].Kind), row[col.Idx].I
-			}
-		}
-		for i, row := range rows {
-			k := &l.keys[i]
-			switch {
-			case col.Idx >= len(row):
-				if err := l.eval(i, keys, ctx, row); err != nil {
-					l.err, l.errAt = err, i
-					return
-				}
-			case value.Kind(k.lane) == value.KindInt:
-				k.lane, k.end = laneInt, int32(len(l.buf))
-			default:
-				l.put(i, row[col.Idx])
-			}
-		}
-		return
-	}
-	for i, row := range rows {
-		if err := l.eval(i, keys, ctx, row); err != nil {
-			l.err, l.errAt = err, i
-			return
-		}
-	}
-}
-
-// put files v as row i's single-column key.
-func (l *keyLane) put(i int, v value.Value) {
-	k := &l.keys[i]
-	if n, ok := value.IntKey(v); ok {
-		k.lane, k.i = laneInt, n
-	} else if v.IsNull() {
-		k.lane = laneNull
-	} else {
-		k.lane, l.buf = laneKey, value.EncodeKey(l.buf, v)
-	}
-	k.end = int32(len(l.buf))
-}
-
-// eval evaluates row i's key expressions. A multi-column key stops at
-// its first NULL, which no later column can make join.
-func (l *keyLane) eval(i int, keys []plan.Expr, ctx *Ctx, row value.Row) error {
-	if len(keys) == 1 {
-		v, err := keys[0].Eval(ctx.Eval, row)
-		if err == nil {
-			l.put(i, v)
-		}
-		return err
-	}
-	k, start := &l.keys[i], len(l.buf)
-	k.lane = laneKey
-	for _, e := range keys {
-		v, err := e.Eval(ctx.Eval, row)
-		if err != nil {
-			return err
-		}
-		if v.IsNull() {
-			k.lane, l.buf = laneNull, l.buf[:start]
-			break
-		}
-		l.buf = value.EncodeKey(l.buf, v)
-	}
-	k.end = int32(len(l.buf))
-	return nil
-}
-
-// encoded returns row i's key encoding (laneKey rows).
-func (l *keyLane) encoded(i int) []byte {
-	start := int32(0)
-	if i > 0 {
-		start = l.keys[i-1].end
-	}
-	return l.buf[start:l.keys[i].end]
-}
-
-// partition hashes row i's key onto one of n partitions: an int-lane
-// key by a multiplicative hash of the int64, any other by partitionOf.
-func (l *keyLane) partition(i, n int) int {
-	if k := &l.keys[i]; k.lane == laneInt {
-		return int((uint64(k.i) * 0x9e3779b97f4a7c15 >> 32) % uint64(n))
-	}
-	return partitionOf(l.encoded(i), n)
-}
+// ---- The join table ----
 
 // joinTable is a hash join's build table: one per serial join, and one
-// per partition of a parallel run's shared build. Each lane maps a key
-// to a bucket, the build rows with that key in build order. Buckets
-// are reused across runs while the table stays within keepRows.
+// per partition of a parallel run's shared build. Its key table gives
+// each key a bucket, the build rows with that key in build order. A key
+// holding a NULL is not added and finds nothing: NULL never joins.
+// Buckets are reused across runs while the table stays within keepRows.
 type joinTable struct {
-	ints    map[int64]int32
-	encoded map[string]int32
-	buckets [][]value.Row
-	used    int // buckets holding this run's rows
-	rows    int // build rows added this run
+	keys    keyTable
+	buckets [][]value.Row // by slot
+	rows    int           // build rows added this run
 }
 
-// add appends row to the bucket of row i's gathered key. NULL keys are
-// not added: they never join.
+// add appends row to the bucket of row i's gathered key.
 func (t *joinTable) add(l *keyLane, i int, row value.Row) {
-	var b int32
-	var ok bool
-	switch k := &l.keys[i]; k.lane {
-	case laneNull:
+	if l.keys[i].null {
 		return
-	case laneInt:
-		if b, ok = t.ints[k.i]; !ok {
-			if t.ints == nil {
-				t.ints = make(map[int64]int32)
-			}
-			b = t.bucket()
-			t.ints[k.i] = b
-		}
-	default:
-		key := l.encoded(i)
-		if b, ok = t.encoded[string(key)]; !ok {
-			if t.encoded == nil {
-				t.encoded = make(map[string]int32)
-			}
-			b = t.bucket()
-			t.encoded[string(key)] = b
-		}
+	}
+	b, _ := t.keys.slot(l, i)
+	if int(b) == len(t.buckets) {
+		t.buckets = append(t.buckets, nil)
 	}
 	t.buckets[b] = append(t.buckets[b], row)
 	t.rows++
 }
 
-// bucket takes the next empty bucket.
-func (t *joinTable) bucket() int32 {
-	if t.used == len(t.buckets) {
-		t.buckets = append(t.buckets, nil)
-	}
-	t.used++
-	return int32(t.used - 1)
-}
-
 // find returns the bucket holding row i's gathered key, or -1.
 func (t *joinTable) find(l *keyLane, i int) int32 {
-	b, ok := int32(0), false
-	switch k := &l.keys[i]; k.lane {
-	case laneInt:
-		b, ok = t.ints[k.i]
-	case laneKey:
-		b, ok = t.encoded[string(l.encoded(i))]
-	}
-	if !ok {
+	if l.keys[i].null {
 		return -1
 	}
-	return b
+	return t.keys.find(l, i)
 }
 
 // recycle empties the table for the next run, or drops it when it
@@ -278,19 +112,21 @@ func (t *joinTable) recycle() {
 		*t = joinTable{}
 		return
 	}
-	for b := range t.buckets[:t.used] {
+	for b := range t.buckets[:t.keys.len()] {
 		t.buckets[b] = recycle(t.buckets[b])
 	}
-	clear(t.ints)
-	clear(t.encoded)
-	t.used, t.rows = 0, 0
+	t.keys.recycle()
+	t.rows = 0
 }
 
 // ---- Hash join ----
 
 // hashJoinIter builds a hash table over one input keyed by its
 // equi-join keys and probes it with the other input's rows, applying
-// the residual predicate to each candidate pair. It builds the right
+// the residual predicate to each candidate pair. A join without
+// equi-keys (a cross join, a non-equi condition) is nested loops: every
+// row has the empty key, so each probe row meets the whole build input
+// and the full join condition decides each pair. It builds the right
 // input, except that a serial inner join builds its left input when
 // that input's estimate is the smaller one (decided per run, in reset);
 // either way every pair is laid out left|right. Left-outer rows with no
@@ -304,6 +140,9 @@ type hashJoinIter struct {
 	ctx   *Ctx
 	w     *worker
 	st    *obs.NodeStats // the Join node's record
+	// cond decides each candidate pair: the residual, or the full
+	// condition of a join without equi-keys.
+	cond plan.Expr
 
 	// The scans each input's estimate is taken from; nil unless the
 	// join may build its left input.
@@ -461,8 +300,8 @@ func (it *hashJoinIter) NextBatch(b *Batch) (int, error) {
 			}
 			copy(p, l)
 			copy(p[it.leftWidth:], r)
-			if it.j.Residual != nil {
-				v, err := it.j.Residual.Eval(it.ctx.Eval, p)
+			if it.cond != nil {
+				v, err := it.cond.Eval(it.ctx.Eval, p)
 				if err != nil {
 					b.setRows(n)
 					return n, err
@@ -529,17 +368,6 @@ func (p *probeInput) refill(probe Iterator) (bool, error) {
 	return n > 0 && err == nil, err
 }
 
-func (p *probeInput) next(probe Iterator) (value.Row, bool, error) {
-	if p.in == nil || p.pos >= len(p.in.Rows) {
-		if ok, err := p.refill(probe); !ok {
-			return nil, false, err
-		}
-	}
-	row := p.in.Rows[p.pos]
-	p.pos++
-	return row, true, nil
-}
-
 // Close ends the run: the build table is emptied for the next run, or
 // dropped with its buckets when it outgrew keepRows.
 func (it *hashJoinIter) Close() {
@@ -549,109 +377,4 @@ func (it *hashJoinIter) Close() {
 	clear(it.pair)
 	clear(it.slab)
 	it.table[0].recycle()
-}
-
-// ---- Nested loops join ----
-
-// nlJoinIter materializes the right input and scans it per left row,
-// evaluating the full join condition on each pair. Used for non-equi
-// conditions and cross joins.
-type nlJoinIter struct {
-	j          *plan.Join
-	left       Iterator
-	right      Iterator
-	rightRows  []value.Row
-	rightWidth int
-	ctx        *Ctx
-	rin        *Batch
-
-	cur     value.Row // current left row
-	ri      int
-	matched bool
-	done    bool
-	leftIn  probeInput
-}
-
-func (it *nlJoinIter) reset() error {
-	if err := it.left.reset(); err != nil {
-		return err
-	}
-	it.cur, it.ri, it.matched, it.done = nil, 0, false, false
-	it.leftIn.pos = 0
-	defer it.right.Close()
-	if err := it.right.reset(); err != nil {
-		return err
-	}
-	err := pull(it.right, &it.rin, func(rows []value.Row) error {
-		it.rightRows = append(it.rightRows, rows...)
-		return nil
-	})
-	it.rin.release()
-	return err
-}
-
-// NextBatch resumes the pair loop where the last call stopped and
-// emits up to the request ceiling.
-func (it *nlJoinIter) NextBatch(b *Batch) (int, error) {
-	limit := b.limit()
-	n := 0
-	for n < limit {
-		if it.cur == nil {
-			if it.done {
-				break
-			}
-			row, ok, err := it.leftIn.next(it.left)
-			if err != nil {
-				b.setRows(n)
-				return n, err
-			}
-			if !ok {
-				it.done = true
-				break
-			}
-			it.cur, it.ri, it.matched = row, 0, false
-		}
-		if it.ri < len(it.rightRows) {
-			pair := it.cur.Concat(it.rightRows[it.ri])
-			it.ri++
-			if it.j.Cond != nil {
-				v, err := it.j.Cond.Eval(it.ctx.Eval, pair)
-				if err != nil {
-					b.setRows(n)
-					return n, err
-				}
-				if value.TriFromValue(v) != value.True {
-					continue
-				}
-			}
-			it.matched = true
-			b.buf[n] = pair
-			n++
-			continue
-		}
-		// Right side exhausted for this left row: left-outer null
-		// extension, exactly once per unmatched left row.
-		if !it.matched && it.j.Kind == plan.JoinLeft {
-			b.buf[n] = it.cur.Concat(nullRow(it.rightWidth))
-			n++
-		}
-		it.cur = nil
-	}
-	b.setRows(n)
-	return n, nil
-}
-
-func (it *nlJoinIter) Close() {
-	it.left.Close()
-	it.leftIn.in.release()
-	it.cur = nil
-	it.rightRows = recycle(it.rightRows)
-}
-
-func nullRow(n int) value.Row {
-	row := make(value.Row, n)
-	for i := range row {
-		row[i] = value.Null
-	}
-	return row
 }

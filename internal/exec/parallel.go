@@ -187,20 +187,6 @@ func (w *worker) drive(body func() error) (err error) {
 
 // ---- Partitioned parallel hash-join build ----
 
-// partitionOf hashes an encoded join key (FNV-1a) onto a partition.
-func partitionOf(key []byte, n int) int {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for _, c := range key {
-		h ^= uint32(c)
-		h *= prime32
-	}
-	return int(h % uint32(n))
-}
-
 // buildSharedJoin executes the build side serially (it may be an
 // arbitrary subtree), then builds the join table split into key-hash
 // partitions, so the build itself runs on all workers without a
@@ -229,8 +215,8 @@ func buildSharedJoin(j *plan.Join, ctx *Ctx, workers int) ([]joinTable, error) {
 			l := &lanes[w]
 			l.gather(j.RightKeys, workerCtx(ctx), rows[lo:hi])
 			for i := range l.errAt {
-				if l.keys[i].lane == laneNull {
-					continue // NULL keys never join
+				if l.keys[i].null {
+					continue // NULL never joins
 				}
 				p := l.partition(i, workers)
 				per[w][p] = append(per[w][p], int32(i))

@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"auditdb/internal/catalog"
 	"auditdb/internal/obs"
+	"auditdb/internal/opt"
+	"auditdb/internal/parser"
 	"auditdb/internal/plan"
 	"auditdb/internal/storage"
 	"auditdb/internal/value"
@@ -213,11 +216,13 @@ func TestScanKernelBatchPredWithMask(t *testing.T) {
 }
 
 // TestJoinLanesMatchNestedLoops: hash joins over keys of every kind —
-// INT, integral and non-integral FLOAT, DATE, BOOL, VARCHAR, NULL, and a
-// two-column key — return exactly the nested-loops multiset, serially
+// INT, integral and non-integral FLOAT, DATE, BOOL, VARCHAR, NULL, and
+// two-column keys — return exactly the nested-loops multiset, serially
 // building either input and with a partitioned parallel build. Keys
 // that fit the int lane (INT 1, FLOAT 1.0, TRUE) join each other, keys
-// off it join only by their encodings, and NULL joins nothing.
+// off it join only by their encodings, and NULL joins nothing. The same
+// keys go through GROUP BY, COUNT(DISTINCT), SUM(DISTINCT) and SELECT
+// DISTINCT (checkKeyTable).
 func TestJoinLanesMatchNestedLoops(t *testing.T) {
 	date := func(s string) value.Value {
 		d, err := value.ParseDate(s)
@@ -257,11 +262,14 @@ func TestJoinLanesMatchNestedLoops(t *testing.T) {
 		{"(int, varchar) = (float, varchar)",
 			side{[]value.Kind{value.KindInt, value.KindString}, []value.Row{{i(1), s("x")}, {i(1), s("y")}, {i(2), null}, {null, s("x")}, {i(2), s("x")}}},
 			side{[]value.Kind{value.KindFloat, value.KindString}, []value.Row{{f(1), s("x")}, {f(1.5), s("x")}, {f(2), s("x")}, {f(2), null}, {null, s("y")}, {f(1), s("y")}}}},
+		{"(int, int) with NULLs",
+			side{[]value.Kind{value.KindInt, value.KindInt}, []value.Row{{i(1), null}, {i(2), null}, {null, null}, {i(1), i(1)}, {null, i(1)}, {i(2), null}}},
+			side{[]value.Kind{value.KindInt, value.KindInt}, []value.Row{{i(1), i(1)}, {i(2), null}, {i(1), null}, {null, null}}}},
 	}
 	for _, c := range cases {
 		for _, smallLeft := range []bool{false, true} {
 			h := newHarness(t)
-			table := func(name string, sd side, copies int) {
+			table := func(name string, sd side, copies int) []value.Row {
 				cols := []catalog.Column{{Name: "tag", Type: value.KindInt}}
 				for k, kind := range sd.kinds {
 					cols = append(cols, catalog.Column{Name: fmt.Sprintf("k%d", k), Type: kind})
@@ -273,13 +281,17 @@ func TestJoinLanesMatchNestedLoops(t *testing.T) {
 					}
 				}
 				addTable(t, h, &catalog.TableMeta{Name: name, Columns: cols}, rows)
+				return rows
 			}
 			lc, rc := 3, 1
 			if smallLeft {
 				lc, rc = 1, 3
 			}
-			table("l", c.left, lc)
-			table("r", c.right, rc)
+			lrows := table("l", c.left, lc)
+			rrows := table("r", c.right, rc)
+			if !smallLeft {
+				checkKeyTable(t, h, c.name, c.left.kinds, c.right.kinds, lrows, rrows)
+			}
 			eq, nl := "l.k0 = r.k0", "l.k0 <= r.k0 AND l.k0 >= r.k0"
 			if len(c.left.kinds) == 2 {
 				eq += " AND l.k1 = r.k1"
@@ -312,6 +324,157 @@ func TestJoinLanesMatchNestedLoops(t *testing.T) {
 				rows, _ := runWorkers(t, h, par, workers)
 				sameRows(t, fmt.Sprintf("%s, workers %d", label, workers), want, rows)
 			}
+		}
+	}
+}
+
+// checkKeyTable runs the key-table operators over relations of
+// (tag, key columns) rows: the stored tables l and r, typed, and u, an
+// uncoerced relation holding l's rows then r's, so INT 1, FLOAT 1.0 and
+// TRUE share a column. Each result is checked against a reference keyed
+// by value.EncodeKey: GROUP BY (serially, and over l and r also with 2
+// and 8 workers) returns one row per key in ascending encoded-key order,
+// with the key values of the group's first row; COUNT(DISTINCT) and
+// SUM(DISTINCT) fold each key's first value once, skipping NULL; SELECT
+// DISTINCT keeps first occurrences in stream order. NULL is one key, and
+// (1, NULL) is not (2, NULL).
+func checkKeyTable(t *testing.T, h *harness, name string, lkinds, rkinds []value.Kind, lrows, rrows []value.Row) {
+	t.Helper()
+	urows := slices.Concat(lrows, rrows)
+	for k := range urows[len(lrows):] {
+		urows[len(lrows)+k] = append(value.Row{value.NewInt(int64(1000 + k))}, urows[len(lrows)+k][1:]...)
+	}
+	schema := plan.Schema{{Name: "tag", Kind: value.KindInt}}
+	isNumeric := func(k value.Kind) bool { return k == value.KindInt || k == value.KindFloat || k == value.KindBool }
+	keys := make([]string, len(lkinds))
+	numeric := make([]bool, len(lkinds)) // SUM takes the column on both sides
+	for c, kind := range lkinds {
+		keys[c] = fmt.Sprintf("k%d", c)
+		schema = append(schema, plan.ColInfo{Name: keys[c], Kind: kind})
+		numeric[c] = isNumeric(kind) && isNumeric(rkinds[c])
+	}
+	extra := &plan.Env{Catalog: h.cat, Extra: map[string]plan.Schema{"u": schema}}
+	run := func(label, sql string, workers int) []value.Row {
+		t.Helper()
+		sel, err := parser.ParseQuery(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := plan.Build(extra, sel)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		n = opt.Optimize(n)
+		ctx := NewCtx(h.store)
+		ctx.Extra = map[string][]value.Row{"u": urows}
+		if workers > 1 {
+			n = parallelPlan(t, h, sql, workers)
+			var agg *plan.Aggregate
+			plan.Walk(n, func(x plan.Node) {
+				if a, ok := x.(*plan.Aggregate); ok {
+					agg = a
+				}
+			})
+			if agg == nil || !agg.Parallel {
+				t.Fatalf("%s: no two-phase aggregate in\n%s", label, plan.Explain(n))
+			}
+			ctx.Workers = workers
+		}
+		rows, err := NewInstance(n, ctx).Run()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		return rows
+	}
+	same := func(label string, want, got []value.Row) {
+		t.Helper()
+		ok := len(want) == len(got)
+		for r := 0; ok && r < len(want); r++ {
+			ok = len(want[r]) == len(got[r])
+			for c := 0; ok && c < len(want[r]); c++ {
+				ok = want[r][c].Kind == got[r][c].Kind && value.KeyOf(want[r][c]) == value.KeyOf(got[r][c])
+			}
+		}
+		if !ok {
+			t.Errorf("%s:\n got %v\nwant %v", label, got, want)
+		}
+	}
+	cols := strings.Join(keys, ", ")
+	for _, rel := range []struct {
+		name string
+		rows []value.Row
+	}{{"l", lrows}, {"r", rrows}, {"u", urows}} {
+		label := fmt.Sprintf("%s, %s", name, rel.name)
+		// The reference: groups by encoded key, in first-seen order.
+		type group struct {
+			key           value.Row
+			count, minTag int64
+		}
+		groups := map[string]*group{}
+		var encs []string
+		var firsts []value.Row
+		for _, r := range rel.rows {
+			var enc []byte
+			for _, v := range r[1:] {
+				enc = value.EncodeKey(enc, v)
+			}
+			g, ok := groups[string(enc)]
+			if !ok {
+				g = &group{key: r[1:], minTag: r[0].Int()}
+				groups[string(enc)] = g
+				encs = append(encs, string(enc))
+				firsts = append(firsts, r[1:])
+			}
+			g.count++
+			g.minTag = min(g.minTag, r[0].Int())
+		}
+		slices.Sort(encs)
+		var want []value.Row
+		for _, e := range encs {
+			g := groups[e]
+			want = append(want, append(slices.Clone(g.key), value.NewInt(g.count), value.NewInt(g.minTag)))
+		}
+		sql := fmt.Sprintf("SELECT %s, COUNT(*), MIN(tag) FROM %s GROUP BY %s", cols, rel.name, cols)
+		same(label+", GROUP BY", want, run(label, sql, 1))
+		if rel.name != "u" {
+			for _, workers := range []int{2, 8} {
+				l := fmt.Sprintf("%s, GROUP BY, workers %d", label, workers)
+				same(l, want, run(l, sql, workers))
+			}
+		}
+		same(label+", SELECT DISTINCT", firsts, run(label, fmt.Sprintf("SELECT DISTINCT %s FROM %s", cols, rel.name), 1))
+		for c, key := range keys {
+			seen := map[string]bool{}
+			var count, sumI int64
+			var sumF float64
+			isFloat, any := false, false
+			for _, r := range rel.rows {
+				v := r[1+c]
+				if v.IsNull() || seen[value.KeyOf(v)] {
+					continue
+				}
+				seen[value.KeyOf(v)] = true
+				count, any = count+1, true
+				if v.Kind == value.KindFloat {
+					sumF, isFloat = sumF+v.F, true
+				} else {
+					sumI += v.I
+				}
+			}
+			l := fmt.Sprintf("%s, COUNT(DISTINCT %s)", label, key)
+			same(l, []value.Row{{value.NewInt(count)}}, run(l, fmt.Sprintf("SELECT COUNT(DISTINCT %s) FROM %s", key, rel.name), 1))
+			if !numeric[c] {
+				continue
+			}
+			sum := value.Null
+			switch {
+			case isFloat:
+				sum = value.NewFloat(sumF + float64(sumI))
+			case any:
+				sum = value.NewInt(sumI)
+			}
+			l = fmt.Sprintf("%s, SUM(DISTINCT %s)", label, key)
+			same(l, []value.Row{{sum}}, run(l, fmt.Sprintf("SELECT SUM(DISTINCT %s) FROM %s", key, rel.name), 1))
 		}
 	}
 }
